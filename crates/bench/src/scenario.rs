@@ -1947,6 +1947,14 @@ pub use json::{parse as parse_json, Json};
 /// numbers, booleans, null); just enough to parse what
 /// [`ScenarioSpec::to_json`] writes plus hand-edited spec files.
 mod json {
+    /// 2^53: integers from here on are not all representable in an `f64`.
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+    /// Deepest array/object nesting [`parse`] accepts. The parser recurses
+    /// once per level, so a bound keeps hostile input (`[` × 200 000) from
+    /// overflowing the stack; spec files nest a handful of levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Json {
@@ -1981,10 +1989,13 @@ mod json {
             }
         }
 
-        /// Non-negative integer value, if this is a whole number.
+        /// Non-negative integer value, if this is a whole number below
+        /// 2^53. Numbers are stored as `f64`, which holds every integer up
+        /// to 2^53 exactly; a larger one (`1e300`) may not be the integer
+        /// that was written and is rejected rather than saturated.
         pub fn as_u64(&self) -> Option<u64> {
             match self {
-                Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+                Json::Num(x) if *x >= 0.0 && *x < MAX_EXACT && x.fract() == 0.0 => Some(*x as u64),
                 _ => None,
             }
         }
@@ -2007,10 +2018,11 @@ mod json {
     }
 
     /// Parses `text` into a [`Json`] value (trailing whitespace allowed).
+    /// Nesting deeper than [`MAX_DEPTH`] is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -2033,11 +2045,15 @@ mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    /// Parses one value; `depth` counts the arrays and objects around it.
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         skip_ws(b, pos);
+        if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos));
+        }
         match b.get(*pos) {
-            Some(b'{') => parse_obj(b, pos),
-            Some(b'[') => parse_arr(b, pos),
+            Some(b'{') => parse_obj(b, pos, depth + 1),
+            Some(b'[') => parse_arr(b, pos, depth + 1),
             Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
             Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
             Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -2118,7 +2134,7 @@ mod json {
         Err("unterminated string".into())
     }
 
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -2131,7 +2147,7 @@ mod json {
             let key = parse_string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            let value = parse_value(b, pos)?;
+            let value = parse_value(b, pos, depth)?;
             fields.push((key, value));
             skip_ws(b, pos);
             match b.get(*pos) {
@@ -2145,7 +2161,7 @@ mod json {
         }
     }
 
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -2154,7 +2170,7 @@ mod json {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(parse_value(b, pos)?);
+            items.push(parse_value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -2347,6 +2363,38 @@ mod tests {
         assert!(ScenarioSpec::from_json(
             "{\"schema\": \"rrb-scenario-v999\", \"label\": \"x\", \
              \"graph\": {\"kind\": \"complete\", \"n\": 4}, \
+             \"protocol\": {\"kind\": \"silent\"}}"
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // Regression: `[` × 200 000 recursed until the stack overflowed.
+        let deep = "[".repeat(200_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(ScenarioSpec::list_from_json(&deep).is_err());
+        let deep_obj = "{\"a\": ".repeat(200_000);
+        assert!(parse_json(&deep_obj).unwrap_err().contains("nesting"));
+        // MAX_DEPTH levels still parse; one more does not.
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse_json(&nest(json::MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nest(json::MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn json_integers_must_be_exact() {
+        let int = |text: &str| parse_json(text).unwrap().as_u64();
+        assert_eq!(int("9007199254740991"), Some(9_007_199_254_740_991));
+        assert_eq!(int("9007199254740992"), None, "2^53 is not exact");
+        assert_eq!(int("1e300"), None);
+        assert_eq!(int("-1"), None);
+        assert_eq!(int("2.5"), None);
+        // Regression: `"n": 1e300` saturated to u64::MAX, passed validation
+        // and then panicked with "capacity overflow".
+        assert!(ScenarioSpec::from_json(
+            "{\"label\": \"x\", \"graph\": {\"kind\": \"complete\", \"n\": 1e300}, \
              \"protocol\": {\"kind\": \"silent\"}}"
         )
         .is_err());

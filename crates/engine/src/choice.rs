@@ -234,6 +234,44 @@ pub fn sample_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
     }
 }
 
+/// Advances `rng` and `state` exactly as [`sample_targets`] would for node
+/// `v`, and returns how many targets that call would have produced, but
+/// keeps none of them. This is for callers whose channels can carry
+/// nothing this round, so that later draws stay where they would have
+/// been.
+///
+/// `Distinct(k)` is memoryless: Floyd's algorithm draws one word per pick
+/// (`gen_range(0..=j)` is a single `next_u64`) when `deg > k`, and nothing
+/// otherwise, so only the words are drawn and no stub is looked up. The
+/// stateful policies sample into `scratch` and discard it, so their rings
+/// and cursors still advance.
+// rrb-lint: hot
+pub(crate) fn discard_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
+    topo: &T,
+    v: NodeId,
+    policy: ChoicePolicy,
+    state: &mut ChoiceState,
+    rng: &mut R,
+    scratch: &mut Vec<NodeId>,
+) -> usize {
+    match policy {
+        ChoicePolicy::Distinct(k) => {
+            let deg = topo.stubs(v).len();
+            if deg <= k {
+                return deg;
+            }
+            for _ in 0..k {
+                rng.next_u64();
+            }
+            k
+        }
+        ChoicePolicy::SequentialMemory { .. } | ChoicePolicy::Cyclic => {
+            sample_targets(topo, v, policy, state, rng, scratch);
+            scratch.len()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +526,67 @@ mod tests {
         let mut out = Vec::new();
         sample_targets(&g, NodeId::new(0), policy, &mut state, &mut rng, &mut out);
         assert_eq!(out.len(), 9);
+    }
+
+    /// Choice bookkeeping that later draws depend on (the Floyd scratch is
+    /// a reusable buffer, not state).
+    fn same_state(a: &ChoiceState, b: &ChoiceState) -> bool {
+        a.recent == b.recent && a.window == b.window && a.cursor == b.cursor
+    }
+
+    /// Samples every node of `g` for `rounds` rounds on one copy of the
+    /// generator and choice state, discards on the other, and asserts the
+    /// two copies stay bit-identical with matching target counts.
+    fn assert_discard_matches_sample(
+        g: &rrb_graph::Graph,
+        policy: ChoicePolicy,
+        seed: u64,
+        rounds: usize,
+    ) {
+        let n = Topology::node_count(g);
+        let mut full_rng = SmallRng::seed_from_u64(seed);
+        let mut quiet_rng = SmallRng::seed_from_u64(seed);
+        let mut full = ChoiceState::new(n, policy);
+        let mut quiet = ChoiceState::new(n, policy);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        for _ in 0..rounds {
+            for i in 0..n {
+                let v = NodeId::new(i);
+                sample_targets(g, v, policy, &mut full, &mut full_rng, &mut out);
+                let count = discard_targets(g, v, policy, &mut quiet, &mut quiet_rng, &mut scratch);
+                assert_eq!(count, out.len(), "{policy:?}: target count differs at node {i}");
+                assert_eq!(full_rng, quiet_rng, "{policy:?}: generator diverged at node {i}");
+                assert!(same_state(&full, &quiet), "{policy:?}: choice state diverged at node {i}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Discarding a caller's targets leaves the generator and the
+        /// choice state exactly where sampling them would: every policy,
+        /// and for `Distinct(k)` degrees below, at and above `k`, with
+        /// `k` on both sides of the stack/heap Floyd threshold.
+        #[test]
+        fn discarding_draws_exactly_what_sampling_draws(
+            seed in proptest::prelude::any::<u64>(),
+            k in 1usize..33,
+            gap in 1usize..9,
+            window in 1usize..6,
+            rounds in 1usize..5,
+        ) {
+            for deg in [k.saturating_sub(gap), k, k + gap] {
+                let g = gen::complete(deg + 1);
+                for policy in [
+                    ChoicePolicy::Distinct(k),
+                    ChoicePolicy::SequentialMemory { window },
+                    ChoicePolicy::Cyclic,
+                ] {
+                    assert_discard_matches_sample(&g, policy, seed, rounds);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,23 @@ use rand::Rng;
 
 use rrb_graph::NodeId;
 
-use crate::choice::{sample_targets, ChoiceState};
+use crate::choice::{discard_targets, sample_targets, ChoiceState};
 use crate::failure::FaultChannelView;
 use crate::{ChoicePolicy, FailureModel, Round, Topology};
+
+/// How [`ChannelFabric::sample`] treats one alive, unblocked caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CallerGate {
+    /// Sample and store the caller's channels.
+    Open,
+    /// The caller does not push and no node pull-serves this round, so its
+    /// channels can carry nothing: make the draws, store nothing (fast
+    /// path only).
+    Quiet,
+    /// Push-only capability skip for a caller that cannot carry the rumour
+    /// under a memoryless policy: count its channels, make no draws.
+    Skip,
+}
 
 /// One round's channel openings in CSR form, with all scratch buffers
 /// reused across rounds (allocation-free once warm).
@@ -59,14 +73,21 @@ impl ChannelFabric {
 
     /// Samples every alive, unblocked (uncrashed, unsuspended) node's
     /// channel targets for this round and returns the number of channels
-    /// opened (skipped callers' would-be channels included).
+    /// opened (the channels of skipped and quiet callers included).
     ///
-    /// `skip_fanout` is the capability-gated push-only sampling skip: when
-    /// `Some(k)`, a caller for which `is_uninformed` holds can carry no
-    /// rumour in either direction, so its targets are never sampled — its
-    /// deterministic `min(k, deg)` channel count is still added to the
-    /// returned total (channel opening is part of the model), but it costs
-    /// no RNG draws and no buffer traffic.
+    /// `gate` classifies each such caller (see [`CallerGate`]):
+    /// - `Skip`: the capability-gated push-only sampling skip. The caller's
+    ///   deterministic `min(fanout, deg)` channels are counted, but it costs
+    ///   no RNG draws and no buffer traffic.
+    /// - `Quiet`: the caller's channels can carry nothing this round. On
+    ///   the fast path it makes exactly the draws sampling would make
+    ///   (advancing any per-node choice state) and stores nothing. Off the
+    ///   fast path it is sampled like `Open`, because its per-channel
+    ///   failure draws need the targets.
+    /// - `Open`: sampled and stored.
+    ///
+    /// On the single-rumour engine the gate reads this round's plans, so
+    /// the plan phase runs before the fabric there.
     ///
     /// `faults` is the optional per-channel fault view of an installed
     /// [`FaultPlan`](crate::FaultPlan): partitioned pairs fail to
@@ -85,13 +106,12 @@ impl ChannelFabric {
         failures: FailureModel,
         blocked: &[bool],
         faults: Option<&FaultChannelView<'_>>,
-        skip_fanout: Option<usize>,
-        is_uninformed: F,
+        gate: F,
         rng: &mut R,
     ) -> u64
     where
         T: Topology + ?Sized,
-        F: Fn(usize) -> bool,
+        F: Fn(usize) -> CallerGate,
         R: Rng + ?Sized,
     {
         let n = topo.node_count();
@@ -101,20 +121,42 @@ impl ChannelFabric {
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
+        if self.targets.capacity() == 0 {
+            // Size the target list once, for a round in which every caller
+            // is open, so it never regrows (and copies) mid-run.
+            let k = policy.fanout();
+            let bound = (0..n).map(|i| topo.stubs(NodeId::new(i)).len().min(k)).sum();
+            self.targets.reserve(bound);
+        }
         self.offsets.push(0);
         self.skipped_last = 0;
         let mut channels = 0u64;
         for i in 0..n {
             let v = NodeId::new(i);
             if topo.is_alive(v) && !blocked[i] {
-                if let (Some(k), true) = (skip_fanout, is_uninformed(i)) {
-                    // Uninformed caller under a push-only protocol: count
-                    // the channels it would open, materialise none.
-                    let skipped = topo.stubs(v).len().min(k) as u64;
-                    self.skipped_last += skipped;
-                    channels += skipped;
-                    self.offsets.push(self.targets.len() as u32);
-                    continue;
+                match gate(i) {
+                    CallerGate::Skip => {
+                        // Uninformed caller under a push-only protocol:
+                        // count the channels it would open, draw nothing.
+                        let skipped = topo.stubs(v).len().min(policy.fanout()) as u64;
+                        self.skipped_last += skipped;
+                        channels += skipped;
+                        self.offsets.push(self.targets.len() as u32);
+                        continue;
+                    }
+                    CallerGate::Quiet if self.fast_path => {
+                        channels += discard_targets(
+                            topo,
+                            v,
+                            policy,
+                            choice,
+                            rng,
+                            &mut self.target_buf,
+                        ) as u64;
+                        self.offsets.push(self.targets.len() as u32);
+                        continue;
+                    }
+                    CallerGate::Quiet | CallerGate::Open => {}
                 }
                 sample_targets(topo, v, policy, choice, rng, &mut self.target_buf);
                 channels += self.target_buf.len() as u64;
@@ -394,8 +436,7 @@ mod tests {
             FailureModel::NONE,
             &crashed,
             None,
-            None,
-            |_| false,
+            |_| CallerGate::Open,
             &mut rng,
         );
         assert_eq!(channels, 12 * 4);
@@ -429,12 +470,81 @@ mod tests {
             FailureModel::NONE,
             &crashed,
             None,
-            Some(1),
-            |_| true,
+            |_| CallerGate::Skip,
             &mut rng,
         );
         assert_eq!(channels, 8);
         assert_eq!(fabric.len(), 0);
+    }
+
+    #[test]
+    fn quiet_callers_draw_like_open_ones_but_store_nothing() {
+        // Odd callers are quiet. Their channels are counted and their draws
+        // made, so the generator ends where an all-open round leaves it,
+        // and the even callers' channels are exactly the all-open ones.
+        let g = gen::complete(16);
+        for policy in [ChoicePolicy::FOUR, ChoicePolicy::SEQUENTIAL, ChoicePolicy::Cyclic] {
+            let blocked = vec![false; 16];
+            let sample = |gate: fn(usize) -> CallerGate| {
+                let mut rng = SmallRng::seed_from_u64(12);
+                let mut choice = ChoiceState::new(16, policy);
+                let mut fabric = ChannelFabric::new(16);
+                let channels = fabric.sample(
+                    &g,
+                    policy,
+                    &mut choice,
+                    FailureModel::NONE,
+                    &blocked,
+                    None,
+                    gate,
+                    &mut rng,
+                );
+                let lists: Vec<Vec<NodeId>> = (0..16)
+                    .map(|i| fabric.out_range(i).map(|c| fabric.target(c)).collect())
+                    .collect();
+                (channels, lists, rng)
+            };
+            let (open_channels, open_lists, open_rng) = sample(|_| CallerGate::Open);
+            let (quiet_channels, quiet_lists, quiet_rng) = sample(|i| {
+                if i % 2 == 1 {
+                    CallerGate::Quiet
+                } else {
+                    CallerGate::Open
+                }
+            });
+            assert_eq!(open_channels, quiet_channels, "{policy:?}");
+            assert_eq!(open_rng, quiet_rng, "{policy:?}: quiet callers must draw");
+            for i in 0..16 {
+                if i % 2 == 1 {
+                    assert!(quiet_lists[i].is_empty(), "{policy:?}: quiet caller {i} stored");
+                } else {
+                    assert_eq!(open_lists[i], quiet_lists[i], "{policy:?}: caller {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_callers_are_sampled_off_the_fast_path() {
+        // Per-channel failure draws need the targets, so a lossy round
+        // treats quiet callers as open.
+        let g = gen::complete(16);
+        let blocked = vec![false; 16];
+        let mut fabric = ChannelFabric::new(16);
+        let mut choice = ChoiceState::new(16, ChoicePolicy::FOUR);
+        let mut rng = SmallRng::seed_from_u64(13);
+        fabric.sample(
+            &g,
+            ChoicePolicy::FOUR,
+            &mut choice,
+            FailureModel::channels(0.3),
+            &blocked,
+            None,
+            |_| CallerGate::Quiet,
+            &mut rng,
+        );
+        assert!(!fabric.is_fast_path());
+        assert_eq!(fabric.len(), 16 * 4);
     }
 
     #[test]
@@ -451,8 +561,7 @@ mod tests {
             FailureModel::channels(0.5),
             &crashed,
             None,
-            None,
-            |_| false,
+            |_| CallerGate::Open,
             &mut rng,
         );
         assert_eq!(channels, 16);
@@ -484,8 +593,7 @@ mod tests {
             FailureModel::NONE,
             &blocked,
             Some(&view),
-            None,
-            |_| false,
+            |_| CallerGate::Open,
             &mut rng,
         );
         // Opened channels are still counted; only same-component ones
@@ -523,8 +631,7 @@ mod tests {
             FailureModel::NONE,
             &blocked,
             Some(&view),
-            None,
-            |_| false,
+            |_| CallerGate::Open,
             &mut rng,
         );
         assert_eq!(channels, 16);

@@ -4,7 +4,7 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
-use crate::fabric::{ChannelFabric, InformedIndex};
+use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
 use crate::failure::FaultState;
 use crate::observation::ObservationArena;
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
@@ -623,8 +623,9 @@ impl<P: Protocol> MultiSimState<P> {
         // Phase 3: the shared channel fabric. The push-only sampling skip
         // applies to callers informed of no active rumour: their channels
         // can carry nothing in either direction, so they are counted but
-        // never sampled.
-        let skip_fanout = (!uses_pull && policy.is_memoryless()).then(|| policy.fanout());
+        // never sampled. Every other caller is `Open`: this engine never
+        // marks a caller `Quiet`.
+        let skip_uninformed = !uses_pull && policy.is_memoryless();
         let informed_of = &self.informed_of;
         let fault_view = fault_state.as_ref().and_then(FaultState::channel_view);
         let channels_this_round = self.fabric.sample(
@@ -634,8 +635,13 @@ impl<P: Protocol> MultiSimState<P> {
             failures,
             self.census.blocked_slice(),
             fault_view.as_ref(),
-            skip_fanout,
-            |i| informed_of[i] == 0,
+            |i| {
+                if skip_uninformed && informed_of[i] == 0 {
+                    CallerGate::Skip
+                } else {
+                    CallerGate::Open
+                }
+            },
             rng,
         );
         self.channels += channels_this_round;

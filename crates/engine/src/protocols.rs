@@ -189,6 +189,92 @@ impl Protocol for SilentProtocol {
     }
 }
 
+/// A fixed four-phase schedule on global rounds, shaped like the paper's
+/// Algorithm 1 (which lives in `rrb-core`) but with the phase ends given
+/// directly:
+///
+/// 1. rounds `1..=push_once_until`: a node pushes once, in the round after
+///    it was informed;
+/// 2. rounds up to `push_all_until`: every informed node pushes;
+/// 3. round `push_all_until + 1`: every informed node pull-serves (the
+///    only pull round);
+/// 4. rounds up to `deadline`: nodes informed after phase 2 push, all
+///    others are silent.
+///
+/// Nodes become quiescent only after the deadline, so a run to quiescence
+/// walks the whole tail. It reports [`Capabilities::ALL`], so no
+/// capability shortcut applies, and rounds with and without pulls
+/// alternate the way they do in the paper's algorithm.
+#[derive(Debug, Clone, Copy)]
+pub struct Phased {
+    policy: ChoicePolicy,
+    push_once_until: Round,
+    push_all_until: Round,
+    deadline: Round,
+}
+
+impl Phased {
+    /// The schedule under the four-choice policy. Panics unless
+    /// `push_once_until <= push_all_until < deadline`.
+    pub fn new(push_once_until: Round, push_all_until: Round, deadline: Round) -> Self {
+        assert!(
+            push_once_until <= push_all_until && push_all_until < deadline,
+            "phase ends must be ordered"
+        );
+        Phased { policy: ChoicePolicy::FOUR, push_once_until, push_all_until, deadline }
+    }
+
+    /// The same schedule under a custom choice policy.
+    pub fn with_policy(self, policy: ChoicePolicy) -> Self {
+        Phased { policy, ..self }
+    }
+}
+
+impl Protocol for Phased {
+    type State = ();
+
+    fn init(&self, _creator: bool) -> Self::State {}
+
+    fn choice_policy(&self) -> ChoicePolicy {
+        self.policy
+    }
+
+    fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
+        let meta = RumorMeta { age: t.saturating_sub(view.informed_at), counter: 0 };
+        let push = if t <= self.push_once_until {
+            view.informed_at + 1 == t
+        } else if t <= self.push_all_until {
+            true
+        } else if t == self.push_all_until + 1 {
+            return Plan::pull_with(meta);
+        } else {
+            view.informed_at > self.push_all_until
+        };
+        if push {
+            Plan::push_with(meta)
+        } else {
+            Plan::SILENT
+        }
+    }
+
+    fn update(
+        &self,
+        _state: &mut Self::State,
+        _informed_at: Option<Round>,
+        _t: Round,
+        _obs: &Observation,
+    ) {
+    }
+
+    fn is_quiescent(&self, _state: &Self::State, _informed_at: Round, t: Round) -> bool {
+        t > self.deadline
+    }
+
+    fn deadline(&self) -> Option<Round> {
+        Some(self.deadline)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +291,27 @@ mod tests {
         assert!(p.push && p.pull_serve);
         let p = SilentProtocol.plan(view, 5);
         assert!(!p.transmits());
+    }
+
+    #[test]
+    fn phased_walks_its_four_phases() {
+        let p = Phased::new(3, 5, 9);
+        let view = |informed_at| NodeView { informed_at, is_creator: informed_at == 0, state: &() };
+        // Phase 1: push once, in the round after reception.
+        assert!(p.plan(view(0), 1).push);
+        assert!(!p.plan(view(0), 2).transmits());
+        assert!(p.plan(view(2), 3).push);
+        // Phase 2: every informed node pushes.
+        assert!(p.plan(view(0), 4).push && !p.plan(view(0), 5).pull_serve);
+        // Phase 3: the single pull round.
+        let pull = p.plan(view(1), 6);
+        assert!(pull.pull_serve && !pull.push);
+        // Phase 4: only nodes informed after phase 2 push.
+        assert!(!p.plan(view(4), 7).transmits());
+        assert!(p.plan(view(6), 7).push);
+        assert!(!p.is_quiescent(&(), 0, 9) && p.is_quiescent(&(), 0, 10));
+        assert_eq!(p.deadline(), Some(9));
+        assert_eq!(p.capabilities(), Capabilities::ALL);
     }
 
     #[test]

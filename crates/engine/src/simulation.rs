@@ -7,7 +7,7 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
-use crate::fabric::{ChannelFabric, InformedIndex};
+use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
 use crate::failure::FaultState;
 use crate::observation::{ObservationArena, RumorMeta};
 use crate::report::StopReason;
@@ -513,8 +513,7 @@ impl<P: Protocol> SimState<P> {
         // channels such a node would open is the deterministic
         // `min(fanout, deg)`, so the `channels` metric still counts them
         // without touching the RNG.
-        let skip_fanout = (!protocol.capabilities().uses_pull && policy.is_memoryless())
-            .then(|| policy.fanout());
+        let skip_uninformed = !protocol.capabilities().uses_pull && policy.is_memoryless();
 
         // Phase 0: crash-stop sampling (fail-stop nodes never recover).
         // Gated on its own probability, independent of `fast_path`: a
@@ -534,13 +533,36 @@ impl<P: Protocol> SimState<P> {
         }
         clock.lap(&mut self.probe, StepPhase::Faults);
 
-        // Phase a: every alive node opens channels (shared fabric code in
+        // Phase a: informed nodes decide their plans. Plans are RNG-free
+        // and read only state settled above, so they are made before the
+        // fabric, which they gate. With `config.shards > 1` this and
+        // phases c–d fan out over the rayon pool: every model RNG draw
+        // happens serially (crash sampling, fabric) or in a serial
+        // pre-draw (per-call transmission outcomes), so the fanned-out
+        // work is RNG-free and the results are byte-identical to the
+        // serial path at any shard and thread count (`tests/sharding.rs`).
+        let sharded = config.shards > 1 && n > 1;
+        let any_pull = if sharded {
+            self.plan_sharded(n, t, protocol, config.shards)
+        } else {
+            let (states, informed, census) = (&self.states, &self.informed, &self.census);
+            let list = informed.list();
+            plan_list(protocol, states, informed, census, self.creator, t, 0, &mut self.plans, list)
+        };
+        clock.lap(&mut self.probe, StepPhase::Plan);
+
+        // Phase b: every alive node opens channels (shared fabric code in
         // `fabric.rs`). On the fast path a channel is usable iff the callee
         // slot is alive and uncrashed, so unusable channels are counted but
         // never materialised and the per-channel Bernoulli draw is skipped
         // (`FailureModel::NONE` draws nothing from the RNG either way — the
-        // streams stay identical).
+        // streams stay identical). A caller that does not push, in a round
+        // in which no node pull-serves, can carry nothing: it is `Quiet`,
+        // so on the fast path it makes its draws but stores no channel.
+        // That covers the uninformed majority in push rounds and everyone
+        // in silent rounds.
         let informed = &self.informed;
+        let plans = &self.plans;
         let fault_view = fault_state.as_ref().and_then(FaultState::channel_view);
         let channels_this_round = self.fabric.sample(
             topo,
@@ -549,24 +571,25 @@ impl<P: Protocol> SimState<P> {
             failures,
             self.census.blocked_slice(),
             fault_view.as_ref(),
-            skip_fanout,
-            |i| informed.at(i).is_none(),
+            |i| {
+                if skip_uninformed && !informed.is_informed(i) {
+                    CallerGate::Skip
+                } else if plans[i].push || any_pull {
+                    CallerGate::Open
+                } else {
+                    CallerGate::Quiet
+                }
+            },
             rng,
         );
         self.channels += channels_this_round;
         clock.lap(&mut self.probe, StepPhase::Fabric);
 
-        // Phases b–d (plan / exchange / update-digest). With
-        // `config.shards > 1` these fan out over the rayon pool: every
-        // model RNG draw has already happened (crash sampling, fabric) or
-        // happens in a serial pre-draw (per-call transmission outcomes),
-        // so the fanned-out work is RNG-free and the results are
-        // byte-identical to the serial path at any shard and thread count
-        // (`tests/sharding.rs`).
-        let (push_tx, pull_tx, newly_informed) = if config.shards > 1 && n > 1 {
-            self.phases_sharded(n, t, protocol, config.shards, failures, fast_path, &mut clock, rng)
+        // Phases c–d (exchange / update-digest).
+        let (push_tx, pull_tx, newly_informed) = if sharded {
+            self.phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng)
         } else {
-            self.phases_serial(n, t, protocol, failures, fast_path, &mut clock, rng)
+            self.phases_serial(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng)
         };
         self.push_tx += push_tx;
         self.pull_tx += pull_tx;
@@ -611,9 +634,53 @@ impl<P: Protocol> SimState<P> {
         record
     }
 
-    /// Phases b–d of the serial round path (exactly the pre-sharding
-    /// engine): plan over the informed list, exchanges into the flat
-    /// arena, digest. Returns `(push_tx, pull_tx, newly_informed)`.
+    /// Phase a of the sharded round path: one task per shard over its own
+    /// informed list; writes land in disjoint per-shard chunks of the plan
+    /// buffer. Returns whether any node pull-serves this round.
+    fn plan_sharded(&mut self, n: usize, t: Round, protocol: &P, shards: usize) -> bool {
+        if self.shard_rt.is_none() {
+            self.shard_rt = Some(ShardRuntime::new(n, shards, self.informed.list()));
+        }
+        let rt = self.shard_rt.as_mut().expect("shard runtime");
+        rt.ensure_len(n);
+        let rt = &*rt;
+        let layout = rt.layout;
+        let probing = self.probe.is_some();
+        let states = &self.states;
+        let informed = &self.informed;
+        let census = &self.census;
+        let creator = self.creator;
+        let mut rest: &mut [Plan] = &mut self.plans[..n];
+        let mut items: Vec<(usize, &mut [Plan], &[u32])> = Vec::with_capacity(layout.count());
+        for s in 0..layout.count() {
+            let (chunk, tail) = rest.split_at_mut(layout.range(s, n).len());
+            rest = tail;
+            items.push((s, chunk, rt.informed_lists[s].as_slice()));
+        }
+        let results: Vec<(bool, Duration)> = items
+            .into_par_iter()
+            .map(|(s, chunk, list)| {
+                let sc = ShardClock::armed(probing);
+                let base = layout.range(s, n).start;
+                let any_pull =
+                    plan_list(protocol, states, informed, census, creator, t, base, chunk, list);
+                (any_pull, sc.elapsed())
+            })
+            .collect();
+        let mut any_pull = false;
+        for (s, (shard_pull, d)) in results.into_iter().enumerate() {
+            any_pull |= shard_pull;
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.on_shard_phase(s, StepPhase::Plan, d);
+            }
+        }
+        any_pull
+    }
+
+    /// Phases c–d of the serial round path (exactly the pre-sharding
+    /// engine): exchanges into the flat arena, digest. `any_pull` says
+    /// whether any node pull-serves this round; without one, no callee
+    /// plan is read. Returns `(push_tx, pull_tx, newly_informed)`.
     // rrb-lint: hot
     #[allow(clippy::too_many_arguments)]
     fn phases_serial<R: Rng + ?Sized>(
@@ -621,31 +688,12 @@ impl<P: Protocol> SimState<P> {
         n: usize,
         t: Round,
         protocol: &P,
+        any_pull: bool,
         failures: FailureModel,
         fast_path: bool,
         clock: &mut PhaseClock,
         rng: &mut R,
     ) -> (u64, u64, usize) {
-        // Phase b: informed nodes decide their plans. Only the informed
-        // index list is visited; everyone else keeps a standing SILENT plan,
-        // so this phase is O(informed), not O(n).
-        for &i in self.informed.list() {
-            let i = i as usize;
-            let v = NodeId::new(i);
-            self.plans[i] = match self.informed.at(i) {
-                Some(at) if self.census.is_participating(i) => {
-                    let view = NodeView {
-                        informed_at: at,
-                        is_creator: v == self.creator,
-                        state: &self.states[i],
-                    };
-                    protocol.plan(view, t)
-                }
-                _ => Plan::SILENT,
-            };
-        }
-        clock.lap(&mut self.probe, StepPhase::Plan);
-
         // Phase c: exchanges, recorded into the flat observation arena.
         let mut push_tx = 0u64;
         let mut pull_tx = 0u64;
@@ -667,10 +715,12 @@ impl<P: Protocol> SimState<P> {
                         self.arena.record_push(w, caller_plan.meta);
                     }
                     // pull: callee -> caller.
-                    let callee_plan = self.plans[w];
-                    if callee_plan.pull_serve {
-                        pull_tx += 1;
-                        self.arena.record_pull(i, callee_plan.meta);
+                    if any_pull {
+                        let callee_plan = self.plans[w];
+                        if callee_plan.pull_serve {
+                            pull_tx += 1;
+                            self.arena.record_pull(i, callee_plan.meta);
+                        }
                     }
                 }
             }
@@ -695,11 +745,13 @@ impl<P: Protocol> SimState<P> {
                     }
                     // pull: callee -> caller. Failed transmissions are
                     // counted but not delivered (the copy was sent and lost).
-                    let callee_plan = self.plans[w];
-                    if callee_plan.pull_serve {
-                        pull_tx += 1;
-                        if failures.transmission_ok(rng) {
-                            self.arena.record_pull(i, callee_plan.meta);
+                    if any_pull {
+                        let callee_plan = self.plans[w];
+                        if callee_plan.pull_serve {
+                            pull_tx += 1;
+                            if failures.transmission_ok(rng) {
+                                self.arena.record_pull(i, callee_plan.meta);
+                            }
                         }
                     }
                 }
@@ -748,69 +800,30 @@ impl<P: Protocol> SimState<P> {
         (push_tx, pull_tx, newly_informed)
     }
 
-    /// Phases b–d of the sharded round path: one task per contiguous
-    /// node-slot shard for plan, exchange and merge-digest, with the
-    /// per-call transmission outcomes pre-drawn serially (in the exact
-    /// order the serial exchange draws them) so the fan-out touches no
-    /// RNG. Cross-shard push receipts travel through per-(source →
-    /// target) outboxes merged in ascending source-shard order, which
-    /// reproduces the serial engine's global caller order — see
-    /// `crate::shard` for the determinism argument.
+    /// Phases c–d of the sharded round path: one task per contiguous
+    /// node-slot shard for exchange and merge-digest, with the per-call
+    /// transmission outcomes pre-drawn serially (in the exact order the
+    /// serial exchange draws them) so the fan-out touches no RNG.
+    /// Cross-shard push receipts travel through per-(source → target)
+    /// outboxes merged in ascending source-shard order, which reproduces
+    /// the serial engine's global caller order — see `crate::shard` for
+    /// the determinism argument. Runs after
+    /// [`plan_sharded`](Self::plan_sharded), which builds the runtime.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn phases_sharded<R: Rng + ?Sized>(
         &mut self,
         n: usize,
         t: Round,
         protocol: &P,
-        shards: usize,
+        any_pull: bool,
         failures: FailureModel,
         fast_path: bool,
         clock: &mut PhaseClock,
         rng: &mut R,
     ) -> (u64, u64, usize) {
-        if self.shard_rt.is_none() {
-            self.shard_rt = Some(ShardRuntime::new(n, shards, self.informed.list()));
-        }
         let probing = self.probe.is_some();
-        let layout = {
-            let rt = self.shard_rt.as_mut().expect("shard runtime");
-            rt.ensure_len(n);
-            rt.layout
-        };
+        let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
         let count = layout.count();
-
-        // Phase b (fanned out): informed nodes decide their plans, one
-        // task per shard over its own informed list; writes land in
-        // disjoint per-shard chunks of the plan buffer.
-        {
-            let rt = self.shard_rt.as_ref().expect("shard runtime");
-            let states = &self.states;
-            let informed = &self.informed;
-            let census = &self.census;
-            let creator = self.creator;
-            let mut rest: &mut [Plan] = &mut self.plans[..n];
-            let mut items: Vec<(usize, &mut [Plan], &[u32])> = Vec::with_capacity(count);
-            for s in 0..count {
-                let (chunk, tail) = rest.split_at_mut(layout.range(s, n).len());
-                rest = tail;
-                items.push((s, chunk, rt.informed_lists[s].as_slice()));
-            }
-            let durs: Vec<Duration> = items
-                .into_par_iter()
-                .map(|(s, chunk, list)| {
-                    let sc = ShardClock::armed(probing);
-                    let base = layout.range(s, n).start;
-                    shard_plan(protocol, states, informed, census, creator, t, base, chunk, list);
-                    sc.elapsed()
-                })
-                .collect();
-            if let Some(p) = self.probe.as_deref_mut() {
-                for (s, d) in durs.into_iter().enumerate() {
-                    p.on_shard_phase(s, StepPhase::Plan, d);
-                }
-            }
-        }
-        clock.lap(&mut self.probe, StepPhase::Plan);
 
         // Serial pre-draw of per-call transmission outcomes, replicating
         // the serial exchange's interleaved draw order exactly (push draw
@@ -837,7 +850,7 @@ impl<P: Protocol> SimState<P> {
                     if caller_push {
                         rt.push_ok[c] = failures.transmission_ok(rng);
                     }
-                    if self.plans[self.fabric.target(c).index()].pull_serve {
+                    if any_pull && self.plans[self.fabric.target(c).index()].pull_serve {
                         rt.pull_ok[c] = failures.transmission_ok(rng);
                     }
                 }
@@ -880,6 +893,7 @@ impl<P: Protocol> SimState<P> {
                         layout,
                         layout.range(s, n),
                         fast_path,
+                        any_pull,
                         tx_draws,
                         &mut arena,
                         &mut outbox,
@@ -1022,12 +1036,15 @@ impl<P: Protocol> SimState<P> {
     }
 }
 
-/// One shard's plan fan-out: fill this shard's chunk of the plan buffer
-/// (`chunk[i - base]`) from its informed list. RNG-free and read-only on
-/// all shared state — thread scheduling cannot affect it.
+/// Plans the informed nodes in `list` into `chunk[i - base]` and returns
+/// whether any of them pull-serves. Everyone else keeps a standing SILENT
+/// plan, so planning is O(informed), not O(n). The serial path calls this
+/// once over the whole plan buffer, the sharded path once per shard over
+/// that shard's chunk. RNG-free and read-only on all shared state —
+/// thread scheduling cannot affect it.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
-fn shard_plan<P: Protocol>(
+fn plan_list<P: Protocol>(
     protocol: &P,
     states: &[P::State],
     informed: &InformedIndex,
@@ -1037,11 +1054,12 @@ fn shard_plan<P: Protocol>(
     base: usize,
     chunk: &mut [Plan],
     list: &[u32],
-) {
+) -> bool {
+    let mut any_pull = false;
     for &gi in list {
         let i = gi as usize;
         let v = NodeId::new(i);
-        chunk[i - base] = match informed.at(i) {
+        let plan = match informed.at(i) {
             Some(at) if census.is_participating(i) => {
                 let view =
                     NodeView { informed_at: at, is_creator: v == creator, state: &states[i] };
@@ -1049,7 +1067,10 @@ fn shard_plan<P: Protocol>(
             }
             _ => Plan::SILENT,
         };
+        any_pull |= plan.pull_serve;
+        chunk[i - base] = plan;
     }
+    any_pull
 }
 
 /// One shard's exchange fan-out over its own callers' channels. Delivery
@@ -1057,6 +1078,7 @@ fn shard_plan<P: Protocol>(
 /// unused when `tx_draws` is false) — no RNG here. Pull receipts are
 /// recorded straight into the shard-local arena (the receiver is the
 /// caller); every push receipt goes through the per-target-shard outbox.
+/// Callee plans are read only when `any_pull` says some node pull-serves.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_exchange(
@@ -1067,6 +1089,7 @@ fn shard_exchange(
     layout: ShardLayout,
     range: std::ops::Range<usize>,
     fast_path: bool,
+    any_pull: bool,
     tx_draws: bool,
     arena: &mut ObservationArena,
     outbox: &mut [Vec<(u32, RumorMeta)>],
@@ -1094,11 +1117,13 @@ fn shard_exchange(
                 }
             }
             // pull: callee -> caller.
-            let callee_plan = plans[w];
-            if callee_plan.pull_serve {
-                pull_tx += 1;
-                if !tx_draws || pull_ok[c] {
-                    arena.record_pull(i - base, callee_plan.meta);
+            if any_pull {
+                let callee_plan = plans[w];
+                if callee_plan.pull_serve {
+                    pull_tx += 1;
+                    if !tx_draws || pull_ok[c] {
+                        arena.record_pull(i - base, callee_plan.meta);
+                    }
                 }
             }
         }
@@ -1176,7 +1201,7 @@ fn shard_merge_digest<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{FloodPush, FloodPushPull, SilentProtocol};
+    use crate::protocols::{FloodPush, FloodPushPull, Phased, SilentProtocol};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rrb_graph::gen;
@@ -1274,29 +1299,67 @@ mod tests {
         assert_eq!(run(21), run(21));
     }
 
-    #[test]
-    fn steady_state_rounds_do_not_allocate() {
-        // Arena-reuse guarantee: after a warm-up, every per-round scratch
-        // buffer keeps its capacity — steady-state rounds touch the heap
-        // zero times. Run past full coverage (stop_at_coverage = false) so
-        // late rounds carry the maximum receipt load.
+    /// Arena-reuse guarantee: after a 20-round warm-up on K64, 40 more
+    /// rounds leave every per-round scratch buffer's capacity unchanged —
+    /// steady-state rounds touch the heap zero times. Runs past full
+    /// coverage (stop_at_coverage = false) so late rounds carry the
+    /// maximum receipt load.
+    fn assert_steady_rounds_do_not_allocate<P: Protocol>(proto: &P, probe: Option<BoxedProbe>) {
         let g = gen::complete(64);
-        let proto = FloodPushPull::new();
         let cfg = SimConfig::until_quiescent().with_max_rounds(60);
         let mut rng = SmallRng::seed_from_u64(33);
-        let mut sim = SimState::new(&proto, 64, NodeId::new(0));
+        let mut sim = SimState::new(proto, 64, NodeId::new(0));
+        let probed = probe.is_some();
+        sim.set_probe(probe);
         for _ in 0..20 {
-            sim.step(&g, &proto, cfg, &mut rng);
+            sim.step(&g, proto, cfg, &mut rng);
         }
         let warm = sim.scratch_capacities();
         for _ in 0..40 {
-            sim.step(&g, &proto, cfg, &mut rng);
+            sim.step(&g, proto, cfg, &mut rng);
         }
         assert_eq!(
             sim.scratch_capacities(),
             warm,
-            "per-round scratch buffers reallocated after warm-up"
+            "per-round scratch buffers reallocated after warm-up (probe: {probed})"
         );
+    }
+
+    /// Algorithm 1's shape: every phase within the warm-up, then 40 rounds
+    /// of its tail, in which the fabric stores no channel of a quiet caller.
+    fn phased() -> Phased {
+        Phased::new(3, 6, 60)
+    }
+
+    #[test]
+    fn steady_state_rounds_do_not_allocate() {
+        assert_steady_rounds_do_not_allocate(&FloodPushPull::new(), None);
+        assert_steady_rounds_do_not_allocate(&phased(), None);
+    }
+
+    #[test]
+    fn quiet_callers_keep_their_channels_out_of_the_fabric() {
+        // Push rounds store only the pushers' channels, silent rounds
+        // none, the pull round all of them; every round still counts
+        // every opened channel.
+        let g = gen::complete(64);
+        let proto = Phased::new(2, 4, 8);
+        let cfg = SimConfig::until_quiescent();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut sim = SimState::new(&proto, 64, NodeId::new(0));
+        while !sim.finished(&g, &proto, cfg) {
+            let informed_before = sim.informed_count();
+            let rec = sim.step(&g, &proto, cfg, &mut rng);
+            assert_eq!(rec.channels, 64 * 4, "round {}", rec.round);
+            let stored = sim.fabric.len() as u64;
+            match rec.round {
+                1 => assert_eq!(stored, 4, "only the origin pushes"),
+                3 | 4 => assert_eq!(stored, 4 * informed_before as u64),
+                5 => assert_eq!(stored, 64 * 4, "the pull round opens every caller"),
+                _ => assert_eq!(stored, rec.push_tx, "round {}", rec.round),
+            }
+        }
+        assert_eq!(sim.round(), 8);
     }
 
     #[test]
@@ -1679,24 +1742,11 @@ mod tests {
         // The no-allocation guarantee must hold with a probe installed:
         // PhaseTimings accumulates into fixed-size storage.
         use crate::telemetry::PhaseTimings;
-        let g = gen::complete(64);
-        let proto = FloodPushPull::new();
-        let cfg = SimConfig::until_quiescent().with_max_rounds(60);
-        let mut rng = SmallRng::seed_from_u64(33);
-        let mut sim = SimState::new(&proto, 64, NodeId::new(0));
-        sim.set_probe(Some(Box::new(PhaseTimings::new())));
-        for _ in 0..20 {
-            sim.step(&g, &proto, cfg, &mut rng);
-        }
-        let warm = sim.scratch_capacities();
-        for _ in 0..40 {
-            sim.step(&g, &proto, cfg, &mut rng);
-        }
-        assert_eq!(
-            sim.scratch_capacities(),
-            warm,
-            "per-round scratch buffers reallocated after warm-up (probe on)"
+        assert_steady_rounds_do_not_allocate(
+            &FloodPushPull::new(),
+            Some(Box::new(PhaseTimings::new())),
         );
+        assert_steady_rounds_do_not_allocate(&phased(), Some(Box::new(PhaseTimings::new())));
     }
 
     use crate::failure::{

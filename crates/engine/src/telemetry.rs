@@ -40,8 +40,8 @@ use crate::Round;
 /// | variant | single-rumour engine | multi-rumour engine |
 /// |---|---|---|
 /// | `Faults` | fault-plan events + crash sampling | same |
-/// | `Fabric` | channel-target sampling | shared fabric + reverse index |
-/// | `Plan` | informed nodes' plan decisions | CSR plan store fill |
+/// | `Fabric` | channel-target sampling, gated by the plans | shared fabric + reverse index |
+/// | `Plan` | informed nodes' plan decisions (before `Fabric`) | CSR plan store fill |
 /// | `Exchange` | push/pull transmissions | direction census + per-rumour sends |
 /// | `Update` | observation digest / state updates | per-rumour digest |
 /// | `Coverage` | coverage bookkeeping | activation + coverage bookkeeping |
@@ -66,7 +66,10 @@ impl StepPhase {
     /// Number of distinct phases.
     pub const COUNT: usize = 6;
 
-    /// Every phase, in round execution order.
+    /// Every phase, in the multi-rumour engine's execution order (the
+    /// single-rumour engine runs `Plan` before `Fabric`). The order of this
+    /// array defines [`index`](Self::index), which consumers use as a
+    /// stable key, so it stays fixed where an engine's order differs.
     pub const ALL: [StepPhase; StepPhase::COUNT] = [
         StepPhase::Faults,
         StepPhase::Fabric,

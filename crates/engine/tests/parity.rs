@@ -14,7 +14,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use rrb_engine::protocols::{FloodPull, FloodPush, FloodPushPull};
+use rrb_engine::protocols::{FloodPull, FloodPush, FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent,
     FaultPlan, FaultState, GilbertElliott, MultiSimState, NodeView, Observation, OutageSpec,
@@ -670,5 +670,78 @@ fn parity_under_churn_with_crashes() {
         .with_max_rounds(400);
     for seed in 0..3 {
         assert_churn_parity("churn+crash", &FloodPushPull::new(), cfg, 2.0, seed);
+    }
+}
+
+/// Algorithm 1's shape on a 128-node graph: push-once rounds, all-push
+/// rounds, one pull round and a tail that is silent except for nodes the
+/// pull round informed. The single engine stores no channel of a caller
+/// that cannot carry the rumour; the multi engine stores every one. Both
+/// must draw the same numbers, under every choice policy.
+fn phased_protocols() -> [(&'static str, Phased); 3] {
+    let base = Phased::new(3, 5, 14);
+    [
+        ("phased-four", base),
+        ("phased-sequential", base.with_policy(ChoicePolicy::SEQUENTIAL)),
+        ("phased-cyclic", base.with_policy(ChoicePolicy::Cyclic)),
+    ]
+}
+
+#[test]
+fn parity_of_phased_protocol() {
+    let g = regular_graph(12);
+    let quiescent = SimConfig::until_quiescent();
+    let iid = quiescent.with_failures(FailureModel {
+        channel_failure: 0.15,
+        transmission_failure: 0.2,
+        node_crash: 0.005,
+    });
+    for (label, proto) in phased_protocols() {
+        for seed in 0..3 {
+            assert_parity(label, &g, &proto, quiescent, NodeId::new(5), seed);
+            assert_parity_with_deliveries(label, &g, &proto, quiescent, NodeId::new(5), seed);
+            assert_parity(&format!("{label}+iid"), &g, &proto, iid, NodeId::new(5), seed);
+        }
+    }
+}
+
+#[test]
+fn parity_of_phased_protocol_under_bursts_and_partitions() {
+    let g = regular_graph(13);
+    let plan = FaultPlan {
+        burst: Some(GilbertElliott::new(0.15, 0.35, 0.02, 0.8)),
+        schedule: vec![FaultEvent::Partition { from: 2, until: 7, parts: 2 }],
+        ..FaultPlan::default()
+    };
+    let partition_only = FaultPlan { burst: None, ..plan.clone() };
+    for (label, proto) in phased_protocols() {
+        for seed in 0..3 {
+            for (what, plan) in [("ge+partition", &plan), ("partition", &partition_only)] {
+                assert_fault_parity(
+                    &format!("{label}+{what}"),
+                    &g,
+                    &proto,
+                    SimConfig::until_quiescent(),
+                    plan,
+                    NodeId::new(5),
+                    seed,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn parity_of_phased_protocol_under_churn() {
+    for (label, proto) in phased_protocols() {
+        for seed in 0..3 {
+            assert_churn_parity(
+                &format!("{label}+churn"),
+                &proto,
+                SimConfig::until_quiescent(),
+                2.0,
+                seed,
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use rrb_engine::protocols::FloodPushPull;
+use rrb_engine::protocols::{FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
     FaultState, GilbertElliott, NodeView, Observation, Plan, Protocol, Round, RoundRecord,
@@ -309,6 +309,60 @@ fn sharding_invariance_under_churn() {
     let baseline = run_churn_cell(&proto, quiet, 8.0, 1, 1, 1);
     let cell = run_churn_cell(&proto, quiet, 8.0, 1, 4, 4);
     assert_eq!(baseline, cell, "heavy churn diverged at shards=4/threads=4");
+}
+
+/// Algorithm 1's shape (push-once rounds, all-push rounds, one pull round,
+/// a mostly silent tail) under every choice policy: the plan phase, which
+/// gates the fabric, runs before it on both paths, so rounds without a
+/// pull store only the pushers' channels at any shard count.
+fn phased_protocols() -> [(&'static str, Phased); 3] {
+    let base = Phased::new(3, 5, 14);
+    [
+        ("phased-four", base),
+        ("phased-sequential", base.with_policy(ChoicePolicy::SEQUENTIAL)),
+        ("phased-cyclic", base.with_policy(ChoicePolicy::Cyclic)),
+    ]
+}
+
+#[test]
+fn sharding_invariance_of_phased_protocol() {
+    let g = regular_graph(26);
+    let quiescent = SimConfig::until_quiescent();
+    let iid = quiescent.with_failures(FailureModel {
+        channel_failure: 0.15,
+        transmission_failure: 0.2,
+        node_crash: 0.005,
+    });
+    let plan = FaultPlan {
+        burst: Some(GilbertElliott::new(0.15, 0.35, 0.02, 0.8)),
+        schedule: vec![FaultEvent::Partition { from: 2, until: 7, parts: 2 }],
+        ..FaultPlan::default()
+    };
+    for (label, proto) in phased_protocols() {
+        for seed in 0..2 {
+            assert_shard_invariance(label, &g, &proto, quiescent, None, NodeId::new(5), seed);
+            let iid_label = format!("{label}+iid");
+            assert_shard_invariance(&iid_label, &g, &proto, iid, None, NodeId::new(5), seed);
+            let plan_label = format!("{label}+ge+partition");
+            let origin = NodeId::new(5);
+            assert_shard_invariance(&plan_label, &g, &proto, quiescent, Some(&plan), origin, seed);
+        }
+    }
+}
+
+#[test]
+fn sharding_invariance_of_phased_protocol_under_churn() {
+    let quiescent = SimConfig::until_quiescent();
+    for (label, proto) in phased_protocols() {
+        let baseline = run_churn_cell(&proto, quiescent, 2.0, 0, 1, 1);
+        for (shards, threads) in [(2usize, 1usize), (4, 4)] {
+            let cell = run_churn_cell(&proto, quiescent, 2.0, 0, shards, threads);
+            assert_eq!(
+                baseline, cell,
+                "{label} churn: shards={shards} threads={threads} diverged"
+            );
+        }
+    }
 }
 
 proptest! {
