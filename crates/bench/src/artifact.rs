@@ -22,7 +22,7 @@ use std::path::Path;
 use crate::registry::{self, Experiment};
 use crate::scenario::{parse_json, Json};
 use crate::{json_string, mean_of, mean_rounds_to_coverage, success_rate, ExpConfig};
-use rrb_engine::StepPhase;
+use rrb_engine::{RunReport, StepPhase};
 
 /// Schema tag every record carries.
 pub const SCHEMA: &str = "rrb-run-artifact-v1";
@@ -56,8 +56,8 @@ pub struct RunArtifact {
     /// omits the field — statistics are identical at any value).
     pub shards: u64,
     /// Per-phase wall-clock (milliseconds, ordered as
-    /// [`StepPhase::ALL`]) of the probed seed-0 replay; `None` for rungs
-    /// the prober cannot replay (churn dynamics).
+    /// [`StepPhase::ALL`]) of the probed seed-0 replay; `None` only in
+    /// records written before churn rungs were probed.
     pub phase_ms: Option<[f64; StepPhase::COUNT]>,
     /// Per-shard per-phase wall-clock of the probed replay (one row per
     /// shard, same phase order) — only sharded replays record it.
@@ -194,16 +194,18 @@ impl RunArtifact {
 
 /// Runs `exp`'s full ladder through the shared
 /// [`run_entry`](registry::run_entry) harness and collects one
-/// [`RunArtifact`] per rung: replicated statistics plus, for static
-/// rungs, the probed seed-0 replay's per-phase timings and peak RSS
-/// (see [`registry::instrument_entry`]).
+/// [`RunArtifact`] per rung: replicated statistics plus the probed seed-0
+/// run's per-phase timings and peak RSS (see
+/// [`registry::instrument_entry`]).
 pub fn collect(exp: &Experiment, cfg: &ExpConfig) -> Vec<RunArtifact> {
     (exp.scenarios)(cfg.quick)
         .iter()
         .map(|entry| {
-            let (reports, wall_ms) = registry::run_entry(exp.id, entry, cfg);
-            let timings = registry::instrument_entry(exp.id, entry, cfg.shards);
-            let shard_rows = timings.as_ref().map(|t| t.shard_phase_ms()).unwrap_or_default();
+            let (runs, wall_ms) = registry::run_entry(exp.id, entry, cfg).expect("registry ladder");
+            let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
+            let timings =
+                registry::instrument_entry(exp.id, entry, cfg.shards).expect("registry ladder");
+            let shard_rows = timings.shard_phase_ms();
             RunArtifact {
                 experiment: exp.name.to_string(),
                 config_ix: entry.config_ix,
@@ -216,9 +218,9 @@ pub fn collect(exp: &Experiment, cfg: &ExpConfig) -> Vec<RunArtifact> {
                 mean_transmissions: mean_of(&reports, |r| r.total_tx() as f64),
                 success_rate: success_rate(&reports),
                 shards: cfg.shards as u64,
-                phase_ms: timings.as_ref().map(|t| t.phase_ms()),
+                phase_ms: Some(timings.phase_ms()),
                 shard_phase_ms: (!shard_rows.is_empty()).then_some(shard_rows),
-                peak_rss_kib: timings.as_ref().and_then(|t| t.peak_rss_kib()),
+                peak_rss_kib: timings.peak_rss_kib(),
             }
         })
         .collect()

@@ -15,25 +15,33 @@
 use std::time::Instant;
 
 use crate::measure;
-use crate::registry::{
-    deadline_of, instrument_entry, run_entry, run_entry_async, Experiment, LadderEntry,
-};
+use crate::registry::{deadline_of, instrument_entry, run_entry, Experiment, LadderEntry};
 use crate::scenario::{
     ChurnSpec, DynamicsSpec, FailureSpec, FaultSpec, GossipModeSpec, GraphSpec, MeasureSpec,
     PolicySpec, ProtocolSpec, RegimeSpec, ScenarioSpec, StopSpec, TimingSpec,
 };
 use crate::{
-    mean_coverage, mean_of, mean_recovery_rounds, mean_rounds_to_coverage, peak_rss_kib,
-    replicate, success_rate, BenchRecorder, ExpConfig,
+    mean_cover_time, mean_coverage, mean_of, mean_recovery_rounds, mean_rounds_to_coverage,
+    peak_rss_kib, random_alive_origin, replicate, success_rate, BenchRecorder, ChurnRun,
+    EventClock, ExpConfig, Rung,
 };
 use rrb_core::{AlgorithmVariant, DegreeRegime};
 use rrb_engine::{
-    AdversarySpec, AdversaryTarget, ClockSpec, FaultEvent, GilbertElliott, LatencySpec, OutageSpec,
-    RoundRecord, SimConfig, StepPhase,
+    AdversarySpec, AdversaryTarget, ClockSpec, FaultEvent, GilbertElliott, LatencySpec,
+    MultiRumorReport, MultiSimState, OutageSpec, Round, RoundRecord, RumorInjection, RunReport,
+    SimConfig, StepPhase,
 };
 use rrb_graph::gen;
 use rrb_p2p::ReplicatedDb;
 use rrb_stats::{fit_log2, fit_loglog2, Summary, Table};
+
+/// Runs a registry rung through [`run_entry`] and keeps the engine
+/// reports. Registry ladders are runnable by construction, so a failure
+/// here is a bug in the ladder.
+fn run_reports(experiment_id: u64, entry: &LadderEntry, cfg: &ExpConfig) -> (Vec<RunReport>, f64) {
+    let (runs, wall_ms) = run_entry(experiment_id, entry, cfg).expect("registry ladder");
+    (runs.into_iter().map(|r| r.report).collect(), wall_ms)
+}
 
 /// Mirrors `ExpConfig::size_exponents` for ladder builders that only get
 /// the `quick` flag.
@@ -87,7 +95,7 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         for &e in &exps {
             let n = 1usize << e;
             let entry = e1_entry(di, d, e);
-            let (reports, wall_ms) = run_entry(1, &entry, cfg);
+            let (reports, wall_ms) = run_reports(1, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             let mean_rounds = mean_rounds_to_coverage(&reports);
             table.row(vec![
@@ -117,11 +125,11 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     // only the wall clock may move.
     recorder.set_shards(cfg.shards);
     let &e_max = exps.last().expect("non-empty ladder");
-    let (serial_reports, _) = run_entry(1, &e1_entry(0, 8, e_max), cfg);
+    let (serial_reports, _) = run_reports(1, &e1_entry(0, 8, e_max), cfg);
     for shards in [2usize, 4] {
         let entry = e1_entry(0, 8, e_max);
         let sharded = ExpConfig { shards, ..*cfg };
-        let (reports, wall_ms) = run_entry(1, &entry, &sharded);
+        let (reports, wall_ms) = run_reports(1, &entry, &sharded);
         assert_eq!(
             serial_reports, reports,
             "E1 {} diverged at {shards} shards — sharding must be invisible to results",
@@ -153,7 +161,7 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
             .with_stop(StopSpec::COVERAGE),
         );
         let one_seed = ExpConfig { quick: false, seeds: 1, threads: cfg.threads, shards: cfg.shards };
-        let (reports, wall_ms) = run_entry(1, &entry, &one_seed);
+        let (reports, wall_ms) = run_reports(1, &entry, &one_seed);
         recorder.record(entry.spec.label.clone(), n, 1, wall_ms, &reports);
         let rss_after = peak_rss_kib();
         let fmt_mib = |kib: Option<u64>| match kib {
@@ -249,7 +257,7 @@ fn e2_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         for &e in &exps {
             let n = 1usize << e;
             let entry = e2_entry(name, base, e, make);
-            let (reports, wall_ms) = run_entry(2, &entry, cfg);
+            let (reports, wall_ms) = run_reports(2, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             ns.push(n as f64);
             tx.push(mean_of(&reports, |r| r.tx_per_node()));
@@ -365,7 +373,7 @@ fn e3_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     for (di, &d) in degrees.iter().enumerate() {
         for (name, entry) in e3_entries(n, di, d) {
             let norm_per_node = (n as f64).log2() / (d as f64).log2();
-            let (reports, wall_ms) = run_entry(3, &entry, cfg);
+            let (reports, wall_ms) = run_reports(3, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             let tx = mean_of(&reports, |r| r.tx_per_node());
             table.row(vec![
@@ -610,7 +618,7 @@ fn e6_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for k in 1..=4usize {
         let entry = e6_entry(n, d, k);
-        let (reports, wall_ms) = run_entry(6, &entry, cfg);
+        let (reports, wall_ms) = run_reports(6, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
             k.to_string(),
@@ -683,8 +691,8 @@ fn e7_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let n = 1usize << e;
         let par = e7_entry(n, e, false);
         let seq = e7_entry(n, e, true);
-        let (par_reports, par_ms) = run_entry(7, &par, cfg);
-        let (seq_reports, seq_ms) = run_entry(7, &seq, cfg);
+        let (par_reports, par_ms) = run_reports(7, &par, cfg);
+        let (seq_reports, seq_ms) = run_reports(7, &seq, cfg);
         recorder.record(par.spec.label.clone(), n, cfg.seeds, par_ms, &par_reports);
         recorder.record(seq.spec.label.clone(), n, cfg.seeds, seq_ms, &seq_reports);
         let pr = mean_rounds_to_coverage(&par_reports);
@@ -775,7 +783,7 @@ fn e8_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let mut table = Table::new(vec!["p", "coverage", "success", "rounds", "tx/node"]);
         for (i, &p) in E8_RATES.iter().enumerate() {
             let entry = e8_entry(n, d, bi, i);
-            let (reports, wall_ms) = run_entry(8, &entry, cfg);
+            let (reports, wall_ms) = run_reports(8, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             table.row(vec![
                 format!("{p:.2}"),
@@ -837,7 +845,7 @@ fn e9_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for (i, &(_, label)) in E9_FACTORS.iter().enumerate() {
         let entry = e9_entry(n, d, i);
-        let (reports, wall_ms) = run_entry(9, &entry, cfg);
+        let (reports, wall_ms) = run_reports(9, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
             label.into(),
@@ -866,7 +874,7 @@ const E10_RATES: [f64; 5] = [0.0, 1.0, 4.0, 16.0, 64.0];
 /// The multi-rumour-under-churn rung: staggered rumours riding one fabric
 /// while peers join and leave — the scenario family the alive-census
 /// refactor unlocked.
-const E10_MULTI_RUMORS: usize = 8;
+pub(crate) const E10_MULTI_RUMORS: usize = 8;
 const E10_MULTI_STAGGER: u32 = 3;
 const E10_MULTI_RATE: f64 = 4.0;
 
@@ -913,6 +921,45 @@ fn e10_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
+/// E10's multi-rumour rung: [`E10_MULTI_RUMORS`] rumours injected
+/// [`E10_MULTI_STAGGER`] rounds apart at random alive origins, riding one
+/// shared channel fabric while peers join and leave. Shares the
+/// replication path's topology, origin and churn helpers, so its streams
+/// follow the same `(10, config_ix, seed)` contract. Returns each seed's
+/// report with its final survivor census (the denominator of per-rumour
+/// survivor coverage), and the rung's wall-clock in milliseconds.
+pub(crate) fn e10_multi_runs(
+    entry: &LadderEntry,
+    cfg: &ExpConfig,
+) -> (Vec<(MultiRumorReport, usize)>, f64) {
+    let DynamicsSpec::Churn(churn) = entry.spec.dynamics else {
+        panic!("the multi-rumour rung needs churn dynamics ({})", entry.spec.label)
+    };
+    let start = Instant::now();
+    let rung = Rung::new(10, entry, cfg.shards).expect("registry ladder");
+    let (proto, config) = (&rung.protocol, rung.config);
+    let outs = replicate(10, entry.config_ix, cfg.seeds, |_, rng| {
+        let mut run = ChurnRun::new(&rung.topology, &entry.spec.graph, churn);
+        let injections: Vec<RumorInjection> = (0..E10_MULTI_RUMORS)
+            .map(|r| RumorInjection {
+                birth: r as Round * E10_MULTI_STAGGER,
+                origin: random_alive_origin(&run.overlay, rng),
+            })
+            .collect();
+        let mut sim = MultiSimState::new(proto, &run.overlay, &injections);
+        while !sim.finished(proto, config) {
+            sim.step(&run.overlay, proto, config, rng);
+            let events = run.step(rng);
+            sim.apply_joins(proto, &events.joined);
+            sim.apply_leaves(&events.left);
+            sim.apply_rejoins(proto, &events.rejoined);
+        }
+        let final_alive = sim.effective_alive();
+        (sim.into_report(), final_alive)
+    });
+    (outs, start.elapsed().as_secs_f64() * 1e3)
+}
+
 fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     let (n, d) = e10_params(cfg.quick);
     let mut recorder = BenchRecorder::new("e10_churn", cfg.quick);
@@ -928,7 +975,7 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for (i, &rate) in E10_RATES.iter().enumerate() {
         let entry = e10_entry(n, d, i, rate);
-        let (runs, wall_ms) = crate::registry::run_entry_churned(10, &entry, cfg);
+        let (runs, wall_ms) = run_entry(10, &entry, cfg).expect("registry ladder");
         let reports: Vec<_> = runs.iter().map(|r| r.report.clone()).collect();
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
@@ -950,42 +997,22 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     // Multi-rumour-under-churn rung: the MultiSimState path with live
     // membership deltas (staggered rumours + symmetric churn).
     let entry = e10_multi_entry(n, d);
-    let DynamicsSpec::Churn(churn) = entry.spec.dynamics else { unreachable!() };
-    let proto = entry.spec.protocol.build();
-    let graph = entry.spec.graph.clone();
-    let start = std::time::Instant::now();
-    let outs = crate::run_replicated_multi_churned(
-        move |rng| graph.build(rng).expect("graph generation"),
-        entry.spec.graph.target_degree(),
-        &proto,
-        entry.spec.sim_config(),
-        churn.to_process(n),
-        churn.rewire_per_round,
-        E10_MULTI_RUMORS,
-        E10_MULTI_STAGGER,
-        10,
-        entry.config_ix,
-        cfg.seeds,
-    );
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (outs, wall_ms) = e10_multi_runs(&entry, cfg);
     let survivor_cov: Vec<f64> = outs
         .iter()
-        .flat_map(|o| {
-            o.report
-                .outcomes
-                .iter()
-                .map(|r| r.informed as f64 / o.final_alive.max(1) as f64)
+        .flat_map(|(report, final_alive)| {
+            report.outcomes.iter().map(|r| r.informed as f64 / (*final_alive).max(1) as f64)
         })
         .collect();
     let delivered: Vec<f64> = outs
         .iter()
-        .map(|o| {
-            o.report.outcomes.iter().filter(|r| r.full_coverage_at.is_some()).count() as f64
-                / o.report.outcomes.len().max(1) as f64
+        .map(|(report, _)| {
+            report.outcomes.iter().filter(|r| r.full_coverage_at.is_some()).count() as f64
+                / report.outcomes.len().max(1) as f64
         })
         .collect();
-    let rounds_v: Vec<f64> = outs.iter().map(|o| o.report.rounds as f64).collect();
-    let ratios: Vec<f64> = outs.iter().map(|o| o.report.combining_ratio()).collect();
+    let rounds_v: Vec<f64> = outs.iter().map(|(report, _)| report.rounds as f64).collect();
+    let ratios: Vec<f64> = outs.iter().map(|(report, _)| report.combining_ratio()).collect();
     recorder.record_raw(
         entry.spec.label.clone(),
         n,
@@ -993,7 +1020,7 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         wall_ms,
         Summary::from_slice(&rounds_v).mean,
         Summary::from_slice(
-            &outs.iter().map(|o| o.report.total_rumor_tx() as f64).collect::<Vec<_>>(),
+            &outs.iter().map(|(report, _)| report.total_rumor_tx() as f64).collect::<Vec<_>>(),
         )
         .mean,
         Summary::from_slice(&delivered).mean,
@@ -1096,7 +1123,7 @@ fn e11_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     for (ai, &alpha) in E11_ALPHAS.iter().enumerate() {
         for (product, label) in [(false, "G(n, 12)"), (true, "G(n/5, 8) □ K5")] {
             let entry = e11_entry(base_n, d, ai, product);
-            let (reports, wall_ms) = run_entry(11, &entry, cfg);
+            let (reports, wall_ms) = run_reports(11, &entry, cfg);
             recorder.record(entry.spec.label.clone(), product_n, cfg.seeds, wall_ms, &reports);
             let successes = success_rate(&reports);
             let growths: Vec<f64> = reports
@@ -1163,7 +1190,7 @@ fn e12_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let n = 1usize << e;
         let expected_degree = E12_C * (n as f64).log2();
         let entry = e12_entry(e);
-        let (reports, wall_ms) = run_entry(12, &entry, cfg);
+        let (reports, wall_ms) = run_reports(12, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         let tx = mean_of(&reports, |r| r.tx_per_node());
         table.row(vec![
@@ -1243,7 +1270,7 @@ fn e13_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         };
         for (vi, label) in [(0, "Alg 1 (4 phases)"), (1, "Alg 2 (long pull)")] {
             let entry = e13_entry(n, di, d, vi);
-            let (reports, wall_ms) = run_entry(13, &entry, cfg);
+            let (reports, wall_ms) = run_reports(13, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             table.row(vec![
                 d.to_string(),
@@ -1590,7 +1617,7 @@ fn e16_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let mut row = vec![n.to_string()];
         for pi in 0..3 {
             let entry = e16_entry(e, pi);
-            let (reports, wall_ms) = run_entry(16, &entry, cfg);
+            let (reports, wall_ms) = run_reports(16, &entry, cfg);
             recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
             let ok = success_rate(&reports);
             row.push(format!(
@@ -1653,7 +1680,7 @@ fn e17_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for (i, &alpha) in E17_ALPHAS.iter().enumerate() {
         let entry = e17_entry(n, d, i);
-        let (reports, wall_ms) = run_entry(17, &entry, cfg);
+        let (reports, wall_ms) = run_reports(17, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
             format!("{alpha:.2}"),
@@ -1726,7 +1753,7 @@ fn e18_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     println!("E18: phase-design ablation at n = {n}, d = {d} ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec!["variant", "success", "rounds", "tx/node"]);
     for entry in e18_scenarios(cfg.quick) {
-        let (reports, wall_ms) = run_entry(18, &entry, cfg);
+        let (reports, wall_ms) = run_reports(18, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
             entry.spec.label.clone(),
@@ -1859,7 +1886,7 @@ fn e19_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     let mut table =
         Table::new(vec!["fault plan", "coverage", "success", "rounds", "recovery", "tx/node"]);
     for entry in e19_scenarios(cfg.quick) {
-        let (reports, wall_ms) = run_entry(19, &entry, cfg);
+        let (reports, wall_ms) = run_reports(19, &entry, cfg);
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         let recovery = match entry.spec.failures.heal_round() {
             Some(heal) => format!("{:.1}", mean_recovery_rounds(&reports, heal)),
@@ -1986,16 +2013,13 @@ fn e20_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         "tx/node",
     ]);
     for entry in e20_scenarios(cfg.quick) {
-        let (runs, wall_ms) = run_entry_async(20, &entry, cfg);
-        let plain: Vec<_> = runs.iter().map(|r| r.report.clone()).collect();
+        let (runs, wall_ms) = run_entry(20, &entry, cfg).expect("registry ladder");
+        let clocks: Vec<EventClock> = runs.iter().filter_map(|r| r.clock).collect();
+        let plain: Vec<_> = runs.into_iter().map(|r| r.report).collect();
         recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &plain);
-        let mean_cover_time = runs
-            .iter()
-            .map(|r| r.coverage_time.unwrap_or(r.time))
-            .sum::<f64>()
-            / runs.len().max(1) as f64;
+        let mean_cover_time = mean_cover_time(&clocks);
         let mean_events =
-            runs.iter().map(|r| r.events as f64).sum::<f64>() / runs.len().max(1) as f64;
+            clocks.iter().map(|c| c.events as f64).sum::<f64>() / clocks.len().max(1) as f64;
         table.row(vec![
             entry.spec.label.clone(),
             entry.spec.timing.summary(),
@@ -2073,44 +2097,44 @@ fn e21_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     let mut phase_lines = Vec::new();
     for entry in e21_scenarios(cfg.quick) {
         let n = entry.spec.graph.node_count();
-        let (serial_reports, serial_ms) = run_entry(21, &entry, &serial_cfg);
-        let (reports, wall_ms) = run_entry(21, &entry, &sharded_cfg);
+        let (serial_reports, serial_ms) = run_reports(21, &entry, &serial_cfg);
+        let (reports, wall_ms) = run_reports(21, &entry, &sharded_cfg);
         assert_eq!(
             serial_reports, reports,
             "E21 {} diverged at {shards} shards — sharding must be invisible to results",
             entry.spec.label
         );
         recorder.record(entry.spec.label.clone(), n, 1, wall_ms, &reports);
-        let timings = instrument_entry(21, &entry, shards);
-        let rss = timings.as_ref().and_then(|t| t.peak_rss_kib());
+        let timings = instrument_entry(21, &entry, shards).expect("registry ladder");
         table.row(vec![
             n.to_string(),
             format!("{:.0}", mean_rounds_to_coverage(&reports)),
             format!("{serial_ms:.1}"),
             format!("{wall_ms:.1}"),
             format!("{:.2}x", serial_ms / wall_ms.max(1e-9)),
-            rss.map(|k| format!("{:.0} MiB", k as f64 / 1024.0)).unwrap_or_default(),
+            timings
+                .peak_rss_kib()
+                .map(|k| format!("{:.0} MiB", k as f64 / 1024.0))
+                .unwrap_or_default(),
         ]);
-        if let Some(t) = &timings {
-            let phase = t.phase_ms();
-            let mut line = format!("n = {n}: ");
+        let phase = timings.phase_ms();
+        let mut line = format!("n = {n}: ");
+        for (i, p) in StepPhase::ALL.iter().enumerate() {
+            if i > 0 {
+                line.push_str(", ");
+            }
+            line.push_str(&format!("{} {:.1} ms", p.label(), phase[i]));
+        }
+        phase_lines.push(line);
+        for (sx, row) in timings.shard_phase_ms().iter().enumerate() {
+            let mut line = format!("  shard {sx}: ");
             for (i, p) in StepPhase::ALL.iter().enumerate() {
                 if i > 0 {
                     line.push_str(", ");
                 }
-                line.push_str(&format!("{} {:.1} ms", p.label(), phase[i]));
+                line.push_str(&format!("{} {:.1} ms", p.label(), row[i]));
             }
             phase_lines.push(line);
-            for (sx, row) in t.shard_phase_ms().iter().enumerate() {
-                let mut line = format!("  shard {sx}: ");
-                for (i, p) in StepPhase::ALL.iter().enumerate() {
-                    if i > 0 {
-                        line.push_str(", ");
-                    }
-                    line.push_str(&format!("{} {:.1} ms", p.label(), row[i]));
-                }
-                phase_lines.push(line);
-            }
         }
     }
     println!("{table}");
@@ -2339,7 +2363,7 @@ pub(crate) static REGISTRY: &[Experiment] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_replicated;
+    use crate::hand_wired;
     use rrb_engine::protocols::FloodPush;
     use rrb_engine::Simulation;
     use rrb_graph::NodeId;
@@ -2354,8 +2378,8 @@ mod tests {
         let trace = measure::crossover_trace(5, &entry, seeds);
         let (half, tail) = (trace.half, trace.tail);
 
-        // The legacy exp_e5_crossover plumbing, hand-wired exactly as the
-        // pre-registry binary did it (concrete FloodPush, gen::complete,
+        // The pre-registry E5 plumbing, hand-wired exactly as the old
+        // binary did it (concrete FloodPush, gen::complete,
         // origin 0, SimConfig::default().with_history()).
         let per_seed = replicate(5, 0, seeds, |_, rng| {
             let g = gen::complete(n);
@@ -2385,17 +2409,20 @@ mod tests {
         let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
         // Block 0 (channel failures, alpha = 1.5), rate index 2 (p = 0.1).
         let entry = e8_entry(n, d, 0, 2);
-        let (via_spec, _) = run_entry(8, &entry, &cfg);
+        let (via_spec, _) = run_reports(8, &entry, &cfg);
 
         let alg = rrb_core::FourChoice::builder(n, d).alpha(1.5).build();
-        let via_hand = run_replicated(
-            |rng| gen::random_regular(n, d, rng).expect("generation"),
-            &alg,
-            SimConfig::until_quiescent()
-                .with_failures(rrb_engine::FailureModel::channels(0.1)),
+        let topo = hand_wired::topology(8, entry.config_ix, |rng| {
+            gen::random_regular(n, d, rng).expect("generation")
+        });
+        let via_hand = hand_wired::plain(
             8,
             entry.config_ix,
             seeds,
+            &topo,
+            &alg,
+            SimConfig::until_quiescent()
+                .with_failures(rrb_engine::FailureModel::channels(0.1)),
         );
         assert_eq!(via_spec, via_hand);
     }
@@ -2408,27 +2435,18 @@ mod tests {
         let seeds = 2;
         let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
         let entry = e1_entry(0, 8, 10); // d = 8, n = 2^10
-        let (via_spec, _) = run_entry(1, &entry, &cfg);
+        let (via_spec, _) = run_reports(1, &entry, &cfg);
         let n = 1 << 10;
-        let via_hand = run_replicated(
-            |rng| gen::random_regular(n, 8, rng).expect("generation"),
-            &rrb_core::FourChoice::for_graph(n, 8),
-            SimConfig::until_quiescent(),
-            1,
-            2, // di * 100 + e = 0 * 100 + 10 ... see e1_entry
-            seeds,
-        );
-        // e1_entry(0, 8, 10) has config_ix 10.
+        let hand = |config_ix| {
+            let topo = hand_wired::topology(1, config_ix, |rng| {
+                gen::random_regular(n, 8, rng).expect("generation")
+            });
+            let alg = rrb_core::FourChoice::for_graph(n, 8);
+            hand_wired::plain(1, config_ix, seeds, &topo, &alg, SimConfig::until_quiescent())
+        };
+        // e1_entry(0, 8, 10) has config_ix di * 100 + e = 10.
         assert_eq!(entry.config_ix, 10);
-        let via_hand_correct = run_replicated(
-            |rng| gen::random_regular(n, 8, rng).expect("generation"),
-            &rrb_core::FourChoice::for_graph(n, 8),
-            SimConfig::until_quiescent(),
-            1,
-            10,
-            seeds,
-        );
-        assert_ne!(via_spec, via_hand, "different config_ix must give different streams");
-        assert_eq!(via_spec, via_hand_correct);
+        assert_ne!(via_spec, hand(2), "different config_ix must give different streams");
+        assert_eq!(via_spec, hand(10));
     }
 }

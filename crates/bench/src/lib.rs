@@ -1,30 +1,30 @@
-//! Shared harness for the experiment binaries (`src/bin/exp_*.rs`).
+//! Shared harness behind the `rrb` experiment runner.
 //!
-//! Every experiment reproduces one quantitative claim of the paper (see
-//! `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded results).
-//! The binaries accept `--quick` to shrink the size ladder and seed count
-//! for smoke-testing, `--seeds N` to set the replication count and
-//! `--threads N` to bound the worker pool; default parameters produce the
-//! tables recorded in `EXPERIMENTS.md`.
+//! Every experiment reproduces one quantitative claim of the paper and is
+//! registered in [`registry`] as a ladder of [`scenario::ScenarioSpec`]
+//! rungs; `rrb run eN` drives one (`--quick` shrinks the size ladder and
+//! seed count for smoke-testing, `--seeds N` sets the replication count,
+//! `--threads N` bounds the worker pool and `--shards N` splits each run's
+//! round loop).
 //!
 //! # Parallel seed replication
 //!
-//! Independent seed replications fan out over a rayon thread pool via
-//! [`run_replicated`] (engine runs producing [`RunReport`]s) and
-//! [`replicate`] (arbitrary per-seed measurement closures). Each seed draws
-//! its RNG from the deterministic [`rng_for`] stream keyed by
+//! [`registry::run_entry`] runs every rung the same way: the topology is
+//! generated **once per rung** on the reserved [`TOPOLOGY_STREAM`] and
+//! shared across the seed replications, since graph generation dominates
+//! wall-clock on large-n ladders; the seeds then fan out over a rayon
+//! thread pool via [`replicate`], and each picks its engine from the spec
+//! (static, faulted, churning or asynchronous). Each seed draws its RNG
+//! from the deterministic [`rng_for`] stream keyed by
 //! `(experiment, configuration, seed)`, so results are **identical for
 //! every thread count** — parallelism changes only wall-clock, never
-//! numbers. Reports come back in seed order. [`run_replicated`] generates
-//! the topology **once per configuration** (on the reserved
-//! [`TOPOLOGY_STREAM`] stream) and shares it across the seed replications,
-//! since graph generation dominates wall-clock on large-n ladders.
+//! numbers. Outcomes come back in seed order.
 //!
 //! # Perf trajectory
 //!
 //! [`BenchRecorder`] captures per-configuration wall-clock, rounds and
 //! transmission counts and serialises them to `BENCH_engine.json` (see
-//! `exp_e1_runtime`), giving future engine work a baseline to beat.
+//! `rrb run e1`), giving future engine work a baseline to beat.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +44,15 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use rrb_engine::{
-    AsyncSimState, ClockSpec, FaultPlan, FaultState, LatencySpec, MultiRumorReport, MultiSimState,
-    Protocol, Round, RumorInjection, RunReport, SimConfig, SimState, Simulation, Topology,
+    AsyncSimState, BoxedProbe, FaultState, Round, RunReport, SimConfig, SimState, Topology,
 };
 use rrb_graph::{Graph, NodeId};
-use rrb_p2p::{ChurnProcess, ChurnStats, Overlay};
+use rrb_p2p::{ChurnEvents, ChurnProcess, ChurnStats, Overlay};
 
-/// Command-line configuration shared by all experiment binaries.
+use registry::LadderEntry;
+use scenario::{AnyProtocol, ChurnSpec, DynamicsSpec, GraphSpec, ScenarioSpec, TimingSpec};
+
+/// Run configuration shared by every experiment (`rrb run` flags).
 #[derive(Debug, Clone, Copy)]
 pub struct ExpConfig {
     /// Reduced ladder/seeds for smoke tests (`--quick`).
@@ -68,30 +70,9 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Parses `--quick`, `--seeds N`, `--threads N` and `--shards N` from
-    /// `std::env::args`, installing the requested global thread pool.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse().ok())
-        }
-        let quick = args.iter().any(|a| a == "--quick");
-        Self::with_flags(
-            quick,
-            flag_value(&args, "--seeds"),
-            flag_value(&args, "--threads"),
-            flag_value(&args, "--shards"),
-        )
-    }
-
     /// Builds a config from explicit flag values, applying the shared seed
     /// default (3 quick / 10 full) and installing the requested global
-    /// thread pool — the single code path behind both [`Self::from_args`]
-    /// (the `exp_*` wrappers) and `rrb run`, so the two stay seed-for-seed
-    /// identical by construction.
+    /// thread pool.
     pub fn with_flags(
         quick: bool,
         seeds: Option<u64>,
@@ -149,118 +130,22 @@ where
 }
 
 /// Reserved seed coordinate of the per-configuration *topology stream*:
-/// [`run_replicated`] draws the shared topology from
+/// [`registry::run_entry`] draws each rung's shared topology from
 /// `rng_for(experiment, config_ix, TOPOLOGY_STREAM)`, disjoint from every
 /// per-seed stream (seeds are small integers).
 pub const TOPOLOGY_STREAM: u64 = 0x7070_1070;
 
-/// Runs `protocol` once per seed from a random origin, replications fanned
-/// out over the rayon pool, and returns the reports in seed order.
-///
-/// The topology is generated **once per configuration** (graph generation
-/// dominates wall-clock for large-n ladders) from the dedicated
-/// [`TOPOLOGY_STREAM`] RNG stream and shared by reference across the seed
-/// replications; origin selection and the run itself stay on the per-seed
-/// [`rng_for`] stream.
-///
-/// Determinism contract: report `i` depends only on
-/// `(experiment, config_ix)` (via the shared topology) and
-/// `(experiment, config_ix, seed i)` — never on the thread schedule.
-pub fn run_replicated<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> Vec<RunReport>
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let mut topo_rng = rng_for(experiment, config_ix, TOPOLOGY_STREAM);
-    let topo = topo_builder(&mut topo_rng);
-    replicate(experiment, config_ix, seeds, |_, rng| {
-        let origin = loop {
-            let i = rng.gen_range(0..topo.node_count());
-            if topo.is_alive(NodeId::new(i)) {
-                break NodeId::new(i);
-            }
-        };
-        Simulation::new(&topo, protocol.clone(), config).run(origin, rng)
-    })
-}
-
-/// Reserved seed coordinate of the per-seed *fault stream*:
-/// [`run_replicated_faulted`] seeds each replication's
-/// [`FaultState`] from `rng_for(experiment, config_ix, FAULT_STREAM ^ seed)`,
-/// disjoint from the per-seed run streams (seeds are small integers) and
-/// from [`TOPOLOGY_STREAM`].
+/// Reserved seed coordinate of the per-seed *fault stream*: every
+/// replication of a rung with a fault plan seeds its [`FaultState`] from
+/// `rng_for(experiment, config_ix, FAULT_STREAM ^ seed)`, disjoint from
+/// the per-seed run streams (seeds are small integers) and from
+/// [`TOPOLOGY_STREAM`]. A plan-free rung derives nothing from it.
 pub const FAULT_STREAM: u64 = 0xFA17_07A1;
 
-/// Like [`run_replicated`], with an adversarial [`FaultPlan`] installed in
-/// every replication. Each seed gets its own fault state on the reserved
-/// [`FAULT_STREAM`], so outcomes stay byte-identical for every thread
-/// count, and an **empty plan reproduces [`run_replicated`] exactly** —
-/// the fault stream is derived but never advanced by the engine.
-pub fn run_replicated_faulted<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    plan: &FaultPlan,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> Vec<RunReport>
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let mut topo_rng = rng_for(experiment, config_ix, TOPOLOGY_STREAM);
-    let topo = topo_builder(&mut topo_rng);
-    replicate(experiment, config_ix, seeds, |s, rng| {
-        let origin = random_alive_origin(&topo, rng);
-        let fault_seed: u64 = rng_for(experiment, config_ix, FAULT_STREAM ^ s).gen();
-        let mut state = SimState::new(protocol, topo.node_count(), origin);
-        state.set_faults(Some(FaultState::new(plan, topo.node_count(), fault_seed)));
-        state.run_to_completion(&topo, protocol, config, rng);
-        state.into_report(&topo, config)
-    })
-}
-
-/// Like [`run_replicated_faulted`], additionally timing the
-/// configuration's total wall-clock (milliseconds).
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_faulted_timed<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    plan: &FaultPlan,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> (Vec<RunReport>, f64)
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let start = Instant::now();
-    let reports =
-        run_replicated_faulted(topo_builder, protocol, config, plan, experiment, config_ix, seeds);
-    (reports, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// One seed's outcome of an **asynchronous-time** broadcast: the engine
-/// report (rounds are the `ceil(T)` windows of the event clock) plus the
-/// continuous-time quantities the round report cannot carry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncRunReport {
-    /// The engine's run report; `rounds`/`full_coverage_at` are unit-time
-    /// windows of the event clock.
-    pub report: RunReport,
+/// Continuous-time quantities of an asynchronous run that the round
+/// report cannot carry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventClock {
     /// Simulated time at which the run stopped.
     pub time: f64,
     /// Simulated time of the delivery that completed coverage, if reached.
@@ -269,208 +154,170 @@ pub struct AsyncRunReport {
     pub events: u64,
 }
 
-/// Replicated single-rumour broadcasts on the **asynchronous event-queue
-/// engine** — the continuous-time twin of [`run_replicated_faulted`].
-///
-/// Topology is generated once per configuration on the
-/// [`TOPOLOGY_STREAM`]; each seed runs its own [`AsyncSimState`] with the
-/// given per-node clock and per-channel latency on the per-seed
-/// [`rng_for`] stream, with the fault state (when `plan` is non-empty)
-/// seeded from the reserved [`FAULT_STREAM`]. Outcomes are byte-identical
-/// for every thread count, and an empty plan installs no fault state at
-/// all — reproducing the plain async engine exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_async<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    clock: ClockSpec,
-    latency: LatencySpec,
-    plan: &FaultPlan,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> Vec<AsyncRunReport>
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let mut topo_rng = rng_for(experiment, config_ix, TOPOLOGY_STREAM);
-    let topo = topo_builder(&mut topo_rng);
-    replicate(experiment, config_ix, seeds, |s, rng| {
-        let origin = random_alive_origin(&topo, rng);
-        let mut sim = AsyncSimState::new(protocol, topo.node_count(), origin, clock, latency);
-        if !plan.is_empty() {
-            let fault_seed: u64 = rng_for(experiment, config_ix, FAULT_STREAM ^ s).gen();
-            sim.set_faults(Some(FaultState::new(plan, topo.node_count(), fault_seed)));
-        }
-        sim.run_to_completion(&topo, protocol, config, rng);
-        let (time, coverage_time, events) = (sim.now(), sim.coverage_time(), sim.events_processed());
-        AsyncRunReport { report: sim.into_report(&topo, config), time, coverage_time, events }
-    })
-}
-
-/// Like [`run_replicated_async`], additionally timing the configuration's
-/// total wall-clock (milliseconds).
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_async_timed<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    clock: ClockSpec,
-    latency: LatencySpec,
-    plan: &FaultPlan,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> (Vec<AsyncRunReport>, f64)
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let start = Instant::now();
-    let reports = run_replicated_async(
-        topo_builder,
-        protocol,
-        config,
-        clock,
-        latency,
-        plan,
-        experiment,
-        config_ix,
-        seeds,
-    );
-    (reports, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// One seed's outcome of a broadcast under membership churn: the engine
-/// report (coverage is measured over **survivors** — the alive, uncrashed
-/// census at the end of the run) plus the totals of the membership events
-/// applied while it ran.
+/// One seed's outcome of a ladder rung, whatever engine ran it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChurnRunReport {
-    /// The engine's run report; `alive_count` is the final survivor
-    /// census, so `coverage()` is survivor coverage.
+pub struct SeedOutcome {
+    /// The engine's run report. Under churn, `alive_count` is the final
+    /// survivor census, so `coverage()` is survivor coverage; under async
+    /// timing, `rounds`/`full_coverage_at` are unit-time windows of the
+    /// event clock.
     pub report: RunReport,
-    /// Join/leave totals applied over the run.
+    /// Join/leave totals applied over the run (zero for static specs).
     pub churn: ChurnStats,
+    /// The event clock of an async-timing run (`None` for sync specs).
+    pub clock: Option<EventClock>,
 }
 
-/// Replicated single-rumour broadcasts under membership churn — the
-/// dynamic-membership twin of [`run_replicated`].
+/// One ladder rung compiled for replication: the spec's protocol and
+/// engine config, and the topology every seed shares.
 ///
-/// The **base graph** is generated once per configuration on the
-/// [`TOPOLOGY_STREAM`] (generation dominates wall-clock at large n); each
-/// seed then wraps it in its own mutable [`Overlay`] and runs its own
-/// churn trajectory on the per-seed [`rng_for`] stream: one engine round,
-/// one [`ChurnProcess`] step, `rewire_per_round` flip switches, then the
-/// structured [`ChurnEvents`](rrb_p2p::ChurnEvents) are fed to the
-/// engine's alive census (`apply_joins` / `apply_leaves`). Outcomes are
-/// therefore byte-identical for every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_churned<P, F>(
-    base_builder: F,
-    target_degree: usize,
-    protocol: &P,
-    config: SimConfig,
-    churn: ChurnProcess,
-    rewire_per_round: usize,
+/// The topology is generated **once per rung** (graph generation
+/// dominates wall-clock on large-n ladders) from the dedicated
+/// [`TOPOLOGY_STREAM`]; origin selection and the run itself stay on the
+/// per-seed [`rng_for`] stream. Seed `i`'s outcome therefore depends only
+/// on `(experiment, config_ix)` and `(experiment, config_ix, i)` — never
+/// on the thread schedule or the shard count.
+pub(crate) struct Rung<'a> {
+    spec: &'a ScenarioSpec,
     experiment: u64,
     config_ix: u64,
-    seeds: u64,
-) -> Vec<ChurnRunReport>
-where
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> Graph,
-{
-    let mut topo_rng = rng_for(experiment, config_ix, TOPOLOGY_STREAM);
-    let base = base_builder(&mut topo_rng);
-    replicate(experiment, config_ix, seeds, |_, rng| {
-        let mut overlay = Overlay::from_graph(&base, target_degree);
-        let origin = random_alive_origin(&overlay, rng);
-        let mut process = churn; // Copy: every seed starts with fresh debts
-        let mut totals = ChurnStats::default();
-        let mut sim = SimState::new(protocol, Topology::node_count(&overlay), origin);
-        while !sim.finished(&overlay, protocol, config) {
-            sim.step(&overlay, protocol, config, rng);
-            let events = process.step(&mut overlay, rng).expect("churn step");
-            overlay.rewire(rewire_per_round, rng);
-            totals.absorb(events.stats());
-            sim.apply_joins(protocol, &events.joined);
-            sim.apply_leaves(&events.left);
-            sim.apply_rejoins(protocol, &events.rejoined);
+    pub(crate) protocol: AnyProtocol,
+    pub(crate) config: SimConfig,
+    pub(crate) topology: Graph,
+}
+
+impl<'a> Rung<'a> {
+    /// Compiles `entry` under `experiment`'s streams, running every
+    /// synchronous seed over `shards` node-slot shards. Fails on a spec no
+    /// engine can run or on a topology that cannot be generated.
+    pub(crate) fn new(
+        experiment: u64,
+        entry: &'a LadderEntry,
+        shards: usize,
+    ) -> Result<Self, String> {
+        let spec = &entry.spec;
+        spec.check_runnable()?;
+        let mut topo_rng = rng_for(experiment, entry.config_ix, TOPOLOGY_STREAM);
+        let topology = spec
+            .graph
+            .build(&mut topo_rng)
+            .map_err(|e| format!("graph generation for {}: {e}", spec.graph.label()))?;
+        Ok(Rung {
+            spec,
+            experiment,
+            config_ix: entry.config_ix,
+            protocol: spec.protocol.build(),
+            config: spec.sim_config().with_shards(shards),
+            topology,
+        })
+    }
+
+    /// Runs seed `s` (whose stream is `rng`) on the engine the spec
+    /// selects: the round engine on the static topology, with the fault
+    /// plan installed when there is one; the round engine over a churning
+    /// overlay; or the event-queue engine. `probe` is installed for the
+    /// run and handed back afterwards; probes never touch the RNG, so a
+    /// probed seed's outcome is byte-identical to a bare one.
+    pub(crate) fn run_seed(
+        &self,
+        s: u64,
+        rng: &mut SmallRng,
+        probe: &mut Option<BoxedProbe>,
+    ) -> SeedOutcome {
+        let (topo, proto, config) = (&self.topology, &self.protocol, self.config);
+        let n = topo.node_count();
+        match (self.spec.dynamics, self.spec.timing) {
+            (DynamicsSpec::Churn(churn), _) => {
+                let mut run = ChurnRun::new(topo, &self.spec.graph, churn);
+                let origin = random_alive_origin(&run.overlay, rng);
+                let mut sim = SimState::new(proto, Topology::node_count(&run.overlay), origin);
+                sim.set_probe(probe.take());
+                while !sim.finished(&run.overlay, proto, config) {
+                    sim.step(&run.overlay, proto, config, rng);
+                    let events = run.step(rng);
+                    sim.apply_joins(proto, &events.joined);
+                    sim.apply_leaves(&events.left);
+                    sim.apply_rejoins(proto, &events.rejoined);
+                }
+                *probe = sim.take_probe();
+                let report = sim.into_report(&run.overlay, config);
+                SeedOutcome { report, churn: run.totals, clock: None }
+            }
+            (DynamicsSpec::Static, TimingSpec::Async { clock, latency }) => {
+                let origin = random_alive_origin(topo, rng);
+                let mut sim = AsyncSimState::new(proto, n, origin, clock, latency);
+                sim.set_faults(self.fault_state(s));
+                sim.set_probe(probe.take());
+                sim.run_to_completion(topo, proto, config, rng);
+                *probe = sim.take_probe();
+                let clock = EventClock {
+                    time: sim.now(),
+                    coverage_time: sim.coverage_time(),
+                    events: sim.events_processed(),
+                };
+                let report = sim.into_report(topo, config);
+                SeedOutcome { report, churn: ChurnStats::default(), clock: Some(clock) }
+            }
+            (DynamicsSpec::Static, TimingSpec::Sync) => {
+                let origin = random_alive_origin(topo, rng);
+                let mut sim = SimState::new(proto, n, origin);
+                sim.set_faults(self.fault_state(s));
+                sim.set_probe(probe.take());
+                sim.run_to_completion(topo, proto, config, rng);
+                *probe = sim.take_probe();
+                let report = sim.into_report(topo, config);
+                SeedOutcome { report, churn: ChurnStats::default(), clock: None }
+            }
         }
-        ChurnRunReport { report: sim.into_report(&overlay, config), churn: totals }
-    })
+    }
+
+    /// Seed `s`'s fault state on the reserved [`FAULT_STREAM`], or `None`
+    /// for a plan-free spec (the engine then runs its pre-fault path).
+    fn fault_state(&self, s: u64) -> Option<FaultState> {
+        let failures = &self.spec.failures;
+        (!failures.is_plain()).then(|| {
+            let fault_seed: u64 = rng_for(self.experiment, self.config_ix, FAULT_STREAM ^ s).gen();
+            FaultState::new(&failures.to_plan(), self.topology.node_count(), fault_seed)
+        })
+    }
 }
 
-/// One seed's outcome of a **multi-rumour** run under churn.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiChurnReport {
-    /// The multi-rumour engine report (per-rumour `informed` counts alive,
-    /// uncrashed survivors).
-    pub report: MultiRumorReport,
-    /// Join/leave totals applied over the run.
-    pub churn: ChurnStats,
-    /// Final survivor census — the denominator for per-rumour survivor
-    /// coverage.
-    pub final_alive: usize,
-}
-
-/// Replicated **multi-rumour** broadcasts under membership churn:
-/// `rumors` rumours injected `stagger` rounds apart at random alive
-/// origins, riding one shared channel fabric while peers join and leave —
-/// the scenario family (multi-rumour × churn) the alive-census refactor
-/// unlocked. Same topology-sharing and determinism contract as
-/// [`run_replicated_churned`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicated_multi_churned<P, F>(
-    base_builder: F,
-    target_degree: usize,
-    protocol: &P,
-    config: SimConfig,
-    churn: ChurnProcess,
+/// One seed's membership trajectory: a mutable [`Overlay`] over the
+/// rung's shared base graph plus the churn process driving it.
+pub(crate) struct ChurnRun {
+    pub(crate) overlay: Overlay,
+    process: ChurnProcess,
     rewire_per_round: usize,
-    rumors: usize,
-    stagger: Round,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> Vec<MultiChurnReport>
-where
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> Graph,
-{
-    let mut topo_rng = rng_for(experiment, config_ix, TOPOLOGY_STREAM);
-    let base = base_builder(&mut topo_rng);
-    replicate(experiment, config_ix, seeds, |_, rng| {
-        let mut overlay = Overlay::from_graph(&base, target_degree);
-        let injections: Vec<RumorInjection> = (0..rumors)
-            .map(|r| RumorInjection {
-                birth: r as Round * stagger,
-                origin: random_alive_origin(&overlay, rng),
-            })
-            .collect();
-        let mut process = churn;
-        let mut totals = ChurnStats::default();
-        let mut sim = MultiSimState::new(protocol, &overlay, &injections);
-        while !sim.finished(protocol, config) {
-            sim.step(&overlay, protocol, config, rng);
-            let events = process.step(&mut overlay, rng).expect("churn step");
-            overlay.rewire(rewire_per_round, rng);
-            totals.absorb(events.stats());
-            sim.apply_joins(protocol, &events.joined);
-            sim.apply_leaves(&events.left);
-            sim.apply_rejoins(protocol, &events.rejoined);
-        }
-        let final_alive = sim.effective_alive();
-        MultiChurnReport { report: sim.into_report(), churn: totals, final_alive }
-    })
+    pub(crate) totals: ChurnStats,
 }
 
-fn random_alive_origin<T: Topology, R: rand::Rng + ?Sized>(topo: &T, rng: &mut R) -> NodeId {
+impl ChurnRun {
+    /// Wraps `base` (generated from `graph`) in a fresh overlay; every
+    /// seed starts with fresh churn debts.
+    pub(crate) fn new(base: &Graph, graph: &GraphSpec, churn: ChurnSpec) -> Self {
+        ChurnRun {
+            overlay: Overlay::from_graph(base, graph.target_degree()),
+            process: churn.to_process(graph.node_count()),
+            rewire_per_round: churn.rewire_per_round,
+            totals: ChurnStats::default(),
+        }
+    }
+
+    /// The membership change after one engine round: one churn step,
+    /// then `rewire_per_round` flip switches. Returns the structured
+    /// events the engine's alive census must absorb
+    /// (`apply_joins` / `apply_leaves` / `apply_rejoins`).
+    pub(crate) fn step(&mut self, rng: &mut SmallRng) -> ChurnEvents {
+        let events = self.process.step(&mut self.overlay, rng).expect("churn step");
+        self.overlay.rewire(self.rewire_per_round, rng);
+        self.totals.absorb(events.stats());
+        events
+    }
+}
+
+/// Draws a uniformly random alive node of `topo` (rejection sampling on
+/// the caller's stream).
+pub(crate) fn random_alive_origin<T: Topology>(topo: &T, rng: &mut SmallRng) -> NodeId {
     loop {
         let i = rng.gen_range(0..topo.node_count());
         if topo.is_alive(NodeId::new(i)) {
@@ -485,26 +332,6 @@ fn random_alive_origin<T: Topology, R: rand::Rng + ?Sized>(topo: &T, rng: &mut R
 /// (the same probe [`rrb_engine::PhaseTimings`] reads once per round).
 pub fn peak_rss_kib() -> Option<u64> {
     rrb_engine::telemetry::peak_rss_kib()
-}
-
-/// Like [`run_replicated`], additionally timing the configuration's total
-/// wall-clock (milliseconds).
-pub fn run_replicated_timed<T, P, F>(
-    topo_builder: F,
-    protocol: &P,
-    config: SimConfig,
-    experiment: u64,
-    config_ix: u64,
-    seeds: u64,
-) -> (Vec<RunReport>, f64)
-where
-    T: Topology + Sync,
-    P: Protocol + Clone + Sync,
-    F: FnOnce(&mut SmallRng) -> T,
-{
-    let start = Instant::now();
-    let reports = run_replicated(topo_builder, protocol, config, experiment, config_ix, seeds);
-    (reports, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Mean of a per-report metric.
@@ -530,6 +357,13 @@ pub fn mean_rounds_to_coverage(reports: &[RunReport]) -> f64 {
 /// despite the faults).
 pub fn mean_coverage(reports: &[RunReport]) -> f64 {
     mean_of(reports, |r| r.coverage())
+}
+
+/// Mean simulated time to coverage of async runs (the stop time for runs
+/// that never covered).
+pub fn mean_cover_time(clocks: &[EventClock]) -> f64 {
+    clocks.iter().map(|c| c.coverage_time.unwrap_or(c.time)).sum::<f64>()
+        / clocks.len().max(1) as f64
 }
 
 /// Mean **recovery rounds** — healed rounds needed to reach full coverage
@@ -702,10 +536,55 @@ pub fn json_string(s: &str) -> String {
 }
 
 #[cfg(test)]
+mod hand_wired;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::run_entry;
+    use crate::scenario::{FaultSpec, MeasureSpec, PolicySpec, ProtocolSpec, StopSpec};
     use rrb_engine::protocols::FloodPushPull;
+    use rrb_engine::{FaultEvent, FaultPlan, GilbertElliott, OutageSpec};
     use rrb_graph::gen;
+
+    /// Flood push&pull (one choice per round) on a random `d`-regular
+    /// graph, stopping at coverage within `max_rounds`.
+    fn flood(n: usize, d: usize, max_rounds: u32) -> ScenarioSpec {
+        ScenarioSpec::new(
+            "flood",
+            GraphSpec::RandomRegular { n, d },
+            ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD },
+        )
+        .with_stop(StopSpec::Coverage { max_rounds })
+    }
+
+    /// `spec`'s seed outcomes through the registry path.
+    fn outcomes(
+        experiment: u64,
+        config_ix: u64,
+        seeds: u64,
+        spec: ScenarioSpec,
+    ) -> Vec<SeedOutcome> {
+        let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
+        run_entry(experiment, &LadderEntry::new(config_ix, spec), &cfg).expect("runnable spec").0
+    }
+
+    fn reports(experiment: u64, config_ix: u64, seeds: u64, spec: ScenarioSpec) -> Vec<RunReport> {
+        outcomes(experiment, config_ix, seeds, spec).into_iter().map(|o| o.report).collect()
+    }
+
+    fn with_threads<T: Send>(threads: usize, run: impl FnOnce() -> T + Send) -> T {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(run)
+    }
+
+    fn churn(rate: f64, min_alive: usize, rewire_per_round: usize) -> DynamicsSpec {
+        DynamicsSpec::Churn(ChurnSpec {
+            joins_per_round: rate,
+            leaves_per_round: rate,
+            min_alive: Some(min_alive),
+            rewire_per_round,
+        })
+    }
 
     #[test]
     fn rngs_are_deterministic_and_distinct() {
@@ -717,15 +596,8 @@ mod tests {
     }
 
     #[test]
-    fn run_replicated_produces_reports() {
-        let reports = run_replicated(
-            |rng| gen::random_regular(128, 4, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default(),
-            1,
-            0,
-            4,
-        );
+    fn replicated_runs_produce_reports() {
+        let reports = reports(1, 0, 4, flood(128, 4, 10_000));
         assert_eq!(reports.len(), 4);
         assert!((success_rate(&reports) - 1.0).abs() < 1e-12);
         assert!(mean_rounds_to_coverage(&reports) > 1.0);
@@ -733,46 +605,28 @@ mod tests {
     }
 
     #[test]
-    fn run_replicated_is_thread_count_invariant() {
-        let run_with = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| {
-                    run_replicated(
-                        |rng| gen::random_regular(256, 8, rng).unwrap(),
-                        &FloodPushPull::new(),
-                        SimConfig::default().with_history(),
-                        7,
-                        3,
-                        8,
-                    )
-                })
-        };
-        let sequential = run_with(1);
-        let parallel = run_with(8);
-        assert_eq!(sequential, parallel, "reports depend on the thread schedule");
+    fn replicated_runs_are_thread_count_invariant() {
+        let spec = flood(256, 8, 10_000).with_measure(MeasureSpec::Trace);
+        let sequential = with_threads(1, || outcomes(7, 3, 8, spec.clone()));
+        let parallel = with_threads(8, || outcomes(7, 3, 8, spec.clone()));
+        assert!(sequential.iter().all(|o| !o.report.history.is_empty()));
+        assert_eq!(sequential, parallel, "outcomes depend on the thread schedule");
     }
 
     #[test]
-    fn run_replicated_generates_topology_once_per_configuration() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let reports = run_replicated(
-            |rng| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                gen::random_regular(64, 4, rng).unwrap()
-            },
-            &FloodPushPull::new(),
-            SimConfig::default(),
-            2,
-            0,
-            6,
-        );
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "topology must be shared across seeds");
-        assert_eq!(reports.len(), 6);
-        assert!((success_rate(&reports) - 1.0).abs() < 1e-12);
+    fn seeds_share_one_topology_per_rung() {
+        // G(n,p) differs with every draw, so seeds built on per-seed
+        // graphs could not match the one topology-stream graph.
+        let spec = ScenarioSpec::new(
+            "gnp",
+            GraphSpec::Gnp { n: 96, expected_degree: 8.0 },
+            ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD },
+        )
+        .with_stop(StopSpec::Coverage { max_rounds: 200 });
+        let topo = hand_wired::topology(2, 0, |rng| spec.graph.build(rng).unwrap());
+        let proto = spec.protocol.build();
+        let via_hand = hand_wired::plain(2, 0, 6, &topo, &proto, spec.sim_config());
+        assert_eq!(reports(2, 0, 6, spec), via_hand);
     }
 
     #[test]
@@ -786,48 +640,31 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_with_empty_plan_match_run_replicated() {
+    fn empty_fault_plan_matches_plain_run() {
         // The fault stream is derived but never advanced for an empty
-        // plan, so the faulted runner is byte-identical to the plain one.
-        let base = run_replicated(
-            |rng| gen::random_regular(128, 6, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default(),
-            21,
-            0,
-            4,
-        );
-        let faulted = run_replicated_faulted(
-            |rng| gen::random_regular(128, 6, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default(),
-            &FaultPlan::default(),
-            21,
-            0,
-            4,
-        );
-        assert_eq!(base, faulted);
+        // plan, so installing one is byte-identical to the plain path.
+        let topo = hand_wired::topology(21, 0, |rng| gen::random_regular(128, 6, rng).unwrap());
+        let proto = FloodPushPull::new();
+        let config = SimConfig::default();
+        let faulted =
+            hand_wired::faulted(21, 0, 4, &topo, &proto, config, &FaultPlan::default());
+        assert_eq!(reports(21, 0, 4, flood(128, 6, 10_000)), faulted);
     }
 
     #[test]
     fn async_runs_cover_and_report_continuous_time() {
-        let reports = run_replicated_async(
-            |rng| gen::random_regular(128, 6, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default().with_max_rounds(200),
-            ClockSpec::Exponential { rate: 1.0 },
-            LatencySpec::Uniform { min: 0.05, max: 0.3 },
-            &FaultPlan::default(),
-            41,
-            0,
-            4,
-        );
-        assert_eq!(reports.len(), 4);
-        for r in &reports {
+        let spec = flood(128, 6, 200).with_timing(TimingSpec::Async {
+            clock: rrb_engine::ClockSpec::Exponential { rate: 1.0 },
+            latency: rrb_engine::LatencySpec::Uniform { min: 0.05, max: 0.3 },
+        });
+        let runs = outcomes(41, 0, 4, spec);
+        assert_eq!(runs.len(), 4);
+        for r in &runs {
             assert!(r.report.all_informed());
-            assert!(r.events > 0);
-            let cov = r.coverage_time.expect("covered runs record a coverage time");
-            assert!(cov <= r.time);
+            let clock = r.clock.expect("async runs carry their event clock");
+            assert!(clock.events > 0);
+            let cov = clock.coverage_time.expect("covered runs record a coverage time");
+            assert!(cov <= clock.time);
             // The report's round stamp is the ceil-window of the event time.
             assert_eq!(r.report.full_coverage_at, Some((cov.ceil().max(1.0)) as Round));
         }
@@ -835,83 +672,46 @@ mod tests {
 
     #[test]
     fn async_runs_are_thread_count_invariant() {
-        use rrb_engine::{FaultEvent, OutageSpec};
-        let plan = FaultPlan {
-            burst: None,
-            schedule: vec![FaultEvent::Partition { from: 2, until: 6, parts: 2 }],
-            adversary: None,
-            outages: Some(OutageSpec::new(0.05, 1, 3)),
-        };
-        let run_with = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| {
-                    run_replicated_async(
-                        |rng| gen::random_regular(128, 6, rng).unwrap(),
-                        &FloodPushPull::new(),
-                        SimConfig::default().with_max_rounds(300),
-                        ClockSpec::Stragglers { rate: 1.0, slow_fraction: 0.1, slow_factor: 4.0 },
-                        LatencySpec::Exponential { mean: 0.2 },
-                        &plan,
-                        42,
-                        1,
-                        8,
-                    )
-                })
-        };
-        let sequential = run_with(1);
-        let parallel = run_with(4);
-        assert_eq!(sequential, parallel, "async reports depend on the thread schedule");
+        let spec = flood(128, 6, 300)
+            .with_failures(FaultSpec {
+                schedule: vec![FaultEvent::Partition { from: 2, until: 6, parts: 2 }],
+                outages: Some(OutageSpec::new(0.05, 1, 3)),
+                ..FaultSpec::NONE
+            })
+            .with_timing(TimingSpec::Async {
+                clock: rrb_engine::ClockSpec::Stragglers {
+                    rate: 1.0,
+                    slow_fraction: 0.1,
+                    slow_factor: 4.0,
+                },
+                latency: rrb_engine::LatencySpec::Exponential { mean: 0.2 },
+            });
+        let sequential = with_threads(1, || outcomes(42, 1, 8, spec.clone()));
+        let parallel = with_threads(4, || outcomes(42, 1, 8, spec.clone()));
+        assert_eq!(sequential, parallel, "async outcomes depend on the thread schedule");
     }
 
     #[test]
     fn faulted_runs_are_thread_count_invariant() {
-        use rrb_engine::{FaultEvent, GilbertElliott, OutageSpec};
-        let plan = FaultPlan {
+        let spec = flood(128, 6, 300).with_failures(FaultSpec {
             burst: Some(GilbertElliott::new(0.1, 0.3, 0.02, 0.7)),
             schedule: vec![FaultEvent::Partition { from: 2, until: 8, parts: 2 }],
-            adversary: None,
             outages: Some(OutageSpec::new(0.05, 1, 3)),
-        };
-        let run_with = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| {
-                    run_replicated_faulted(
-                        |rng| gen::random_regular(128, 6, rng).unwrap(),
-                        &FloodPushPull::new(),
-                        SimConfig::default().with_max_rounds(300),
-                        &plan,
-                        22,
-                        1,
-                        8,
-                    )
-                })
-        };
-        assert_eq!(run_with(1), run_with(4), "fault outcomes depend on the thread schedule");
+            ..FaultSpec::NONE
+        });
+        let sequential = with_threads(1, || outcomes(22, 1, 8, spec.clone()));
+        let parallel = with_threads(4, || outcomes(22, 1, 8, spec.clone()));
+        assert_eq!(sequential, parallel, "fault outcomes depend on the thread schedule");
     }
 
     #[test]
     fn degradation_helpers_report_recovery_after_heal() {
-        use rrb_engine::FaultEvent;
-        let plan = FaultPlan {
+        let faults = FaultSpec {
             schedule: vec![FaultEvent::Partition { from: 1, until: 12, parts: 2 }],
-            ..FaultPlan::default()
+            ..FaultSpec::NONE
         };
-        let heal = plan.heal_round().unwrap();
-        let reports = run_replicated_faulted(
-            |rng| gen::random_regular(128, 6, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default().with_max_rounds(300),
-            &plan,
-            23,
-            0,
-            6,
-        );
+        let heal = faults.heal_round().unwrap();
+        let reports = reports(23, 0, 6, flood(128, 6, 300).with_failures(faults));
         // Flood push&pull cannot cover a partitioned overlay: every seed
         // completes only after the heal, then recovers within a few rounds.
         assert!((success_rate(&reports) - 1.0).abs() < 1e-12);
@@ -925,21 +725,9 @@ mod tests {
 
     #[test]
     fn churned_runs_are_deterministic_and_apply_churn() {
-        let run = || {
-            run_replicated_churned(
-                |rng| gen::random_regular(128, 6, rng).unwrap(),
-                6,
-                &FloodPushPull::new(),
-                SimConfig::default().with_max_rounds(200),
-                ChurnProcess::symmetric(2.0, 32),
-                4,
-                10,
-                90,
-                4,
-            )
-        };
-        let a = run();
-        let b = run();
+        let spec = flood(128, 6, 200).with_dynamics(churn(2.0, 32, 4));
+        let a = outcomes(10, 90, 4, spec.clone());
+        let b = outcomes(10, 90, 4, spec);
         assert_eq!(a, b, "same seed must give identical churn trajectories");
         for r in &a {
             assert!(r.churn.joins > 0 && r.churn.leaves > 0, "churn never fired");
@@ -961,52 +749,25 @@ mod tests {
 
     #[test]
     fn churned_runs_are_thread_count_invariant() {
-        let run_with = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| {
-                    run_replicated_churned(
-                        |rng| gen::random_regular(128, 6, rng).unwrap(),
-                        6,
-                        &FloodPushPull::new(),
-                        SimConfig::default().with_history().with_max_rounds(200),
-                        ChurnProcess::symmetric(4.0, 32),
-                        8,
-                        11,
-                        91,
-                        6,
-                    )
-                })
-        };
-        assert_eq!(run_with(1), run_with(8), "churn outcomes depend on the thread schedule");
+        let spec =
+            flood(128, 6, 200).with_dynamics(churn(4.0, 32, 8)).with_measure(MeasureSpec::Trace);
+        let sequential = with_threads(1, || outcomes(11, 91, 6, spec.clone()));
+        let parallel = with_threads(8, || outcomes(11, 91, 6, spec.clone()));
+        assert_eq!(sequential, parallel, "churn outcomes depend on the thread schedule");
     }
 
     #[test]
     fn multi_churned_runs_are_deterministic() {
-        let run = || {
-            run_replicated_multi_churned(
-                |rng| gen::random_regular(96, 6, rng).unwrap(),
-                6,
-                &FloodPushPull::new(),
-                SimConfig::default().with_max_rounds(200),
-                ChurnProcess::symmetric(1.0, 24),
-                2,
-                4,
-                3,
-                12,
-                92,
-                3,
-            )
-        };
-        let a = run();
-        assert_eq!(a, run());
-        for seed in &a {
-            assert_eq!(seed.report.outcomes.len(), 4);
-            assert!(seed.final_alive > 0);
-            for o in &seed.report.outcomes {
-                assert!(o.informed <= seed.final_alive, "informed exceeds survivors");
+        let cfg = ExpConfig { quick: true, seeds: 3, threads: None, shards: 1 };
+        let entry = LadderEntry::new(92, flood(96, 6, 200).with_dynamics(churn(1.0, 24, 2)));
+        let (a, _) = crate::experiments::e10_multi_runs(&entry, &cfg);
+        let (b, _) = crate::experiments::e10_multi_runs(&entry, &cfg);
+        assert_eq!(a, b);
+        for (report, final_alive) in &a {
+            assert_eq!(report.outcomes.len(), crate::experiments::E10_MULTI_RUMORS);
+            assert!(*final_alive > 0);
+            for o in &report.outcomes {
+                assert!(o.informed <= *final_alive, "informed exceeds survivors");
             }
         }
     }
@@ -1021,14 +782,7 @@ mod tests {
 
     #[test]
     fn recorder_emits_valid_shape() {
-        let reports = run_replicated(
-            |rng| gen::random_regular(64, 4, rng).unwrap(),
-            &FloodPushPull::new(),
-            SimConfig::default(),
-            1,
-            0,
-            2,
-        );
+        let reports = reports(1, 0, 2, flood(64, 4, 10_000));
         let mut rec = BenchRecorder::new("unit_test", true);
         rec.record("d4_n64", 64, 2, 1.25, &reports);
         let json = rec.to_json();

@@ -6,23 +6,18 @@
 //! ```text
 //! rrb list                 # what's registered
 //! rrb describe e5          # a ladder's specs as JSON
-//! rrb run e5 --quick       # run an experiment (same flags as the old binaries)
+//! rrb run e5 --quick       # run an experiment
 //! rrb run --spec file.json # run a single hand-written scenario
 //! ```
 //!
-//! The legacy `exp_*` binaries still exist as thin wrappers over their
-//! registry entries, so `cargo run --bin exp_e5_crossover` and
-//! `rrb run e5` are the same code path — seed for seed.
+//! Every rung, registered or hand-written, replicates through
+//! [`run_entry`].
 
 use std::time::Instant;
 
-use crate::scenario::{DynamicsSpec, ScenarioSpec, TimingSpec};
-use crate::{
-    run_replicated_async_timed, run_replicated_churned, run_replicated_faulted_timed,
-    run_replicated_timed, AsyncRunReport, BenchRecorder, ChurnRunReport, ExpConfig,
-};
-use rand::Rng;
-use rrb_engine::{AsyncSimState, FaultState, PhaseTimings, Protocol, Round, RunReport, SimState};
+use crate::scenario::ScenarioSpec;
+use crate::{replicate, rng_for, BenchRecorder, ExpConfig, Rung, SeedOutcome};
+use rrb_engine::{BoxedProbe, PhaseTimings, Protocol, Round};
 
 /// One rung of an experiment's configuration ladder: a scenario plus the
 /// `config_ix` RNG coordinate it runs under (kept identical to the indices
@@ -78,233 +73,56 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     all().iter().find(|e| e.name == needle)
 }
 
-/// Entry point for the thin `exp_*` wrapper binaries: parse the shared
-/// CLI flags and run the named experiment.
-pub fn cli_main(name: &str) {
-    let cfg = ExpConfig::from_args();
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} not registered"));
-    (exp.run)(&cfg);
-}
-
-/// Runs one ladder entry through the shared replication harness:
-/// spec → protocol/graph/config, fanned out over the rayon pool under
-/// `(experiment_id, entry.config_ix, seed)` RNG streams. Specs with churn
-/// dynamics route through the churn harness (per-seed mutable overlays
-/// over a shared base graph) and return the plain engine reports; use
-/// [`run_entry_churned`] when the churn totals matter too. Specs with a
-/// fault plan route through the faulted harness, which installs the plan
-/// on the reserved [`crate::FAULT_STREAM`]; plain specs keep the
-/// pre-fault code path byte for byte.
+/// Runs one ladder entry through the shared replication harness: the
+/// rung's topology is generated once, then every seed runs under its
+/// `(experiment_id, entry.config_ix, seed)` stream, fanned out over the
+/// rayon pool. Returns the outcomes in seed order and the rung's total
+/// wall-clock (topology included) in milliseconds.
 ///
 /// `cfg.shards > 1` fans every synchronous run's RNG-free phases out over
-/// node-slot shards (`SimConfig::with_shards`) — reports stay
+/// node-slot shards (`SimConfig::with_shards`) — outcomes stay
 /// seed-for-seed identical at any shard count, only wall-clock moves.
 /// Async-timing specs ignore the shard count (the event-queue engine
 /// processes one event at a time by construction).
+///
+/// Fails, before any seed runs, on a spec no engine can run (see
+/// [`ScenarioSpec::check_runnable`]) or a topology that cannot be
+/// generated.
 pub fn run_entry(
     experiment_id: u64,
     entry: &LadderEntry,
     cfg: &ExpConfig,
-) -> (Vec<RunReport>, f64) {
-    if !entry.spec.timing.is_sync() {
-        let (runs, wall_ms) = run_entry_async(experiment_id, entry, cfg);
-        return (runs.into_iter().map(|r| r.report).collect(), wall_ms);
-    }
-    match entry.spec.dynamics {
-        DynamicsSpec::Static if entry.spec.failures.is_plain() => {
-            let proto = entry.spec.protocol.build();
-            let config = entry.spec.sim_config().with_shards(cfg.shards);
-            let graph = entry.spec.graph.clone();
-            run_replicated_timed(
-                move |rng| {
-                    graph
-                        .build(rng)
-                        .unwrap_or_else(|e| panic!("graph generation for {}: {e}", graph.label()))
-                },
-                &proto,
-                config,
-                experiment_id,
-                entry.config_ix,
-                cfg.seeds,
-            )
-        }
-        DynamicsSpec::Static => {
-            let proto = entry.spec.protocol.build();
-            let config = entry.spec.sim_config().with_shards(cfg.shards);
-            let plan = entry.spec.failures.to_plan();
-            let graph = entry.spec.graph.clone();
-            run_replicated_faulted_timed(
-                move |rng| {
-                    graph
-                        .build(rng)
-                        .unwrap_or_else(|e| panic!("graph generation for {}: {e}", graph.label()))
-                },
-                &proto,
-                config,
-                &plan,
-                experiment_id,
-                entry.config_ix,
-                cfg.seeds,
-            )
-        }
-        DynamicsSpec::Churn(_) => {
-            let (runs, wall_ms) = run_entry_churned(experiment_id, entry, cfg);
-            (runs.into_iter().map(|r| r.report).collect(), wall_ms)
-        }
-    }
-}
-
-/// Churn-dynamics twin of [`run_entry`], additionally surfacing the
-/// membership-event totals of every seed.
-///
-/// # Panics
-///
-/// Panics if the entry's spec has static dynamics.
-pub fn run_entry_churned(
-    experiment_id: u64,
-    entry: &LadderEntry,
-    cfg: &ExpConfig,
-) -> (Vec<ChurnRunReport>, f64) {
-    let DynamicsSpec::Churn(churn) = entry.spec.dynamics else {
-        panic!("run_entry_churned on a static spec ({})", entry.spec.label);
-    };
-    assert!(
-        entry.spec.failures.is_plain(),
-        "fault plans are not supported under churn dynamics yet ({})",
-        entry.spec.label
-    );
-    let proto = entry.spec.protocol.build();
-    let config = entry.spec.sim_config().with_shards(cfg.shards);
-    let graph = entry.spec.graph.clone();
-    let n = graph.node_count();
-    let target_degree = graph.target_degree();
+) -> Result<(Vec<SeedOutcome>, f64), String> {
     let start = Instant::now();
-    let runs = run_replicated_churned(
-        move |rng| {
-            graph
-                .build(rng)
-                .unwrap_or_else(|e| panic!("graph generation for {}: {e}", graph.label()))
-        },
-        target_degree,
-        &proto,
-        config,
-        churn.to_process(n),
-        churn.rewire_per_round,
-        experiment_id,
-        entry.config_ix,
-        cfg.seeds,
-    );
-    (runs, start.elapsed().as_secs_f64() * 1e3)
+    let rung = Rung::new(experiment_id, entry, cfg.shards)?;
+    let runs = replicate(experiment_id, entry.config_ix, cfg.seeds, |s, rng| {
+        rung.run_seed(s, rng, &mut None)
+    });
+    Ok((runs, start.elapsed().as_secs_f64() * 1e3))
 }
 
-/// Asynchronous-timing twin of [`run_entry`], surfacing the
-/// continuous-time quantities (`time`, `coverage_time`, `events`) the
-/// round report cannot carry. Routes through
-/// [`crate::run_replicated_async`]: the spec's clock and latency drive an
-/// [`AsyncSimState`] per seed, with the fault plan (when present) consumed
-/// time-windowed on the reserved [`crate::FAULT_STREAM`].
+/// Runs one ladder rung's **seed-0 replication** with a [`PhaseTimings`]
+/// probe installed and returns the accumulated telemetry: per-phase
+/// wall-clock attribution, counter totals and the peak-RSS high-water
+/// mark.
 ///
-/// # Panics
-///
-/// Panics on a sync-timing spec, or on churn dynamics (the event queue
-/// does not take membership deltas yet — model outages with a fault plan
-/// instead).
-pub fn run_entry_async(
-    experiment_id: u64,
-    entry: &LadderEntry,
-    cfg: &ExpConfig,
-) -> (Vec<AsyncRunReport>, f64) {
-    let TimingSpec::Async { clock, latency } = entry.spec.timing else {
-        panic!("run_entry_async on a sync-timing spec ({})", entry.spec.label);
-    };
-    assert!(
-        matches!(entry.spec.dynamics, DynamicsSpec::Static),
-        "async timing does not support churn dynamics ({})",
-        entry.spec.label
-    );
-    let proto = entry.spec.protocol.build();
-    let config = entry.spec.sim_config();
-    let plan = entry.spec.failures.to_plan();
-    let graph = entry.spec.graph.clone();
-    run_replicated_async_timed(
-        move |rng| {
-            graph
-                .build(rng)
-                .unwrap_or_else(|e| panic!("graph generation for {}: {e}", graph.label()))
-        },
-        &proto,
-        config,
-        clock,
-        latency,
-        &plan,
-        experiment_id,
-        entry.config_ix,
-        cfg.seeds,
-    )
-}
-
-/// Replays one ladder rung's **seed-0 replication** with a
-/// [`PhaseTimings`] probe installed and returns the accumulated
-/// telemetry: per-phase wall-clock attribution, counter totals and the
-/// peak-RSS high-water mark.
-///
-/// The instrumented run uses exactly [`run_entry`]'s streams — the shared
-/// [`crate::TOPOLOGY_STREAM`] topology, origin and run randomness from
-/// `(experiment_id, config_ix, seed 0)`, and the fault plan (when
-/// present) on [`crate::FAULT_STREAM`] — and probes never touch the RNG,
-/// so the replayed run is byte-identical to the first replication the
-/// statistics describe. Async-timing specs replay on the event-queue
-/// engine over the same streams (probe phases map onto the event
-/// lifecycle). Returns `None` for churn dynamics (the churn stepping
-/// loop does not take probes yet) and on graph-generation failure.
-///
-/// `shards > 1` replays the synchronous run on the sharded step path, so
-/// the probe additionally accumulates **per-shard** phase attribution
-/// ([`PhaseTimings::shard_phase_ms`]); the replayed trajectory — and
-/// every counter — is still byte-identical to the serial replay.
+/// The probed run is [`run_entry`]'s first replication — same topology,
+/// same streams, same engine — and probes never touch the RNG, so it is
+/// byte-identical to the run the statistics describe. `shards > 1` runs it
+/// on the sharded step path, so the probe additionally accumulates
+/// **per-shard** phase attribution ([`PhaseTimings::shard_phase_ms`]).
 pub fn instrument_entry(
     experiment_id: u64,
     entry: &LadderEntry,
     shards: usize,
-) -> Option<PhaseTimings> {
-    if !matches!(entry.spec.dynamics, DynamicsSpec::Static) {
-        return None;
-    }
-    let proto = entry.spec.protocol.build();
-    let config = entry.spec.sim_config().with_shards(shards);
-    let mut topo_rng = crate::rng_for(experiment_id, entry.config_ix, crate::TOPOLOGY_STREAM);
-    let topo = entry.spec.graph.build(&mut topo_rng).ok()?;
-    // Replays seed index 0 of the ladder, so the run stream is the one
-    // `run_replicated*` gives the first replication.
+) -> Result<PhaseTimings, String> {
+    let rung = Rung::new(experiment_id, entry, shards)?;
     let seed0: u64 = 0;
-    let mut rng = crate::rng_for(experiment_id, entry.config_ix, seed0);
-    let origin = crate::random_alive_origin(&topo, &mut rng);
-    if let TimingSpec::Async { clock, latency } = entry.spec.timing {
-        let mut state = AsyncSimState::new(&proto, topo.node_count(), origin, clock, latency);
-        if !entry.spec.failures.is_plain() {
-            // Seed index 0 replay, so the stream key is FAULT_STREAM ^ 0.
-            let fault_seed: u64 =
-                crate::rng_for(experiment_id, entry.config_ix, crate::FAULT_STREAM).gen();
-            let plan = entry.spec.failures.to_plan();
-            state.set_faults(Some(FaultState::new(&plan, topo.node_count(), fault_seed)));
-        }
-        state.set_probe(Some(Box::new(PhaseTimings::new())));
-        state.run_to_completion(&topo, &proto, config, &mut rng);
-        let probe = state.take_probe()?;
-        return probe.as_any().downcast_ref::<PhaseTimings>().cloned();
-    }
-    let mut state = SimState::new(&proto, topo.node_count(), origin);
-    if !entry.spec.failures.is_plain() {
-        // Seed index 0 replay, so the stream key is FAULT_STREAM ^ 0.
-        let fault_seed: u64 =
-            crate::rng_for(experiment_id, entry.config_ix, crate::FAULT_STREAM).gen();
-        let plan = entry.spec.failures.to_plan();
-        state.set_faults(Some(FaultState::new(&plan, topo.node_count(), fault_seed)));
-    }
-    state.set_probe(Some(Box::new(PhaseTimings::new())));
-    state.run_to_completion(&topo, &proto, config, &mut rng);
-    let probe = state.take_probe()?;
-    probe.as_any().downcast_ref::<PhaseTimings>().cloned()
+    let mut rng = rng_for(experiment_id, entry.config_ix, seed0);
+    let mut probe: Option<BoxedProbe> = Some(Box::new(PhaseTimings::new()));
+    rung.run_seed(seed0, &mut rng, &mut probe);
+    let probe = probe.expect("the engine hands its probe back");
+    Ok(probe.as_any().downcast_ref::<PhaseTimings>().cloned().expect("a PhaseTimings probe"))
 }
 
 /// The protocol's designed round budget (schedule end), if it has one —
@@ -316,9 +134,12 @@ pub fn deadline_of(spec: &ScenarioSpec) -> Option<Round> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hand_wired;
     use crate::scenario::{
-        ChurnSpec, GraphSpec, MeasureSpec, PolicySpec, ProtocolSpec, RegimeSpec, StopSpec,
+        ChurnSpec, DynamicsSpec, GraphSpec, MeasureSpec, PolicySpec, ProtocolSpec, RegimeSpec,
+        StopSpec, TimingSpec,
     };
+    use rrb_engine::RunReport;
 
     #[test]
     fn registry_is_complete_and_names_unique() {
@@ -379,16 +200,23 @@ mod tests {
         assert!(find("bogus").is_none());
     }
 
+    fn quick(seeds: u64) -> ExpConfig {
+        ExpConfig { quick: true, seeds, threads: None, shards: 1 }
+    }
+
+    fn reports_of(runs: Vec<SeedOutcome>) -> Vec<RunReport> {
+        runs.into_iter().map(|r| r.report).collect()
+    }
+
     #[test]
     fn run_entry_matches_hand_wired_plumbing() {
         // The declarative path (spec → run_entry) must reproduce the
-        // hand-wired legacy plumbing seed for seed: same protocol, same
-        // graph stream, same per-seed streams.
+        // hand-wired plumbing seed for seed: same protocol, same graph
+        // stream, same per-seed streams.
         use rrb_core::FourChoice;
         use rrb_engine::SimConfig;
         use rrb_graph::gen;
 
-        let cfg = ExpConfig { quick: true, seeds: 4, threads: None, shards: 1 };
         let entry = LadderEntry::new(
             302,
             ScenarioSpec::new(
@@ -403,21 +231,27 @@ mod tests {
                 },
             ),
         );
-        let (via_spec, _) = run_entry(77, &entry, &cfg);
-        let via_hand = crate::run_replicated(
-            |rng| gen::random_regular(256, 8, rng).expect("generation"),
-            &FourChoice::for_graph(256, 8),
-            SimConfig::until_quiescent(),
+        let (via_spec, _) = run_entry(77, &entry, &quick(4)).unwrap();
+        let topo = hand_wired::topology(77, 302, |rng| {
+            gen::random_regular(256, 8, rng).expect("generation")
+        });
+        let via_hand = hand_wired::plain(
             77,
             302,
             4,
+            &topo,
+            &FourChoice::for_graph(256, 8),
+            SimConfig::until_quiescent(),
         );
-        assert_eq!(via_spec, via_hand);
+        assert_eq!(reports_of(via_spec), via_hand);
     }
 
     #[test]
     fn churned_entries_are_seed_for_seed_deterministic() {
-        let cfg = ExpConfig { quick: true, seeds: 3, threads: None, shards: 1 };
+        use rrb_engine::protocols::FloodPushPull;
+        use rrb_engine::{ChoicePolicy, SimConfig};
+
+        let churn = ChurnSpec::symmetric(2.0);
         let entry = LadderEntry::new(
             7,
             ScenarioSpec::new(
@@ -425,25 +259,44 @@ mod tests {
                 GraphSpec::RandomRegular { n: 128, d: 6 },
                 ProtocolSpec::FloodPushPull { policy: PolicySpec::Distinct(4) },
             )
-            .with_dynamics(DynamicsSpec::Churn(ChurnSpec::symmetric(2.0)))
+            .with_dynamics(DynamicsSpec::Churn(churn))
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (a, _) = run_entry_churned(99, &entry, &cfg);
-        let (b, _) = run_entry_churned(99, &entry, &cfg);
+        let (a, _) = run_entry(99, &entry, &quick(3)).unwrap();
+        let (b, _) = run_entry(99, &entry, &quick(3)).unwrap();
         assert_eq!(a, b, "churned entry must be seed-for-seed deterministic");
         assert!(a.iter().any(|r| r.churn.joins > 0), "churn never fired");
-        // The generic entry point dispatches to the same path.
-        let (plain, _) = run_entry(99, &entry, &cfg);
-        let reports: Vec<_> = a.into_iter().map(|r| r.report).collect();
-        assert_eq!(plain, reports);
+        assert!(a.iter().all(|r| r.clock.is_none()));
+        // The hand-wired churn loop over the same streams agrees, churn
+        // totals included.
+        let base = hand_wired::topology(99, 7, |rng| {
+            rrb_graph::gen::random_regular(128, 6, rng).expect("generation")
+        });
+        let via_hand = hand_wired::churned(
+            99,
+            7,
+            3,
+            &base,
+            6,
+            &FloodPushPull::with_policy(ChoicePolicy::Distinct(4)),
+            SimConfig::default().with_max_rounds(200),
+            rrb_p2p::ChurnProcess::symmetric(2.0, 64),
+            churn.rewire_per_round,
+        );
+        assert_eq!(a, via_hand);
     }
 
     #[test]
     fn faulted_entries_dispatch_and_are_deterministic() {
         use crate::scenario::{FailureSpec, FaultSpec};
-        use rrb_engine::FaultEvent;
+        use rrb_engine::protocols::FloodPushPull;
+        use rrb_engine::{ChoicePolicy, FailureModel, FaultEvent, SimConfig};
 
-        let cfg = ExpConfig { quick: true, seeds: 3, threads: None, shards: 1 };
+        let faults = FaultSpec {
+            rates: FailureSpec { channel: 0.05, transmission: 0.0, crash: 0.0 },
+            schedule: vec![FaultEvent::Partition { from: 1, until: 10, parts: 2 }],
+            ..FaultSpec::NONE
+        };
         let entry = LadderEntry::new(
             5,
             ScenarioSpec::new(
@@ -451,20 +304,32 @@ mod tests {
                 GraphSpec::RandomRegular { n: 128, d: 6 },
                 ProtocolSpec::FloodPushPull { policy: PolicySpec::Distinct(4) },
             )
-            .with_failures(FaultSpec {
-                rates: FailureSpec { channel: 0.05, transmission: 0.0, crash: 0.0 },
-                schedule: vec![FaultEvent::Partition { from: 1, until: 10, parts: 2 }],
-                ..FaultSpec::NONE
-            })
+            .with_failures(faults.clone())
             .with_stop(StopSpec::Coverage { max_rounds: 300 }),
         );
-        let (a, _) = run_entry(98, &entry, &cfg);
-        let (b, _) = run_entry(98, &entry, &cfg);
+        let (a, _) = run_entry(98, &entry, &quick(3)).unwrap();
+        let (b, _) = run_entry(98, &entry, &quick(3)).unwrap();
         assert_eq!(a, b, "faulted entry must be seed-for-seed deterministic");
+        let a = reports_of(a);
         // The plan actually bit: no seed covers before the heal.
         for r in &a {
             assert!(r.full_coverage_at.unwrap_or(10) >= 10, "covered mid-partition");
         }
+        let topo = hand_wired::topology(98, 5, |rng| {
+            rrb_graph::gen::random_regular(128, 6, rng).expect("generation")
+        });
+        let proto = FloodPushPull::with_policy(ChoicePolicy::Distinct(4));
+        let config = SimConfig::default().with_max_rounds(300);
+        let via_hand = hand_wired::faulted(
+            98,
+            5,
+            3,
+            &topo,
+            &proto,
+            config.with_failures(FailureModel::channels(0.05)),
+            &faults.to_plan(),
+        );
+        assert_eq!(a, via_hand);
         // A plain spec must not be rerouted through the faulted runner.
         let plain = LadderEntry::new(
             5,
@@ -475,24 +340,17 @@ mod tests {
             )
             .with_stop(StopSpec::Coverage { max_rounds: 300 }),
         );
-        let (via_entry, _) = run_entry(98, &plain, &cfg);
-        let via_hand = crate::run_replicated(
-            |rng| rrb_graph::gen::random_regular(128, 6, rng).expect("generation"),
-            &rrb_engine::protocols::FloodPushPull::with_policy(rrb_engine::ChoicePolicy::Distinct(
-                4,
-            )),
-            rrb_engine::SimConfig::default().with_max_rounds(300),
-            98,
-            5,
-            3,
-        );
-        assert_eq!(via_entry, via_hand);
+        let (via_entry, _) = run_entry(98, &plain, &quick(3)).unwrap();
+        let via_hand = hand_wired::plain(98, 5, 3, &topo, &proto, config);
+        assert_eq!(reports_of(via_entry), via_hand);
     }
 
     #[test]
     fn async_entries_dispatch_instrument_and_are_deterministic() {
-        use rrb_engine::{ClockSpec, LatencySpec};
-        let cfg = ExpConfig { quick: true, seeds: 3, threads: None, shards: 1 };
+        use rrb_engine::protocols::FloodPushPull;
+        use rrb_engine::{ChoicePolicy, ClockSpec, LatencySpec, SimConfig};
+        let (clock, latency) =
+            (ClockSpec::Exponential { rate: 1.0 }, LatencySpec::Uniform { min: 0.05, max: 0.3 });
         let entry = LadderEntry::new(
             9,
             ScenarioSpec::new(
@@ -500,21 +358,30 @@ mod tests {
                 GraphSpec::RandomRegular { n: 128, d: 6 },
                 ProtocolSpec::FloodPushPull { policy: PolicySpec::Distinct(4) },
             )
-            .with_timing(TimingSpec::Async {
-                clock: ClockSpec::Exponential { rate: 1.0 },
-                latency: LatencySpec::Uniform { min: 0.05, max: 0.3 },
-            })
+            .with_timing(TimingSpec::Async { clock, latency })
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (a, _) = run_entry_async(97, &entry, &cfg);
-        let (b, _) = run_entry_async(97, &entry, &cfg);
+        let (a, _) = run_entry(97, &entry, &quick(3)).unwrap();
+        let (b, _) = run_entry(97, &entry, &quick(3)).unwrap();
         assert_eq!(a, b, "async entry must be seed-for-seed deterministic");
         assert!(a.iter().all(|r| r.report.all_informed()));
-        // The generic entry point dispatches to the same path.
-        let (plain, _) = run_entry(97, &entry, &cfg);
-        let reports: Vec<_> = a.iter().map(|r| r.report.clone()).collect();
-        assert_eq!(plain, reports);
-        // The probed replay rides seed 0's exact streams.
+        // The hand-wired event-queue loop over the same streams agrees,
+        // event clock included.
+        let topo = hand_wired::topology(97, 9, |rng| {
+            rrb_graph::gen::random_regular(128, 6, rng).expect("generation")
+        });
+        let via_hand = hand_wired::asynchronous(
+            97,
+            9,
+            3,
+            &topo,
+            &FloodPushPull::with_policy(ChoicePolicy::Distinct(4)),
+            SimConfig::default().with_max_rounds(200),
+            clock,
+            latency,
+        );
+        assert_eq!(a, via_hand);
+        // The probed run rides seed 0's exact streams.
         let timings = instrument_entry(97, &entry, 1).expect("async entry instruments");
         assert_eq!(timings.rounds(), a[0].report.rounds);
         assert_eq!(timings.tx(), a[0].report.total_tx());
@@ -524,7 +391,6 @@ mod tests {
     fn instrumented_replay_matches_seed_zero_statistics() {
         // The probed replay rides the same streams as run_entry's first
         // replication, so its counters must equal seed 0's report exactly.
-        let cfg = ExpConfig { quick: true, seeds: 1, threads: None, shards: 1 };
         let entry = LadderEntry::new(
             11,
             ScenarioSpec::new(
@@ -534,7 +400,8 @@ mod tests {
             )
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (reports, _) = run_entry(42, &entry, &cfg);
+        let (runs, _) = run_entry(42, &entry, &quick(1)).unwrap();
+        let reports = reports_of(runs);
         let timings = instrument_entry(42, &entry, 1).expect("static entry instruments");
         assert_eq!(timings.rounds(), reports[0].rounds);
         assert_eq!(timings.tx(), reports[0].total_tx());
@@ -546,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn churned_entries_are_not_instrumented() {
+    fn churned_entries_instrument_seed_zero() {
         let entry = LadderEntry::new(
             7,
             ScenarioSpec::new(
@@ -554,9 +421,50 @@ mod tests {
                 GraphSpec::RandomRegular { n: 128, d: 6 },
                 ProtocolSpec::FloodPushPull { policy: PolicySpec::Distinct(4) },
             )
-            .with_dynamics(DynamicsSpec::Churn(ChurnSpec::symmetric(2.0))),
+            .with_dynamics(DynamicsSpec::Churn(ChurnSpec::symmetric(2.0)))
+            .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        assert!(instrument_entry(99, &entry, 1).is_none());
+        let (runs, _) = run_entry(99, &entry, &quick(1)).unwrap();
+        let timings = instrument_entry(99, &entry, 1).expect("churn entry instruments");
+        assert_eq!(timings.rounds(), runs[0].report.rounds);
+        assert_eq!(timings.tx(), runs[0].report.total_tx());
+        assert!(
+            timings.phase_ms().iter().sum::<f64>() > 0.0,
+            "phase attribution recorded no time"
+        );
+    }
+
+    #[test]
+    fn unrunnable_specs_are_errors_not_panics() {
+        // An unrealisable degree fails graph generation; the error comes
+        // back from the entry point before any seed runs.
+        let entry = LadderEntry::new(
+            0,
+            ScenarioSpec::new(
+                "bad-degree",
+                GraphSpec::RandomRegular { n: 5, d: 8 },
+                ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD },
+            ),
+        );
+        let err = run_entry(0, &entry, &quick(2)).unwrap_err();
+        assert!(err.contains("graph generation"), "{err}");
+        assert!(instrument_entry(0, &entry, 1).is_err());
+        // Programmatic specs get the same runnability check as parsed ones.
+        let entry = LadderEntry::new(
+            0,
+            ScenarioSpec::new(
+                "churn-async",
+                GraphSpec::RandomRegular { n: 64, d: 4 },
+                ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD },
+            )
+            .with_dynamics(DynamicsSpec::Churn(ChurnSpec::symmetric(1.0)))
+            .with_timing(TimingSpec::Async {
+                clock: rrb_engine::ClockSpec::Exponential { rate: 1.0 },
+                latency: rrb_engine::LatencySpec::Zero,
+            }),
+        );
+        let err = run_entry(0, &entry, &quick(2)).unwrap_err();
+        assert!(err.contains("churn"), "{err}");
     }
 
     #[test]

@@ -165,17 +165,28 @@ pub enum GraphSpec {
 
 impl GraphSpec {
     /// Number of node slots the topology will have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize` — parsed specs are rejected
+    /// before that by [`ScenarioSpec::check_runnable`].
     pub fn node_count(&self) -> usize {
+        self.checked_node_count()
+            .unwrap_or_else(|| panic!("{} has more node slots than fit in usize", self.label()))
+    }
+
+    /// [`Self::node_count`], or `None` when it overflows `usize`.
+    pub fn checked_node_count(&self) -> Option<usize> {
         match *self {
             GraphSpec::RandomRegular { n, .. }
             | GraphSpec::ConfigurationModel { n, .. }
             | GraphSpec::Gnp { n, .. }
             | GraphSpec::Complete { n }
             | GraphSpec::Cycle { n }
-            | GraphSpec::PreferentialAttachment { n, .. } => n,
-            GraphSpec::Hypercube { dim } => 1usize << dim,
-            GraphSpec::Torus { rows, cols } => rows * cols,
-            GraphSpec::ProductK { base_n, clique, .. } => base_n * clique,
+            | GraphSpec::PreferentialAttachment { n, .. } => Some(n),
+            GraphSpec::Hypercube { dim } => 1usize.checked_shl(dim),
+            GraphSpec::Torus { rows, cols } => rows.checked_mul(cols),
+            GraphSpec::ProductK { base_n, clique, .. } => base_n.checked_mul(clique),
         }
     }
 
@@ -835,6 +846,35 @@ impl ScenarioSpec {
         self
     }
 
+    /// Rejects a spec no engine can run, with a message naming why: a
+    /// topology whose node count is 0, overflows, or exceeds the `u32`
+    /// node-id space, and churn dynamics combined with a fault plan or
+    /// with async timing (churn runs only on the round engine, without a
+    /// fault plan). [`Self::from_json`] applies it to every parsed spec.
+    pub fn check_runnable(&self) -> Result<(), String> {
+        let graph = self.graph.label();
+        let n = self
+            .graph
+            .checked_node_count()
+            .ok_or_else(|| format!("{graph}: the node count overflows"))?;
+        if n == 0 || n > u32::MAX as usize {
+            return Err(format!("{graph}: node count {n} is outside 1..={}", u32::MAX));
+        }
+        if let DynamicsSpec::Churn(_) = self.dynamics {
+            if !self.failures.is_plain() {
+                return Err("churn dynamics cannot be combined with a fault plan \
+                            (burst, schedule, adversary or outages)"
+                    .into());
+            }
+            if !self.timing.is_sync() {
+                return Err("churn dynamics need sync timing: the async engine takes no \
+                            membership changes"
+                    .into());
+            }
+        }
+        Ok(())
+    }
+
     /// Compiles stop + failures + measurement into the engine config.
     pub fn sim_config(&self) -> SimConfig {
         let mut config = match self.stop {
@@ -1435,7 +1475,10 @@ impl ScenarioSpec {
             }
             None => MeasureSpec::Standard,
         };
-        Ok(ScenarioSpec { label, graph, protocol, failures, dynamics, timing, stop, measure })
+        let spec =
+            ScenarioSpec { label, graph, protocol, failures, dynamics, timing, stop, measure };
+        spec.check_runnable()?;
+        Ok(spec)
     }
 }
 
@@ -1847,7 +1890,11 @@ fn parse_graph(v: &Json) -> Result<GraphSpec, String> {
             expected_degree: req_f64(v, "expected_degree")?,
         }),
         Some("complete") => Ok(GraphSpec::Complete { n: req_usize(v, "n")? }),
-        Some("hypercube") => Ok(GraphSpec::Hypercube { dim: req_usize(v, "dim")? as u32 }),
+        Some("hypercube") => {
+            let dim = req_usize(v, "dim")?;
+            let dim = u32::try_from(dim).map_err(|_| format!("\"dim\" {dim} is out of range"))?;
+            Ok(GraphSpec::Hypercube { dim })
+        }
         Some("torus") => {
             Ok(GraphSpec::Torus { rows: req_usize(v, "rows")?, cols: req_usize(v, "cols")? })
         }
@@ -2677,6 +2724,61 @@ mod tests {
         let err = ScenarioSpec::list_from_json("[{\"label\": \"x\"}]").unwrap_err();
         assert!(err.starts_with("scenario [0]"), "{err}");
         assert!(ScenarioSpec::list_from_json("[]").is_err());
+    }
+
+    #[test]
+    fn unrunnable_specs_are_rejected_at_parse_time() {
+        // Each of these once panicked, aborted or silently ran something
+        // else; every one must now be a parse error that names the cause.
+        let spec = |graph: &str, extra: &str| {
+            format!(
+                "{{\"label\": \"x\", \"graph\": {graph}, \
+                 \"protocol\": {{\"kind\": \"flood_push_pull\"}}{extra}}}"
+            )
+        };
+        let rr = "{\"kind\": \"random_regular\", \"n\": 64, \"d\": 4}";
+        let churn =
+            ", \"dynamics\": {\"churn\": {\"joins_per_round\": 1, \"leaves_per_round\": 1}}";
+        let cases = [
+            (
+                "churn + fault plan",
+                spec(rr, &format!(
+                    "{churn}, \"failures\": {{\"schedule\": \
+                     [{{\"kind\": \"partition\", \"from\": 1, \"until\": 5, \"parts\": 2}}]}}"
+                )),
+                "fault plan",
+            ),
+            (
+                "churn + async timing",
+                spec(rr, &format!(
+                    "{churn}, \"timing\": {{\"mode\": \"async\", \
+                     \"clock\": {{\"kind\": \"exponential\", \"rate\": 1}}}}"
+                )),
+                "sync timing",
+            ),
+            ("n = 0", spec("{\"kind\": \"complete\", \"n\": 0}", ""), "outside 1..="),
+            ("hypercube dim 64", spec("{\"kind\": \"hypercube\", \"dim\": 64}", ""), "overflows"),
+            (
+                "hypercube dim 40",
+                spec("{\"kind\": \"hypercube\", \"dim\": 40}", ""),
+                "outside 1..=",
+            ),
+            (
+                "torus 2^32 x 2^32",
+                spec("{\"kind\": \"torus\", \"rows\": 4294967296, \"cols\": 4294967296}", ""),
+                "overflows",
+            ),
+        ];
+        for (name, json, cause) in cases {
+            let err = ScenarioSpec::from_json(&json).expect_err(name);
+            assert!(err.contains(cause), "{name}: {err}");
+            let err = ScenarioSpec::list_from_json(&format!("[{json}]")).expect_err(name);
+            assert!(err.starts_with("scenario [0]") && err.contains(cause), "{name}: {err}");
+        }
+        // The same shapes without the offending dimension parse.
+        assert!(ScenarioSpec::from_json(&spec(rr, churn)).is_ok());
+        let ok_dim = spec("{\"kind\": \"hypercube\", \"dim\": 31}", "");
+        assert!(ScenarioSpec::from_json(&ok_dim).is_ok());
     }
 
     #[test]

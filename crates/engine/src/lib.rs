@@ -85,10 +85,9 @@
 //! distributions and stragglers as dimensions rounds cannot express.
 //!
 //! Seed replication parallelism lives one layer up in `rrb-bench`
-//! (`run_replicated` fans independent seeds over a rayon pool with
+//! (`registry::run_entry` fans independent seeds over a rayon pool with
 //! deterministic per-seed RNG streams); regenerate the engine's perf
-//! trajectory with `cargo run --release --bin exp_e1_runtime -- --quick`
-//! (writes `BENCH_engine.json`).
+//! trajectory with `rrb run e1 --quick` (writes `BENCH_engine.json`).
 //!
 //! # Quick start
 //!

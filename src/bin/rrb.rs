@@ -42,8 +42,8 @@ use rrb_bench::compare::{self, Tolerance};
 use rrb_bench::registry::{self, LadderEntry};
 use rrb_bench::scenario::{DynamicsSpec, MeasureSpec, ScenarioSpec};
 use rrb_bench::{
-    artifact, json_string, mean_of, mean_rounds_to_coverage, success_rate, BenchRecorder,
-    ExpConfig,
+    artifact, json_string, mean_cover_time, mean_of, mean_rounds_to_coverage, success_rate,
+    BenchRecorder, EventClock, ExpConfig,
 };
 
 #[derive(Debug, Clone)]
@@ -402,37 +402,21 @@ fn run_spec_file(path: &str, flags: &RunFlags) -> ExitCode {
         // stream — reordering a ladder file never changes a rung's numbers
         // beyond its position-derived stream.
         let entry = LadderEntry::new(ix as u64, spec.clone());
-        let (reports, wall_ms, churn_stats, cover_time) = match spec.dynamics {
-            DynamicsSpec::Churn(_) => {
-                let (runs, wall_ms) = registry::run_entry_churned(0, &entry, &cfg);
-                let joins = runs.iter().map(|r| r.churn.joins as f64).collect::<Vec<_>>();
-                let leaves = runs.iter().map(|r| r.churn.leaves as f64).collect::<Vec<_>>();
-                let reports: Vec<_> = runs.into_iter().map(|r| r.report).collect();
-                (
-                    reports,
-                    wall_ms,
-                    Some((
-                        Summary::from_slice(&joins).mean,
-                        Summary::from_slice(&leaves).mean,
-                    )),
-                    None,
-                )
-            }
-            DynamicsSpec::Static if !spec.timing.is_sync() => {
-                let (runs, wall_ms) = registry::run_entry_async(0, &entry, &cfg);
-                let mean_t = runs
-                    .iter()
-                    .map(|r| r.coverage_time.unwrap_or(r.time))
-                    .sum::<f64>()
-                    / runs.len().max(1) as f64;
-                let reports: Vec<_> = runs.into_iter().map(|r| r.report).collect();
-                (reports, wall_ms, None, Some(mean_t))
-            }
-            DynamicsSpec::Static => {
-                let (reports, wall_ms) = registry::run_entry(0, &entry, &cfg);
-                (reports, wall_ms, None, None)
+        let (runs, wall_ms) = match registry::run_entry(0, &entry, &cfg) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("cannot run {path} scenario {:?}: {e}", spec.label);
+                return ExitCode::FAILURE;
             }
         };
+        let churn_stats = (!spec.dynamics.is_static()).then(|| {
+            let joins: Vec<f64> = runs.iter().map(|r| r.churn.joins as f64).collect();
+            let leaves: Vec<f64> = runs.iter().map(|r| r.churn.leaves as f64).collect();
+            (Summary::from_slice(&joins).mean, Summary::from_slice(&leaves).mean)
+        });
+        let clocks: Vec<EventClock> = runs.iter().filter_map(|r| r.clock).collect();
+        let cover_time = (!clocks.is_empty()).then(|| mean_cover_time(&clocks));
+        let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
         if matches!(spec.measure, MeasureSpec::Trace | MeasureSpec::Crossover) {
             if let Some(first) = reports.first() {
                 let mut t = Table::new(vec!["round", "informed", "new", "push", "pull"]);
