@@ -52,15 +52,16 @@ pub struct RunArtifact {
     /// Fraction of replications reaching full coverage.
     pub success_rate: f64,
     /// Node-slot shard count the runs executed under (run provenance;
-    /// `1` = the serial step path, and the default when an older record
-    /// omits the field — statistics are identical at any value).
+    /// `1` is the default when an older record omits the field —
+    /// statistics are identical at any value).
     pub shards: u64,
     /// Per-phase wall-clock (milliseconds, ordered as
     /// [`StepPhase::ALL`]) of the probed seed-0 replay; `None` only in
     /// records written before churn rungs were probed.
     pub phase_ms: Option<[f64; StepPhase::COUNT]>,
     /// Per-shard per-phase wall-clock of the probed replay (one row per
-    /// shard, same phase order) — only sharded replays record it.
+    /// shard, same phase order) — only replays with `shards > 1` record
+    /// it, so 1-shard records keep their shape.
     /// Shard rows attribute overlapping *work*, not elapsed time.
     pub shard_phase_ms: Option<Vec<[f64; StepPhase::COUNT]>>,
     /// Peak RSS (`VmHWM`, kibibytes) sampled during the probed replay.
@@ -219,7 +220,7 @@ pub fn collect(exp: &Experiment, cfg: &ExpConfig) -> Vec<RunArtifact> {
                 success_rate: success_rate(&reports),
                 shards: cfg.shards as u64,
                 phase_ms: Some(timings.phase_ms()),
-                shard_phase_ms: (!shard_rows.is_empty()).then_some(shard_rows),
+                shard_phase_ms: (cfg.shards > 1 && !shard_rows.is_empty()).then_some(shard_rows),
                 peak_rss_kib: timings.peak_rss_kib(),
             }
         })

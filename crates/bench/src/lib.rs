@@ -65,7 +65,7 @@ pub struct ExpConfig {
     /// Node-slot shards for **single-run** parallelism (`--shards N`):
     /// every engine run fans its RNG-free phases out over this many
     /// contiguous slot shards. Results are seed-for-seed identical at any
-    /// value (see `rrb_engine::shard`); `1` keeps the serial step path.
+    /// value (see `rrb_engine::shard`); the CLI accepts 1..=256.
     pub shards: usize,
 }
 

@@ -44,7 +44,7 @@ use crate::census::AliveCensus;
 use crate::choice::{sample_targets, ChoiceState};
 use crate::clock::NodeClocks;
 use crate::fabric::InformedIndex;
-use crate::failure::FaultState;
+use crate::failure::{fault_phase, FaultState};
 use crate::observation::RumorMeta;
 use crate::report::StopReason;
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
@@ -387,8 +387,8 @@ impl<P: Protocol> AsyncSimState<P> {
 
     /// Opens the integer-time window `self.round`: advance the fault plan
     /// one round on its reserved stream, apply its node events, and run
-    /// the i.i.d. crash-stop sampling — the exact per-round semantics of
-    /// the synchronous engines, keyed by window instead of barrier.
+    /// the i.i.d. crash-stop sampling — the fault phase the synchronous
+    /// engines run, keyed by window instead of barrier.
     fn begin_round<T: Topology + ?Sized, R: Rng + ?Sized>(
         &mut self,
         topo: &T,
@@ -396,55 +396,20 @@ impl<P: Protocol> AsyncSimState<P> {
         rng: &mut R,
         clock: &mut PhaseClock,
     ) {
-        let t = self.round;
-        let n = topo.node_count();
-        let mut fault_state = self.faults.take();
-        self.eff_failures = match fault_state.as_mut() {
-            Some(fs) => {
-                {
-                    let informed = &self.informed;
-                    let census = &self.census;
-                    fs.begin_round(
-                        t,
-                        n,
-                        |i| topo.stubs(NodeId::new(i)).len(),
-                        |i| informed.at(i),
-                        |i| census.is_effective(i),
-                    );
+        self.eff_failures = fault_phase(
+            self.faults.as_mut(),
+            &mut self.census,
+            topo,
+            self.round,
+            config.failures,
+            rng,
+            |i| self.informed.at(i),
+            |i| {
+                if self.informed.is_informed(i) {
+                    self.alive_informed -= 1;
                 }
-                for &i in fs.resume_now() {
-                    self.census.set_suspended(i as usize, false);
-                }
-                for &i in fs.suspend_now() {
-                    self.census.set_suspended(i as usize, true);
-                }
-                for &i in fs.crash_now() {
-                    let i = i as usize;
-                    if self.census.is_alive(i) && !self.census.is_crashed(i) {
-                        self.census.mark_crashed(i);
-                        if self.informed.is_informed(i) {
-                            self.alive_informed -= 1;
-                        }
-                    }
-                }
-                fs.effective(config.failures)
-            }
-            None => config.failures,
-        };
-        self.faults = fault_state;
-        if self.eff_failures.node_crash > 0.0 {
-            for i in 0..n {
-                if !self.census.is_crashed(i)
-                    && self.census.is_alive(i)
-                    && self.eff_failures.crashes_now(rng)
-                {
-                    self.census.mark_crashed(i);
-                    if self.informed.is_informed(i) {
-                        self.alive_informed -= 1;
-                    }
-                }
-            }
-        }
+            },
+        );
         clock.lap(&mut self.probe, StepPhase::Faults);
         // Crashes shrink the coverage denominator, which can complete
         // coverage without a delivery — same rule the sync engine applies
@@ -621,15 +586,7 @@ impl<P: Protocol> AsyncSimState<P> {
         if self.pending_deliveries > 0 {
             return false;
         }
-        let t = self.round + 1;
-        self.informed.list().iter().all(|&i| {
-            let i = i as usize;
-            self.census.is_crashed(i)
-                || match self.informed.at(i) {
-                    Some(at) => protocol.is_quiescent(&self.states[i], at, t),
-                    None => true,
-                }
-        })
+        self.informed.all_quiescent(protocol, &self.states, &self.census, self.round + 1)
     }
 
     /// Closes the integer-time window in progress: emit its

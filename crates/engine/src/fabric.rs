@@ -10,9 +10,10 @@ use rand::Rng;
 
 use rrb_graph::NodeId;
 
+use crate::census::AliveCensus;
 use crate::choice::{discard_targets, sample_targets, ChoiceState};
 use crate::failure::FaultChannelView;
-use crate::{ChoicePolicy, FailureModel, Round, Topology};
+use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
 
 /// How [`ChannelFabric::sample`] treats one alive, unblocked caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,6 +373,23 @@ impl InformedIndex {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.list.len()
+    }
+
+    /// Whether every informed node is crashed or permanently silent at
+    /// round `t` (`states` indexed by slot) — the quiescence rule of the
+    /// single-rumour engines. Uninformed nodes are vacuously quiescent,
+    /// so only the informed list is scanned.
+    pub(crate) fn all_quiescent<P: Protocol>(
+        &self,
+        protocol: &P,
+        states: &[P::State],
+        census: &AliveCensus,
+        t: Round,
+    ) -> bool {
+        self.list.iter().zip(&self.at).all(|(&i, &at)| {
+            let i = i as usize;
+            census.is_crashed(i) || protocol.is_quiescent(&states[i], at, t)
+        })
     }
 
     /// Forgets node `i` (slot reuse after a rejoin): removes it from the

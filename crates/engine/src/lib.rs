@@ -139,7 +139,7 @@ pub use multi::{
 pub use observation::{Observation, RumorMeta};
 pub use protocol::{Capabilities, NodeView, Plan, Protocol, Round};
 pub use report::{RoundRecord, RunReport, StopReason};
-pub use shard::{ShardLayout, SHARD_STREAM};
+pub use shard::ShardLayout;
 pub use simulation::{SimConfig, SimState, Simulation};
 pub use telemetry::{BoxedProbe, PhaseTimings, RoundCounters, RoundProbe, StepPhase};
 pub use topology::Topology;

@@ -5,7 +5,7 @@ use rrb_graph::NodeId;
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
-use crate::failure::FaultState;
+use crate::failure::{fault_phase, FaultState};
 use crate::observation::ObservationArena;
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
 use crate::{NodeView, Observation, Plan, Protocol, Round, SimConfig, Topology};
@@ -552,72 +552,33 @@ impl<P: Protocol> MultiSimState<P> {
         let active_end = self.next_activation;
         clock.lap(&mut self.probe, StepPhase::Coverage);
 
-        // Phase 2a: fault plan (mirrors the single engine). The plan
-        // advances on its reserved stream, then its node events apply to
-        // the census before stochastic crash sampling. The state is taken
-        // out of `self` so the adversary's closures can borrow the
-        // informed indices and census.
-        let mut fault_state = self.faults.take();
-        let failures = match fault_state.as_mut() {
-            Some(fs) => {
-                let informed = &self.informed;
-                let births = &self.births;
-                let census = &self.census;
-                fs.begin_round(
-                    t,
-                    n,
-                    |i| topo.stubs(NodeId::new(i)).len(),
-                    // Earliest *global* reception over all rumours (the
-                    // informed indices run on rumour-local clocks).
-                    |i| {
-                        informed
-                            .iter()
-                            .zip(births)
-                            .filter_map(|(ix, &b)| ix.at(i).map(|at| at + b))
-                            .min()
-                    },
-                    |i| census.is_effective(i),
-                );
-                for &i in fs.resume_now() {
-                    self.census.set_suspended(i as usize, false);
-                }
-                for &i in fs.suspend_now() {
-                    self.census.set_suspended(i as usize, true);
-                }
-                for &i in fs.crash_now() {
-                    let i = i as usize;
-                    if self.census.is_alive(i) && !self.census.is_crashed(i) {
-                        self.census.mark_crashed(i);
-                        for r in 0..self.births.len() {
-                            if self.informed[r].is_informed(i) {
-                                self.alive_informed[r] -= 1;
-                            }
-                        }
-                    }
-                }
-                fs.effective(config.failures)
-            }
-            None => config.failures,
-        };
-
-        // Phase 2: crash-stop sampling, identical draw order to the
-        // single-rumour engine; a crashing node leaves every rumour's
+        // Phase 2: the fault phase shared with the other engines (see
+        // `failure.rs`). The adversary sees each node's earliest *global*
+        // reception over all rumours (the informed indices run on
+        // rumour-local clocks); a crashing node leaves every rumour's
         // alive-informed census.
-        if failures.node_crash > 0.0 {
-            for i in 0..n {
-                if !self.census.is_crashed(i)
-                    && self.census.is_alive(i)
-                    && failures.crashes_now(rng)
-                {
-                    self.census.mark_crashed(i);
-                    for r in 0..self.births.len() {
-                        if self.informed[r].is_informed(i) {
-                            self.alive_informed[r] -= 1;
-                        }
+        let failures = fault_phase(
+            self.faults.as_mut(),
+            &mut self.census,
+            topo,
+            t,
+            config.failures,
+            rng,
+            |i| {
+                self.informed
+                    .iter()
+                    .zip(&self.births)
+                    .filter_map(|(ix, &b)| ix.at(i).map(|at| at + b))
+                    .min()
+            },
+            |i| {
+                for (ix, alive) in self.informed.iter().zip(self.alive_informed.iter_mut()) {
+                    if ix.is_informed(i) {
+                        *alive -= 1;
                     }
                 }
-            }
-        }
+            },
+        );
         clock.lap(&mut self.probe, StepPhase::Faults);
 
         // Phase 3: the shared channel fabric. The push-only sampling skip
@@ -627,7 +588,7 @@ impl<P: Protocol> MultiSimState<P> {
         // marks a caller `Quiet`.
         let skip_uninformed = !uses_pull && policy.is_memoryless();
         let informed_of = &self.informed_of;
-        let fault_view = fault_state.as_ref().and_then(FaultState::channel_view);
+        let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
         let channels_this_round = self.fabric.sample(
             topo,
             policy,
@@ -842,9 +803,6 @@ impl<P: Protocol> MultiSimState<P> {
             }
             clock.lap(&mut self.probe, StepPhase::Update);
         }
-
-        // Hand the fault state back for the next round.
-        self.faults = fault_state;
 
         if let Some(p) = self.probe.as_deref_mut() {
             p.on_round(&RoundCounters {

@@ -1,36 +1,24 @@
 //! Sharded execution of the round loop: contiguous node-slot partitions
-//! that let a *single* run fan its Plan/Exchange/Update phases out over
-//! the rayon pool while staying seed-for-seed identical at any shard and
-//! thread count.
+//! over which the single-rumour engine fans its Plan/Exchange/Update
+//! phases out on the rayon pool. There is one round path; the shard
+//! count (1 by default) only sets how many tasks it splits into, and
+//! results are seed-for-seed identical at any shard and thread count.
 //!
 //! # Determinism model
 //!
 //! Every *model* RNG draw — crash sampling, channel opening, per-call
-//! transmission outcomes — stays on the main sequential stream in the
-//! exact order the serial engine draws it (transmission outcomes are
-//! pre-drawn serially into per-channel tables before the exchange fans
-//! out). The phases that do fan out are RNG-free by construction, and
-//! every cross-shard effect is buffered per (source shard → target
-//! shard) and merged at the round barrier in ascending source-shard
-//! order — reproducing the serial engine's global caller order exactly.
-//! That is *why* a sharded run is byte-identical to the serial engine:
-//! thread scheduling can reorder work, never observations.
-//!
-//! [`SHARD_STREAM`] and [`ShardLayout::stream_seed`] reserve the
-//! lint-checked per-shard stream derivation for shard-local auxiliary
-//! randomness (future work — e.g. shard-local tie-breaking or sampled
-//! telemetry); the simulation model itself deliberately draws nothing
-//! from it, and the derivation is recorded so artifacts can name the
-//! stream a sharded run *would* use.
+//! transmission outcomes — stays on the main sequential stream in one
+//! fixed order (transmission outcomes are pre-drawn serially into
+//! per-channel tables before the exchange fans out). The phases that do
+//! fan out are RNG-free by construction, and every cross-shard effect is
+//! buffered per (source shard → target shard) and merged at the round
+//! barrier in ascending source-shard order — reproducing the global
+//! caller order exactly. A lone shard records its push receipts straight
+//! into its arena: its caller order already is the global one. That is
+//! *why* every shard count gives the same run: thread scheduling can
+//! reorder work, never observations.
 
 use crate::observation::{Observation, ObservationArena, RumorMeta};
-
-/// Reserved RNG-stream constant for per-shard auxiliary randomness,
-/// derived as `SHARD_STREAM ^ shard_id ^ seed` (see
-/// [`ShardLayout::stream_seed`]). Participates in the rrb-lint
-/// pairwise-distinct reserved-stream check alongside `TOPOLOGY_STREAM`
-/// and `FAULT_STREAM`.
-pub const SHARD_STREAM: u64 = 0x5AAD_57E1;
 
 /// Contiguous partition of node slots `0..n` into `count` shards of
 /// fixed `width` (the last shard absorbs any remainder — and, under
@@ -71,17 +59,9 @@ impl ShardLayout {
         let end = if s + 1 == self.count { n } else { ((s + 1) * self.width).min(n) };
         start..end
     }
-
-    /// The reserved per-shard RNG stream for run seed `seed`: the
-    /// documented `SHARD_STREAM ^ shard ^ seed` derivation. Recorded as
-    /// provenance; the simulation model draws nothing from it (see the
-    /// module docs for the determinism contract).
-    pub fn stream_seed(&self, shard: usize, seed: u64) -> u64 {
-        SHARD_STREAM ^ (shard as u64) ^ seed
-    }
 }
 
-/// Per-run scratch owned by the sharded step path: one observation arena
+/// Per-run scratch owned by the round path: one observation arena
 /// per shard (locally indexed), per-(source → target) push outboxes,
 /// per-shard informed lists and newly-informed buffers, and the serial
 /// transmission pre-draw tables. Reused across rounds.
@@ -93,7 +73,8 @@ pub(crate) struct ShardRuntime {
     /// `outboxes[src][dst]`: push receipts `(global receiver, meta)` from
     /// shard `src` to receivers owned by shard `dst`, in the source
     /// shard's caller/channel order. Merged at the round barrier in
-    /// ascending `src` order to reproduce the serial caller order.
+    /// ascending `src` order to reproduce the global caller order. Unused
+    /// with a single shard, which records push receipts directly.
     pub(crate) outboxes: Vec<Vec<Vec<(u32, RumorMeta)>>>,
     /// Per-shard informed slots (global ids, discovery order).
     pub(crate) informed_lists: Vec<Vec<u32>>,
@@ -141,6 +122,19 @@ impl ShardRuntime {
         }
     }
 
+    /// Heap capacities of every per-round buffer (arenas, outboxes,
+    /// informed and newly-informed lists, digest scratch, pre-draw
+    /// tables), for the no-allocation tests.
+    pub(crate) fn capacities(&self) -> Vec<usize> {
+        let mut caps: Vec<usize> = self.arenas.iter().flat_map(|a| a.capacities()).collect();
+        caps.extend(self.outboxes.iter().flatten().map(Vec::capacity));
+        caps.extend(self.informed_lists.iter().map(Vec::capacity));
+        caps.extend(self.newly.iter().map(Vec::capacity));
+        caps.extend(self.scratch.iter().flat_map(|o| [o.pushes.capacity(), o.pulls.capacity()]));
+        caps.extend([self.push_ok.capacity(), self.pull_ok.capacity()]);
+        caps
+    }
+
     /// Drops node `i` from its shard's informed list (slot reuse after a
     /// rejoin). Linear in the shard list — churn events are rare next to
     /// round work.
@@ -184,18 +178,6 @@ mod tests {
         for i in 8..13 {
             assert_eq!(layout.shard_of(i), 3);
         }
-    }
-
-    #[test]
-    fn stream_seed_is_the_documented_derivation() {
-        let layout = ShardLayout::new(16, 4);
-        for shard in 0..4 {
-            for seed in [0u64, 1, 0xDEAD] {
-                assert_eq!(layout.stream_seed(shard, seed), SHARD_STREAM ^ shard as u64 ^ seed);
-            }
-        }
-        // Distinct shards on the same seed get distinct streams.
-        assert_ne!(layout.stream_seed(0, 7), layout.stream_seed(1, 7));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rrb_graph::NodeId;
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
-use crate::failure::FaultState;
+use crate::failure::{fault_phase, FaultState};
 use crate::observation::{ObservationArena, RumorMeta};
 use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
@@ -33,11 +33,11 @@ pub struct SimConfig {
     /// comparison.
     pub stop_at_coverage: bool,
     /// Number of node-slot shards the round loop fans out over (see
-    /// `crate::shard`). `1` — the default — runs the exact serial path;
-    /// any value is **seed-for-seed identical** at any shard and thread
-    /// count, because every model RNG draw stays on the main sequential
-    /// stream and cross-shard effects merge in fixed shard order.
-    /// Sharding pays off for large `n` on multi-core hosts.
+    /// `crate::shard`); `1` — the default — is one shard on the same
+    /// path. Results are **seed-for-seed identical** at any shard and
+    /// thread count, because every model RNG draw stays on the main
+    /// sequential stream and cross-shard effects merge in fixed shard
+    /// order. Sharding pays off for large `n` on multi-core hosts.
     pub shards: usize,
 }
 
@@ -181,12 +181,9 @@ pub struct SimState<P: Protocol> {
     // Scratch buffers reused across rounds (allocation-free once warm).
     fabric: ChannelFabric,
     plans: Vec<Plan>,
-    arena: ObservationArena,
-    scratch_obs: Observation,
     empty_obs: Observation,
-    /// Sharded-path scratch (per-shard arenas, outboxes, informed lists);
-    /// built lazily on the first round with `config.shards > 1` and
-    /// untouched — `None` — on the serial path.
+    /// Round-phase scratch (per-shard arenas, outboxes, informed lists);
+    /// built on the first round, when `config.shards` is known.
     shard_rt: Option<ShardRuntime>,
 }
 
@@ -219,8 +216,6 @@ impl<P: Protocol> SimState<P> {
             probe: None,
             fabric: ChannelFabric::new(node_count),
             plans: vec![Plan::SILENT; node_count],
-            arena: ObservationArena::new(node_count),
-            scratch_obs: Observation::default(),
             empty_obs: Observation::default(),
             shard_rt: None,
         }
@@ -275,7 +270,6 @@ impl<P: Protocol> SimState<P> {
             self.plans.push(Plan::SILENT);
         }
         self.informed.ensure_len(node_count);
-        self.arena.ensure_len(node_count);
         self.choice.ensure_len(node_count);
     }
 
@@ -383,18 +377,7 @@ impl<P: Protocol> SimState<P> {
         // Quiescence: every informed node permanently silent means no rumour
         // can ever move again. Checked before the cap so a protocol that went
         // silent exactly at its deadline reports Quiescent, not RoundCap.
-        // Uninformed nodes are vacuously quiescent, so only the informed
-        // index list needs scanning.
-        let t = self.round + 1;
-        let quiescent = self.informed.list().iter().all(|&i| {
-            let i = i as usize;
-            self.census.is_crashed(i)
-                || match self.informed.at(i) {
-                    Some(at) => protocol.is_quiescent(&self.states[i], at, t),
-                    None => true,
-                }
-        });
-        if quiescent {
+        if self.informed.all_quiescent(protocol, &self.states, &self.census, self.round + 1) {
             self.stop = Some(StopReason::Quiescent);
             return true;
         }
@@ -422,13 +405,10 @@ impl<P: Protocol> SimState<P> {
     #[doc(hidden)]
     pub fn scratch_capacities(&self) -> Vec<usize> {
         let mut caps = self.fabric.capacities().to_vec();
-        caps.extend([
-            self.plans.capacity(),
-            self.informed.capacity(),
-            self.scratch_obs.pushes.capacity(),
-            self.scratch_obs.pulls.capacity(),
-        ]);
-        caps.extend(self.arena.capacities());
+        caps.extend([self.plans.capacity(), self.informed.capacity()]);
+        if let Some(rt) = &self.shard_rt {
+            caps.extend(rt.capacities());
+        }
         caps
     }
 
@@ -459,49 +439,30 @@ impl<P: Protocol> SimState<P> {
         // so the bare engine reads no clocks (see `telemetry.rs`).
         let mut clock = PhaseClock::armed(self.probe.is_some());
 
-        // Fault-plan phase (before stochastic crash sampling): advance the
-        // plan on its reserved stream, then apply its node events —
-        // outage recoveries, new suspensions, scripted/adversarial
-        // crashes — to the census. The state is taken out of `self` so the
-        // adversary's closures can borrow the informed index and census.
-        let mut fault_state = self.faults.take();
-        let failures = match fault_state.as_mut() {
-            Some(fs) => {
-                let informed = &self.informed;
-                let census = &self.census;
-                fs.begin_round(
-                    t,
-                    n,
-                    |i| topo.stubs(NodeId::new(i)).len(),
-                    |i| informed.at(i),
-                    |i| census.is_effective(i),
-                );
-                for &i in fs.resume_now() {
-                    self.census.set_suspended(i as usize, false);
+        // Fault phase (shared with the other engines, see `failure.rs`):
+        // the fault plan's node events, then i.i.d. crash-stop sampling.
+        let failures = fault_phase(
+            self.faults.as_mut(),
+            &mut self.census,
+            topo,
+            t,
+            config.failures,
+            rng,
+            |i| self.informed.at(i),
+            |i| {
+                if self.informed.is_informed(i) {
+                    self.alive_informed -= 1;
                 }
-                for &i in fs.suspend_now() {
-                    self.census.set_suspended(i as usize, true);
-                }
-                for &i in fs.crash_now() {
-                    let i = i as usize;
-                    if self.census.is_alive(i) && !self.census.is_crashed(i) {
-                        self.census.mark_crashed(i);
-                        if self.informed.is_informed(i) {
-                            self.alive_informed -= 1;
-                        }
-                    }
-                }
-                fs.effective(config.failures)
-            }
-            None => config.failures,
-        };
+            },
+        );
+        clock.lap(&mut self.probe, StepPhase::Faults);
         // Channel/transmission failures (and burst-loss chains) are the
         // only per-call Bernoulli draws; crash-stop sampling is a separate
         // per-node phase, so a crash-only model still takes the draw-free
         // exchange fast path.
         let fast_path = failures.channel_failure == 0.0
             && failures.transmission_failure == 0.0
-            && fault_state.as_ref().is_none_or(|fs| !fs.bursty());
+            && self.faults.as_ref().is_none_or(|fs| !fs.bursty());
         // Capability-gated sampling skip: if the protocol never pull-serves,
         // a channel opened by an *uninformed* caller can carry nothing (its
         // push direction has nothing to send, its pull direction is never
@@ -515,40 +476,15 @@ impl<P: Protocol> SimState<P> {
         // without touching the RNG.
         let skip_uninformed = !protocol.capabilities().uses_pull && policy.is_memoryless();
 
-        // Phase 0: crash-stop sampling (fail-stop nodes never recover).
-        // Gated on its own probability, independent of `fast_path`: a
-        // crash-only model draws here but still skips the per-call draws.
-        if failures.node_crash > 0.0 {
-            for i in 0..n {
-                if !self.census.is_crashed(i)
-                    && self.census.is_alive(i)
-                    && failures.crashes_now(rng)
-                {
-                    self.census.mark_crashed(i);
-                    if self.informed.is_informed(i) {
-                        self.alive_informed -= 1;
-                    }
-                }
-            }
-        }
-        clock.lap(&mut self.probe, StepPhase::Faults);
-
         // Phase a: informed nodes decide their plans. Plans are RNG-free
         // and read only state settled above, so they are made before the
-        // fabric, which they gate. With `config.shards > 1` this and
-        // phases c–d fan out over the rayon pool: every model RNG draw
-        // happens serially (crash sampling, fabric) or in a serial
+        // fabric, which they gate. This and phases c–d fan out over
+        // `config.shards` node-slot shards on the rayon pool: every model
+        // RNG draw happens serially (fault phase, fabric) or in a serial
         // pre-draw (per-call transmission outcomes), so the fanned-out
-        // work is RNG-free and the results are byte-identical to the
-        // serial path at any shard and thread count (`tests/sharding.rs`).
-        let sharded = config.shards > 1 && n > 1;
-        let any_pull = if sharded {
-            self.plan_sharded(n, t, protocol, config.shards)
-        } else {
-            let (states, informed, census) = (&self.states, &self.informed, &self.census);
-            let list = informed.list();
-            plan_list(protocol, states, informed, census, self.creator, t, 0, &mut self.plans, list)
-        };
+        // work is RNG-free and the results are byte-identical at any
+        // shard and thread count (`tests/sharding.rs`).
+        let any_pull = self.plan_sharded(n, t, protocol, config.shards);
         clock.lap(&mut self.probe, StepPhase::Plan);
 
         // Phase b: every alive node opens channels (shared fabric code in
@@ -563,7 +499,7 @@ impl<P: Protocol> SimState<P> {
         // in silent rounds.
         let informed = &self.informed;
         let plans = &self.plans;
-        let fault_view = fault_state.as_ref().and_then(FaultState::channel_view);
+        let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
         let channels_this_round = self.fabric.sample(
             topo,
             policy,
@@ -586,16 +522,10 @@ impl<P: Protocol> SimState<P> {
         clock.lap(&mut self.probe, StepPhase::Fabric);
 
         // Phases c–d (exchange / update-digest).
-        let (push_tx, pull_tx, newly_informed) = if sharded {
-            self.phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng)
-        } else {
-            self.phases_serial(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng)
-        };
+        let (push_tx, pull_tx, newly_informed) =
+            self.phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng);
         self.push_tx += push_tx;
         self.pull_tx += pull_tx;
-
-        // Hand the fault state back for the next round.
-        self.faults = fault_state;
 
         // Phase e: coverage bookkeeping — O(1) from the census counters.
         if self.full_coverage_at.is_none()
@@ -634,20 +564,18 @@ impl<P: Protocol> SimState<P> {
         record
     }
 
-    /// Phase a of the sharded round path: one task per shard over its own
-    /// informed list; writes land in disjoint per-shard chunks of the plan
-    /// buffer. Returns whether any node pull-serves this round.
+    /// Phase a: one task per shard over its own informed list; writes
+    /// land in disjoint per-shard chunks of the plan buffer. Builds the
+    /// shard runtime on the first round. Returns whether any node
+    /// pull-serves this round.
     fn plan_sharded(&mut self, n: usize, t: Round, protocol: &P, shards: usize) -> bool {
-        if self.shard_rt.is_none() {
-            self.shard_rt = Some(ShardRuntime::new(n, shards, self.informed.list()));
-        }
-        let rt = self.shard_rt.as_mut().expect("shard runtime");
+        let informed = &self.informed;
+        let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
         rt.ensure_len(n);
         let rt = &*rt;
         let layout = rt.layout;
         let probing = self.probe.is_some();
         let states = &self.states;
-        let informed = &self.informed;
         let census = &self.census;
         let creator = self.creator;
         let mut rest: &mut [Plan] = &mut self.plans[..n];
@@ -677,138 +605,15 @@ impl<P: Protocol> SimState<P> {
         any_pull
     }
 
-    /// Phases c–d of the serial round path (exactly the pre-sharding
-    /// engine): exchanges into the flat arena, digest. `any_pull` says
-    /// whether any node pull-serves this round; without one, no callee
-    /// plan is read. Returns `(push_tx, pull_tx, newly_informed)`.
-    // rrb-lint: hot
-    #[allow(clippy::too_many_arguments)]
-    fn phases_serial<R: Rng + ?Sized>(
-        &mut self,
-        n: usize,
-        t: Round,
-        protocol: &P,
-        any_pull: bool,
-        failures: FailureModel,
-        fast_path: bool,
-        clock: &mut PhaseClock,
-        rng: &mut R,
-    ) -> (u64, u64, usize) {
-        // Phase c: exchanges, recorded into the flat observation arena.
-        let mut push_tx = 0u64;
-        let mut pull_tx = 0u64;
-        self.arena.begin_round();
-        if fast_path {
-            // Zero-failure fast path: every materialised channel is usable
-            // and every transmission arrives — no failure sampling at all.
-            for i in 0..n {
-                let range = self.fabric.out_range(i);
-                if range.is_empty() {
-                    continue;
-                }
-                let caller_plan = self.plans[i];
-                for c in range {
-                    let w = self.fabric.target(c).index();
-                    // push: caller -> callee.
-                    if caller_plan.push {
-                        push_tx += 1;
-                        self.arena.record_push(w, caller_plan.meta);
-                    }
-                    // pull: callee -> caller.
-                    if any_pull {
-                        let callee_plan = self.plans[w];
-                        if callee_plan.pull_serve {
-                            pull_tx += 1;
-                            self.arena.record_pull(i, callee_plan.meta);
-                        }
-                    }
-                }
-            }
-        } else {
-            for i in 0..n {
-                let range = self.fabric.out_range(i);
-                if range.is_empty() {
-                    continue;
-                }
-                let caller_plan = self.plans[i];
-                for c in range {
-                    if !self.fabric.usable(c) {
-                        continue;
-                    }
-                    let w = self.fabric.target(c).index();
-                    // push: caller -> callee.
-                    if caller_plan.push {
-                        push_tx += 1;
-                        if failures.transmission_ok(rng) {
-                            self.arena.record_push(w, caller_plan.meta);
-                        }
-                    }
-                    // pull: callee -> caller. Failed transmissions are
-                    // counted but not delivered (the copy was sent and lost).
-                    if any_pull {
-                        let callee_plan = self.plans[w];
-                        if callee_plan.pull_serve {
-                            pull_tx += 1;
-                            if failures.transmission_ok(rng) {
-                                self.arena.record_pull(i, callee_plan.meta);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        clock.lap(&mut self.probe, StepPhase::Exchange);
-
-        // Phase d: digest observations, update informedness. Receivers are
-        // visited via the arena's touched list, then informed-but-silent
-        // nodes via the informed index list — O(receipts + informed) total.
-        self.arena.build();
-        let mut newly_informed = 0usize;
-        let informed_before = self.informed.len();
-        for dense in 0..self.arena.touched().len() {
-            let i = self.arena.touched()[dense] as usize;
-            let (pushes, pulls) = self.arena.segment(dense);
-            self.scratch_obs.pushes.clear();
-            self.scratch_obs.pulls.clear();
-            self.scratch_obs.pushes.extend_from_slice(pushes);
-            self.scratch_obs.pulls.extend_from_slice(pulls);
-            if self.informed.mark(i, t) {
-                newly_informed += 1;
-                // Receivers are alive and uncrashed by construction (the
-                // fabric filters callees, crash sampling precedes channel
-                // opening), so this always increments — checked anyway so
-                // an exotic topology cannot skew the census.
-                if self.census.is_effective(i) {
-                    self.alive_informed += 1;
-                }
-            }
-            protocol.update(&mut self.states[i], self.informed.at(i), t, &self.scratch_obs);
-        }
-        // Informed nodes that heard nothing still observe the (empty) round,
-        // so counter-based protocols advance through silent rounds.
-        for ix in 0..informed_before {
-            let i = self.informed.list()[ix] as usize;
-            if self.arena.heard(i) {
-                continue; // already digested above
-            }
-            if self.census.is_suspended(i) {
-                continue; // offline: protocol state is frozen until recovery
-            }
-            protocol.update(&mut self.states[i], self.informed.at(i), t, &self.empty_obs);
-        }
-        clock.lap(&mut self.probe, StepPhase::Update);
-        (push_tx, pull_tx, newly_informed)
-    }
-
-    /// Phases c–d of the sharded round path: one task per contiguous
-    /// node-slot shard for exchange and merge-digest, with the per-call
-    /// transmission outcomes pre-drawn serially (in the exact order the
-    /// serial exchange draws them) so the fan-out touches no RNG.
-    /// Cross-shard push receipts travel through per-(source → target)
-    /// outboxes merged in ascending source-shard order, which reproduces
-    /// the serial engine's global caller order — see `crate::shard` for
-    /// the determinism argument. Runs after
-    /// [`plan_sharded`](Self::plan_sharded), which builds the runtime.
+    /// Phases c–d: one task per contiguous node-slot shard for exchange
+    /// and merge-digest, with the per-call transmission outcomes
+    /// pre-drawn serially (callers ascending, push draw then pull draw
+    /// per usable channel) so the fan-out touches no RNG. Cross-shard
+    /// push receipts travel through per-(source → target) outboxes
+    /// merged in ascending source-shard order, which reproduces the
+    /// global caller order — see `crate::shard` for the determinism
+    /// argument. Runs after [`plan_sharded`](Self::plan_sharded), which
+    /// builds the runtime.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn phases_sharded<R: Rng + ?Sized>(
         &mut self,
@@ -822,17 +627,16 @@ impl<P: Protocol> SimState<P> {
         rng: &mut R,
     ) -> (u64, u64, usize) {
         let probing = self.probe.is_some();
-        let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
+        let rt = self.shard_rt.as_mut().expect("shard runtime");
+        let layout = rt.layout;
         let count = layout.count();
 
-        // Serial pre-draw of per-call transmission outcomes, replicating
-        // the serial exchange's interleaved draw order exactly (push draw
+        // Serial pre-draw of per-call transmission outcomes (push draw
         // then pull draw per usable channel, callers ascending). Skipped
-        // entirely when the transmission rate is zero — the serial
-        // engine's draws short-circuit without touching the RNG then.
+        // entirely when the transmission rate is zero: such draws would
+        // short-circuit without touching the RNG.
         let tx_draws = !fast_path && failures.transmission_failure > 0.0;
         if tx_draws {
-            let rt = self.shard_rt.as_mut().expect("shard runtime");
             rt.push_ok.clear();
             rt.push_ok.resize(self.fabric.len(), false);
             rt.pull_ok.clear();
@@ -859,14 +663,15 @@ impl<P: Protocol> SimState<P> {
 
         // Phase c (fanned out): each shard walks its own callers'
         // channels. Pull receipts land directly in the shard's local
-        // arena (the receiver is the caller); push receipts — same-shard
-        // ones included — go through the outboxes so the merge phase can
-        // reproduce the global caller order.
+        // arena (the receiver is the caller). With several shards, push
+        // receipts — same-shard ones included — go through the outboxes
+        // so the merge phase can reproduce the global caller order; a
+        // lone shard's caller order already is that order, so it records
+        // them directly too.
         let (push_tx, pull_tx) = {
-            let rt = self.shard_rt.as_mut().expect("shard runtime");
             let fabric = &self.fabric;
             let plans = &self.plans;
-            let ShardRuntime { arenas, outboxes, push_ok, pull_ok, .. } = rt;
+            let ShardRuntime { arenas, outboxes, push_ok, pull_ok, .. } = &mut *rt;
             let push_ok = &*push_ok;
             let pull_ok = &*pull_ok;
             let taken_arenas = std::mem::take(arenas);
@@ -923,11 +728,10 @@ impl<P: Protocol> SimState<P> {
         // Marks are deferred: tasks only *read* the pre-round informed
         // index and report newly-informed slots for the serial finalize.
         {
-            let rt = self.shard_rt.as_mut().expect("shard runtime");
             let informed = &self.informed;
             let census = &self.census;
             let empty_obs = &self.empty_obs;
-            let ShardRuntime { arenas, outboxes, informed_lists, newly, scratch, .. } = rt;
+            let ShardRuntime { arenas, outboxes, informed_lists, newly, scratch, .. } = &mut *rt;
             let outboxes = &*outboxes;
             let taken_arenas = std::mem::take(arenas);
             let taken_newly = std::mem::take(newly);
@@ -984,19 +788,16 @@ impl<P: Protocol> SimState<P> {
         // Serial finalize, fixed shard order: apply the deferred marks,
         // maintain the census numerator and the per-shard informed lists.
         let mut newly_informed = 0usize;
-        {
-            let rt = self.shard_rt.as_mut().expect("shard runtime");
-            for s in 0..count {
-                for ix in 0..rt.newly[s].len() {
-                    let gi = rt.newly[s][ix];
-                    let i = gi as usize;
-                    if self.informed.mark(i, t) {
-                        newly_informed += 1;
-                        if self.census.is_effective(i) {
-                            self.alive_informed += 1;
-                        }
-                        rt.informed_lists[s].push(gi);
+        for s in 0..count {
+            for ix in 0..rt.newly[s].len() {
+                let gi = rt.newly[s][ix];
+                let i = gi as usize;
+                if self.informed.mark(i, t) {
+                    newly_informed += 1;
+                    if self.census.is_effective(i) {
+                        self.alive_informed += 1;
                     }
+                    rt.informed_lists[s].push(gi);
                 }
             }
         }
@@ -1038,8 +839,7 @@ impl<P: Protocol> SimState<P> {
 
 /// Plans the informed nodes in `list` into `chunk[i - base]` and returns
 /// whether any of them pull-serves. Everyone else keeps a standing SILENT
-/// plan, so planning is O(informed), not O(n). The serial path calls this
-/// once over the whole plan buffer, the sharded path once per shard over
+/// plan, so planning is O(informed), not O(n). Called once per shard over
 /// that shard's chunk. RNG-free and read-only on all shared state —
 /// thread scheduling cannot affect it.
 #[allow(clippy::too_many_arguments)]
@@ -1077,8 +877,11 @@ fn plan_list<P: Protocol>(
 /// outcomes come from the serial pre-draw tables (`push_ok`/`pull_ok`,
 /// unused when `tx_draws` is false) — no RNG here. Pull receipts are
 /// recorded straight into the shard-local arena (the receiver is the
-/// caller); every push receipt goes through the per-target-shard outbox.
-/// Callee plans are read only when `any_pull` says some node pull-serves.
+/// caller). Push receipts go through the per-target-shard outbox, except
+/// with a single shard: there every receiver is local and caller order
+/// is the merge order, so they are recorded straight into the arena too
+/// (the outbox would hold every receipt a second time). Callee plans are
+/// read only when `any_pull` says some node pull-serves.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_exchange(
@@ -1095,6 +898,7 @@ fn shard_exchange(
     outbox: &mut [Vec<(u32, RumorMeta)>],
 ) -> (u64, u64) {
     let base = range.start;
+    let direct = layout.count() == 1;
     let mut push_tx = 0u64;
     let mut pull_tx = 0u64;
     for i in range {
@@ -1109,11 +913,15 @@ fn shard_exchange(
             }
             let w = fabric.target(c).index();
             // push: caller -> callee (failed transmissions are counted
-            // but not delivered, exactly as in the serial exchange).
+            // but not delivered: the copy was sent and lost).
             if caller_plan.push {
                 push_tx += 1;
                 if !tx_draws || push_ok[c] {
-                    outbox[layout.shard_of(w)].push((w as u32, caller_plan.meta));
+                    if direct {
+                        arena.record_push(w - base, caller_plan.meta);
+                    } else {
+                        outbox[layout.shard_of(w)].push((w as u32, caller_plan.meta));
+                    }
                 }
             }
             // pull: callee -> caller.
@@ -1133,10 +941,10 @@ fn shard_exchange(
 
 /// One shard's merge + digest fan-out: merge incoming push receipts in
 /// ascending source-shard order (sources are contiguous ascending slot
-/// ranges, so this reproduces the serial engine's global caller order),
-/// build the shard arena, digest touched receivers and informed-but-
-/// silent nodes into this shard's state chunk. Newly informed slots are
-/// only *reported* (`newly`); the serial finalize applies the marks.
+/// ranges, so this reproduces the global caller order), build the shard
+/// arena, digest touched receivers and informed-but-silent nodes into
+/// this shard's state chunk. Newly informed slots are only *reported*
+/// (`newly`); the serial finalize applies the marks.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_merge_digest<P: Protocol>(
@@ -1169,9 +977,9 @@ fn shard_merge_digest<P: Protocol>(
         scratch.pulls.clear();
         scratch.pushes.extend_from_slice(pushes);
         scratch.pulls.extend_from_slice(pulls);
-        // The serial digest marks before updating, so a receiver's
-        // `informed_at` is its original round — or `t` when new. Marks
-        // are deferred here, so reproduce that view explicitly.
+        // A receiver's update sees `informed_at` as its original round —
+        // or `t` when new. Marks are deferred to the finalize, so give
+        // that view explicitly.
         let at = match informed.at(gi) {
             Some(at) => at,
             None => {
@@ -1184,7 +992,7 @@ fn shard_merge_digest<P: Protocol>(
     // Informed nodes that heard nothing still observe the (empty) round,
     // so counter-based protocols advance through silent rounds. `list` is
     // the shard's pre-round informed list — newly informed receivers are
-    // not in it yet, exactly like the serial engine's snapshot bound.
+    // not in it yet (the finalize appends them).
     for &gi in list {
         let i = gi as usize;
         let li = i - base;
@@ -1299,11 +1107,12 @@ mod tests {
         assert_eq!(run(21), run(21));
     }
 
-    /// Arena-reuse guarantee: after a 20-round warm-up on K64, 40 more
-    /// rounds leave every per-round scratch buffer's capacity unchanged —
-    /// steady-state rounds touch the heap zero times. Runs past full
-    /// coverage (stop_at_coverage = false) so late rounds carry the
-    /// maximum receipt load.
+    /// Arena-reuse guarantee: after a 20-round warm-up on K64, each of 40
+    /// more rounds leaves every per-round scratch buffer's capacity
+    /// unchanged — steady-state rounds never regrow a buffer, and a buffer
+    /// rebuilt each round shows up as soon as its capacity moves. Runs
+    /// past full coverage (stop_at_coverage = false) so late rounds carry
+    /// the maximum receipt load.
     fn assert_steady_rounds_do_not_allocate<P: Protocol>(proto: &P, probe: Option<BoxedProbe>) {
         let g = gen::complete(64);
         let cfg = SimConfig::until_quiescent().with_max_rounds(60);
@@ -1316,13 +1125,14 @@ mod tests {
         }
         let warm = sim.scratch_capacities();
         for _ in 0..40 {
-            sim.step(&g, proto, cfg, &mut rng);
+            let rec = sim.step(&g, proto, cfg, &mut rng);
+            assert_eq!(
+                sim.scratch_capacities(),
+                warm,
+                "per-round scratch buffers reallocated in round {} (probe: {probed})",
+                rec.round
+            );
         }
-        assert_eq!(
-            sim.scratch_capacities(),
-            warm,
-            "per-round scratch buffers reallocated after warm-up (probe: {probed})"
-        );
     }
 
     /// Algorithm 1's shape: every phase within the warm-up, then 40 rounds

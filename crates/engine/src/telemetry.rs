@@ -150,7 +150,8 @@ pub trait RoundProbe: std::fmt::Debug {
     }
 
     /// One shard's slice of a fanned-out phase took `elapsed` wall-clock
-    /// time (sharded step path only; serial rounds never call this).
+    /// time (single-rumour engine only, at every shard count including
+    /// 1; the multi-rumour and async engines never call this).
     /// Shard durations overlap in real time — they attribute *work*, not
     /// critical-path latency; the aggregate [`on_phase`](Self::on_phase)
     /// lap still reports the barrier-to-barrier phase time.
@@ -189,7 +190,7 @@ impl PhaseClock {
     }
 }
 
-/// Per-shard stopwatch for the sharded step path's fanned-out phases.
+/// Per-shard stopwatch for the single-rumour engine's fanned-out phases.
 /// Created *inside* each shard task, so it measures that shard's own
 /// work; armed only when a probe is installed (the unarmed path never
 /// reads the clock). Lives here so the engine's simulation modules never
@@ -210,14 +211,15 @@ impl ShardClock {
 }
 
 /// Built-in accumulator probe: per-phase wall-clock totals, per-round
-/// counter totals, per-shard phase totals (sharded runs only), and a
+/// counter totals, per-shard phase totals (single-rumour runs), and a
 /// peak-RSS high-water mark sampled once per round from
 /// `/proc/self/status` (the E10 memory-smoke probe).
 #[derive(Debug, Clone, Default)]
 pub struct PhaseTimings {
     totals: [Duration; StepPhase::COUNT],
     /// Per-shard phase totals; empty until the first `on_shard_phase`
-    /// (serial runs never grow it), then grown to the shard count once.
+    /// (multi-rumour and async runs never grow it), then grown to the
+    /// shard count once.
     shard_totals: Vec<[Duration; StepPhase::COUNT]>,
     rounds: u32,
     newly_informed: u64,
@@ -256,8 +258,8 @@ impl PhaseTimings {
     }
 
     /// Per-shard per-phase totals in milliseconds (one row per shard,
-    /// each ordered as [`StepPhase::ALL`]). Empty for serial runs; only
-    /// the fanned-out phases accumulate nonzero entries.
+    /// each ordered as [`StepPhase::ALL`]). Empty for multi-rumour and
+    /// async runs; only the fanned-out phases accumulate nonzero entries.
     pub fn shard_phase_ms(&self) -> Vec<[f64; StepPhase::COUNT]> {
         self.shard_totals
             .iter()

@@ -2,7 +2,7 @@
 //! enabled, a long symmetric-churn run must keep a **bounded footprint**
 //! — the slot space (and with it every per-slot engine buffer, i.e. the
 //! run's RSS) stops growing once the free list warms up — and rejoined
-//! slots must behave as fresh peers on both engines, serial and sharded.
+//! slots must behave as fresh peers on both engines, at any shard count.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -93,7 +93,7 @@ fn sparse_multi_engine_state_stays_bounded_under_reuse() {
 }
 
 /// A rejoined slot must look exactly like a fresh peer: uninformed, alive,
-/// participating — on the serial path and the sharded path alike, with
+/// participating — at one shard and at several alike, with
 /// byte-identical trajectories.
 #[test]
 fn rejoins_reset_slots_identically_at_any_shard_count() {

@@ -10,6 +10,11 @@
 //! failures, and — thanks to the once-per-direction transmission draws of
 //! the combining bugfix — transmission failures too), so wherever the two
 //! models coincide the refactor is provably behaviour-preserving.
+//!
+//! It is also the independent reference for the single engine's one
+//! round path: the multi engine has its own exchange and digest code, and
+//! every lockstep check below runs the single engine at each of
+//! [`SHARD_COUNTS`] against the same one-rumour multi run.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -109,9 +114,29 @@ impl Protocol for CountingPush {
     }
 }
 
+/// Shard counts the single engine runs at in every lockstep check: one
+/// shard (push receipts recorded directly) and several (push receipts
+/// through the cross-shard outboxes).
+const SHARD_COUNTS: [usize; 2] = [1, 3];
+
 /// Drives both engines in lockstep from identical seeds and asserts the
 /// full trajectory matches.
 fn assert_parity<P: Protocol>(
+    label: &str,
+    graph: &Graph,
+    protocol: &P,
+    config: SimConfig,
+    origin: NodeId,
+    seed: u64,
+) {
+    for shards in SHARD_COUNTS {
+        let label = format!("{label} shards={shards}");
+        assert_parity_at(&label, graph, protocol, config.with_shards(shards), origin, seed);
+    }
+}
+
+/// One shard count of [`assert_parity`].
+fn assert_parity_at<P: Protocol>(
     label: &str,
     graph: &Graph,
     protocol: &P,
@@ -185,6 +210,22 @@ fn assert_parity<P: Protocol>(
 /// trace via the reports (the lockstep version only compares counts; birth
 /// 0 makes the multi engine's local rounds coincide with global rounds).
 fn assert_parity_with_deliveries<P: Protocol>(
+    label: &str,
+    graph: &Graph,
+    protocol: &P,
+    config: SimConfig,
+    origin: NodeId,
+    seed: u64,
+) {
+    for shards in SHARD_COUNTS {
+        let label = format!("{label} shards={shards}");
+        let config = config.with_shards(shards);
+        assert_parity_with_deliveries_at(&label, graph, protocol, config, origin, seed);
+    }
+}
+
+/// One shard count of [`assert_parity_with_deliveries`].
+fn assert_parity_with_deliveries_at<P: Protocol>(
     label: &str,
     graph: &Graph,
     protocol: &P,
@@ -384,6 +425,20 @@ fn assert_churn_parity<P: Protocol>(
     rate: f64,
     seed: u64,
 ) {
+    for shards in SHARD_COUNTS {
+        let label = format!("{label} shards={shards}");
+        assert_churn_parity_at(&label, protocol, config.with_shards(shards), rate, seed);
+    }
+}
+
+/// One shard count of [`assert_churn_parity`].
+fn assert_churn_parity_at<P: Protocol>(
+    label: &str,
+    protocol: &P,
+    config: SimConfig,
+    rate: f64,
+    seed: u64,
+) {
     use rrb_p2p::{ChurnProcess, Overlay};
 
     let mut overlay_rng = SmallRng::seed_from_u64(seed.wrapping_add(0x0EA1));
@@ -461,6 +516,23 @@ fn assert_churn_parity<P: Protocol>(
 /// reserved streams coincide). Extends the failure-model guarantee to the
 /// whole adversarial fault layer.
 fn assert_fault_parity<P: Protocol>(
+    label: &str,
+    graph: &Graph,
+    protocol: &P,
+    config: SimConfig,
+    plan: &FaultPlan,
+    origin: NodeId,
+    seed: u64,
+) {
+    for shards in SHARD_COUNTS {
+        let label = format!("{label} shards={shards}");
+        let config = config.with_shards(shards);
+        assert_fault_parity_at(&label, graph, protocol, config, plan, origin, seed);
+    }
+}
+
+/// One shard count of [`assert_fault_parity`].
+fn assert_fault_parity_at<P: Protocol>(
     label: &str,
     graph: &Graph,
     protocol: &P,

@@ -1,11 +1,14 @@
-//! Shard-count invariance suite: the sharded step path must be
-//! **byte-identical** to the serial engine at any shard count and any
-//! thread count — same per-round records, same final report, same
-//! per-node delivery trace — across every failure model, adversarial
-//! fault plan, and live membership churn.
+//! Shard-count invariance suite: the single engine's one round path
+//! must be **byte-identical** at any shard count and any thread count —
+//! same per-round records, same final report, same per-node delivery
+//! trace — across every failure model, adversarial fault plan, and live
+//! membership churn. The baseline is the same path at one shard and one
+//! thread (where push receipts skip the outboxes); the independent
+//! reference for that baseline is the parity suite (`tests/parity.rs`),
+//! which checks it against the multi-rumour engine's own exchange code.
 //!
 //! The determinism contract under test (see `shard.rs` module docs):
-//! every model RNG draw stays on the main sequential stream in serial
+//! every model RNG draw stays on the main sequential stream in one fixed
 //! order, the fanned-out phases are RNG-free, and cross-shard effects
 //! merge at the round barrier in ascending source-shard order. Thread
 //! scheduling may reorder *work*, never *observations* — which is
@@ -108,9 +111,8 @@ fn run_cell<P: Protocol>(
     })
 }
 
-/// The satellite matrix: shards ∈ {1, 2, 4} × threads ∈ {1, 4}, every
-/// cell compared byte-for-byte against the serial shards=1/threads=1
-/// baseline.
+/// The matrix: shards ∈ {1, 2, 4} × threads ∈ {1, 4}, every cell
+/// compared byte-for-byte against the shards=1/threads=1 baseline.
 fn assert_shard_invariance<P: Protocol>(
     label: &str,
     graph: &Graph,
@@ -167,9 +169,9 @@ fn sharding_invariance_without_faults() {
 
 #[test]
 fn sharding_invariance_with_iid_failures() {
-    // Transmission failures are the sharp case: the sharded path must
-    // pre-draw per-channel outcomes in exactly the serial loop's
-    // interleaved push/pull order.
+    // Transmission failures are the sharp case: every shard count must
+    // pre-draw per-channel outcomes in the same interleaved push/pull
+    // order (callers ascending).
     let g = regular_graph(22);
     let cfg = SimConfig::default()
         .with_failures(FailureModel {
@@ -371,8 +373,8 @@ proptest! {
     /// Merge order never depends on thread scheduling: for arbitrary
     /// (graph seed, run seed, shard count, thread count), the trajectory
     /// equals the same shard count on one thread — any scheduling effect
-    /// would make some interleaving diverge — and equals the serial
-    /// engine, pinning the barrier-merge order to the serial caller
+    /// would make some interleaving diverge — and equals one shard on
+    /// one thread, pinning the barrier-merge order to the global caller
     /// order rather than to completion order.
     #[test]
     fn merge_order_is_schedule_independent(

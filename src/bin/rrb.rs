@@ -133,8 +133,8 @@ fn usage() -> String {
      describe <exp> [--quick] [--json]\n\
      \u{20}                        an experiment's scenario specs as JSON\n\
      run <exp>                run an experiment; flags: --quick --seeds N --threads N --json PATH\n\
-     \u{20}                        --shards N (split each run's node slots over N shards; results\n\
-     \u{20}                        are seed-for-seed identical at any shard/thread count)\n\
+     \u{20}                        --shards N (split each run's node slots over N shards, 1..=256;\n\
+     \u{20}                        results are seed-for-seed identical at any shard/thread count)\n\
      \u{20}                        --out DIR (write one run-artifact JSONL record per rung instead\n\
      \u{20}                        of the human-readable report)\n\
      run --spec FILE          run a ScenarioSpec JSON file (one object, or an array = a ladder)\n\
@@ -237,6 +237,10 @@ fn run_one(o: &Options, g: &Graph, rng: &mut SmallRng, record: bool) -> Result<R
     Ok(report)
 }
 
+/// Largest accepted `--shards`: the round loop keeps a shards × shards
+/// table of push outboxes, 65 536 empty vectors (≈ 1.5 MiB) at this cap.
+const MAX_SHARDS: usize = 256;
+
 /// Flags shared by `rrb run`.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct RunFlags {
@@ -267,8 +271,13 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
                     Some(take("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
             "--shards" => {
-                f.shards =
-                    Some(take("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?)
+                let shards: usize =
+                    take("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
+                // Each round clears a shards × shards outbox table.
+                if !(1..=MAX_SHARDS).contains(&shards) {
+                    return Err(format!("--shards must be in 1..={MAX_SHARDS}, got {shards}"));
+                }
+                f.shards = Some(shards)
             }
             "--json" => f.json_path = Some(take("--json")?),
             "--out" => f.out_dir = Some(take("--out")?),
@@ -716,6 +725,11 @@ mod tests {
         assert_eq!(f.shards, Some(4));
         assert_eq!(f.json_path.as_deref(), Some("o.json"));
         assert!(parse_run_flags(&args(&["e5", "--shards", "x"])).is_err());
+        for bad in ["0", "257", "100000"] {
+            assert!(parse_run_flags(&args(&["e5", "--shards", bad])).is_err(), "--shards {bad}");
+        }
+        assert_eq!(parse_run_flags(&args(&["e5", "--shards", "256"])).unwrap().shards, Some(256));
+        assert_eq!(parse_run_flags(&args(&["e5", "--shards", "1"])).unwrap().shards, Some(1));
         let f = parse_run_flags(&args(&["--spec", "s.json"])).unwrap();
         assert_eq!(f.spec_path.as_deref(), Some("s.json"));
         assert!(parse_run_flags(&args(&["--quick"])).is_err()); // no target
