@@ -37,6 +37,14 @@ impl GraphBuilder {
         GraphBuilder { node_count, edges: Vec::with_capacity(edge_capacity) }
     }
 
+    /// Creates a builder holding `edges`, which must already be canonical
+    /// (`u <= v`) and in range — the form [`add_edge`](Self::add_edge)
+    /// stores — so generators that produce such lists skip re-checking them.
+    pub(crate) fn from_canonical_edges(node_count: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u <= v && v.index() < node_count));
+        GraphBuilder { node_count, edges }
+    }
+
     /// Number of nodes the built graph will have.
     pub fn node_count(&self) -> usize {
         self.node_count

@@ -28,6 +28,22 @@ pub fn configuration_model_from_degrees<R: Rng + ?Sized>(
     degrees: &[usize],
     rng: &mut R,
 ) -> Result<Graph> {
+    let edges = pair_stubs(degrees, rng)?;
+    Ok(GraphBuilder::from_canonical_edges(degrees.len(), edges).build())
+}
+
+/// The stub pairing shared by every configuration-model generator: lays out
+/// `degrees[i]` stubs for node `i`, draws a uniform perfect matching on them
+/// and returns its edges canonicalised (`u <= v`) in matching order — the
+/// edge list a [`GraphBuilder`] fed the same pairs would hold.
+///
+/// # Errors
+///
+/// Returns [`GraphError::OddStubCount`] if the degree sum is odd.
+pub(super) fn pair_stubs<R: Rng + ?Sized>(
+    degrees: &[usize],
+    rng: &mut R,
+) -> Result<Vec<(NodeId, NodeId)>> {
     let stub_sum: usize = degrees.iter().sum();
     if stub_sum % 2 == 1 {
         return Err(GraphError::OddStubCount { stub_sum });
@@ -40,12 +56,17 @@ pub fn configuration_model_from_degrees<R: Rng + ?Sized>(
         stubs.extend(std::iter::repeat_n(node as u32, d));
     }
     shuffle(&mut stubs, rng);
-    let mut b = GraphBuilder::with_capacity(degrees.len(), stub_sum / 2);
-    for pair in stubs.chunks_exact(2) {
-        b.add_edge(NodeId::from_u32(pair[0]), NodeId::from_u32(pair[1]))
-            .expect("stub labels derived from degree sequence are in range");
-    }
-    Ok(b.build())
+    Ok(stubs
+        .chunks_exact(2)
+        .map(|pair| {
+            let (u, v) = (NodeId::from_u32(pair[0]), NodeId::from_u32(pair[1]));
+            if u <= v {
+                (u, v)
+            } else {
+                (v, u)
+            }
+        })
+        .collect())
 }
 
 /// Fisher–Yates shuffle. `rand::seq::SliceRandom::shuffle` exists, but an

@@ -2,7 +2,8 @@ use rand::Rng;
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId, Result};
 
-use super::degree_seq::configuration_model_from_degrees;
+use super::classic::complete;
+use super::degree_seq::{configuration_model_from_degrees, pair_stubs};
 
 /// Generates a random `d`-regular **multigraph** on `n` nodes with the
 /// configuration (pairing) model, exactly as defined in §1.2 of the paper.
@@ -30,10 +31,21 @@ use super::degree_seq::configuration_model_from_degrees;
 /// # Ok::<(), rrb_graph::GraphError>(())
 /// ```
 pub fn configuration_model<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Result<Graph> {
+    let edges = regular_pairing(n, d, rng)?;
+    Ok(GraphBuilder::from_canonical_edges(n, edges).build())
+}
+
+/// The pairing step of [`configuration_model`], stopped before the CSR build
+/// so [`random_regular`] can repair the edge list first.
+fn regular_pairing<R: Rng + ?Sized>(
+    n: usize,
+    d: usize,
+    rng: &mut R,
+) -> Result<Vec<(NodeId, NodeId)>> {
     if n > 0 && d == 0 {
         return Err(GraphError::InvalidParameter { what: "degree must be positive" });
     }
-    configuration_model_from_degrees(&vec![d; n], rng)
+    pair_stubs(&vec![d; n], rng)
 }
 
 /// Generates a **simple** random `d`-regular graph on `n` nodes.
@@ -41,9 +53,20 @@ pub fn configuration_model<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> 
 /// Runs the pairing model and then removes self-loops and parallel edges via
 /// uniformly random degree-preserving 2-switches (pick a defective edge
 /// `{a,b}` and a random edge `{c,e}`, rewire to `{a,c},{b,e}` when that
-/// strictly reduces the defect count). For `d = o(√n)` the switching
-/// converges after `O(d²)` expected repairs; a rejection-and-restart outer
-/// loop guards pathological cases.
+/// creates no new defect); see [`repair_to_simple`]. For `d = o(√n)` the
+/// switching converges after `O(d²)` expected repairs; a rejection-and-restart
+/// outer loop guards pathological cases.
+///
+/// Cost: `O(n·d)` for the pairing, the repair's set-up and the one CSR
+/// build, plus `O(d)` per switch attempt.
+///
+/// Dense degrees (`2d > n − 1`) take another route, because in a pairing
+/// that dense almost every switch is rejected and the repair exhausts its
+/// restarts: the result is the complement of
+/// `random_regular(n, n − 1 − d)` ([`complete`] for `d = n − 1`).
+/// Complementing is a bijection between simple `d`-regular and simple
+/// `(n − 1 − d)`-regular graphs on the same nodes, so it carries the
+/// sparse route's distribution over unchanged.
 ///
 /// The distribution is asymptotically uniform over simple `d`-regular graphs
 /// (McKay–Wormald \[30\]); the small switching bias is irrelevant for the
@@ -59,14 +82,43 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
     if d >= n && !(n == 0 && d == 0) {
         return Err(GraphError::DegreeTooLarge { degree: d, node_count: n });
     }
+    if d > 0 && 2 * d >= n {
+        if n * d % 2 == 1 {
+            return Err(GraphError::OddStubCount { stub_sum: n * d });
+        }
+        if d == n - 1 {
+            return Ok(complete(n));
+        }
+        return Ok(complement(&random_regular(n, n - 1 - d, rng)?));
+    }
     const MAX_RESTARTS: usize = 32;
     for _ in 0..MAX_RESTARTS {
-        let g = configuration_model(n, d, rng)?;
-        if let Some(simple) = repair_to_simple(&g, rng) {
-            return Ok(simple);
+        let mut edges = regular_pairing(n, d, rng)?;
+        if repair_to_simple(n, d, &mut edges, rng) {
+            return Ok(GraphBuilder::from_canonical_edges(n, edges).build());
         }
     }
     Err(GraphError::GenerationFailed { attempts: MAX_RESTARTS })
+}
+
+/// The complement of the simple graph `g`: every non-adjacent pair becomes
+/// an edge, in row-major order.
+fn complement(g: &Graph) -> Graph {
+    let n = g.node_count();
+    let mut b = GraphBuilder::with_capacity(n, n * (n - 1) / 2 - g.edge_count());
+    let mut adjacent = vec![false; n];
+    for u in g.nodes() {
+        for &v in g.neighbors(u) {
+            adjacent[v.index()] = true;
+        }
+        for (v, _) in adjacent.iter().enumerate().skip(u.index() + 1).filter(|(_, &a)| !a) {
+            b.add_edge(u, NodeId::new(v)).expect("in range");
+        }
+        for &v in g.neighbors(u) {
+            adjacent[v.index()] = false;
+        }
+    }
+    b.build()
 }
 
 /// Generates a near-regular random graph whose degrees all lie in
@@ -152,53 +204,50 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph> {
     Ok(b.build())
 }
 
-/// Attempts to repair `g` into a simple graph with degree-preserving
-/// 2-switches. Returns `None` if the defect count stops improving.
-fn repair_to_simple<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<Graph> {
-    let n = g.node_count();
-    let mut edges: Vec<(u32, u32)> =
-        g.edges().map(|(u, v)| (u.as_u32(), v.as_u32())).collect();
-    if edges.is_empty() {
-        return Some(g.clone());
-    }
+/// Repairs the canonical `d`-regular pairing `edges` into a simple graph in
+/// place with degree-preserving 2-switches. Returns `false` if the defect
+/// count stops improving (the caller then redraws the pairing).
+///
+/// Every multiplicity the switching consults is answered by
+/// [`NeighbourRows`], which hold the current multigraph as `n` rows of `d`
+/// slots. The rows answer exactly the queries an edge-multiplicity map
+/// would, and no query or draw depends on where in a row a neighbour sits,
+/// so the draws — and therefore the output edge list — depend only on
+/// `edges` and the RNG. Set-up is `O(n·d)`; each switch attempt costs
+/// `O(d)`.
+fn repair_to_simple<R: Rng + ?Sized>(
+    n: usize,
+    d: usize,
+    edges: &mut [(NodeId, NodeId)],
+    rng: &mut R,
+) -> bool {
+    let mut rows = NeighbourRows::new(n, d, edges);
 
-    // Multiplicity map for fast defect checks. BTreeMap, not HashMap:
-    // generation must be deterministic per seed (rrb-lint
-    // no-ambient-randomness), and the map is only probed point-wise.
-    use std::collections::BTreeMap;
-    let key = |a: u32, b: u32| -> u64 {
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        ((a as u64) << 32) | b as u64
-    };
-    let mut mult: BTreeMap<u64, u32> = BTreeMap::new();
-    for &(u, v) in &edges {
-        *mult.entry(key(u, v)).or_insert(0) += 1;
-    }
-    let is_defective = |mult: &BTreeMap<u64, u32>, u: u32, v: u32| -> bool {
-        u == v || mult.get(&key(u, v)).copied().unwrap_or(0) > 1
-    };
-
-    // Candidate defect list, maintained lazily: switches never *create*
-    // defects (such switches are rejected), so candidates only need
-    // re-validation against the multiplicity map before use — removing one
-    // copy of a parallel pair silently repairs its sibling, for example.
+    // Candidate defect list in edge order, maintained lazily: switches
+    // never *create* defects (such switches are rejected), so candidates
+    // only need re-validation before use — removing one copy of a parallel
+    // pair silently repairs its sibling, for example. A defective edge
+    // `{u, v}` (`u <= v`) always leaves a self-loop or a repeat in row `u`,
+    // so only edges whose smaller endpoint is flagged need the exact check.
+    let flagged = rows.defective_nodes();
     let mut candidates: Vec<usize> = edges
         .iter()
         .enumerate()
-        .filter(|(_, &(u, v))| is_defective(&mult, u, v))
+        .filter(|&(_, &(u, v))| flagged[u.index()] && rows.is_defective(u, v))
         .map(|(i, _)| i)
         .collect();
+    drop(flagged);
     let budget = 400 * (candidates.len() + 16);
     let mut attempts = 0usize;
     while !candidates.is_empty() {
         attempts += 1;
         if attempts > budget {
-            return None;
+            return false;
         }
         let ci = rng.gen_range(0..candidates.len());
         let di = candidates[ci];
         let (a, b) = edges[di];
-        if !is_defective(&mult, a, b) {
+        if !rows.is_defective(a, b) {
             candidates.swap_remove(ci);
             continue;
         }
@@ -212,41 +261,93 @@ fn repair_to_simple<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<Graph> {
         if a == c || b == e {
             continue; // would create self-loop
         }
-        if mult.get(&key(a, c)).copied().unwrap_or(0) > 0
-            || mult.get(&key(b, e)).copied().unwrap_or(0) > 0
-        {
+        if rows.adjacent(a, c) || rows.adjacent(b, e) {
             continue; // would create parallel edge
         }
-        // Apply the switch.
-        for (u, v) in [(a, b), (c, e)] {
-            let k = key(u, v);
-            let cnt = mult.get_mut(&k).expect("edge present");
-            *cnt -= 1;
-            if *cnt == 0 {
-                mult.remove(&k);
-            }
-        }
-        *mult.entry(key(a, c)).or_insert(0) += 1;
-        *mult.entry(key(b, e)).or_insert(0) += 1;
+        // Apply the switch, one slot per endpoint; a self-loop `{a,a}` or
+        // `{c,c}` holds two slots of its row, one for each replacement.
+        rows.replace(a, b, c);
+        rows.replace(b, a, e);
+        rows.replace(c, e, a);
+        rows.replace(e, c, b);
         edges[di] = if a <= c { (a, c) } else { (c, a) };
         edges[oi] = if b <= e { (b, e) } else { (e, b) };
         // Both rewritten edges are now clean; drop the handled candidate.
         candidates.swap_remove(ci);
     }
     // Final audit (the lazy list may have dropped a candidate whose edge
-    // was rewritten into a *different* still-defective pair — impossible by
-    // construction, but cheap to verify).
-    if edges.iter().any(|&(u, v)| is_defective(&mult, u, v)) {
-        return None;
+    // was rewritten into a *different* still-defective pair — a switch of
+    // two self-loops `{a,a},{c,c}` passes both checks and leaves `{a,c}`
+    // doubled, for example).
+    !rows.defective_nodes().contains(&true)
+}
+
+/// A `d`-regular multigraph as fixed-width neighbour rows: row `v` is
+/// `slots[v·d..(v+1)·d]` and lists `v`'s neighbours with multiplicity, a
+/// self-loop filling two slots of its own row. Degree-preserving switches
+/// keep every row exactly `d` wide, so no offset array is needed.
+struct NeighbourRows {
+    n: usize,
+    d: usize,
+    slots: Vec<NodeId>,
+}
+
+impl NeighbourRows {
+    fn new(n: usize, d: usize, edges: &[(NodeId, NodeId)]) -> Self {
+        let mut slots = vec![NodeId::default(); n * d];
+        let mut fill: Vec<usize> = (0..n).map(|v| v * d).collect();
+        let mut push = |u: NodeId, v: NodeId| {
+            let at = &mut fill[u.index()];
+            slots[*at] = v;
+            *at += 1;
+        };
+        for &(u, v) in edges {
+            push(u, v);
+            push(v, u);
+        }
+        NeighbourRows { n, d, slots }
     }
 
-    let mut builder = GraphBuilder::with_capacity(n, edges.len());
-    for (u, v) in edges {
-        builder
-            .add_edge(NodeId::from_u32(u), NodeId::from_u32(v))
-            .expect("repair preserves node range");
+    fn row(&self, v: NodeId) -> &[NodeId] {
+        &self.slots[v.index() * self.d..(v.index() + 1) * self.d]
     }
-    Some(builder.build())
+
+    /// Whether `{u, v}` (`u != v`) is an edge.
+    fn adjacent(&self, u: NodeId, v: NodeId) -> bool {
+        self.row(u).contains(&v)
+    }
+
+    /// Whether the edge `{u, v}` is a self-loop or has a parallel copy.
+    fn is_defective(&self, u: NodeId, v: NodeId) -> bool {
+        u == v || self.row(u).iter().filter(|&&w| w == v).count() > 1
+    }
+
+    /// Rewrites one occurrence of `old` in row `v` to `new`.
+    fn replace(&mut self, v: NodeId, old: NodeId, new: NodeId) {
+        let d = self.d;
+        let row = &mut self.slots[v.index() * d..(v.index() + 1) * d];
+        *row.iter_mut().find(|w| **w == old).expect("switched edge is in the row") = new;
+    }
+
+    /// One sequential pass over the rows: node `v` is flagged when its row
+    /// holds a self-loop or a repeated neighbour.
+    fn defective_nodes(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.n];
+        (0..self.n)
+            .map(|v| {
+                let row = self.row(NodeId::new(v));
+                let mut defective = false;
+                for &w in row {
+                    defective |= w.index() == v || seen[w.index()];
+                    seen[w.index()] = true;
+                }
+                for &w in row {
+                    seen[w.index()] = false;
+                }
+                defective
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +412,21 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let err = random_regular(4, 4, &mut rng).unwrap_err();
         assert_eq!(err, GraphError::DegreeTooLarge { degree: 4, node_count: 4 });
+    }
+
+    #[test]
+    fn dense_degrees_generate_via_the_complement() {
+        for (n, d) in [(64, 60), (16, 15), (10, 7)] {
+            for seed in 0..20 {
+                let g = random_regular(n, d, &mut SmallRng::seed_from_u64(seed)).unwrap();
+                assert!(g.is_simple(), "n={n} d={d} seed={seed} not simple");
+                assert_eq!(g.regular_degree(), Some(d), "n={n} d={d} seed={seed}");
+                let again = random_regular(n, d, &mut SmallRng::seed_from_u64(seed)).unwrap();
+                assert_eq!(g, again, "n={n} d={d} seed={seed} not deterministic");
+            }
+        }
+        let err = random_regular(5, 3, &mut SmallRng::seed_from_u64(0)).unwrap_err();
+        assert_eq!(err, GraphError::OddStubCount { stub_sum: 15 });
     }
 
     #[test]
