@@ -236,7 +236,6 @@ fn repair_to_simple<R: Rng + ?Sized>(
         .filter(|&(_, &(u, v))| flagged[u.index()] && rows.is_defective(u, v))
         .map(|(i, _)| i)
         .collect();
-    drop(flagged);
     let budget = 400 * (candidates.len() + 16);
     let mut attempts = 0usize;
     while !candidates.is_empty() {
@@ -272,7 +271,8 @@ fn repair_to_simple<R: Rng + ?Sized>(
         rows.replace(e, c, b);
         edges[di] = if a <= c { (a, c) } else { (c, a) };
         edges[oi] = if b <= e { (b, e) } else { (e, b) };
-        // Both rewritten edges are now clean; drop the handled candidate.
+        // The rewritten edges are clean unless two self-loops were switched
+        // (see the audit below); drop the handled candidate.
         candidates.swap_remove(ci);
     }
     // Final audit (the lazy list may have dropped a candidate whose edge
