@@ -10,7 +10,7 @@
 //! [`BenchRecorder`](crate::BenchRecorder) uses, so a scenario can live in
 //! a file and run via `rrb run --spec file.json` — no new binary required.
 //!
-//! The experiment registry ([`crate::registry`]) expresses the E1–E18
+//! The experiment registry ([`crate::registry`]) expresses the E1–E21
 //! config ladders as `ScenarioSpec` values.
 
 use rand::Rng;
@@ -448,9 +448,9 @@ impl FailureSpec {
 
     /// Compiles to the engine's [`FailureModel`]. Every rate goes through
     /// the model's validating builders, so an out-of-range spec value hits
-    /// the `[0, 1)` assertion instead of bypassing it (parse-time
-    /// validation in [`ScenarioSpec::from_json`] rejects such specs with a
-    /// named field before this can fire).
+    /// the `[0, 1)` assertion instead of bypassing it
+    /// ([`ScenarioSpec::check_runnable`] rejects such specs with a named
+    /// field before this can fire).
     pub fn to_model(self) -> FailureModel {
         let mut m = FailureModel::NONE;
         if self.channel > 0.0 {
@@ -848,9 +848,14 @@ impl ScenarioSpec {
 
     /// Rejects a spec no engine can run, with a message naming why: a
     /// topology whose node count is 0, overflows, or exceeds the `u32`
-    /// node-id space, and churn dynamics combined with a fault plan or
-    /// with async timing (churn runs only on the round engine, without a
-    /// fault plan). [`Self::from_json`] applies it to every parsed spec.
+    /// node-id space; a baseline failure rate outside `[0, 1)`; a
+    /// four-choice-family protocol whose schedule constructor would
+    /// assert (`n_estimate < 2`, `alpha` not finite and positive) or that
+    /// opens no channel (`choices: 0`); and churn dynamics combined with a
+    /// fault plan or with async timing (churn runs only on the round
+    /// engine, without a fault plan). [`Self::from_json`] applies it to
+    /// every parsed spec and [`crate::registry::run_entry`] to every spec
+    /// it runs.
     pub fn check_runnable(&self) -> Result<(), String> {
         let graph = self.graph.label();
         let n = self
@@ -859,6 +864,32 @@ impl ScenarioSpec {
             .ok_or_else(|| format!("{graph}: the node count overflows"))?;
         if n == 0 || n > u32::MAX as usize {
             return Err(format!("{graph}: node count {n} is outside 1..={}", u32::MAX));
+        }
+        let FailureSpec { channel, transmission, crash } = self.failures.rates;
+        for (name, p) in [("channel", channel), ("transmission", transmission), ("crash", crash)] {
+            if !(0.0..1.0).contains(&p) {
+                return Err(format!("\"{name}\" must be a probability in [0, 1)"));
+            }
+        }
+        // The four-choice family builds a `PhaseSchedule`, whose constructor
+        // asserts `n_estimate >= 2` and `alpha > 0`.
+        match self.protocol {
+            ProtocolSpec::FourChoice { choices: 0, .. } => {
+                return Err("four_choice \"choices\" must be at least 1".into());
+            }
+            ProtocolSpec::FourChoice { alpha, .. } | ProtocolSpec::Ablated { alpha, .. }
+                if !(alpha.is_finite() && alpha > 0.0) =>
+            {
+                return Err(format!("\"alpha\" must be finite and positive, got {alpha}"));
+            }
+            ProtocolSpec::FourChoice { n_estimate, .. }
+            | ProtocolSpec::SequentialFourChoice { n_estimate, .. }
+            | ProtocolSpec::Ablated { n_estimate, .. }
+                if n_estimate < 2 =>
+            {
+                return Err(format!("\"n_estimate\" must be at least 2, got {n_estimate}"));
+            }
+            _ => {}
         }
         if let DynamicsSpec::Churn(_) = self.dynamics {
             if !self.failures.is_plain() {
@@ -1585,9 +1616,10 @@ fn parse_latency(l: &Json) -> Result<LatencySpec, String> {
 
 /// Parses the `"failures"` object: the three i.i.d. rates plus the
 /// optional adversarial fault-plan dimensions (`burst`, `schedule`,
-/// `adversary`, `outages`). Every probability and window is validated
-/// here, so a bad spec fails at parse time with a named field instead of
-/// tripping an engine assertion mid-run.
+/// `adversary`, `outages`). Every plan probability and window is
+/// validated here, and the three rates by [`ScenarioSpec::check_runnable`]
+/// (which also guards specs built in code), so a bad spec fails at parse
+/// time with a named field instead of tripping an engine assertion mid-run.
 fn parse_faults(f: &Json) -> Result<FaultSpec, String> {
     expect_keys(
         f,
@@ -1599,13 +1631,6 @@ fn parse_faults(f: &Json) -> Result<FaultSpec, String> {
         transmission: opt_f64(f, "transmission", 0.0)?,
         crash: opt_f64(f, "crash", 0.0)?,
     };
-    for (name, p) in
-        [("channel", rates.channel), ("transmission", rates.transmission), ("crash", rates.crash)]
-    {
-        if !(0.0..1.0).contains(&p) {
-            return Err(format!("\"{name}\" must be a probability in [0, 1)"));
-        }
-    }
     let burst = match f.get("burst") {
         None => None,
         Some(b) => {
@@ -2779,6 +2804,71 @@ mod tests {
         assert!(ScenarioSpec::from_json(&spec(rr, churn)).is_ok());
         let ok_dim = spec("{\"kind\": \"hypercube\", \"dim\": 31}", "");
         assert!(ScenarioSpec::from_json(&ok_dim).is_ok());
+    }
+
+    #[test]
+    fn check_runnable_rejects_what_constructors_assert_on() {
+        // Specs built in code, as the ad-hoc flag mode builds them: each
+        // once reached a constructor assertion (exit 101) or ran a
+        // zero-choice protocol.
+        let four = |n_estimate, alpha, choices| ProtocolSpec::FourChoice {
+            n_estimate,
+            degree: 1,
+            alpha,
+            choices,
+            regime: RegimeSpec::Auto,
+        };
+        let ablated = |n_estimate, alpha| ProtocolSpec::Ablated {
+            n_estimate,
+            degree: 4,
+            alpha,
+            phase1_always_push: false,
+            no_pull: false,
+        };
+        let rates = |channel, transmission, crash| FailureSpec { channel, transmission, crash };
+        let ok_rates = rates(0.0, 0.5, 0.0);
+        let cases = [
+            (four(1, 1.5, 4), ok_rates, Some("n_estimate")),
+            (four(2, 1.5, 4), ok_rates, None),
+            (four(64, -1.0, 4), ok_rates, Some("alpha")),
+            (four(64, f64::NAN, 4), ok_rates, Some("alpha")),
+            (four(64, f64::INFINITY, 4), ok_rates, Some("alpha")),
+            (four(64, 1.5, 0), ok_rates, Some("choices")),
+            (four(64, 1.5, 1), ok_rates, None),
+            (
+                ProtocolSpec::SequentialFourChoice { n_estimate: 1, degree: 4 },
+                ok_rates,
+                Some("n_estimate"),
+            ),
+            (ablated(0, 1.5), ok_rates, Some("n_estimate")),
+            (ablated(64, 0.0), ok_rates, Some("alpha")),
+            (ProtocolSpec::Silent, rates(1.0, 0.0, 0.0), Some("channel")),
+            (ProtocolSpec::Silent, rates(0.0, -0.1, 0.0), Some("transmission")),
+            (ProtocolSpec::Silent, rates(0.0, 0.0, f64::NAN), Some("crash")),
+            (ProtocolSpec::Silent, rates(0.99, 0.99, 0.99), None),
+        ];
+        for (protocol, failures, cause) in cases {
+            let label = format!("{protocol:?} / {failures:?}");
+            let spec = ScenarioSpec::new("x", GraphSpec::Complete { n: 8 }, protocol)
+                .with_failures(failures);
+            match (spec.check_runnable(), cause) {
+                (Ok(()), None) => {}
+                (Err(e), Some(cause)) => assert!(e.contains(cause), "{label}: {e}"),
+                (got, want) => panic!("{label}: got {got:?}, want an error naming {want:?}"),
+            }
+        }
+        // The same checks guard parsed specs.
+        for protocol in [
+            "{\"kind\": \"four_choice\", \"n_estimate\": 1, \"degree\": 1}",
+            "{\"kind\": \"four_choice\", \"n_estimate\": 8, \"degree\": 1, \"alpha\": 1e309}",
+            "{\"kind\": \"four_choice\", \"n_estimate\": 8, \"degree\": 1, \"choices\": 0}",
+        ] {
+            let json = format!(
+                "{{\"label\": \"x\", \"graph\": {{\"kind\": \"complete\", \"n\": 8}}, \
+                 \"protocol\": {protocol}}}"
+            );
+            assert!(ScenarioSpec::from_json(&json).is_err(), "{protocol}");
+        }
     }
 
     #[test]

@@ -1,41 +1,12 @@
 use rand::Rng;
 
-use crate::{Graph, GraphBuilder, GraphError, NodeId, Result};
+use crate::{GraphError, NodeId, Result};
 
-/// Realises an arbitrary degree sequence as a random multigraph via the
-/// configuration model: node `i` contributes `degrees[i]` stubs and a
-/// uniformly random perfect matching on all stubs defines the edges.
-///
-/// This is the general form of the paper's §1.2 pairing process and also
-/// powers [`random_near_regular`](super::random_near_regular), covering the
-/// non-regular extension (degrees in `[d, c·d]`) the paper mentions.
-///
-/// # Errors
-///
-/// Returns [`GraphError::OddStubCount`] if the degree sum is odd.
-///
-/// # Examples
-///
-/// ```
-/// use rand::{SeedableRng, rngs::SmallRng};
-/// let mut rng = SmallRng::seed_from_u64(2);
-/// let g = rrb_graph::gen::configuration_model_from_degrees(&[3, 3, 2, 2], &mut rng)?;
-/// let mut degs: Vec<usize> = g.degrees().collect();
-/// assert_eq!(degs, vec![3, 3, 2, 2]);
-/// # Ok::<(), rrb_graph::GraphError>(())
-/// ```
-pub fn configuration_model_from_degrees<R: Rng + ?Sized>(
-    degrees: &[usize],
-    rng: &mut R,
-) -> Result<Graph> {
-    let edges = pair_stubs(degrees, rng)?;
-    Ok(GraphBuilder::from_canonical_edges(degrees.len(), edges).build())
-}
-
-/// The stub pairing shared by every configuration-model generator: lays out
-/// `degrees[i]` stubs for node `i`, draws a uniform perfect matching on them
-/// and returns its edges canonicalised (`u <= v`) in matching order — the
-/// edge list a [`GraphBuilder`] fed the same pairs would hold.
+/// The stub pairing shared by every configuration-model generator (the
+/// paper's §1.2 pairing process): lays out `degrees[i]` stubs for node `i`,
+/// draws a uniform perfect matching on them and returns its edges
+/// canonicalised (`u <= v`) in matching order — the edge list a
+/// [`GraphBuilder`](crate::GraphBuilder) fed the same pairs would hold.
 ///
 /// # Errors
 ///
@@ -124,27 +95,37 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// Per-node endpoint counts of a pairing (a self-loop counts twice,
+    /// as in [`crate::Graph::degree`]).
+    fn degrees_of(n: usize, edges: &[(NodeId, NodeId)]) -> Vec<usize> {
+        let mut degrees = vec![0; n];
+        for &(u, v) in edges {
+            degrees[u.index()] += 1;
+            degrees[v.index()] += 1;
+        }
+        degrees
+    }
+
     #[test]
     fn realises_exact_degrees() {
         let mut rng = SmallRng::seed_from_u64(1);
         let want = vec![5, 4, 3, 2, 1, 1, 2, 2];
-        let g = configuration_model_from_degrees(&want, &mut rng).unwrap();
-        let got: Vec<usize> = g.degrees().collect();
-        assert_eq!(got, want);
+        let edges = pair_stubs(&want, &mut rng).unwrap();
+        assert!(edges.iter().all(|&(u, v)| u <= v), "edges not canonical: {edges:?}");
+        assert_eq!(degrees_of(want.len(), &edges), want);
     }
 
     #[test]
     fn rejects_odd_sum() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let err = configuration_model_from_degrees(&[1, 1, 1], &mut rng).unwrap_err();
+        let err = pair_stubs(&[1, 1, 1], &mut rng).unwrap_err();
         assert_eq!(err, GraphError::OddStubCount { stub_sum: 3 });
     }
 
     #[test]
     fn zero_length_sequence() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let g = configuration_model_from_degrees(&[], &mut rng).unwrap();
-        assert!(g.is_empty());
+        assert!(pair_stubs(&[], &mut rng).unwrap().is_empty());
     }
 
     #[test]
@@ -175,9 +156,8 @@ mod tests {
             if degs.iter().sum::<usize>() % 2 == 1 {
                 degs[0] += 1;
             }
-            let g = configuration_model_from_degrees(&degs, &mut rng).unwrap();
-            let got: Vec<usize> = g.degrees().collect();
-            assert_eq!(got, degs);
+            let edges = pair_stubs(&degs, &mut rng).unwrap();
+            assert_eq!(degrees_of(n, &edges), degs);
         }
     }
 }

@@ -3,7 +3,7 @@ use rand::Rng;
 use crate::{Graph, GraphBuilder, GraphError, NodeId, Result};
 
 use super::classic::complete;
-use super::degree_seq::{configuration_model_from_degrees, pair_stubs};
+use super::degree_seq::pair_stubs;
 
 /// Generates a random `d`-regular **multigraph** on `n` nodes with the
 /// configuration (pairing) model, exactly as defined in §1.2 of the paper.
@@ -119,44 +119,6 @@ fn complement(g: &Graph) -> Graph {
         }
     }
     b.build()
-}
-
-/// Generates a near-regular random graph whose degrees all lie in
-/// `[d, ceil(c·d)]`, the relaxed setting §1.2 says the results generalise to.
-///
-/// Each node draws a degree uniformly from the allowed band (the total is
-/// patched to be even by bumping one node within the band when needed), then
-/// the configuration model realises the sequence.
-///
-/// # Errors
-///
-/// * [`GraphError::InvalidParameter`] if `c < 1.0` or `d == 0`.
-pub fn random_near_regular<R: Rng + ?Sized>(
-    n: usize,
-    d: usize,
-    c: f64,
-    rng: &mut R,
-) -> Result<Graph> {
-    if c.is_nan() || c < 1.0 {
-        return Err(GraphError::InvalidParameter { what: "degree band factor c must be >= 1" });
-    }
-    if d == 0 {
-        return Err(GraphError::InvalidParameter { what: "degree must be positive" });
-    }
-    let hi = ((d as f64) * c).ceil() as usize;
-    let mut degrees: Vec<usize> = (0..n).map(|_| rng.gen_range(d..=hi)).collect();
-    if degrees.iter().sum::<usize>() % 2 == 1 {
-        // Patch parity inside the band: find any node that can move by one.
-        let idx = (0..n)
-            .find(|&i| degrees[i] < hi || degrees[i] > d)
-            .expect("band of width >= 0 always has a movable node when n > 0");
-        if degrees[idx] < hi {
-            degrees[idx] += 1;
-        } else {
-            degrees[idx] -= 1;
-        }
-    }
-    configuration_model_from_degrees(&degrees, rng)
 }
 
 /// Erdős–Rényi `G(n, p)`: every unordered pair becomes an edge independently
@@ -427,25 +389,6 @@ mod tests {
         }
         let err = random_regular(5, 3, &mut SmallRng::seed_from_u64(0)).unwrap_err();
         assert_eq!(err, GraphError::OddStubCount { stub_sum: 15 });
-    }
-
-    #[test]
-    fn near_regular_band_is_respected() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = random_near_regular(400, 6, 1.5, &mut rng).unwrap();
-        let hi = (6.0f64 * 1.5).ceil() as usize;
-        for deg in g.degrees() {
-            // Parity patch can push one node by one step but stays in band
-            // because it only moves toward the interior.
-            assert!(deg >= 6 && deg <= hi, "degree {deg} outside [6, {hi}]");
-        }
-    }
-
-    #[test]
-    fn near_regular_rejects_bad_band() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        assert!(random_near_regular(10, 4, 0.5, &mut rng).is_err());
-        assert!(random_near_regular(10, 0, 2.0, &mut rng).is_err());
     }
 
     #[test]

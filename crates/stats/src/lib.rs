@@ -5,7 +5,7 @@
 //! Monte-Carlo runs at a ladder of sizes into those statements via
 //! [`Summary`] aggregation, [`linear_regression`] against transformed axes
 //! (`log2 n`, `log2 log2 n`), and [`Table`] rendering for the paper-style
-//! output recorded in `EXPERIMENTS.md`.
+//! output `rrb run` prints.
 //!
 //! ```
 //! use rrb_stats::{fit_log2, Summary};

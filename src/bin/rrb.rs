@@ -3,13 +3,13 @@
 //!
 //! # Registry subcommands
 //!
-//! The paper's E1–E20 experiments are registered as declarative scenario
+//! The paper's E1–E21 experiments are registered as declarative scenario
 //! ladders (`rrb_bench::registry`); one binary drives them all:
 //!
 //! ```text
 //! rrb list                          # every registered experiment
 //! rrb describe e5                   # an experiment's ladder as spec JSON
-//! rrb run e5 --quick                # run E5 (same flags as the old exp_* bins)
+//! rrb run e5 --quick                # run E5 on its small ladder
 //! rrb run e1 --seeds 10 --threads 4 --json out.json
 //! rrb run e1 --quick --out runs/    # structured run artifacts (JSONL per rung)
 //! rrb compare base/ candidate/      # diff two artifact dirs; exit 1 on drift
@@ -21,8 +21,10 @@
 //!
 //! # Ad-hoc mode
 //!
-//! Without a subcommand, runs any built-in protocol over any built-in
-//! topology and prints the run report (optionally the per-round trace):
+//! Without a subcommand, the flags compile to one `ScenarioSpec` (topology,
+//! protocol, the three failure rates, `--trace`) that runs exactly as that
+//! spec would through `rrb run --spec`: the topology is built once and
+//! shared by every seed, and seed `s` runs on stream `rng_for(0, 0, s)`.
 //!
 //! ```text
 //! rrb --topology regular --n 8192 --d 8 --protocol four-choice
@@ -34,94 +36,99 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rrb::prelude::*;
 use rrb_bench::compare::{self, Tolerance};
 use rrb_bench::registry::{self, LadderEntry};
-use rrb_bench::scenario::{DynamicsSpec, MeasureSpec, ScenarioSpec};
+use rrb_bench::scenario::{
+    DynamicsSpec, FailureSpec, GossipModeSpec, GraphSpec, MeasureSpec, PolicySpec, ProtocolSpec,
+    RegimeSpec, ScenarioSpec,
+};
 use rrb_bench::{
     artifact, json_string, mean_cover_time, mean_of, mean_rounds_to_coverage, success_rate,
     BenchRecorder, EventClock, ExpConfig,
 };
 
-#[derive(Debug, Clone)]
-struct Options {
-    topology: String,
-    protocol: String,
-    n: usize,
-    d: usize,
-    alpha: f64,
-    budget: f64,
-    seeds: u64,
-    seed: u64,
-    trace: bool,
-    channel_failures: f64,
-    transmission_failures: f64,
-    crash_rate: f64,
-    choices: usize,
+/// Parses the value following flag `name`.
+fn take<T: FromStr>(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = it.next().ok_or_else(|| format!("missing value for {name}"))?;
+    raw.parse().map_err(|e| format!("{name}: {e}"))
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            topology: "regular".into(),
-            protocol: "four-choice".into(),
-            n: 1 << 12,
-            d: 8,
-            alpha: 1.5,
-            budget: 3.0,
-            seeds: 1,
-            seed: 42,
-            trace: false,
-            channel_failures: 0.0,
-            transmission_failures: 0.0,
-            crash_rate: 0.0,
-            choices: 4,
-        }
-    }
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut it = args.iter().peekable();
+/// Compiles the ad-hoc flags to the one scenario they describe and the
+/// run flags (`--seeds`) it runs under. Parameter ranges are left to
+/// [`ScenarioSpec::check_runnable`], which guards every entry point.
+fn parse_flags(args: &[String]) -> Result<(ScenarioSpec, RunFlags), String> {
+    let (mut topology, mut protocol) = ("regular".to_string(), "four-choice".to_string());
+    let (mut n, mut d, mut choices, mut seeds) = (1usize << 12, 8usize, 4usize, 1u64);
+    let (mut alpha, mut budget) = (1.5, 3.0);
+    let mut rates = FailureSpec::NONE;
+    let mut trace = false;
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--topology" => o.topology = take("--topology")?,
-            "--protocol" => o.protocol = take("--protocol")?,
-            "--n" => o.n = take("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--d" => o.d = take("--d")?.parse().map_err(|e| format!("--d: {e}"))?,
-            "--alpha" => o.alpha = take("--alpha")?.parse().map_err(|e| format!("--alpha: {e}"))?,
-            "--budget" => o.budget = take("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?,
-            "--seeds" => o.seeds = take("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?,
-            "--seed" => o.seed = take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--choices" => {
-                o.choices = take("--choices")?.parse().map_err(|e| format!("--choices: {e}"))?
-            }
-            "--channel-failures" => {
-                o.channel_failures =
-                    take("--channel-failures")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--transmission-failures" => {
-                o.transmission_failures =
-                    take("--transmission-failures")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--crashes" => {
-                o.crash_rate = take("--crashes")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--trace" => o.trace = true,
+        let name = arg.as_str();
+        match name {
+            "--topology" => topology = take(&mut it, name)?,
+            "--protocol" => protocol = take(&mut it, name)?,
+            "--n" => n = take(&mut it, name)?,
+            "--d" => d = take(&mut it, name)?,
+            "--alpha" => alpha = take(&mut it, name)?,
+            "--budget" => budget = take(&mut it, name)?,
+            "--seeds" => seeds = take(&mut it, name)?,
+            "--choices" => choices = take(&mut it, name)?,
+            "--channel-failures" => rates.channel = take(&mut it, name)?,
+            "--transmission-failures" => rates.transmission = take(&mut it, name)?,
+            "--crashes" => rates.crash = take(&mut it, name)?,
+            "--trace" => trace = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other}\n\n{}", usage())),
         }
     }
-    if o.choices == 0 || o.choices > 16 {
-        return Err("--choices must be in 1..=16".into());
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
     }
-    Ok(o)
+    let graph = match topology.as_str() {
+        "regular" => GraphSpec::RandomRegular { n, d },
+        "config" => GraphSpec::ConfigurationModel { n, d },
+        "gnp" => GraphSpec::Gnp { n, expected_degree: d as f64 },
+        "complete" => GraphSpec::Complete { n },
+        "hypercube" => GraphSpec::Hypercube { dim: (n as f64).log2().round() as u32 },
+        "torus" => {
+            let side = (n as f64).sqrt().round() as usize;
+            GraphSpec::Torus { rows: side, cols: side }
+        }
+        "pa" => GraphSpec::PreferentialAttachment { n, m: d },
+        other => return Err(format!("unknown topology {other}\n\n{}", usage())),
+    };
+    let budgeted = |mode| ProtocolSpec::Budgeted { mode, n, budget, policy: PolicySpec::STANDARD };
+    let protocol = match protocol.as_str() {
+        "four-choice" => ProtocolSpec::FourChoice {
+            n_estimate: n,
+            degree: d,
+            alpha,
+            choices,
+            regime: RegimeSpec::Auto,
+        },
+        "sequential" => ProtocolSpec::SequentialFourChoice { n_estimate: n, degree: d },
+        "push" => budgeted(GossipModeSpec::Push),
+        "pull" => budgeted(GossipModeSpec::Pull),
+        "push-pull" => budgeted(GossipModeSpec::PushPull),
+        "push-then-pull" => ProtocolSpec::PushThenPull { n },
+        "median-counter" => {
+            ProtocolSpec::MedianCounter { n, ctr_max: None, c_rounds: None, age_cutoff: None }
+        }
+        "quasirandom" => ProtocolSpec::Quasirandom { max_age: None },
+        other => return Err(format!("unknown protocol {other}\n\n{}", usage())),
+    };
+    let measure = if trace { MeasureSpec::Trace } else { MeasureSpec::Standard };
+    let spec = ScenarioSpec::new("ad-hoc", graph, protocol)
+        .with_failures(rates)
+        .with_measure(measure);
+    Ok((spec, RunFlags { seeds: Some(seeds), ..RunFlags::default() }))
 }
 
 fn usage() -> String {
@@ -143,7 +150,7 @@ fn usage() -> String {
      \u{20}                        --rss-budget-kib N (fail any candidate whose peak RSS\n\
      \u{20}                        exceeds N KiB); exits 1 when anything drifts outside the bands\n\
      \n\
-     ad-hoc mode options:\n\
+     ad-hoc mode options (compiled to one ScenarioSpec, run like `run --spec`):\n\
      --topology   regular | config | gnp | complete | hypercube | torus | pa  (default regular)\n\
      --protocol   four-choice | sequential | push | pull | push-pull | push-then-pull |\n\
                   median-counter | quasirandom                                (default four-choice)\n\
@@ -152,89 +159,10 @@ fn usage() -> String {
      --alpha A    four-choice schedule constant (default 1.5)\n\
      --budget C   age budget multiplier c (push/pull/push-pull run c·log2 n) (default 3.0)\n\
      --choices K  distinct choices per round for four-choice (default 4)\n\
-     --seeds S    independent runs (default 1)\n\
-     --seed X     base RNG seed (default 42)\n\
+     --seeds S    independent runs, all on one shared topology (default 1)\n\
      --channel-failures P / --transmission-failures P / --crashes P\n\
-     --trace      print the per-round trace of the first run"
+     --trace      print the per-round trace of seed 0"
         .into()
-}
-
-fn build_graph(o: &Options, rng: &mut SmallRng) -> Result<Graph, String> {
-    match o.topology.as_str() {
-        "regular" => gen::random_regular(o.n, o.d, rng).map_err(|e| e.to_string()),
-        "config" => gen::configuration_model(o.n, o.d, rng).map_err(|e| e.to_string()),
-        "gnp" => {
-            let p = o.d as f64 / (o.n.max(2) as f64 - 1.0);
-            gen::gnp(o.n, p, rng).map_err(|e| e.to_string())
-        }
-        "complete" => Ok(gen::complete(o.n)),
-        "hypercube" => {
-            let dim = (o.n as f64).log2().round() as u32;
-            Ok(gen::hypercube(dim))
-        }
-        "torus" => {
-            let side = (o.n as f64).sqrt().round() as usize;
-            Ok(gen::torus(side, side))
-        }
-        "pa" => gen::preferential_attachment(o.n, o.d, rng).map_err(|e| e.to_string()),
-        other => Err(format!("unknown topology {other}\n\n{}", usage())),
-    }
-}
-
-fn run_one(o: &Options, g: &Graph, rng: &mut SmallRng, record: bool) -> Result<RunReport, String> {
-    let mut config = SimConfig::until_quiescent();
-    if o.channel_failures > 0.0 {
-        config.failures.channel_failure = o.channel_failures;
-    }
-    if o.transmission_failures > 0.0 {
-        config.failures.transmission_failure = o.transmission_failures;
-    }
-    if o.crash_rate > 0.0 {
-        config.failures.node_crash = o.crash_rate;
-    }
-    if record {
-        config = config.with_history();
-    }
-    let origin = NodeId::new(rng.gen_range(0..g.node_count()));
-    let report = match o.protocol.as_str() {
-        "four-choice" => {
-            let alg = FourChoice::builder(o.n, o.d)
-                .alpha(o.alpha)
-                .choice_policy(ChoicePolicy::Distinct(o.choices))
-                .build();
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "sequential" => {
-            let alg = SequentialFourChoice::for_graph(o.n, o.d);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "push" => {
-            let alg = Budgeted::for_size(GossipMode::Push, o.n, o.budget);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "pull" => {
-            let alg = Budgeted::for_size(GossipMode::Pull, o.n, o.budget);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "push-pull" => {
-            let alg = Budgeted::for_size(GossipMode::PushPull, o.n, o.budget);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "push-then-pull" => {
-            let alg = PushThenPull::for_size(o.n);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "median-counter" => {
-            let alg = MedianCounter::for_size(o.n);
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        "quasirandom" => {
-            let alg = QuasirandomPush::unbounded();
-            Simulation::new(g, alg, config).run(origin, rng)
-        }
-        other => return Err(format!("unknown protocol {other}\n\n{}", usage())),
-    };
-    Ok(report)
 }
 
 /// Largest accepted `--shards`: the round loop keeps a shards × shards
@@ -256,37 +184,32 @@ struct RunFlags {
 
 fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let mut f = RunFlags::default();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
+        let name = arg.as_str();
+        match name {
             "--quick" => f.quick = true,
-            "--seeds" => {
-                f.seeds = Some(take("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?)
-            }
-            "--threads" => {
-                f.threads =
-                    Some(take("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
+            "--seeds" => f.seeds = Some(take(&mut it, name)?),
+            "--threads" => f.threads = Some(take(&mut it, name)?),
             "--shards" => {
-                let shards: usize =
-                    take("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
+                let shards: usize = take(&mut it, name)?;
                 // Each round clears a shards × shards outbox table.
                 if !(1..=MAX_SHARDS).contains(&shards) {
                     return Err(format!("--shards must be in 1..={MAX_SHARDS}, got {shards}"));
                 }
                 f.shards = Some(shards)
             }
-            "--json" => f.json_path = Some(take("--json")?),
-            "--out" => f.out_dir = Some(take("--out")?),
-            "--spec" => f.spec_path = Some(take("--spec")?),
+            "--json" => f.json_path = Some(take(&mut it, name)?),
+            "--out" => f.out_dir = Some(take(&mut it, name)?),
+            "--spec" => f.spec_path = Some(take(&mut it, name)?),
             other if !other.starts_with('-') && f.name.is_none() => {
                 f.name = Some(other.to_string())
             }
             other => return Err(format!("unknown argument {other} for rrb run")),
         }
+    }
+    if f.seeds == Some(0) {
+        return Err("--seeds must be at least 1".into());
     }
     if f.name.is_none() && f.spec_path.is_none() {
         return Err("rrb run needs an experiment name or --spec FILE".into());
@@ -385,27 +308,19 @@ fn cmd_describe(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the scenarios in a `--spec file.json` — a single `ScenarioSpec`
-/// object or a JSON **array** of them (a whole hand-written ladder) —
+/// Reads a `--spec file.json`: a single `ScenarioSpec` object or a JSON
+/// **array** of them (a whole hand-written ladder).
+fn read_spec_file(path: &str) -> Result<Vec<ScenarioSpec>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    ScenarioSpec::list_from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// Runs `specs` (read from `source`: a spec file, or the ad-hoc flags)
 /// through the shared replication harness and prints the standard metrics
 /// (plus churn stats and survivor coverage for dynamic-membership specs).
-fn run_spec_file(path: &str, flags: &RunFlags) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match ScenarioSpec::list_from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode {
     let cfg = exp_config_from(flags);
-    let mut recorder = BenchRecorder::new(format!("spec:{path}"), cfg.quick);
+    let mut recorder = BenchRecorder::new(format!("spec:{source}"), cfg.quick);
     for (ix, spec) in specs.iter().enumerate() {
         // Each array element gets its own config_ix, hence its own RNG
         // stream — reordering a ladder file never changes a rung's numbers
@@ -414,7 +329,7 @@ fn run_spec_file(path: &str, flags: &RunFlags) -> ExitCode {
         let (runs, wall_ms) = match registry::run_entry(0, &entry, &cfg) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("cannot run {path} scenario {:?}: {e}", spec.label);
+                eprintln!("cannot run {source} scenario {:?}: {e}", spec.label);
                 return ExitCode::FAILURE;
             }
         };
@@ -492,7 +407,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     if let Some(path) = &flags.spec_path {
-        return run_spec_file(path, &flags);
+        return match read_spec_file(path) {
+            Ok(specs) => run_specs(path, &specs, &flags),
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        };
     }
     let name = flags.name.as_deref().expect("checked by parse_run_flags");
     let Some(exp) = registry::find(name) else {
@@ -610,68 +531,13 @@ fn main() -> ExitCode {
         Some("compare") => return cmd_compare(&args[1..]),
         _ => {}
     }
-    let options = match parse_args(&args) {
-        Ok(o) => o,
+    match parse_flags(&args) {
+        Ok((spec, flags)) => run_specs("flags", &[spec], &flags),
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    let mut rounds = Vec::new();
-    let mut txs = Vec::new();
-    let mut coverages = Vec::new();
-    for s in 0..options.seeds {
-        let mut rng = SmallRng::seed_from_u64(options.seed.wrapping_add(s));
-        let g = match build_graph(&options, &mut rng) {
-            Ok(g) => g,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let record = options.trace && s == 0;
-        let report = match run_one(&options, &g, &mut rng, record) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if record {
-            let mut t = Table::new(vec!["round", "informed", "new", "push", "pull"]);
-            for rec in &report.history {
-                t.row_display(vec![
-                    rec.round as u64,
-                    rec.informed as u64,
-                    rec.newly_informed as u64,
-                    rec.push_tx,
-                    rec.pull_tx,
-                ]);
-            }
-            println!("{t}");
-        }
-        rounds.push(report.full_coverage_at.unwrap_or(report.rounds) as f64);
-        txs.push(report.tx_per_node());
-        coverages.push(report.coverage());
     }
-
-    let rs = Summary::from_slice(&rounds);
-    let ts = Summary::from_slice(&txs);
-    let cs = Summary::from_slice(&coverages);
-    println!(
-        "{} on {} (n={}, d={}), {} run(s):",
-        options.protocol, options.topology, options.n, options.d, options.seeds
-    );
-    println!("  coverage        {:.4} (min {:.4})", cs.mean, cs.min);
-    println!("  rounds          {:.1} ± {:.1}", rs.mean, rs.ci95());
-    println!("  tx per node     {:.2} ± {:.2}", ts.mean, ts.ci95());
-    println!(
-        "  reference       log2 n = {:.1}, loglog2 n = {:.1}",
-        (options.n as f64).log2(),
-        (options.n as f64).log2().log2()
-    );
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -682,35 +548,99 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    const TOPOLOGIES: [&str; 7] =
+        ["regular", "config", "gnp", "complete", "hypercube", "torus", "pa"];
+    const PROTOCOLS: [&str; 8] = [
+        "four-choice",
+        "sequential",
+        "push",
+        "pull",
+        "push-pull",
+        "push-then-pull",
+        "median-counter",
+        "quasirandom",
+    ];
+
     #[test]
     fn defaults_parse() {
-        let o = parse_args(&[]).unwrap();
-        assert_eq!(o.protocol, "four-choice");
-        assert_eq!(o.n, 4096);
+        let (spec, flags) = parse_flags(&[]).unwrap();
+        assert_eq!(spec.graph, GraphSpec::RandomRegular { n: 4096, d: 8 });
+        assert_eq!(
+            spec.protocol,
+            ProtocolSpec::FourChoice {
+                n_estimate: 4096,
+                degree: 8,
+                alpha: 1.5,
+                choices: 4,
+                regime: RegimeSpec::Auto
+            }
+        );
+        assert_eq!(spec.measure, MeasureSpec::Standard);
+        assert_eq!(flags, RunFlags { seeds: Some(1), ..RunFlags::default() });
     }
 
     #[test]
     fn flags_parse() {
-        let o = parse_args(&args(&[
+        let (spec, flags) = parse_flags(&args(&[
             "--topology", "gnp", "--n", "100", "--d", "5", "--alpha", "2.0", "--seeds", "3",
-            "--trace", "--channel-failures", "0.1", "--choices", "3",
+            "--trace", "--channel-failures", "0.1", "--choices", "3", "--crashes", "0.01",
         ]))
         .unwrap();
-        assert_eq!(o.topology, "gnp");
-        assert_eq!(o.n, 100);
-        assert_eq!(o.d, 5);
-        assert_eq!(o.alpha, 2.0);
-        assert_eq!(o.seeds, 3);
-        assert!(o.trace);
-        assert_eq!(o.channel_failures, 0.1);
-        assert_eq!(o.choices, 3);
+        assert_eq!(spec.graph, GraphSpec::Gnp { n: 100, expected_degree: 5.0 });
+        assert_eq!(
+            spec.protocol,
+            ProtocolSpec::FourChoice {
+                n_estimate: 100,
+                degree: 5,
+                alpha: 2.0,
+                choices: 3,
+                regime: RegimeSpec::Auto
+            }
+        );
+        let rates = FailureSpec { channel: 0.1, transmission: 0.0, crash: 0.01 };
+        assert_eq!(spec.failures.rates, rates);
+        assert_eq!(spec.measure, MeasureSpec::Trace);
+        assert_eq!(flags.seeds, Some(3));
+        let (spec, _) =
+            parse_flags(&args(&["--topology", "torus", "--n", "1000", "--protocol", "pull"]))
+                .unwrap();
+        assert_eq!(spec.graph, GraphSpec::Torus { rows: 32, cols: 32 });
+        assert_eq!(
+            spec.protocol,
+            ProtocolSpec::Budgeted {
+                mode: GossipModeSpec::Pull,
+                n: 1000,
+                budget: 3.0,
+                policy: PolicySpec::STANDARD
+            }
+        );
     }
 
     #[test]
     fn unknown_flag_errors() {
-        assert!(parse_args(&args(&["--bogus"])).is_err());
-        assert!(parse_args(&args(&["--n"])).is_err());
-        assert!(parse_args(&args(&["--choices", "0"])).is_err());
+        for bad in [
+            &["--bogus"][..],
+            &["--n"],
+            &["--n", "-3"],
+            &["--seeds", "0"],
+            &["--seed", "42"],
+            &["--topology", "ring"],
+            &["--protocol", "flood"],
+        ] {
+            assert!(parse_flags(&args(bad)).is_err(), "{bad:?}");
+        }
+        // Out-of-range values parse, and the spec check every entry point
+        // shares rejects them.
+        for bad in [
+            &["--choices", "0"][..],
+            &["--alpha", "nan"],
+            &["--channel-failures", "1.0"],
+            &["--topology", "complete", "--n", "0"],
+            &["--n", "1000000000000"],
+        ] {
+            let (spec, _) = parse_flags(&args(bad)).unwrap();
+            assert!(spec.check_runnable().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -725,6 +655,8 @@ mod tests {
         assert_eq!(f.shards, Some(4));
         assert_eq!(f.json_path.as_deref(), Some("o.json"));
         assert!(parse_run_flags(&args(&["e5", "--shards", "x"])).is_err());
+        assert!(parse_run_flags(&args(&["e5", "--seeds", "0"])).is_err());
+        assert!(parse_run_flags(&args(&["--spec", "s.json", "--seeds", "0"])).is_err());
         for bad in ["0", "257", "100000"] {
             assert!(parse_run_flags(&args(&["e5", "--shards", bad])).is_err(), "--shards {bad}");
         }
@@ -755,34 +687,31 @@ mod tests {
 
     #[test]
     fn graphs_build_for_every_topology() {
-        for topo in ["regular", "config", "gnp", "complete", "hypercube", "torus", "pa"] {
-            let o =
-                Options { topology: topo.into(), n: 64, d: 4, ..Options::default() };
-            let mut rng = SmallRng::seed_from_u64(1);
-            let g = build_graph(&o, &mut rng).unwrap_or_else(|e| panic!("{topo}: {e}"));
-            assert!(g.node_count() > 0, "{topo} empty");
+        for topo in TOPOLOGIES {
+            for proto in PROTOCOLS {
+                let (spec, _) = parse_flags(&args(&[
+                    "--topology", topo, "--protocol", proto, "--n", "64", "--d", "4",
+                ]))
+                .unwrap_or_else(|e| panic!("{topo} x {proto}: {e}"));
+                spec.check_runnable().unwrap_or_else(|e| panic!("{topo} x {proto}: {e}"));
+            }
+            let (spec, _) = parse_flags(&args(&["--topology", topo, "--n", "64", "--d", "4"]))
+                .unwrap();
+            let g = spec.graph.build(&mut rrb_bench::rng_for(0, 0, 0));
+            assert!(g.unwrap_or_else(|e| panic!("{topo}: {e}")).node_count() > 0, "{topo} empty");
         }
     }
 
     #[test]
     fn every_protocol_runs() {
-        for proto in [
-            "four-choice",
-            "sequential",
-            "push",
-            "pull",
-            "push-pull",
-            "push-then-pull",
-            "median-counter",
-            "quasirandom",
-        ] {
-            let o =
-                Options { protocol: proto.into(), n: 128, d: 6, ..Options::default() };
-            let mut rng = SmallRng::seed_from_u64(2);
-            let g = build_graph(&o, &mut rng).unwrap();
-            let report = run_one(&o, &g, &mut rng, false)
+        for proto in PROTOCOLS {
+            let (spec, flags) =
+                parse_flags(&args(&["--protocol", proto, "--n", "128", "--d", "6"])).unwrap();
+            let cfg = exp_config_from(&flags);
+            let (runs, _) = registry::run_entry(0, &LadderEntry::new(0, spec), &cfg)
                 .unwrap_or_else(|e| panic!("{proto}: {e}"));
-            assert!(report.coverage() > 0.9, "{proto}: coverage {}", report.coverage());
+            let coverage = runs[0].report.coverage();
+            assert!(coverage > 0.9, "{proto}: coverage {coverage}");
         }
     }
 }
