@@ -114,11 +114,12 @@ impl Protocol for Budgeted {
     }
 
     fn capabilities(&self) -> Capabilities {
-        match self.mode {
+        let directions = match self.mode {
             GossipMode::Push => Capabilities::PUSH_ONLY,
             GossipMode::Pull => Capabilities::PULL_ONLY,
             GossipMode::PushPull => Capabilities::ALL,
-        }
+        };
+        Capabilities { oblivious: true, ..directions }
     }
 }
 

@@ -92,7 +92,9 @@ impl Protocol for QuasirandomPush {
     fn capabilities(&self) -> Capabilities {
         // Push-only; note the engine's sampling skip still never engages
         // because the Cyclic policy is stateful (cursors must advance).
-        Capabilities::PUSH_ONLY
+        // The cursors live in the engine's choice state, not in the
+        // protocol's, so the protocol itself is oblivious.
+        Capabilities { oblivious: true, ..Capabilities::PUSH_ONLY }
     }
 }
 

@@ -986,11 +986,8 @@ impl Protocol for AblatedFourChoice {
     }
 
     fn capabilities(&self) -> Capabilities {
-        if self.no_pull {
-            Capabilities::PUSH_ONLY
-        } else {
-            Capabilities::ALL
-        }
+        let directions = if self.no_pull { Capabilities::PUSH_ONLY } else { Capabilities::ALL };
+        Capabilities { oblivious: true, ..directions }
     }
 }
 
@@ -2986,29 +2983,84 @@ mod tests {
 
     #[test]
     fn capabilities_flow_through_the_enum() {
-        let push = ProtocolSpec::Budgeted {
-            mode: GossipModeSpec::Push,
+        // One row per `ProtocolSpec` kind: (spec, uses_push, uses_pull,
+        // oblivious). The stateful baselines must never claim the
+        // oblivious shortcut; every oblivious kind must plan the same for
+        // the creator as for anyone else, since the engine plans its
+        // reception-round buckets with `is_creator: false`.
+        let budgeted = |mode| ProtocolSpec::Budgeted {
+            mode,
             n: 64,
             budget: 3.0,
             policy: PolicySpec::STANDARD,
         };
-        assert_eq!(push.build().capabilities(), Capabilities::PUSH_ONLY);
-        let ablated_no_pull = ProtocolSpec::Ablated {
+        let ablated = |no_pull| ProtocolSpec::Ablated {
             n_estimate: 64,
             degree: 8,
             alpha: 1.5,
             phase1_always_push: true,
-            no_pull: true,
+            no_pull,
         };
-        assert_eq!(ablated_no_pull.build().capabilities(), Capabilities::PUSH_ONLY);
-        let four = ProtocolSpec::FourChoice {
-            n_estimate: 64,
-            degree: 8,
-            alpha: 1.5,
-            choices: 4,
-            regime: RegimeSpec::Auto,
-        };
-        assert_eq!(four.build().capabilities(), Capabilities::ALL);
+        let table = [
+            (
+                ProtocolSpec::FourChoice {
+                    n_estimate: 64,
+                    degree: 8,
+                    alpha: 1.5,
+                    choices: 4,
+                    regime: RegimeSpec::Auto,
+                },
+                true,
+                true,
+                true,
+            ),
+            (ProtocolSpec::SequentialFourChoice { n_estimate: 64, degree: 8 }, true, true, true),
+            (budgeted(GossipModeSpec::Push), true, false, true),
+            (budgeted(GossipModeSpec::Pull), false, true, true),
+            (budgeted(GossipModeSpec::PushPull), true, true, true),
+            (ProtocolSpec::PushThenPull { n: 64 }, true, true, false),
+            (
+                ProtocolSpec::MedianCounter {
+                    n: 64,
+                    ctr_max: None,
+                    c_rounds: None,
+                    age_cutoff: None,
+                },
+                true,
+                true,
+                false,
+            ),
+            (ProtocolSpec::Quasirandom { max_age: Some(9) }, true, false, true),
+            (ProtocolSpec::FloodPush { policy: PolicySpec::STANDARD }, true, false, true),
+            (ProtocolSpec::FloodPull { policy: PolicySpec::STANDARD }, false, true, true),
+            (ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD }, true, true, true),
+            (ProtocolSpec::Silent, false, false, true),
+            (ablated(true), true, false, true),
+            (ablated(false), true, true, true),
+        ];
+        for (spec, uses_push, uses_pull, oblivious) in table {
+            let proto = spec.build();
+            let label = spec.label();
+            assert_eq!(
+                proto.capabilities(),
+                Capabilities { uses_push, uses_pull, oblivious },
+                "{label}"
+            );
+            if !oblivious {
+                continue;
+            }
+            let state = proto.init(false);
+            let last = proto.deadline().unwrap_or(40) + 2;
+            for t in 1..=last {
+                for informed_at in 0..=t {
+                    let plan = |is_creator| {
+                        proto.plan(NodeView { informed_at, is_creator, state: &state }, t)
+                    };
+                    let at = informed_at;
+                    assert_eq!(plan(true), plan(false), "{label}: informed_at {at}, t {t}");
+                }
+            }
+        }
     }
 
     #[test]

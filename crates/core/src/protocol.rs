@@ -1,4 +1,6 @@
-use rrb_engine::{ChoicePolicy, NodeView, Observation, Plan, Protocol, Round, RumorMeta};
+use rrb_engine::{
+    Capabilities, ChoicePolicy, NodeView, Observation, Plan, Protocol, Round, RumorMeta,
+};
 
 use crate::{FourChoiceBuilder, Phase, PhaseSchedule};
 #[cfg(test)]
@@ -13,6 +15,11 @@ use crate::AlgorithmVariant;
 /// reception times) — it even fits the restricted model the lower bound of
 /// Theorem 1 is proved in. In particular, the `active` flag of Phase 4 is
 /// exactly "`informed_at` falls in phase 3 or 4" and needs no extra state.
+/// It says so through [`Capabilities::oblivious`], which lets the engine
+/// skip storing copies to informed nodes, skip the (empty) updates and
+/// skip planning in rounds where no reception round transmits — most of
+/// its O(n log log n) copies land on informed nodes, and most of its
+/// phase-4 rounds are silent.
 ///
 /// Construct via [`FourChoice::for_graph`] (all defaults),
 /// [`FourChoice::builder`] (full control) or
@@ -117,6 +124,10 @@ impl Protocol for FourChoice {
 
     fn deadline(&self) -> Option<Round> {
         Some(self.schedule.end())
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities { oblivious: true, ..Capabilities::ALL }
     }
 }
 

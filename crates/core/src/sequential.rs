@@ -1,4 +1,6 @@
-use rrb_engine::{ChoicePolicy, NodeView, Observation, Plan, Protocol, Round, RumorMeta};
+use rrb_engine::{
+    Capabilities, ChoicePolicy, NodeView, Observation, Plan, Protocol, Round, RumorMeta,
+};
 
 use crate::{FourChoice, Phase, PhaseSchedule};
 
@@ -109,6 +111,10 @@ impl Protocol for SequentialFourChoice {
 
     fn deadline(&self) -> Option<Round> {
         Some(self.schedule.end())
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities { oblivious: true, ..Capabilities::ALL }
     }
 }
 

@@ -49,9 +49,10 @@ impl Plan {
 }
 
 /// Static description of the transmission directions a protocol can ever
-/// use, reported by [`Protocol::capabilities`].
+/// use and of whether it is oblivious, reported by
+/// [`Protocol::capabilities`].
 ///
-/// The engine uses this to pick fast paths. The key one: if a protocol
+/// The engine uses this to pick fast paths. The first: if a protocol
 /// never serves pulls (`uses_pull == false`), channels opened by
 /// *uninformed* nodes can never carry a rumour (a push travels
 /// caller→callee, and an uninformed caller has nothing to push; a pull
@@ -60,26 +61,44 @@ impl Plan {
 /// *counted* — channel opening is part of the model — but cost no RNG
 /// draws and no buffer traffic.
 ///
+/// The second shortcut is [`oblivious`](Self::oblivious): the paper's
+/// restricted model (Theorem 1), in which every decision is a function of
+/// the round and the node's reception round. For such a protocol the
+/// single-rumour engine never stores a copy delivered to an already
+/// informed node (it still counts it), makes no `update` calls, and in a
+/// round in which no reception round transmits it plans no node at all.
+///
 /// Capabilities must be **conservative**: report a direction as used if the
-/// protocol could ever transmit in it. The default is [`Capabilities::ALL`],
-/// which disables every capability-gated shortcut.
+/// protocol could ever transmit in it, and claim `oblivious` only if its
+/// contract holds. The default is [`Capabilities::ALL`], which disables
+/// every capability-gated shortcut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// The protocol may push (caller → callee) in some round.
     pub uses_push: bool,
     /// The protocol may pull-serve (callee → caller) in some round.
     pub uses_pull: bool,
+    /// [`Protocol::plan`] is a function of `(view.informed_at, t)` only —
+    /// it ignores `view.state` and `view.is_creator` — and
+    /// [`Protocol::update`] never changes the state. None of the constants
+    /// below sets it; a protocol opts in with
+    /// `Capabilities { oblivious: true, ..Capabilities::ALL }`.
+    pub oblivious: bool,
 }
 
 impl Capabilities {
     /// Both directions possible (the conservative default).
-    pub const ALL: Capabilities = Capabilities { uses_push: true, uses_pull: true };
+    pub const ALL: Capabilities =
+        Capabilities { uses_push: true, uses_pull: true, oblivious: false };
     /// Push-only protocols (flood push, budgeted push, quasirandom push).
-    pub const PUSH_ONLY: Capabilities = Capabilities { uses_push: true, uses_pull: false };
+    pub const PUSH_ONLY: Capabilities =
+        Capabilities { uses_push: true, uses_pull: false, oblivious: false };
     /// Pull-only protocols (flood pull, budgeted pull).
-    pub const PULL_ONLY: Capabilities = Capabilities { uses_push: false, uses_pull: true };
+    pub const PULL_ONLY: Capabilities =
+        Capabilities { uses_push: false, uses_pull: true, oblivious: false };
     /// Never transmits at all.
-    pub const SILENT: Capabilities = Capabilities { uses_push: false, uses_pull: false };
+    pub const SILENT: Capabilities =
+        Capabilities { uses_push: false, uses_pull: false, oblivious: false };
 }
 
 impl Default for Capabilities {
@@ -137,6 +156,10 @@ pub trait Protocol: Send + Sync {
     /// at least one copy this round, *and* for every informed node (so
     /// counter-based protocols can advance even in silent rounds); `informed_at`
     /// is `Some` iff the node is informed after this round's exchanges.
+    ///
+    /// This does not hold for a protocol whose capabilities declare it
+    /// [`oblivious`](Capabilities::oblivious): the single-rumour engine then
+    /// makes no `update` calls at all, since they could change nothing.
     fn update(
         &self,
         state: &mut Self::State,
@@ -173,13 +196,13 @@ mod tests {
     fn capabilities_constants_and_default() {
         assert_eq!(Capabilities::default(), Capabilities::ALL);
         let cases = [
-            (Capabilities::ALL, true, true),
-            (Capabilities::PUSH_ONLY, true, false),
-            (Capabilities::PULL_ONLY, false, true),
-            (Capabilities::SILENT, false, false),
+            (Capabilities::ALL, true, true, false),
+            (Capabilities::PUSH_ONLY, true, false, false),
+            (Capabilities::PULL_ONLY, false, true, false),
+            (Capabilities::SILENT, false, false, false),
         ];
-        for (caps, uses_push, uses_pull) in cases {
-            assert_eq!(caps, Capabilities { uses_push, uses_pull });
+        for (caps, uses_push, uses_pull, oblivious) in cases {
+            assert_eq!(caps, Capabilities { uses_push, uses_pull, oblivious });
         }
     }
 

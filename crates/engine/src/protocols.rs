@@ -54,7 +54,7 @@ impl Protocol for FloodPush {
     }
 
     fn capabilities(&self) -> Capabilities {
-        Capabilities::PUSH_ONLY
+        Capabilities { oblivious: true, ..Capabilities::PUSH_ONLY }
     }
 }
 
@@ -104,7 +104,7 @@ impl Protocol for FloodPull {
     }
 
     fn capabilities(&self) -> Capabilities {
-        Capabilities::PULL_ONLY
+        Capabilities { oblivious: true, ..Capabilities::PULL_ONLY }
     }
 }
 
@@ -151,6 +151,10 @@ impl Protocol for FloodPushPull {
     fn is_quiescent(&self, _state: &Self::State, _informed_at: Round, _t: Round) -> bool {
         false
     }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities { oblivious: true, ..Capabilities::ALL }
+    }
 }
 
 /// A protocol that never transmits; useful for tests of the quiescence
@@ -185,7 +189,7 @@ impl Protocol for SilentProtocol {
     }
 
     fn capabilities(&self) -> Capabilities {
-        Capabilities::SILENT
+        Capabilities { oblivious: true, ..Capabilities::SILENT }
     }
 }
 
@@ -203,8 +207,10 @@ impl Protocol for SilentProtocol {
 ///
 /// Nodes become quiescent only after the deadline, so a run to quiescence
 /// walks the whole tail. It reports [`Capabilities::ALL`], so no
-/// capability shortcut applies, and rounds with and without pulls
-/// alternate the way they do in the paper's algorithm.
+/// capability shortcut applies — not even the oblivious one its schedule
+/// would qualify for: it is the reference that keeps the engine's general
+/// path covered — and rounds with and without pulls alternate the way
+/// they do in the paper's algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct Phased {
     policy: ChoicePolicy,
@@ -331,9 +337,10 @@ mod tests {
     #[test]
     fn capabilities_match_directions() {
         use crate::Capabilities;
-        assert_eq!(FloodPush::new().capabilities(), Capabilities::PUSH_ONLY);
-        assert_eq!(FloodPull::new().capabilities(), Capabilities::PULL_ONLY);
-        assert_eq!(FloodPushPull::new().capabilities(), Capabilities::ALL);
-        assert_eq!(SilentProtocol.capabilities(), Capabilities::SILENT);
+        let oblivious = |caps: Capabilities| Capabilities { oblivious: true, ..caps };
+        assert_eq!(FloodPush::new().capabilities(), oblivious(Capabilities::PUSH_ONLY));
+        assert_eq!(FloodPull::new().capabilities(), oblivious(Capabilities::PULL_ONLY));
+        assert_eq!(FloodPushPull::new().capabilities(), oblivious(Capabilities::ALL));
+        assert_eq!(SilentProtocol.capabilities(), oblivious(Capabilities::SILENT));
     }
 }

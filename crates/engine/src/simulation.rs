@@ -178,6 +178,16 @@ pub struct SimState<P: Protocol> {
     /// `None` — the default — rounds take no clock reads and no extra
     /// work of any kind.
     probe: Option<BoxedProbe>,
+    /// Latest round in which a node was newly informed (0: the creator).
+    /// Every informed node's reception round lies in `0..=latest_informed_at`,
+    /// which is all an oblivious protocol's planning depends on.
+    latest_informed_at: Round,
+    /// A `protocol.init(false)` state to plan reception-round buckets with
+    /// (an oblivious protocol's plan ignores it).
+    bucket_state: P::State,
+    /// Every standing plan is `SILENT` (so a silent round of an oblivious
+    /// protocol need not rewrite them).
+    plans_silent: bool,
     // Scratch buffers reused across rounds (allocation-free once warm).
     fabric: ChannelFabric,
     plans: Vec<Plan>,
@@ -214,6 +224,9 @@ impl<P: Protocol> SimState<P> {
             history: Vec::new(),
             faults: None,
             probe: None,
+            latest_informed_at: 0,
+            bucket_state: protocol.init(false),
+            plans_silent: true,
             fabric: ChannelFabric::new(node_count),
             plans: vec![Plan::SILENT; node_count],
             empty_obs: Observation::default(),
@@ -568,11 +581,25 @@ impl<P: Protocol> SimState<P> {
     /// land in disjoint per-shard chunks of the plan buffer. Builds the
     /// shard runtime on the first round. Returns whether any node
     /// pull-serves this round.
+    ///
+    /// An oblivious protocol is first asked once per reception round in
+    /// `0..=latest_informed_at`; if none transmits, no node is planned
+    /// and every standing plan stays (or is reset once to) `SILENT`.
     fn plan_sharded(&mut self, n: usize, t: Round, protocol: &P, shards: usize) -> bool {
         let informed = &self.informed;
         let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
         rt.ensure_len(n);
         let rt = &*rt;
+        if protocol.capabilities().oblivious
+            && !bucket_transmits(protocol, &self.bucket_state, self.latest_informed_at, t)
+        {
+            if !self.plans_silent {
+                self.plans.fill(Plan::SILENT);
+                self.plans_silent = true;
+            }
+            return false;
+        }
+        self.plans_silent = false;
         let layout = rt.layout;
         let probing = self.probe.is_some();
         let states = &self.states;
@@ -627,6 +654,7 @@ impl<P: Protocol> SimState<P> {
         rng: &mut R,
     ) -> (u64, u64, usize) {
         let probing = self.probe.is_some();
+        let oblivious = protocol.capabilities().oblivious;
         let rt = self.shard_rt.as_mut().expect("shard runtime");
         let layout = rt.layout;
         let count = layout.count();
@@ -667,10 +695,12 @@ impl<P: Protocol> SimState<P> {
         // receipts — same-shard ones included — go through the outboxes
         // so the merge phase can reproduce the global caller order; a
         // lone shard's caller order already is that order, so it records
-        // them directly too.
+        // them directly too. An oblivious protocol's copies to nodes
+        // informed before the round are counted and dropped.
         let (push_tx, pull_tx) = {
             let fabric = &self.fabric;
             let plans = &self.plans;
+            let informed = &self.informed;
             let ShardRuntime { arenas, outboxes, push_ok, pull_ok, .. } = &mut *rt;
             let push_ok = &*push_ok;
             let pull_ok = &*pull_ok;
@@ -700,6 +730,7 @@ impl<P: Protocol> SimState<P> {
                         fast_path,
                         any_pull,
                         tx_draws,
+                        oblivious.then_some(informed),
                         &mut arena,
                         &mut outbox,
                     );
@@ -759,6 +790,7 @@ impl<P: Protocol> SimState<P> {
                     let base = layout.range(s, n).start;
                     shard_merge_digest(
                         protocol,
+                        oblivious,
                         outboxes,
                         informed,
                         census,
@@ -794,6 +826,7 @@ impl<P: Protocol> SimState<P> {
                 let i = gi as usize;
                 if self.informed.mark(i, t) {
                     newly_informed += 1;
+                    self.latest_informed_at = t;
                     if self.census.is_effective(i) {
                         self.alive_informed += 1;
                     }
@@ -873,6 +906,16 @@ fn plan_list<P: Protocol>(
     any_pull
 }
 
+/// Whether an oblivious protocol transmits in round `t` from any
+/// reception round in `0..=latest` (a superset of the occupied ones):
+/// O(rounds) plan calls instead of one per informed node.
+// rrb-lint: hot
+fn bucket_transmits<P: Protocol>(protocol: &P, state: &P::State, latest: Round, t: Round) -> bool {
+    (0..=latest).any(|informed_at| {
+        protocol.plan(NodeView { informed_at, is_creator: false, state }, t).transmits()
+    })
+}
+
 /// One shard's exchange fan-out over its own callers' channels. Delivery
 /// outcomes come from the serial pre-draw tables (`push_ok`/`pull_ok`,
 /// unused when `tx_draws` is false) — no RNG here. Pull receipts are
@@ -881,7 +924,9 @@ fn plan_list<P: Protocol>(
 /// with a single shard: there every receiver is local and caller order
 /// is the merge order, so they are recorded straight into the arena too
 /// (the outbox would hold every receipt a second time). Callee plans are
-/// read only when `any_pull` says some node pull-serves.
+/// read only when `any_pull` says some node pull-serves. With `skip_informed`
+/// (an oblivious protocol) a copy to a node informed before the round is
+/// counted but not stored: it would inform nobody and feed no update.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_exchange(
@@ -894,11 +939,13 @@ fn shard_exchange(
     fast_path: bool,
     any_pull: bool,
     tx_draws: bool,
+    skip_informed: Option<&InformedIndex>,
     arena: &mut ObservationArena,
     outbox: &mut [Vec<(u32, RumorMeta)>],
 ) -> (u64, u64) {
     let base = range.start;
     let direct = layout.count() == 1;
+    let stores = |w: usize| skip_informed.is_none_or(|ix| !ix.is_informed(w));
     let mut push_tx = 0u64;
     let mut pull_tx = 0u64;
     for i in range {
@@ -907,6 +954,7 @@ fn shard_exchange(
             continue;
         }
         let caller_plan = plans[i];
+        let caller_stores = stores(i);
         for c in out {
             if !fast_path && !fabric.usable(c) {
                 continue;
@@ -916,7 +964,7 @@ fn shard_exchange(
             // but not delivered: the copy was sent and lost).
             if caller_plan.push {
                 push_tx += 1;
-                if !tx_draws || push_ok[c] {
+                if (!tx_draws || push_ok[c]) && stores(w) {
                     if direct {
                         arena.record_push(w - base, caller_plan.meta);
                     } else {
@@ -929,7 +977,7 @@ fn shard_exchange(
                 let callee_plan = plans[w];
                 if callee_plan.pull_serve {
                     pull_tx += 1;
-                    if !tx_draws || pull_ok[c] {
+                    if (!tx_draws || pull_ok[c]) && caller_stores {
                         arena.record_pull(i - base, callee_plan.meta);
                     }
                 }
@@ -944,11 +992,14 @@ fn shard_exchange(
 /// ranges, so this reproduces the global caller order), build the shard
 /// arena, digest touched receivers and informed-but-silent nodes into
 /// this shard's state chunk. Newly informed slots are only *reported*
-/// (`newly`); the serial finalize applies the marks.
+/// (`newly`); the serial finalize applies the marks. An `oblivious`
+/// protocol's updates change nothing, so none is made, and its exchange
+/// stored copies to uninformed receivers only: every touched slot is new.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_merge_digest<P: Protocol>(
     protocol: &P,
+    oblivious: bool,
     outboxes: &[Vec<Vec<(u32, RumorMeta)>>],
     informed: &InformedIndex,
     census: &AliveCensus,
@@ -967,8 +1018,12 @@ fn shard_merge_digest<P: Protocol>(
             arena.record_push(w as usize - base, meta);
         }
     }
-    arena.build();
     newly.clear();
+    if oblivious {
+        newly.extend(arena.touched().iter().map(|&li| (base + li as usize) as u32));
+        return;
+    }
+    arena.build();
     for dense in 0..arena.touched().len() {
         let li = arena.touched()[dense] as usize;
         let gi = base + li;
@@ -1010,6 +1065,7 @@ fn shard_merge_digest<P: Protocol>(
 mod tests {
     use super::*;
     use crate::protocols::{FloodPush, FloodPushPull, Phased, SilentProtocol};
+    use crate::Capabilities;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rrb_graph::gen;
@@ -1141,10 +1197,19 @@ mod tests {
         Phased::new(3, 6, 60)
     }
 
+    /// The same schedule declared oblivious (its plan reads only the round
+    /// and the reception round): on K64 everyone is informed by round 6,
+    /// so its tail is a silent stretch that plans no node, and its
+    /// exchange drops copies to informed nodes.
+    fn oblivious_phased() -> WithCaps<Phased> {
+        WithCaps(phased(), Capabilities { oblivious: true, ..Capabilities::ALL })
+    }
+
     #[test]
     fn steady_state_rounds_do_not_allocate() {
         assert_steady_rounds_do_not_allocate(&FloodPushPull::new(), None);
         assert_steady_rounds_do_not_allocate(&phased(), None);
+        assert_steady_rounds_do_not_allocate(&oblivious_phased(), None);
     }
 
     #[test]
@@ -1281,12 +1346,18 @@ mod tests {
         let _ = SimState::<FloodPush>::new(&proto, 4, NodeId::new(9));
     }
 
-    /// Wrapper forcing the conservative default capabilities, i.e. the
-    /// engine behaviour before the capability-gated sampling skip existed.
+    /// Wrapper declaring the given capabilities for `P`. With
+    /// [`Capabilities::ALL`] it forces the conservative default, i.e. the
+    /// engine behaviour before any capability-gated shortcut existed.
     #[derive(Debug, Clone)]
-    struct ForceAll<P>(P);
+    struct WithCaps<P>(P, Capabilities);
 
-    impl<P: Protocol> Protocol for ForceAll<P> {
+    /// `p` with every capability shortcut disabled.
+    fn force_all<P>(p: P) -> WithCaps<P> {
+        WithCaps(p, Capabilities::ALL)
+    }
+
+    impl<P: Protocol> Protocol for WithCaps<P> {
         type State = P::State;
 
         fn init(&self, creator: bool) -> Self::State {
@@ -1318,7 +1389,10 @@ mod tests {
         fn deadline(&self) -> Option<Round> {
             self.0.deadline()
         }
-        // capabilities(): default ALL — the skip never engages.
+
+        fn capabilities(&self) -> Capabilities {
+            self.1
+        }
     }
 
     #[test]
@@ -1346,7 +1420,7 @@ mod tests {
                 let mut sim = SimState::new(&proto, 48, NodeId::new(0));
                 sim.step(&g, &proto, SimConfig::default(), &mut rng).channels
             } else {
-                let proto = ForceAll(FloodPush::new());
+                let proto = force_all(FloodPush::new());
                 let mut sim = SimState::new(&proto, 48, NodeId::new(0));
                 sim.step(&g, &proto, SimConfig::default(), &mut rng).channels
             }
@@ -1360,7 +1434,7 @@ mod tests {
     #[test]
     fn skip_never_engages_for_pull_using_protocols() {
         // A pull-serving protocol (capabilities ALL) must take the exact
-        // pre-skip code path: byte-identical to the ForceAll wrapper.
+        // pre-skip code path: byte-identical to the `force_all` wrapper.
         let g = gen::complete(64);
         let cfg = SimConfig::default().with_history();
         let native = {
@@ -1369,7 +1443,7 @@ mod tests {
         };
         let forced = {
             let mut rng = SmallRng::seed_from_u64(5);
-            Simulation::new(&g, ForceAll(FloodPushPull::new()), cfg).run(NodeId::new(2), &mut rng)
+            Simulation::new(&g, force_all(FloodPushPull::new()), cfg).run(NodeId::new(2), &mut rng)
         };
         assert_eq!(native, forced);
     }
@@ -1379,7 +1453,7 @@ mod tests {
         // The memoryless-policy query must keep the skip off for
         // SequentialMemory and Cyclic policies even under a push-only
         // protocol: sampling them mutates per-node state (rings, cursors),
-        // so the run must be byte-identical to the ForceAll wrapper that
+        // so the run must be byte-identical to the `force_all` wrapper that
         // disables every capability shortcut.
         let g = gen::complete(48);
         let cfg = SimConfig::default().with_history().with_max_rounds(500);
@@ -1394,7 +1468,7 @@ mod tests {
             };
             let forced = {
                 let mut rng = SmallRng::seed_from_u64(15);
-                Simulation::new(&g, ForceAll(FloodPush::with_policy(policy)), cfg)
+                Simulation::new(&g, force_all(FloodPush::with_policy(policy)), cfg)
                     .run(NodeId::new(2), &mut rng)
             };
             assert_eq!(native, forced, "stateful policy {policy:?} diverged");
@@ -1478,7 +1552,7 @@ mod tests {
             sim.step(&g, &proto, cfg, &mut rng).channels
         };
         let sampled = {
-            let proto = ForceAll(FloodPush::new());
+            let proto = force_all(FloodPush::new());
             let mut sim = SimState::new(&proto, 64, NodeId::new(0));
             let mut rng = SmallRng::seed_from_u64(9);
             sim.step(&g, &proto, cfg, &mut rng).channels
@@ -1557,6 +1631,10 @@ mod tests {
             Some(Box::new(PhaseTimings::new())),
         );
         assert_steady_rounds_do_not_allocate(&phased(), Some(Box::new(PhaseTimings::new())));
+        assert_steady_rounds_do_not_allocate(
+            &oblivious_phased(),
+            Some(Box::new(PhaseTimings::new())),
+        );
     }
 
     use crate::failure::{
