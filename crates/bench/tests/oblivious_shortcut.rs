@@ -1,13 +1,16 @@
-//! Zero-drift proof for the single-rumour engine's oblivious shortcut
+//! Zero-drift proof for the round engines' oblivious shortcut
 //! (`Capabilities::oblivious`): copies to informed nodes counted but not
-//! stored, no `update` calls, no per-node planning in silent rounds.
+//! stored, no `update` calls, no per-node planning of silent reception
+//! rounds.
 //!
 //! Every protocol runs twice from the same seeds: as itself and wrapped
 //! in [`Masked`], which forwards everything but reports
-//! `oblivious: false` and so takes the engine's general path. The full
-//! `RunReport`s, per-round history included, must be equal at 1 and 3
-//! shards, under i.i.d. failure rates, a fault plan, churn with slot
-//! reuse, and both coverage and quiescent stops.
+//! `oblivious: false` and so takes the engine's general path. On the
+//! single-rumour engine the full `RunReport`s, per-round history
+//! included, must be equal at 1 and 3 shards; on the multi-rumour engine
+//! the full `MultiRumorReport`s, per-node deliveries included, for seven
+//! staggered rumours. Both under i.i.d. failure rates, a fault plan,
+//! churn with slot reuse, and both coverage and quiescent stops.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -16,7 +19,8 @@ use rrb_bench::scenario::{GossipModeSpec, PolicySpec, ProtocolSpec, RegimeSpec};
 use rrb_engine::protocols::{FloodPull, FloodPush, FloodPushPull, SilentProtocol};
 use rrb_engine::{
     Capabilities, ChoicePolicy, FailureModel, FaultEvent, FaultPlan, FaultState, GilbertElliott,
-    NodeView, Observation, OutageSpec, Plan, Protocol, Round, RunReport, SimConfig, SimState,
+    MultiRumorReport, MultiSimState, NodeView, Observation, OutageSpec, Plan, Protocol, Round,
+    RoundCounters, RoundProbe, RumorInjection, RunReport, SimConfig, SimState,
 };
 use rrb_graph::{gen, Graph, NodeId};
 use rrb_p2p::{ChurnProcess, Overlay};
@@ -79,6 +83,10 @@ enum Condition {
 
 const CONDITIONS: [Condition; 3] = [Condition::Rates, Condition::Faults, Condition::Churn];
 
+fn rates() -> FailureModel {
+    FailureModel::channels(0.1).with_transmissions(0.15).with_crashes(0.002)
+}
+
 fn fault_plan() -> FaultPlan {
     FaultPlan {
         burst: Some(GilbertElliott::new(0.1, 0.4, 0.02, 0.6)),
@@ -106,9 +114,7 @@ fn run<P: Protocol>(
     let mut sim = SimState::new(proto, N, origin);
     match condition {
         Condition::Rates => {
-            cfg = cfg.with_failures(
-                FailureModel::channels(0.1).with_transmissions(0.15).with_crashes(0.002),
-            );
+            cfg = cfg.with_failures(rates());
             sim.run_to_completion(graph, proto, cfg, &mut rng);
             (sim.into_report(graph, cfg), 0)
         }
@@ -136,16 +142,71 @@ fn run<P: Protocol>(
     }
 }
 
+/// Seven rumours two rounds apart; the second and fifth share birth and
+/// origin with the one before them (they ride the same channels).
+fn injections(seed: u64) -> Vec<RumorInjection> {
+    let origin = |k: u64| NodeId::new(((seed * 31 + k * 57) % N as u64) as usize);
+    [(0, 0), (0, 0), (2, 1), (4, 2), (4, 2), (6, 3), (8, 4)]
+        .into_iter()
+        .map(|(birth, k)| RumorInjection { birth, origin: origin(k) })
+        .collect()
+}
+
+/// The multi-rumour counterpart of [`run`]: [`injections`] broadcast on
+/// `graph` under `condition`. Returns the report and the number of
+/// recycled slots.
+fn run_multi<P: Protocol>(
+    proto: &P,
+    graph: &Graph,
+    condition: Condition,
+    quiescent: bool,
+    seed: u64,
+) -> (MultiRumorReport, usize) {
+    let stop = if quiescent { SimConfig::until_quiescent() } else { SimConfig::default() };
+    let mut cfg = stop.with_max_rounds(60);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut sim = MultiSimState::new(proto, graph, &injections(seed));
+    match condition {
+        Condition::Rates => {
+            cfg = cfg.with_failures(rates());
+            sim.run_to_completion(graph, proto, cfg, &mut rng);
+            (sim.into_report(), 0)
+        }
+        Condition::Faults => {
+            sim.set_faults(Some(FaultState::new(&fault_plan(), N, seed ^ 0xFA17)));
+            sim.run_to_completion(graph, proto, cfg, &mut rng);
+            (sim.into_report(), 0)
+        }
+        Condition::Churn => {
+            let mut overlay = Overlay::from_graph(graph, D).with_slot_reuse(true);
+            let mut churn = ChurnProcess::symmetric(4.0, N / 2);
+            let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
+            let mut rejoined = 0;
+            while !sim.finished(proto, cfg) {
+                sim.step(&overlay, proto, cfg, &mut rng);
+                let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+                overlay.rewire(4, &mut churn_rng);
+                sim.apply_joins(proto, &events.joined);
+                sim.apply_leaves(&events.left);
+                sim.apply_rejoins(proto, &events.rejoined);
+                rejoined += events.rejoined.len();
+            }
+            (sim.into_report(), rejoined)
+        }
+    }
+}
+
 /// Asserts that `proto` and `Masked(proto)` give equal reports at 1 and 3
-/// shards, under every condition, with both stops, from two seeds.
+/// shards on the single-rumour engine and equal multi-rumour reports,
+/// under every condition, with both stops, from two seeds.
 fn assert_shortcut_is_invisible<P: Protocol + Clone>(label: &str, proto: &P, graph: &Graph) {
     let masked = Masked(proto.clone());
     let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
     pool.install(|| {
         for condition in CONDITIONS {
             for quiescent in [false, true] {
-                for shards in [1, 3] {
-                    for seed in [3u64, 8] {
+                for seed in [3u64, 8] {
+                    for shards in [1, 3] {
                         let native = run(proto, graph, condition, quiescent, shards, seed);
                         let general = run(&masked, graph, condition, quiescent, shards, seed);
                         assert_eq!(
@@ -154,6 +215,12 @@ fn assert_shortcut_is_invisible<P: Protocol + Clone>(label: &str, proto: &P, gra
                              seed {seed}"
                         );
                     }
+                    let native = run_multi(proto, graph, condition, quiescent, seed);
+                    let general = run_multi(&masked, graph, condition, quiescent, seed);
+                    assert_eq!(
+                        native, general,
+                        "{label}: multi-rumour, {condition:?}, quiescent {quiescent}, seed {seed}"
+                    );
                 }
             }
         }
@@ -241,5 +308,49 @@ fn the_conditions_reach_the_shortcut() {
     let newly: usize = report.history.iter().map(|r| r.newly_informed).sum();
     assert!(report.total_tx() > 2 * newly as u64, "too few copies to informed nodes");
     let (_, rejoined) = run(&FloodPushPull::new(), &g, Condition::Churn, true, 3, 8);
+    assert!(rejoined > 0, "churn never recycled a slot");
+}
+
+/// Records every round's counters.
+#[derive(Debug, Default)]
+struct Rounds(Vec<RoundCounters>);
+
+impl RoundProbe for Rounds {
+    fn on_round(&mut self, counters: &RoundCounters) {
+        self.0.push(*counters);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn the_conditions_reach_the_multi_rumour_shortcut() {
+    // The multi-rumour twin of the guard above: some rounds plan no node
+    // of any live rumour, most copies land on informed nodes, and churn
+    // recycles slots after the rumours have spread (so informed slots
+    // leave the reception-round groups).
+    let g = graph();
+    let four = ProtocolSpec::FourChoice {
+        n_estimate: N,
+        degree: D,
+        alpha: 1.0,
+        choices: 4,
+        regime: RegimeSpec::Auto,
+    }
+    .build();
+    let mut sim = MultiSimState::new(&four, &g, &injections(3));
+    sim.set_probe(Some(Box::new(Rounds::default())));
+    let cfg = SimConfig::until_quiescent().with_max_rounds(60).with_failures(rates());
+    sim.run_to_completion(&g, &four, cfg, &mut SmallRng::seed_from_u64(3));
+    let probe = sim.take_probe().expect("probe");
+    let rounds = &probe.as_any().downcast_ref::<Rounds>().expect("rounds").0;
+    let report = sim.into_report();
+    let silent = rounds.iter().filter(|r| r.tx == 0).count();
+    assert!(silent > 0, "no round without a sender in {} rounds", report.rounds);
+    let newly: usize = rounds.iter().map(|r| r.newly_informed).sum();
+    assert!(report.total_rumor_tx() > 2 * newly as u64, "too few copies to informed nodes");
+    let (_, rejoined) = run_multi(&four, &g, Condition::Churn, true, 8);
     assert!(rejoined > 0, "churn never recycled a slot");
 }

@@ -15,11 +15,12 @@ use crate::AlgorithmVariant;
 /// reception times) — it even fits the restricted model the lower bound of
 /// Theorem 1 is proved in. In particular, the `active` flag of Phase 4 is
 /// exactly "`informed_at` falls in phase 3 or 4" and needs no extra state.
-/// It says so through [`Capabilities::oblivious`], which lets the engine
-/// skip storing copies to informed nodes, skip the (empty) updates and
-/// skip planning in rounds where no reception round transmits — most of
-/// its O(n log log n) copies land on informed nodes, and most of its
-/// phase-4 rounds are silent.
+/// It says so through [`Capabilities::oblivious`], which lets both round
+/// engines (single- and multi-rumour) skip storing copies to informed
+/// nodes, skip the (empty) updates and skip planning the reception rounds
+/// that do not transmit — most of its O(n log log n) copies land on
+/// informed nodes, and most of its phase-1 and phase-4 rounds are silent
+/// for all but a few reception rounds.
 ///
 /// Construct via [`FourChoice::for_graph`] (all defaults),
 /// [`FourChoice::builder`] (full control) or

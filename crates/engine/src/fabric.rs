@@ -411,6 +411,41 @@ impl InformedIndex {
         Some(p)
     }
 
+    /// Forgets node `i` like [`unmark`](Self::unmark), in a list grouped
+    /// by reception round: `ends[k]` is the exclusive end of round `k`'s
+    /// group (the last entry is the list length). Every later group
+    /// shifts left by one — its last member fills the hole — so the list
+    /// stays grouped at O(rounds) moves; `parallel`, a list-parallel
+    /// vector, gets the same moves. Returns `false` if `i` was not
+    /// informed.
+    pub(crate) fn unmark_grouped<S>(
+        &mut self,
+        i: usize,
+        ends: &mut [u32],
+        parallel: &mut Vec<S>,
+    ) -> bool {
+        let p = self.pos[i];
+        if p == NOT_INFORMED {
+            return false;
+        }
+        debug_assert_eq!(ends.last().copied(), Some(self.list.len() as u32));
+        let mut hole = p as usize;
+        for end in &mut ends[self.at[hole] as usize..] {
+            *end -= 1;
+            let last = *end as usize;
+            self.list.swap(hole, last);
+            self.at.swap(hole, last);
+            parallel.swap(hole, last);
+            self.pos[self.list[hole] as usize] = hole as u32;
+            hole = last;
+        }
+        self.list.pop();
+        self.at.pop();
+        parallel.pop();
+        self.pos[i] = NOT_INFORMED;
+        true
+    }
+
     /// Accommodates topology growth (new slots join uninformed).
     pub(crate) fn ensure_len(&mut self, node_count: usize) {
         if self.pos.len() < node_count {
@@ -674,6 +709,36 @@ mod tests {
         let at = ix.into_informed_at();
         assert_eq!(at[4], Some(0));
         assert_eq!(at[2], None);
+    }
+
+    #[test]
+    fn informed_index_unmark_grouped_keeps_reception_round_groups() {
+        // Groups: round 0 = {3}, round 1 = {7, 2, 6}, round 2 (empty),
+        // round 3 = {5, 1}.
+        let mut ix = InformedIndex::new(8);
+        for (i, at) in [(3usize, 0u32), (7, 1), (2, 1), (6, 1), (5, 3), (1, 3)] {
+            assert!(ix.mark(i, at));
+        }
+        let mut ends = vec![1, 4, 4, 6];
+        let mut tags: Vec<u32> = ix.list().to_vec();
+        // Removing from round 1 fills the hole from its own group, then
+        // shifts round 3's group left by one.
+        assert!(ix.unmark_grouped(7, &mut ends, &mut tags));
+        assert_eq!(ix.list(), &[3, 6, 2, 1, 5]);
+        assert_eq!(ends, [1, 3, 3, 5]);
+        assert_eq!(tags, ix.list(), "the parallel vector follows every move");
+        for (p, &i) in ix.list().iter().enumerate() {
+            assert_eq!(ix.pos(i as usize), Some(p));
+        }
+        let rounds: Vec<Round> = (0..ix.len()).map(|p| ix.at_pos(p)).collect();
+        assert_eq!(rounds, [0, 1, 1, 3, 3]);
+        assert!(!ix.unmark_grouped(7, &mut ends, &mut tags), "double unmark is a no-op");
+        // The creator's removal empties round 0.
+        assert!(ix.unmark_grouped(3, &mut ends, &mut tags));
+        assert_eq!(ends, [0, 2, 2, 4]);
+        let rounds: Vec<Round> = (0..ix.len()).map(|p| ix.at_pos(p)).collect();
+        assert_eq!(rounds, [1, 1, 3, 3]);
+        assert_eq!(tags, ix.list());
     }
 
     #[test]

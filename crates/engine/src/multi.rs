@@ -7,6 +7,7 @@ use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
 use crate::failure::{fault_phase, FaultState};
 use crate::observation::ObservationArena;
+use crate::protocol::reception_round_plans;
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
 use crate::{NodeView, Observation, Plan, Protocol, Round, SimConfig, Topology};
 
@@ -123,15 +124,23 @@ impl MultiRumorReport {
 ///    rumours; the capability-gated push-only sampling skip applies to
 ///    callers informed of *no* active rumour. Pull-capable protocols also
 ///    get a reverse (incoming-channel) index, built once per round.
-/// 4. **Plans** — each active rumour's informed nodes are planned into a
-///    flat CSR plan store: `O(informed · rumours)`, not `O(n · rumours)`.
+/// 4. **Plans** — each active rumour's senders are planned into a flat
+///    CSR plan store: `O(informed · rumours)`, not `O(n · rumours)`. An
+///    [`oblivious`](crate::Capabilities::oblivious) protocol is asked once
+///    per reception round on the rumour's local clock (the helper the
+///    single engine shares), and only the groups of reception rounds that
+///    transmit are walked — a rumour none of whose rounds transmits plans
+///    no node.
 /// 5. **Direction census** — one `O(channels)` pass counts combined
 ///    messages and draws each channel-direction's transmission failure
 ///    **once**, so a combined message succeeds or fails atomically for
 ///    every rumour it carries (§1.2).
 /// 6. **Exchanges + digest** per rumour, walking only the rumour's
-///    informed senders (forward lists for pushes, reverse index for
-///    pulls) and the observation arena's touched receivers.
+///    senders (forward lists for pushes, reverse index for pulls) and the
+///    observation arena's touched receivers. For an oblivious protocol
+///    every copy is still counted, but only copies to nodes uninformed of
+///    the rumour are acted on — they mark the receiver at once — and the
+///    digest makes no `update` call, so the arena is not used.
 /// 7. **Coverage** — per-rumour alive-informed counters are maintained
 ///    incrementally; no `O(n)` rescans.
 ///
@@ -170,6 +179,12 @@ pub struct MultiSimState<P: Protocol> {
     /// `O(informed)` resident state.
     states: Vec<Vec<P::State>>,
     informed: Vec<InformedIndex>,
+    /// Oblivious protocols only: rumour `r`'s informed list is kept
+    /// grouped by reception round, `round_ends[r][k]` being the exclusive
+    /// end of round `k`'s group, up to the latest reception round — all an
+    /// oblivious plan depends on. (The general path keeps the plain
+    /// discovery order, which its updates can observe.)
+    round_ends: Vec<Vec<u32>>,
     alive_informed: Vec<usize>,
     full_coverage_at: Vec<Option<Round>>,
     tx: Vec<u64>,
@@ -207,11 +222,15 @@ pub struct MultiSimState<P: Protocol> {
     arena: ObservationArena,
     scratch_obs: Observation,
     empty_obs: Observation,
-    /// CSR plan store: rumour `r`'s plans for its informed-list snapshot
-    /// live at `plan_start[r] .. plan_start[r] + snap_len[r]`.
-    plan_store: Vec<Plan>,
+    /// CSR plan store of this round's senders: rumour `r`'s transmitting
+    /// nodes and their plans, in informed-list order, live at
+    /// `plan_start[r] .. plan_start[r] + plan_len[r]`.
+    plan_store: Vec<(u32, Plan)>,
     plan_start: Vec<u32>,
-    snap_len: Vec<u32>,
+    plan_len: Vec<u32>,
+    /// A `protocol.init(false)` to ask an oblivious protocol's
+    /// [`reception_round_plans`] with (its plan ignores the state).
+    bucket_state: P::State,
     /// Per node: does any active rumour push from / pull-serve at it this
     /// round (lazily reset via `plan_touched`).
     push_any: Vec<bool>,
@@ -261,6 +280,7 @@ impl<P: Protocol> MultiSimState<P> {
             census,
             states,
             informed,
+            round_ends: vec![vec![1]; nr],
             alive_informed,
             full_coverage_at: vec![None; nr],
             tx: vec![0; nr],
@@ -282,7 +302,8 @@ impl<P: Protocol> MultiSimState<P> {
             empty_obs: Observation::default(),
             plan_store: Vec::new(),
             plan_start: vec![0; nr],
-            snap_len: vec![0; nr],
+            plan_len: vec![0; nr],
+            bucket_state: protocol.init(false),
             push_any: vec![false; n],
             pull_any: vec![false; n],
             plan_touched: Vec::new(),
@@ -404,15 +425,19 @@ impl<P: Protocol> MultiSimState<P> {
     /// bookkeeping, crash/suspension flags — belonged to the departed peer
     /// and is reset; the census bumps the slot's generation tag.
     pub fn apply_rejoins(&mut self, protocol: &P, rejoined: &[NodeId]) {
+        let grouped = protocol.capabilities().oblivious;
         for &v in rejoined {
             let i = v.index();
             self.ensure_len(protocol, i + 1);
             let was_effective = self.census.is_effective(i);
             for r in 0..self.births.len() {
-                if let Some(p) = self.informed[r].unmark(i) {
-                    // Keep the sparse state vector aligned with the index
-                    // list's swap_remove.
-                    self.states[r].swap_remove(p);
+                // Keep the sparse state vector aligned with the index list.
+                let unmarked = if grouped {
+                    self.informed[r].unmark_grouped(i, &mut self.round_ends[r], &mut self.states[r])
+                } else {
+                    self.informed[r].unmark(i).map(|p| self.states[r].swap_remove(p)).is_some()
+                };
+                if unmarked {
                     if was_effective {
                         self.alive_informed[r] -= 1;
                     }
@@ -441,6 +466,7 @@ impl<P: Protocol> MultiSimState<P> {
             self.scratch_obs.pushes.capacity(),
             self.scratch_obs.pulls.capacity(),
             self.informed.iter().map(InformedIndex::capacity).sum(),
+            self.round_ends.iter().map(Vec::capacity).sum(),
         ]);
         caps.extend(self.arena.capacities());
         caps
@@ -525,7 +551,8 @@ impl<P: Protocol> MultiSimState<P> {
         self.ensure_len(protocol, n);
         self.census.adopt_new_slots(topo);
         let policy = protocol.choice_policy();
-        let uses_pull = protocol.capabilities().uses_pull;
+        let caps = protocol.capabilities();
+        let uses_pull = caps.uses_pull;
         self.round += 1;
         let t = self.round;
         // Phase attribution clock: armed only when a probe is installed,
@@ -611,9 +638,11 @@ impl<P: Protocol> MultiSimState<P> {
         }
         clock.lap(&mut self.probe, StepPhase::Fabric);
 
-        // Phase 4: plans. Each active rumour's informed snapshot is planned
-        // into the flat CSR plan store; per-node any-rumour transmit flags
-        // feed the direction census below.
+        // Phase 4: plans. Each active rumour's senders are planned into
+        // the flat CSR plan store; per-node any-rumour transmit flags feed
+        // the direction census below. An oblivious protocol is asked once
+        // per reception round on the rumour's local clock, and only the
+        // groups of rounds that transmit are walked.
         for &i in &self.plan_touched {
             self.push_any[i as usize] = false;
             self.pull_any[i as usize] = false;
@@ -626,25 +655,44 @@ impl<P: Protocol> MultiSimState<P> {
                 continue;
             }
             let tl = t - self.births[r];
-            self.plan_start[r] = self.plan_store.len() as u32;
-            let snap = self.informed[r].len();
-            self.snap_len[r] = snap as u32;
-            for idx in 0..snap {
-                let i = self.informed[r].list()[idx] as usize;
-                let v = NodeId::new(i);
-                let plan = if self.census.is_participating(i) {
+            let start = self.plan_store.len();
+            self.plan_start[r] = start as u32;
+            let list = self.informed[r].list();
+            if caps.oblivious {
+                let ends = &self.round_ends[r];
+                let latest = ends.len() as Round - 1;
+                let plans = reception_round_plans(protocol, &self.bucket_state, latest, tl);
+                let mut lo = 0;
+                for (plan, &hi) in plans.zip(ends) {
+                    if plan.transmits() {
+                        for &i in &list[lo..hi as usize] {
+                            if self.census.is_participating(i as usize) {
+                                self.plan_store.push((i, plan));
+                            }
+                        }
+                    }
+                    lo = hi as usize;
+                }
+            } else {
+                for (idx, &i) in list.iter().enumerate() {
+                    if !self.census.is_participating(i as usize) {
+                        continue;
+                    }
                     let view = NodeView {
                         informed_at: self.informed[r].at_pos(idx),
-                        is_creator: v == self.origins[r],
+                        is_creator: NodeId::new(i as usize) == self.origins[r],
                         state: &self.states[r][idx],
                     };
-                    protocol.plan(view, tl)
-                } else {
-                    Plan::SILENT
-                };
-                self.plan_store.push(plan);
-                if (plan.push && !self.push_any[i]) || (plan.pull_serve && !self.pull_any[i])
-                {
+                    let plan = protocol.plan(view, tl);
+                    if plan.transmits() {
+                        self.plan_store.push((i, plan));
+                    }
+                }
+            }
+            self.plan_len[r] = (self.plan_store.len() - start) as u32;
+            for &(i, plan) in &self.plan_store[start..] {
+                let i = i as usize;
+                if (plan.push && !self.push_any[i]) || (plan.pull_serve && !self.pull_any[i]) {
                     self.plan_touched.push(i as u32);
                 }
                 self.push_any[i] |= plan.push;
@@ -696,9 +744,14 @@ impl<P: Protocol> MultiSimState<P> {
         // Phase 6: per-rumour exchanges and digest over the shared fabric.
         // Pushes walk the rumour's informed senders' forward channel lists;
         // pulls walk its servers' incoming channels via the reverse index —
-        // O(informed · fanout + receipts) per rumour, never O(n).
+        // O(informed · fanout + receipts) per rumour, never O(n). Every
+        // copy is counted. An oblivious protocol's copies are not stored:
+        // a copy to an uninformed receiver marks it at once (so receivers
+        // join the informed list in the order the arena would first have
+        // touched them) and the rest inform nobody and feed no update.
         let effective_alive = self.effective_alive();
-        let mut round_tx = 0u64;
+        let mut push_tx = 0u64;
+        let mut pull_tx = 0u64;
         let mut newly_informed = 0usize;
         for ai in 0..active_end {
             let r = self.activation_order[ai] as usize;
@@ -706,93 +759,86 @@ impl<P: Protocol> MultiSimState<P> {
                 continue;
             }
             let tl = t - self.births[r];
-            let pstart = self.plan_start[r] as usize;
-            let snap = self.snap_len[r] as usize;
-            self.arena.begin_round();
-            let mut tx = 0u64;
-            for idx in 0..snap {
-                let plan = self.plan_store[pstart + idx];
+            let senders = self.plan_start[r] as usize
+                ..(self.plan_start[r] + self.plan_len[r]) as usize;
+            let known = self.informed[r].len();
+            if !caps.oblivious {
+                self.arena.begin_round();
+            }
+            let mut rumor_push = 0u64;
+            let mut rumor_pull = 0u64;
+            for k in senders.clone() {
+                let (i, plan) = self.plan_store[k];
                 if !plan.push {
                     continue;
                 }
-                let i = self.informed[r].list()[idx] as usize;
-                for c in self.fabric.out_range(i) {
+                for c in self.fabric.out_range(i as usize) {
                     if !self.fabric.usable(c) {
                         continue;
                     }
-                    tx += 1;
-                    if !draw_tx || self.push_ok[c] {
-                        self.arena.record_push(self.fabric.target(c).index(), plan.meta);
+                    rumor_push += 1;
+                    if draw_tx && !self.push_ok[c] {
+                        continue;
+                    }
+                    let w = self.fabric.target(c).index();
+                    if caps.oblivious {
+                        self.informed[r].mark(w, tl);
+                    } else {
+                        self.arena.record_push(w, plan.meta);
                     }
                 }
             }
             if uses_pull {
-                for idx in 0..snap {
-                    let plan = self.plan_store[pstart + idx];
+                for k in senders {
+                    let (w, plan) = self.plan_store[k];
                     if !plan.pull_serve {
                         continue;
                     }
-                    let w = self.informed[r].list()[idx] as usize;
-                    for &(c, caller) in self.fabric.incoming(w) {
+                    for &(c, caller) in self.fabric.incoming(w as usize) {
                         if !self.fabric.usable(c as usize) {
                             continue;
                         }
-                        tx += 1;
-                        if !draw_tx || self.pull_ok[c as usize] {
+                        rumor_pull += 1;
+                        if draw_tx && !self.pull_ok[c as usize] {
+                            continue;
+                        }
+                        if caps.oblivious {
+                            self.informed[r].mark(caller as usize, tl);
+                        } else {
                             self.arena.record_pull(caller as usize, plan.meta);
                         }
                     }
                 }
             }
-            self.tx[r] += tx;
-            round_tx += tx;
+            self.tx[r] += rumor_push + rumor_pull;
+            push_tx += rumor_push;
+            pull_tx += rumor_pull;
             // The direction census above (run once, before the first
             // rumour) rides in the first Exchange lap; later laps cover
             // only their rumour's sends.
             clock.lap(&mut self.probe, StepPhase::Exchange);
 
-            // Digest: receivers via the arena's touched list, then
-            // informed-but-silent nodes via the snapshot.
-            self.arena.build();
-            for dense in 0..self.arena.touched().len() {
-                let i = self.arena.touched()[dense] as usize;
-                let (pushes, pulls) = self.arena.segment(dense);
-                self.scratch_obs.pushes.clear();
-                self.scratch_obs.pulls.clear();
-                self.scratch_obs.pushes.extend_from_slice(pushes);
-                self.scratch_obs.pulls.extend_from_slice(pulls);
-                if self.informed[r].mark(i, tl) {
-                    newly_informed += 1;
+            if caps.oblivious {
+                // Digest: the nodes marked above, all new, get their
+                // census entries and (list-parallel) states and form
+                // round `tl`'s group; no updates.
+                let len = self.informed[r].len();
+                for p in known..len {
+                    let i = self.informed[r].list()[p] as usize;
                     self.informed_of[i] += 1;
                     if self.census.is_effective(i) {
                         self.alive_informed[r] += 1;
                     }
-                    // Sparse state layout: materialise the newcomer's
-                    // state at its informed-list position (the tail).
                     self.states[r].push(protocol.init(false));
                 }
-                let pos = self.informed[r].pos(i).expect("touched receiver is informed");
-                protocol.update(
-                    &mut self.states[r][pos],
-                    Some(self.informed[r].at_pos(pos)),
-                    tl,
-                    &self.scratch_obs,
-                );
-            }
-            for idx in 0..snap {
-                let i = self.informed[r].list()[idx] as usize;
-                if self.arena.heard(i) {
-                    continue; // already digested above
+                if len > known {
+                    newly_informed += len - known;
+                    let ends = &mut self.round_ends[r];
+                    ends.resize(tl as usize, known as u32);
+                    ends.push(len as u32);
                 }
-                if self.census.is_suspended(i) {
-                    continue; // offline: protocol state is frozen until recovery
-                }
-                protocol.update(
-                    &mut self.states[r][idx],
-                    Some(self.informed[r].at_pos(idx)),
-                    tl,
-                    &self.empty_obs,
-                );
+            } else {
+                newly_informed += self.digest(protocol, r, tl, known);
             }
 
             // Coverage bookkeeping: incremental counters, no O(n) rescan.
@@ -809,15 +855,68 @@ impl<P: Protocol> MultiSimState<P> {
                 round: t,
                 informed: self.alive_informed.iter().sum(),
                 newly_informed,
-                push_tx: 0,
-                pull_tx: 0,
-                tx: round_tx,
+                push_tx,
+                pull_tx,
+                tx: push_tx + pull_tx,
                 channels: channels_this_round,
                 skipped_draws: self.fabric.skipped_last(),
                 alive: self.census.effective_alive(),
                 suspended: self.census.suspended_count(),
             });
         }
+    }
+
+    /// The general path's digest of rumour `r`'s round: receivers via the
+    /// arena's touched list (newcomers are marked at `tl` and get their
+    /// state at the informed list's tail), then the `known` nodes informed
+    /// before the round that heard nothing, so counter-based protocols
+    /// advance through silent rounds. Returns the number of newly informed
+    /// nodes.
+    // rrb-lint: hot
+    fn digest(&mut self, protocol: &P, r: usize, tl: Round, known: usize) -> usize {
+        let mut newly_informed = 0;
+        self.arena.build();
+        for dense in 0..self.arena.touched().len() {
+            let i = self.arena.touched()[dense] as usize;
+            let (pushes, pulls) = self.arena.segment(dense);
+            self.scratch_obs.pushes.clear();
+            self.scratch_obs.pulls.clear();
+            self.scratch_obs.pushes.extend_from_slice(pushes);
+            self.scratch_obs.pulls.extend_from_slice(pulls);
+            if self.informed[r].mark(i, tl) {
+                newly_informed += 1;
+                self.informed_of[i] += 1;
+                if self.census.is_effective(i) {
+                    self.alive_informed[r] += 1;
+                }
+                // Sparse state layout: materialise the newcomer's
+                // state at its informed-list position (the tail).
+                self.states[r].push(protocol.init(false));
+            }
+            let pos = self.informed[r].pos(i).expect("touched receiver is informed");
+            protocol.update(
+                &mut self.states[r][pos],
+                Some(self.informed[r].at_pos(pos)),
+                tl,
+                &self.scratch_obs,
+            );
+        }
+        for idx in 0..known {
+            let i = self.informed[r].list()[idx] as usize;
+            if self.arena.heard(i) {
+                continue; // already digested above
+            }
+            if self.census.is_suspended(i) {
+                continue; // offline: protocol state is frozen until recovery
+            }
+            protocol.update(
+                &mut self.states[r][idx],
+                Some(self.informed[r].at_pos(idx)),
+                tl,
+                &self.empty_obs,
+            );
+        }
+        newly_informed
     }
 
     /// Runs rounds until [`finished`](Self::finished) fires.
@@ -924,7 +1023,7 @@ impl<P: Protocol> MultiRumorSimulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{FloodPush, FloodPushPull};
+    use crate::protocols::{force_all, FloodPush, FloodPushPull, Phased};
     use crate::FailureModel;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1029,25 +1128,30 @@ mod tests {
         // exactly the same channel-directions, so under transmission
         // failures their delivery traces must stay identical — the old
         // per-rumour failure draws made them diverge almost surely.
-        let g = gen::complete(24);
-        let cfg = SimConfig::default()
-            .with_failures(FailureModel::transmissions(0.4))
-            .with_max_rounds(300);
-        for seed in 0..4 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut sim = MultiRumorSimulation::new(FloodPushPull::new(), cfg);
+        // Checked on the oblivious shortcut and on the general path.
+        fn check<P: Protocol>(proto: P, label: &str) {
+            let g = gen::complete(24);
+            let cfg = SimConfig::default()
+                .with_failures(FailureModel::transmissions(0.4))
+                .with_max_rounds(300);
+            let mut sim = MultiRumorSimulation::new(proto, cfg);
             for _ in 0..5 {
                 sim.inject(RumorInjection { birth: 1, origin: NodeId::new(7) });
             }
-            let report = sim.run(&g, &mut rng);
-            for r in 1..5 {
-                assert_eq!(
-                    report.deliveries[r], report.deliveries[0],
-                    "co-riding rumour {r} diverged from rumour 0 (seed {seed})"
-                );
-                assert_eq!(report.outcomes[r].tx, report.outcomes[0].tx);
+            for seed in 0..4 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let report = sim.run(&g, &mut rng);
+                for r in 1..5 {
+                    assert_eq!(
+                        report.deliveries[r], report.deliveries[0],
+                        "{label}: co-riding rumour {r} diverged from rumour 0 (seed {seed})"
+                    );
+                    assert_eq!(report.outcomes[r].tx, report.outcomes[0].tx);
+                }
             }
         }
+        check(FloodPushPull::new(), "shortcut");
+        check(force_all(FloodPushPull::new()), "general path");
     }
 
     #[test]
@@ -1056,36 +1160,42 @@ mod tests {
         // must hold under channel failures, transmission failures, and
         // both at once: a channel-direction only counts as a combined
         // message when at least one rumour transmits on it.
-        let g = gen::complete(24);
-        let models = [
-            FailureModel::channels(0.3),
-            FailureModel::transmissions(0.3),
-            FailureModel { channel_failure: 0.2, transmission_failure: 0.2, node_crash: 0.0 },
-        ];
-        for (mi, failures) in models.into_iter().enumerate() {
-            for seed in 0..5 {
+        // Checked on the oblivious shortcut and on the general path.
+        fn check<P: Protocol + Clone>(proto: P, label: &str) {
+            let g = gen::complete(24);
+            let models = [
+                FailureModel::channels(0.3),
+                FailureModel::transmissions(0.3),
+                FailureModel { channel_failure: 0.2, transmission_failure: 0.2, node_crash: 0.0 },
+            ];
+            for (mi, failures) in models.into_iter().enumerate() {
                 let cfg = SimConfig::default().with_failures(failures).with_max_rounds(400);
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut sim = MultiRumorSimulation::new(FloodPushPull::new(), cfg);
+                let mut sim = MultiRumorSimulation::new(proto.clone(), cfg);
                 for i in 0..6u32 {
                     sim.inject(RumorInjection {
                         birth: i,
                         origin: NodeId::new(3 * i as usize),
                     });
                 }
-                let report = sim.run(&g, &mut rng);
-                assert!(report.total_rumor_tx() > 0, "model {mi} seed {seed} sent nothing");
-                assert!(
-                    report.combined_messages <= report.total_rumor_tx(),
-                    "model {mi} seed {seed}: combined > total"
-                );
-                assert!(
-                    report.combining_ratio() <= 1.0,
-                    "model {mi} seed {seed}: ratio {}",
-                    report.combining_ratio()
-                );
+                for seed in 0..5 {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let report = sim.run(&g, &mut rng);
+                    let total = report.total_rumor_tx();
+                    assert!(total > 0, "{label}: model {mi} seed {seed} sent nothing");
+                    assert!(
+                        report.combined_messages <= total,
+                        "{label}: model {mi} seed {seed}: combined > total"
+                    );
+                    assert!(
+                        report.combining_ratio() <= 1.0,
+                        "{label}: model {mi} seed {seed}: ratio {}",
+                        report.combining_ratio()
+                    );
+                }
             }
         }
+        check(FloodPushPull::new(), "shortcut");
+        check(force_all(FloodPushPull::new()), "general path");
     }
 
     #[test]
@@ -1186,32 +1296,47 @@ mod tests {
         assert!(exercised >= 4, "only {exercised}/8 seeds crashed someone and covered");
     }
 
-    #[test]
-    fn steady_state_rounds_do_not_allocate() {
-        // The multi-rumour mirror of the single-engine arena guarantee:
-        // after a warm-up, every per-round scratch buffer keeps its
-        // capacity. Run past full coverage (stop_at_coverage = false) so
-        // late rounds carry the maximum plan/receipt load.
+    /// The multi-rumour mirror of the single-engine arena guarantee:
+    /// after a warm-up, every per-round scratch buffer keeps its capacity.
+    /// Runs past full coverage (stop_at_coverage = false) so late rounds
+    /// carry the maximum plan/receipt load.
+    fn assert_steady_rounds_do_not_allocate<P: Protocol>(proto: &P, probe: Option<BoxedProbe>) {
         let g = gen::complete(64);
-        let proto = FloodPushPull::new();
         let cfg = SimConfig::until_quiescent().with_max_rounds(100);
         let mut rng = SmallRng::seed_from_u64(33);
         let injections: Vec<RumorInjection> = (0..4)
             .map(|i| RumorInjection { birth: i, origin: NodeId::new(i as usize * 7) })
             .collect();
-        let mut sim = MultiSimState::new(&proto, &g, &injections);
+        let mut sim = MultiSimState::new(proto, &g, &injections);
+        let probed = probe.is_some();
+        sim.set_probe(probe);
         for _ in 0..30 {
-            sim.step(&g, &proto, cfg, &mut rng);
+            sim.step(&g, proto, cfg, &mut rng);
         }
         let warm = sim.scratch_capacities();
         for _ in 0..40 {
-            sim.step(&g, &proto, cfg, &mut rng);
+            sim.step(&g, proto, cfg, &mut rng);
+            assert_eq!(
+                sim.scratch_capacities(),
+                warm,
+                "per-round scratch buffers reallocated in round {} (probe: {probed})",
+                sim.round()
+            );
         }
-        assert_eq!(
-            sim.scratch_capacities(),
-            warm,
-            "per-round scratch buffers reallocated after warm-up"
-        );
+    }
+
+    /// Both round paths: flooding takes the oblivious shortcut, its
+    /// `force_all` twin and `Phased` (past its deadline for the last
+    /// rounds) the general arena + `update` path.
+    fn assert_both_paths_do_not_allocate(probe: fn() -> Option<BoxedProbe>) {
+        assert_steady_rounds_do_not_allocate(&FloodPushPull::new(), probe());
+        assert_steady_rounds_do_not_allocate(&force_all(FloodPushPull::new()), probe());
+        assert_steady_rounds_do_not_allocate(&Phased::new(3, 6, 60), probe());
+    }
+
+    #[test]
+    fn steady_state_rounds_do_not_allocate() {
+        assert_both_paths_do_not_allocate(|| None);
     }
 
     #[test]
@@ -1245,6 +1370,8 @@ mod tests {
         assert_eq!(bare, probed, "probe must not perturb the run");
         assert_eq!(timings.rounds() as u32, probed.rounds);
         assert_eq!(timings.tx(), probed.total_rumor_tx());
+        assert_eq!(timings.push_tx() + timings.pull_tx(), probed.total_rumor_tx());
+        assert!(timings.push_tx() > 0 && timings.pull_tx() > 0, "both directions counted");
         assert_eq!(timings.channels(), probed.channels);
         assert_eq!(
             timings.last_round().informed,
@@ -1255,27 +1382,7 @@ mod tests {
     #[test]
     fn probed_steady_state_rounds_do_not_allocate() {
         use crate::telemetry::PhaseTimings;
-        let g = gen::complete(64);
-        let proto = FloodPushPull::new();
-        let cfg = SimConfig::until_quiescent().with_max_rounds(100);
-        let mut rng = SmallRng::seed_from_u64(33);
-        let injections: Vec<RumorInjection> = (0..4)
-            .map(|i| RumorInjection { birth: i, origin: NodeId::new(i as usize * 7) })
-            .collect();
-        let mut sim = MultiSimState::new(&proto, &g, &injections);
-        sim.set_probe(Some(Box::new(PhaseTimings::new())));
-        for _ in 0..30 {
-            sim.step(&g, &proto, cfg, &mut rng);
-        }
-        let warm = sim.scratch_capacities();
-        for _ in 0..40 {
-            sim.step(&g, &proto, cfg, &mut rng);
-        }
-        assert_eq!(
-            sim.scratch_capacities(),
-            warm,
-            "per-round scratch buffers reallocated after warm-up (probe on)"
-        );
+        assert_both_paths_do_not_allocate(|| Some(Box::new(PhaseTimings::new())));
     }
 
     #[test]

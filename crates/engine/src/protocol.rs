@@ -63,10 +63,12 @@ impl Plan {
 ///
 /// The second shortcut is [`oblivious`](Self::oblivious): the paper's
 /// restricted model (Theorem 1), in which every decision is a function of
-/// the round and the node's reception round. For such a protocol the
-/// single-rumour engine never stores a copy delivered to an already
-/// informed node (it still counts it), makes no `update` calls, and in a
-/// round in which no reception round transmits it plans no node at all.
+/// the round and the node's reception round. For such a protocol both
+/// round engines (single- and multi-rumour) never store a copy delivered
+/// to an already informed node (they still count it), make no `update`
+/// calls, and in a round in which no reception round transmits they plan
+/// no node at all (for the multi-rumour engine: per rumour, on its local
+/// clock).
 ///
 /// Capabilities must be **conservative**: report a direction as used if the
 /// protocol could ever transmit in it, and claim `oblivious` only if its
@@ -105,6 +107,23 @@ impl Default for Capabilities {
     fn default() -> Self {
         Capabilities::ALL
     }
+}
+
+/// The plans of an [`oblivious`](Capabilities::oblivious) protocol in
+/// round `t` for reception rounds `0..=latest`, in order: entry `k` is
+/// the plan of every participating node informed in round `k`. `state` is
+/// any state of the protocol (an oblivious plan ignores it, and
+/// `is_creator`). Both round engines plan oblivious protocols through
+/// this — O(rounds) plan calls instead of one per informed node.
+// rrb-lint: hot
+pub(crate) fn reception_round_plans<'a, P: Protocol>(
+    protocol: &'a P,
+    state: &'a P::State,
+    latest: Round,
+    t: Round,
+) -> impl Iterator<Item = Plan> + 'a {
+    (0..=latest)
+        .map(move |informed_at| protocol.plan(NodeView { informed_at, is_creator: false, state }, t))
 }
 
 /// Read-only view of a node handed to [`Protocol::plan`].
@@ -158,8 +177,8 @@ pub trait Protocol: Send + Sync {
     /// is `Some` iff the node is informed after this round's exchanges.
     ///
     /// This does not hold for a protocol whose capabilities declare it
-    /// [`oblivious`](Capabilities::oblivious): the single-rumour engine then
-    /// makes no `update` calls at all, since they could change nothing.
+    /// [`oblivious`](Capabilities::oblivious): the round engines then make
+    /// no `update` calls at all, since they could change nothing.
     fn update(
         &self,
         state: &mut Self::State,

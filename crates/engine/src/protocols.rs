@@ -281,6 +281,58 @@ impl Protocol for Phased {
     }
 }
 
+/// Wrapper declaring the given capabilities for `P`. With
+/// [`Capabilities::ALL`] it forces the conservative default, i.e. the
+/// engine behaviour before any capability-gated shortcut existed.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct WithCaps<P>(pub(crate) P, pub(crate) Capabilities);
+
+/// `p` with every capability shortcut disabled.
+#[cfg(test)]
+pub(crate) fn force_all<P>(p: P) -> WithCaps<P> {
+    WithCaps(p, Capabilities::ALL)
+}
+
+#[cfg(test)]
+impl<P: Protocol> Protocol for WithCaps<P> {
+    type State = P::State;
+
+    fn init(&self, creator: bool) -> Self::State {
+        self.0.init(creator)
+    }
+
+    fn choice_policy(&self) -> ChoicePolicy {
+        self.0.choice_policy()
+    }
+
+    fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
+        self.0.plan(view, t)
+    }
+
+    fn update(
+        &self,
+        state: &mut Self::State,
+        informed_at: Option<Round>,
+        t: Round,
+        obs: &Observation,
+    ) {
+        self.0.update(state, informed_at, t, obs)
+    }
+
+    fn is_quiescent(&self, state: &Self::State, informed_at: Round, t: Round) -> bool {
+        self.0.is_quiescent(state, informed_at, t)
+    }
+
+    fn deadline(&self) -> Option<Round> {
+        self.0.deadline()
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        self.1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,6 +10,7 @@ use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
 use crate::failure::{fault_phase, FaultState};
 use crate::observation::{ObservationArena, RumorMeta};
+use crate::protocol::reception_round_plans;
 use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, ShardClock, StepPhase};
@@ -591,7 +592,8 @@ impl<P: Protocol> SimState<P> {
         rt.ensure_len(n);
         let rt = &*rt;
         if protocol.capabilities().oblivious
-            && !bucket_transmits(protocol, &self.bucket_state, self.latest_informed_at, t)
+            && !reception_round_plans(protocol, &self.bucket_state, self.latest_informed_at, t)
+                .any(|plan| plan.transmits())
         {
             if !self.plans_silent {
                 self.plans.fill(Plan::SILENT);
@@ -906,16 +908,6 @@ fn plan_list<P: Protocol>(
     any_pull
 }
 
-/// Whether an oblivious protocol transmits in round `t` from any
-/// reception round in `0..=latest` (a superset of the occupied ones):
-/// O(rounds) plan calls instead of one per informed node.
-// rrb-lint: hot
-fn bucket_transmits<P: Protocol>(protocol: &P, state: &P::State, latest: Round, t: Round) -> bool {
-    (0..=latest).any(|informed_at| {
-        protocol.plan(NodeView { informed_at, is_creator: false, state }, t).transmits()
-    })
-}
-
 /// One shard's exchange fan-out over its own callers' channels. Delivery
 /// outcomes come from the serial pre-draw tables (`push_ok`/`pull_ok`,
 /// unused when `tx_draws` is false) — no RNG here. Pull receipts are
@@ -1064,7 +1056,7 @@ fn shard_merge_digest<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{FloodPush, FloodPushPull, Phased, SilentProtocol};
+    use crate::protocols::{force_all, FloodPush, FloodPushPull, Phased, SilentProtocol, WithCaps};
     use crate::Capabilities;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1344,55 +1336,6 @@ mod tests {
     fn origin_must_be_in_range() {
         let proto = FloodPush::new();
         let _ = SimState::<FloodPush>::new(&proto, 4, NodeId::new(9));
-    }
-
-    /// Wrapper declaring the given capabilities for `P`. With
-    /// [`Capabilities::ALL`] it forces the conservative default, i.e. the
-    /// engine behaviour before any capability-gated shortcut existed.
-    #[derive(Debug, Clone)]
-    struct WithCaps<P>(P, Capabilities);
-
-    /// `p` with every capability shortcut disabled.
-    fn force_all<P>(p: P) -> WithCaps<P> {
-        WithCaps(p, Capabilities::ALL)
-    }
-
-    impl<P: Protocol> Protocol for WithCaps<P> {
-        type State = P::State;
-
-        fn init(&self, creator: bool) -> Self::State {
-            self.0.init(creator)
-        }
-
-        fn choice_policy(&self) -> crate::ChoicePolicy {
-            self.0.choice_policy()
-        }
-
-        fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
-            self.0.plan(view, t)
-        }
-
-        fn update(
-            &self,
-            state: &mut Self::State,
-            informed_at: Option<Round>,
-            t: Round,
-            obs: &Observation,
-        ) {
-            self.0.update(state, informed_at, t, obs)
-        }
-
-        fn is_quiescent(&self, state: &Self::State, informed_at: Round, t: Round) -> bool {
-            self.0.is_quiescent(state, informed_at, t)
-        }
-
-        fn deadline(&self) -> Option<Round> {
-            self.0.deadline()
-        }
-
-        fn capabilities(&self) -> Capabilities {
-            self.1
-        }
     }
 
     #[test]

@@ -114,12 +114,11 @@ pub struct RoundCounters {
     pub informed: usize,
     /// Nodes newly informed this round (summed over rumours).
     pub newly_informed: usize,
-    /// Push transmissions this round (single-rumour engine; 0 in multi,
-    /// which accounts per rumour without a direction split).
+    /// Push transmissions this round (summed over rumours).
     pub push_tx: u64,
-    /// Pull transmissions this round (single-rumour engine; 0 in multi).
+    /// Pull transmissions this round (summed over rumours).
     pub pull_tx: u64,
-    /// Total rumour transmissions this round (both engines).
+    /// Total rumour transmissions this round, `push_tx + pull_tx`.
     pub tx: u64,
     /// Channels opened this round (skipped callers' channels included).
     pub channels: u64,

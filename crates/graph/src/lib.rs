@@ -52,7 +52,6 @@ mod error;
 mod node;
 
 pub mod algo;
-pub mod analysis;
 pub mod gen;
 pub mod spectral;
 
