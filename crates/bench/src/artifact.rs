@@ -9,9 +9,8 @@
 //! (configuration wall-clock, per-phase attribution from a probed seed-0
 //! replay, peak RSS) that only compare within tolerance bands.
 //!
-//! The dialect is the same hand-rolled JSON the workspace already writes
-//! ([`BenchRecorder`](crate::BenchRecorder)) and reads (the
-//! [`scenario`](crate::scenario) parser): floats print in Rust's shortest
+//! A record is declared once in the same `codec!` table the scenario
+//! specs use (see `crate::codec`): floats print in Rust's shortest
 //! round-trip form, so **write → read → write is byte-identical**
 //! (asserted by tests — `rrb compare` relies on records surviving
 //! storage unchanged). See [`crate::compare`] for the diffing side.
@@ -19,9 +18,10 @@
 use std::io;
 use std::path::Path;
 
+use crate::codec::{codec, field, keys_only, member, object, Codec, INLINE};
 use crate::registry::{self, Experiment};
 use crate::scenario::{parse_json, Json};
-use crate::{json_string, mean_of, mean_rounds_to_coverage, success_rate, ExpConfig};
+use crate::{mean_of, mean_rounds_to_coverage, success_rate, ExpConfig};
 use rrb_engine::{RunReport, StepPhase};
 
 /// Schema tag every record carries.
@@ -78,118 +78,55 @@ pub fn spec_hash(spec: &crate::scenario::ScenarioSpec) -> String {
     format!("{h:016x}")
 }
 
+codec! { struct RunArtifact, schema SCHEMA true {
+    experiment: String = "experiment";
+    config_ix: u64 = "config_ix";
+    label: String = "label";
+    spec_hash: String = "spec_hash";
+    n: usize = "n";
+    seeds: u64 = "seeds";
+    wall_ms: f64 = "wall_ms";
+    mean_rounds: f64 = "mean_rounds";
+    mean_transmissions: f64 = "mean_transmissions";
+    success_rate: f64 = "success_rate";
+    shards: u64 = "shards", omit 1;
+    phase_ms: Option<[f64; StepPhase::COUNT]> = "phase_ms", omit None;
+    shard_phase_ms: Option<Vec<[f64; StepPhase::COUNT]>> = "shard_phase_ms", omit None;
+    peak_rss_kib: Option<u64> = "peak_rss_kib", omit None;
+}}
+
+/// A per-phase row: one member per phase, keyed by [`StepPhase::label`],
+/// in [`StepPhase::ALL`] order.
+impl Codec for [f64; StepPhase::COUNT] {
+    fn encode(&self) -> String {
+        object(INLINE, StepPhase::ALL.map(|p| member(p.label(), &self[p.index()], None)))
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let labels = StepPhase::ALL.map(StepPhase::label);
+        keys_only(v, &labels)?;
+        let mut row = [0.0; StepPhase::COUNT];
+        for (slot, label) in row.iter_mut().zip(labels) {
+            *slot = field(v, label, None, None)?;
+        }
+        Ok(row)
+    }
+
+    #[cfg(test)]
+    fn arbitrary(rng: &mut rand::rngs::SmallRng) -> Self {
+        std::array::from_fn(|_| f64::arbitrary(rng))
+    }
+}
+
 impl RunArtifact {
     /// Serialises the record as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"experiment\": {}, \"config_ix\": {}, \
-             \"label\": {}, \"spec_hash\": {}, \"n\": {}, \"seeds\": {}, \
-             \"wall_ms\": {}, \"mean_rounds\": {}, \"mean_transmissions\": {}, \
-             \"success_rate\": {}",
-            json_string(&self.experiment),
-            self.config_ix,
-            json_string(&self.label),
-            json_string(&self.spec_hash),
-            self.n,
-            self.seeds,
-            self.wall_ms,
-            self.mean_rounds,
-            self.mean_transmissions,
-            self.success_rate,
-        );
-        if self.shards != 1 {
-            out.push_str(&format!(", \"shards\": {}", self.shards));
-        }
-        if let Some(phase_ms) = &self.phase_ms {
-            out.push_str(", \"phase_ms\": {");
-            for (i, phase) in StepPhase::ALL.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", phase.label(), phase_ms[i]));
-            }
-            out.push('}');
-        }
-        if let Some(rows) = &self.shard_phase_ms {
-            out.push_str(", \"shard_phase_ms\": [");
-            for (s, row) in rows.iter().enumerate() {
-                if s > 0 {
-                    out.push_str(", ");
-                }
-                out.push('{');
-                for (i, phase) in StepPhase::ALL.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {}", phase.label(), row[i]));
-                }
-                out.push('}');
-            }
-            out.push(']');
-        }
-        if let Some(kib) = self.peak_rss_kib {
-            out.push_str(&format!(", \"peak_rss_kib\": {kib}"));
-        }
-        out.push('}');
-        out
+        self.encode()
     }
 
     /// Deserialises one record from a parsed JSON object.
     pub fn from_json(v: &Json) -> Result<RunArtifact, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string \"{key}\""))
-        };
-        let num_field = |key: &str| -> Result<f64, String> {
-            v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number \"{key}\""))
-        };
-        let schema = str_field("schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unsupported artifact schema {schema:?} (want {SCHEMA:?})"));
-        }
-        let phase_row = |p: &Json, what: &str| -> Result<[f64; StepPhase::COUNT], String> {
-            let mut ms = [0.0; StepPhase::COUNT];
-            for (slot, phase) in ms.iter_mut().zip(StepPhase::ALL) {
-                *slot = p.get(phase.label()).and_then(Json::as_f64).ok_or_else(|| {
-                    format!("{what:?} missing phase {:?}", phase.label())
-                })?;
-            }
-            Ok(ms)
-        };
-        let phase_ms = match v.get("phase_ms") {
-            None => None,
-            Some(p) => Some(phase_row(p, "phase_ms")?),
-        };
-        let shard_phase_ms = match v.get("shard_phase_ms") {
-            None => None,
-            Some(Json::Arr(rows)) => Some(
-                rows.iter()
-                    .map(|row| phase_row(row, "shard_phase_ms"))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Some(_) => return Err("\"shard_phase_ms\" must be an array".into()),
-        };
-        Ok(RunArtifact {
-            experiment: str_field("experiment")?,
-            config_ix: v
-                .get("config_ix")
-                .and_then(Json::as_u64)
-                .ok_or("missing integer \"config_ix\"")?,
-            label: str_field("label")?,
-            spec_hash: str_field("spec_hash")?,
-            n: num_field("n")? as usize,
-            seeds: v.get("seeds").and_then(Json::as_u64).ok_or("missing integer \"seeds\"")?,
-            wall_ms: num_field("wall_ms")?,
-            mean_rounds: num_field("mean_rounds")?,
-            mean_transmissions: num_field("mean_transmissions")?,
-            success_rate: num_field("success_rate")?,
-            shards: v.get("shards").and_then(Json::as_u64).unwrap_or(1),
-            phase_ms,
-            shard_phase_ms,
-            peak_rss_kib: v.get("peak_rss_kib").and_then(Json::as_u64),
-        })
+        Self::decode(v)
     }
 }
 
@@ -264,7 +201,9 @@ pub fn read_jsonl(path: &Path) -> Result<Vec<RunArtifact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::arbitrary;
     use crate::registry;
+    use proptest::prelude::*;
 
     pub(crate) fn sample_records() -> Vec<RunArtifact> {
         vec![
@@ -331,6 +270,16 @@ mod tests {
         let second = std::fs::read_to_string(&path).unwrap();
         assert_eq!(first, second, "rewrite must be byte-identical");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        #[test]
+        fn generated_records_round_trip_byte_identically(r in arbitrary::<RunArtifact>()) {
+            let line = r.to_json_line();
+            let back = RunArtifact::from_json(&parse_json(&line).unwrap()).unwrap();
+            prop_assert_eq!(back.to_json_line(), line);
+            prop_assert_eq!(back, r);
+        }
     }
 
     #[test]

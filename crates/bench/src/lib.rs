@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+mod codec;
 pub mod compare;
 pub mod measure;
 pub mod registry;

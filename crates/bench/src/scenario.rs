@@ -6,9 +6,11 @@
 //! machinery on demand ([`GraphSpec::build`] → a `rrb_graph::Graph`,
 //! [`ProtocolSpec::build`] → an [`AnyProtocol`] implementing
 //! `rrb_engine::Protocol`, [`ScenarioSpec::sim_config`] → a `SimConfig`)
-//! and (de)serialises to the same hand-rolled JSON dialect the
-//! [`BenchRecorder`](crate::BenchRecorder) uses, so a scenario can live in
-//! a file and run via `rrb run --spec file.json` — no new binary required.
+//! and (de)serialises to JSON, so a scenario can live in a file and run
+//! via `rrb run --spec file.json` — no new binary required. Each spec type's
+//! JSON form is declared once, in the `codec!` table of the JSON section
+//! below (see `crate::codec`): one row per field with its key,
+//! default and range check.
 //!
 //! The experiment registry ([`crate::registry`]) expresses the E1–E21
 //! config ladders as `ScenarioSpec` values.
@@ -25,6 +27,8 @@ use rrb_engine::{
 };
 use rrb_graph::{gen, Graph};
 use rrb_p2p::ChurnProcess;
+
+use crate::codec::{codec, Codec, Layout};
 
 // ---------------------------------------------------------------------------
 // Spec types
@@ -1160,257 +1164,289 @@ impl Protocol for AnyProtocol {
 }
 
 // ---------------------------------------------------------------------------
-// JSON (de)serialisation — same hand-rolled dialect as BenchRecorder
+// JSON (de)serialisation — one `codec!` table row per field
 // ---------------------------------------------------------------------------
 
 /// Schema tag written into serialised scenarios.
 pub const SCENARIO_SCHEMA: &str = "rrb-scenario-v1";
 
-fn fault_event_json(e: &FaultEvent) -> String {
-    match e {
-        FaultEvent::Partition { from, until, parts } => format!(
-            "{{\"kind\": \"partition\", \"from\": {from}, \"until\": {until}, \"parts\": {parts}}}"
-        ),
-        FaultEvent::CrashNodes { at, nodes } => {
-            let list = nodes.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(", ");
-            format!("{{\"kind\": \"crash_nodes\", \"at\": {at}, \"nodes\": [{list}]}}")
-        }
-        FaultEvent::LossWindow { from, until, channel, transmission } => {
-            let mut s =
-                format!("{{\"kind\": \"loss_window\", \"from\": {from}, \"until\": {until}");
-            if let Some(c) = channel {
-                s.push_str(&format!(", \"channel\": {c}"));
-            }
-            if let Some(t) = transmission {
-                s.push_str(&format!(", \"transmission\": {t}"));
-            }
-            s.push('}');
-            s
-        }
+/// The scenario file's layout: one top-level member per line.
+const TOP_LEVEL: Layout = ("{\n  ", ",\n  ", "\n}\n");
+
+codec! { struct ScenarioSpec, schema SCENARIO_SCHEMA false, layout TOP_LEVEL {
+    label: String = "label";
+    graph: GraphSpec = "graph";
+    protocol: ProtocolSpec = "protocol";
+    failures: FaultSpec = "failures", default FaultSpec::NONE;
+    // Static dynamics and sync timing serialise to nothing, so spec files
+    // and artifact spec hashes from before those dimensions are unchanged.
+    dynamics: DynamicsSpec = "dynamics", omit DynamicsSpec::Static;
+    timing: TimingSpec = "timing", omit TimingSpec::Sync;
+    stop: StopSpec = "stop", default StopSpec::QUIESCENT;
+    measure: MeasureSpec = "measure", default MeasureSpec::Standard;
+}}
+
+codec! { enum GraphSpec "kind" {
+    RandomRegular = "random_regular" { n: usize = "n"; d: usize = "d"; }
+    ConfigurationModel = "configuration_model" { n: usize = "n"; d: usize = "d"; }
+    Gnp = "gnp" { n: usize = "n"; expected_degree: f64 = "expected_degree"; }
+    Complete = "complete" { n: usize = "n"; }
+    Hypercube = "hypercube" { dim: u32 = "dim"; }
+    Torus = "torus" { rows: usize = "rows"; cols: usize = "cols"; }
+    Cycle = "cycle" { n: usize = "n"; }
+    ProductK = "product_k" {
+        base_n: usize = "base_n";
+        base_d: usize = "base_d";
+        clique: usize = "clique";
+    }
+    PreferentialAttachment = "preferential_attachment" { n: usize = "n"; m: usize = "m"; }
+}}
+
+codec! { enum ProtocolSpec "kind" {
+    FourChoice = "four_choice" {
+        n_estimate: usize = "n_estimate";
+        degree: usize = "degree";
+        alpha: f64 = "alpha", default 1.5;
+        choices: usize = "choices", default 4;
+        regime: RegimeSpec = "regime", default RegimeSpec::Auto;
+    }
+    SequentialFourChoice = "sequential_four_choice" {
+        n_estimate: usize = "n_estimate";
+        degree: usize = "degree";
+    }
+    Budgeted = "budgeted" {
+        mode: GossipModeSpec = "mode";
+        n: usize = "n";
+        budget: f64 = "budget";
+        policy: PolicySpec = "policy", default PolicySpec::STANDARD;
+    }
+    PushThenPull = "push_then_pull" { n: usize = "n"; }
+    MedianCounter = "median_counter" {
+        n: usize = "n";
+        ctr_max: Option<u32> = "ctr_max", omit None;
+        c_rounds: Option<u32> = "c_rounds", omit None;
+        age_cutoff: Option<u32> = "age_cutoff", omit None;
+    }
+    Quasirandom = "quasirandom" { max_age: Option<u32> = "max_age", omit None; }
+    FloodPush = "flood_push" { policy: PolicySpec = "policy", default PolicySpec::STANDARD; }
+    FloodPull = "flood_pull" { policy: PolicySpec = "policy", default PolicySpec::STANDARD; }
+    FloodPushPull = "flood_push_pull" {
+        policy: PolicySpec = "policy", default PolicySpec::STANDARD;
+    }
+    Silent = "silent" {}
+    Ablated = "ablated" {
+        n_estimate: usize = "n_estimate";
+        degree: usize = "degree";
+        alpha: f64 = "alpha", default 1.5;
+        phase1_always_push: bool = "phase1_always_push", default false;
+        no_pull: bool = "no_pull", default false;
+    }
+}}
+
+codec! { names RegimeSpec { Auto = "auto", Small = "small", Large = "large" } }
+codec! { names GossipModeSpec { Push = "push", Pull = "pull", PushPull = "push_pull" } }
+
+codec! { enum PolicySpec "kind" {
+    Distinct = "distinct" { 0 k: usize = "k"; }
+    Memory = "memory" { 0 window: usize = "window"; }
+    Cyclic = "cyclic" {}
+}}
+
+/// The `"failures"` object as written: the three i.i.d. rates flattened
+/// beside the fault-plan members, which appear only when present, so a
+/// plain-rates spec keeps its pre-fault-plan JSON byte for byte.
+#[derive(Debug, Clone, PartialEq)]
+struct FaultsJson {
+    channel: f64,
+    transmission: f64,
+    crash: f64,
+    burst: Option<GilbertElliott>,
+    schedule: Vec<FaultEvent>,
+    adversary: Option<AdversarySpec>,
+    outages: Option<OutageSpec>,
+}
+
+// The three rates are range-checked by `ScenarioSpec::check_runnable`,
+// which also guards specs built in code.
+codec! { struct FaultsJson {
+    channel: f64 = "channel", default 0.0;
+    transmission: f64 = "transmission", default 0.0;
+    crash: f64 = "crash", default 0.0;
+    burst: Option<GilbertElliott> = "burst", omit None;
+    schedule: Vec<FaultEvent> = "schedule", omit Vec::new();
+    adversary: Option<AdversarySpec> = "adversary", omit None;
+    outages: Option<OutageSpec> = "outages", omit None;
+}}
+
+impl Codec for FaultSpec {
+    fn encode(&self) -> String {
+        let FailureSpec { channel, transmission, crash } = self.rates;
+        let FaultPlan { burst, schedule, adversary, outages } = self.to_plan();
+        FaultsJson { channel, transmission, crash, burst, schedule, adversary, outages }.encode()
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        FaultsJson::decode(v).map(FaultSpec::from)
+    }
+
+    #[cfg(test)]
+    fn arbitrary(rng: &mut rand::rngs::SmallRng) -> Self {
+        FaultsJson::arbitrary(rng).into()
     }
 }
 
-fn policy_json(p: PolicySpec) -> String {
-    match p {
-        PolicySpec::Distinct(k) => format!("{{\"kind\": \"distinct\", \"k\": {k}}}"),
-        PolicySpec::Memory(w) => format!("{{\"kind\": \"memory\", \"window\": {w}}}"),
-        PolicySpec::Cyclic => "{\"kind\": \"cyclic\"}".into(),
+impl From<FaultsJson> for FaultSpec {
+    fn from(f: FaultsJson) -> Self {
+        let FaultsJson { channel, transmission, crash, burst, schedule, adversary, outages } = f;
+        let rates = FailureSpec { channel, transmission, crash };
+        FaultSpec { rates, burst, schedule, adversary, outages }
     }
 }
+
+codec! { struct GilbertElliott {
+    p_gb: f64 = "p_gb", check UNIT;
+    p_bg: f64 = "p_bg", check UNIT;
+    loss_good: f64 = "loss_good", check UNIT;
+    loss_bad: f64 = "loss_bad", check UNIT;
+}}
+
+codec! { enum FaultEvent "kind" {
+    Partition = "partition" {
+        from: Round = "from";
+        until: Round = "until";
+        parts: u32 = "parts", check AT_LEAST_ONE;
+    }
+    CrashNodes = "crash_nodes" { at: Round = "at"; nodes: Vec<u32> = "nodes"; }
+    LossWindow = "loss_window" {
+        from: Round = "from";
+        until: Round = "until";
+        channel: Option<f64> = "channel", omit None, check PROB;
+        transmission: Option<f64> = "transmission", omit None, check PROB;
+    }
+}}
+
+codec! { struct AdversarySpec {
+    target: AdversaryTarget = "target";
+    per_round: usize = "per_round";
+    budget: usize = "budget";
+    from_round: Round = "from_round", omit 1;
+}}
+
+codec! { names AdversaryTarget {
+    HighestDegree = "highest_degree",
+    EarliestInformed = "earliest_informed",
+}}
+
+codec! { struct OutageSpec, check outage_window {
+    rate: f64 = "rate", check PROB;
+    min_down: Round = "min_down", check AT_LEAST_ONE;
+    max_down: Round = "max_down";
+}}
+
+fn outage_window(o: &OutageSpec) -> Result<(), String> {
+    match o.min_down <= o.max_down {
+        true => Ok(()),
+        false => Err("\"min_down\" must not exceed \"max_down\"".into()),
+    }
+}
+
+/// The `"dynamics"` object as written: `{"churn": {…}}`, or `{}` for
+/// static membership.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DynamicsJson {
+    churn: Option<ChurnSpec>,
+}
+
+codec! { struct DynamicsJson { churn: Option<ChurnSpec> = "churn", omit None; } }
+
+impl Codec for DynamicsSpec {
+    fn encode(&self) -> String {
+        let churn = match *self {
+            DynamicsSpec::Static => None,
+            DynamicsSpec::Churn(c) => Some(c),
+        };
+        DynamicsJson { churn }.encode()
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        DynamicsJson::decode(v).map(DynamicsSpec::from)
+    }
+
+    #[cfg(test)]
+    fn arbitrary(rng: &mut rand::rngs::SmallRng) -> Self {
+        DynamicsJson::arbitrary(rng).into()
+    }
+}
+
+impl From<DynamicsJson> for DynamicsSpec {
+    fn from(d: DynamicsJson) -> Self {
+        d.churn.map_or(DynamicsSpec::Static, DynamicsSpec::Churn)
+    }
+}
+
+codec! { struct ChurnSpec {
+    joins_per_round: f64 = "joins_per_round", default 0.0, check NON_NEGATIVE;
+    leaves_per_round: f64 = "leaves_per_round", default 0.0, check NON_NEGATIVE;
+    rewire_per_round: usize = "rewire_per_round", default 0;
+    min_alive: Option<usize> = "min_alive", omit None;
+}}
+
+codec! { enum TimingSpec "mode" {
+    Sync = "sync" {}
+    Async = "async" {
+        clock: ClockSpec = "clock";
+        latency: LatencySpec = "latency", default LatencySpec::Zero;
+    }
+}}
+
+codec! { enum ClockSpec "kind" {
+    Fixed = "fixed" { interval: f64 = "interval", check POSITIVE; }
+    Exponential = "exponential" { rate: f64 = "rate", check POSITIVE; }
+    Stragglers = "stragglers" {
+        rate: f64 = "rate", check POSITIVE;
+        slow_fraction: f64 = "slow_fraction", check UNIT;
+        slow_factor: f64 = "slow_factor", check AT_LEAST_ONE;
+    }
+}}
+
+codec! { enum LatencySpec "kind", check latency_window {
+    Zero = "zero" {}
+    Fixed = "fixed" { delay: f64 = "delay", check NON_NEGATIVE; }
+    Uniform = "uniform" {
+        min: f64 = "min", check NON_NEGATIVE;
+        max: f64 = "max", check NON_NEGATIVE;
+    }
+    Exponential = "exponential" { mean: f64 = "mean", check POSITIVE; }
+}}
+
+fn latency_window(l: &LatencySpec) -> Result<(), String> {
+    match *l {
+        LatencySpec::Uniform { min, max } if max < min => {
+            Err(format!("\"max\" must be at least \"min\", got {max} < {min}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+codec! { enum StopSpec "mode", default "quiescent" {
+    Coverage = "coverage" { max_rounds: u32 = "max_rounds", default 10_000; }
+    Quiescent = "quiescent" { max_rounds: u32 = "max_rounds", default 10_000; }
+}}
+
+codec! { enum MeasureSpec "kind", default "standard" {
+    Standard = "standard" {}
+    Trace = "trace" {}
+    PhaseMilestones = "phase_milestones" {}
+    Crossover = "crossover" {}
+    Degradation = "degradation" {}
+    SpectralAudit = "spectral_audit" {}
+    Custom = "custom" { 0 name: String = "name", default "custom".into(); }
+}}
 
 impl ScenarioSpec {
     /// Serialises the scenario as JSON (schema [`SCENARIO_SCHEMA`]).
     pub fn to_json(&self) -> String {
-        let graph = match &self.graph {
-            GraphSpec::RandomRegular { n, d } => {
-                format!("{{\"kind\": \"random_regular\", \"n\": {n}, \"d\": {d}}}")
-            }
-            GraphSpec::ConfigurationModel { n, d } => {
-                format!("{{\"kind\": \"configuration_model\", \"n\": {n}, \"d\": {d}}}")
-            }
-            GraphSpec::Gnp { n, expected_degree } => format!(
-                "{{\"kind\": \"gnp\", \"n\": {n}, \"expected_degree\": {expected_degree}}}"
-            ),
-            GraphSpec::Complete { n } => format!("{{\"kind\": \"complete\", \"n\": {n}}}"),
-            GraphSpec::Hypercube { dim } => format!("{{\"kind\": \"hypercube\", \"dim\": {dim}}}"),
-            GraphSpec::Torus { rows, cols } => {
-                format!("{{\"kind\": \"torus\", \"rows\": {rows}, \"cols\": {cols}}}")
-            }
-            GraphSpec::Cycle { n } => format!("{{\"kind\": \"cycle\", \"n\": {n}}}"),
-            GraphSpec::ProductK { base_n, base_d, clique } => format!(
-                "{{\"kind\": \"product_k\", \"base_n\": {base_n}, \"base_d\": {base_d}, \
-                 \"clique\": {clique}}}"
-            ),
-            GraphSpec::PreferentialAttachment { n, m } => {
-                format!("{{\"kind\": \"preferential_attachment\", \"n\": {n}, \"m\": {m}}}")
-            }
-        };
-        let protocol = match &self.protocol {
-            ProtocolSpec::FourChoice { n_estimate, degree, alpha, choices, regime } => {
-                let regime = match regime {
-                    RegimeSpec::Auto => "auto",
-                    RegimeSpec::Small => "small",
-                    RegimeSpec::Large => "large",
-                };
-                format!(
-                    "{{\"kind\": \"four_choice\", \"n_estimate\": {n_estimate}, \
-                     \"degree\": {degree}, \"alpha\": {alpha}, \"choices\": {choices}, \
-                     \"regime\": \"{regime}\"}}"
-                )
-            }
-            ProtocolSpec::SequentialFourChoice { n_estimate, degree } => format!(
-                "{{\"kind\": \"sequential_four_choice\", \"n_estimate\": {n_estimate}, \
-                 \"degree\": {degree}}}"
-            ),
-            ProtocolSpec::Budgeted { mode, n, budget, policy } => {
-                let mode = match mode {
-                    GossipModeSpec::Push => "push",
-                    GossipModeSpec::Pull => "pull",
-                    GossipModeSpec::PushPull => "push_pull",
-                };
-                format!(
-                    "{{\"kind\": \"budgeted\", \"mode\": \"{mode}\", \"n\": {n}, \
-                     \"budget\": {budget}, \"policy\": {}}}",
-                    policy_json(*policy)
-                )
-            }
-            ProtocolSpec::PushThenPull { n } => {
-                format!("{{\"kind\": \"push_then_pull\", \"n\": {n}}}")
-            }
-            ProtocolSpec::MedianCounter { n, ctr_max, c_rounds, age_cutoff } => {
-                let mut s = format!("{{\"kind\": \"median_counter\", \"n\": {n}");
-                if let Some(v) = ctr_max {
-                    s.push_str(&format!(", \"ctr_max\": {v}"));
-                }
-                if let Some(v) = c_rounds {
-                    s.push_str(&format!(", \"c_rounds\": {v}"));
-                }
-                if let Some(v) = age_cutoff {
-                    s.push_str(&format!(", \"age_cutoff\": {v}"));
-                }
-                s.push('}');
-                s
-            }
-            ProtocolSpec::Quasirandom { max_age } => match max_age {
-                Some(a) => format!("{{\"kind\": \"quasirandom\", \"max_age\": {a}}}"),
-                None => "{\"kind\": \"quasirandom\"}".into(),
-            },
-            ProtocolSpec::FloodPush { policy } => {
-                format!("{{\"kind\": \"flood_push\", \"policy\": {}}}", policy_json(*policy))
-            }
-            ProtocolSpec::FloodPull { policy } => {
-                format!("{{\"kind\": \"flood_pull\", \"policy\": {}}}", policy_json(*policy))
-            }
-            ProtocolSpec::FloodPushPull { policy } => {
-                format!("{{\"kind\": \"flood_push_pull\", \"policy\": {}}}", policy_json(*policy))
-            }
-            ProtocolSpec::Silent => "{\"kind\": \"silent\"}".into(),
-            ProtocolSpec::Ablated { n_estimate, degree, alpha, phase1_always_push, no_pull } => {
-                format!(
-                    "{{\"kind\": \"ablated\", \"n_estimate\": {n_estimate}, \
-                     \"degree\": {degree}, \"alpha\": {alpha}, \
-                     \"phase1_always_push\": {phase1_always_push}, \"no_pull\": {no_pull}}}"
-                )
-            }
-        };
-        let (stop_mode, max_rounds) = match self.stop {
-            StopSpec::Coverage { max_rounds } => ("coverage", max_rounds),
-            StopSpec::Quiescent { max_rounds } => ("quiescent", max_rounds),
-        };
-        let measure = match &self.measure {
-            MeasureSpec::Standard => "{\"kind\": \"standard\"}".into(),
-            MeasureSpec::Trace => "{\"kind\": \"trace\"}".into(),
-            MeasureSpec::PhaseMilestones => "{\"kind\": \"phase_milestones\"}".into(),
-            MeasureSpec::Crossover => "{\"kind\": \"crossover\"}".into(),
-            MeasureSpec::Degradation => "{\"kind\": \"degradation\"}".into(),
-            MeasureSpec::SpectralAudit => "{\"kind\": \"spectral_audit\"}".into(),
-            MeasureSpec::Custom(name) => {
-                format!("{{\"kind\": \"custom\", \"name\": {}}}", crate::json_string(name))
-            }
-        };
-        // Plan dimensions serialise only when present, so plain-rates
-        // specs keep the pre-fault "failures" object byte-for-byte.
-        let failures = {
-            let mut f = format!(
-                "{{\"channel\": {}, \"transmission\": {}, \"crash\": {}",
-                self.failures.rates.channel,
-                self.failures.rates.transmission,
-                self.failures.rates.crash,
-            );
-            if let Some(g) = &self.failures.burst {
-                f.push_str(&format!(
-                    ", \"burst\": {{\"p_gb\": {}, \"p_bg\": {}, \"loss_good\": {}, \
-                     \"loss_bad\": {}}}",
-                    g.p_gb, g.p_bg, g.loss_good, g.loss_bad
-                ));
-            }
-            if !self.failures.schedule.is_empty() {
-                let events: Vec<String> =
-                    self.failures.schedule.iter().map(fault_event_json).collect();
-                f.push_str(&format!(", \"schedule\": [{}]", events.join(", ")));
-            }
-            if let Some(a) = &self.failures.adversary {
-                let target = match a.target {
-                    AdversaryTarget::HighestDegree => "highest_degree",
-                    AdversaryTarget::EarliestInformed => "earliest_informed",
-                };
-                f.push_str(&format!(
-                    ", \"adversary\": {{\"target\": \"{target}\", \"per_round\": {}, \
-                     \"budget\": {}",
-                    a.per_round, a.budget
-                ));
-                if a.from_round != 1 {
-                    f.push_str(&format!(", \"from_round\": {}", a.from_round));
-                }
-                f.push('}');
-            }
-            if let Some(o) = &self.failures.outages {
-                f.push_str(&format!(
-                    ", \"outages\": {{\"rate\": {}, \"min_down\": {}, \"max_down\": {}}}",
-                    o.rate, o.min_down, o.max_down
-                ));
-            }
-            f.push('}');
-            f
-        };
-        // Static dynamics serialise to nothing, so pre-dynamics spec files
-        // round-trip byte-identically.
-        let dynamics = match self.dynamics {
-            DynamicsSpec::Static => String::new(),
-            DynamicsSpec::Churn(c) => {
-                let min_alive = c
-                    .min_alive
-                    .map(|m| format!(", \"min_alive\": {m}"))
-                    .unwrap_or_default();
-                format!(
-                    "  \"dynamics\": {{\"churn\": {{\"joins_per_round\": {}, \
-                     \"leaves_per_round\": {}, \"rewire_per_round\": {}{min_alive}}}}},\n",
-                    c.joins_per_round, c.leaves_per_round, c.rewire_per_round,
-                )
-            }
-        };
-        // Sync timing likewise serialises to nothing, keeping pre-async
-        // spec files and their artifact spec hashes byte-identical.
-        let timing = match self.timing {
-            TimingSpec::Sync => String::new(),
-            TimingSpec::Async { clock, latency } => {
-                let clock = match clock {
-                    ClockSpec::Fixed { interval } => {
-                        format!("{{\"kind\": \"fixed\", \"interval\": {interval}}}")
-                    }
-                    ClockSpec::Exponential { rate } => {
-                        format!("{{\"kind\": \"exponential\", \"rate\": {rate}}}")
-                    }
-                    ClockSpec::Stragglers { rate, slow_fraction, slow_factor } => format!(
-                        "{{\"kind\": \"stragglers\", \"rate\": {rate}, \
-                         \"slow_fraction\": {slow_fraction}, \"slow_factor\": {slow_factor}}}"
-                    ),
-                };
-                let latency = match latency {
-                    LatencySpec::Zero => "{\"kind\": \"zero\"}".to_string(),
-                    LatencySpec::Fixed { delay } => {
-                        format!("{{\"kind\": \"fixed\", \"delay\": {delay}}}")
-                    }
-                    LatencySpec::Uniform { min, max } => {
-                        format!("{{\"kind\": \"uniform\", \"min\": {min}, \"max\": {max}}}")
-                    }
-                    LatencySpec::Exponential { mean } => {
-                        format!("{{\"kind\": \"exponential\", \"mean\": {mean}}}")
-                    }
-                };
-                format!(
-                    "  \"timing\": {{\"mode\": \"async\", \"clock\": {clock}, \
-                     \"latency\": {latency}}},\n"
-                )
-            }
-        };
-        format!(
-            "{{\n  \"schema\": \"{SCENARIO_SCHEMA}\",\n  \"label\": {},\n  \"graph\": {graph},\n  \
-             \"protocol\": {protocol},\n  \"failures\": {failures},\n{dynamics}{timing}  \
-             \"stop\": {{\"mode\": \"{stop_mode}\", \"max_rounds\": {max_rounds}}},\n  \
-             \"measure\": {measure}\n}}\n",
-            crate::json_string(&self.label),
-        )
+        self.encode()
     }
 
     /// Parses a scenario from its JSON form.
@@ -1439,574 +1475,11 @@ impl ScenarioSpec {
         }
     }
 
-    /// Parses a scenario from an already-parsed JSON value.
+    /// Decodes an already-parsed JSON value and checks it is runnable.
     fn from_value(v: &Json) -> Result<ScenarioSpec, String> {
-        expect_keys(
-            v,
-            &[
-                "schema", "label", "graph", "protocol", "failures", "dynamics", "timing", "stop",
-                "measure",
-            ],
-            "the scenario object",
-        )?;
-        if let Some(schema) = v.get("schema").and_then(Json::as_str) {
-            if schema != SCENARIO_SCHEMA {
-                return Err(format!("unsupported schema {schema:?}"));
-            }
-        }
-        let label = v
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or("missing \"label\"")?
-            .to_string();
-        let graph = parse_graph(v.get("graph").ok_or("missing \"graph\"")?)?;
-        let protocol = parse_protocol(v.get("protocol").ok_or("missing \"protocol\"")?)?;
-        let failures = match v.get("failures") {
-            Some(f) => parse_faults(f)?,
-            None => FaultSpec::NONE,
-        };
-        let dynamics = match v.get("dynamics") {
-            Some(d) => parse_dynamics(d)?,
-            None => DynamicsSpec::Static,
-        };
-        let timing = match v.get("timing") {
-            Some(t) => parse_timing(t)?,
-            None => TimingSpec::Sync,
-        };
-        let stop = match v.get("stop") {
-            Some(s) => {
-                expect_keys(s, &["mode", "max_rounds"], "\"stop\"")?;
-                let max_rounds = opt_u64(s, "max_rounds", 10_000)? as u32;
-                match s.get("mode").and_then(Json::as_str) {
-                    Some("coverage") => StopSpec::Coverage { max_rounds },
-                    Some("quiescent") | None => StopSpec::Quiescent { max_rounds },
-                    Some(other) => return Err(format!("unknown stop mode {other:?}")),
-                }
-            }
-            None => StopSpec::QUIESCENT,
-        };
-        let measure = match v.get("measure") {
-            Some(m) => {
-                expect_keys(m, &["kind", "name"], "\"measure\"")?;
-                match m.get("kind").and_then(Json::as_str) {
-                    Some("standard") | None => MeasureSpec::Standard,
-                    Some("trace") => MeasureSpec::Trace,
-                    Some("phase_milestones") => MeasureSpec::PhaseMilestones,
-                    Some("crossover") => MeasureSpec::Crossover,
-                    Some("degradation") => MeasureSpec::Degradation,
-                    Some("spectral_audit") => MeasureSpec::SpectralAudit,
-                    Some("custom") => MeasureSpec::Custom(
-                        m.get("name").and_then(Json::as_str).unwrap_or("custom").to_string(),
-                    ),
-                    Some(other) => return Err(format!("unknown measure kind {other:?}")),
-                }
-            }
-            None => MeasureSpec::Standard,
-        };
-        let spec =
-            ScenarioSpec { label, graph, protocol, failures, dynamics, timing, stop, measure };
+        let spec = Self::decode(v)?;
         spec.check_runnable()?;
         Ok(spec)
-    }
-}
-
-/// Parses the `"timing"` object. `{"mode": "sync"}` (or an absent object)
-/// is the round-synchronous default; `"async"` requires a `"clock"` and
-/// takes an optional `"latency"` (zero when omitted). Every rate and
-/// window is validated here with a named field, mirroring
-/// [`parse_faults`]'s strictness.
-fn parse_timing(t: &Json) -> Result<TimingSpec, String> {
-    expect_keys(t, &["mode", "clock", "latency"], "\"timing\"")?;
-    match t.get("mode").and_then(Json::as_str) {
-        Some("sync") => {
-            if t.get("clock").is_some() || t.get("latency").is_some() {
-                return Err("sync timing takes no \"clock\"/\"latency\"".into());
-            }
-            Ok(TimingSpec::Sync)
-        }
-        Some("async") => {
-            let clock = parse_clock(t.get("clock").ok_or("async timing requires a \"clock\"")?)?;
-            let latency = match t.get("latency") {
-                Some(l) => parse_latency(l)?,
-                None => LatencySpec::Zero,
-            };
-            Ok(TimingSpec::Async { clock, latency })
-        }
-        Some(other) => Err(format!("unknown timing mode {other:?}")),
-        None => Err("\"timing\" requires a \"mode\"".into()),
-    }
-}
-
-/// Parses a `"clock"` object (see [`ClockSpec`]).
-fn parse_clock(c: &Json) -> Result<ClockSpec, String> {
-    expect_keys(c, &["kind", "interval", "rate", "slow_fraction", "slow_factor"], "\"clock\"")?;
-    let pos = |field: &str| -> Result<f64, String> {
-        let v = c
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("\"clock\" requires a numeric {field:?}"))?;
-        if v.is_finite() && v > 0.0 {
-            Ok(v)
-        } else {
-            Err(format!("clock {field} must be positive and finite, got {v}"))
-        }
-    };
-    match c.get("kind").and_then(Json::as_str) {
-        Some("fixed") => Ok(ClockSpec::Fixed { interval: pos("interval")? }),
-        Some("exponential") => Ok(ClockSpec::Exponential { rate: pos("rate")? }),
-        Some("stragglers") => {
-            let rate = pos("rate")?;
-            let slow_fraction = c
-                .get("slow_fraction")
-                .and_then(Json::as_f64)
-                .ok_or("\"clock\" requires a numeric \"slow_fraction\"")?;
-            if !(0.0..=1.0).contains(&slow_fraction) {
-                return Err(format!("clock slow_fraction must be in [0, 1], got {slow_fraction}"));
-            }
-            let slow_factor = pos("slow_factor")?;
-            if slow_factor < 1.0 {
-                return Err(format!("clock slow_factor must be >= 1, got {slow_factor}"));
-            }
-            Ok(ClockSpec::Stragglers { rate, slow_fraction, slow_factor })
-        }
-        Some(other) => Err(format!("unknown clock kind {other:?}")),
-        None => Err("\"clock\" requires a \"kind\"".into()),
-    }
-}
-
-/// Parses a `"latency"` object (see [`LatencySpec`]).
-fn parse_latency(l: &Json) -> Result<LatencySpec, String> {
-    expect_keys(l, &["kind", "delay", "min", "max", "mean"], "\"latency\"")?;
-    let nonneg = |field: &str| -> Result<f64, String> {
-        let v = l
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("\"latency\" requires a numeric {field:?}"))?;
-        if v.is_finite() && v >= 0.0 {
-            Ok(v)
-        } else {
-            Err(format!("latency {field} must be >= 0 and finite, got {v}"))
-        }
-    };
-    match l.get("kind").and_then(Json::as_str) {
-        Some("zero") => Ok(LatencySpec::Zero),
-        Some("fixed") => Ok(LatencySpec::Fixed { delay: nonneg("delay")? }),
-        Some("uniform") => {
-            let min = nonneg("min")?;
-            let max = nonneg("max")?;
-            if max < min {
-                return Err(format!("latency max ({max}) must be >= min ({min})"));
-            }
-            Ok(LatencySpec::Uniform { min, max })
-        }
-        Some("exponential") => {
-            let mean = nonneg("mean")?;
-            if mean == 0.0 {
-                return Err("latency mean must be positive (use kind \"zero\" instead)".into());
-            }
-            Ok(LatencySpec::Exponential { mean })
-        }
-        Some(other) => Err(format!("unknown latency kind {other:?}")),
-        None => Err("\"latency\" requires a \"kind\"".into()),
-    }
-}
-
-/// Parses the `"failures"` object: the three i.i.d. rates plus the
-/// optional adversarial fault-plan dimensions (`burst`, `schedule`,
-/// `adversary`, `outages`). Every plan probability and window is
-/// validated here, and the three rates by [`ScenarioSpec::check_runnable`]
-/// (which also guards specs built in code), so a bad spec fails at parse
-/// time with a named field instead of tripping an engine assertion mid-run.
-fn parse_faults(f: &Json) -> Result<FaultSpec, String> {
-    expect_keys(
-        f,
-        &["channel", "transmission", "crash", "burst", "schedule", "adversary", "outages"],
-        "\"failures\"",
-    )?;
-    let rates = FailureSpec {
-        channel: opt_f64(f, "channel", 0.0)?,
-        transmission: opt_f64(f, "transmission", 0.0)?,
-        crash: opt_f64(f, "crash", 0.0)?,
-    };
-    let burst = match f.get("burst") {
-        None => None,
-        Some(b) => {
-            expect_keys(b, &["p_gb", "p_bg", "loss_good", "loss_bad"], "\"burst\"")?;
-            let g = GilbertElliott {
-                p_gb: req_f64(b, "p_gb")?,
-                p_bg: req_f64(b, "p_bg")?,
-                loss_good: req_f64(b, "loss_good")?,
-                loss_bad: req_f64(b, "loss_bad")?,
-            };
-            for (name, p) in [
-                ("p_gb", g.p_gb),
-                ("p_bg", g.p_bg),
-                ("loss_good", g.loss_good),
-                ("loss_bad", g.loss_bad),
-            ] {
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("\"burst\".\"{name}\" must be a probability in [0, 1]"));
-                }
-            }
-            Some(g)
-        }
-    };
-    let schedule = match f.get("schedule") {
-        None => Vec::new(),
-        Some(Json::Arr(items)) => items
-            .iter()
-            .enumerate()
-            .map(|(i, e)| parse_fault_event(e).map_err(|err| format!("\"schedule\"[{i}]: {err}")))
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("\"schedule\" must be an array of fault events".into()),
-    };
-    let adversary = match f.get("adversary") {
-        None => None,
-        Some(a) => {
-            expect_keys(a, &["target", "per_round", "budget", "from_round"], "\"adversary\"")?;
-            let target = match a.get("target").and_then(Json::as_str) {
-                Some("highest_degree") => AdversaryTarget::HighestDegree,
-                Some("earliest_informed") => AdversaryTarget::EarliestInformed,
-                other => return Err(format!("unknown adversary target {other:?}")),
-            };
-            Some(AdversarySpec {
-                target,
-                per_round: req_usize(a, "per_round")?,
-                budget: req_usize(a, "budget")?,
-                from_round: opt_u64(a, "from_round", 1)? as Round,
-            })
-        }
-    };
-    let outages = match f.get("outages") {
-        None => None,
-        Some(o) => {
-            expect_keys(o, &["rate", "min_down", "max_down"], "\"outages\"")?;
-            let rate = req_f64(o, "rate")?;
-            if !(0.0..1.0).contains(&rate) {
-                return Err("\"outages\".\"rate\" must be a probability in [0, 1)".into());
-            }
-            let min_down = req_usize(o, "min_down")? as Round;
-            let max_down = req_usize(o, "max_down")? as Round;
-            if min_down < 1 {
-                return Err("\"min_down\" must be at least 1 round".into());
-            }
-            if min_down > max_down {
-                return Err("\"min_down\" must not exceed \"max_down\"".into());
-            }
-            Some(OutageSpec { rate, min_down, max_down })
-        }
-    };
-    Ok(FaultSpec { rates, burst, schedule, adversary, outages })
-}
-
-/// Parses one entry of the `"schedule"` array.
-fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
-    let kind = v.get("kind").and_then(Json::as_str);
-    expect_keys(
-        v,
-        match kind {
-            Some("partition") => &["kind", "from", "until", "parts"],
-            Some("crash_nodes") => &["kind", "at", "nodes"],
-            Some("loss_window") => &["kind", "from", "until", "channel", "transmission"],
-            _ => &["kind"],
-        },
-        "the fault event",
-    )?;
-    match kind {
-        Some("partition") => {
-            let parts = req_usize(v, "parts")? as u32;
-            if parts == 0 {
-                return Err("\"parts\" must be at least 1".into());
-            }
-            Ok(FaultEvent::Partition {
-                from: req_usize(v, "from")? as Round,
-                until: req_usize(v, "until")? as Round,
-                parts,
-            })
-        }
-        Some("crash_nodes") => {
-            let nodes = match v.get("nodes") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|n| n.as_u64().map(|x| x as u32))
-                    .collect::<Option<Vec<u32>>>()
-                    .ok_or("\"nodes\" must be an array of node indices")?,
-                _ => return Err("\"nodes\" must be an array of node indices".into()),
-            };
-            Ok(FaultEvent::CrashNodes { at: req_usize(v, "at")? as Round, nodes })
-        }
-        Some("loss_window") => {
-            let channel = opt_f64_field(v, "channel")?;
-            let transmission = opt_f64_field(v, "transmission")?;
-            for (name, p) in [("channel", channel), ("transmission", transmission)] {
-                if let Some(p) = p {
-                    if !(0.0..1.0).contains(&p) {
-                        return Err(format!("\"{name}\" must be a probability in [0, 1)"));
-                    }
-                }
-            }
-            Ok(FaultEvent::LossWindow {
-                from: req_usize(v, "from")? as Round,
-                until: req_usize(v, "until")? as Round,
-                channel,
-                transmission,
-            })
-        }
-        other => Err(format!("unknown fault event kind {other:?}")),
-    }
-}
-
-/// Parses the `"dynamics"` object with the same strictness as every other
-/// section: unknown keys, mistyped values and out-of-range rates are
-/// refused loudly instead of silently running a different scenario.
-fn parse_dynamics(v: &Json) -> Result<DynamicsSpec, String> {
-    expect_keys(v, &["churn"], "\"dynamics\"")?;
-    let Some(c) = v.get("churn") else {
-        return Ok(DynamicsSpec::Static);
-    };
-    expect_keys(
-        c,
-        &["joins_per_round", "leaves_per_round", "min_alive", "rewire_per_round"],
-        "\"dynamics\".\"churn\"",
-    )?;
-    let joins_per_round = opt_f64(c, "joins_per_round", 0.0)?;
-    let leaves_per_round = opt_f64(c, "leaves_per_round", 0.0)?;
-    for (name, rate) in
-        [("joins_per_round", joins_per_round), ("leaves_per_round", leaves_per_round)]
-    {
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(format!("\"{name}\" must be a finite non-negative rate"));
-        }
-    }
-    let min_alive = match c.get("min_alive") {
-        None => None,
-        Some(j) => Some(
-            j.as_u64().ok_or("\"min_alive\" must be a non-negative integer")? as usize,
-        ),
-    };
-    let rewire_per_round = opt_u64(c, "rewire_per_round", 0)? as usize;
-    Ok(DynamicsSpec::Churn(ChurnSpec {
-        joins_per_round,
-        leaves_per_round,
-        min_alive,
-        rewire_per_round,
-    }))
-}
-
-fn req_usize(v: &Json, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .map(|x| x as usize)
-        .ok_or_else(|| format!("missing or invalid \"{key}\""))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing or invalid \"{key}\""))
-}
-
-/// Optional numeric field: absent ⇒ `default`, present-but-not-a-number ⇒
-/// error. Hand-edited specs must never have a mistyped value silently
-/// replaced by a default (e.g. `"channel": "0.3"` running failure-free).
-fn opt_f64(v: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j.as_f64().ok_or_else(|| format!("\"{key}\" must be a number")),
-    }
-}
-
-/// Optional non-negative integer field with a default (see [`opt_f64`]).
-fn opt_u64(v: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => {
-            j.as_u64().ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))
-        }
-    }
-}
-
-/// Truly optional numeric field (`None` when absent; see [`opt_f64`]).
-fn opt_f64_field(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j.as_f64().map(Some).ok_or_else(|| format!("\"{key}\" must be a number")),
-    }
-}
-
-/// Truly optional non-negative integer field (`None` when absent).
-fn opt_u32_field(v: &Json, key: &str) -> Result<Option<u32>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j
-            .as_u64()
-            .map(|x| Some(x as u32))
-            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-    }
-}
-
-/// Optional boolean field with a default (see [`opt_f64`]).
-fn opt_bool(v: &Json, key: &str, default: bool) -> Result<bool, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j.as_bool().ok_or_else(|| format!("\"{key}\" must be a boolean")),
-    }
-}
-
-/// Rejects unknown keys in an object, so a misspelled field (`"chanel"`)
-/// errors instead of silently falling back to the default.
-fn expect_keys(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    if let Json::Obj(fields) = v {
-        for (k, _) in fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("unknown key {k:?} in {ctx}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn parse_policy(v: Option<&Json>) -> Result<PolicySpec, String> {
-    let Some(v) = v else { return Ok(PolicySpec::STANDARD) };
-    let kind = v.get("kind").and_then(Json::as_str);
-    expect_keys(
-        v,
-        match kind {
-            Some("distinct") => &["kind", "k"],
-            Some("memory") => &["kind", "window"],
-            _ => &["kind"],
-        },
-        "the policy object",
-    )?;
-    match kind {
-        Some("distinct") => Ok(PolicySpec::Distinct(req_usize(v, "k")?)),
-        Some("memory") => Ok(PolicySpec::Memory(req_usize(v, "window")?)),
-        Some("cyclic") => Ok(PolicySpec::Cyclic),
-        other => Err(format!("unknown policy kind {other:?}")),
-    }
-}
-
-fn parse_graph(v: &Json) -> Result<GraphSpec, String> {
-    let kind = v.get("kind").and_then(Json::as_str);
-    expect_keys(
-        v,
-        match kind {
-            Some("random_regular") | Some("configuration_model") => &["kind", "n", "d"],
-            Some("gnp") => &["kind", "n", "expected_degree"],
-            Some("complete") | Some("cycle") => &["kind", "n"],
-            Some("hypercube") => &["kind", "dim"],
-            Some("torus") => &["kind", "rows", "cols"],
-            Some("product_k") => &["kind", "base_n", "base_d", "clique"],
-            Some("preferential_attachment") => &["kind", "n", "m"],
-            _ => &["kind"],
-        },
-        "the graph object",
-    )?;
-    match kind {
-        Some("random_regular") => {
-            Ok(GraphSpec::RandomRegular { n: req_usize(v, "n")?, d: req_usize(v, "d")? })
-        }
-        Some("configuration_model") => {
-            Ok(GraphSpec::ConfigurationModel { n: req_usize(v, "n")?, d: req_usize(v, "d")? })
-        }
-        Some("gnp") => Ok(GraphSpec::Gnp {
-            n: req_usize(v, "n")?,
-            expected_degree: req_f64(v, "expected_degree")?,
-        }),
-        Some("complete") => Ok(GraphSpec::Complete { n: req_usize(v, "n")? }),
-        Some("hypercube") => {
-            let dim = req_usize(v, "dim")?;
-            let dim = u32::try_from(dim).map_err(|_| format!("\"dim\" {dim} is out of range"))?;
-            Ok(GraphSpec::Hypercube { dim })
-        }
-        Some("torus") => {
-            Ok(GraphSpec::Torus { rows: req_usize(v, "rows")?, cols: req_usize(v, "cols")? })
-        }
-        Some("cycle") => Ok(GraphSpec::Cycle { n: req_usize(v, "n")? }),
-        Some("product_k") => Ok(GraphSpec::ProductK {
-            base_n: req_usize(v, "base_n")?,
-            base_d: req_usize(v, "base_d")?,
-            clique: req_usize(v, "clique")?,
-        }),
-        Some("preferential_attachment") => Ok(GraphSpec::PreferentialAttachment {
-            n: req_usize(v, "n")?,
-            m: req_usize(v, "m")?,
-        }),
-        other => Err(format!("unknown graph kind {other:?}")),
-    }
-}
-
-fn parse_protocol(v: &Json) -> Result<ProtocolSpec, String> {
-    let kind = v.get("kind").and_then(Json::as_str);
-    expect_keys(
-        v,
-        match kind {
-            Some("four_choice") => &["kind", "n_estimate", "degree", "alpha", "choices", "regime"],
-            Some("sequential_four_choice") => &["kind", "n_estimate", "degree"],
-            Some("budgeted") => &["kind", "mode", "n", "budget", "policy"],
-            Some("push_then_pull") => &["kind", "n"],
-            Some("median_counter") => &["kind", "n", "ctr_max", "c_rounds", "age_cutoff"],
-            Some("quasirandom") => &["kind", "max_age"],
-            Some("flood_push") | Some("flood_pull") | Some("flood_push_pull") => {
-                &["kind", "policy"]
-            }
-            Some("ablated") => {
-                &["kind", "n_estimate", "degree", "alpha", "phase1_always_push", "no_pull"]
-            }
-            _ => &["kind"],
-        },
-        "the protocol object",
-    )?;
-    match kind {
-        Some("four_choice") => Ok(ProtocolSpec::FourChoice {
-            n_estimate: req_usize(v, "n_estimate")?,
-            degree: req_usize(v, "degree")?,
-            alpha: opt_f64(v, "alpha", 1.5)?,
-            choices: opt_u64(v, "choices", 4)? as usize,
-            regime: match v.get("regime").and_then(Json::as_str) {
-                Some("small") => RegimeSpec::Small,
-                Some("large") => RegimeSpec::Large,
-                Some("auto") | None => RegimeSpec::Auto,
-                Some(other) => return Err(format!("unknown regime {other:?}")),
-            },
-        }),
-        Some("sequential_four_choice") => Ok(ProtocolSpec::SequentialFourChoice {
-            n_estimate: req_usize(v, "n_estimate")?,
-            degree: req_usize(v, "degree")?,
-        }),
-        Some("budgeted") => Ok(ProtocolSpec::Budgeted {
-            mode: match v.get("mode").and_then(Json::as_str) {
-                Some("push") => GossipModeSpec::Push,
-                Some("pull") => GossipModeSpec::Pull,
-                Some("push_pull") => GossipModeSpec::PushPull,
-                other => return Err(format!("unknown gossip mode {other:?}")),
-            },
-            n: req_usize(v, "n")?,
-            budget: req_f64(v, "budget")?,
-            policy: parse_policy(v.get("policy"))?,
-        }),
-        Some("push_then_pull") => Ok(ProtocolSpec::PushThenPull { n: req_usize(v, "n")? }),
-        Some("median_counter") => Ok(ProtocolSpec::MedianCounter {
-            n: req_usize(v, "n")?,
-            ctr_max: opt_u32_field(v, "ctr_max")?,
-            c_rounds: opt_u32_field(v, "c_rounds")?,
-            age_cutoff: opt_u32_field(v, "age_cutoff")?,
-        }),
-        Some("quasirandom") => {
-            Ok(ProtocolSpec::Quasirandom { max_age: opt_u32_field(v, "max_age")? })
-        }
-        Some("flood_push") => Ok(ProtocolSpec::FloodPush { policy: parse_policy(v.get("policy"))? }),
-        Some("flood_pull") => Ok(ProtocolSpec::FloodPull { policy: parse_policy(v.get("policy"))? }),
-        Some("flood_push_pull") => {
-            Ok(ProtocolSpec::FloodPushPull { policy: parse_policy(v.get("policy"))? })
-        }
-        Some("silent") => Ok(ProtocolSpec::Silent),
-        Some("ablated") => Ok(ProtocolSpec::Ablated {
-            n_estimate: req_usize(v, "n_estimate")?,
-            degree: req_usize(v, "degree")?,
-            alpha: opt_f64(v, "alpha", 1.5)?,
-            phase1_always_push: opt_bool(v, "phase1_always_push", false)?,
-            no_pull: opt_bool(v, "no_pull", false)?,
-        }),
-        other => Err(format!("unknown protocol kind {other:?}")),
     }
 }
 
@@ -2256,10 +1729,14 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::arbitrary;
+    use proptest::prelude::*;
+    use proptest::Strategy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rrb_engine::Simulation;
     use rrb_graph::NodeId;
+    use std::collections::BTreeSet;
 
     fn sample_specs() -> Vec<ScenarioSpec> {
         vec![
@@ -2510,6 +1987,51 @@ mod tests {
              \"degree\": 3, \"alpha\": \"big\"}}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn mistyped_tags_and_out_of_range_integers_name_their_field() {
+        // Each of these once parsed and ran something else: a non-string
+        // tag fell back to the default variant (or was ignored), and a
+        // round or node number above u32::MAX wrapped around.
+        let spec = |protocol: &str, extra: &str| {
+            format!(
+                "{{\"label\": \"x\", \"graph\": {{\"kind\": \"complete\", \"n\": 8}}, \
+                 \"protocol\": {protocol}{extra}}}"
+            )
+        };
+        let push = "{\"kind\": \"flood_push\"}";
+        let event = |e: &str| spec(push, &format!(", \"failures\": {{\"schedule\": [{e}]}}"));
+        let cases = [
+            (spec(push, ", \"stop\": {\"mode\": 1}"), "\"stop\".\"mode\" must be a string"),
+            (
+                spec(push, ", \"stop\": {\"mode\": \"coverage\", \"max_rounds\": 4294967297}"),
+                "\"stop\".\"max_rounds\" must fit in u32, got 4294967297",
+            ),
+            (spec(push, "").replacen('{', "{\"schema\": 5, ", 1), "\"schema\" must be"),
+            (spec(push, ", \"measure\": {\"kind\": 7}"), "\"measure\".\"kind\" must be a string"),
+            (
+                spec(
+                    "{\"kind\": \"four_choice\", \"n_estimate\": 8, \"degree\": 7, \"regime\": 3}",
+                    "",
+                ),
+                "\"protocol\".\"regime\" must be a string",
+            ),
+            (
+                event(
+                    "{\"kind\": \"partition\", \"from\": 1, \"until\": 4294967301, \"parts\": 2}",
+                ),
+                "\"failures\".\"schedule\"[0].\"until\" must fit in u32, got 4294967301",
+            ),
+            (
+                event("{\"kind\": \"crash_nodes\", \"at\": 1, \"nodes\": [4294967297]}"),
+                "\"failures\".\"schedule\"[0].\"nodes\"[0] must fit in u32, got 4294967297",
+            ),
+        ];
+        for (json, message) in cases {
+            let err = ScenarioSpec::from_json(&json).expect_err(&json);
+            assert!(err.contains(message), "{json}\n  gave {err:?}\n  want {message:?}");
+        }
     }
 
     #[test]
@@ -3083,5 +2605,72 @@ mod tests {
             .sim_config();
         assert!(!quiet.stop_at_coverage);
         assert!(quiet.failures.is_none());
+    }
+
+    /// Generated specs per property test: enough that every variant of
+    /// every spec enum turns up and a tenth are runnable (asserted below).
+    const CASES: u32 = 1000;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn generated_specs_round_trip(spec in arbitrary::<ScenarioSpec>()) {
+            prop_assume!(spec.check_runnable().is_ok());
+            let json = spec.to_json();
+            prop_assert_eq!(ScenarioSpec::from_json(&json), Ok(spec), "{}", json);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = ScenarioSpec::list_from_json(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_specs_never_panic(
+            spec in arbitrary::<ScenarioSpec>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            truncate in any::<bool>(),
+        ) {
+            let mut json = spec.to_json().into_bytes();
+            let at = at % json.len();
+            if truncate {
+                json.truncate(at);
+            } else {
+                json[at] = byte;
+            }
+            let _ = ScenarioSpec::list_from_json(&String::from_utf8_lossy(&json));
+        }
+    }
+
+    #[test]
+    fn the_generator_reaches_every_variant() {
+        fn kind<T: Codec>(value: &T) -> String {
+            let json = parse_json(&value.encode()).unwrap();
+            json.get("kind").and_then(Json::as_str).unwrap().to_string()
+        }
+        let mut seen: [BTreeSet<String>; 6] = Default::default();
+        let mut runnable = 0;
+        let strategy = arbitrary::<ScenarioSpec>();
+        for case in 0..CASES {
+            let spec = strategy.generate(&mut proptest::case_rng("variants", case));
+            runnable += u32::from(spec.check_runnable().is_ok());
+            seen[0].insert(kind(&spec.graph));
+            seen[1].insert(kind(&spec.protocol));
+            seen[2].extend(spec.failures.schedule.iter().map(kind));
+            if let TimingSpec::Async { clock, latency } = spec.timing {
+                seen[3].insert(kind(&clock));
+                seen[4].insert(kind(&latency));
+            }
+            seen[5].insert(kind(&spec.measure));
+        }
+        let want = [9, 11, 3, 3, 4, 7];
+        let names = ["graph", "protocol", "fault event", "clock", "latency", "measure"];
+        for ((seen, want), name) in seen.iter().zip(want).zip(names) {
+            assert_eq!(seen.len(), want, "{name} variants reached: {seen:?}");
+        }
+        // The round-trip property discards unrunnable specs; enough remain.
+        assert!(runnable >= CASES / 10, "only {runnable} of {CASES} generated specs are runnable");
     }
 }

@@ -109,6 +109,7 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const GOOD: &str = "\
 # telemetry is the one module allowed to read the clock
@@ -162,5 +163,26 @@ reason = \"the bench recorder measures wall time\"
     #[test]
     fn keys_outside_entries_are_rejected() {
         assert!(parse_allowlist("rule = \"no-wall-clock\"\n").is_err());
+    }
+
+    /// What allowlist lines are assembled from, malformed pieces included.
+    const PIECES: [&str; 14] = [
+        "[[allow]]", "[allow]", "rule =", "path =", "reason =", "rule", "=", "\"",
+        "\"no-wall-clock\"", "\"a.rs\"", "#", " ", "\n", "é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = parse_allowlist(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn assembled_lines_never_panic(picks in prop::collection::vec(0..PIECES.len(), 0..48)) {
+            let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let _ = parse_allowlist(&text);
+        }
     }
 }

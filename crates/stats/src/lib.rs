@@ -24,12 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod histogram;
 mod regression;
 mod summary;
 mod table;
 
-pub use histogram::Histogram;
 pub use regression::{fit_log2, fit_loglog2, linear_regression, Fit};
 pub use summary::Summary;
 pub use table::Table;
