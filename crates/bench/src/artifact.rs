@@ -6,8 +6,8 @@
 //! an FNV-1a hash of the spec JSON), the replication statistics (seeds,
 //! mean rounds, mean transmissions, success rate — deterministic given
 //! the spec, so exact across machines), and the run-cost observables
-//! (configuration wall-clock, per-phase attribution from a probed seed-0
-//! replay, peak RSS) that only compare within tolerance bands.
+//! (configuration wall-clock, per-phase attribution of seed 0 of the
+//! measured run, peak RSS) that only compare within tolerance bands.
 //!
 //! A record is declared once in the same `codec!` table the scenario
 //! specs use (see `crate::codec`): floats print in Rust's shortest
@@ -19,10 +19,10 @@ use std::io;
 use std::path::Path;
 
 use crate::codec::{codec, field, keys_only, member, object, Codec, INLINE};
-use crate::registry::{self, Experiment};
+use crate::registry::{self, Experiment, LadderEntry, RungRun};
 use crate::scenario::{parse_json, Json};
 use crate::{mean_of, mean_rounds_to_coverage, success_rate, ExpConfig};
-use rrb_engine::{RunReport, StepPhase};
+use rrb_engine::StepPhase;
 
 /// Schema tag every record carries.
 pub const SCHEMA: &str = "rrb-run-artifact-v1";
@@ -56,15 +56,16 @@ pub struct RunArtifact {
     /// statistics are identical at any value).
     pub shards: u64,
     /// Per-phase wall-clock (milliseconds, ordered as
-    /// [`StepPhase::ALL`]) of the probed seed-0 replay; `None` only in
+    /// [`StepPhase::ALL`]) of seed 0 of the measured run; `None` only in
     /// records written before churn rungs were probed.
     pub phase_ms: Option<[f64; StepPhase::COUNT]>,
-    /// Per-shard per-phase wall-clock of the probed replay (one row per
-    /// shard, same phase order) — only replays with `shards > 1` record
-    /// it, so 1-shard records keep their shape.
+    /// Per-shard per-phase wall-clock of seed 0 of the measured run (one
+    /// row per shard, same phase order) — only runs with `shards > 1`
+    /// record it, so 1-shard records keep their shape.
     /// Shard rows attribute overlapping *work*, not elapsed time.
     pub shard_phase_ms: Option<Vec<[f64; StepPhase::COUNT]>>,
-    /// Peak RSS (`VmHWM`, kibibytes) sampled during the probed replay.
+    /// Peak RSS (`VmHWM`, kibibytes) read after the measured rung's seeds
+    /// finished.
     pub peak_rss_kib: Option<u64>,
 }
 
@@ -130,36 +131,45 @@ impl RunArtifact {
     }
 }
 
+/// The record of one measured rung: `entry` of `experiment`, run under
+/// `cfg` by [`run_entry`](registry::run_entry) — replication statistics,
+/// wall-clock, seed 0's per-phase timings and the rung's peak RSS, all
+/// from that one run.
+pub fn record(
+    experiment: &str,
+    entry: &LadderEntry,
+    cfg: &ExpConfig,
+    run: &RungRun,
+) -> RunArtifact {
+    let reports = run.reports();
+    let shard_rows = run.seed0.shard_phase_ms();
+    RunArtifact {
+        experiment: experiment.to_string(),
+        config_ix: entry.config_ix,
+        label: entry.spec.label.clone(),
+        spec_hash: spec_hash(&entry.spec),
+        n: entry.spec.graph.node_count(),
+        seeds: cfg.seeds,
+        wall_ms: run.wall_ms,
+        mean_rounds: mean_rounds_to_coverage(&reports),
+        mean_transmissions: mean_of(&reports, |r| r.total_tx() as f64),
+        success_rate: success_rate(&reports),
+        shards: cfg.shards as u64,
+        phase_ms: Some(run.seed0.phase_ms()),
+        shard_phase_ms: (cfg.shards > 1 && !shard_rows.is_empty()).then_some(shard_rows),
+        peak_rss_kib: run.peak_rss_kib,
+    }
+}
+
 /// Runs `exp`'s full ladder through the shared
 /// [`run_entry`](registry::run_entry) harness and collects one
-/// [`RunArtifact`] per rung: replicated statistics plus the probed seed-0
-/// run's per-phase timings and peak RSS (see
-/// [`registry::instrument_entry`]).
+/// [`record`] per rung.
 pub fn collect(exp: &Experiment, cfg: &ExpConfig) -> Vec<RunArtifact> {
     (exp.scenarios)(cfg.quick)
         .iter()
         .map(|entry| {
-            let (runs, wall_ms) = registry::run_entry(exp.id, entry, cfg).expect("registry ladder");
-            let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
-            let timings =
-                registry::instrument_entry(exp.id, entry, cfg.shards).expect("registry ladder");
-            let shard_rows = timings.shard_phase_ms();
-            RunArtifact {
-                experiment: exp.name.to_string(),
-                config_ix: entry.config_ix,
-                label: entry.spec.label.clone(),
-                spec_hash: spec_hash(&entry.spec),
-                n: entry.spec.graph.node_count(),
-                seeds: cfg.seeds,
-                wall_ms,
-                mean_rounds: mean_rounds_to_coverage(&reports),
-                mean_transmissions: mean_of(&reports, |r| r.total_tx() as f64),
-                success_rate: success_rate(&reports),
-                shards: cfg.shards as u64,
-                phase_ms: Some(timings.phase_ms()),
-                shard_phase_ms: (cfg.shards > 1 && !shard_rows.is_empty()).then_some(shard_rows),
-                peak_rss_kib: timings.peak_rss_kib(),
-            }
+            let run = registry::run_entry(exp.id, entry, cfg).expect("registry ladder");
+            record(exp.name, entry, cfg, &run)
         })
         .collect()
 }
@@ -255,6 +265,8 @@ mod tests {
             // byte-identical, so stored artifacts survive rewriting.
             assert_eq!(line, back.to_json_line());
         }
+        // Labels go through the workspace's one JSON string escaper.
+        assert_eq!(crate::json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

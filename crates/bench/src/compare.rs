@@ -34,13 +34,27 @@ pub struct Tolerance {
     /// ignore wall-clock entirely.
     pub wall_tol: f64,
     /// Relative band on the replication statistics (0 = exact up to
-    /// float formatting).
+    /// float formatting; `f64::INFINITY` ignores them).
     pub stat_tol: f64,
     /// Absolute peak-RSS ceiling (KiB) on the **candidate**: any record
     /// whose probed `peak_rss_kib` exceeds it is drift. `None` (the
     /// default) leaves memory ungated; the baseline's RSS is never
     /// consulted, so re-recording a baseline cannot loosen the budget.
     pub rss_budget_kib: Option<u64>,
+}
+
+impl Tolerance {
+    /// Rejects a band no gate can mean: both relative bands must be
+    /// non-negative numbers (`inf` allowed). A NaN band would silently
+    /// switch its gate off, a negative one would flag every record.
+    pub fn check(&self) -> Result<(), String> {
+        for (flag, band) in [("--wall-tol", self.wall_tol), ("--stat-tol", self.stat_tol)] {
+            if band.is_nan() || band < 0.0 {
+                return Err(format!("{flag} must be a non-negative number or inf, got {band}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for Tolerance {
@@ -168,12 +182,13 @@ fn jsonl_files(dir: &Path) -> Result<Vec<String>, String> {
 }
 
 /// Compares every baseline `*.jsonl` file against its same-named
-/// candidate file.
+/// candidate file. Fails on a band [`Tolerance::check`] rejects.
 pub fn compare_dirs(
     baseline: &Path,
     candidate: &Path,
     tol: Tolerance,
 ) -> Result<CompareReport, String> {
+    tol.check()?;
     let base_files = jsonl_files(baseline)?;
     if base_files.is_empty() {
         return Err(format!("no .jsonl artifacts in baseline {}", baseline.display()));
@@ -301,6 +316,32 @@ mod tests {
         let mut report = CompareReport::default();
         compare_records("e1.jsonl", &base, &cand, tol, &mut report);
         assert!(report.clean(), "{:?}", report.drifts);
+    }
+
+    #[test]
+    fn nan_or_negative_bands_are_rejected_not_ignored() {
+        let root = std::env::temp_dir().join(format!("rrb_compare_tol_{}", std::process::id()));
+        let (a, b) = (root.join("a"), root.join("b"));
+        let mut doctored = record(1, 10.0);
+        doctored.mean_rounds = 999_999.0;
+        write_jsonl(&a.join("e1.jsonl"), &[doctored]).unwrap();
+        write_jsonl(&b.join("e1.jsonl"), &[record(1, 10.0)]).unwrap();
+        for (flag, tol) in [
+            ("--stat-tol", Tolerance { stat_tol: f64::NAN, ..Tolerance::default() }),
+            ("--stat-tol", Tolerance { stat_tol: -0.5, ..Tolerance::default() }),
+            ("--wall-tol", Tolerance { wall_tol: f64::NAN, ..Tolerance::default() }),
+            ("--wall-tol", Tolerance { wall_tol: -1.0, ..Tolerance::default() }),
+        ] {
+            let err = compare_dirs(&a, &b, tol).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        // `inf` stays the documented way to ignore a band.
+        let tol =
+            Tolerance { wall_tol: f64::INFINITY, stat_tol: f64::INFINITY, rss_budget_kib: None };
+        assert!(compare_dirs(&a, &b, tol).unwrap().clean());
+        // The doctored statistic still trips the default band.
+        assert!(!compare_dirs(&a, &b, Tolerance::default()).unwrap().clean());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

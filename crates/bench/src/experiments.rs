@@ -15,14 +15,14 @@
 use std::time::Instant;
 
 use crate::measure;
-use crate::registry::{deadline_of, instrument_entry, run_entry, Experiment, LadderEntry};
+use crate::registry::{deadline_of, run_entry, Experiment, LadderEntry};
 use crate::scenario::{
     ChurnSpec, DynamicsSpec, FailureSpec, FaultSpec, GossipModeSpec, GraphSpec, MeasureSpec,
     PolicySpec, ProtocolSpec, RegimeSpec, ScenarioSpec, StopSpec, TimingSpec,
 };
 use crate::{
     mean_cover_time, mean_coverage, mean_of, mean_recovery_rounds, mean_rounds_to_coverage,
-    peak_rss_kib, random_alive_origin, replicate, success_rate, BenchRecorder, ChurnRun,
+    peak_rss_kib, random_alive_origin, replicate, success_rate, ChurnRun,
     EventClock, ExpConfig, Rung,
 };
 use rrb_core::{AlgorithmVariant, DegreeRegime};
@@ -38,9 +38,8 @@ use rrb_stats::{fit_log2, fit_loglog2, Summary, Table};
 /// Runs a registry rung through [`run_entry`] and keeps the engine
 /// reports. Registry ladders are runnable by construction, so a failure
 /// here is a bug in the ladder.
-fn run_reports(experiment_id: u64, entry: &LadderEntry, cfg: &ExpConfig) -> (Vec<RunReport>, f64) {
-    let (runs, wall_ms) = run_entry(experiment_id, entry, cfg).expect("registry ladder");
-    (runs.into_iter().map(|r| r.report).collect(), wall_ms)
+fn run_reports(experiment_id: u64, entry: &LadderEntry, cfg: &ExpConfig) -> Vec<RunReport> {
+    run_entry(experiment_id, entry, cfg).expect("registry ladder").reports()
 }
 
 /// Mirrors `ExpConfig::size_exponents` for ladder builders that only get
@@ -83,9 +82,8 @@ fn e1_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e1_run(cfg: &ExpConfig) {
     let exps = exponents(cfg.quick, 10..=15);
-    let mut recorder = BenchRecorder::new("e1_runtime", cfg.quick);
 
     println!("E1: four-choice broadcast runtime vs n (mean over {} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec!["d", "n", "rounds", "success", "wall ms", "schedule end"]);
@@ -95,8 +93,8 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         for &e in &exps {
             let n = 1usize << e;
             let entry = e1_entry(di, d, e);
-            let (reports, wall_ms) = run_reports(1, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let run = run_entry(1, &entry, cfg).expect("registry ladder");
+            let (reports, wall_ms) = (run.reports(), run.wall_ms);
             let mean_rounds = mean_rounds_to_coverage(&reports);
             table.row(vec![
                 d.to_string(),
@@ -119,28 +117,20 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     }
     println!("\n{table}");
 
-    // Sharded provenance rows: the largest d = 8 rung re-run with the
-    // round loop split over 2 and 4 shards. The statistics must match
-    // the serial row bit for bit (the sharding determinism contract);
-    // only the wall clock may move.
-    recorder.set_shards(cfg.shards);
+    // Shard check: the largest d = 8 rung re-run with the round loop
+    // split over 2 and 4 shards. The statistics must match the serial
+    // run bit for bit (the sharding determinism contract); only the wall
+    // clock may move.
     let &e_max = exps.last().expect("non-empty ladder");
-    let (serial_reports, _) = run_reports(1, &e1_entry(0, 8, e_max), cfg);
+    let serial_reports = run_reports(1, &e1_entry(0, 8, e_max), cfg);
     for shards in [2usize, 4] {
         let entry = e1_entry(0, 8, e_max);
         let sharded = ExpConfig { shards, ..*cfg };
-        let (reports, wall_ms) = run_reports(1, &entry, &sharded);
+        let reports = run_reports(1, &entry, &sharded);
         assert_eq!(
             serial_reports, reports,
             "E1 {} diverged at {shards} shards — sharding must be invisible to results",
             entry.spec.label
-        );
-        recorder.record(
-            format!("{}_s{shards}", entry.spec.label),
-            1usize << e_max,
-            cfg.seeds,
-            wall_ms,
-            &reports,
         );
     }
 
@@ -161,8 +151,8 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
             .with_stop(StopSpec::COVERAGE),
         );
         let one_seed = ExpConfig { quick: false, seeds: 1, threads: cfg.threads, shards: cfg.shards };
-        let (reports, wall_ms) = run_reports(1, &entry, &one_seed);
-        recorder.record(entry.spec.label.clone(), n, 1, wall_ms, &reports);
+        let run = run_entry(1, &entry, &one_seed).expect("registry ladder");
+        let (reports, wall_ms) = (run.reports(), run.wall_ms);
         let rss_after = peak_rss_kib();
         let fmt_mib = |kib: Option<u64>| match kib {
             Some(k) => format!("{:.0} MiB", k as f64 / 1024.0),
@@ -180,17 +170,10 @@ fn e1_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         );
     }
 
-    let json_path =
-        std::env::var("RRB_BENCH_JSON").unwrap_or_else(|_| "BENCH_engine.json".into());
-    match recorder.write(&json_path) {
-        Ok(()) => println!("perf trajectory written to {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
     println!(
         "paper: O(log n) rounds (Thm 2 for small d, Thm 3 for large d); the fits\n\
          above should be linear in log2 n with stable slope across d."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -239,9 +222,8 @@ fn e2_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e2_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e2_run(cfg: &ExpConfig) {
     let exps = exponents(cfg.quick, 10..=15);
-    let mut recorder = BenchRecorder::new("e2_transmissions", cfg.quick);
     println!(
         "E2: transmissions per node vs n on random {E2_D}-regular graphs (mean over {} seeds)\n",
         cfg.seeds
@@ -257,8 +239,7 @@ fn e2_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         for &e in &exps {
             let n = 1usize << e;
             let entry = e2_entry(name, base, e, make);
-            let (reports, wall_ms) = run_reports(2, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(2, &entry, cfg);
             ns.push(n as f64);
             tx.push(mean_of(&reports, |r| r.tx_per_node()));
             all.extend(reports);
@@ -301,7 +282,6 @@ fn e2_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         "paper: four-choice is O(n log log n) total (flat-ish loglog slope, near-zero\n\
          log2 slope), push is Θ(n log n) (log2 slope ≈ its budget constant)."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -358,9 +338,8 @@ fn e3_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e3_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e3_run(cfg: &ExpConfig) {
     let (n, degrees) = e3_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e3_lower_bound", cfg.quick);
     println!(
         "E3: lower-bound audit at n = {n} (mean over {} seeds); \
          normalisation N = n·log2(n)/log2(d)\n",
@@ -373,8 +352,7 @@ fn e3_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     for (di, &d) in degrees.iter().enumerate() {
         for (name, entry) in e3_entries(n, di, d) {
             let norm_per_node = (n as f64).log2() / (d as f64).log2();
-            let (reports, wall_ms) = run_reports(3, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(3, &entry, cfg);
             let tx = mean_of(&reports, |r| r.tx_per_node());
             table.row(vec![
                 d.to_string(),
@@ -392,7 +370,6 @@ fn e3_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          (watch the column stay roughly flat-or-growing in d), while the starred\n\
          four-choice row — outside the standard model — sinks towards 0 as d and n grow."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -422,12 +399,9 @@ fn e4_scenarios(quick: bool) -> Vec<LadderEntry> {
     )]
 }
 
-fn e4_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e4_run(cfg: &ExpConfig) {
     let (n, d) = e4_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e4_phases", cfg.quick);
-    let start = Instant::now();
     let (s, per_seed) = measure::phase_milestones(n, d, cfg.seeds);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let informed_p1: Vec<f64> = per_seed.iter().map(|r| r.informed_p1).collect();
     let uninformed_p2: Vec<f64> = per_seed.iter().map(|r| r.uninformed_p2).collect();
     let coverage_round: Vec<f64> = per_seed.iter().map(|r| r.coverage_round).collect();
@@ -476,18 +450,6 @@ fn e4_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         if ok1 { "HOLDS" } else { "VIOLATED" },
         if ok2 { "HOLDS" } else { "VIOLATED" }
     );
-    let tx: Vec<f64> = per_seed.iter().map(|r| r.total_tx).collect();
-    let successes = per_seed.iter().filter(|r| r.success).count();
-    recorder.record_raw(
-        format!("phases_n{n}"),
-        n,
-        cfg.seeds,
-        wall_ms,
-        s5.mean,
-        Summary::from_slice(&tx).mean,
-        successes as f64 / per_seed.len().max(1) as f64,
-    );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -525,9 +487,8 @@ fn e5_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e5_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e5_run(cfg: &ExpConfig) {
     println!("E5: push/pull crossover on complete graphs ({} seeds)\n", cfg.seeds);
-    let mut recorder = BenchRecorder::new("e5_crossover", cfg.quick);
     let mut table = Table::new(vec![
         "n",
         "push: 0→n/2",
@@ -537,25 +498,9 @@ fn e5_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         "loglog2 n",
     ]);
     for (i, &n) in e5_sizes(cfg.quick).iter().enumerate() {
-        let mut timed = |pull: bool| {
-            let entry = e5_entry(i, n, pull);
-            let start = Instant::now();
-            let trace = measure::crossover_trace(5, &entry, cfg.seeds);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let m = |v: &[f64]| Summary::from_slice(v).mean;
-            recorder.record_raw(
-                entry.spec.label.clone(),
-                n,
-                cfg.seeds,
-                wall_ms,
-                m(&trace.half) + m(&trace.tail),
-                m(&trace.total_tx),
-                trace.success_rate,
-            );
-            trace
-        };
-        let push = timed(false);
-        let pull = timed(true);
+        let trace = |pull: bool| measure::crossover_trace(5, &e5_entry(i, n, pull), cfg.seeds);
+        let push = trace(false);
+        let pull = trace(true);
         let m = |v: &[f64]| Summary::from_slice(v).mean;
         table.row(vec![
             n.to_string(),
@@ -572,7 +517,6 @@ fn e5_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          O(log log n) rounds (doubly exponential shrink), while pull's head is no\n\
          faster than push's — exactly the crossover at ~n/2 described in §1."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -605,9 +549,8 @@ fn e6_scenarios(quick: bool) -> Vec<LadderEntry> {
     (1..=4).map(|k| e6_entry(n, d, k)).collect()
 }
 
-fn e6_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e6_run(cfg: &ExpConfig) {
     let (n, d) = e6_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e6_choices", cfg.quick);
     println!(
         "E6: k-distinct-choices ablation of the paper's schedule at n = {n}, d = {d} \
          ({} seeds)\n",
@@ -618,8 +561,7 @@ fn e6_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for k in 1..=4usize {
         let entry = e6_entry(n, d, k);
-        let (reports, wall_ms) = run_reports(6, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(6, &entry, cfg);
         table.row(vec![
             k.to_string(),
             format!("{:.2}", success_rate(&reports)),
@@ -644,7 +586,6 @@ fn e6_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          tx/node scales ~linearly in k through phase 2, so smaller k is cheaper\n\
          per round — the question is whether coverage survives."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -674,8 +615,7 @@ fn e7_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e7_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
-    let mut recorder = BenchRecorder::new("e7_sequential", cfg.quick);
+fn e7_run(cfg: &ExpConfig) {
     println!("E7: parallel four-choice vs sequential memory-3 ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec![
         "n",
@@ -691,10 +631,8 @@ fn e7_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let n = 1usize << e;
         let par = e7_entry(n, e, false);
         let seq = e7_entry(n, e, true);
-        let (par_reports, par_ms) = run_reports(7, &par, cfg);
-        let (seq_reports, seq_ms) = run_reports(7, &seq, cfg);
-        recorder.record(par.spec.label.clone(), n, cfg.seeds, par_ms, &par_reports);
-        recorder.record(seq.spec.label.clone(), n, cfg.seeds, seq_ms, &seq_reports);
+        let par_reports = run_reports(7, &par, cfg);
+        let seq_reports = run_reports(7, &seq, cfg);
         let pr = mean_rounds_to_coverage(&par_reports);
         let sr = mean_rounds_to_coverage(&seq_reports);
         table.row(vec![
@@ -713,7 +651,6 @@ fn e7_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         "expected: rounds ratio ≈ 4 (each parallel step = 4 sequential steps),\n\
          tx/node within a small constant of each other, both at full coverage."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -774,17 +711,15 @@ fn e8_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e8_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e8_run(cfg: &ExpConfig) {
     let (n, d) = e8_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e8_failures", cfg.quick);
     println!("E8: four-choice under failure injection at n = {n}, d = {d} ({} seeds)\n", cfg.seeds);
 
     for (bi, (label, _, _)) in e8_blocks().into_iter().enumerate() {
         let mut table = Table::new(vec!["p", "coverage", "success", "rounds", "tx/node"]);
         for (i, &p) in E8_RATES.iter().enumerate() {
             let entry = e8_entry(n, d, bi, i);
-            let (reports, wall_ms) = run_reports(8, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(8, &entry, cfg);
             table.row(vec![
                 format!("{p:.2}"),
                 format!("{:.4}", mean_of(&reports, |r| r.coverage())),
@@ -800,7 +735,6 @@ fn e8_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          under heavier failures a larger α (longer phases) restores full coverage —\n\
          the paper's \"limited communication failures\" robustness."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -832,9 +766,8 @@ fn e9_scenarios(quick: bool) -> Vec<LadderEntry> {
     (0..E9_FACTORS.len()).map(|i| e9_entry(n, d, i)).collect()
 }
 
-fn e9_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e9_run(cfg: &ExpConfig) {
     let (n, d) = e9_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e9_estimates", cfg.quick);
     println!(
         "E9: four-choice with misestimated network size at true n = {n}, d = {d} \
          ({} seeds)\n",
@@ -845,8 +778,7 @@ fn e9_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for (i, &(_, label)) in E9_FACTORS.iter().enumerate() {
         let entry = e9_entry(n, d, i);
-        let (reports, wall_ms) = run_reports(9, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(9, &entry, cfg);
         table.row(vec![
             label.into(),
             deadline_of(&entry.spec).map(|r| r.to_string()).unwrap_or_default(),
@@ -862,7 +794,6 @@ fn e9_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          tx); constant-factor underestimates still cover thanks to the pull and\n\
          active phases — matching §1.2's 'estimate within a constant factor'."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -960,9 +891,8 @@ pub(crate) fn e10_multi_runs(
     (outs, start.elapsed().as_secs_f64() * 1e3)
 }
 
-fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e10_run(cfg: &ExpConfig) {
     let (n, d) = e10_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e10_churn", cfg.quick);
     println!("E10: four-choice broadcast under churn at n = {n}, d = {d} ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec![
         "joins+leaves/round",
@@ -975,9 +905,8 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for (i, &rate) in E10_RATES.iter().enumerate() {
         let entry = e10_entry(n, d, i, rate);
-        let (runs, wall_ms) = run_entry(10, &entry, cfg).expect("registry ladder");
+        let runs = run_entry(10, &entry, cfg).expect("registry ladder").outcomes;
         let reports: Vec<_> = runs.iter().map(|r| r.report.clone()).collect();
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
         table.row(vec![
             format!("{rate:.0}"),
             format!("{:.4}", mean_of(&reports, |r| r.coverage())),
@@ -1013,18 +942,6 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         .collect();
     let rounds_v: Vec<f64> = outs.iter().map(|(report, _)| report.rounds as f64).collect();
     let ratios: Vec<f64> = outs.iter().map(|(report, _)| report.combining_ratio()).collect();
-    recorder.record_raw(
-        entry.spec.label.clone(),
-        n,
-        cfg.seeds,
-        wall_ms,
-        Summary::from_slice(&rounds_v).mean,
-        Summary::from_slice(
-            &outs.iter().map(|(report, _)| report.total_rumor_tx() as f64).collect::<Vec<_>>(),
-        )
-        .mean,
-        Summary::from_slice(&delivered).mean,
-    );
     println!(
         "multi-rumour rung ({E10_MULTI_RUMORS} rumours staggered {E10_MULTI_STAGGER} \
          rounds apart, churn {E10_MULTI_RATE:.0}+{E10_MULTI_RATE:.0}/round):\n  \
@@ -1043,7 +960,6 @@ fn e10_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          multi rung shows staggered rumours co-riding the fabric while the\n\
          membership census shifts underneath them."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,11 +1022,10 @@ fn growth_factor(history: &[RoundRecord], n: usize) -> f64 {
     }
 }
 
-fn e11_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e11_run(cfg: &ExpConfig) {
     let (base_n, d) = e11_params(cfg.quick);
     let product_n = base_n * 5;
     let product_d = d + 4;
-    let mut recorder = BenchRecorder::new("e11_k5product", cfg.quick);
 
     println!(
         "E11: four-choice at threshold α — genuine G(n,{product_d}) vs G(n/5,{d}) □ K5 \
@@ -1123,8 +1038,7 @@ fn e11_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     for (ai, &alpha) in E11_ALPHAS.iter().enumerate() {
         for (product, label) in [(false, "G(n, 12)"), (true, "G(n/5, 8) □ K5")] {
             let entry = e11_entry(base_n, d, ai, product);
-            let (reports, wall_ms) = run_reports(11, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), product_n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(11, &entry, cfg);
             let successes = success_rate(&reports);
             let growths: Vec<f64> = reports
                 .iter()
@@ -1149,7 +1063,6 @@ fn e11_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          §5's point that four choices exploit topological randomness, which the\n\
          clique layers destroy."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,8 +1088,7 @@ fn e12_scenarios(quick: bool) -> Vec<LadderEntry> {
     exponents(quick, 10..=14).into_iter().map(e12_entry).collect()
 }
 
-fn e12_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
-    let mut recorder = BenchRecorder::new("e12_gnp", cfg.quick);
+fn e12_run(cfg: &ExpConfig) {
     println!(
         "E12: four-choice on G(n, p) with expected degree {E12_C}·log2 n ({} seeds)\n",
         cfg.seeds
@@ -1190,8 +1102,7 @@ fn e12_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let n = 1usize << e;
         let expected_degree = E12_C * (n as f64).log2();
         let entry = e12_entry(e);
-        let (reports, wall_ms) = run_reports(12, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(12, &entry, cfg);
         let tx = mean_of(&reports, |r| r.tx_per_node());
         table.row(vec![
             n.to_string(),
@@ -1213,7 +1124,6 @@ fn e12_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
             fit.slope, fit.intercept, fit.r_squared
         );
     }
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,9 +1161,8 @@ fn e13_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e13_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e13_run(cfg: &ExpConfig) {
     let (n, degrees) = e13_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e13_regimes", cfg.quick);
     let auto = DegreeRegime::default();
     println!(
         "E13: Algorithm 1 vs Algorithm 2 across the degree ladder at n = {n} \
@@ -1270,8 +1179,7 @@ fn e13_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         };
         for (vi, label) in [(0, "Alg 1 (4 phases)"), (1, "Alg 2 (long pull)")] {
             let entry = e13_entry(n, di, d, vi);
-            let (reports, wall_ms) = run_reports(13, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(13, &entry, cfg);
             table.row(vec![
                 d.to_string(),
                 auto_pick.into(),
@@ -1289,7 +1197,6 @@ fn e13_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          large d (pull tx land mostly on the few uninformed), while Alg 1's single\n\
          pull step + active push is tailored to small degrees."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1364,13 +1271,12 @@ fn e14_run_engine<P: rrb_engine::Protocol + Clone + Sync>(
     d: usize,
     cfg: &ExpConfig,
     cfg_ix: u64,
-    recorder: &mut BenchRecorder,
 ) -> Vec<String> {
     let per_seed = replicate(14, cfg_ix, cfg.seeds, |_, rng| {
         let g = gen::random_regular(n, d, rng).expect("generation");
         let mut db = ReplicatedDb::new(proto.clone(), SimConfig::until_quiescent());
         // Time only the update stream + multi-rumour run — per-seed graph
-        // generation would otherwise dominate the recorded trajectory.
+        // generation would otherwise dominate the reported wall clock.
         let start = std::time::Instant::now();
         db.push_random_updates(&g, updates, window, 32, rng);
         let report = db.run(&g, rng);
@@ -1380,29 +1286,16 @@ fn e14_run_engine<P: rrb_engine::Protocol + Clone + Sync>(
             report.mean_latency(),
             report.tx_per_update_per_node(n),
             report.combining_savings(),
-            report.rounds as f64,
-            report.rumor_tx as f64,
             engine_ms,
         )
     });
     // Summed per-seed engine time: equals configuration wall-clock on a
     // 1-core host and stays a faithful engine-cost metric under threading.
-    let wall_ms: f64 = per_seed.iter().map(|r| r.6).sum();
+    let wall_ms: f64 = per_seed.iter().map(|r| r.4).sum();
     let conv: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
     let lat: Vec<f64> = per_seed.iter().filter_map(|r| r.1).collect();
     let cost: Vec<f64> = per_seed.iter().map(|r| r.2).collect();
     let savings: Vec<f64> = per_seed.iter().map(|r| r.3).collect();
-    let rounds: Vec<f64> = per_seed.iter().map(|r| r.4).collect();
-    let tx: Vec<f64> = per_seed.iter().map(|r| r.5).collect();
-    recorder.record_raw(
-        format!("{name}_u{updates}_w{window}"),
-        n,
-        cfg.seeds,
-        wall_ms,
-        Summary::from_slice(&rounds).mean,
-        Summary::from_slice(&tx).mean,
-        Summary::from_slice(&conv).mean,
-    );
     vec![
         format!("{updates}/{window}"),
         name.into(),
@@ -1414,14 +1307,13 @@ fn e14_run_engine<P: rrb_engine::Protocol + Clone + Sync>(
     ]
 }
 
-fn e14_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e14_run(cfg: &ExpConfig) {
     let (n, d, streams, staggered) = e14_params(cfg.quick);
     println!(
         "E14: replicated DB over gossip at n = {n}, d = {d} ({} seeds); updates\n\
          issued over the first 8 rounds, plus a staggered sparse-informed rung\n",
         cfg.seeds
     );
-    let mut recorder = BenchRecorder::new("e14_replicated_db", cfg.quick);
     let mut table = Table::new(vec![
         "updates/window",
         "engine",
@@ -1441,7 +1333,6 @@ fn e14_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
             d,
             cfg,
             i as u64 * 2,
-            &mut recorder,
         ));
         table.row(e14_run_engine(
             "push (budget)",
@@ -1452,7 +1343,6 @@ fn e14_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
             d,
             cfg,
             i as u64 * 2 + 1,
-            &mut recorder,
         ));
     }
     table.row(e14_run_engine(
@@ -1464,7 +1354,6 @@ fn e14_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         d,
         cfg,
         (streams.len() * 2) as u64,
-        &mut recorder,
     ));
     println!("{table}");
     println!(
@@ -1474,7 +1363,6 @@ fn e14_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          argument (§1). The staggered rung keeps the unsettled-rumour set sparse,\n\
          exercising the informed-index multi-rumour round loop."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1508,9 +1396,8 @@ fn e15_scenarios(quick: bool) -> Vec<LadderEntry> {
         .collect()
 }
 
-fn e15_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e15_run(cfg: &ExpConfig) {
     let (n, _) = e15_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e15_spectral", cfg.quick);
     println!("E15: spectral audit of the generator at n = {n} ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec![
         "d",
@@ -1522,9 +1409,7 @@ fn e15_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     ]);
     for entry in e15_scenarios(cfg.quick) {
         let d = entry.spec.graph.target_degree();
-        let start = Instant::now();
         let per_seed = measure::spectral_audit(15, &entry, cfg.seeds);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let lambdas: Vec<f64> = per_seed.iter().map(|r| r.lambda).collect();
         let max_devs: Vec<f64> = per_seed.iter().map(|r| r.max_deviation).collect();
         let mixing_ok: usize = per_seed.iter().map(|r| r.mixing_ok).sum();
@@ -1541,15 +1426,6 @@ fn e15_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         ]);
         // No broadcast runs here: rounds and transmissions are 0 by
         // construction; the mixing-audit pass rate stands in for success.
-        recorder.record_raw(
-            entry.spec.label.clone(),
-            n,
-            cfg.seeds,
-            wall_ms,
-            0.0,
-            0.0,
-            mixing_ok as f64 / mixing_total.max(1) as f64,
-        );
     }
     println!("{table}");
     println!(
@@ -1557,7 +1433,6 @@ fn e15_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          sampled cut's normalised deviation |E(S,S̄)−d|S||S̄|/n| / √(|S||S̄|) stays\n\
          below the measured λ, as the Expander Mixing Lemma demands."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1598,8 +1473,7 @@ fn e16_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn e16_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
-    let mut recorder = BenchRecorder::new("e16_pa_memory", cfg.quick);
+fn e16_run(cfg: &ExpConfig) {
     println!(
         "E16: push with choice memory on preferential-attachment graphs (m = {E16_M}, \
          {} seeds)\n",
@@ -1617,8 +1491,7 @@ fn e16_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         let mut row = vec![n.to_string()];
         for pi in 0..3 {
             let entry = e16_entry(e, pi);
-            let (reports, wall_ms) = run_reports(16, &entry, cfg);
-            recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+            let reports = run_reports(16, &entry, cfg);
             let ok = success_rate(&reports);
             row.push(format!(
                 "{:.1}{}",
@@ -1635,7 +1508,6 @@ fn e16_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          grows with n (sub-logarithmic vs Θ(log n) spreading on PA graphs, where\n\
          memoryless push wastes calls bouncing back to the hub it came from)."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1671,17 +1543,15 @@ fn e17_scenarios(quick: bool) -> Vec<LadderEntry> {
     (0..E17_ALPHAS.len()).map(|i| e17_entry(n, d, i)).collect()
 }
 
-fn e17_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e17_run(cfg: &ExpConfig) {
     let (n, d) = e17_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e17_alpha", cfg.quick);
     println!("E17: α ablation of the four-choice schedule at n = {n}, d = {d} ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec![
         "α", "schedule end", "success", "coverage", "rounds", "tx/node",
     ]);
     for (i, &alpha) in E17_ALPHAS.iter().enumerate() {
         let entry = e17_entry(n, d, i);
-        let (reports, wall_ms) = run_reports(17, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(17, &entry, cfg);
         table.row(vec![
             format!("{alpha:.2}"),
             deadline_of(&entry.spec).map(|r| r.to_string()).unwrap_or_default(),
@@ -1697,7 +1567,6 @@ fn e17_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          then a linear cost ramp — the constant the theory hides inside\n\
          'α sufficiently large' is small in practice (≈ 1 at these sizes)."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1747,14 +1616,12 @@ fn e18_scenarios(quick: bool) -> Vec<LadderEntry> {
         .collect()
 }
 
-fn e18_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e18_run(cfg: &ExpConfig) {
     let (n, d) = e18_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e18_phase_ablation", cfg.quick);
     println!("E18: phase-design ablation at n = {n}, d = {d} ({} seeds)\n", cfg.seeds);
     let mut table = Table::new(vec!["variant", "success", "rounds", "tx/node"]);
     for entry in e18_scenarios(cfg.quick) {
-        let (reports, wall_ms) = run_reports(18, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(18, &entry, cfg);
         table.row(vec![
             entry.spec.label.clone(),
             format!("{:.2}", success_rate(&reports)),
@@ -1768,7 +1635,6 @@ fn e18_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          dropping the pull phase costs extra pushes for the straggler tail; the\n\
          paper's combination is the cheapest full-coverage configuration."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1875,9 +1741,8 @@ fn e19_scenarios(quick: bool) -> Vec<LadderEntry> {
     (0..e19_plans(n).len()).map(|i| e19_entry(n, d, i)).collect()
 }
 
-fn e19_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e19_run(cfg: &ExpConfig) {
     let (n, d) = e19_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e19_faults", cfg.quick);
     println!(
         "E19: graceful degradation under adversarial fault plans at n = {n}, d = {d} \
          ({} seeds)\n",
@@ -1886,8 +1751,7 @@ fn e19_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     let mut table =
         Table::new(vec!["fault plan", "coverage", "success", "rounds", "recovery", "tx/node"]);
     for entry in e19_scenarios(cfg.quick) {
-        let (reports, wall_ms) = run_reports(19, &entry, cfg);
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &reports);
+        let reports = run_reports(19, &entry, cfg);
         let recovery = match entry.spec.failures.heal_round() {
             Some(heal) => format!("{:.1}", mean_recovery_rounds(&reports, heal)),
             None => "-".into(),
@@ -1908,7 +1772,6 @@ fn e19_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          recovery column counts rounds from the heal to full coverage); targeted\n\
          crashes and transient outages degrade survivor coverage gracefully."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -1996,9 +1859,8 @@ fn e20_scenarios(quick: bool) -> Vec<LadderEntry> {
         .collect()
 }
 
-fn e20_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e20_run(cfg: &ExpConfig) {
     let (n, d) = e20_params(cfg.quick);
-    let mut recorder = BenchRecorder::new("e20_async", cfg.quick);
     println!(
         "E20: asynchronous event-queue ladder at n = {n}, d = {d} ({} seeds)\n",
         cfg.seeds
@@ -2013,10 +1875,9 @@ fn e20_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
         "tx/node",
     ]);
     for entry in e20_scenarios(cfg.quick) {
-        let (runs, wall_ms) = run_entry(20, &entry, cfg).expect("registry ladder");
+        let runs = run_entry(20, &entry, cfg).expect("registry ladder").outcomes;
         let clocks: Vec<EventClock> = runs.iter().filter_map(|r| r.clock).collect();
         let plain: Vec<_> = runs.into_iter().map(|r| r.report).collect();
-        recorder.record(entry.spec.label.clone(), n, cfg.seeds, wall_ms, &plain);
         let mean_cover_time = mean_cover_time(&clocks);
         let mean_events =
             clocks.iter().map(|c| c.events as f64).sum::<f64>() / clocks.len().max(1) as f64;
@@ -2038,7 +1899,6 @@ fn e20_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          per hop, and a 10% straggler pool slowed 8x stretches the tail without\n\
          changing the O(log n) shape."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -2072,7 +1932,7 @@ fn e21_scenarios(quick: bool) -> Vec<LadderEntry> {
     e21_exponents(quick).into_iter().map(e21_entry).collect()
 }
 
-fn e21_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
+fn e21_run(cfg: &ExpConfig) {
     // `--shards N` picks the shard count; otherwise default to 2 under
     // --quick (CI smokes run on 2 cores) and 4 in full mode.
     let shards = if cfg.shards > 1 {
@@ -2086,8 +1946,6 @@ fn e21_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     // experiment, not the protocol's sampling noise.
     let sharded_cfg = ExpConfig { seeds: 1, shards, ..*cfg };
     let serial_cfg = ExpConfig { seeds: 1, shards: 1, ..*cfg };
-    let mut recorder = BenchRecorder::new("e21_scale", cfg.quick);
-    recorder.set_shards(shards);
     println!(
         "E21: sharded scale ladder — full-coverage push&pull (4 distinct choices) on \
          random 8-regular graphs,\nsingle seed, serial vs {shards} shards\n"
@@ -2097,49 +1955,42 @@ fn e21_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
     let mut phase_lines = Vec::new();
     for entry in e21_scenarios(cfg.quick) {
         let n = entry.spec.graph.node_count();
-        let (serial_reports, serial_ms) = run_reports(21, &entry, &serial_cfg);
-        let (reports, wall_ms) = run_reports(21, &entry, &sharded_cfg);
+        let serial = run_entry(21, &entry, &serial_cfg).expect("registry ladder");
+        let sharded = run_entry(21, &entry, &sharded_cfg).expect("registry ladder");
+        let (serial_ms, wall_ms) = (serial.wall_ms, sharded.wall_ms);
+        let reports = sharded.reports();
         assert_eq!(
-            serial_reports, reports,
+            serial.reports(),
+            reports,
             "E21 {} diverged at {shards} shards — sharding must be invisible to results",
             entry.spec.label
         );
-        recorder.record(entry.spec.label.clone(), n, 1, wall_ms, &reports);
-        let timings = instrument_entry(21, &entry, shards).expect("registry ladder");
         table.row(vec![
             n.to_string(),
             format!("{:.0}", mean_rounds_to_coverage(&reports)),
             format!("{serial_ms:.1}"),
             format!("{wall_ms:.1}"),
             format!("{:.2}x", serial_ms / wall_ms.max(1e-9)),
-            timings
-                .peak_rss_kib()
+            sharded
+                .peak_rss_kib
                 .map(|k| format!("{:.0} MiB", k as f64 / 1024.0))
                 .unwrap_or_default(),
         ]);
-        let phase = timings.phase_ms();
-        let mut line = format!("n = {n}: ");
-        for (i, p) in StepPhase::ALL.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            line.push_str(&format!("{} {:.1} ms", p.label(), phase[i]));
-        }
-        phase_lines.push(line);
-        for (sx, row) in timings.shard_phase_ms().iter().enumerate() {
-            let mut line = format!("  shard {sx}: ");
-            for (i, p) in StepPhase::ALL.iter().enumerate() {
-                if i > 0 {
-                    line.push_str(", ");
-                }
-                line.push_str(&format!("{} {:.1} ms", p.label(), row[i]));
-            }
-            phase_lines.push(line);
+        let phase_line = |prefix: String, row: &[f64; StepPhase::COUNT]| {
+            let cells: Vec<String> = StepPhase::ALL
+                .iter()
+                .map(|p| format!("{} {:.1} ms", p.label(), row[p.index()]))
+                .collect();
+            format!("{prefix}{}", cells.join(", "))
+        };
+        phase_lines.push(phase_line(format!("n = {n}: "), &sharded.seed0.phase_ms()));
+        for (sx, row) in sharded.seed0.shard_phase_ms().iter().enumerate() {
+            phase_lines.push(phase_line(format!("  shard {sx}: "), row));
         }
     }
     println!("{table}");
     if !phase_lines.is_empty() {
-        println!("\nper-phase wall clock of the probed seed-0 replay ({shards} shards):");
+        println!("\nper-phase wall clock of seed 0 of the measured run ({shards} shards):");
         for line in &phase_lines {
             println!("{line}");
         }
@@ -2150,7 +2001,6 @@ fn e21_run(cfg: &ExpConfig) -> Option<BenchRecorder> {
          hosts, and peak RSS stays within the committed CI budget (sparse state keeps\n\
          footprint linear in n, not in rumours x n)."
     );
-    Some(recorder)
 }
 
 // ---------------------------------------------------------------------------
@@ -2162,8 +2012,9 @@ pub(crate) static REGISTRY: &[Experiment] = &[
         name: "e1",
         id: 1,
         title: "four-choice runtime vs n (Thms 2-3: O(log n) rounds)",
-        description: "Sweeps n = 2^10..2^15, d in {8,16,32}; fits rounds = a*log2(n)+b and \
-                      records the engine perf trajectory (BENCH_engine.json).",
+        description: "Sweeps n = 2^10..2^15, d in {8,16,32}; fits rounds = a*log2(n)+b, \
+                      re-runs the largest d = 8 rung over 2 and 4 shards (statistics must \
+                      match) and, outside --quick, a single-seed n = 2^20 memory smoke.",
         scenarios: e1_scenarios,
         run: e1_run,
     },
@@ -2409,7 +2260,7 @@ mod tests {
         let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
         // Block 0 (channel failures, alpha = 1.5), rate index 2 (p = 0.1).
         let entry = e8_entry(n, d, 0, 2);
-        let (via_spec, _) = run_reports(8, &entry, &cfg);
+        let via_spec = run_reports(8, &entry, &cfg);
 
         let alg = rrb_core::FourChoice::builder(n, d).alpha(1.5).build();
         let topo = hand_wired::topology(8, entry.config_ix, |rng| {
@@ -2435,7 +2286,7 @@ mod tests {
         let seeds = 2;
         let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
         let entry = e1_entry(0, 8, 10); // d = 8, n = 2^10
-        let (via_spec, _) = run_reports(1, &entry, &cfg);
+        let via_spec = run_reports(1, &entry, &cfg);
         let n = 1 << 10;
         let hand = |config_ix| {
             let topo = hand_wired::topology(1, config_ix, |rng| {

@@ -19,12 +19,6 @@
 //! `(experiment, configuration, seed)`, so results are **identical for
 //! every thread count** — parallelism changes only wall-clock, never
 //! numbers. Outcomes come back in seed order.
-//!
-//! # Perf trajectory
-//!
-//! [`BenchRecorder`] captures per-configuration wall-clock, rounds and
-//! transmission counts and serialises them to `BENCH_engine.json` (see
-//! `rrb run e1`), giving future engine work a baseline to beat.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +31,6 @@ pub mod registry;
 pub mod scenario;
 
 mod experiments;
-
-use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -379,146 +371,9 @@ pub fn mean_recovery_rounds(reports: &[RunReport], heal: Round) -> f64 {
     })
 }
 
-/// One timed configuration in a [`BenchRecorder`].
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    /// Configuration label (e.g. `"d8_n1024"`).
-    pub label: String,
-    /// Node count.
-    pub n: usize,
-    /// Seeds replicated.
-    pub seeds: u64,
-    /// Wall-clock for the whole configuration, milliseconds.
-    pub wall_ms: f64,
-    /// Mean rounds to coverage across the replications.
-    pub mean_rounds: f64,
-    /// Mean total transmissions across the replications.
-    pub mean_transmissions: f64,
-    /// Fraction of replications reaching full coverage.
-    pub success_rate: f64,
-}
-
-/// Collects per-configuration engine timings and writes the
-/// machine-readable `BENCH_engine.json` perf-trajectory file.
-#[derive(Debug)]
-pub struct BenchRecorder {
-    experiment: String,
-    quick: bool,
-    shards: usize,
-    entries: Vec<BenchEntry>,
-    started: Instant,
-}
-
-impl BenchRecorder {
-    /// Starts recording for the named experiment.
-    pub fn new(experiment: impl Into<String>, quick: bool) -> Self {
-        BenchRecorder {
-            experiment: experiment.into(),
-            quick,
-            shards: 1,
-            entries: Vec::new(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Records the shard count the runs executed under, written alongside
-    /// the thread count as run provenance (`"shards"` in the JSON).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// Records one timed configuration.
-    pub fn record(
-        &mut self,
-        label: impl Into<String>,
-        n: usize,
-        seeds: u64,
-        wall_ms: f64,
-        reports: &[RunReport],
-    ) {
-        self.entries.push(BenchEntry {
-            label: label.into(),
-            n,
-            seeds,
-            wall_ms,
-            mean_rounds: mean_rounds_to_coverage(reports),
-            mean_transmissions: mean_of(reports, |r| r.total_tx() as f64),
-            success_rate: success_rate(reports),
-        });
-    }
-
-    /// Records one timed configuration from pre-aggregated metrics, for
-    /// experiments whose per-seed unit is not a single engine
-    /// [`RunReport`] (e.g. the multi-rumour replicated-database runs of
-    /// E14).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_raw(
-        &mut self,
-        label: impl Into<String>,
-        n: usize,
-        seeds: u64,
-        wall_ms: f64,
-        mean_rounds: f64,
-        mean_transmissions: f64,
-        success_rate: f64,
-    ) {
-        self.entries.push(BenchEntry {
-            label: label.into(),
-            n,
-            seeds,
-            wall_ms,
-            mean_rounds,
-            mean_transmissions,
-            success_rate,
-        });
-    }
-
-    /// Recorded entries so far.
-    pub fn entries(&self) -> &[BenchEntry] {
-        &self.entries
-    }
-
-    /// Serialises the record as JSON (schema `rrb-bench-engine-v1`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"rrb-bench-engine-v1\",\n");
-        out.push_str(&format!("  \"experiment\": {},\n", json_string(&self.experiment)));
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"threads\": {},\n", rayon::current_num_threads()));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!(
-            "  \"total_wall_ms\": {:.3},\n",
-            self.started.elapsed().as_secs_f64() * 1e3
-        ));
-        out.push_str("  \"configs\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": {}, \"n\": {}, \"seeds\": {}, \"wall_ms\": {:.3}, \
-                 \"mean_rounds\": {:.3}, \"mean_transmissions\": {:.3}, \
-                 \"success_rate\": {:.4}}}{}\n",
-                json_string(&e.label),
-                e.n,
-                e.seeds,
-                e.wall_ms,
-                e.mean_rounds,
-                e.mean_transmissions,
-                e.success_rate,
-                if i + 1 < self.entries.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON record to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 /// Escapes `s` as a JSON string literal (quotes included) — the one
 /// escaper behind every JSON writer in this workspace's hand-rolled
-/// dialect ([`BenchRecorder`], run artifacts, the `rrb` CLI's `--json`
+/// dialect (scenario specs, run artifacts, the `rrb` CLI's `--json`
 /// registry listings).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -567,7 +422,8 @@ mod tests {
         spec: ScenarioSpec,
     ) -> Vec<SeedOutcome> {
         let cfg = ExpConfig { quick: true, seeds, threads: None, shards: 1 };
-        run_entry(experiment, &LadderEntry::new(config_ix, spec), &cfg).expect("runnable spec").0
+        let entry = LadderEntry::new(config_ix, spec);
+        run_entry(experiment, &entry, &cfg).expect("runnable spec").outcomes
     }
 
     fn reports(experiment: u64, config_ix: u64, seeds: u64, spec: ScenarioSpec) -> Vec<RunReport> {
@@ -779,20 +635,5 @@ mod tests {
         let quick = ExpConfig { quick: true, seeds: 3, threads: None, shards: 1 };
         assert_eq!(full.size_exponents(10..=15), vec![10, 11, 12, 13, 14, 15]);
         assert_eq!(quick.size_exponents(10..=15), vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn recorder_emits_valid_shape() {
-        let reports = reports(1, 0, 2, flood(64, 4, 10_000));
-        let mut rec = BenchRecorder::new("unit_test", true);
-        rec.record("d4_n64", 64, 2, 1.25, &reports);
-        let json = rec.to_json();
-        assert!(json.contains("\"schema\": \"rrb-bench-engine-v1\""));
-        assert!(json.contains("\"label\": \"d4_n64\""));
-        assert!(json.contains("\"success_rate\": 1.0000"));
-        assert_eq!(rec.entries().len(), 1);
-        // Balanced braces — cheap structural sanity for the hand-rolled JSON.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -42,10 +42,6 @@ pub struct MilestoneSample {
     /// Mean per-round shrink factor of `|H|` across Phase 2 (Lemma 3);
     /// `None` when no qualifying round pair exists.
     pub decay: Option<f64>,
-    /// Total rumour transmissions of the run.
-    pub total_tx: f64,
-    /// Whether the run reached full coverage.
-    pub success: bool,
 }
 
 /// E4's measurement: runs the paper's Algorithm 1 (small-degree schedule
@@ -68,8 +64,6 @@ pub fn phase_milestones(n: usize, d: usize, seeds: u64) -> (PhaseSchedule, Vec<M
             coverage_round: report.full_coverage_at.unwrap_or(report.rounds) as f64,
             growth: trace::informed_growth_factor(hist, n / 8),
             decay: trace::uninformed_decay_factor(hist, n, s.phase1_end(), s.phase2_end()),
-            total_tx: report.total_tx() as f64,
-            success: report.all_informed(),
         }
     });
     (s, samples)
@@ -84,10 +78,6 @@ pub struct CrossoverTrace {
     pub half: Vec<f64>,
     /// Rounds from the `n/2` crossover to full coverage, in seed order.
     pub tail: Vec<f64>,
-    /// Total rumour transmissions, in seed order.
-    pub total_tx: Vec<f64>,
-    /// Fraction of seeds reaching full coverage.
-    pub success_rate: f64,
 }
 
 /// Runs `entry`'s scenario once per seed (history on, via
@@ -113,20 +103,10 @@ pub fn crossover_trace(experiment_id: u64, entry: &LadderEntry, seeds: u64) -> C
             .map(|r| r.round)
             .unwrap_or(report.rounds);
         let full_round = report.full_coverage_at.unwrap_or(report.rounds);
-        (
-            half_round as f64,
-            (full_round - half_round) as f64,
-            report.total_tx() as f64,
-            report.all_informed(),
-        )
+        (half_round as f64, (full_round - half_round) as f64)
     });
-    let successes = per_seed.iter().filter(|r| r.3).count();
-    CrossoverTrace {
-        half: per_seed.iter().map(|r| r.0).collect(),
-        tail: per_seed.iter().map(|r| r.1).collect(),
-        total_tx: per_seed.iter().map(|r| r.2).collect(),
-        success_rate: successes as f64 / per_seed.len().max(1) as f64,
-    }
+    let (half, tail) = per_seed.into_iter().unzip();
+    CrossoverTrace { half, tail }
 }
 
 /// One seed's spectral generator audit (E15, paper SS2): the measured

@@ -16,8 +16,8 @@
 use std::time::Instant;
 
 use crate::scenario::ScenarioSpec;
-use crate::{replicate, rng_for, BenchRecorder, ExpConfig, Rung, SeedOutcome};
-use rrb_engine::{BoxedProbe, PhaseTimings, Protocol, Round};
+use crate::{peak_rss_kib, replicate, ExpConfig, Rung, SeedOutcome};
+use rrb_engine::{BoxedProbe, PhaseTimings, Protocol, Round, RunReport};
 
 /// One rung of an experiment's configuration ladder: a scenario plus the
 /// `config_ix` RNG coordinate it runs under (kept identical to the indices
@@ -37,10 +37,9 @@ impl LadderEntry {
     }
 }
 
-/// Signature of an experiment driver: runs the ladder, prints the analysis
-/// and returns the per-configuration timings when the experiment produces
-/// them (sweep-style experiments do; bespoke measurements return `None`).
-pub type RunFn = fn(&ExpConfig) -> Option<BenchRecorder>;
+/// Signature of an experiment driver: runs the ladder and prints the
+/// analysis.
+pub type RunFn = fn(&ExpConfig);
 
 /// Signature of a ladder builder (`quick` shrinks it like `--quick`).
 pub type ScenariosFn = fn(bool) -> Vec<LadderEntry>;
@@ -73,11 +72,36 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     all().iter().find(|e| e.name == needle)
 }
 
+/// One rung's measured run: what [`run_entry`] returns.
+#[derive(Debug, Clone)]
+pub struct RungRun {
+    /// Every seed's outcome, in seed order.
+    pub outcomes: Vec<SeedOutcome>,
+    /// The rung's total wall-clock (topology included), milliseconds.
+    pub wall_ms: f64,
+    /// Seed 0's [`PhaseTimings`] probe: per-phase (and, with `shards > 1`,
+    /// per-shard) wall-clock attribution and counter totals of the run the
+    /// outcomes describe — empty when no seed ran.
+    pub seed0: PhaseTimings,
+    /// Peak RSS (`VmHWM`, kibibytes) read once after the rung's seeds
+    /// finished; the high-water mark is process-wide and monotone, so it
+    /// covers the whole measured rung.
+    pub peak_rss_kib: Option<u64>,
+}
+
+impl RungRun {
+    /// The engine reports, in seed order.
+    pub fn reports(&self) -> Vec<RunReport> {
+        self.outcomes.iter().map(|o| o.report.clone()).collect()
+    }
+}
+
 /// Runs one ladder entry through the shared replication harness: the
 /// rung's topology is generated once, then every seed runs under its
 /// `(experiment_id, entry.config_ix, seed)` stream, fanned out over the
-/// rayon pool. Returns the outcomes in seed order and the rung's total
-/// wall-clock (topology included) in milliseconds.
+/// rayon pool. Seed 0 runs with a [`PhaseTimings`] probe installed;
+/// probes never touch the RNG, so its outcome is byte-identical to a bare
+/// run's and the timings describe the very run the statistics come from.
 ///
 /// `cfg.shards > 1` fans every synchronous run's RNG-free phases out over
 /// node-slot shards (`SimConfig::with_shards`) — outcomes stay
@@ -92,37 +116,22 @@ pub fn run_entry(
     experiment_id: u64,
     entry: &LadderEntry,
     cfg: &ExpConfig,
-) -> Result<(Vec<SeedOutcome>, f64), String> {
+) -> Result<RungRun, String> {
     let start = Instant::now();
     let rung = Rung::new(experiment_id, entry, cfg.shards)?;
     let runs = replicate(experiment_id, entry.config_ix, cfg.seeds, |s, rng| {
-        rung.run_seed(s, rng, &mut None)
+        let mut probe = (s == 0).then(|| Box::new(PhaseTimings::new()) as BoxedProbe);
+        let outcome = rung.run_seed(s, rng, &mut probe);
+        (outcome, probe)
     });
-    Ok((runs, start.elapsed().as_secs_f64() * 1e3))
-}
-
-/// Runs one ladder rung's **seed-0 replication** with a [`PhaseTimings`]
-/// probe installed and returns the accumulated telemetry: per-phase
-/// wall-clock attribution, counter totals and the peak-RSS high-water
-/// mark.
-///
-/// The probed run is [`run_entry`]'s first replication — same topology,
-/// same streams, same engine — and probes never touch the RNG, so it is
-/// byte-identical to the run the statistics describe. `shards > 1` runs it
-/// on the sharded step path, so the probe additionally accumulates
-/// **per-shard** phase attribution ([`PhaseTimings::shard_phase_ms`]).
-pub fn instrument_entry(
-    experiment_id: u64,
-    entry: &LadderEntry,
-    shards: usize,
-) -> Result<PhaseTimings, String> {
-    let rung = Rung::new(experiment_id, entry, shards)?;
-    let seed0: u64 = 0;
-    let mut rng = rng_for(experiment_id, entry.config_ix, seed0);
-    let mut probe: Option<BoxedProbe> = Some(Box::new(PhaseTimings::new()));
-    rung.run_seed(seed0, &mut rng, &mut probe);
-    let probe = probe.expect("the engine hands its probe back");
-    Ok(probe.as_any().downcast_ref::<PhaseTimings>().cloned().expect("a PhaseTimings probe"))
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let peak_rss_kib = peak_rss_kib();
+    let (outcomes, probes): (Vec<SeedOutcome>, Vec<Option<BoxedProbe>>) =
+        runs.into_iter().unzip();
+    let seed0 = probes.into_iter().flatten().next().map_or_else(PhaseTimings::new, |probe| {
+        probe.as_any().downcast_ref::<PhaseTimings>().cloned().expect("a PhaseTimings probe")
+    });
+    Ok(RungRun { outcomes, wall_ms, seed0, peak_rss_kib })
 }
 
 /// The protocol's designed round budget (schedule end), if it has one —
@@ -139,7 +148,6 @@ mod tests {
         ChurnSpec, DynamicsSpec, GraphSpec, MeasureSpec, PolicySpec, ProtocolSpec, RegimeSpec,
         StopSpec, TimingSpec,
     };
-    use rrb_engine::RunReport;
 
     #[test]
     fn registry_is_complete_and_names_unique() {
@@ -231,7 +239,7 @@ mod tests {
                 },
             ),
         );
-        let (via_spec, _) = run_entry(77, &entry, &quick(4)).unwrap();
+        let via_spec = run_entry(77, &entry, &quick(4)).unwrap().outcomes;
         let topo = hand_wired::topology(77, 302, |rng| {
             gen::random_regular(256, 8, rng).expect("generation")
         });
@@ -262,8 +270,8 @@ mod tests {
             .with_dynamics(DynamicsSpec::Churn(churn))
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (a, _) = run_entry(99, &entry, &quick(3)).unwrap();
-        let (b, _) = run_entry(99, &entry, &quick(3)).unwrap();
+        let a = run_entry(99, &entry, &quick(3)).unwrap().outcomes;
+        let b = run_entry(99, &entry, &quick(3)).unwrap().outcomes;
         assert_eq!(a, b, "churned entry must be seed-for-seed deterministic");
         assert!(a.iter().any(|r| r.churn.joins > 0), "churn never fired");
         assert!(a.iter().all(|r| r.clock.is_none()));
@@ -307,8 +315,8 @@ mod tests {
             .with_failures(faults.clone())
             .with_stop(StopSpec::Coverage { max_rounds: 300 }),
         );
-        let (a, _) = run_entry(98, &entry, &quick(3)).unwrap();
-        let (b, _) = run_entry(98, &entry, &quick(3)).unwrap();
+        let a = run_entry(98, &entry, &quick(3)).unwrap().outcomes;
+        let b = run_entry(98, &entry, &quick(3)).unwrap().outcomes;
         assert_eq!(a, b, "faulted entry must be seed-for-seed deterministic");
         let a = reports_of(a);
         // The plan actually bit: no seed covers before the heal.
@@ -340,7 +348,7 @@ mod tests {
             )
             .with_stop(StopSpec::Coverage { max_rounds: 300 }),
         );
-        let (via_entry, _) = run_entry(98, &plain, &quick(3)).unwrap();
+        let via_entry = run_entry(98, &plain, &quick(3)).unwrap().outcomes;
         let via_hand = hand_wired::plain(98, 5, 3, &topo, &proto, config);
         assert_eq!(reports_of(via_entry), via_hand);
     }
@@ -361,8 +369,9 @@ mod tests {
             .with_timing(TimingSpec::Async { clock, latency })
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (a, _) = run_entry(97, &entry, &quick(3)).unwrap();
-        let (b, _) = run_entry(97, &entry, &quick(3)).unwrap();
+        let run = run_entry(97, &entry, &quick(3)).unwrap();
+        let a = run.outcomes;
+        let b = run_entry(97, &entry, &quick(3)).unwrap().outcomes;
         assert_eq!(a, b, "async entry must be seed-for-seed deterministic");
         assert!(a.iter().all(|r| r.report.all_informed()));
         // The hand-wired event-queue loop over the same streams agrees,
@@ -381,16 +390,15 @@ mod tests {
             latency,
         );
         assert_eq!(a, via_hand);
-        // The probed run rides seed 0's exact streams.
-        let timings = instrument_entry(97, &entry, 1).expect("async entry instruments");
-        assert_eq!(timings.rounds(), a[0].report.rounds);
-        assert_eq!(timings.tx(), a[0].report.total_tx());
+        // Seed 0 of the measured run carries the probe.
+        assert_eq!(run.seed0.rounds(), a[0].report.rounds);
+        assert_eq!(run.seed0.tx(), a[0].report.total_tx());
     }
 
     #[test]
     fn instrumented_replay_matches_seed_zero_statistics() {
-        // The probed replay rides the same streams as run_entry's first
-        // replication, so its counters must equal seed 0's report exactly.
+        // Seed 0 of the measured run carries the probe, so its counters
+        // must equal seed 0's report exactly, at any shard count.
         let entry = LadderEntry::new(
             11,
             ScenarioSpec::new(
@@ -400,16 +408,20 @@ mod tests {
             )
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (runs, _) = run_entry(42, &entry, &quick(1)).unwrap();
-        let reports = reports_of(runs);
-        let timings = instrument_entry(42, &entry, 1).expect("static entry instruments");
-        assert_eq!(timings.rounds(), reports[0].rounds);
-        assert_eq!(timings.tx(), reports[0].total_tx());
-        assert_eq!(timings.last_round().informed, reports[0].informed_count);
-        assert!(
-            timings.phase_ms().iter().sum::<f64>() > 0.0,
-            "phase attribution recorded no time"
-        );
+        let serial = run_entry(42, &entry, &quick(3)).unwrap();
+        let sharded = run_entry(42, &entry, &ExpConfig { shards: 3, ..quick(3) }).unwrap();
+        assert_eq!(sharded.outcomes, serial.outcomes, "sharding changed the outcomes");
+        assert_eq!(sharded.seed0.shard_phase_ms().len(), 3, "one phase row per shard");
+        for run in [serial, sharded] {
+            let (reports, timings) = (run.reports(), run.seed0);
+            assert_eq!(timings.rounds(), reports[0].rounds);
+            assert_eq!(timings.tx(), reports[0].total_tx());
+            assert_eq!(timings.last_round().informed, reports[0].informed_count);
+            assert!(
+                timings.phase_ms().iter().sum::<f64>() > 0.0,
+                "phase attribution recorded no time"
+            );
+        }
     }
 
     #[test]
@@ -424,10 +436,10 @@ mod tests {
             .with_dynamics(DynamicsSpec::Churn(ChurnSpec::symmetric(2.0)))
             .with_stop(StopSpec::Coverage { max_rounds: 200 }),
         );
-        let (runs, _) = run_entry(99, &entry, &quick(1)).unwrap();
-        let timings = instrument_entry(99, &entry, 1).expect("churn entry instruments");
-        assert_eq!(timings.rounds(), runs[0].report.rounds);
-        assert_eq!(timings.tx(), runs[0].report.total_tx());
+        let run = run_entry(99, &entry, &quick(3)).unwrap();
+        let timings = &run.seed0;
+        assert_eq!(timings.rounds(), run.outcomes[0].report.rounds);
+        assert_eq!(timings.tx(), run.outcomes[0].report.total_tx());
         assert!(
             timings.phase_ms().iter().sum::<f64>() > 0.0,
             "phase attribution recorded no time"
@@ -448,7 +460,6 @@ mod tests {
         );
         let err = run_entry(0, &entry, &quick(2)).unwrap_err();
         assert!(err.contains("graph generation"), "{err}");
-        assert!(instrument_entry(0, &entry, 1).is_err());
         // Programmatic specs get the same runnability check as parsed ones.
         let entry = LadderEntry::new(
             0,

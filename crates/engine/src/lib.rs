@@ -86,8 +86,9 @@
 //!
 //! Seed replication parallelism lives one layer up in `rrb-bench`
 //! (`registry::run_entry` fans independent seeds over a rayon pool with
-//! deterministic per-seed RNG streams); regenerate the engine's perf
-//! trajectory with `rrb run e1 --quick` (writes `BENCH_engine.json`).
+//! deterministic per-seed RNG streams, and probes seed 0 with
+//! [`PhaseTimings`] for the per-rung run records `rrb run eN --out DIR`
+//! writes).
 //!
 //! # Quick start
 //!

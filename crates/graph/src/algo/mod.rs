@@ -4,11 +4,9 @@
 //! extracts a linear-size matching from the uninformed set).
 
 mod bfs;
-mod bipartite;
 mod components;
 mod matching;
 
 pub use bfs::{bfs_distances, diameter, double_sweep_lower_bound, eccentricity};
-pub use bipartite::{bipartition, is_bipartite};
 pub use components::{connected_components, is_connected, ComponentLabels};
 pub use matching::greedy_maximal_matching;

@@ -10,11 +10,12 @@
 //! rrb list                          # every registered experiment
 //! rrb describe e5                   # an experiment's ladder as spec JSON
 //! rrb run e5 --quick                # run E5 on its small ladder
-//! rrb run e1 --seeds 10 --threads 4 --json out.json
+//! rrb run e1 --seeds 10 --threads 4
 //! rrb run e1 --quick --out runs/    # structured run artifacts (JSONL per rung)
 //! rrb compare base/ candidate/      # diff two artifact dirs; exit 1 on drift
 //! rrb run --spec scenario.json      # one hand-written ScenarioSpec, or an
 //!                                   # array of them (a whole ladder)
+//! rrb run --spec s.json --out runs/ # its report, plus runs/s.jsonl
 //! ```
 //!
 //! `list` and `describe` also take `--json` for machine-readable output.
@@ -47,7 +48,7 @@ use rrb_bench::scenario::{
 };
 use rrb_bench::{
     artifact, json_string, mean_cover_time, mean_of, mean_rounds_to_coverage, success_rate,
-    BenchRecorder, EventClock, ExpConfig,
+    EventClock, ExpConfig,
 };
 
 /// Parses the value following flag `name`.
@@ -139,12 +140,13 @@ fn usage() -> String {
      list [--json]            registered experiments (e1..e21)\n\
      describe <exp> [--quick] [--json]\n\
      \u{20}                        an experiment's scenario specs as JSON\n\
-     run <exp>                run an experiment; flags: --quick --seeds N --threads N --json PATH\n\
+     run <exp>                run an experiment; flags: --quick --seeds N --threads N\n\
      \u{20}                        --shards N (split each run's node slots over N shards, 1..=256;\n\
      \u{20}                        results are seed-for-seed identical at any shard/thread count)\n\
      \u{20}                        --out DIR (write one run-artifact JSONL record per rung instead\n\
      \u{20}                        of the human-readable report)\n\
-     run --spec FILE          run a ScenarioSpec JSON file (one object, or an array = a ladder)\n\
+     run --spec FILE          run a ScenarioSpec JSON file (one object, or an array = a ladder);\n\
+     \u{20}                        same flags; --out DIR also writes DIR/<file stem>.jsonl\n\
      compare BASE CAND        diff two artifact directories written by `run --out`;\n\
      \u{20}                        flags: --wall-tol F (default 0.5) --stat-tol F (default 0)\n\
      \u{20}                        --rss-budget-kib N (fail any candidate whose peak RSS\n\
@@ -178,7 +180,6 @@ struct RunFlags {
     seeds: Option<u64>,
     threads: Option<usize>,
     shards: Option<usize>,
-    json_path: Option<String>,
     out_dir: Option<String>,
 }
 
@@ -199,7 +200,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
                 }
                 f.shards = Some(shards)
             }
-            "--json" => f.json_path = Some(take(&mut it, name)?),
             "--out" => f.out_dir = Some(take(&mut it, name)?),
             "--spec" => f.spec_path = Some(take(&mut it, name)?),
             other if !other.starts_with('-') && f.name.is_none() => {
@@ -216,9 +216,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     }
     if f.name.is_some() && f.spec_path.is_some() {
         return Err("rrb run takes either an experiment name or --spec FILE, not both".into());
-    }
-    if f.spec_path.is_some() && f.out_dir.is_some() {
-        return Err("--out writes registry run artifacts and cannot be combined with --spec".into());
     }
     Ok(f)
 }
@@ -253,7 +250,7 @@ fn cmd_list(args: &[String]) -> ExitCode {
         ]);
     }
     println!("{} registered experiments:\n\n{table}", registry::all().len());
-    println!("run one with `rrb run <name> [--quick --seeds N --threads N --json PATH]`,");
+    println!("run one with `rrb run <name> [--quick --seeds N --threads N --shards N --out DIR]`,");
     println!("inspect its scenario specs with `rrb describe <name>`,");
     println!("or run a hand-written spec with `rrb run --spec file.json`.");
     ExitCode::SUCCESS
@@ -318,21 +315,29 @@ fn read_spec_file(path: &str) -> Result<Vec<ScenarioSpec>, String> {
 /// Runs `specs` (read from `source`: a spec file, or the ad-hoc flags)
 /// through the shared replication harness and prints the standard metrics
 /// (plus churn stats and survivor coverage for dynamic-membership specs).
+/// With `--out DIR`, also writes one run-artifact record per spec to
+/// `DIR/<source file stem>.jsonl`, the stem standing in for the
+/// experiment name.
 fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode {
     let cfg = exp_config_from(flags);
-    let mut recorder = BenchRecorder::new(format!("spec:{source}"), cfg.quick);
+    let stem = std::path::Path::new(source).file_stem().and_then(|s| s.to_str()).unwrap_or(source);
+    let mut records = Vec::new();
     for (ix, spec) in specs.iter().enumerate() {
         // Each array element gets its own config_ix, hence its own RNG
         // stream — reordering a ladder file never changes a rung's numbers
         // beyond its position-derived stream.
         let entry = LadderEntry::new(ix as u64, spec.clone());
-        let (runs, wall_ms) = match registry::run_entry(0, &entry, &cfg) {
+        let run = match registry::run_entry(0, &entry, &cfg) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cannot run {source} scenario {:?}: {e}", spec.label);
                 return ExitCode::FAILURE;
             }
         };
+        if flags.out_dir.is_some() {
+            records.push(artifact::record(stem, &entry, &cfg, &run));
+        }
+        let (runs, wall_ms) = (run.outcomes, run.wall_ms);
         let churn_stats = (!spec.dynamics.is_static()).then(|| {
             let joins: Vec<f64> = runs.iter().map(|r| r.churn.joins as f64).collect();
             let leaves: Vec<f64> = runs.iter().map(|r| r.churn.leaves as f64).collect();
@@ -387,15 +392,26 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
         if specs.len() > 1 {
             println!();
         }
-        recorder.record(spec.label.clone(), spec.graph.node_count(), cfg.seeds, wall_ms, &reports);
     }
-    if let Some(json_path) = &flags.json_path {
-        match recorder.write(json_path) {
-            Ok(()) => println!("results written to {json_path}"),
-            Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
+    match &flags.out_dir {
+        Some(dir) => write_records(dir, stem, &records),
+        None => ExitCode::SUCCESS,
+    }
+}
+
+/// Writes `records` to `DIR/<experiment>.jsonl` and reports where.
+fn write_records(dir: &str, experiment: &str, records: &[artifact::RunArtifact]) -> ExitCode {
+    let path = std::path::Path::new(dir).join(format!("{experiment}.jsonl"));
+    match artifact::write_jsonl(&path, records) {
+        Ok(()) => {
+            println!("{} run-artifact record(s) written to {}", records.len(), path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -426,33 +442,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         // runs once through the generic harness and lands as one JSONL
         // record, so `rrb compare` sees a uniform schema for any
         // experiment.
-        let records = artifact::collect(exp, &cfg);
-        let path = std::path::Path::new(dir).join(format!("{}.jsonl", exp.name));
-        return match artifact::write_jsonl(&path, &records) {
-            Ok(()) => {
-                println!("{} run-artifact record(s) written to {}", records.len(), path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
+        return write_records(dir, exp.name, &artifact::collect(exp, &cfg));
     }
-    let recorder = (exp.run)(&cfg);
-    if let Some(json_path) = &flags.json_path {
-        match recorder {
-            Some(rec) => match rec.write(json_path) {
-                Ok(()) => println!("timings written to {json_path}"),
-                Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-            },
-            None => eprintln!(
-                "note: {} uses a bespoke measurement and records no per-config timings; \
-                 --json ignored",
-                exp.name
-            ),
-        }
-    }
+    (exp.run)(&cfg);
     ExitCode::SUCCESS
 }
 
@@ -645,15 +637,14 @@ mod tests {
 
     #[test]
     fn run_flags_parse() {
-        let f = parse_run_flags(&args(&[
-            "e5", "--quick", "--seeds", "4", "--shards", "4", "--json", "o.json",
-        ]))
-        .unwrap();
+        let f = parse_run_flags(&args(&["e5", "--quick", "--seeds", "4", "--shards", "4"]))
+            .unwrap();
         assert_eq!(f.name.as_deref(), Some("e5"));
         assert!(f.quick);
         assert_eq!(f.seeds, Some(4));
         assert_eq!(f.shards, Some(4));
-        assert_eq!(f.json_path.as_deref(), Some("o.json"));
+        // Run records go through --out alone; --json is no `run` flag.
+        assert!(parse_run_flags(&args(&["e5", "--json", "o.json"])).is_err());
         assert!(parse_run_flags(&args(&["e5", "--shards", "x"])).is_err());
         assert!(parse_run_flags(&args(&["e5", "--seeds", "0"])).is_err());
         assert!(parse_run_flags(&args(&["--spec", "s.json", "--seeds", "0"])).is_err());
@@ -674,7 +665,9 @@ mod tests {
     fn run_out_flag_parses() {
         let f = parse_run_flags(&args(&["e1", "--quick", "--out", "runs/"])).unwrap();
         assert_eq!(f.out_dir.as_deref(), Some("runs/"));
-        assert!(parse_run_flags(&args(&["--spec", "s.json", "--out", "runs/"])).is_err());
+        // A spec file's run writes the same records.
+        let f = parse_run_flags(&args(&["--spec", "s.json", "--out", "runs/"])).unwrap();
+        assert_eq!(f.out_dir.as_deref(), Some("runs/"));
         assert!(parse_run_flags(&args(&["e1", "--out"])).is_err()); // missing value
     }
 
@@ -708,8 +701,9 @@ mod tests {
             let (spec, flags) =
                 parse_flags(&args(&["--protocol", proto, "--n", "128", "--d", "6"])).unwrap();
             let cfg = exp_config_from(&flags);
-            let (runs, _) = registry::run_entry(0, &LadderEntry::new(0, spec), &cfg)
-                .unwrap_or_else(|e| panic!("{proto}: {e}"));
+            let runs = registry::run_entry(0, &LadderEntry::new(0, spec), &cfg)
+                .unwrap_or_else(|e| panic!("{proto}: {e}"))
+                .outcomes;
             let coverage = runs[0].report.coverage();
             assert!(coverage > 0.9, "{proto}: coverage {coverage}");
         }

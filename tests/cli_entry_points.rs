@@ -42,3 +42,36 @@ fn flag_mode_and_spec_file_print_the_same_report() {
     assert!(from_flags.contains("3 seed(s)"), "{from_flags}");
     assert_eq!(from_flags, from_spec);
 }
+
+#[test]
+fn spec_runs_write_run_records_that_compare_clean() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_spec_records");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let spec = dir.join("ladder.json");
+    std::fs::write(
+        &spec,
+        r#"[{"label": "push", "graph": {"kind": "random_regular", "n": 128, "d": 4},
+             "protocol": {"kind": "flood_push"}},
+            {"label": "push_pull", "graph": {"kind": "random_regular", "n": 128, "d": 4},
+             "protocol": {"kind": "flood_push_pull"}}]"#,
+    )
+    .expect("write spec");
+    let spec = spec.to_str().expect("utf-8 path");
+    for out in ["A", "B"] {
+        let out = dir.join(out);
+        let report = rrb(&["run", "--spec", spec, "--seeds", "3", "--out", out.to_str().unwrap()]);
+        // The run still prints its report, then names the record file.
+        assert!(report.contains("push_pull — "), "{report}");
+        assert!(report.contains("2 run-artifact record(s) written to"), "{report}");
+    }
+    let (a, b) = (dir.join("A"), dir.join("B"));
+    let verdict = rrb(&["compare", a.to_str().unwrap(), b.to_str().unwrap(), "--wall-tol", "1e9"]);
+    assert!(verdict.contains("2 record(s) compared, no drift"), "{verdict}");
+    let records = std::fs::read_to_string(a.join("ladder.jsonl")).expect("record file");
+    assert_eq!(records.lines().count(), 2);
+    for line in records.lines() {
+        assert!(line.contains(r#""experiment": "ladder""#), "{line}");
+        assert!(line.contains(r#""phase_ms""#), "{line}");
+    }
+}
