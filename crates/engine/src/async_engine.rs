@@ -616,6 +616,8 @@ impl<P: Protocol> AsyncSimState<P> {
                 tx: self.round_push_tx + self.round_pull_tx,
                 channels: self.round_channels,
                 skipped_draws: self.round_skipped,
+                fabric_words: 0,
+                jumped_words: 0,
                 alive: self.census.effective_alive(),
                 suspended: self.census.suspended_count(),
             });

@@ -150,6 +150,12 @@ impl ChoiceState {
 /// endpoints were not called in the last `window` rounds (falling back to
 /// any stub if none qualify, e.g. when the degree is smaller than the
 /// window).
+///
+/// Returns how many generator words it drew: `Distinct(k)` one per Floyd
+/// pick (`gen_range(0..=j)` is a single `next_u64`) when `deg > k` and
+/// none otherwise, `SequentialMemory` one, `Cyclic` one on a node's first
+/// call (its start offset); none for a node without stubs. The count
+/// never depends on the values drawn.
 pub fn sample_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
     topo: &T,
     v: NodeId,
@@ -157,18 +163,18 @@ pub fn sample_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
     state: &mut ChoiceState,
     rng: &mut R,
     out: &mut Vec<NodeId>,
-) {
+) -> u64 {
     out.clear();
     let stubs = topo.stubs(v);
     if stubs.is_empty() {
-        return;
+        return 0;
     }
     match policy {
         ChoicePolicy::Distinct(k) => {
             let deg = stubs.len();
             if deg <= k {
                 out.extend_from_slice(stubs);
-                return;
+                return 0;
             }
             // Floyd's algorithm: k distinct indices from 0..deg. Fanouts up
             // to 16 (every policy the paper studies) run on a stack array;
@@ -198,14 +204,17 @@ pub fn sample_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
                     out.push(stubs[idx]);
                 }
             }
+            k as u64
         }
         ChoicePolicy::Cyclic => {
             let cur = &mut state.cursor[v.index()];
-            if *cur == u32::MAX {
+            let first = *cur == u32::MAX;
+            if first {
                 *cur = rng.gen_range(0..stubs.len() as u32);
             }
             out.push(stubs[*cur as usize % stubs.len()]);
             *cur = (*cur + 1) % stubs.len().max(1) as u32;
+            u64::from(first)
         }
         ChoicePolicy::SequentialMemory { .. } => {
             let ring = &state.recent[v.index()];
@@ -230,21 +239,32 @@ pub fn sample_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
             };
             out.push(chosen);
             state.remember(v, chosen);
+            1
         }
     }
 }
 
-/// Advances `rng` and `state` exactly as [`sample_targets`] would for node
-/// `v`, and returns how many targets that call would have produced, but
-/// keeps none of them. This is for callers whose channels can carry
-/// nothing this round, so that later draws stay where they would have
-/// been.
+/// The generator words a caller's channel choice accounts for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Words {
+    /// Drawn from the generator.
+    Drawn(u64),
+    /// Not drawn: the caller must skip them
+    /// ([`RngCore::discard`](rand::RngCore::discard)) before the next
+    /// draw, so that later draws stay where they would have been.
+    Owed(u64),
+}
+
+/// Does to `state` what [`sample_targets`] would for node `v` but keeps
+/// none of the targets, and returns how many targets that call would
+/// have produced and the words it accounts for. This is for callers
+/// whose channels can carry nothing this round.
 ///
-/// `Distinct(k)` is memoryless: Floyd's algorithm draws one word per pick
-/// (`gen_range(0..=j)` is a single `next_u64`) when `deg > k`, and nothing
-/// otherwise, so only the words are drawn and no stub is looked up. The
-/// stateful policies sample into `scratch` and discard it, so their rings
-/// and cursors still advance.
+/// `Distinct(k)` is memoryless, so nothing is drawn here and the words
+/// sampling would draw (`k` when `deg > k`, else none) are owed; the
+/// fabric adds them to a pending count that one `discard` settles. The
+/// stateful policies sample into `scratch` and drop it, so their rings
+/// and cursors advance and their words are drawn.
 // rrb-lint: hot
 pub(crate) fn discard_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
     topo: &T,
@@ -253,21 +273,15 @@ pub(crate) fn discard_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
     state: &mut ChoiceState,
     rng: &mut R,
     scratch: &mut Vec<NodeId>,
-) -> usize {
+) -> (usize, Words) {
     match policy {
         ChoicePolicy::Distinct(k) => {
-            let deg = topo.stubs(v).len();
-            if deg <= k {
-                return deg;
-            }
-            for _ in 0..k {
-                rng.next_u64();
-            }
-            k
+            let deg = topo.degree(v);
+            (deg.min(k), Words::Owed(if deg > k { k as u64 } else { 0 }))
         }
         ChoicePolicy::SequentialMemory { .. } | ChoicePolicy::Cyclic => {
-            sample_targets(topo, v, policy, state, rng, scratch);
-            scratch.len()
+            let drawn = sample_targets(topo, v, policy, state, rng, scratch);
+            (scratch.len(), Words::Drawn(drawn))
         }
     }
 }
@@ -276,7 +290,7 @@ pub(crate) fn discard_targets<T: Topology + ?Sized, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rrb_graph::gen;
 
     #[test]
@@ -534,9 +548,24 @@ mod tests {
         a.recent == b.recent && a.window == b.window && a.cursor == b.cursor
     }
 
+    /// Counts the words drawn through it.
+    struct Counting<'r> {
+        rng: &'r mut SmallRng,
+        words: u64,
+    }
+
+    impl RngCore for Counting<'_> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.rng.next_u64()
+        }
+    }
+
     /// Samples every node of `g` for `rounds` rounds on one copy of the
-    /// generator and choice state, discards on the other, and asserts the
-    /// two copies stay bit-identical with matching target counts.
+    /// generator and choice state, discards on the other (skipping the
+    /// owed words), and asserts the two copies stay bit-identical with
+    /// matching target counts, and that both calls account for exactly
+    /// the words sampling draws.
     fn assert_discard_matches_sample(
         g: &rrb_graph::Graph,
         policy: ChoicePolicy,
@@ -552,8 +581,18 @@ mod tests {
         for _ in 0..rounds {
             for i in 0..n {
                 let v = NodeId::new(i);
-                sample_targets(g, v, policy, &mut full, &mut full_rng, &mut out);
-                let count = discard_targets(g, v, policy, &mut quiet, &mut quiet_rng, &mut scratch);
+                let mut counted = Counting { rng: &mut full_rng, words: 0 };
+                let drawn = sample_targets(g, v, policy, &mut full, &mut counted, &mut out);
+                assert_eq!(counted.words, drawn, "{policy:?}: words drawn at node {i}");
+                let (count, words) =
+                    discard_targets(g, v, policy, &mut quiet, &mut quiet_rng, &mut scratch);
+                match words {
+                    Words::Drawn(w) => assert_eq!(w, drawn, "{policy:?}: node {i}"),
+                    Words::Owed(w) => {
+                        assert_eq!(w, drawn, "{policy:?}: node {i}");
+                        quiet_rng.discard(w);
+                    }
+                }
                 assert_eq!(count, out.len(), "{policy:?}: target count differs at node {i}");
                 assert_eq!(full_rng, quiet_rng, "{policy:?}: generator diverged at node {i}");
                 assert!(same_state(&full, &quiet), "{policy:?}: choice state diverged at node {i}");

@@ -6,12 +6,12 @@
 //! where their models coincide (asserted by the seed-for-seed parity
 //! suite in `tests/parity.rs`).
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
-use crate::choice::{discard_targets, sample_targets, ChoiceState};
+use crate::choice::{discard_targets, sample_targets, ChoiceState, Words};
 use crate::failure::FaultChannelView;
 use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
 
@@ -21,8 +21,10 @@ pub(crate) enum CallerGate {
     /// Sample and store the caller's channels.
     Open,
     /// The caller does not push and no node pull-serves this round, so its
-    /// channels can carry nothing: make the draws, store nothing (fast
-    /// path only).
+    /// channels can carry nothing: store nothing (fast path only). Under
+    /// `Distinct(k)` its draws are not made but added to a pending count
+    /// that one `discard` settles before the next draw; the stateful
+    /// policies still sample, since their state advances.
     Quiet,
     /// Push-only capability skip for a caller that cannot carry the rumour
     /// under a memoryless policy: count its channels, make no draws.
@@ -62,6 +64,37 @@ pub(crate) struct ChannelFabric {
     /// Channel-target draws avoided by the capability-gated skip in the
     /// last [`sample`](Self::sample) call (telemetry counter).
     skipped_last: u64,
+    /// Generator words the last round's sampling consumed, stepped or
+    /// jumped (telemetry counter).
+    words_last: u64,
+    /// The share of `words_last` that `discard` jumped over instead of
+    /// stepping (telemetry counter).
+    jumped_last: u64,
+}
+
+/// The generator words one [`ChannelFabric::sample`] call takes: those
+/// drawn, those owed by quiet callers and not yet skipped, and those
+/// jumped. The owed words are skipped in one [`RngCore::discard`] by
+/// [`settle`](Self::settle), which must run before the next draw. Only
+/// `Quiet` callers under `Distinct(k)` owe words, and they draw none, so
+/// the sampler settles before each `sample_targets` call and at the end.
+#[derive(Debug, Default)]
+struct WordTally {
+    drawn: u64,
+    pending: u64,
+    jumped: u64,
+}
+
+impl WordTally {
+    /// Skips the pending words in one `discard`.
+    #[inline]
+    fn settle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
+        if self.pending > 0 {
+            self.drawn += self.pending;
+            self.jumped += rng.discard(self.pending);
+            self.pending = 0;
+        }
+    }
 }
 
 impl ChannelFabric {
@@ -81,10 +114,13 @@ impl ChannelFabric {
     ///   deterministic `min(fanout, deg)` channels are counted, but it costs
     ///   no RNG draws and no buffer traffic.
     /// - `Quiet`: the caller's channels can carry nothing this round. On
-    ///   the fast path it makes exactly the draws sampling would make
-    ///   (advancing any per-node choice state) and stores nothing. Off the
-    ///   fast path it is sampled like `Open`, because its per-channel
-    ///   failure draws need the targets.
+    ///   the fast path it stores nothing and leaves the generator and any
+    ///   per-node choice state where sampling would: under `Distinct(k)`
+    ///   its `k` words (none when `deg <= k`) join a pending count that
+    ///   one [`discard`](rand::RngCore::discard) skips before the next
+    ///   caller that draws, or at the end; the stateful policies sample
+    ///   and drop the targets. Off the fast path it is sampled like
+    ///   `Open`, because its per-channel failure draws need the targets.
     /// - `Open`: sampled and stored.
     ///
     /// On the single-rumour engine the gate reads this round's plans, so
@@ -126,11 +162,12 @@ impl ChannelFabric {
             // Size the target list once, for a round in which every caller
             // is open, so it never regrows (and copies) mid-run.
             let k = policy.fanout();
-            let bound = (0..n).map(|i| topo.stubs(NodeId::new(i)).len().min(k)).sum();
+            let bound = (0..n).map(|i| topo.degree(NodeId::new(i)).min(k)).sum();
             self.targets.reserve(bound);
         }
         self.offsets.push(0);
         self.skipped_last = 0;
+        let mut words = WordTally::default();
         let mut channels = 0u64;
         for i in 0..n {
             let v = NodeId::new(i);
@@ -139,27 +176,30 @@ impl ChannelFabric {
                     CallerGate::Skip => {
                         // Uninformed caller under a push-only protocol:
                         // count the channels it would open, draw nothing.
-                        let skipped = topo.stubs(v).len().min(policy.fanout()) as u64;
+                        let skipped = topo.degree(v).min(policy.fanout()) as u64;
                         self.skipped_last += skipped;
                         channels += skipped;
                         self.offsets.push(self.targets.len() as u32);
                         continue;
                     }
                     CallerGate::Quiet if self.fast_path => {
-                        channels += discard_targets(
-                            topo,
-                            v,
-                            policy,
-                            choice,
-                            rng,
-                            &mut self.target_buf,
-                        ) as u64;
+                        let (count, taken) =
+                            discard_targets(topo, v, policy, choice, rng, &mut self.target_buf);
+                        channels += count as u64;
+                        match taken {
+                            Words::Drawn(k) => {
+                                debug_assert_eq!(words.pending, 0, "drew past owed words");
+                                words.drawn += k;
+                            }
+                            Words::Owed(k) => words.pending += k,
+                        }
                         self.offsets.push(self.targets.len() as u32);
                         continue;
                     }
                     CallerGate::Quiet | CallerGate::Open => {}
                 }
-                sample_targets(topo, v, policy, choice, rng, &mut self.target_buf);
+                words.settle(rng);
+                words.drawn += sample_targets(topo, v, policy, choice, rng, &mut self.target_buf);
                 channels += self.target_buf.len() as u64;
                 for &w in &self.target_buf {
                     // A channel to a dead (departed), crashed, suspended or
@@ -187,6 +227,7 @@ impl ChannelFabric {
                             None => failures.channel_failure,
                         };
                         let ok = callee_ok && (p == 0.0 || !rng.gen_bool(p));
+                        words.drawn += u64::from(callee_ok && p != 0.0);
                         self.targets.push(w);
                         self.ok.push(ok);
                     }
@@ -194,6 +235,57 @@ impl ChannelFabric {
             }
             self.offsets.push(self.targets.len() as u32);
         }
+        words.settle(rng);
+        self.words_last = words.drawn;
+        self.jumped_last = words.jumped;
+        channels
+    }
+
+    /// A round in which nobody transmits, on the fast path under
+    /// `Distinct(k)`: counts what [`sample`](Self::sample) would, with
+    /// every caller `Quiet` except those `skip` marks `Skip`, without
+    /// visiting a stub. Each alive, unblocked caller opens `min(deg, k)`
+    /// channels and owes `k` words when `deg > k`; a skipped one owes
+    /// none and adds its channels to the skipped draws. The words are
+    /// skipped in one [`discard`](rand::RngCore::discard), which leaves
+    /// the generator where sampling would, since no draw depends on the
+    /// values drawn before it. Returns the channels opened; the round
+    /// stores none.
+    // rrb-lint: hot
+    pub(crate) fn sample_silent<T, F, R>(
+        &mut self,
+        topo: &T,
+        k: usize,
+        blocked: &[bool],
+        skip: F,
+        rng: &mut R,
+    ) -> u64
+    where
+        T: Topology + ?Sized,
+        F: Fn(usize) -> bool,
+        R: RngCore + ?Sized,
+    {
+        self.fast_path = true;
+        self.offsets.clear();
+        self.targets.clear();
+        self.ok.clear();
+        let (mut channels, mut skipped, mut words) = (0u64, 0u64, 0u64);
+        for (i, &caller_blocked) in blocked[..topo.node_count()].iter().enumerate() {
+            let v = NodeId::new(i);
+            if topo.is_alive(v) && !caller_blocked {
+                let deg = topo.degree(v);
+                let opened = deg.min(k) as u64;
+                channels += opened;
+                if skip(i) {
+                    skipped += opened;
+                } else if deg > k {
+                    words += k as u64;
+                }
+            }
+        }
+        self.skipped_last = skipped;
+        self.words_last = words;
+        self.jumped_last = rng.discard(words);
         channels
     }
 
@@ -208,6 +300,20 @@ impl ChannelFabric {
     #[inline]
     pub(crate) fn skipped_last(&self) -> u64 {
         self.skipped_last
+    }
+
+    /// Generator words the last round's sampling consumed, stepped or
+    /// jumped.
+    #[inline]
+    pub(crate) fn words_last(&self) -> u64 {
+        self.words_last
+    }
+
+    /// The share of [`words_last`](Self::words_last) jumped over by
+    /// `discard` rather than stepped.
+    #[inline]
+    pub(crate) fn jumped_last(&self) -> u64 {
+        self.jumped_last
     }
 
     /// Channel-id range opened by caller `i`.
@@ -233,6 +339,13 @@ impl ChannelFabric {
     #[cfg(test)]
     pub(crate) fn is_fast_path(&self) -> bool {
         self.fast_path
+    }
+
+    /// Whether the last round sampled its callers one by one (not after
+    /// [`sample_silent`](Self::sample_silent), which builds no lists).
+    #[cfg(test)]
+    pub(crate) fn sampled_callers(&self) -> bool {
+        !self.offsets.is_empty()
     }
 
     /// Builds the reverse (incoming-channel) index: a counting sort of
@@ -574,6 +687,43 @@ mod tests {
                     assert_eq!(open_lists[i], quiet_lists[i], "{policy:?}: caller {i}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn silent_sampling_counts_and_draws_like_quiet_sampling() {
+        // Degrees below, at and above k, blocked callers and skipped ones:
+        // the silent pass counts what an all-quiet round counts and leaves
+        // the generator where it does, without building caller lists.
+        let n = 300;
+        let g = gen::preferential_attachment(n, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
+        let degrees: Vec<usize> = (0..n).map(|i| g.degree(NodeId::new(i))).collect();
+        assert!([2, 4, 9].iter().all(|d| degrees.contains(d)), "mixed degrees");
+        let blocked: Vec<bool> = (0..n).map(|i| i % 7 == 3).collect();
+        let skip = |i: usize| i % 5 == 1;
+        for k in [1, 3, 4, 6] {
+            let policy = ChoicePolicy::Distinct(k);
+            let mut quiet_rng = SmallRng::seed_from_u64(21);
+            let mut quiet = ChannelFabric::new(n);
+            let channels = quiet.sample(
+                &g,
+                policy,
+                &mut ChoiceState::new(n, policy),
+                FailureModel::NONE,
+                &blocked,
+                None,
+                |i| if skip(i) { CallerGate::Skip } else { CallerGate::Quiet },
+                &mut quiet_rng,
+            );
+            let mut silent_rng = SmallRng::seed_from_u64(21);
+            let mut silent = ChannelFabric::new(n);
+            assert_eq!(silent.sample_silent(&g, k, &blocked, skip, &mut silent_rng), channels);
+            assert_eq!(silent_rng, quiet_rng, "k = {k}");
+            let counters = |f: &ChannelFabric| (f.skipped_last(), f.words_last(), f.jumped_last());
+            assert_eq!(counters(&silent), counters(&quiet), "k = {k}");
+            assert!(quiet.words_last() > 0 && quiet.skipped_last() > 0);
+            assert!(quiet.sampled_callers() && !silent.sampled_callers());
+            assert_eq!((quiet.len(), silent.len()), (0, 0));
         }
     }
 

@@ -860,6 +860,8 @@ impl<P: Protocol> MultiSimState<P> {
                 tx: push_tx + pull_tx,
                 channels: channels_this_round,
                 skipped_draws: self.fabric.skipped_last(),
+                fabric_words: 0,
+                jumped_words: 0,
                 alive: self.census.effective_alive(),
                 suspended: self.census.suspended_count(),
             });

@@ -15,7 +15,8 @@ use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
 use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, ShardClock, StepPhase};
 use crate::{
-    FailureModel, NodeView, Observation, Plan, Protocol, Round, RoundRecord, RunReport, Topology,
+    ChoicePolicy, FailureModel, NodeView, Observation, Plan, Protocol, Round, RoundRecord,
+    RunReport, Topology,
 };
 
 /// Engine configuration.
@@ -508,36 +509,62 @@ impl<P: Protocol> SimState<P> {
         // (`FailureModel::NONE` draws nothing from the RNG either way — the
         // streams stay identical). A caller that does not push, in a round
         // in which no node pull-serves, can carry nothing: it is `Quiet`,
-        // so on the fast path it makes its draws but stores no channel.
-        // That covers the uninformed majority in push rounds and everyone
-        // in silent rounds.
+        // so on the fast path it stores no channel and its draws are
+        // skipped rather than made. That covers the uninformed majority in
+        // push rounds and everyone in silent rounds.
+        //
+        // A silent round of an oblivious protocol (no reception round
+        // transmits, so every plan is `SILENT` and nobody pull-serves) on
+        // the fast path under `Distinct(k)` moves nothing: every caller is
+        // `Quiet` or `Skip`, and the words each owes depend only on its
+        // flags and degree. It skips the sampling and phases c–d: one O(n)
+        // pass counts the channels, the skipped draws and the words, and
+        // one `discard` moves the generator past them, so the counters and
+        // the stream are the ones the full round would produce.
         let informed = &self.informed;
-        let plans = &self.plans;
-        let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
-        let channels_this_round = self.fabric.sample(
-            topo,
-            policy,
-            &mut self.choice,
-            failures,
-            self.census.blocked_slice(),
-            fault_view.as_ref(),
-            |i| {
-                if skip_uninformed && !informed.is_informed(i) {
-                    CallerGate::Skip
-                } else if plans[i].push || any_pull {
-                    CallerGate::Open
-                } else {
-                    CallerGate::Quiet
-                }
-            },
-            rng,
-        );
+        let (channels_this_round, push_tx, pull_tx, newly_informed) = match policy {
+            ChoicePolicy::Distinct(k) if self.plans_silent && !any_pull && fast_path => {
+                let channels = self.fabric.sample_silent(
+                    topo,
+                    k,
+                    self.census.blocked_slice(),
+                    |i| skip_uninformed && !informed.is_informed(i),
+                    rng,
+                );
+                clock.lap(&mut self.probe, StepPhase::Fabric);
+                clock.lap(&mut self.probe, StepPhase::Exchange);
+                clock.lap(&mut self.probe, StepPhase::Update);
+                (channels, 0, 0, 0)
+            }
+            _ => {
+                let plans = &self.plans;
+                let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
+                let channels = self.fabric.sample(
+                    topo,
+                    policy,
+                    &mut self.choice,
+                    failures,
+                    self.census.blocked_slice(),
+                    fault_view.as_ref(),
+                    |i| {
+                        if skip_uninformed && !informed.is_informed(i) {
+                            CallerGate::Skip
+                        } else if plans[i].push || any_pull {
+                            CallerGate::Open
+                        } else {
+                            CallerGate::Quiet
+                        }
+                    },
+                    rng,
+                );
+                clock.lap(&mut self.probe, StepPhase::Fabric);
+                // Phases c–d (exchange / update-digest).
+                let (push_tx, pull_tx, newly_informed) = self
+                    .phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng);
+                (channels, push_tx, pull_tx, newly_informed)
+            }
+        };
         self.channels += channels_this_round;
-        clock.lap(&mut self.probe, StepPhase::Fabric);
-
-        // Phases c–d (exchange / update-digest).
-        let (push_tx, pull_tx, newly_informed) =
-            self.phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng);
         self.push_tx += push_tx;
         self.pull_tx += pull_tx;
 
@@ -559,6 +586,8 @@ impl<P: Protocol> SimState<P> {
                 tx: push_tx + pull_tx,
                 channels: channels_this_round,
                 skipped_draws: self.fabric.skipped_last(),
+                fabric_words: self.fabric.words_last(),
+                jumped_words: self.fabric.jumped_last(),
                 alive: self.census.effective_alive(),
                 suspended: self.census.suspended_count(),
             });
@@ -1195,6 +1224,68 @@ mod tests {
     /// exchange drops copies to informed nodes.
     fn oblivious_phased() -> WithCaps<Phased> {
         WithCaps(phased(), Capabilities { oblivious: true, ..Capabilities::ALL })
+    }
+
+    /// Records every round's counters.
+    #[derive(Debug, Default)]
+    struct Rounds(Vec<RoundCounters>);
+
+    impl crate::RoundProbe for Rounds {
+        fn on_round(&mut self, counters: &RoundCounters) {
+            self.0.push(*counters);
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A run's report, counters, final generator and, per round, whether
+    /// the fabric sampled its callers one by one.
+    fn run_recording<P: Protocol>(
+        proto: &P,
+        g: &rrb_graph::Graph,
+        cfg: SimConfig,
+    ) -> (RunReport, Vec<RoundCounters>, SmallRng, Vec<bool>) {
+        let n = Topology::node_count(g);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut sim = SimState::new(proto, n, NodeId::new(0));
+        sim.set_probe(Some(Box::new(Rounds::default())));
+        let mut sampled = Vec::new();
+        while !sim.finished(g, proto, cfg) {
+            sim.step(g, proto, cfg, &mut rng);
+            sampled.push(sim.fabric.sampled_callers());
+        }
+        let probe = sim.take_probe().expect("probe");
+        let rounds = probe.as_any().downcast_ref::<Rounds>().expect("rounds").0.clone();
+        (sim.into_report(g, cfg), rounds, rng, sampled)
+    }
+
+    #[test]
+    fn silent_rounds_skip_the_fabric_but_count_and_draw_the_same() {
+        // An oblivious schedule's silent tail skips the fabric (no caller
+        // lists are built) yet counts the channels and words its general
+        // twin samples, and leaves the generator where the twin does. Its
+        // silent rounds skip about 8 192 words each, enough to jump.
+        let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(1)).expect("graph");
+        let schedule = Phased::new(2, 12, 16);
+        let oblivious = WithCaps(schedule, Capabilities { oblivious: true, ..Capabilities::ALL });
+        for failures in [FailureModel::NONE, FailureModel::crashes(0.002)] {
+            let cfg = SimConfig::until_quiescent().with_history().with_failures(failures);
+            let (report, rounds, rng, sampled) = run_recording(&schedule, &g, cfg);
+            let skip = run_recording(&oblivious, &g, cfg);
+            assert_eq!(report, skip.0, "{failures:?}");
+            assert_eq!(rounds, skip.1, "{failures:?}: per-round counters");
+            assert_eq!(rng, skip.2, "{failures:?}: the generator must end where sampling does");
+            assert!(sampled.iter().all(|&s| s), "the general path samples every round");
+            let skipped: Vec<&RoundCounters> =
+                skip.3.iter().zip(&rounds).filter(|(&s, _)| !s).map(|(_, r)| r).collect();
+            assert_eq!(skipped.len(), 3, "{failures:?}: rounds 14-16 are silent");
+            for r in skipped {
+                assert_eq!(r.tx, 0);
+                assert!(r.fabric_words > 4096 && r.jumped_words == r.fabric_words, "{r:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   coverage/bookkeeping);
 //! * one [`RoundProbe::on_round`] call at the end of each round with the
 //!   round's [`RoundCounters`] (informed census, transmissions, channels
-//!   sampled, draws skipped by the capability gate, alive/suspended
+//!   sampled, draws skipped by the capability gate, generator words the
+//!   fabric consumed and how many of them it jumped, alive/suspended
 //!   membership).
 //!
 //! # The off path is free
@@ -125,6 +126,13 @@ pub struct RoundCounters {
     /// Channel-target draws avoided this round by the capability-gated
     /// push-only sampling skip (channels counted but never sampled).
     pub skipped_draws: u64,
+    /// Generator words the channel fabric consumed this round, whether
+    /// stepped or jumped (single-rumour engine; 0 in the multi-rumour and
+    /// async engines).
+    pub fabric_words: u64,
+    /// The share of `fabric_words` skipped by a `discard` long enough to
+    /// jump the generator rather than step it.
+    pub jumped_words: u64,
     /// Alive, uncrashed nodes after the round (coverage denominator).
     pub alive: usize,
     /// Nodes currently suspended by a transient outage.
@@ -227,6 +235,8 @@ pub struct PhaseTimings {
     pull_tx: u64,
     channels: u64,
     skipped_draws: u64,
+    fabric_words: u64,
+    jumped_words: u64,
     last: RoundCounters,
     peak_rss_kib: Option<u64>,
 }
@@ -297,6 +307,16 @@ impl PhaseTimings {
         self.skipped_draws
     }
 
+    /// Total generator words the fabric consumed, stepped or jumped.
+    pub fn fabric_words(&self) -> u64 {
+        self.fabric_words
+    }
+
+    /// Total fabric words jumped over rather than stepped.
+    pub fn jumped_words(&self) -> u64 {
+        self.jumped_words
+    }
+
     /// Total nodes newly informed across all rounds.
     pub fn newly_informed(&self) -> u64 {
         self.newly_informed
@@ -334,6 +354,8 @@ impl RoundProbe for PhaseTimings {
         self.pull_tx += counters.pull_tx;
         self.channels += counters.channels;
         self.skipped_draws += counters.skipped_draws;
+        self.fabric_words += counters.fabric_words;
+        self.jumped_words += counters.jumped_words;
         self.last = *counters;
         // VmHWM is monotone, so the latest sample is the running maximum.
         if let Some(kib) = peak_rss_kib() {
@@ -391,6 +413,8 @@ mod tests {
             pull_tx: 2,
             channels: 12,
             skipped_draws: 4,
+            fabric_words: 40,
+            jumped_words: 32,
             alive: 32,
             suspended: 1,
         });
@@ -398,6 +422,7 @@ mod tests {
         assert_eq!(t.tx(), 10);
         assert_eq!(t.channels(), 12);
         assert_eq!(t.skipped_draws(), 4);
+        assert_eq!((t.fabric_words(), t.jumped_words()), (40, 32));
         assert_eq!(t.last_round().informed, 7);
     }
 

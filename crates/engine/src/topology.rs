@@ -22,6 +22,12 @@ pub trait Topology {
     /// Stub list of `v`: adjacent node ids with multiplicity.
     fn stubs(&self, v: NodeId) -> &[NodeId];
 
+    /// Number of stubs of `v` (`stubs(v).len()`, which an implementation
+    /// may know without building the slice).
+    fn degree(&self, v: NodeId) -> usize {
+        self.stubs(v).len()
+    }
+
     /// Number of currently alive nodes. Default implementation scans.
     fn alive_count(&self) -> usize {
         (0..self.node_count())
@@ -43,6 +49,10 @@ impl Topology for Graph {
         self.neighbors(v)
     }
 
+    fn degree(&self, v: NodeId) -> usize {
+        Graph::degree(self, v)
+    }
+
     fn alive_count(&self) -> usize {
         Graph::node_count(self)
     }
@@ -59,6 +69,10 @@ impl<T: Topology + ?Sized> Topology for &T {
 
     fn stubs(&self, v: NodeId) -> &[NodeId] {
         (**self).stubs(v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        (**self).degree(v)
     }
 
     fn alive_count(&self) -> usize {

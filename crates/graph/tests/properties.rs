@@ -130,31 +130,4 @@ proptest! {
             g.edge_count() * h.node_count() + h.edge_count() * g.node_count()
         );
     }
-
-    /// Matchings from the greedy routine are valid and maximal: no remaining
-    /// edge has both endpoints unmatched.
-    #[test]
-    fn greedy_matching_is_maximal(
-        edges in prop::collection::vec((0usize..30, 0usize..30), 0..120),
-        seed in any::<u64>(),
-    ) {
-        let g = graph_from_edges(30, &edges).unwrap();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let m = algo::greedy_maximal_matching(&g, &mut rng);
-        let mut used = [false; 30];
-        for (u, v) in &m {
-            prop_assert!(u != v);
-            prop_assert!(!used[u.index()] && !used[v.index()]);
-            used[u.index()] = true;
-            used[v.index()] = true;
-        }
-        for (u, v) in g.edges() {
-            if u != v {
-                prop_assert!(
-                    used[u.index()] || used[v.index()],
-                    "edge ({u},{v}) could extend the matching"
-                );
-            }
-        }
-    }
 }
