@@ -28,7 +28,7 @@ use crate::{
 use rrb_core::{AlgorithmVariant, DegreeRegime};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, ClockSpec, FaultEvent, GilbertElliott, LatencySpec,
-    MultiRumorReport, MultiSimState, OutageSpec, Round, RoundRecord, RumorInjection, RunReport,
+    trace, MultiRumorReport, MultiSimState, OutageSpec, Round, RumorInjection, RunReport,
     SimConfig, StepPhase,
 };
 use rrb_graph::gen;
@@ -1008,20 +1008,6 @@ fn e11_scenarios(quick: bool) -> Vec<LadderEntry> {
     out
 }
 
-fn growth_factor(history: &[RoundRecord], n: usize) -> f64 {
-    let mut factors = Vec::new();
-    for w in history.windows(2) {
-        if w[1].informed < n / 8 && w[0].informed > 0 {
-            factors.push(w[1].informed as f64 / w[0].informed as f64);
-        }
-    }
-    if factors.is_empty() {
-        f64::NAN
-    } else {
-        factors.iter().sum::<f64>() / factors.len() as f64
-    }
-}
-
 fn e11_run(cfg: &ExpConfig) {
     let (base_n, d) = e11_params(cfg.quick);
     let product_n = base_n * 5;
@@ -1042,8 +1028,7 @@ fn e11_run(cfg: &ExpConfig) {
             let successes = success_rate(&reports);
             let growths: Vec<f64> = reports
                 .iter()
-                .map(|r| growth_factor(&r.history, product_n))
-                .filter(|g| g.is_finite())
+                .filter_map(|r| trace::informed_growth_factor(&r.history, product_n / 8))
                 .collect();
             table.row(vec![
                 format!("{alpha:.2}"),

@@ -360,8 +360,8 @@ pub fn mean_cover_time(clocks: &[EventClock]) -> f64 {
 }
 
 /// Mean **recovery rounds** — healed rounds needed to reach full coverage
-/// after the scripted heal ([`FaultPlan::heal_round`], the first round the
-/// last partition no longer blocks). Covering *in* the heal round counts
+/// after the scripted heal ([`rrb_engine::FaultPlan::heal_round`], the
+/// first round the last partition no longer blocks). Covering *in* the heal round counts
 /// as 1; covering before the heal (the partition never bit) counts as 0.
 /// Replications that never reach full coverage count at their total round
 /// count, mirroring [`mean_rounds_to_coverage`]'s cap convention.

@@ -1560,7 +1560,7 @@ mod json {
     }
 
     /// Parses `text` into a [`Json`] value (trailing whitespace allowed).
-    /// Nesting deeper than [`MAX_DEPTH`] is an error.
+    /// Nesting deeper than `MAX_DEPTH` is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

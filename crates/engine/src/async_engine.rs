@@ -40,17 +40,17 @@ use std::collections::BinaryHeap;
 use rand::Rng;
 use rrb_graph::NodeId;
 
-use crate::census::AliveCensus;
 use crate::choice::{sample_targets, ChoiceState};
 use crate::clock::NodeClocks;
 use crate::fabric::InformedIndex;
-use crate::failure::{fault_phase, FaultState};
+use crate::failure::FaultState;
+use crate::ledger::{ledger_installers, Ledger, Tally};
 use crate::observation::RumorMeta;
 use crate::report::StopReason;
-use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
+use crate::telemetry::{RoundCounters, StepPhase};
 use crate::{
-    ClockSpec, LatencySpec, NodeView, Observation, Plan, Protocol, Round, RoundRecord, RunReport,
-    SimConfig, Topology,
+    ClockSpec, LatencySpec, NodeView, Observation, Plan, Protocol, Round, RunReport, SimConfig,
+    Topology,
 };
 
 /// Total event order: time first (IEEE-754 bits of a non-negative `f64`),
@@ -116,9 +116,9 @@ fn round_of(t: f64) -> Round {
 
 /// Mutable state of an in-flight **asynchronous** broadcast.
 ///
-/// Drives the same [`Protocol`], [`AliveCensus`], failure and telemetry
-/// machinery as [`SimState`](crate::SimState), but on a pending-event
-/// heap instead of a round barrier. Reports reuse [`RunReport`]: the
+/// Drives the same [`Protocol`] and the same census, fault phase, probe
+/// and report bookkeeping as [`SimState`](crate::SimState), but on a
+/// pending-event heap instead of a round barrier. Reports reuse [`RunReport`]: the
 /// `rounds` field is the last integer-time window entered, so
 /// round-denominated metrics stay comparable across engines, while
 /// [`now`](Self::now)/[`coverage_time`](Self::coverage_time) expose the
@@ -148,8 +148,15 @@ fn round_of(t: f64) -> Round {
 pub struct AsyncSimState<P: Protocol> {
     states: Vec<P::State>,
     informed: InformedIndex,
-    census: AliveCensus,
-    alive_informed: usize,
+    /// Census, fault plan, probe, channel total and the integer-time
+    /// window in progress (`round_of(now)`; 0 before the first event) —
+    /// the fault plan's and the probe's clock.
+    ledger: Ledger,
+    /// Coverage numerator and instant, transmission totals, stop reason
+    /// and history.
+    tally: Tally,
+    /// The window in progress' counters, closed into the tally at its end.
+    window: RoundCounters,
     creator: NodeId,
     choice: ChoiceState,
     clock: ClockSpec,
@@ -158,27 +165,10 @@ pub struct AsyncSimState<P: Protocol> {
     heap: BinaryHeap<Reverse<PendingEvent>>,
     tie_seq: u64,
     now: f64,
-    /// The integer-time window currently in progress (`round_of(now)`;
-    /// 0 before the first event) — the fault plan's and the probe's clock.
-    round: Round,
     eff_failures: crate::FailureModel,
     pending_deliveries: usize,
-    push_tx: u64,
-    pull_tx: u64,
-    channels: u64,
     events: u64,
-    round_push_tx: u64,
-    round_pull_tx: u64,
-    round_channels: u64,
-    round_skipped: u64,
-    round_newly_informed: usize,
-    full_coverage_at: Option<Round>,
     coverage_time: Option<f64>,
-    tx_at_coverage: Option<u64>,
-    stop: Option<StopReason>,
-    history: Vec<RoundRecord>,
-    faults: Option<FaultState>,
-    probe: Option<BoxedProbe>,
     target_buf: Vec<NodeId>,
     scratch_obs: Observation,
     empty_obs: Observation,
@@ -206,8 +196,9 @@ impl<P: Protocol> AsyncSimState<P> {
         AsyncSimState {
             states,
             informed,
-            census: AliveCensus::new(),
-            alive_informed: 0,
+            ledger: Ledger::default(),
+            tally: Tally::default(),
+            window: RoundCounters::default(),
             creator: origin,
             choice: ChoiceState::new(node_count, protocol.choice_policy()),
             clock,
@@ -216,48 +207,17 @@ impl<P: Protocol> AsyncSimState<P> {
             heap: BinaryHeap::new(),
             tie_seq: 0,
             now: 0.0,
-            round: 0,
             eff_failures: crate::FailureModel::NONE,
             pending_deliveries: 0,
-            push_tx: 0,
-            pull_tx: 0,
-            channels: 0,
             events: 0,
-            round_push_tx: 0,
-            round_pull_tx: 0,
-            round_channels: 0,
-            round_skipped: 0,
-            round_newly_informed: 0,
-            full_coverage_at: None,
             coverage_time: None,
-            tx_at_coverage: None,
-            stop: None,
-            history: Vec::new(),
-            faults: None,
-            probe: None,
             target_buf: Vec::new(),
             scratch_obs: Observation::default(),
             empty_obs: Observation::default(),
         }
     }
 
-    /// Installs (or clears) a fault plan's runtime state; `None` is
-    /// byte-identical to never calling this. Install before running.
-    pub fn set_faults(&mut self, faults: Option<FaultState>) {
-        self.faults = faults;
-    }
-
-    /// Installs (or clears) a telemetry probe. Probes observe event
-    /// phases and integer-time window boundaries and never touch the
-    /// RNG, so instrumented runs are byte-identical to bare ones.
-    pub fn set_probe(&mut self, probe: Option<BoxedProbe>) {
-        self.probe = probe;
-    }
-
-    /// Removes and returns the installed probe (to read telemetry back).
-    pub fn take_probe(&mut self) -> Option<BoxedProbe> {
-        self.probe.take()
-    }
+    ledger_installers!();
 
     /// Continuous time of the last processed event.
     pub fn now(&self) -> f64 {
@@ -276,7 +236,7 @@ impl<P: Protocol> AsyncSimState<P> {
 
     /// Alive, uncrashed informed nodes — the coverage numerator.
     pub fn informed_count(&self) -> usize {
-        self.alive_informed
+        self.tally.alive_informed
     }
 
     /// Runs until coverage/quiescence/round-cap, then leaves the stop
@@ -290,7 +250,7 @@ impl<P: Protocol> AsyncSimState<P> {
     ) {
         let round_cap = protocol.deadline().unwrap_or(config.max_rounds).min(config.max_rounds);
         self.start(topo, protocol, config, rng);
-        while self.stop.is_none() {
+        while self.tally.stop.is_none() {
             self.advance(topo, protocol, config, round_cap, rng);
         }
     }
@@ -307,21 +267,20 @@ impl<P: Protocol> AsyncSimState<P> {
         if self.clocks.is_some() {
             return;
         }
-        self.census.sync_from(topo);
-        self.alive_informed = usize::from(self.census.is_effective(self.creator.index()));
+        self.tally.sync_census(&mut self.ledger, topo, &self.informed);
         let clocks = NodeClocks::new(self.clock, topo.node_count(), rng);
         for i in 0..topo.node_count() {
-            if topo.is_alive(NodeId::new(i)) && !self.census.is_crashed(i) {
+            if topo.is_alive(NodeId::new(i)) && !self.ledger.census.is_crashed(i) {
                 let t = clocks.next_after(i, 0.0, rng);
                 self.schedule(t, i as u32, EventKind::Fire);
             }
         }
         self.clocks = Some(clocks);
         // Mirror the sync engine's pre-first-step `finished()` checks.
-        if config.stop_at_coverage && self.alive_informed == self.census.effective_alive() {
-            self.stop = Some(StopReason::FullCoverage);
+        if config.stop_at_coverage && self.tally.covered(&self.ledger) {
+            self.tally.stop = Some(StopReason::FullCoverage);
         } else if self.quiescent(protocol) {
-            self.stop = Some(StopReason::Quiescent);
+            self.tally.stop = Some(StopReason::Quiescent);
         }
     }
 
@@ -345,30 +304,30 @@ impl<P: Protocol> AsyncSimState<P> {
         round_cap: Round,
         rng: &mut R,
     ) {
-        let mut clock = PhaseClock::armed(self.probe.is_some());
+        self.ledger.arm_clock();
         let Some(&Reverse(next)) = self.heap.peek() else {
             // Every clock has died (all nodes crashed): nothing can ever
             // change again.
             self.finish_round(config);
-            self.stop = Some(StopReason::Quiescent);
+            self.tally.stop = Some(StopReason::Quiescent);
             return;
         };
         let t = bits_to_time(next.key.time_bits);
         let event_round = round_of(t);
-        while self.round < event_round {
+        while self.ledger.round < event_round {
             // The window in progress has no more events — close it.
             self.finish_round(config);
             if self.quiescent(protocol) {
-                self.stop = Some(StopReason::Quiescent);
+                self.tally.stop = Some(StopReason::Quiescent);
                 return;
             }
-            if self.round >= round_cap {
-                self.stop = Some(StopReason::RoundCap);
+            if self.ledger.round >= round_cap {
+                self.tally.stop = Some(StopReason::RoundCap);
                 return;
             }
-            self.round += 1;
-            self.begin_round(topo, config, rng, &mut clock);
-            if self.stop.is_some() {
+            self.ledger.round += 1;
+            self.begin_round(topo, config, rng);
+            if self.tally.stop.is_some() {
                 return;
             }
         }
@@ -377,15 +336,15 @@ impl<P: Protocol> AsyncSimState<P> {
         self.now = bits_to_time(ev.key.time_bits);
         match ev.kind {
             EventKind::Fire => {
-                self.fire(ev.key.node as usize, topo, protocol, rng, &mut clock);
+                self.fire(ev.key.node as usize, topo, protocol, rng);
             }
             EventKind::Deliver { meta, pull } => {
-                self.deliver(ev.key.node as usize, meta, pull, protocol, config, &mut clock);
+                self.deliver(ev.key.node as usize, meta, pull, protocol, config);
             }
         }
     }
 
-    /// Opens the integer-time window `self.round`: advance the fault plan
+    /// Opens the integer-time window `ledger.round`: advance the fault plan
     /// one round on its reserved stream, apply its node events, and run
     /// the i.i.d. crash-stop sampling — the fault phase the synchronous
     /// engines run, keyed by window instead of barrier.
@@ -394,23 +353,19 @@ impl<P: Protocol> AsyncSimState<P> {
         topo: &T,
         config: SimConfig,
         rng: &mut R,
-        clock: &mut PhaseClock,
     ) {
-        self.eff_failures = fault_phase(
-            self.faults.as_mut(),
-            &mut self.census,
+        self.eff_failures = self.ledger.fault_phase(
             topo,
-            self.round,
             config.failures,
             rng,
             |i| self.informed.at(i),
             |i| {
                 if self.informed.is_informed(i) {
-                    self.alive_informed -= 1;
+                    self.tally.alive_informed -= 1;
                 }
             },
         );
-        clock.lap(&mut self.probe, StepPhase::Faults);
+        self.ledger.lap(StepPhase::Faults);
         // Crashes shrink the coverage denominator, which can complete
         // coverage without a delivery — same rule the sync engine applies
         // at its round barrier.
@@ -425,10 +380,9 @@ impl<P: Protocol> AsyncSimState<P> {
         topo: &T,
         protocol: &P,
         rng: &mut R,
-        clock: &mut PhaseClock,
     ) {
         let v = NodeId::new(i);
-        if self.census.is_crashed(i) || !topo.is_alive(v) {
+        if self.ledger.census.is_crashed(i) || !topo.is_alive(v) {
             return; // fail-stop: the clock dies with the node
         }
         // The timer draw comes first and unconditionally: a suspended
@@ -436,7 +390,7 @@ impl<P: Protocol> AsyncSimState<P> {
         // exchanging the instant the census un-suspends it.
         let next = self.clocks.as_ref().expect("started").next_after(i, self.now, rng);
         self.schedule(next, i as u32, EventKind::Fire);
-        if self.census.is_suspended(i) {
+        if self.ledger.census.is_suspended(i) {
             return;
         }
         let policy = protocol.choice_policy();
@@ -447,27 +401,24 @@ impl<P: Protocol> AsyncSimState<P> {
         // sampling (memoryless policies only).
         if at_i.is_none() && !protocol.capabilities().uses_pull && policy.is_memoryless() {
             let skipped = topo.stubs(v).len().min(policy.fanout()) as u64;
-            self.channels += skipped;
-            self.round_channels += skipped;
-            self.round_skipped += skipped;
-            clock.lap(&mut self.probe, StepPhase::Fabric);
+            self.window.channels += skipped;
+            self.window.skipped_draws += skipped;
+            self.ledger.lap(StepPhase::Fabric);
             return;
         }
         sample_targets(topo, v, policy, &mut self.choice, rng, &mut self.target_buf);
-        let opened = self.target_buf.len() as u64;
-        self.channels += opened;
-        self.round_channels += opened;
-        clock.lap(&mut self.probe, StepPhase::Fabric);
+        self.window.channels += self.target_buf.len() as u64;
+        self.ledger.lap(StepPhase::Fabric);
         let plan_i = match at_i {
             Some(at) => {
                 let view =
                     NodeView { informed_at: at, is_creator: v == self.creator, state: &self.states[i] };
-                protocol.plan(view, self.round)
+                protocol.plan(view, self.ledger.round)
             }
             None => Plan::SILENT,
         };
-        clock.lap(&mut self.probe, StepPhase::Plan);
-        let fault_state = self.faults.take();
+        self.ledger.lap(StepPhase::Plan);
+        let fault_state = self.ledger.faults.take();
         let fault_view = fault_state.as_ref().and_then(FaultState::channel_view);
         for idx in 0..self.target_buf.len() {
             let w = self.target_buf[idx];
@@ -475,8 +426,8 @@ impl<P: Protocol> AsyncSimState<P> {
             // A channel to a dead, crashed, suspended or partitioned-away
             // neighbour fails to establish; it costs nothing.
             let callee_ok = topo.is_alive(w)
-                && !self.census.is_crashed(wi)
-                && !self.census.is_suspended(wi)
+                && !self.ledger.census.is_crashed(wi)
+                && !self.ledger.census.is_suspended(wi)
                 && fault_view.as_ref().is_none_or(|f| f.connects(i, wi));
             if !callee_ok {
                 continue;
@@ -496,8 +447,7 @@ impl<P: Protocol> AsyncSimState<P> {
             // Push: caller -> callee; counted when sent, delivered only if
             // the transmission survives.
             if plan_i.push {
-                self.push_tx += 1;
-                self.round_push_tx += 1;
+                self.window.push_tx += 1;
                 if self.eff_failures.transmission_ok(rng) {
                     let arrival = self.now + self.latency.sample(rng);
                     self.schedule(arrival, wi as u32, EventKind::Deliver { meta: plan_i.meta, pull: false });
@@ -510,10 +460,9 @@ impl<P: Protocol> AsyncSimState<P> {
                     is_creator: w == self.creator,
                     state: &self.states[wi],
                 };
-                let plan_w = protocol.plan(view, self.round);
+                let plan_w = protocol.plan(view, self.ledger.round);
                 if plan_w.pull_serve {
-                    self.pull_tx += 1;
-                    self.round_pull_tx += 1;
+                    self.window.pull_tx += 1;
                     if self.eff_failures.transmission_ok(rng) {
                         let arrival = self.now + self.latency.sample(rng);
                         self.schedule(arrival, i as u32, EventKind::Deliver { meta: plan_w.meta, pull: true });
@@ -521,15 +470,15 @@ impl<P: Protocol> AsyncSimState<P> {
                 }
             }
         }
-        self.faults = fault_state;
-        clock.lap(&mut self.probe, StepPhase::Exchange);
+        self.ledger.faults = fault_state;
+        self.ledger.lap(StepPhase::Exchange);
         // The firer's own tick advances its protocol state with an empty
         // observation — the async analogue of the sync engine's per-round
         // empty update, so counter/age-based quiescence rules still run.
         if at_i.is_some() {
-            protocol.update(&mut self.states[i], at_i, self.round, &self.empty_obs);
+            protocol.update(&mut self.states[i], at_i, self.ledger.round, &self.empty_obs);
         }
-        clock.lap(&mut self.probe, StepPhase::Update);
+        self.ledger.lap(StepPhase::Update);
     }
 
     /// A rumour copy arrives: digest it (unless the receiver is gone or
@@ -541,10 +490,9 @@ impl<P: Protocol> AsyncSimState<P> {
         pull: bool,
         protocol: &P,
         config: SimConfig,
-        clock: &mut PhaseClock,
     ) {
         self.pending_deliveries -= 1;
-        if !self.census.is_participating(w) {
+        if !self.ledger.census.is_participating(w) {
             return;
         }
         self.scratch_obs.clear();
@@ -553,28 +501,28 @@ impl<P: Protocol> AsyncSimState<P> {
         } else {
             self.scratch_obs.pushes.push(meta);
         }
-        if self.informed.mark(w, self.round) {
-            self.round_newly_informed += 1;
-            if self.census.is_effective(w) {
-                self.alive_informed += 1;
+        let t = self.ledger.round;
+        if self.informed.mark(w, t) {
+            self.window.newly_informed += 1;
+            if self.ledger.census.is_effective(w) {
+                self.tally.alive_informed += 1;
             }
         }
-        protocol.update(&mut self.states[w], self.informed.at(w), self.round, &self.scratch_obs);
-        clock.lap(&mut self.probe, StepPhase::Update);
+        protocol.update(&mut self.states[w], self.informed.at(w), t, &self.scratch_obs);
+        self.ledger.lap(StepPhase::Update);
         self.check_coverage(config);
-        clock.lap(&mut self.probe, StepPhase::Coverage);
+        self.ledger.lap(StepPhase::Coverage);
     }
 
     /// Records the first instant every effective node is informed and
     /// stops the run there when configured to.
     fn check_coverage(&mut self, config: SimConfig) {
-        if self.coverage_time.is_none() && self.alive_informed == self.census.effective_alive() {
+        let pending_tx = self.window.push_tx + self.window.pull_tx;
+        if self.tally.note_coverage(&self.ledger, pending_tx) {
             self.coverage_time = Some(self.now);
-            self.full_coverage_at = Some(self.round);
-            self.tx_at_coverage = Some(self.push_tx + self.pull_tx);
             if config.stop_at_coverage {
                 self.finish_round(config);
-                self.stop = Some(StopReason::FullCoverage);
+                self.tally.stop = Some(StopReason::FullCoverage);
             }
         }
     }
@@ -586,65 +534,23 @@ impl<P: Protocol> AsyncSimState<P> {
         if self.pending_deliveries > 0 {
             return false;
         }
-        self.informed.all_quiescent(protocol, &self.states, &self.census, self.round + 1)
+        let t = self.ledger.round + 1;
+        self.informed.all_quiescent(protocol, &self.states, &self.ledger.census, t)
     }
 
-    /// Closes the integer-time window in progress: emit its
-    /// [`RoundRecord`]/probe counters and reset the per-window
-    /// accumulators. No-op before the first event.
+    /// Closes the integer-time window in progress into the tally (see
+    /// `ledger.rs`). No-op before the first event.
     fn finish_round(&mut self, config: SimConfig) {
-        if self.round == 0 {
+        if self.ledger.round == 0 {
             return;
         }
-        if config.record_history {
-            self.history.push(RoundRecord {
-                round: self.round,
-                informed: self.alive_informed,
-                newly_informed: self.round_newly_informed,
-                push_tx: self.round_push_tx,
-                pull_tx: self.round_pull_tx,
-                channels: self.round_channels,
-            });
-        }
-        if let Some(p) = self.probe.as_mut() {
-            p.on_round(&RoundCounters {
-                round: self.round,
-                informed: self.alive_informed,
-                newly_informed: self.round_newly_informed,
-                push_tx: self.round_push_tx,
-                pull_tx: self.round_pull_tx,
-                tx: self.round_push_tx + self.round_pull_tx,
-                channels: self.round_channels,
-                skipped_draws: self.round_skipped,
-                fabric_words: 0,
-                jumped_words: 0,
-                alive: self.census.effective_alive(),
-                suspended: self.census.suspended_count(),
-            });
-        }
-        self.round_push_tx = 0;
-        self.round_pull_tx = 0;
-        self.round_channels = 0;
-        self.round_skipped = 0;
-        self.round_newly_informed = 0;
+        let window = std::mem::take(&mut self.window);
+        self.tally.close_round(&mut self.ledger, window, &self.informed, config.record_history);
     }
 
     /// Consumes the run into the engine-shared [`RunReport`].
-    pub fn into_report<T: Topology + ?Sized>(mut self, topo: &T, _config: SimConfig) -> RunReport {
-        self.census.sync_from(topo);
-        RunReport {
-            node_count: topo.node_count(),
-            alive_count: self.census.effective_alive(),
-            informed_count: self.alive_informed,
-            rounds: self.round,
-            full_coverage_at: self.full_coverage_at,
-            tx_at_coverage: self.tx_at_coverage,
-            push_tx: self.push_tx,
-            pull_tx: self.pull_tx,
-            channels: self.channels,
-            stop: self.stop.unwrap_or(StopReason::RoundCap),
-            history: self.history,
-        }
+    pub fn into_report<T: Topology + ?Sized>(self, topo: &T, _config: SimConfig) -> RunReport {
+        self.tally.into_report(self.ledger, topo, &self.informed)
     }
 }
 
@@ -652,7 +558,8 @@ impl<P: Protocol> AsyncSimState<P> {
 mod tests {
     use super::*;
     use crate::protocols::{FloodPush, FloodPushPull, SilentProtocol};
-    use crate::telemetry::PhaseTimings;
+    use crate::telemetry::tests::RecordRounds;
+    use crate::telemetry::{BoxedProbe, PhaseTimings};
     use crate::{FaultEvent, FaultPlan, OutageSpec};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -795,28 +702,30 @@ mod tests {
             .with_max_rounds(300);
         let clock = ClockSpec::Exponential { rate: 1.0 };
         let latency = LatencySpec::Exponential { mean: 0.2 };
-        let bare = {
-            let mut rng = SmallRng::seed_from_u64(19);
+        let run = |probe: Option<BoxedProbe>| {
             let mut sim = AsyncSimState::new(&proto, 48, NodeId::new(0), clock, latency);
+            sim.set_probe(probe);
+            let mut rng = SmallRng::seed_from_u64(19);
             sim.run_to_completion(&g, &proto, cfg, &mut rng);
-            sim.into_report(&g, cfg)
+            let probe = sim.take_probe();
+            (sim.into_report(&g, cfg), probe)
         };
-        let mut sim = AsyncSimState::new(&proto, 48, NodeId::new(0), clock, latency);
-        sim.set_probe(Some(Box::new(PhaseTimings::new())));
-        let mut rng = SmallRng::seed_from_u64(19);
-        sim.run_to_completion(&g, &proto, cfg, &mut rng);
-        let probe = sim.take_probe().expect("probe still installed");
+        let (bare, _) = run(None);
+        let (probed, probe) = run(Some(Box::new(PhaseTimings::new())));
+        let probe = probe.expect("probe still installed");
         let timings = probe.as_any().downcast_ref::<PhaseTimings>().expect("concrete probe");
-        // Window records cover every transmission except a coverage-stopped
-        // partial window's flush, which finish_round emits too — so totals
-        // must agree exactly.
+        // Window records cover every transmission, a coverage-stopped
+        // partial window's flush included, so totals must agree exactly.
         assert_eq!(timings.push_tx(), bare.push_tx);
         assert_eq!(timings.pull_tx(), bare.pull_tx);
         assert_eq!(timings.channels(), bare.channels);
         assert_eq!(timings.rounds(), bare.rounds);
         assert_eq!(timings.last_round().informed, bare.informed_count);
-        let probed = sim.into_report(&g, cfg);
         assert_eq!(bare, probed, "probe must not perturb the run");
+        // The history is, record for record, what the probe received.
+        let (recorded, probe) = run(Some(Box::new(RecordRounds::default())));
+        assert_eq!(recorded, bare);
+        assert_eq!(recorded.history, RecordRounds::of(probe));
     }
 
     #[test]

@@ -1,10 +1,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rrb_graph::NodeId;
-
-use crate::census::AliveCensus;
-use crate::{Round, Topology};
+use crate::Round;
 
 /// Stochastic failure injection for the communication layer.
 ///
@@ -614,74 +611,6 @@ impl FaultState {
             burst: self.plan.burst.map(|ge| (ge, &self.out_bad[..], &self.in_bad[..])),
         })
     }
-}
-
-/// The per-round fault phase, shared by all three engines: advances the
-/// installed fault plan (if any) to round `t` on its reserved stream,
-/// applies its resume, suspend and crash events to `census` (in that
-/// order), then runs the i.i.d. crash-stop sampling on the main stream
-/// `rng`. Returns the round's effective failure model — `base` with any
-/// active loss-window overrides.
-///
-/// `informed_at` is the adversary's view of a node's earliest reception
-/// round; `on_crash(i)` runs for every node this phase crash-stops, so
-/// the engine can drop it from its coverage numerator(s).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fault_phase<T, R, A, C>(
-    faults: Option<&mut FaultState>,
-    census: &mut AliveCensus,
-    topo: &T,
-    t: Round,
-    base: FailureModel,
-    rng: &mut R,
-    informed_at: A,
-    mut on_crash: C,
-) -> FailureModel
-where
-    T: Topology + ?Sized,
-    R: Rng + ?Sized,
-    A: Fn(usize) -> Option<Round>,
-    C: FnMut(usize),
-{
-    let n = topo.node_count();
-    let failures = match faults {
-        Some(fs) => {
-            let pool = &*census;
-            fs.begin_round(
-                t,
-                n,
-                |i| topo.stubs(NodeId::new(i)).len(),
-                informed_at,
-                |i| pool.is_effective(i),
-            );
-            for &i in fs.resume_now() {
-                census.set_suspended(i as usize, false);
-            }
-            for &i in fs.suspend_now() {
-                census.set_suspended(i as usize, true);
-            }
-            for &i in fs.crash_now() {
-                let i = i as usize;
-                if census.is_alive(i) && !census.is_crashed(i) {
-                    census.mark_crashed(i);
-                    on_crash(i);
-                }
-            }
-            fs.effective(base)
-        }
-        None => base,
-    };
-    // Fail-stop nodes never recover. Gated on its own probability, so a
-    // crash-only model draws here but keeps the draw-free exchange.
-    if failures.node_crash > 0.0 {
-        for i in 0..n {
-            if !census.is_crashed(i) && census.is_alive(i) && failures.crashes_now(rng) {
-                census.mark_crashed(i);
-                on_crash(i);
-            }
-        }
-    }
-    failures
 }
 
 #[cfg(test)]

@@ -24,45 +24,53 @@
 //!
 //! # Engine architecture: the flat-arena round engine
 //!
-//! The per-round data flow is allocation-free in steady state. Each
-//! [`SimState::step`] runs five phases over reusable flat buffers:
+//! Each [`SimState::step`] runs the [`StepPhase`]s in this order over flat
+//! buffers reused across rounds:
 //!
-//! 1. **Crash sampling** (skipped unless the model injects crashes).
-//! 2. **Channel opening** — every alive node's call targets are appended to
-//!    one flat `call_targets` buffer indexed CSR-style by `call_offsets`.
-//! 3. **Plan decisions** — an explicit *informed-node index list* means only
-//!    informed nodes are visited (`O(informed)`, not `O(n)`); everyone else
-//!    keeps a standing `SILENT` plan.
-//! 4. **Exchanges** — receipts go into a single CSR-style *observation
-//!    arena* (flat metadata buffer + offsets over the receivers actually
-//!    touched this round) instead of per-node `Vec<RumorMeta>` pairs. A
-//!    **zero-failure fast path** skips every per-call Bernoulli draw when
-//!    the model injects no channel/transmission failures, so failure-free
-//!    experiments never touch the failure RNG (the stream is identical
-//!    either way — zero-probability draws short-circuit).
-//! 5. **Digest** — receivers are visited via the arena's touched list and
-//!    silent informed nodes via the index list: `O(receipts + informed)`.
+//! 1. **Faults** — the fault plan's node events, then i.i.d. crash-stop
+//!    sampling (one fault phase shared by all three engines).
+//! 2. **Plan** — an *informed-node index list* means only informed nodes
+//!    are visited (`O(informed)`); everyone else keeps a standing `SILENT`
+//!    plan. An [`oblivious`](Capabilities::oblivious) protocol is asked
+//!    once per reception round instead, and when no reception round
+//!    transmits no node is planned at all.
+//! 3. **Fabric** — every alive node opens channels into one CSR channel
+//!    fabric, gated per caller by the plans: `Skip` (a push-only
+//!    protocol's uninformed caller: counted, never sampled), `Quiet` (the
+//!    caller can carry nothing: no channel stored, its draws skipped) or
+//!    `Open`. A silent round on the failure-free fast path skips the
+//!    sampling and the next two phases: one pass counts the channels and
+//!    generator words, and one `discard` jumps the generator past them.
+//! 4. **Exchange** — receipts go into a CSR *observation arena*; a
+//!    zero-failure fast path skips every per-call Bernoulli draw (the
+//!    stream is identical either way).
+//! 5. **Update** — receivers via the arena's touched list, silent informed
+//!    nodes via the index list: `O(receipts + informed)`.
+//! 6. **Coverage** — the run ledger closes the round: transmission totals,
+//!    the coverage instant, and one [`RoundCounters`] for the probe and
+//!    the report's history.
 //!
-//! All buffers (arena, call lists, plans, scratch observation) are reused
-//! across rounds; once warm, a round performs **no heap allocation** —
-//! asserted by the `steady_state_rounds_do_not_allocate` test via
-//! capacity-stability fingerprints.
+//! Plan, exchange and update fan out over node-slot shards
+//! ([`SimConfig::shards`]) with every RNG draw on the main sequential
+//! stream, so results are seed-for-seed identical at any shard count. Once
+//! warm, a round performs **no heap allocation** (asserted by the
+//! `steady_state_rounds_do_not_allocate` test).
 //!
-//! The **multi-rumour engine** ([`MultiSimState`]) runs on the same
-//! machinery (shared via the internal `fabric` module): one channel fabric
-//! sampled per round and shared by all rumours, per-rumour informed index
-//! lists (plan/update/quiescence/coverage passes are `O(informed·rumours)`,
-//! not `O(n·rumours)`), a single reused observation arena, retirement of
-//! settled rumours, and once-per-channel-direction transmission-failure
-//! draws so combined messages fail atomically (§1.2). Its one-rumour case
-//! is seed-for-seed identical to [`SimState`] across all failure models
-//! (`tests/parity.rs`).
+//! The **multi-rumour engine** ([`MultiSimState`]) samples one channel
+//! fabric per round, shared by all rumours, and keeps per-rumour informed
+//! index lists (`O(informed·rumours)` passes, not `O(n·rumours)`), a single
+//! observation arena, retirement of settled rumours, and
+//! once-per-channel-direction transmission-failure draws so combined
+//! messages fail atomically (§1.2). Its one-rumour case is seed-for-seed
+//! identical to [`SimState`] across all failure models (`tests/parity.rs`).
 //!
-//! **Dynamic membership** is first-class: both engines track aliveness in
-//! an incrementally-maintained [`AliveCensus`] and accept join/leave
-//! deltas between rounds (`apply_joins` / `apply_leaves`), so coverage,
-//! quiescence and retirement update from `O(1)` counters while peers churn
-//! — the regime §1 of the paper attributes to P2P networks.
+//! **Dynamic membership** is first-class: all three engines track
+//! aliveness in an incrementally-maintained [`AliveCensus`], so coverage,
+//! quiescence and retirement update from `O(1)` counters. The two round
+//! engines accept membership deltas between rounds (`apply_joins`,
+//! `apply_leaves`, and `apply_rejoins` for slots recycled for fresh
+//! peers), so peers can churn, the regime §1 of the paper attributes to
+//! P2P networks. The async engine runs on static topologies.
 //!
 //! **Adversarial faults** go beyond the i.i.d. [`FailureModel`]: a
 //! [`FaultPlan`] installed via `set_faults` adds correlated (bursty)
@@ -78,11 +86,12 @@
 //! deterministic pending-event heap keyed by `(time_bits, node, tie_seq)`
 //! where each node fires exchanges on its own [`ClockSpec`] clock and
 //! rumour copies spend a [`LatencySpec`]-drawn time in flight. It shares
-//! the census/fault/telemetry machinery (fault plans are consumed
-//! time-windowed via `round(T) = ceil(T)`), and its uniform fixed-rate
-//! zero-latency limit reproduces the round model's push trajectory
-//! (`tests/calibration.rs`) — opening heterogeneous node speeds, latency
-//! distributions and stragglers as dimensions rounds cannot express.
+//! the census, fault phase, probe and report bookkeeping (fault plans are
+//! consumed time-windowed via `round(T) = ceil(T)`), and its uniform
+//! fixed-rate zero-latency limit reproduces the round model's push
+//! trajectory (`tests/calibration.rs`) — opening heterogeneous node
+//! speeds, latency distributions and stragglers as dimensions rounds
+//! cannot express.
 //!
 //! Seed replication parallelism lives one layer up in `rrb-bench`
 //! (`registry::run_entry` fans independent seeds over a rayon pool with
@@ -114,6 +123,7 @@ mod choice;
 mod clock;
 mod fabric;
 mod failure;
+mod ledger;
 mod multi;
 mod observation;
 mod protocol;
@@ -139,7 +149,7 @@ pub use multi::{
 };
 pub use observation::{Observation, RumorMeta};
 pub use protocol::{Capabilities, NodeView, Plan, Protocol, Round};
-pub use report::{RoundRecord, RunReport, StopReason};
+pub use report::{RunReport, StopReason};
 pub use shard::ShardLayout;
 pub use simulation::{SimConfig, SimState, Simulation};
 pub use telemetry::{BoxedProbe, PhaseTimings, RoundCounters, RoundProbe, StepPhase};

@@ -2,13 +2,13 @@ use rand::Rng;
 
 use rrb_graph::NodeId;
 
-use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
-use crate::failure::{fault_phase, FaultState};
+use crate::failure::FaultState;
+use crate::ledger::{ledger_installers, Ledger};
 use crate::observation::ObservationArena;
 use crate::protocol::reception_round_plans;
-use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, StepPhase};
+use crate::telemetry::{RoundCounters, StepPhase};
 use crate::{NodeView, Observation, Plan, Protocol, Round, SimConfig, Topology};
 
 /// One rumour to be injected into a [`MultiRumorSimulation`].
@@ -120,7 +120,7 @@ impl MultiRumorReport {
 ///    crashes) apply to the census, exactly as in the single engine.
 ///    Then **crash sampling** (skipped unless the model injects crashes).
 /// 3. **Shared channel fabric** — every alive node's call targets are
-///    sampled once into the CSR [`ChannelFabric`] and shared by all
+///    sampled once into the CSR channel fabric and shared by all
 ///    rumours; the capability-gated push-only sampling skip applies to
 ///    callers informed of *no* active rumour. Pull-capable protocols also
 ///    get a reverse (incoming-channel) index, built once per round.
@@ -142,7 +142,8 @@ impl MultiRumorReport {
 ///    the rumour are acted on — they mark the receiver at once — and the
 ///    digest makes no `update` call, so the arena is not used.
 /// 7. **Coverage** — per-rumour alive-informed counters are maintained
-///    incrementally; no `O(n)` rescans.
+///    incrementally; no `O(n)` rescans (debug builds recount them at the
+///    end of every step).
 ///
 /// All buffers are reused across rounds; once warm, a round performs no
 /// heap allocation (asserted by the steady-state tests).
@@ -152,12 +153,13 @@ impl MultiRumorReport {
 ///
 /// # Dynamic membership
 ///
-/// Aliveness is tracked by an [`AliveCensus`] snapshotted from the
-/// topology at [`new`](Self::new) and maintained incrementally from then
-/// on: crash-stop failures are sampled internally, and peer joins/leaves
-/// arrive as deltas via [`apply_joins`](Self::apply_joins) /
-/// [`apply_leaves`](Self::apply_leaves) between rounds (after overlay
-/// rewiring), updating every rumour's coverage and retirement counters in
+/// Aliveness is tracked by an [`AliveCensus`](crate::AliveCensus)
+/// snapshotted from the topology at [`new`](Self::new) and maintained
+/// incrementally from then on: crash-stop failures are sampled
+/// internally, and peer joins/leaves arrive as deltas via
+/// [`apply_joins`](Self::apply_joins) / [`apply_leaves`](Self::apply_leaves)
+/// between rounds (after overlay rewiring), updating every rumour's
+/// coverage and retirement counters in
 /// `O(events · rumours)` — no per-round rescans, no frozen `alive_count`.
 /// Slot growth is also adopted automatically at the start of each round.
 #[derive(Debug)]
@@ -166,9 +168,9 @@ pub struct MultiSimState<P: Protocol> {
     births: Vec<Round>,
     origins: Vec<NodeId>,
     n: usize,
-    /// Alive/crashed membership view (see [`AliveCensus`]), the coverage
-    /// denominator's source of truth.
-    census: AliveCensus,
+    /// Census (the coverage denominator's source of truth), fault plan,
+    /// probe, round and channel total.
+    ledger: Ledger,
     /// Per-rumour protocol state, **sparse**: `states[r]` holds one entry
     /// per *informed* node, parallel to `informed[r]`'s index list
     /// (position `p` is the state of `informed[r].list()[p]`). Uninformed
@@ -205,17 +207,8 @@ pub struct MultiSimState<P: Protocol> {
     // Rumour activation, in birth order.
     activation_order: Vec<u32>,
     next_activation: usize,
-    // Totals.
-    round: Round,
-    channels: u64,
+    /// Combined channel-direction messages sent over the run.
     combined: u64,
-    /// Installed adversarial fault plan's runtime state, if any (see
-    /// [`FaultState`]); applied at the top of every round.
-    faults: Option<FaultState>,
-    /// Installed telemetry probe, if any (see [`crate::telemetry`]); with
-    /// `None` — the default — rounds take no clock reads and no extra
-    /// work of any kind.
-    probe: Option<BoxedProbe>,
     // Scratch buffers reused across rounds (allocation-free once warm).
     choice: ChoiceState,
     fabric: ChannelFabric,
@@ -257,8 +250,8 @@ impl<P: Protocol> MultiSimState<P> {
     ) -> Self {
         let n = topo.node_count();
         let nr = injections.len();
-        let mut census = AliveCensus::new();
-        census.sync_from(topo);
+        let mut ledger = Ledger::default();
+        ledger.census.sync_from(topo);
         let mut states = Vec::with_capacity(nr);
         let mut informed = Vec::with_capacity(nr);
         let mut alive_informed = Vec::with_capacity(nr);
@@ -269,7 +262,7 @@ impl<P: Protocol> MultiSimState<P> {
             let mut ix = InformedIndex::new(n);
             ix.mark(inj.origin.index(), 0);
             informed.push(ix);
-            alive_informed.push(usize::from(census.is_effective(inj.origin.index())));
+            alive_informed.push(usize::from(ledger.census.is_effective(inj.origin.index())));
         }
         let mut activation_order: Vec<u32> = (0..nr as u32).collect();
         activation_order.sort_by_key(|&r| injections[r as usize].birth);
@@ -277,7 +270,7 @@ impl<P: Protocol> MultiSimState<P> {
             births: injections.iter().map(|i| i.birth).collect(),
             origins: injections.iter().map(|i| i.origin).collect(),
             n,
-            census,
+            ledger,
             states,
             informed,
             round_ends: vec![vec![1]; nr],
@@ -290,11 +283,7 @@ impl<P: Protocol> MultiSimState<P> {
             active: vec![false; nr],
             activation_order,
             next_activation: 0,
-            round: 0,
-            channels: 0,
             combined: 0,
-            faults: None,
-            probe: None,
             choice: ChoiceState::new(n, protocol.choice_policy()),
             fabric: ChannelFabric::new(n),
             arena: ObservationArena::new(n),
@@ -314,35 +303,14 @@ impl<P: Protocol> MultiSimState<P> {
 
     /// Current round (0 before the first step).
     pub fn round(&self) -> Round {
-        self.round
+        self.ledger.round
     }
 
-    /// Installs (or clears) an adversarial fault plan's runtime state.
-    /// With `None` — the default — every code path and RNG draw is
-    /// byte-identical to the pre-fault engine. Seed the [`FaultState`]
-    /// from a reserved stream, not the main RNG (see its docs).
-    pub fn set_faults(&mut self, faults: Option<FaultState>) {
-        self.faults = faults;
-    }
+    ledger_installers!();
 
     /// The installed fault state, if any.
     pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    /// Installs (or clears) a telemetry probe (see [`crate::telemetry`]).
-    /// Probes observe per-phase wall-clock and per-round counters; they
-    /// never touch the RNG, so an instrumented run's random streams — and
-    /// therefore its [`MultiRumorReport`] — are byte-identical to a bare
-    /// run.
-    pub fn set_probe(&mut self, probe: Option<BoxedProbe>) {
-        self.probe = probe;
-    }
-
-    /// Removes and returns the installed probe, if any (the usual way to
-    /// read accumulated telemetry back after a run).
-    pub fn take_probe(&mut self) -> Option<BoxedProbe> {
-        self.probe.take()
+        self.ledger.faults.as_ref()
     }
 
     /// Number of scheduled rumours.
@@ -357,13 +325,13 @@ impl<P: Protocol> MultiSimState<P> {
 
     /// Number of crash-stop events so far.
     pub fn crashed_count(&self) -> usize {
-        self.census.crashed_count()
+        self.ledger.census.crashed_count()
     }
 
     /// Alive nodes that have not crash-stopped — the coverage denominator,
     /// `O(1)` from the census counters.
     pub fn effective_alive(&self) -> usize {
-        self.census.effective_alive()
+        self.ledger.census.effective_alive()
     }
 
     /// Accommodates topology growth (new node slots join uninformed, with
@@ -393,7 +361,8 @@ impl<P: Protocol> MultiSimState<P> {
             // Fresh overlay slots are never informed; a custom topology
             // reviving a slot counts only if effective (it can still be
             // crash-stopped).
-            if self.census.apply_join(v.index()) && self.census.is_effective(v.index()) {
+            let census = &mut self.ledger.census;
+            if census.apply_join(v.index()) && census.is_effective(v.index()) {
                 for r in 0..self.births.len() {
                     if self.informed[r].is_informed(v.index()) {
                         self.alive_informed[r] += 1;
@@ -409,7 +378,7 @@ impl<P: Protocol> MultiSimState<P> {
     /// denominator update in `O(1)` per event per rumour.
     pub fn apply_leaves(&mut self, left: &[NodeId]) {
         for &v in left {
-            if self.census.apply_leave(v.index()) {
+            if self.ledger.census.apply_leave(v.index()) {
                 for r in 0..self.births.len() {
                     if self.informed[r].is_informed(v.index()) {
                         self.alive_informed[r] -= 1;
@@ -429,7 +398,7 @@ impl<P: Protocol> MultiSimState<P> {
         for &v in rejoined {
             let i = v.index();
             self.ensure_len(protocol, i + 1);
-            let was_effective = self.census.is_effective(i);
+            let was_effective = self.ledger.census.is_effective(i);
             for r in 0..self.births.len() {
                 // Keep the sparse state vector aligned with the index list.
                 let unmarked = if grouped {
@@ -447,7 +416,7 @@ impl<P: Protocol> MultiSimState<P> {
                 }
             }
             self.choice.reset_slot(i);
-            self.census.apply_rejoin(i);
+            self.ledger.census.apply_rejoin(i);
         }
     }
 
@@ -480,7 +449,7 @@ impl<P: Protocol> MultiSimState<P> {
     /// frozen: no plans, no transmissions, no updates, and they leave the
     /// informed_of census that gates the push-only sampling skip.
     fn settle(&mut self, protocol: &P, config: SimConfig) {
-        let t = self.round;
+        let t = self.ledger.round;
         let effective_alive = self.effective_alive();
         for r in 0..self.births.len() {
             if self.retired[r] {
@@ -501,7 +470,7 @@ impl<P: Protocol> MultiSimState<P> {
             let settled = (covered && config.stop_at_coverage)
                 || deadline_hit
                 || self.informed[r].list().iter().enumerate().all(|(idx, &i)| {
-                    self.census.is_crashed(i as usize)
+                    self.ledger.census.is_crashed(i as usize)
                         || protocol.is_quiescent(
                             &self.states[r][idx],
                             self.informed[r].at_pos(idx),
@@ -531,7 +500,7 @@ impl<P: Protocol> MultiSimState<P> {
         if nr == 0 {
             return true;
         }
-        if self.round >= config.max_rounds {
+        if self.ledger.round >= config.max_rounds {
             return true;
         }
         self.settle(protocol, config);
@@ -549,15 +518,15 @@ impl<P: Protocol> MultiSimState<P> {
     ) {
         let n = topo.node_count();
         self.ensure_len(protocol, n);
-        self.census.adopt_new_slots(topo);
+        self.ledger.census.adopt_new_slots(topo);
         let policy = protocol.choice_policy();
         let caps = protocol.capabilities();
         let uses_pull = caps.uses_pull;
-        self.round += 1;
-        let t = self.round;
+        self.ledger.round += 1;
+        let t = self.ledger.round;
         // Phase attribution clock: armed only when a probe is installed,
         // so the bare engine reads no clocks (see `telemetry.rs`).
-        let mut clock = PhaseClock::armed(self.probe.is_some());
+        self.ledger.arm_clock();
 
         // Phase 1: activation — rumours created before this round join the
         // active set; their origins (the only nodes informed so far) enter
@@ -577,18 +546,15 @@ impl<P: Protocol> MultiSimState<P> {
             }
         }
         let active_end = self.next_activation;
-        clock.lap(&mut self.probe, StepPhase::Coverage);
+        self.ledger.lap(StepPhase::Coverage);
 
         // Phase 2: the fault phase shared with the other engines (see
-        // `failure.rs`). The adversary sees each node's earliest *global*
+        // `ledger.rs`). The adversary sees each node's earliest *global*
         // reception over all rumours (the informed indices run on
         // rumour-local clocks); a crashing node leaves every rumour's
         // alive-informed census.
-        let failures = fault_phase(
-            self.faults.as_mut(),
-            &mut self.census,
+        let failures = self.ledger.fault_phase(
             topo,
-            t,
             config.failures,
             rng,
             |i| {
@@ -606,7 +572,7 @@ impl<P: Protocol> MultiSimState<P> {
                 }
             },
         );
-        clock.lap(&mut self.probe, StepPhase::Faults);
+        self.ledger.lap(StepPhase::Faults);
 
         // Phase 3: the shared channel fabric. The push-only sampling skip
         // applies to callers informed of no active rumour: their channels
@@ -615,13 +581,13 @@ impl<P: Protocol> MultiSimState<P> {
         // marks a caller `Quiet`.
         let skip_uninformed = !uses_pull && policy.is_memoryless();
         let informed_of = &self.informed_of;
-        let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
-        let channels_this_round = self.fabric.sample(
+        let fault_view = self.ledger.faults.as_ref().and_then(FaultState::channel_view);
+        let channels = self.fabric.sample(
             topo,
             policy,
             &mut self.choice,
             failures,
-            self.census.blocked_slice(),
+            self.ledger.census.blocked_slice(),
             fault_view.as_ref(),
             |i| {
                 if skip_uninformed && informed_of[i] == 0 {
@@ -632,11 +598,10 @@ impl<P: Protocol> MultiSimState<P> {
             },
             rng,
         );
-        self.channels += channels_this_round;
         if uses_pull {
             self.fabric.build_incoming(n);
         }
-        clock.lap(&mut self.probe, StepPhase::Fabric);
+        self.ledger.lap(StepPhase::Fabric);
 
         // Phase 4: plans. Each active rumour's senders are planned into
         // the flat CSR plan store; per-node any-rumour transmit flags feed
@@ -666,7 +631,7 @@ impl<P: Protocol> MultiSimState<P> {
                 for (plan, &hi) in plans.zip(ends) {
                     if plan.transmits() {
                         for &i in &list[lo..hi as usize] {
-                            if self.census.is_participating(i as usize) {
+                            if self.ledger.census.is_participating(i as usize) {
                                 self.plan_store.push((i, plan));
                             }
                         }
@@ -675,7 +640,7 @@ impl<P: Protocol> MultiSimState<P> {
                 }
             } else {
                 for (idx, &i) in list.iter().enumerate() {
-                    if !self.census.is_participating(i as usize) {
+                    if !self.ledger.census.is_participating(i as usize) {
                         continue;
                     }
                     let view = NodeView {
@@ -699,7 +664,7 @@ impl<P: Protocol> MultiSimState<P> {
                 self.pull_any[i] |= plan.pull_serve;
             }
         }
-        clock.lap(&mut self.probe, StepPhase::Plan);
+        self.ledger.lap(StepPhase::Plan);
 
         // Phase 5: direction census — one O(channels) pass, shared by all
         // rumours, that (a) counts combined messages (a channel-direction
@@ -816,7 +781,7 @@ impl<P: Protocol> MultiSimState<P> {
             // The direction census above (run once, before the first
             // rumour) rides in the first Exchange lap; later laps cover
             // only their rumour's sends.
-            clock.lap(&mut self.probe, StepPhase::Exchange);
+            self.ledger.lap(StepPhase::Exchange);
 
             if caps.oblivious {
                 // Digest: the nodes marked above, all new, get their
@@ -826,7 +791,7 @@ impl<P: Protocol> MultiSimState<P> {
                 for p in known..len {
                     let i = self.informed[r].list()[p] as usize;
                     self.informed_of[i] += 1;
-                    if self.census.is_effective(i) {
+                    if self.ledger.census.is_effective(i) {
                         self.alive_informed[r] += 1;
                     }
                     self.states[r].push(protocol.init(false));
@@ -847,25 +812,22 @@ impl<P: Protocol> MultiSimState<P> {
             {
                 self.full_coverage_at[r] = Some(t);
             }
-            clock.lap(&mut self.probe, StepPhase::Update);
+            self.ledger.lap(StepPhase::Update);
         }
 
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.on_round(&RoundCounters {
-                round: t,
-                informed: self.alive_informed.iter().sum(),
-                newly_informed,
-                push_tx,
-                pull_tx,
-                tx: push_tx + pull_tx,
-                channels: channels_this_round,
-                skipped_draws: self.fabric.skipped_last(),
-                fabric_words: 0,
-                jumped_words: 0,
-                alive: self.census.effective_alive(),
-                suspended: self.census.suspended_count(),
-            });
+        // Debug builds recount every rumour's coverage numerator.
+        for (informed, &alive_informed) in self.informed.iter().zip(&self.alive_informed) {
+            self.ledger.debug_check_numerator(informed, alive_informed);
         }
+        self.ledger.close_round(RoundCounters {
+            informed: self.alive_informed.iter().sum(),
+            newly_informed,
+            push_tx,
+            pull_tx,
+            channels,
+            skipped_draws: self.fabric.skipped_last(),
+            ..RoundCounters::default()
+        });
     }
 
     /// The general path's digest of rumour `r`'s round: receivers via the
@@ -888,7 +850,7 @@ impl<P: Protocol> MultiSimState<P> {
             if self.informed[r].mark(i, tl) {
                 newly_informed += 1;
                 self.informed_of[i] += 1;
-                if self.census.is_effective(i) {
+                if self.ledger.census.is_effective(i) {
                     self.alive_informed[r] += 1;
                 }
                 // Sparse state layout: materialise the newcomer's
@@ -908,7 +870,7 @@ impl<P: Protocol> MultiSimState<P> {
             if self.arena.heard(i) {
                 continue; // already digested above
             }
-            if self.census.is_suspended(i) {
+            if self.ledger.census.is_suspended(i) {
                 continue; // offline: protocol state is frozen until recovery
             }
             protocol.update(
@@ -946,9 +908,9 @@ impl<P: Protocol> MultiSimState<P> {
             })
             .collect();
         MultiRumorReport {
-            rounds: self.round,
+            rounds: self.ledger.round,
             outcomes,
-            channels: self.channels,
+            channels: self.ledger.channels,
             combined_messages: self.combined,
             deliveries: self
                 .informed
@@ -1026,7 +988,7 @@ impl<P: Protocol> MultiRumorSimulation<P> {
 mod tests {
     use super::*;
     use crate::protocols::{force_all, FloodPush, FloodPushPull, Phased};
-    use crate::FailureModel;
+    use crate::{BoxedProbe, FailureModel};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use rrb_graph::{gen, Graph};

@@ -1,28 +1,5 @@
+use crate::telemetry::RoundCounters;
 use crate::Round;
-
-/// Per-round measurements recorded by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundRecord {
-    /// Round number (1-based).
-    pub round: Round,
-    /// Informed nodes after this round's exchanges.
-    pub informed: usize,
-    /// Nodes that became informed during this round.
-    pub newly_informed: usize,
-    /// Rumour copies sent via push this round.
-    pub push_tx: u64,
-    /// Rumour copies sent via pull this round.
-    pub pull_tx: u64,
-    /// Channels opened this round (all nodes open, informed or not).
-    pub channels: u64,
-}
-
-impl RoundRecord {
-    /// Total rumour transmissions this round.
-    pub fn transmissions(&self) -> u64 {
-        self.push_tx + self.pull_tx
-    }
-}
 
 /// Summary of one complete simulation run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -47,8 +24,9 @@ pub struct RunReport {
     pub channels: u64,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Per-round trace (empty unless history recording was enabled).
-    pub history: Vec<RoundRecord>,
+    /// Every round's counters, as the probe received them (empty unless
+    /// history recording was enabled).
+    pub history: Vec<RoundCounters>,
 }
 
 /// Why a simulation run ended.
@@ -140,12 +118,6 @@ mod tests {
         assert!(!r.all_informed());
         assert_eq!(r.coverage(), 0.5);
         assert_eq!(r.rounds_to_coverage(), None);
-    }
-
-    #[test]
-    fn round_record_sum() {
-        let rec = RoundRecord { push_tx: 3, pull_tx: 4, ..Default::default() };
-        assert_eq!(rec.transmissions(), 7);
     }
 
     #[test]

@@ -8,15 +8,15 @@ use rrb_graph::NodeId;
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
 use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
-use crate::failure::{fault_phase, FaultState};
+use crate::failure::FaultState;
+use crate::ledger::{ledger_installers, Ledger, Tally};
 use crate::observation::{ObservationArena, RumorMeta};
 use crate::protocol::reception_round_plans;
 use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
-use crate::telemetry::{BoxedProbe, PhaseClock, RoundCounters, ShardClock, StepPhase};
+use crate::telemetry::{RoundCounters, ShardClock, StepPhase};
 use crate::{
-    ChoicePolicy, FailureModel, NodeView, Observation, Plan, Protocol, Round, RoundRecord,
-    RunReport, Topology,
+    ChoicePolicy, FailureModel, NodeView, Observation, Plan, Protocol, Round, RunReport, Topology,
 };
 
 /// Engine configuration.
@@ -27,7 +27,7 @@ pub struct SimConfig {
     pub max_rounds: Round,
     /// Failure injection for channels and transmissions.
     pub failures: FailureModel,
-    /// Record a per-round [`RoundRecord`] trace in the report.
+    /// Record every round's [`RoundCounters`] in the report's history.
     pub record_history: bool,
     /// Stop as soon as every alive node is informed. Disable to measure the
     /// *total* cost a protocol incurs until its own termination rule fires —
@@ -156,30 +156,15 @@ pub struct SimState<P: Protocol> {
     /// quiescence and coverage phases iterate `O(informed)` instead of
     /// `O(n)` (shared with the multi-rumour engine via `fabric.rs`).
     informed: InformedIndex,
-    /// Alive/crashed membership view (see [`AliveCensus`]): synced from
-    /// the topology on the first round, then updated by crash sampling and
-    /// the join/leave delta hooks.
-    census: AliveCensus,
-    /// Informed nodes that are alive and uncrashed — the coverage
-    /// numerator, maintained incrementally from census deltas.
-    alive_informed: usize,
+    /// Census (synced from the topology on the first round, then updated
+    /// by crash sampling and the membership delta hooks), fault plan,
+    /// probe, round and channel total.
+    ledger: Ledger,
+    /// Coverage numerator and instant, transmission totals, stop reason
+    /// and history.
+    tally: Tally,
     creator: NodeId,
     choice: ChoiceState,
-    round: Round,
-    push_tx: u64,
-    pull_tx: u64,
-    channels: u64,
-    full_coverage_at: Option<Round>,
-    tx_at_coverage: Option<u64>,
-    stop: Option<StopReason>,
-    history: Vec<RoundRecord>,
-    /// Installed adversarial fault plan's runtime state, if any (see
-    /// [`FaultState`]); applied at the top of every round.
-    faults: Option<FaultState>,
-    /// Installed telemetry probe, if any (see [`crate::telemetry`]); with
-    /// `None` — the default — rounds take no clock reads and no extra
-    /// work of any kind.
-    probe: Option<BoxedProbe>,
     /// Latest round in which a node was newly informed (0: the creator).
     /// Every informed node's reception round lies in `0..=latest_informed_at`,
     /// which is all an oblivious protocol's planning depends on.
@@ -193,6 +178,9 @@ pub struct SimState<P: Protocol> {
     // Scratch buffers reused across rounds (allocation-free once warm).
     fabric: ChannelFabric,
     plans: Vec<Plan>,
+    /// An oblivious protocol's plans this round, by reception round in
+    /// `0..=latest_informed_at`.
+    round_plans: Vec<Plan>,
     empty_obs: Observation,
     /// Round-phase scratch (per-shard arenas, outboxes, informed lists);
     /// built on the first round, when `config.shards` is known.
@@ -212,25 +200,16 @@ impl<P: Protocol> SimState<P> {
         SimState {
             states,
             informed,
-            census: AliveCensus::new(),
-            alive_informed: 0,
+            ledger: Ledger::default(),
+            tally: Tally::default(),
             creator: origin,
             choice: ChoiceState::new(node_count, protocol.choice_policy()),
-            round: 0,
-            push_tx: 0,
-            pull_tx: 0,
-            channels: 0,
-            full_coverage_at: None,
-            tx_at_coverage: None,
-            stop: None,
-            history: Vec::new(),
-            faults: None,
-            probe: None,
             latest_informed_at: 0,
             bucket_state: protocol.init(false),
             plans_silent: true,
             fabric: ChannelFabric::new(node_count),
             plans: vec![Plan::SILENT; node_count],
+            round_plans: Vec::new(),
             empty_obs: Observation::default(),
             shard_rt: None,
         }
@@ -238,34 +217,14 @@ impl<P: Protocol> SimState<P> {
 
     /// Current round (0 before the first step).
     pub fn round(&self) -> Round {
-        self.round
+        self.ledger.round
     }
 
-    /// Installs (or clears) an adversarial fault plan's runtime state.
-    /// With `None` — the default — every code path and RNG draw is
-    /// byte-identical to the pre-fault engine. Seed the [`FaultState`]
-    /// from a reserved stream, not the main RNG (see its docs).
-    pub fn set_faults(&mut self, faults: Option<FaultState>) {
-        self.faults = faults;
-    }
+    ledger_installers!();
 
     /// The installed fault state, if any.
     pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    /// Installs (or clears) a telemetry probe (see [`crate::telemetry`]).
-    /// Probes observe per-phase wall-clock and per-round counters; they
-    /// never touch the RNG, so an instrumented run's random streams — and
-    /// therefore its [`RunReport`] — are byte-identical to a bare run.
-    pub fn set_probe(&mut self, probe: Option<BoxedProbe>) {
-        self.probe = probe;
-    }
-
-    /// Removes and returns the installed probe, if any (the usual way to
-    /// read accumulated telemetry back after a run).
-    pub fn take_probe(&mut self) -> Option<BoxedProbe> {
-        self.probe.take()
+        self.ledger.faults.as_ref()
     }
 
     /// Number of informed alive-or-dead slots.
@@ -288,23 +247,6 @@ impl<P: Protocol> SimState<P> {
         self.choice.ensure_len(node_count);
     }
 
-    /// Takes the initial `O(n)` census snapshot if it has not happened yet
-    /// (first `finished`/`step` call), seeding the incremental
-    /// alive-informed counter; afterwards only adopts new slots.
-    fn sync_census<T: Topology + ?Sized>(&mut self, topo: &T) {
-        if self.census.is_synced() {
-            self.census.adopt_new_slots(topo);
-            return;
-        }
-        self.census.sync_from(topo);
-        self.alive_informed = self
-            .informed
-            .list()
-            .iter()
-            .filter(|&&i| self.census.is_effective(i as usize))
-            .count();
-    }
-
     /// Applies membership **join** deltas: each listed node slot now hosts
     /// a live peer (growing per-node state as needed; joiners start
     /// uninformed). Call between rounds after overlay mutation — see the
@@ -315,11 +257,12 @@ impl<P: Protocol> SimState<P> {
             // Slots are normally never recycled, but a custom topology may
             // revive one: count it only if informed *and* effective (a
             // revived slot can still be crash-stopped).
-            if self.census.apply_join(v.index())
-                && self.census.is_effective(v.index())
+            let census = &mut self.ledger.census;
+            if census.apply_join(v.index())
+                && census.is_effective(v.index())
                 && self.informed.is_informed(v.index())
             {
-                self.alive_informed += 1;
+                self.tally.alive_informed += 1;
             }
         }
     }
@@ -330,8 +273,8 @@ impl<P: Protocol> SimState<P> {
     /// event.
     pub fn apply_leaves(&mut self, left: &[NodeId]) {
         for &v in left {
-            if self.census.apply_leave(v.index()) && self.informed.is_informed(v.index()) {
-                self.alive_informed -= 1;
+            if self.ledger.census.apply_leave(v.index()) && self.informed.is_informed(v.index()) {
+                self.tally.alive_informed -= 1;
             }
         }
     }
@@ -347,8 +290,8 @@ impl<P: Protocol> SimState<P> {
             let i = v.index();
             self.ensure_len(protocol, i + 1);
             if self.informed.unmark(i).is_some() {
-                if self.census.is_effective(i) {
-                    self.alive_informed -= 1;
+                if self.ledger.census.is_effective(i) {
+                    self.tally.alive_informed -= 1;
                 }
                 if let Some(rt) = self.shard_rt.as_mut() {
                     rt.forget(i);
@@ -357,13 +300,8 @@ impl<P: Protocol> SimState<P> {
             self.states[i] = protocol.init(false);
             self.plans[i] = Plan::SILENT;
             self.choice.reset_slot(i);
-            self.census.apply_rejoin(i);
+            self.ledger.census.apply_rejoin(i);
         }
-    }
-
-    /// Effective round cap: protocol deadline if set, else the config cap.
-    fn round_cap(&self, protocol: &P, config: SimConfig) -> Round {
-        protocol.deadline().unwrap_or(config.max_rounds).min(config.max_rounds)
     }
 
     /// Whether the run has reached a stopping condition.
@@ -373,45 +311,39 @@ impl<P: Protocol> SimState<P> {
         protocol: &P,
         config: SimConfig,
     ) -> bool {
-        if self.stop.is_some() {
+        if self.tally.stop.is_some() {
             return true;
         }
-        self.sync_census(topo);
-        // Covered once every alive, uncrashed node is informed — either
-        // right now, or at some instant during a past round
-        // (`full_coverage_at`; under churn a joiner arriving *after* that
-        // instant must not retroactively un-finish the broadcast). The
-        // disjunction mirrors the multi-rumour engine's settlement rule.
-        if config.stop_at_coverage
-            && (self.full_coverage_at.is_some()
-                || self.alive_informed == self.census.effective_alive())
-        {
-            self.stop = Some(StopReason::FullCoverage);
-            return true;
-        }
-        // Quiescence: every informed node permanently silent means no rumour
-        // can ever move again. Checked before the cap so a protocol that went
-        // silent exactly at its deadline reports Quiescent, not RoundCap.
-        if self.informed.all_quiescent(protocol, &self.states, &self.census, self.round + 1) {
-            self.stop = Some(StopReason::Quiescent);
-            return true;
-        }
-        if self.round >= self.round_cap(protocol, config) {
-            self.stop = Some(StopReason::RoundCap);
-            return true;
-        }
-        false
+        self.tally.sync_census(&mut self.ledger, topo, &self.informed);
+        let round = self.ledger.round;
+        let census = &self.ledger.census;
+        let cap = protocol.deadline().unwrap_or(config.max_rounds).min(config.max_rounds);
+        // Covered (now or at a past instant) first; then quiescence: every
+        // informed node permanently silent means no rumour can ever move
+        // again. Checked before the cap (the protocol's deadline, if
+        // tighter) so a protocol that went silent exactly at its deadline
+        // reports Quiescent, not RoundCap.
+        self.tally.stop = if config.stop_at_coverage && self.tally.covered(&self.ledger) {
+            Some(StopReason::FullCoverage)
+        } else if self.informed.all_quiescent(protocol, &self.states, census, round + 1) {
+            Some(StopReason::Quiescent)
+        } else if round >= cap {
+            Some(StopReason::RoundCap)
+        } else {
+            None
+        };
+        self.tally.stop.is_some()
     }
 
     /// Alive, uncrashed nodes — the coverage denominator, `O(1)` from the
     /// census counters.
     pub fn effective_alive(&self) -> usize {
-        self.census.effective_alive()
+        self.ledger.census.effective_alive()
     }
 
     /// Number of crash-stop events so far.
     pub fn crashed_count(&self) -> usize {
-        self.census.crashed_count()
+        self.ledger.census.crashed_count()
     }
 
     /// Heap capacities of every per-round scratch buffer. Once the engine is
@@ -420,7 +352,7 @@ impl<P: Protocol> SimState<P> {
     #[doc(hidden)]
     pub fn scratch_capacities(&self) -> Vec<usize> {
         let mut caps = self.fabric.capacities().to_vec();
-        caps.extend([self.plans.capacity(), self.informed.capacity()]);
+        caps.extend([self.plans.capacity(), self.round_plans.capacity(), self.informed.capacity()]);
         if let Some(rt) = &self.shard_rt {
             caps.extend(rt.capacities());
         }
@@ -443,41 +375,38 @@ impl<P: Protocol> SimState<P> {
         protocol: &P,
         config: SimConfig,
         rng: &mut R,
-    ) -> RoundRecord {
+    ) -> RoundCounters {
         let n = topo.node_count();
         self.ensure_len(protocol, n);
-        self.sync_census(topo);
-        self.round += 1;
-        let t = self.round;
+        self.tally.sync_census(&mut self.ledger, topo, &self.informed);
+        self.ledger.round += 1;
+        let t = self.ledger.round;
         let policy = protocol.choice_policy();
         // Phase attribution clock: armed only when a probe is installed,
         // so the bare engine reads no clocks (see `telemetry.rs`).
-        let mut clock = PhaseClock::armed(self.probe.is_some());
+        self.ledger.arm_clock();
 
-        // Fault phase (shared with the other engines, see `failure.rs`):
+        // Fault phase (shared with the other engines, see `ledger.rs`):
         // the fault plan's node events, then i.i.d. crash-stop sampling.
-        let failures = fault_phase(
-            self.faults.as_mut(),
-            &mut self.census,
+        let failures = self.ledger.fault_phase(
             topo,
-            t,
             config.failures,
             rng,
             |i| self.informed.at(i),
             |i| {
                 if self.informed.is_informed(i) {
-                    self.alive_informed -= 1;
+                    self.tally.alive_informed -= 1;
                 }
             },
         );
-        clock.lap(&mut self.probe, StepPhase::Faults);
+        self.ledger.lap(StepPhase::Faults);
         // Channel/transmission failures (and burst-loss chains) are the
         // only per-call Bernoulli draws; crash-stop sampling is a separate
         // per-node phase, so a crash-only model still takes the draw-free
         // exchange fast path.
         let fast_path = failures.channel_failure == 0.0
             && failures.transmission_failure == 0.0
-            && self.faults.as_ref().is_none_or(|fs| !fs.bursty());
+            && self.ledger.faults.as_ref().is_none_or(|fs| !fs.bursty());
         // Capability-gated sampling skip: if the protocol never pull-serves,
         // a channel opened by an *uninformed* caller can carry nothing (its
         // push direction has nothing to send, its pull direction is never
@@ -500,7 +429,7 @@ impl<P: Protocol> SimState<P> {
         // work is RNG-free and the results are byte-identical at any
         // shard and thread count (`tests/sharding.rs`).
         let any_pull = self.plan_sharded(n, t, protocol, config.shards);
-        clock.lap(&mut self.probe, StepPhase::Plan);
+        self.ledger.lap(StepPhase::Plan);
 
         // Phase b: every alive node opens channels (shared fabric code in
         // `fabric.rs`). On the fast path a channel is usable iff the callee
@@ -522,29 +451,29 @@ impl<P: Protocol> SimState<P> {
         // one `discard` moves the generator past them, so the counters and
         // the stream are the ones the full round would produce.
         let informed = &self.informed;
-        let (channels_this_round, push_tx, pull_tx, newly_informed) = match policy {
+        let (channels, push_tx, pull_tx, newly_informed) = match policy {
             ChoicePolicy::Distinct(k) if self.plans_silent && !any_pull && fast_path => {
                 let channels = self.fabric.sample_silent(
                     topo,
                     k,
-                    self.census.blocked_slice(),
+                    self.ledger.census.blocked_slice(),
                     |i| skip_uninformed && !informed.is_informed(i),
                     rng,
                 );
-                clock.lap(&mut self.probe, StepPhase::Fabric);
-                clock.lap(&mut self.probe, StepPhase::Exchange);
-                clock.lap(&mut self.probe, StepPhase::Update);
+                self.ledger.lap(StepPhase::Fabric);
+                self.ledger.lap(StepPhase::Exchange);
+                self.ledger.lap(StepPhase::Update);
                 (channels, 0, 0, 0)
             }
             _ => {
                 let plans = &self.plans;
-                let fault_view = self.faults.as_ref().and_then(FaultState::channel_view);
+                let fault_view = self.ledger.faults.as_ref().and_then(FaultState::channel_view);
                 let channels = self.fabric.sample(
                     topo,
                     policy,
                     &mut self.choice,
                     failures,
-                    self.census.blocked_slice(),
+                    self.ledger.census.blocked_slice(),
                     fault_view.as_ref(),
                     |i| {
                         if skip_uninformed && !informed.is_informed(i) {
@@ -557,54 +486,26 @@ impl<P: Protocol> SimState<P> {
                     },
                     rng,
                 );
-                clock.lap(&mut self.probe, StepPhase::Fabric);
+                self.ledger.lap(StepPhase::Fabric);
                 // Phases c–d (exchange / update-digest).
                 let (push_tx, pull_tx, newly_informed) = self
-                    .phases_sharded(n, t, protocol, any_pull, failures, fast_path, &mut clock, rng);
+                    .phases_sharded(n, t, protocol, any_pull, failures, fast_path, rng);
                 (channels, push_tx, pull_tx, newly_informed)
             }
         };
-        self.channels += channels_this_round;
-        self.push_tx += push_tx;
-        self.pull_tx += pull_tx;
 
-        // Phase e: coverage bookkeeping — O(1) from the census counters.
-        if self.full_coverage_at.is_none()
-            && self.alive_informed == self.census.effective_alive()
-        {
-            self.full_coverage_at = Some(t);
-            self.tx_at_coverage = Some(self.push_tx + self.pull_tx);
-        }
-        clock.lap(&mut self.probe, StepPhase::Coverage);
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.on_round(&RoundCounters {
-                round: t,
-                informed: self.alive_informed,
-                newly_informed,
-                push_tx,
-                pull_tx,
-                tx: push_tx + pull_tx,
-                channels: channels_this_round,
-                skipped_draws: self.fabric.skipped_last(),
-                fabric_words: self.fabric.words_last(),
-                jumped_words: self.fabric.jumped_last(),
-                alive: self.census.effective_alive(),
-                suspended: self.census.suspended_count(),
-            });
-        }
-
-        let record = RoundRecord {
-            round: t,
-            informed: self.alive_informed,
+        // Phase e: totals, coverage instant, probe and history (`ledger.rs`).
+        let counters = RoundCounters {
             newly_informed,
             push_tx,
             pull_tx,
-            channels: channels_this_round,
+            channels,
+            skipped_draws: self.fabric.skipped_last(),
+            fabric_words: self.fabric.words_last(),
+            jumped_words: self.fabric.jumped_last(),
+            ..RoundCounters::default()
         };
-        if config.record_history {
-            self.history.push(record);
-        }
-        record
+        self.tally.close_round(&mut self.ledger, counters, &self.informed, config.record_history)
     }
 
     /// Phase a: one task per shard over its own informed list; writes
@@ -612,29 +513,34 @@ impl<P: Protocol> SimState<P> {
     /// shard runtime on the first round. Returns whether any node
     /// pull-serves this round.
     ///
-    /// An oblivious protocol is first asked once per reception round in
-    /// `0..=latest_informed_at`; if none transmits, no node is planned
-    /// and every standing plan stays (or is reset once to) `SILENT`.
+    /// An oblivious protocol is asked once per reception round in
+    /// `0..=latest_informed_at`, into `round_plans`; if none transmits, no
+    /// node is planned and every standing plan stays (or is reset once to)
+    /// `SILENT`, else each node takes its reception round's plan.
     fn plan_sharded(&mut self, n: usize, t: Round, protocol: &P, shards: usize) -> bool {
         let informed = &self.informed;
         let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
         rt.ensure_len(n);
         let rt = &*rt;
-        if protocol.capabilities().oblivious
-            && !reception_round_plans(protocol, &self.bucket_state, self.latest_informed_at, t)
-                .any(|plan| plan.transmits())
-        {
-            if !self.plans_silent {
-                self.plans.fill(Plan::SILENT);
-                self.plans_silent = true;
+        let oblivious = protocol.capabilities().oblivious;
+        if oblivious {
+            self.round_plans.clear();
+            let latest = self.latest_informed_at;
+            self.round_plans.extend(reception_round_plans(protocol, &self.bucket_state, latest, t));
+            if !self.round_plans.iter().any(Plan::transmits) {
+                if !self.plans_silent {
+                    self.plans.fill(Plan::SILENT);
+                    self.plans_silent = true;
+                }
+                return false;
             }
-            return false;
         }
         self.plans_silent = false;
         let layout = rt.layout;
-        let probing = self.probe.is_some();
+        let probing = self.ledger.probe.is_some();
         let states = &self.states;
-        let census = &self.census;
+        let census = &self.ledger.census;
+        let round_plans = oblivious.then_some(self.round_plans.as_slice());
         let creator = self.creator;
         let mut rest: &mut [Plan] = &mut self.plans[..n];
         let mut items: Vec<(usize, &mut [Plan], &[u32])> = Vec::with_capacity(layout.count());
@@ -648,15 +554,16 @@ impl<P: Protocol> SimState<P> {
             .map(|(s, chunk, list)| {
                 let sc = ShardClock::armed(probing);
                 let base = layout.range(s, n).start;
-                let any_pull =
-                    plan_list(protocol, states, informed, census, creator, t, base, chunk, list);
+                let any_pull = plan_list(
+                    protocol, states, informed, census, round_plans, creator, t, base, chunk, list,
+                );
                 (any_pull, sc.elapsed())
             })
             .collect();
         let mut any_pull = false;
         for (s, (shard_pull, d)) in results.into_iter().enumerate() {
             any_pull |= shard_pull;
-            if let Some(p) = self.probe.as_deref_mut() {
+            if let Some(p) = self.ledger.probe.as_deref_mut() {
                 p.on_shard_phase(s, StepPhase::Plan, d);
             }
         }
@@ -681,10 +588,9 @@ impl<P: Protocol> SimState<P> {
         any_pull: bool,
         failures: FailureModel,
         fast_path: bool,
-        clock: &mut PhaseClock,
         rng: &mut R,
     ) -> (u64, u64, usize) {
-        let probing = self.probe.is_some();
+        let probing = self.ledger.probe.is_some();
         let oblivious = protocol.capabilities().oblivious;
         let rt = self.shard_rt.as_mut().expect("shard runtime");
         let layout = rt.layout;
@@ -775,13 +681,13 @@ impl<P: Protocol> SimState<P> {
                 outboxes.push(outbox);
                 push_tx += ptx;
                 pull_tx += pltx;
-                if let Some(p) = self.probe.as_deref_mut() {
+                if let Some(p) = self.ledger.probe.as_deref_mut() {
                     p.on_shard_phase(s, StepPhase::Exchange, d);
                 }
             }
             (push_tx, pull_tx)
         };
-        clock.lap(&mut self.probe, StepPhase::Exchange);
+        self.ledger.lap(StepPhase::Exchange);
 
         // Phase d (fanned out): each shard merges its incoming push
         // receipts (ascending source-shard order) into its arena, builds
@@ -791,7 +697,7 @@ impl<P: Protocol> SimState<P> {
         // index and report newly-informed slots for the serial finalize.
         {
             let informed = &self.informed;
-            let census = &self.census;
+            let census = &self.ledger.census;
             let empty_obs = &self.empty_obs;
             let ShardRuntime { arenas, outboxes, informed_lists, newly, scratch, .. } = &mut *rt;
             let outboxes = &*outboxes;
@@ -842,7 +748,7 @@ impl<P: Protocol> SimState<P> {
                 arenas.push(arena);
                 newly.push(nl);
                 scratch.push(sc_obs);
-                if let Some(p) = self.probe.as_deref_mut() {
+                if let Some(p) = self.ledger.probe.as_deref_mut() {
                     p.on_shard_phase(s, StepPhase::Update, d);
                 }
             }
@@ -858,14 +764,14 @@ impl<P: Protocol> SimState<P> {
                 if self.informed.mark(i, t) {
                     newly_informed += 1;
                     self.latest_informed_at = t;
-                    if self.census.is_effective(i) {
-                        self.alive_informed += 1;
+                    if self.ledger.census.is_effective(i) {
+                        self.tally.alive_informed += 1;
                     }
                     rt.informed_lists[s].push(gi);
                 }
             }
         }
-        clock.lap(&mut self.probe, StepPhase::Update);
+        self.ledger.lap(StepPhase::Update);
         (push_tx, pull_tx, newly_informed)
     }
 
@@ -883,27 +789,16 @@ impl<P: Protocol> SimState<P> {
     }
 
     /// Finalises the run into a [`RunReport`].
-    pub fn into_report<T: Topology + ?Sized>(mut self, topo: &T, _config: SimConfig) -> RunReport {
-        self.sync_census(topo);
-        RunReport {
-            node_count: topo.node_count(),
-            alive_count: self.census.effective_alive(),
-            informed_count: self.alive_informed,
-            rounds: self.round,
-            full_coverage_at: self.full_coverage_at,
-            tx_at_coverage: self.tx_at_coverage,
-            push_tx: self.push_tx,
-            pull_tx: self.pull_tx,
-            channels: self.channels,
-            stop: self.stop.unwrap_or(StopReason::RoundCap),
-            history: self.history,
-        }
+    pub fn into_report<T: Topology + ?Sized>(self, topo: &T, _config: SimConfig) -> RunReport {
+        self.tally.into_report(self.ledger, topo, &self.informed)
     }
 }
 
 /// Plans the informed nodes in `list` into `chunk[i - base]` and returns
 /// whether any of them pull-serves. Everyone else keeps a standing SILENT
-/// plan, so planning is O(informed), not O(n). Called once per shard over
+/// plan, so planning is O(informed), not O(n). With `round_plans` (an
+/// oblivious protocol's plans by reception round) a node takes its
+/// round's entry instead of a `plan` call. Called once per shard over
 /// that shard's chunk. RNG-free and read-only on all shared state —
 /// thread scheduling cannot affect it.
 #[allow(clippy::too_many_arguments)]
@@ -913,6 +808,7 @@ fn plan_list<P: Protocol>(
     states: &[P::State],
     informed: &InformedIndex,
     census: &AliveCensus,
+    round_plans: Option<&[Plan]>,
     creator: NodeId,
     t: Round,
     base: usize,
@@ -924,11 +820,14 @@ fn plan_list<P: Protocol>(
         let i = gi as usize;
         let v = NodeId::new(i);
         let plan = match informed.at(i) {
-            Some(at) if census.is_participating(i) => {
-                let view =
-                    NodeView { informed_at: at, is_creator: v == creator, state: &states[i] };
-                protocol.plan(view, t)
-            }
+            Some(at) if census.is_participating(i) => match round_plans {
+                Some(table) => table[at as usize],
+                None => {
+                    let view =
+                        NodeView { informed_at: at, is_creator: v == creator, state: &states[i] };
+                    protocol.plan(view, t)
+                }
+            },
             _ => Plan::SILENT,
         };
         any_pull |= plan.pull_serve;
@@ -1086,6 +985,8 @@ fn shard_merge_digest<P: Protocol>(
 mod tests {
     use super::*;
     use crate::protocols::{force_all, FloodPush, FloodPushPull, Phased, SilentProtocol, WithCaps};
+    use crate::telemetry::tests::RecordRounds;
+    use crate::telemetry::BoxedProbe;
     use crate::Capabilities;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1226,20 +1127,6 @@ mod tests {
         WithCaps(phased(), Capabilities { oblivious: true, ..Capabilities::ALL })
     }
 
-    /// Records every round's counters.
-    #[derive(Debug, Default)]
-    struct Rounds(Vec<RoundCounters>);
-
-    impl crate::RoundProbe for Rounds {
-        fn on_round(&mut self, counters: &RoundCounters) {
-            self.0.push(*counters);
-        }
-
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
     /// A run's report, counters, final generator and, per round, whether
     /// the fabric sampled its callers one by one.
     fn run_recording<P: Protocol>(
@@ -1250,14 +1137,13 @@ mod tests {
         let n = Topology::node_count(g);
         let mut rng = SmallRng::seed_from_u64(17);
         let mut sim = SimState::new(proto, n, NodeId::new(0));
-        sim.set_probe(Some(Box::new(Rounds::default())));
+        sim.set_probe(Some(Box::new(RecordRounds::default())));
         let mut sampled = Vec::new();
         while !sim.finished(g, proto, cfg) {
             sim.step(g, proto, cfg, &mut rng);
             sampled.push(sim.fabric.sampled_callers());
         }
-        let probe = sim.take_probe().expect("probe");
-        let rounds = probe.as_any().downcast_ref::<Rounds>().expect("rounds").0.clone();
+        let rounds = RecordRounds::of(sim.take_probe());
         (sim.into_report(g, cfg), rounds, rng, sampled)
     }
 
@@ -1600,41 +1486,47 @@ mod tests {
     #[test]
     fn probe_is_byte_identical_and_counters_match_the_report() {
         // Telemetry guarantee: a probe makes no RNG draws, so an
-        // instrumented run's report is byte-identical to a bare run, and
-        // the probe's counter totals agree with the report exactly.
+        // instrumented run's report is byte-identical to a bare run, the
+        // probe's counter totals agree with the report exactly, and the
+        // report's history is, record for record, what the probe received.
         use crate::telemetry::PhaseTimings;
         let g = gen::complete(48);
         let proto = FloodPushPull::new();
-        let cfg = SimConfig::default()
-            .with_failures(FailureModel::channels(0.1).with_crashes(0.005))
-            .with_history()
-            .with_max_rounds(300);
-        let bare = {
-            let mut rng = SmallRng::seed_from_u64(19);
-            let mut sim = SimState::new(&proto, 48, NodeId::new(0));
-            sim.run_to_completion(&g, &proto, cfg, &mut rng);
-            sim.into_report(&g, cfg)
-        };
-        let mut sim = SimState::new(&proto, 48, NodeId::new(0));
-        sim.set_probe(Some(Box::new(PhaseTimings::new())));
-        let mut rng = SmallRng::seed_from_u64(19);
-        sim.run_to_completion(&g, &proto, cfg, &mut rng);
-        let probe = sim.take_probe().expect("probe still installed");
-        let timings =
-            probe.as_any().downcast_ref::<PhaseTimings>().expect("concrete probe");
-        let probed = sim.into_report(&g, cfg);
-        assert_eq!(bare, probed, "probe must not perturb the run");
-        assert_eq!(timings.rounds(), probed.rounds);
-        assert_eq!(timings.push_tx(), probed.push_tx);
-        assert_eq!(timings.pull_tx(), probed.pull_tx);
-        assert_eq!(timings.tx(), probed.total_tx());
-        assert_eq!(timings.channels(), probed.channels);
-        assert_eq!(timings.last_round().informed, probed.informed_count);
-        assert_eq!(timings.last_round().alive, probed.alive_count);
-        // Every executed round was attributed to the six phases.
-        let total_ms: f64 = timings.phase_ms().iter().sum();
-        assert!(total_ms >= 0.0);
-        assert!(timings.peak_rss_kib().unwrap_or(1) > 0);
+        for shards in [1, 3] {
+            let cfg = SimConfig::default()
+                .with_failures(FailureModel::channels(0.1).with_crashes(0.005))
+                .with_history()
+                .with_max_rounds(300)
+                .with_shards(shards);
+            let run = |probe: Option<BoxedProbe>| {
+                let mut sim = SimState::new(&proto, 48, NodeId::new(0));
+                sim.set_probe(probe);
+                let mut rng = SmallRng::seed_from_u64(19);
+                sim.run_to_completion(&g, &proto, cfg, &mut rng);
+                let probe = sim.take_probe();
+                (sim.into_report(&g, cfg), probe)
+            };
+            let (bare, _) = run(None);
+            let (probed, probe) = run(Some(Box::new(PhaseTimings::new())));
+            let probe = probe.expect("probe still installed");
+            let timings =
+                probe.as_any().downcast_ref::<PhaseTimings>().expect("concrete probe");
+            assert_eq!(bare, probed, "probe must not perturb the run");
+            assert_eq!(timings.rounds(), probed.rounds);
+            assert_eq!(timings.push_tx(), probed.push_tx);
+            assert_eq!(timings.pull_tx(), probed.pull_tx);
+            assert_eq!(timings.tx(), probed.total_tx());
+            assert_eq!(timings.channels(), probed.channels);
+            assert_eq!(timings.last_round().informed, probed.informed_count);
+            assert_eq!(timings.last_round().alive, probed.alive_count);
+            // Every executed round was attributed to the six phases.
+            let total_ms: f64 = timings.phase_ms().iter().sum();
+            assert!(total_ms >= 0.0);
+            assert!(timings.peak_rss_kib().unwrap_or(1) > 0);
+            let (recorded, probe) = run(Some(Box::new(RecordRounds::default())));
+            assert_eq!(recorded, bare, "shards {shards}");
+            assert_eq!(recorded.history, RecordRounds::of(probe), "shards {shards}");
+        }
     }
 
     #[test]

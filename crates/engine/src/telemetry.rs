@@ -1,5 +1,5 @@
 //! Zero-cost-when-off run telemetry: per-phase wall-clock attribution and
-//! per-round counters for both engines.
+//! per-round counters for all three engines.
 //!
 //! The paper's analysis (§4, Lemmas 1–3) reasons about *per-round*
 //! quantities, and the perf work on the round loop needs to know *where*
@@ -105,7 +105,10 @@ impl StepPhase {
     }
 }
 
-/// Per-round counter snapshot handed to [`RoundProbe::on_round`].
+/// The per-round record of all three engines: handed to
+/// [`RoundProbe::on_round`], returned by
+/// [`SimState::step`](crate::SimState::step) and kept in
+/// [`RunReport::history`](crate::RunReport::history).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundCounters {
     /// Round number (1-based; the round that just executed).
@@ -177,7 +180,7 @@ pub type BoxedProbe = Box<dyn RoundProbe + Send>;
 
 /// Stopwatch the engines use for phase attribution. Armed only when a
 /// probe is installed; unarmed laps are no-ops that never read the clock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PhaseClock(Option<Instant>);
 
 impl PhaseClock {
@@ -381,8 +384,30 @@ pub fn peak_rss_kib() -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test probe that records every round's counters.
+    #[derive(Debug, Default)]
+    pub(crate) struct RecordRounds(pub(crate) Vec<RoundCounters>);
+
+    impl RecordRounds {
+        /// The records of a probe taken back from an engine.
+        pub(crate) fn of(probe: Option<BoxedProbe>) -> Vec<RoundCounters> {
+            let probe = probe.expect("probe still installed");
+            probe.as_any().downcast_ref::<RecordRounds>().expect("a RecordRounds probe").0.clone()
+        }
+    }
+
+    impl RoundProbe for RecordRounds {
+        fn on_round(&mut self, counters: &RoundCounters) {
+            self.0.push(*counters);
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
 
     #[test]
     fn phase_indices_are_dense_and_ordered() {

@@ -1,4 +1,4 @@
-//! Analysis helpers over per-round traces ([`RoundRecord`] histories).
+//! Analysis helpers over per-round traces ([`RoundCounters`] histories).
 //!
 //! The paper's analysis (§4) reasons about three per-round quantities: the
 //! growth factor of the informed set in Phase 1 (Lemmas 1–2), the decay
@@ -8,13 +8,13 @@
 //! recorded history, so experiments and tests measure the lemmas' subjects
 //! directly.
 
-use crate::{Round, RoundRecord};
+use crate::{Round, RoundCounters};
 
 /// Mean multiplicative growth factor `|I(t+1)| / |I(t)|` over the rounds
 /// where the informed set is still below `cap` nodes (the exponential
 /// stretch Lemmas 1–2 analyse). Returns `None` when no qualifying round
 /// pair exists.
-pub fn informed_growth_factor(history: &[RoundRecord], cap: usize) -> Option<f64> {
+pub fn informed_growth_factor(history: &[RoundCounters], cap: usize) -> Option<f64> {
     let mut factors = Vec::new();
     for w in history.windows(2) {
         if w[1].informed < cap && w[0].informed > 0 {
@@ -29,7 +29,7 @@ pub fn informed_growth_factor(history: &[RoundRecord], cap: usize) -> Option<f64
 /// `n` is the population size. Returns `None` when no qualifying round pair
 /// exists.
 pub fn uninformed_decay_factor(
-    history: &[RoundRecord],
+    history: &[RoundCounters],
     n: usize,
     from: Round,
     to: Round,
@@ -47,7 +47,7 @@ pub fn uninformed_decay_factor(
 /// (e.g. 0.5 for the push/pull crossover point). Returns `None` if the
 /// fraction is never reached in the recorded history.
 pub fn round_reaching_fraction(
-    history: &[RoundRecord],
+    history: &[RoundCounters],
     n: usize,
     fraction: f64,
 ) -> Option<Round> {
@@ -56,16 +56,16 @@ pub fn round_reaching_fraction(
 }
 
 /// Informed count recorded at exactly round `t`, if present.
-pub fn informed_at_round(history: &[RoundRecord], t: Round) -> Option<usize> {
+pub fn informed_at_round(history: &[RoundCounters], t: Round) -> Option<usize> {
     history.iter().find(|r| r.round == t).map(|r| r.informed)
 }
 
 /// Sums transmissions over the round interval `[from, to]` (inclusive).
-pub fn transmissions_in(history: &[RoundRecord], from: Round, to: Round) -> u64 {
+pub fn transmissions_in(history: &[RoundCounters], from: Round, to: Round) -> u64 {
     history
         .iter()
         .filter(|r| r.round >= from && r.round <= to)
-        .map(|r| r.transmissions())
+        .map(|r| r.tx)
         .sum()
 }
 
@@ -81,18 +81,18 @@ fn mean(xs: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
 
-    fn rec(round: Round, informed: usize, push: u64, pull: u64) -> RoundRecord {
-        RoundRecord {
+    fn rec(round: Round, informed: usize, push: u64, pull: u64) -> RoundCounters {
+        RoundCounters {
             round,
             informed,
-            newly_informed: 0,
             push_tx: push,
             pull_tx: pull,
-            channels: 0,
+            tx: push + pull,
+            ..RoundCounters::default()
         }
     }
 
-    fn doubling_history() -> Vec<RoundRecord> {
+    fn doubling_history() -> Vec<RoundCounters> {
         // 1 -> 2 -> 4 -> 8 -> 16 -> 28 -> 31 -> 32 on n = 32.
         [1, 2, 4, 8, 16, 28, 31, 32]
             .into_iter()
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn empty_history_yields_no_statistics() {
-        let h: Vec<RoundRecord> = Vec::new();
+        let h: Vec<RoundCounters> = Vec::new();
         assert_eq!(informed_growth_factor(&h, 16), None);
         assert_eq!(uninformed_decay_factor(&h, 32, 0, 10), None);
         assert_eq!(round_reaching_fraction(&h, 32, 0.5), None);

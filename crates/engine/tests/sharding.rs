@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use rrb_engine::protocols::{FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
-    FaultState, GilbertElliott, NodeView, Observation, Plan, Protocol, Round, RoundRecord,
+    FaultState, GilbertElliott, NodeView, Observation, Plan, Protocol, Round, RoundCounters,
     RumorMeta, RunReport, SimConfig, SimState, Topology,
 };
 use rrb_graph::{gen, Graph, NodeId};
@@ -73,7 +73,7 @@ impl Protocol for CountingGossip {
 /// final report, and the per-node delivery trace.
 #[derive(Debug, PartialEq)]
 struct Trajectory {
-    records: Vec<RoundRecord>,
+    records: Vec<RoundCounters>,
     report: RunReport,
     informed_at: Vec<Option<Round>>,
 }

@@ -33,49 +33,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<Option<u32>> {
     dist
 }
 
-/// Eccentricity of `src`: the largest BFS distance to any reachable node.
-/// Returns `None` for an empty graph.
-pub fn eccentricity(g: &Graph, src: NodeId) -> Option<u32> {
-    bfs_distances(g, src).into_iter().flatten().max()
-}
-
-/// Exact diameter by all-pairs BFS — `O(n(n + m))`, fine for the graph sizes
-/// the experiments inspect structurally. Returns `None` if the graph is
-/// empty or disconnected.
-pub fn diameter(g: &Graph) -> Option<u32> {
-    if g.is_empty() {
-        return None;
-    }
-    let mut best = 0u32;
-    for v in g.nodes() {
-        let dist = bfs_distances(g, v);
-        for d in &dist {
-            match d {
-                Some(x) => best = best.max(*x),
-                None => return None, // disconnected
-            }
-        }
-    }
-    Some(best)
-}
-
-/// Fast diameter lower bound via the double-sweep heuristic: BFS from an
-/// arbitrary node, then BFS again from the farthest node found. Exact on
-/// trees; a lower bound in general. Returns `None` for empty graphs.
-pub fn double_sweep_lower_bound(g: &Graph, start: NodeId) -> Option<u32> {
-    if g.is_empty() {
-        return None;
-    }
-    let d1 = bfs_distances(g, start);
-    let far = d1
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.map(|x| (i, x)))
-        .max_by_key(|&(_, x)| x)?
-        .0;
-    eccentricity(g, NodeId::new(far))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,45 +53,5 @@ mod tests {
         assert_eq!(d[1], Some(1));
         assert_eq!(d[2], None);
         assert_eq!(d[3], None);
-    }
-
-    #[test]
-    fn diameter_known_values() {
-        assert_eq!(diameter(&gen::cycle(8)), Some(4));
-        assert_eq!(diameter(&gen::path(5)), Some(4));
-        assert_eq!(diameter(&gen::complete(7)), Some(1));
-        assert_eq!(diameter(&gen::hypercube(5)), Some(5));
-    }
-
-    #[test]
-    fn diameter_disconnected_is_none() {
-        let g = crate::builder::graph_from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        assert_eq!(diameter(&g), None);
-        assert_eq!(diameter(&gen::complete(0)), None);
-    }
-
-    #[test]
-    fn double_sweep_exact_on_paths() {
-        let g = gen::path(9);
-        assert_eq!(double_sweep_lower_bound(&g, NodeId::new(4)), Some(8));
-    }
-
-    #[test]
-    fn double_sweep_is_lower_bound() {
-        use rand::{rngs::SmallRng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(4);
-        let g = gen::random_regular(64, 3, &mut rng).unwrap();
-        let exact = diameter(&g).unwrap();
-        let lb = double_sweep_lower_bound(&g, NodeId::new(0)).unwrap();
-        assert!(lb <= exact);
-        // Double sweep is usually exact or near-exact on expanders.
-        assert!(lb + 2 >= exact);
-    }
-
-    #[test]
-    fn eccentricity_center_vs_leaf() {
-        let g = gen::path(7);
-        assert_eq!(eccentricity(&g, NodeId::new(3)), Some(3));
-        assert_eq!(eccentricity(&g, NodeId::new(0)), Some(6));
     }
 }

@@ -53,7 +53,7 @@ fn regular_pairing<R: Rng + ?Sized>(
 /// Runs the pairing model and then removes self-loops and parallel edges via
 /// uniformly random degree-preserving 2-switches (pick a defective edge
 /// `{a,b}` and a random edge `{c,e}`, rewire to `{a,c},{b,e}` when that
-/// creates no new defect); see [`repair_to_simple`]. For `d = o(√n)` the
+/// creates no new defect); see `repair_to_simple`. For `d = o(√n)` the
 /// switching converges after `O(d²)` expected repairs; a rejection-and-restart
 /// outer loop guards pathological cases.
 ///

@@ -42,7 +42,7 @@ pub use rules::{Diag, RULE_IDS, STALE_ALLOW};
 /// (examples/benches measure wall time by nature).
 const SKIP_DIRS: [&str; 6] = ["vendor", "target", ".git", "fixtures", "examples", "benches"];
 
-/// Collects every `.rs` file under `root` (skipping [`SKIP_DIRS`]),
+/// Collects every `.rs` file under `root` (skipping `SKIP_DIRS`),
 /// sorted by relative path so diagnostics are deterministic.
 pub fn collect_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();

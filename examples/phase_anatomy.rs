@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for rec in &report.history {
         // Compress the long quiet stretch of phase 4.
         if rec.newly_informed == 0
-            && rec.transmissions() == 0
+            && rec.tx == 0
             && rec.round > schedule.phase3_end() + 2
         {
             continue;
