@@ -55,11 +55,6 @@ impl FourChoiceBuilder {
         self.regime(DegreeRegime::ForceSmall)
     }
 
-    /// Forces Algorithm 2 (three phases, large-degree analysis).
-    pub fn force_large_degree(self) -> Self {
-        self.regime(DegreeRegime::ForceLarge)
-    }
-
     /// Replaces the four-distinct-choices policy — the k-choice ablation
     /// (experiment E6: are four choices necessary?) sets `Distinct(k)` here.
     pub fn choice_policy(mut self, policy: ChoicePolicy) -> Self {
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn regime_overrides() {
-        let alg = FourChoiceBuilder::new(1 << 16, 8).force_large_degree().build();
+        let alg = FourChoiceBuilder::new(1 << 16, 8).regime(DegreeRegime::ForceLarge).build();
         assert_eq!(alg.schedule().variant(), AlgorithmVariant::LargeDegree);
         let alg = FourChoiceBuilder::new(1 << 16, 64).force_small_degree().build();
         assert_eq!(alg.schedule().variant(), AlgorithmVariant::SmallDegree);

@@ -82,14 +82,6 @@ impl ClockSpec {
         }
     }
 
-    /// Mean inter-fire gap of a (fast) node — the time scale one
-    /// synchronous round corresponds to.
-    pub fn mean_interval(&self) -> f64 {
-        match *self {
-            ClockSpec::Fixed { interval } => interval,
-            ClockSpec::Exponential { rate } | ClockSpec::Stragglers { rate, .. } => 1.0 / rate,
-        }
-    }
 }
 
 /// How long an individual rumour copy spends in flight between the
@@ -318,12 +310,6 @@ mod tests {
         let mean = sum / 20_000.0;
         assert!((mean - 0.3).abs() < 0.02, "exponential latency mean {mean}");
         assert_eq!(LatencySpec::Fixed { delay: 0.25 }.sample(&mut rng), 0.25);
-    }
-
-    #[test]
-    fn mean_interval_reflects_the_rate() {
-        assert_eq!(ClockSpec::UNIT.mean_interval(), 1.0);
-        assert_eq!(ClockSpec::Exponential { rate: 4.0 }.mean_interval(), 0.25);
     }
 
     #[test]

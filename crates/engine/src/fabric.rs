@@ -1,10 +1,14 @@
 //! Shared per-round machinery of the flat-arena engines: the channel
-//! fabric (CSR call lists + optional reverse index) and the informed-node
-//! index. Both the single-rumour [`SimState`](crate::SimState) and the
-//! multi-rumour [`MultiSimState`](crate::MultiSimState) round loops are
-//! built from these pieces, so the two engines stay behaviour-identical
-//! where their models coincide (asserted by the seed-for-seed parity
-//! suite in `tests/parity.rs`).
+//! fabric (CSR call lists + optional reverse index), the round gate that
+//! decides which callers it samples, the transmission pre-draw, and the
+//! informed-node index. Both the single-rumour [`SimState`](crate::SimState)
+//! and the multi-rumour [`MultiSimState`](crate::MultiSimState) plan first
+//! and then run their fabric through [`ChannelFabric::sample_round`] and
+//! [`ChannelFabric::draw_transmissions`], so the rules for which callers
+//! draw, when a round is silent and in which order transmission outcomes
+//! are drawn are written once (checked seed for seed against a naive
+//! oracle in `tests/oracle.rs` and engine against engine in
+//! `tests/parity.rs`).
 
 use rand::{Rng, RngCore};
 
@@ -12,12 +16,28 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::{discard_targets, sample_targets, ChoiceState, Words};
-use crate::failure::FaultChannelView;
+use crate::failure::{FaultChannelView, FaultState};
+use crate::telemetry::RoundCounters;
 use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
+
+/// What a round's plans tell the fabric about its callers. The engines
+/// plan before they sample (plans are RNG-free and read only state the
+/// fault phase has settled), so the plans can gate the sampling.
+pub(crate) struct RoundGate<U, S> {
+    /// Whether caller `i` knows no rumour that can travel this round.
+    pub(crate) uninformed: U,
+    /// Whether caller `i` pushes this round.
+    pub(crate) pushes: S,
+    /// Whether any node pull-serves this round.
+    pub(crate) any_pull: bool,
+    /// No node transmits and the engine reads no channel this round: the
+    /// silent round of an [`oblivious`](crate::Capabilities::oblivious) protocol.
+    pub(crate) silent: bool,
+}
 
 /// How [`ChannelFabric::sample`] treats one alive, unblocked caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CallerGate {
+enum CallerGate {
     /// Sample and store the caller's channels.
     Open,
     /// The caller does not push and no node pull-serves this round, so its
@@ -34,16 +54,17 @@ pub(crate) enum CallerGate {
 /// One round's channel openings in CSR form, with all scratch buffers
 /// reused across rounds (allocation-free once warm).
 ///
-/// Channels are sampled once per round by [`sample`](Self::sample) —
-/// every alive, uncrashed node opens channels per the protocol's choice
-/// policy — and then shared by however many rumours ride the fabric. On
-/// the zero-failure fast path only *usable* channels (alive, uncrashed
-/// callee) are materialised and no per-channel flags are stored; on the
-/// slow path every sampled channel is stored together with its
-/// channel-failure outcome.
+/// Channels are sampled once per round by
+/// [`sample_round`](Self::sample_round) — every alive, uncrashed node
+/// opens channels per the protocol's choice policy — and then shared by
+/// however many rumours ride the fabric. On the zero-failure fast path
+/// only *usable* channels (alive, uncrashed callee) are materialised and no
+/// per-channel flags are stored; on the slow path every sampled channel is
+/// stored together with its channel-failure outcome.
 #[derive(Debug, Default)]
 pub(crate) struct ChannelFabric {
-    /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`.
+    /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`
+    /// (empty after a silent round, which builds no lists).
     offsets: Vec<u32>,
     /// Callee per channel.
     targets: Vec<NodeId>,
@@ -52,6 +73,13 @@ pub(crate) struct ChannelFabric {
     /// `true` when `ok` is not materialised (no channel/transmission
     /// failures this round).
     fast_path: bool,
+    /// Per-channel transmission outcomes of the push and the pull
+    /// direction, valid when `tx_drawn`.
+    push_ok: Vec<bool>,
+    pull_ok: Vec<bool>,
+    /// Whether [`draw_transmissions`](Self::draw_transmissions) drew this
+    /// round's outcomes (else every transmission arrives).
+    tx_drawn: bool,
     /// Reverse CSR offsets: channels *towards* node `w` are
     /// `in_entries[in_offsets[w]..in_offsets[w+1]]`.
     in_offsets: Vec<u32>,
@@ -61,15 +89,10 @@ pub(crate) struct ChannelFabric {
     in_cursor: Vec<u32>,
     /// Reusable target scratch for `sample_targets`.
     target_buf: Vec<NodeId>,
-    /// Channel-target draws avoided by the capability-gated skip in the
-    /// last [`sample`](Self::sample) call (telemetry counter).
-    skipped_last: u64,
-    /// Generator words the last round's sampling consumed, stepped or
-    /// jumped (telemetry counter).
-    words_last: u64,
-    /// The share of `words_last` that `discard` jumped over instead of
-    /// stepping (telemetry counter).
-    jumped_last: u64,
+    /// The last round's channels, skipped draws and generator words
+    /// (stepped or jumped, and the jumped share): the fabric's part of
+    /// its [`RoundCounters`].
+    counters: RoundCounters,
 }
 
 /// The generator words one [`ChannelFabric::sample`] call takes: those
@@ -105,11 +128,87 @@ impl ChannelFabric {
         }
     }
 
-    /// Samples every alive, unblocked (uncrashed, unsuspended) node's
-    /// channel targets for this round and returns the number of channels
-    /// opened (the channels of skipped and quiet callers included).
+    /// Samples this round's channels for every alive, unblocked
+    /// (uncrashed, unsuspended) caller, as `gate` and the round's failures
+    /// allow; [`counters`](Self::counters) then reports what it opened and
+    /// drew. The rules:
     ///
-    /// `gate` classifies each such caller (see [`CallerGate`]):
+    /// - **Fast path.** With no channel or transmission failure rate and
+    ///   no burst loss, a channel is usable iff its callee is alive,
+    ///   unblocked and not partitioned away: only usable channels are
+    ///   stored and no per-channel draw is made. Otherwise every sampled
+    ///   channel is stored with its loss outcome. Crash-stop sampling is a
+    ///   per-node phase before this one, so a crash-only model keeps the
+    ///   fast path.
+    /// - **Caller gate.** If the protocol never pull-serves, a caller that
+    ///   knows no rumour can carry nothing: its push has nothing to send
+    ///   and its pull is never served. Under a memoryless policy
+    ///   ([`ChoicePolicy::is_memoryless`]: sampling a `SequentialMemory`
+    ///   ring or a `Cyclic` cursor advances it, which skipping would
+    ///   alter) it is `Skip`: its deterministic `min(fanout, deg)` channels
+    ///   are counted and nothing is drawn. A caller that pushes, or any
+    ///   caller in a round in which some node pull-serves, is `Open`.
+    ///   Everyone else is `Quiet`: see [`sample`](Self::sample).
+    /// - **Silent round.** In a silent round every caller is `Quiet` or
+    ///   `Skip`, and on the fast path under `Distinct(k)` the words each
+    ///   owes depend only on its flags and degree. Such a round builds no
+    ///   lists: [`sample_silent`](Self::sample_silent) counts the channels,
+    ///   skipped draws and words in one pass and moves the generator past
+    ///   them in one `discard`, and [`is_silent`](Self::is_silent) tells
+    ///   the engine to skip its exchange.
+    ///
+    /// `faults` is the installed fault plan's state: partitioned pairs
+    /// fail to establish like calls to a crashed peer (no cost, no draw),
+    /// and burst-loss state raises the per-channel failure probability
+    /// (drawn on the **main** stream at exactly the baseline draw's
+    /// position). With `faults == None` the code path and draw sequence
+    /// are byte-identical to the pre-fault engine.
+    #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
+    pub(crate) fn sample_round<T, P, U, S, R>(
+        &mut self,
+        topo: &T,
+        protocol: &P,
+        choice: &mut ChoiceState,
+        failures: FailureModel,
+        faults: Option<&FaultState>,
+        blocked: &[bool],
+        gate: RoundGate<U, S>,
+        rng: &mut R,
+    ) where
+        T: Topology + ?Sized,
+        P: Protocol,
+        U: Fn(usize) -> bool,
+        S: Fn(usize) -> bool,
+        R: Rng + ?Sized,
+    {
+        let policy = protocol.choice_policy();
+        let skip = !protocol.capabilities().uses_pull && policy.is_memoryless();
+        let skips = |i: usize| skip && (gate.uninformed)(i);
+        self.fast_path = failures.channel_failure == 0.0
+            && failures.transmission_failure == 0.0
+            && faults.is_none_or(|fs| !fs.bursty());
+        self.tx_drawn = false;
+        match policy {
+            ChoicePolicy::Distinct(k) if gate.silent && self.fast_path => {
+                self.sample_silent(topo, k, blocked, skips, rng);
+            }
+            _ => {
+                let view = faults.and_then(FaultState::channel_view);
+                self.sample(topo, policy, choice, failures, blocked, view.as_ref(), rng, |i| {
+                    if skips(i) {
+                        CallerGate::Skip
+                    } else if (gate.pushes)(i) || gate.any_pull {
+                        CallerGate::Open
+                    } else {
+                        CallerGate::Quiet
+                    }
+                });
+            }
+        }
+    }
+
+    /// Samples every alive, unblocked caller as `gate` classifies it:
     /// - `Skip`: the capability-gated push-only sampling skip. The caller's
     ///   deterministic `min(fanout, deg)` channels are counted, but it costs
     ///   no RNG draws and no buffer traffic.
@@ -122,20 +221,9 @@ impl ChannelFabric {
     ///   and drop the targets. Off the fast path it is sampled like
     ///   `Open`, because its per-channel failure draws need the targets.
     /// - `Open`: sampled and stored.
-    ///
-    /// On the single-rumour engine the gate reads this round's plans, so
-    /// the plan phase runs before the fabric there.
-    ///
-    /// `faults` is the optional per-channel fault view of an installed
-    /// [`FaultPlan`](crate::FaultPlan): partitioned pairs fail to
-    /// establish like calls to a crashed peer (no cost, no draw), and
-    /// burst-loss state raises the per-channel failure probability (drawn
-    /// on the **main** stream at exactly the baseline draw's position, so
-    /// both engines stay in lockstep). With `faults == None` the code path
-    /// and draw sequence are byte-identical to the pre-fault engine.
     #[allow(clippy::too_many_arguments)]
     // rrb-lint: hot
-    pub(crate) fn sample<T, F, R>(
+    fn sample<T, F, R>(
         &mut self,
         topo: &T,
         policy: ChoicePolicy,
@@ -143,18 +231,14 @@ impl ChannelFabric {
         failures: FailureModel,
         blocked: &[bool],
         faults: Option<&FaultChannelView<'_>>,
-        gate: F,
         rng: &mut R,
-    ) -> u64
-    where
+        gate: F,
+    ) where
         T: Topology + ?Sized,
         F: Fn(usize) -> CallerGate,
         R: Rng + ?Sized,
     {
         let n = topo.node_count();
-        self.fast_path = failures.channel_failure == 0.0
-            && failures.transmission_failure == 0.0
-            && faults.is_none_or(|f| !f.lossy());
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
@@ -166,7 +250,7 @@ impl ChannelFabric {
             self.targets.reserve(bound);
         }
         self.offsets.push(0);
-        self.skipped_last = 0;
+        let mut skipped = 0u64;
         let mut words = WordTally::default();
         let mut channels = 0u64;
         for i in 0..n {
@@ -176,9 +260,9 @@ impl ChannelFabric {
                     CallerGate::Skip => {
                         // Uninformed caller under a push-only protocol:
                         // count the channels it would open, draw nothing.
-                        let skipped = topo.degree(v).min(policy.fanout()) as u64;
-                        self.skipped_last += skipped;
-                        channels += skipped;
+                        let opened = topo.degree(v).min(policy.fanout()) as u64;
+                        skipped += opened;
+                        channels += opened;
                         self.offsets.push(self.targets.len() as u32);
                         continue;
                     }
@@ -236,36 +320,31 @@ impl ChannelFabric {
             self.offsets.push(self.targets.len() as u32);
         }
         words.settle(rng);
-        self.words_last = words.drawn;
-        self.jumped_last = words.jumped;
-        channels
+        self.counters = RoundCounters {
+            channels,
+            skipped_draws: skipped,
+            fabric_words: words.drawn,
+            jumped_words: words.jumped,
+            ..RoundCounters::default()
+        };
     }
 
-    /// A round in which nobody transmits, on the fast path under
-    /// `Distinct(k)`: counts what [`sample`](Self::sample) would, with
-    /// every caller `Quiet` except those `skip` marks `Skip`, without
-    /// visiting a stub. Each alive, unblocked caller opens `min(deg, k)`
-    /// channels and owes `k` words when `deg > k`; a skipped one owes
-    /// none and adds its channels to the skipped draws. The words are
-    /// skipped in one [`discard`](rand::RngCore::discard), which leaves
-    /// the generator where sampling would, since no draw depends on the
-    /// values drawn before it. Returns the channels opened; the round
-    /// stores none.
+    /// A silent round on the fast path under `Distinct(k)`: counts what
+    /// [`sample`](Self::sample) would, with every caller `Quiet` except
+    /// those `skip` marks `Skip`, without visiting a stub. Each alive,
+    /// unblocked caller opens `min(deg, k)` channels and owes `k` words
+    /// when `deg > k`; a skipped one owes none and adds its channels to
+    /// the skipped draws. The words are skipped in one
+    /// [`discard`](rand::RngCore::discard), which leaves the generator
+    /// where sampling would, since no draw depends on the values drawn
+    /// before it. The round stores no channel.
     // rrb-lint: hot
-    pub(crate) fn sample_silent<T, F, R>(
-        &mut self,
-        topo: &T,
-        k: usize,
-        blocked: &[bool],
-        skip: F,
-        rng: &mut R,
-    ) -> u64
+    fn sample_silent<T, F, R>(&mut self, topo: &T, k: usize, blocked: &[bool], skip: F, rng: &mut R)
     where
         T: Topology + ?Sized,
         F: Fn(usize) -> bool,
         R: RngCore + ?Sized,
     {
-        self.fast_path = true;
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
@@ -283,37 +362,102 @@ impl ChannelFabric {
                 }
             }
         }
-        self.skipped_last = skipped;
-        self.words_last = words;
-        self.jumped_last = rng.discard(words);
-        channels
+        self.counters = RoundCounters {
+            channels,
+            skipped_draws: skipped,
+            fabric_words: words,
+            jumped_words: rng.discard(words),
+            ..RoundCounters::default()
+        };
+    }
+
+    /// The serial transmission pre-draw of one round, over the stored
+    /// channels: per caller ascending, per usable channel, the push draw
+    /// if the caller `pushes`, then the pull draw if the callee
+    /// `pull_serves`. One draw per used channel direction, shared by every
+    /// rumour riding it, so a combined message succeeds or fails
+    /// atomically (§1.2). Draws only when the transmission failure rate is
+    /// positive (else every transmission arrives). Returns the number of
+    /// used directions: the messages sent, co-riding rumours combined.
+    // rrb-lint: hot
+    pub(crate) fn draw_transmissions<S, L, R>(
+        &mut self,
+        failures: FailureModel,
+        pushes: S,
+        pull_serves: L,
+        rng: &mut R,
+    ) -> u64
+    where
+        S: Fn(usize) -> bool,
+        L: Fn(usize) -> bool,
+        R: Rng + ?Sized,
+    {
+        self.tx_drawn = failures.transmission_failure > 0.0;
+        if self.tx_drawn {
+            self.push_ok.clear();
+            self.push_ok.resize(self.targets.len(), false);
+            self.pull_ok.clear();
+            self.pull_ok.resize(self.targets.len(), false);
+        }
+        let mut used = 0u64;
+        for i in 0..self.offsets.len().saturating_sub(1) {
+            let range = self.out_range(i);
+            if range.is_empty() {
+                continue;
+            }
+            let push = pushes(i);
+            for c in range {
+                if !self.usable(c) {
+                    continue;
+                }
+                if push {
+                    used += 1;
+                    if self.tx_drawn {
+                        self.push_ok[c] = failures.transmission_ok(rng);
+                    }
+                }
+                if pull_serves(self.targets[c].index()) {
+                    used += 1;
+                    if self.tx_drawn {
+                        self.pull_ok[c] = failures.transmission_ok(rng);
+                    }
+                }
+            }
+        }
+        used
+    }
+
+    /// Whether a push over channel `c` arrives (see
+    /// [`draw_transmissions`](Self::draw_transmissions)).
+    #[inline]
+    pub(crate) fn push_arrives(&self, c: usize) -> bool {
+        !self.tx_drawn || self.push_ok[c]
+    }
+
+    /// Whether a pull over channel `c` arrives.
+    #[inline]
+    pub(crate) fn pull_arrives(&self, c: usize) -> bool {
+        !self.tx_drawn || self.pull_ok[c]
+    }
+
+    /// The last round's channels, skipped draws and generator words, as
+    /// the fabric's part of the round's [`RoundCounters`].
+    #[inline]
+    pub(crate) fn counters(&self) -> RoundCounters {
+        self.counters
+    }
+
+    /// Whether the last round was silent: it built no channel lists, and
+    /// the engine skips its exchange.
+    #[inline]
+    pub(crate) fn is_silent(&self) -> bool {
+        self.offsets.is_empty()
     }
 
     /// Number of materialised channels this round.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Channel-target draws the capability-gated skip avoided in the last
-    /// [`sample`](Self::sample) call (0 when the skip never engaged).
-    #[inline]
-    pub(crate) fn skipped_last(&self) -> u64 {
-        self.skipped_last
-    }
-
-    /// Generator words the last round's sampling consumed, stepped or
-    /// jumped.
-    #[inline]
-    pub(crate) fn words_last(&self) -> u64 {
-        self.words_last
-    }
-
-    /// The share of [`words_last`](Self::words_last) jumped over by
-    /// `discard` rather than stepped.
-    #[inline]
-    pub(crate) fn jumped_last(&self) -> u64 {
-        self.jumped_last
     }
 
     /// Channel-id range opened by caller `i`.
@@ -339,13 +483,6 @@ impl ChannelFabric {
     #[cfg(test)]
     pub(crate) fn is_fast_path(&self) -> bool {
         self.fast_path
-    }
-
-    /// Whether the last round sampled its callers one by one (not after
-    /// [`sample_silent`](Self::sample_silent), which builds no lists).
-    #[cfg(test)]
-    pub(crate) fn sampled_callers(&self) -> bool {
-        !self.offsets.is_empty()
     }
 
     /// Builds the reverse (incoming-channel) index: a counting sort of
@@ -383,11 +520,12 @@ impl ChannelFabric {
 
     /// Heap capacities of every reusable buffer, for the steady-state
     /// no-allocation tests.
-    pub(crate) fn capacities(&self) -> [usize; 5] {
+    pub(crate) fn capacities(&self) -> [usize; 6] {
         [
             self.offsets.capacity(),
             self.targets.capacity(),
             self.ok.capacity(),
+            self.push_ok.capacity() + self.pull_ok.capacity(),
             self.in_offsets.capacity() + self.in_cursor.capacity(),
             self.in_entries.capacity() + self.target_buf.capacity(),
         ]
@@ -584,28 +722,49 @@ impl InformedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::{FaultEvent, FaultPlan, GilbertElliott};
+    use crate::protocols::{FloodPush, FloodPushPull};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use rrb_graph::gen;
+    use rrb_graph::{gen, Graph};
+
+    type Gate = RoundGate<fn(usize) -> bool, fn(usize) -> bool>;
+
+    /// A round gate in which no node pull-serves.
+    fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, silent: bool) -> Gate {
+        RoundGate { uninformed, pushes, any_pull: false, silent }
+    }
+
+    /// Every caller pushes: every caller is `Open`.
+    fn all_open() -> Gate {
+        gate(|_| false, |_| true, false)
+    }
+
+    /// One round of `protocol` on `g` from `seed`, no caller blocked:
+    /// the fabric and the generator after it.
+    fn sample_one<P: Protocol>(
+        g: &Graph,
+        protocol: &P,
+        failures: FailureModel,
+        faults: Option<&FaultState>,
+        gate: Gate,
+        seed: u64,
+    ) -> (ChannelFabric, SmallRng) {
+        let n = g.node_count();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut fabric = ChannelFabric::new(n);
+        let mut choice = ChoiceState::new(n, protocol.choice_policy());
+        let blocked = vec![false; n];
+        fabric.sample_round(g, protocol, &mut choice, failures, faults, &blocked, gate, &mut rng);
+        (fabric, rng)
+    }
 
     #[test]
     fn fabric_reverse_index_inverts_forward_lists() {
         let g = gen::complete(12);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut choice = ChoiceState::new(12, ChoicePolicy::FOUR);
-        let mut fabric = ChannelFabric::new(12);
-        let crashed = vec![false; 12];
-        let channels = fabric.sample(
-            &g,
-            ChoicePolicy::FOUR,
-            &mut choice,
-            FailureModel::NONE,
-            &crashed,
-            None,
-            |_| CallerGate::Open,
-            &mut rng,
-        );
-        assert_eq!(channels, 12 * 4);
+        let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+        let (mut fabric, _) = sample_one(&g, &four, FailureModel::NONE, None, all_open(), 3);
+        assert_eq!(fabric.counters().channels, 12 * 4);
         assert_eq!(fabric.len(), 12 * 4);
         assert!(fabric.is_fast_path());
         fabric.build_incoming(12);
@@ -623,24 +782,21 @@ mod tests {
 
     #[test]
     fn fabric_skip_counts_channels_without_sampling() {
+        // A push-only protocol, every caller uninformed: full channel
+        // count, nothing drawn or materialised.
         let g = gen::complete(8);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut choice = ChoiceState::new(8, ChoicePolicy::STANDARD);
-        let mut fabric = ChannelFabric::new(8);
-        let crashed = vec![false; 8];
-        // Every caller skipped: full channel count, nothing materialised.
-        let channels = fabric.sample(
-            &g,
-            ChoicePolicy::STANDARD,
-            &mut choice,
-            FailureModel::NONE,
-            &crashed,
-            None,
-            |_| CallerGate::Skip,
-            &mut rng,
-        );
-        assert_eq!(channels, 8);
+        let uninformed = || gate(|_| true, |_| false, false);
+        let none = FailureModel::NONE;
+        let (fabric, rng) = sample_one(&g, &FloodPush::new(), none, None, uninformed(), 5);
+        assert_eq!(fabric.counters().channels, 8);
+        assert_eq!(fabric.counters().skipped_draws, 8);
         assert_eq!(fabric.len(), 0);
+        assert_eq!(rng, SmallRng::seed_from_u64(5));
+        // A protocol that pull-serves samples uninformed callers too.
+        let pulls = FloodPushPull::new();
+        let (fabric, _) = sample_one(&g, &pulls, none, None, uninformed(), 5);
+        assert_eq!((fabric.counters().skipped_draws, fabric.len()), (0, 0));
+        assert!(fabric.counters().fabric_words > 0, "quiet callers owe their words");
     }
 
     #[test]
@@ -650,34 +806,17 @@ mod tests {
         // and the even callers' channels are exactly the all-open ones.
         let g = gen::complete(16);
         for policy in [ChoicePolicy::FOUR, ChoicePolicy::SEQUENTIAL, ChoicePolicy::Cyclic] {
-            let blocked = vec![false; 16];
-            let sample = |gate: fn(usize) -> CallerGate| {
-                let mut rng = SmallRng::seed_from_u64(12);
-                let mut choice = ChoiceState::new(16, policy);
-                let mut fabric = ChannelFabric::new(16);
-                let channels = fabric.sample(
-                    &g,
-                    policy,
-                    &mut choice,
-                    FailureModel::NONE,
-                    &blocked,
-                    None,
-                    gate,
-                    &mut rng,
-                );
+            let protocol = FloodPushPull::with_policy(policy);
+            let sample = |gate: Gate| {
+                let (fabric, rng) = sample_one(&g, &protocol, FailureModel::NONE, None, gate, 12);
                 let lists: Vec<Vec<NodeId>> = (0..16)
                     .map(|i| fabric.out_range(i).map(|c| fabric.target(c)).collect())
                     .collect();
-                (channels, lists, rng)
+                (fabric.counters().channels, lists, rng)
             };
-            let (open_channels, open_lists, open_rng) = sample(|_| CallerGate::Open);
-            let (quiet_channels, quiet_lists, quiet_rng) = sample(|i| {
-                if i % 2 == 1 {
-                    CallerGate::Quiet
-                } else {
-                    CallerGate::Open
-                }
-            });
+            let (open_channels, open_lists, open_rng) = sample(all_open());
+            let (quiet_channels, quiet_lists, quiet_rng) =
+                sample(gate(|_| false, |i| i % 2 == 0, false));
             assert_eq!(open_channels, quiet_channels, "{policy:?}");
             assert_eq!(open_rng, quiet_rng, "{policy:?}: quiet callers must draw");
             for i in 0..16 {
@@ -700,29 +839,24 @@ mod tests {
         let degrees: Vec<usize> = (0..n).map(|i| g.degree(NodeId::new(i))).collect();
         assert!([2, 4, 9].iter().all(|d| degrees.contains(d)), "mixed degrees");
         let blocked: Vec<bool> = (0..n).map(|i| i % 7 == 3).collect();
-        let skip = |i: usize| i % 5 == 1;
         for k in [1, 3, 4, 6] {
-            let policy = ChoicePolicy::Distinct(k);
-            let mut quiet_rng = SmallRng::seed_from_u64(21);
-            let mut quiet = ChannelFabric::new(n);
-            let channels = quiet.sample(
-                &g,
-                policy,
-                &mut ChoiceState::new(n, policy),
-                FailureModel::NONE,
-                &blocked,
-                None,
-                |i| if skip(i) { CallerGate::Skip } else { CallerGate::Quiet },
-                &mut quiet_rng,
-            );
-            let mut silent_rng = SmallRng::seed_from_u64(21);
-            let mut silent = ChannelFabric::new(n);
-            assert_eq!(silent.sample_silent(&g, k, &blocked, skip, &mut silent_rng), channels);
+            let protocol = FloodPush::with_policy(ChoicePolicy::Distinct(k));
+            let sample = |silent: bool| {
+                let mut rng = SmallRng::seed_from_u64(21);
+                let mut fabric = ChannelFabric::new(n);
+                let mut choice = ChoiceState::new(n, protocol.choice_policy());
+                let gate = gate(|i| i % 5 == 1, |_| false, silent);
+                let (none, choice) = (FailureModel::NONE, &mut choice);
+                fabric.sample_round(&g, &protocol, choice, none, None, &blocked, gate, &mut rng);
+                (fabric, rng)
+            };
+            let (quiet, quiet_rng) = sample(false);
+            let (silent, silent_rng) = sample(true);
             assert_eq!(silent_rng, quiet_rng, "k = {k}");
-            let counters = |f: &ChannelFabric| (f.skipped_last(), f.words_last(), f.jumped_last());
-            assert_eq!(counters(&silent), counters(&quiet), "k = {k}");
-            assert!(quiet.words_last() > 0 && quiet.skipped_last() > 0);
-            assert!(quiet.sampled_callers() && !silent.sampled_callers());
+            assert_eq!(silent.counters(), quiet.counters(), "k = {k}");
+            let counters = quiet.counters();
+            assert!(counters.fabric_words > 0 && counters.skipped_draws > 0);
+            assert!(!quiet.is_silent() && silent.is_silent());
             assert_eq!((quiet.len(), silent.len()), (0, 0));
         }
     }
@@ -730,44 +864,23 @@ mod tests {
     #[test]
     fn quiet_callers_are_sampled_off_the_fast_path() {
         // Per-channel failure draws need the targets, so a lossy round
-        // treats quiet callers as open.
+        // treats quiet callers as open, and a lossy silent round samples.
         let g = gen::complete(16);
-        let blocked = vec![false; 16];
-        let mut fabric = ChannelFabric::new(16);
-        let mut choice = ChoiceState::new(16, ChoicePolicy::FOUR);
-        let mut rng = SmallRng::seed_from_u64(13);
-        fabric.sample(
-            &g,
-            ChoicePolicy::FOUR,
-            &mut choice,
-            FailureModel::channels(0.3),
-            &blocked,
-            None,
-            |_| CallerGate::Quiet,
-            &mut rng,
-        );
-        assert!(!fabric.is_fast_path());
-        assert_eq!(fabric.len(), 16 * 4);
+        let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+        for silent in [false, true] {
+            let quiet = gate(|_| false, |_| false, silent);
+            let (fabric, _) = sample_one(&g, &four, FailureModel::channels(0.3), None, quiet, 13);
+            assert!(!fabric.is_fast_path() && !fabric.is_silent());
+            assert_eq!(fabric.len(), 16 * 4);
+        }
     }
 
     #[test]
     fn fabric_slow_path_materialises_all_sampled_channels() {
         let g = gen::complete(16);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut choice = ChoiceState::new(16, ChoicePolicy::STANDARD);
-        let mut fabric = ChannelFabric::new(16);
-        let crashed = vec![false; 16];
-        let channels = fabric.sample(
-            &g,
-            ChoicePolicy::STANDARD,
-            &mut choice,
-            FailureModel::channels(0.5),
-            &crashed,
-            None,
-            |_| CallerGate::Open,
-            &mut rng,
-        );
-        assert_eq!(channels, 16);
+        let lossy = FailureModel::channels(0.5);
+        let (fabric, _) = sample_one(&g, &FloodPushPull::new(), lossy, None, all_open(), 9);
+        assert_eq!(fabric.counters().channels, 16);
         assert_eq!(fabric.len(), 16);
         assert!(!fabric.is_fast_path());
         let usable = (0..fabric.len()).filter(|&c| fabric.usable(c)).count();
@@ -775,33 +888,49 @@ mod tests {
     }
 
     #[test]
-    fn partition_view_blocks_cross_component_channels_on_the_fast_path() {
-        use crate::failure::{FaultEvent, FaultPlan, FaultState};
+    fn transmission_draws_cover_each_used_direction_once() {
+        // Even callers push and callees divisible by 3 pull-serve: one
+        // outcome per used direction, none without a failure rate.
         let g = gen::complete(12);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut choice = ChoiceState::new(12, ChoicePolicy::FOUR);
-        let mut fabric = ChannelFabric::new(12);
-        let blocked = vec![false; 12];
+        let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+        let pushes = |i: usize| i.is_multiple_of(2);
+        let serves = |w: usize| w.is_multiple_of(3);
+        for rate in [0.0, 0.5] {
+            let failures = FailureModel::transmissions(rate);
+            let (mut fabric, mut rng) = sample_one(&g, &four, failures, None, all_open(), 4);
+            let before = rng.clone();
+            let used = fabric.draw_transmissions(failures, pushes, serves, &mut rng);
+            let want: u64 = (0..12)
+                .flat_map(|i| fabric.out_range(i).map(move |c| (i, c)))
+                .map(|(i, c)| u64::from(pushes(i)) + u64::from(serves(fabric.target(c).index())))
+                .sum();
+            assert_eq!(used, want);
+            let arrived = (0..fabric.len())
+                .filter(|&c| fabric.push_arrives(c) && fabric.pull_arrives(c))
+                .count();
+            if rate == 0.0 {
+                assert_eq!(rng, before, "no rate, no draw");
+                assert_eq!(arrived, fabric.len());
+            } else {
+                assert!(rng != before && arrived < fabric.len());
+            }
+        }
+    }
+
+    #[test]
+    fn partition_view_blocks_cross_component_channels_on_the_fast_path() {
+        let g = gen::complete(12);
         let plan = FaultPlan {
             schedule: vec![FaultEvent::Partition { from: 1, until: 9, parts: 3 }],
             ..FaultPlan::default()
         };
         let mut fs = FaultState::new(&plan, 12, 0);
         fs.begin_round(1, 12, |_| 11, |_| None, |_| true);
-        let view = fs.channel_view().expect("partition active");
-        let channels = fabric.sample(
-            &g,
-            ChoicePolicy::FOUR,
-            &mut choice,
-            FailureModel::NONE,
-            &blocked,
-            Some(&view),
-            |_| CallerGate::Open,
-            &mut rng,
-        );
+        let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+        let (fabric, _) = sample_one(&g, &four, FailureModel::NONE, Some(&fs), all_open(), 4);
         // Opened channels are still counted; only same-component ones
         // materialise, and a pure partition keeps the draw-free fast path.
-        assert_eq!(channels, 12 * 4);
+        assert_eq!(fabric.counters().channels, 12 * 4);
         assert!(fabric.is_fast_path());
         assert!(fabric.len() < 12 * 4, "cross-component channels must be dropped");
         for i in 0..12 {
@@ -813,12 +942,7 @@ mod tests {
 
     #[test]
     fn burst_view_forces_the_slow_path_and_fails_bad_channels() {
-        use crate::failure::{FaultPlan, FaultState, GilbertElliott};
         let g = gen::complete(16);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let mut choice = ChoiceState::new(16, ChoicePolicy::STANDARD);
-        let mut fabric = ChannelFabric::new(16);
-        let blocked = vec![false; 16];
         // Chains that are certainly bad from round 1, with certain loss.
         let plan = FaultPlan {
             burst: Some(GilbertElliott::new(1.0, 0.0, 0.0, 1.0)),
@@ -826,18 +950,9 @@ mod tests {
         };
         let mut fs = FaultState::new(&plan, 16, 3);
         fs.begin_round(1, 16, |_| 15, |_| None, |_| true);
-        let view = fs.channel_view().expect("burst active");
-        let channels = fabric.sample(
-            &g,
-            ChoicePolicy::STANDARD,
-            &mut choice,
-            FailureModel::NONE,
-            &blocked,
-            Some(&view),
-            |_| CallerGate::Open,
-            &mut rng,
-        );
-        assert_eq!(channels, 16);
+        let (fabric, _) =
+            sample_one(&g, &FloodPushPull::new(), FailureModel::NONE, Some(&fs), all_open(), 8);
+        assert_eq!(fabric.counters().channels, 16);
         assert!(!fabric.is_fast_path(), "burst loss requires per-channel draws");
         assert_eq!(fabric.len(), 16, "slow path materialises every sampled channel");
         let usable = (0..fabric.len()).filter(|&c| fabric.usable(c)).count();

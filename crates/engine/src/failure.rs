@@ -353,12 +353,6 @@ impl FaultChannelView<'_> {
         }
     }
 
-    /// Whether per-channel loss draws are needed (burst chains present).
-    #[inline]
-    pub(crate) fn lossy(&self) -> bool {
-        self.burst.is_some()
-    }
-
     /// Extra loss probability of channel `i → w` from the burst states of
     /// `i`'s outgoing end and `w`'s incoming end.
     #[inline]
@@ -440,7 +434,8 @@ impl FaultState {
         &self.plan
     }
 
-    /// Whether burst chains are active (forces the fabric's slow path).
+    /// Whether burst chains are active (they need per-channel loss draws,
+    /// so they force the fabric's slow path).
     #[inline]
     pub(crate) fn bursty(&self) -> bool {
         self.plan.burst.is_some()
@@ -721,8 +716,8 @@ mod tests {
         let mut saw_loss = false;
         for t in 1..=200 {
             fs.begin_round(t, 8, |_| 4, |_| None, |_| true);
+            assert!(fs.bursty());
             let view = fs.channel_view().expect("burst plans always have a view");
-            assert!(view.lossy());
             for i in 0..8 {
                 for w in 0..8 {
                     let p = view.burst_loss(i, w);
@@ -772,7 +767,7 @@ mod tests {
                     assert!(partitioned);
                     assert!(view.connects(0, 2), "same component");
                     assert!(!view.connects(0, 1), "cross component");
-                    assert!(!view.lossy());
+                    assert!(!fs.bursty());
                     assert_eq!(view.burst_loss(0, 1), 0.0);
                 }
                 None => assert!(!partitioned, "round {t} should be partitioned"),

@@ -22,10 +22,11 @@
 //! is free (it amortises over many concurrent rumours, which
 //! [`MultiRumorSimulation`] demonstrates).
 //!
-//! # Engine architecture: the flat-arena round engine
+//! # Engine architecture: the flat-arena round engines
 //!
 //! Each [`SimState::step`] runs the [`StepPhase`]s in this order over flat
-//! buffers reused across rounds:
+//! buffers reused across rounds (the multi-rumour engine runs the same
+//! order):
 //!
 //! 1. **Faults** — the fault plan's node events, then i.i.d. crash-stop
 //!    sampling (one fault phase shared by all three engines).
@@ -41,6 +42,9 @@
 //!    `Open`. A silent round on the failure-free fast path skips the
 //!    sampling and the next two phases: one pass counts the channels and
 //!    generator words, and one `discard` jumps the generator past them.
+//!    These rules, and the serial pre-draw of transmission outcomes (one
+//!    per used channel direction), are written once in the engine's
+//!    fabric module and shared by both round engines.
 //! 4. **Exchange** — receipts go into a CSR *observation arena*; a
 //!    zero-failure fast path skips every per-call Bernoulli draw (the
 //!    stream is identical either way).
@@ -56,13 +60,16 @@
 //! warm, a round performs **no heap allocation** (asserted by the
 //! `steady_state_rounds_do_not_allocate` test).
 //!
-//! The **multi-rumour engine** ([`MultiSimState`]) samples one channel
-//! fabric per round, shared by all rumours, and keeps per-rumour informed
-//! index lists (`O(informed·rumours)` passes, not `O(n·rumours)`), a single
+//! The **multi-rumour engine** ([`MultiSimState`]) plans every rumour
+//! first and then samples one gated channel fabric per round, shared by
+//! all rumours; it keeps per-rumour informed index lists
+//! (`O(informed·rumours)` passes, not `O(n·rumours)`), a single
 //! observation arena, retirement of settled rumours, and
 //! once-per-channel-direction transmission-failure draws so combined
 //! messages fail atomically (§1.2). Its one-rumour case is seed-for-seed
-//! identical to [`SimState`] across all failure models (`tests/parity.rs`).
+//! identical to [`SimState`] across all failure models, every round's
+//! [`RoundCounters`] included (`tests/parity.rs`), and both engines match
+//! a naive reference simulator seed for seed (`tests/oracle.rs`).
 //!
 //! **Dynamic membership** is first-class: all three engines track
 //! aliveness in an incrementally-maintained [`AliveCensus`], so coverage,

@@ -3,7 +3,7 @@ use rand::Rng;
 use rrb_graph::NodeId;
 
 use crate::choice::ChoiceState;
-use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
+use crate::fabric::{ChannelFabric, InformedIndex, RoundGate};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger};
 use crate::observation::ObservationArena;
@@ -119,22 +119,27 @@ impl MultiRumorReport {
 ///    node events (outage recoveries, suspensions, scripted/adversarial
 ///    crashes) apply to the census, exactly as in the single engine.
 ///    Then **crash sampling** (skipped unless the model injects crashes).
-/// 3. **Shared channel fabric** — every alive node's call targets are
-///    sampled once into the CSR channel fabric and shared by all
-///    rumours; the capability-gated push-only sampling skip applies to
-///    callers informed of *no* active rumour. Pull-capable protocols also
-///    get a reverse (incoming-channel) index, built once per round.
-/// 4. **Plans** — each active rumour's senders are planned into a flat
+/// 3. **Plans** — each active rumour's senders are planned into a flat
 ///    CSR plan store: `O(informed · rumours)`, not `O(n · rumours)`. An
 ///    [`oblivious`](crate::Capabilities::oblivious) protocol is asked once
 ///    per reception round on the rumour's local clock (the helper the
 ///    single engine shares), and only the groups of reception rounds that
 ///    transmit are walked — a rumour none of whose rounds transmits plans
-///    no node.
-/// 5. **Direction census** — one `O(channels)` pass counts combined
-///    messages and draws each channel-direction's transmission failure
-///    **once**, so a combined message succeeds or fails atomically for
-///    every rumour it carries (§1.2).
+///    no node. Plans are RNG-free, so making them before the fabric moves
+///    no draw.
+/// 4. **Gated fabric** — every alive node's call targets are sampled once
+///    into the CSR channel fabric and shared by all rumours, through the
+///    round gate the single engine uses: a caller informed of *no* active
+///    rumour takes the push-only sampling skip, one that pushes no rumour
+///    in a round in which nobody pull-serves is quiet (its channels are
+///    counted and its draws skipped, none stored), and a round in which an
+///    oblivious protocol plans no sender skips the sampling altogether.
+///    When some node pull-serves, a reverse (incoming-channel) index is
+///    built.
+/// 5. **Direction pre-draw** — one pass over the stored channels counts
+///    combined messages and draws each used channel direction's
+///    transmission failure **once**, so a combined message succeeds or
+///    fails atomically for every rumour it carries (§1.2).
 /// 6. **Exchanges + digest** per rumour, walking only the rumour's
 ///    senders (forward lists for pushes, reverse index for pulls) and the
 ///    observation arena's touched receivers. For an oblivious protocol
@@ -229,11 +234,6 @@ pub struct MultiSimState<P: Protocol> {
     push_any: Vec<bool>,
     pull_any: Vec<bool>,
     plan_touched: Vec<u32>,
-    /// Per channel-direction transmission outcomes, drawn once per round
-    /// (§1.2: co-riding rumours share the draw). Empty when the model has
-    /// no transmission failures.
-    push_ok: Vec<bool>,
-    pull_ok: Vec<bool>,
 }
 
 impl<P: Protocol> MultiSimState<P> {
@@ -296,8 +296,6 @@ impl<P: Protocol> MultiSimState<P> {
             push_any: vec![false; n],
             pull_any: vec![false; n],
             plan_touched: Vec::new(),
-            push_ok: Vec::new(),
-            pull_ok: Vec::new(),
         }
     }
 
@@ -398,7 +396,6 @@ impl<P: Protocol> MultiSimState<P> {
         for &v in rejoined {
             let i = v.index();
             self.ensure_len(protocol, i + 1);
-            let was_effective = self.ledger.census.is_effective(i);
             for r in 0..self.births.len() {
                 // Keep the sparse state vector aligned with the index list.
                 let unmarked = if grouped {
@@ -406,13 +403,14 @@ impl<P: Protocol> MultiSimState<P> {
                 } else {
                     self.informed[r].unmark(i).map(|p| self.states[r].swap_remove(p)).is_some()
                 };
-                if unmarked {
-                    if was_effective {
-                        self.alive_informed[r] -= 1;
-                    }
-                    if self.active[r] && !self.retired[r] {
-                        self.informed_of[i] -= 1;
-                    }
+                // Only a departed slot is recycled, and every coverage
+                // numerator dropped it when it left.
+                debug_assert!(
+                    !(unmarked && self.ledger.census.is_effective(i)),
+                    "recycled slot {i} is live"
+                );
+                if unmarked && self.active[r] && !self.retired[r] {
+                    self.informed_of[i] -= 1;
                 }
             }
             self.choice.reset_slot(i);
@@ -430,8 +428,6 @@ impl<P: Protocol> MultiSimState<P> {
         caps.extend([
             self.plan_store.capacity(),
             self.plan_touched.capacity(),
-            self.push_ok.capacity(),
-            self.pull_ok.capacity(),
             self.scratch_obs.pushes.capacity(),
             self.scratch_obs.pulls.capacity(),
             self.informed.iter().map(InformedIndex::capacity).sum(),
@@ -519,9 +515,7 @@ impl<P: Protocol> MultiSimState<P> {
         let n = topo.node_count();
         self.ensure_len(protocol, n);
         self.ledger.census.adopt_new_slots(topo);
-        let policy = protocol.choice_policy();
         let caps = protocol.capabilities();
-        let uses_pull = caps.uses_pull;
         self.ledger.round += 1;
         let t = self.ledger.round;
         // Phase attribution clock: armed only when a probe is installed,
@@ -574,46 +568,18 @@ impl<P: Protocol> MultiSimState<P> {
         );
         self.ledger.lap(StepPhase::Faults);
 
-        // Phase 3: the shared channel fabric. The push-only sampling skip
-        // applies to callers informed of no active rumour: their channels
-        // can carry nothing in either direction, so they are counted but
-        // never sampled. Every other caller is `Open`: this engine never
-        // marks a caller `Quiet`.
-        let skip_uninformed = !uses_pull && policy.is_memoryless();
-        let informed_of = &self.informed_of;
-        let fault_view = self.ledger.faults.as_ref().and_then(FaultState::channel_view);
-        let channels = self.fabric.sample(
-            topo,
-            policy,
-            &mut self.choice,
-            failures,
-            self.ledger.census.blocked_slice(),
-            fault_view.as_ref(),
-            |i| {
-                if skip_uninformed && informed_of[i] == 0 {
-                    CallerGate::Skip
-                } else {
-                    CallerGate::Open
-                }
-            },
-            rng,
-        );
-        if uses_pull {
-            self.fabric.build_incoming(n);
-        }
-        self.ledger.lap(StepPhase::Fabric);
-
-        // Phase 4: plans. Each active rumour's senders are planned into
-        // the flat CSR plan store; per-node any-rumour transmit flags feed
-        // the direction census below. An oblivious protocol is asked once
-        // per reception round on the rumour's local clock, and only the
-        // groups of rounds that transmit are walked.
+        // Phase 3: plans. Each active rumour's senders are planned into
+        // the flat CSR plan store; per-node any-rumour transmit flags gate
+        // the fabric and the transmission pre-draw below. An oblivious
+        // protocol is asked once per reception round on the rumour's local
+        // clock, and only the groups of rounds that transmit are walked.
         for &i in &self.plan_touched {
             self.push_any[i as usize] = false;
             self.pull_any[i as usize] = false;
         }
         self.plan_touched.clear();
         self.plan_store.clear();
+        let mut any_pull = false;
         for ai in 0..active_end {
             let r = self.activation_order[ai] as usize;
             if self.retired[r] {
@@ -662,48 +628,45 @@ impl<P: Protocol> MultiSimState<P> {
                 }
                 self.push_any[i] |= plan.push;
                 self.pull_any[i] |= plan.pull_serve;
+                any_pull |= plan.pull_serve;
             }
         }
         self.ledger.lap(StepPhase::Plan);
 
-        // Phase 5: direction census — one O(channels) pass, shared by all
-        // rumours, that (a) counts combined messages (a channel-direction
-        // used by any number of co-riding rumours is one message) and
-        // (b) draws each used direction's transmission failure exactly
-        // once, so a combined message succeeds or fails atomically (§1.2).
-        // Draw order matches the single-rumour engine's exchange loop.
-        let draw_tx = failures.transmission_failure > 0.0;
-        if draw_tx {
-            self.push_ok.clear();
-            self.push_ok.resize(self.fabric.len(), true);
-            self.pull_ok.clear();
-            self.pull_ok.resize(self.fabric.len(), true);
+        // Phase 4: the shared channel fabric, through the round gate the
+        // single engine uses (`fabric.rs`). A caller informed of no active
+        // rumour is the push-only skip's; one that pushes no rumour, in a
+        // round in which no node pull-serves, is quiet. A round in which an
+        // oblivious protocol plans no sender is silent. Pulls walk the
+        // reverse (incoming-channel) index, built when some node serves.
+        let (informed_of, push_any, pull_any) = (&self.informed_of, &self.push_any, &self.pull_any);
+        self.fabric.sample_round(
+            topo,
+            protocol,
+            &mut self.choice,
+            failures,
+            self.ledger.faults.as_ref(),
+            self.ledger.census.blocked_slice(),
+            RoundGate {
+                uninformed: |i: usize| informed_of[i] == 0,
+                pushes: |i: usize| push_any[i],
+                any_pull,
+                silent: caps.oblivious && self.plan_store.is_empty(),
+            },
+            rng,
+        );
+        if any_pull {
+            self.fabric.build_incoming(n);
         }
-        if !self.plan_touched.is_empty() {
-            for i in 0..n {
-                let range = self.fabric.out_range(i);
-                if range.is_empty() {
-                    continue;
-                }
-                let push_i = self.push_any[i];
-                for c in range {
-                    if !self.fabric.usable(c) {
-                        continue;
-                    }
-                    if push_i {
-                        self.combined += 1;
-                        if draw_tx {
-                            self.push_ok[c] = failures.transmission_ok(rng);
-                        }
-                    }
-                    if self.pull_any[self.fabric.target(c).index()] {
-                        self.combined += 1;
-                        if draw_tx {
-                            self.pull_ok[c] = failures.transmission_ok(rng);
-                        }
-                    }
-                }
-            }
+        self.ledger.lap(StepPhase::Fabric);
+
+        // Phase 5: the transmission pre-draw over the used channel
+        // directions, one outcome per direction shared by every rumour on
+        // it, in the single engine's order; it counts the combined
+        // messages. It rides in the first rumour's Exchange lap.
+        if !self.plan_store.is_empty() {
+            self.combined +=
+                self.fabric.draw_transmissions(failures, |i| push_any[i], |w| pull_any[w], rng);
         }
 
         // Phase 6: per-rumour exchanges and digest over the shared fabric.
@@ -742,7 +705,7 @@ impl<P: Protocol> MultiSimState<P> {
                         continue;
                     }
                     rumor_push += 1;
-                    if draw_tx && !self.push_ok[c] {
+                    if !self.fabric.push_arrives(c) {
                         continue;
                     }
                     let w = self.fabric.target(c).index();
@@ -753,7 +716,7 @@ impl<P: Protocol> MultiSimState<P> {
                     }
                 }
             }
-            if uses_pull {
+            if any_pull {
                 for k in senders {
                     let (w, plan) = self.plan_store[k];
                     if !plan.pull_serve {
@@ -764,7 +727,7 @@ impl<P: Protocol> MultiSimState<P> {
                             continue;
                         }
                         rumor_pull += 1;
-                        if draw_tx && !self.pull_ok[c as usize] {
+                        if !self.fabric.pull_arrives(c as usize) {
                             continue;
                         }
                         if caps.oblivious {
@@ -778,9 +741,8 @@ impl<P: Protocol> MultiSimState<P> {
             self.tx[r] += rumor_push + rumor_pull;
             push_tx += rumor_push;
             pull_tx += rumor_pull;
-            // The direction census above (run once, before the first
-            // rumour) rides in the first Exchange lap; later laps cover
-            // only their rumour's sends.
+            // The pre-draw above rides in the first Exchange lap; later
+            // laps cover only their rumour's sends.
             self.ledger.lap(StepPhase::Exchange);
 
             if caps.oblivious {
@@ -824,9 +786,7 @@ impl<P: Protocol> MultiSimState<P> {
             newly_informed,
             push_tx,
             pull_tx,
-            channels,
-            skipped_draws: self.fabric.skipped_last(),
-            ..RoundCounters::default()
+            ..self.fabric.counters()
         });
     }
 

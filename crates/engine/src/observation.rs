@@ -32,11 +32,6 @@ impl Observation {
         self.pushes.len() + self.pulls.len()
     }
 
-    /// `true` if any copy arrived this round.
-    pub fn heard_rumor(&self) -> bool {
-        self.received() > 0
-    }
-
     /// Iterator over all received metadata, pushes first.
     pub fn iter(&self) -> impl Iterator<Item = &RumorMeta> {
         self.pushes.iter().chain(self.pulls.iter())
@@ -272,11 +267,9 @@ mod tests {
     #[test]
     fn counts_and_iteration() {
         let mut obs = Observation::default();
-        assert!(!obs.heard_rumor());
         obs.pushes.push(RumorMeta { age: 3, counter: 0 });
         obs.pulls.push(RumorMeta { age: 5, counter: 2 });
         assert_eq!(obs.received(), 2);
-        assert!(obs.heard_rumor());
         let ages: Vec<u32> = obs.iter().map(|m| m.age).collect();
         assert_eq!(ages, vec![3, 5]);
         obs.clear();

@@ -8,8 +8,8 @@
 //!
 //! Every *model* RNG draw — crash sampling, channel opening, per-call
 //! transmission outcomes — stays on the main sequential stream in one
-//! fixed order (transmission outcomes are pre-drawn serially into
-//! per-channel tables before the exchange fans out). The phases that do
+//! fixed order (transmission outcomes are pre-drawn serially into the
+//! channel fabric's per-channel tables before the exchange fans out). The phases that do
 //! fan out are RNG-free by construction, and every cross-shard effect is
 //! buffered per (source shard → target shard) and merged at the round
 //! barrier in ascending source-shard order — reproducing the global
@@ -63,8 +63,8 @@ impl ShardLayout {
 
 /// Per-run scratch owned by the round path: one observation arena
 /// per shard (locally indexed), per-(source → target) push outboxes,
-/// per-shard informed lists and newly-informed buffers, and the serial
-/// transmission pre-draw tables. Reused across rounds.
+/// and per-shard informed lists and newly-informed buffers. Reused
+/// across rounds.
 #[derive(Debug)]
 pub(crate) struct ShardRuntime {
     pub(crate) layout: ShardLayout,
@@ -82,9 +82,6 @@ pub(crate) struct ShardRuntime {
     pub(crate) newly: Vec<Vec<u32>>,
     /// Per-shard digest scratch observation.
     pub(crate) scratch: Vec<Observation>,
-    /// Serial transmission pre-draw tables, indexed by channel.
-    pub(crate) push_ok: Vec<bool>,
-    pub(crate) pull_ok: Vec<bool>,
 }
 
 impl ShardRuntime {
@@ -103,8 +100,6 @@ impl ShardRuntime {
             informed_lists: vec![Vec::new(); count],
             newly: vec![Vec::new(); count],
             scratch: (0..count).map(|_| Observation::default()).collect(),
-            push_ok: Vec::new(),
-            pull_ok: Vec::new(),
         };
         for &i in informed {
             rt.informed_lists[layout.shard_of(i as usize)].push(i);
@@ -123,15 +118,14 @@ impl ShardRuntime {
     }
 
     /// Heap capacities of every per-round buffer (arenas, outboxes,
-    /// informed and newly-informed lists, digest scratch, pre-draw
-    /// tables), for the no-allocation tests.
+    /// informed and newly-informed lists, digest scratch), for the
+    /// no-allocation tests.
     pub(crate) fn capacities(&self) -> Vec<usize> {
         let mut caps: Vec<usize> = self.arenas.iter().flat_map(|a| a.capacities()).collect();
         caps.extend(self.outboxes.iter().flatten().map(Vec::capacity));
         caps.extend(self.informed_lists.iter().map(Vec::capacity));
         caps.extend(self.newly.iter().map(Vec::capacity));
         caps.extend(self.scratch.iter().flat_map(|o| [o.pushes.capacity(), o.pulls.capacity()]));
-        caps.extend([self.push_ok.capacity(), self.pull_ok.capacity()]);
         caps
     }
 

@@ -7,7 +7,7 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
-use crate::fabric::{CallerGate, ChannelFabric, InformedIndex};
+use crate::fabric::{ChannelFabric, InformedIndex, RoundGate};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger, Tally};
 use crate::observation::{ObservationArena, RumorMeta};
@@ -16,7 +16,7 @@ use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
 use crate::telemetry::{RoundCounters, ShardClock, StepPhase};
 use crate::{
-    ChoicePolicy, FailureModel, NodeView, Observation, Plan, Protocol, Round, RunReport, Topology,
+    FailureModel, NodeView, Observation, Plan, Protocol, Round, RunReport, Topology,
 };
 
 /// Engine configuration.
@@ -290,9 +290,9 @@ impl<P: Protocol> SimState<P> {
             let i = v.index();
             self.ensure_len(protocol, i + 1);
             if self.informed.unmark(i).is_some() {
-                if self.ledger.census.is_effective(i) {
-                    self.tally.alive_informed -= 1;
-                }
+                // Only a departed slot is recycled, and the coverage
+                // numerator dropped it when it left.
+                debug_assert!(!self.ledger.census.is_effective(i), "recycled slot {i} is live");
                 if let Some(rt) = self.shard_rt.as_mut() {
                     rt.forget(i);
                 }
@@ -381,7 +381,6 @@ impl<P: Protocol> SimState<P> {
         self.tally.sync_census(&mut self.ledger, topo, &self.informed);
         self.ledger.round += 1;
         let t = self.ledger.round;
-        let policy = protocol.choice_policy();
         // Phase attribution clock: armed only when a probe is installed,
         // so the bare engine reads no clocks (see `telemetry.rs`).
         self.ledger.arm_clock();
@@ -400,25 +399,6 @@ impl<P: Protocol> SimState<P> {
             },
         );
         self.ledger.lap(StepPhase::Faults);
-        // Channel/transmission failures (and burst-loss chains) are the
-        // only per-call Bernoulli draws; crash-stop sampling is a separate
-        // per-node phase, so a crash-only model still takes the draw-free
-        // exchange fast path.
-        let fast_path = failures.channel_failure == 0.0
-            && failures.transmission_failure == 0.0
-            && self.ledger.faults.as_ref().is_none_or(|fs| !fs.bursty());
-        // Capability-gated sampling skip: if the protocol never pull-serves,
-        // a channel opened by an *uninformed* caller can carry nothing (its
-        // push direction has nothing to send, its pull direction is never
-        // served), so sampling its targets is pure waste. Only policies
-        // whose sampling touches no per-node state qualify
-        // (`ChoicePolicy::is_memoryless` — SequentialMemory rings and
-        // Cyclic cursors advance as a side effect of sampling, which
-        // skipping would alter). For a memoryless policy the number of
-        // channels such a node would open is the deterministic
-        // `min(fanout, deg)`, so the `channels` metric still counts them
-        // without touching the RNG.
-        let skip_uninformed = !protocol.capabilities().uses_pull && policy.is_memoryless();
 
         // Phase a: informed nodes decide their plans. Plans are RNG-free
         // and read only state settled above, so they are made before the
@@ -431,80 +411,39 @@ impl<P: Protocol> SimState<P> {
         let any_pull = self.plan_sharded(n, t, protocol, config.shards);
         self.ledger.lap(StepPhase::Plan);
 
-        // Phase b: every alive node opens channels (shared fabric code in
-        // `fabric.rs`). On the fast path a channel is usable iff the callee
-        // slot is alive and uncrashed, so unusable channels are counted but
-        // never materialised and the per-channel Bernoulli draw is skipped
-        // (`FailureModel::NONE` draws nothing from the RNG either way — the
-        // streams stay identical). A caller that does not push, in a round
-        // in which no node pull-serves, can carry nothing: it is `Quiet`,
-        // so on the fast path it stores no channel and its draws are
-        // skipped rather than made. That covers the uninformed majority in
-        // push rounds and everyone in silent rounds.
-        //
-        // A silent round of an oblivious protocol (no reception round
-        // transmits, so every plan is `SILENT` and nobody pull-serves) on
-        // the fast path under `Distinct(k)` moves nothing: every caller is
-        // `Quiet` or `Skip`, and the words each owes depend only on its
-        // flags and degree. It skips the sampling and phases c–d: one O(n)
-        // pass counts the channels, the skipped draws and the words, and
-        // one `discard` moves the generator past them, so the counters and
-        // the stream are the ones the full round would produce.
-        let informed = &self.informed;
-        let (channels, push_tx, pull_tx, newly_informed) = match policy {
-            ChoicePolicy::Distinct(k) if self.plans_silent && !any_pull && fast_path => {
-                let channels = self.fabric.sample_silent(
-                    topo,
-                    k,
-                    self.ledger.census.blocked_slice(),
-                    |i| skip_uninformed && !informed.is_informed(i),
-                    rng,
-                );
-                self.ledger.lap(StepPhase::Fabric);
-                self.ledger.lap(StepPhase::Exchange);
-                self.ledger.lap(StepPhase::Update);
-                (channels, 0, 0, 0)
-            }
-            _ => {
-                let plans = &self.plans;
-                let fault_view = self.ledger.faults.as_ref().and_then(FaultState::channel_view);
-                let channels = self.fabric.sample(
-                    topo,
-                    policy,
-                    &mut self.choice,
-                    failures,
-                    self.ledger.census.blocked_slice(),
-                    fault_view.as_ref(),
-                    |i| {
-                        if skip_uninformed && !informed.is_informed(i) {
-                            CallerGate::Skip
-                        } else if plans[i].push || any_pull {
-                            CallerGate::Open
-                        } else {
-                            CallerGate::Quiet
-                        }
-                    },
-                    rng,
-                );
-                self.ledger.lap(StepPhase::Fabric);
-                // Phases c–d (exchange / update-digest).
-                let (push_tx, pull_tx, newly_informed) = self
-                    .phases_sharded(n, t, protocol, any_pull, failures, fast_path, rng);
-                (channels, push_tx, pull_tx, newly_informed)
-            }
+        // Phase b: every alive node opens channels through the round gate
+        // shared with the multi-rumour engine (`fabric.rs`): the plans say
+        // who pushes, who knows the rumour and whether anyone pull-serves,
+        // and a silent round of an oblivious protocol may skip the
+        // sampling and phases c–d altogether.
+        let (informed, plans) = (&self.informed, &self.plans);
+        self.fabric.sample_round(
+            topo,
+            protocol,
+            &mut self.choice,
+            failures,
+            self.ledger.faults.as_ref(),
+            self.ledger.census.blocked_slice(),
+            RoundGate {
+                uninformed: |i: usize| !informed.is_informed(i),
+                pushes: |i: usize| plans[i].push,
+                any_pull,
+                silent: self.plans_silent,
+            },
+            rng,
+        );
+        self.ledger.lap(StepPhase::Fabric);
+        let (push_tx, pull_tx, newly_informed) = if self.fabric.is_silent() {
+            self.ledger.lap(StepPhase::Exchange);
+            self.ledger.lap(StepPhase::Update);
+            (0, 0, 0)
+        } else {
+            // Phases c–d (exchange / update-digest).
+            self.phases_sharded(n, t, protocol, any_pull, failures, rng)
         };
 
         // Phase e: totals, coverage instant, probe and history (`ledger.rs`).
-        let counters = RoundCounters {
-            newly_informed,
-            push_tx,
-            pull_tx,
-            channels,
-            skipped_draws: self.fabric.skipped_last(),
-            fabric_words: self.fabric.words_last(),
-            jumped_words: self.fabric.jumped_last(),
-            ..RoundCounters::default()
-        };
+        let counters = RoundCounters { newly_informed, push_tx, pull_tx, ..self.fabric.counters() };
         self.tally.close_round(&mut self.ledger, counters, &self.informed, config.record_history)
     }
 
@@ -572,14 +511,13 @@ impl<P: Protocol> SimState<P> {
 
     /// Phases c–d: one task per contiguous node-slot shard for exchange
     /// and merge-digest, with the per-call transmission outcomes
-    /// pre-drawn serially (callers ascending, push draw then pull draw
-    /// per usable channel) so the fan-out touches no RNG. Cross-shard
-    /// push receipts travel through per-(source → target) outboxes
-    /// merged in ascending source-shard order, which reproduces the
-    /// global caller order — see `crate::shard` for the determinism
+    /// pre-drawn serially by the fabric so the fan-out touches no RNG.
+    /// Cross-shard push receipts travel through per-(source → target)
+    /// outboxes merged in ascending source-shard order, which reproduces
+    /// the global caller order — see `crate::shard` for the determinism
     /// argument. Runs after [`plan_sharded`](Self::plan_sharded), which
     /// builds the runtime.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    #[allow(clippy::type_complexity)]
     fn phases_sharded<R: Rng + ?Sized>(
         &mut self,
         n: usize,
@@ -587,7 +525,6 @@ impl<P: Protocol> SimState<P> {
         protocol: &P,
         any_pull: bool,
         failures: FailureModel,
-        fast_path: bool,
         rng: &mut R,
     ) -> (u64, u64, usize) {
         let probing = self.ledger.probe.is_some();
@@ -596,34 +533,16 @@ impl<P: Protocol> SimState<P> {
         let layout = rt.layout;
         let count = layout.count();
 
-        // Serial pre-draw of per-call transmission outcomes (push draw
-        // then pull draw per usable channel, callers ascending). Skipped
-        // entirely when the transmission rate is zero: such draws would
-        // short-circuit without touching the RNG.
-        let tx_draws = !fast_path && failures.transmission_failure > 0.0;
-        if tx_draws {
-            rt.push_ok.clear();
-            rt.push_ok.resize(self.fabric.len(), false);
-            rt.pull_ok.clear();
-            rt.pull_ok.resize(self.fabric.len(), false);
-            for i in 0..n {
-                let range = self.fabric.out_range(i);
-                if range.is_empty() {
-                    continue;
-                }
-                let caller_push = self.plans[i].push;
-                for c in range {
-                    if !self.fabric.usable(c) {
-                        continue;
-                    }
-                    if caller_push {
-                        rt.push_ok[c] = failures.transmission_ok(rng);
-                    }
-                    if any_pull && self.plans[self.fabric.target(c).index()].pull_serve {
-                        rt.pull_ok[c] = failures.transmission_ok(rng);
-                    }
-                }
-            }
+        // Serial pre-draw of per-call transmission outcomes, skipped
+        // entirely when the transmission rate is zero (nothing to draw).
+        if failures.transmission_failure > 0.0 {
+            let plans = &self.plans;
+            self.fabric.draw_transmissions(
+                failures,
+                |i| plans[i].push,
+                |w| any_pull && plans[w].pull_serve,
+                rng,
+            );
         }
 
         // Phase c (fanned out): each shard walks its own callers'
@@ -638,9 +557,7 @@ impl<P: Protocol> SimState<P> {
             let fabric = &self.fabric;
             let plans = &self.plans;
             let informed = &self.informed;
-            let ShardRuntime { arenas, outboxes, push_ok, pull_ok, .. } = &mut *rt;
-            let push_ok = &*push_ok;
-            let pull_ok = &*pull_ok;
+            let ShardRuntime { arenas, outboxes, .. } = &mut *rt;
             let taken_arenas = std::mem::take(arenas);
             let taken_outboxes = std::mem::take(outboxes);
             let items: Vec<(usize, ObservationArena, Vec<Vec<(u32, RumorMeta)>>)> = taken_arenas
@@ -660,13 +577,9 @@ impl<P: Protocol> SimState<P> {
                     let (ptx, pltx) = shard_exchange(
                         fabric,
                         plans,
-                        push_ok,
-                        pull_ok,
                         layout,
                         layout.range(s, n),
-                        fast_path,
                         any_pull,
-                        tx_draws,
                         oblivious.then_some(informed),
                         &mut arena,
                         &mut outbox,
@@ -837,8 +750,7 @@ fn plan_list<P: Protocol>(
 }
 
 /// One shard's exchange fan-out over its own callers' channels. Delivery
-/// outcomes come from the serial pre-draw tables (`push_ok`/`pull_ok`,
-/// unused when `tx_draws` is false) — no RNG here. Pull receipts are
+/// outcomes come from the fabric's serial pre-draw — no RNG here. Pull receipts are
 /// recorded straight into the shard-local arena (the receiver is the
 /// caller). Push receipts go through the per-target-shard outbox, except
 /// with a single shard: there every receiver is local and caller order
@@ -852,13 +764,9 @@ fn plan_list<P: Protocol>(
 fn shard_exchange(
     fabric: &ChannelFabric,
     plans: &[Plan],
-    push_ok: &[bool],
-    pull_ok: &[bool],
     layout: ShardLayout,
     range: std::ops::Range<usize>,
-    fast_path: bool,
     any_pull: bool,
-    tx_draws: bool,
     skip_informed: Option<&InformedIndex>,
     arena: &mut ObservationArena,
     outbox: &mut [Vec<(u32, RumorMeta)>],
@@ -876,7 +784,7 @@ fn shard_exchange(
         let caller_plan = plans[i];
         let caller_stores = stores(i);
         for c in out {
-            if !fast_path && !fabric.usable(c) {
+            if !fabric.usable(c) {
                 continue;
             }
             let w = fabric.target(c).index();
@@ -884,7 +792,7 @@ fn shard_exchange(
             // but not delivered: the copy was sent and lost).
             if caller_plan.push {
                 push_tx += 1;
-                if (!tx_draws || push_ok[c]) && stores(w) {
+                if fabric.push_arrives(c) && stores(w) {
                     if direct {
                         arena.record_push(w - base, caller_plan.meta);
                     } else {
@@ -897,7 +805,7 @@ fn shard_exchange(
                 let callee_plan = plans[w];
                 if callee_plan.pull_serve {
                     pull_tx += 1;
-                    if (!tx_draws || pull_ok[c]) && caller_stores {
+                    if fabric.pull_arrives(c) && caller_stores {
                         arena.record_pull(i - base, callee_plan.meta);
                     }
                 }
@@ -1141,7 +1049,7 @@ mod tests {
         let mut sampled = Vec::new();
         while !sim.finished(g, proto, cfg) {
             sim.step(g, proto, cfg, &mut rng);
-            sampled.push(sim.fabric.sampled_callers());
+            sampled.push(!sim.fabric.is_silent());
         }
         let rounds = RecordRounds::of(sim.take_probe());
         (sim.into_report(g, cfg), rounds, rng, sampled)

@@ -41,9 +41,9 @@ use crate::Round;
 /// | variant | single-rumour engine | multi-rumour engine |
 /// |---|---|---|
 /// | `Faults` | fault-plan events + crash sampling | same |
-/// | `Fabric` | channel-target sampling, gated by the plans | shared fabric + reverse index |
-/// | `Plan` | informed nodes' plan decisions (before `Fabric`) | CSR plan store fill |
-/// | `Exchange` | push/pull transmissions | direction census + per-rumour sends |
+/// | `Fabric` | channel-target sampling, gated by the plans | same, shared by all rumours, + reverse index |
+/// | `Plan` | informed nodes' plan decisions (before `Fabric`) | CSR plan store fill (before `Fabric`) |
+/// | `Exchange` | transmission pre-draw + push/pull transmissions | same, per rumour |
 /// | `Update` | observation digest / state updates | per-rumour digest |
 /// | `Coverage` | coverage bookkeeping | activation + coverage bookkeeping |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,8 +54,8 @@ pub enum StepPhase {
     Fabric,
     /// Plan decisions over the informed index list(s).
     Plan,
-    /// Transmissions over open channels (and the multi-rumour direction
-    /// census that draws shared transmission failures).
+    /// Transmissions over open channels, after the serial pre-draw of
+    /// transmission failures (one per used channel direction).
     Exchange,
     /// Observation digest and protocol state updates.
     Update,
@@ -67,10 +67,10 @@ impl StepPhase {
     /// Number of distinct phases.
     pub const COUNT: usize = 6;
 
-    /// Every phase, in the multi-rumour engine's execution order (the
-    /// single-rumour engine runs `Plan` before `Fabric`). The order of this
-    /// array defines [`index`](Self::index), which consumers use as a
-    /// stable key, so it stays fixed where an engine's order differs.
+    /// Every phase. The order of this array defines
+    /// [`index`](Self::index), which consumers use as a stable key, so it
+    /// stays fixed although both round engines now run `Plan` before
+    /// `Fabric`.
     pub const ALL: [StepPhase; StepPhase::COUNT] = [
         StepPhase::Faults,
         StepPhase::Fabric,
@@ -130,8 +130,7 @@ pub struct RoundCounters {
     /// push-only sampling skip (channels counted but never sampled).
     pub skipped_draws: u64,
     /// Generator words the channel fabric consumed this round, whether
-    /// stepped or jumped (single-rumour engine; 0 in the multi-rumour and
-    /// async engines).
+    /// stepped or jumped (round engines; 0 in the async engine).
     pub fabric_words: u64,
     /// The share of `fabric_words` skipped by a `discard` long enough to
     /// jump the generator rather than step it.

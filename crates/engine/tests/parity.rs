@@ -1,8 +1,9 @@
 //! Seed-for-seed parity suite: a one-rumour [`MultiSimState`] must
-//! reproduce the single-rumour [`SimState`] trajectory exactly — same
-//! informed counts every round, same stopping round, same coverage round,
-//! same transmission and channel totals — for the same RNG seed, across
-//! every failure model.
+//! reproduce the single-rumour [`SimState`] trajectory exactly — the same
+//! [`RoundCounters`] every round (informed counts, transmissions,
+//! channels, skipped draws and generator words), same stopping round,
+//! same coverage round, same transmission and channel totals — for the
+//! same RNG seed, across every failure model.
 //!
 //! This is the correctness anchor of the multi-rumour arena port: both
 //! engines are built from the shared fabric/index machinery and consume
@@ -11,10 +12,14 @@
 //! the combining bugfix — transmission failures too), so wherever the two
 //! models coincide the refactor is provably behaviour-preserving.
 //!
-//! It is also the independent reference for the single engine's one
-//! round path: the multi engine has its own exchange and digest code, and
+//! Both engines sample through the same round gate (`fabric.rs`), so for
+//! the fabric this suite is a consistency check, not an independent
+//! reference: that is the naive oracle's job (`tests/oracle.rs`). The
+//! multi engine still has its own plan, exchange and digest code, and
 //! every lockstep check below runs the single engine at each of
 //! [`SHARD_COUNTS`] against the same one-rumour multi run.
+
+use std::any::Any;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,7 +28,8 @@ use rrb_engine::protocols::{FloodPull, FloodPush, FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent,
     FaultPlan, FaultState, GilbertElliott, MultiSimState, NodeView, Observation, OutageSpec,
-    Plan, Protocol, Round, RumorInjection, RumorMeta, SimConfig, SimState, Topology,
+    Plan, Protocol, Round, RoundCounters, RoundProbe, RumorInjection, RumorMeta, SimConfig,
+    SimState, Topology,
 };
 use rrb_graph::{gen, Graph, NodeId};
 
@@ -114,6 +120,47 @@ impl Protocol for CountingPush {
     }
 }
 
+/// Probe that keeps every round's counters.
+#[derive(Debug, Default)]
+struct Record(Vec<RoundCounters>);
+
+impl RoundProbe for Record {
+    fn on_round(&mut self, counters: &RoundCounters) {
+        self.0.push(*counters);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A one-rumour multi-engine run from `origin` with a [`Record`] probe.
+fn recorded_multi<P: Protocol, T: Topology>(
+    protocol: &P,
+    topo: &T,
+    origin: NodeId,
+) -> MultiSimState<P> {
+    let mut multi = MultiSimState::new(protocol, topo, &[RumorInjection { birth: 0, origin }]);
+    multi.set_probe(Some(Box::new(Record::default())));
+    multi
+}
+
+/// Asserts the single engine's per-round counters equal the ones the
+/// multi engine's [`Record`] probe received, field by field.
+fn assert_same_rounds<P: Protocol>(
+    label: &str,
+    seed: u64,
+    single: &[RoundCounters],
+    multi: &mut MultiSimState<P>,
+) {
+    let probe = multi.take_probe().expect("probe installed");
+    let recorded = &probe.as_any().downcast_ref::<Record>().expect("a Record probe").0;
+    assert_eq!(single.len(), recorded.len(), "{label} seed {seed}: round counts diverged");
+    for (s, m) in single.iter().zip(recorded) {
+        assert_eq!(s, m, "{label} seed {seed}: round {} counters diverged", s.round);
+    }
+}
+
 /// Shard counts the single engine runs at in every lockstep check: one
 /// shard (push receipts recorded directly) and several (push receipts
 /// through the cross-shard outboxes).
@@ -148,8 +195,8 @@ fn assert_parity_at<P: Protocol>(
     let mut single_rng = SmallRng::seed_from_u64(seed);
     let mut multi_rng = SmallRng::seed_from_u64(seed);
     let mut single = SimState::new(protocol, n, origin);
-    let mut multi =
-        MultiSimState::new(protocol, graph, &[RumorInjection { birth: 0, origin }]);
+    let mut multi = recorded_multi(protocol, graph, origin);
+    let mut rounds = Vec::new();
 
     loop {
         let sf = single.finished(graph, protocol, config);
@@ -179,8 +226,10 @@ fn assert_parity_at<P: Protocol>(
             rec.round
         );
         assert!(rec.round < 5_000, "{label} seed {seed}: runaway run");
+        rounds.push(rec);
     }
 
+    assert_same_rounds(label, seed, &rounds, &mut multi);
     let rounds = single.round();
     let m_report = multi.into_report();
     let s_report = single.into_report(graph, config);
@@ -450,8 +499,8 @@ fn assert_churn_parity_at<P: Protocol>(
     let mut single_rng = SmallRng::seed_from_u64(seed);
     let mut multi_rng = SmallRng::seed_from_u64(seed);
     let mut single = SimState::new(protocol, n, origin);
-    let mut multi =
-        MultiSimState::new(protocol, &overlay, &[RumorInjection { birth: 0, origin }]);
+    let mut multi = recorded_multi(protocol, &overlay, origin);
+    let mut rounds = Vec::new();
 
     loop {
         let sf = single.finished(&overlay, protocol, config);
@@ -482,8 +531,10 @@ fn assert_churn_parity_at<P: Protocol>(
             rec.round
         );
         assert!(rec.round < 2_000, "{label} seed {seed}: runaway run");
+        rounds.push(rec);
     }
 
+    assert_same_rounds(label, seed, &rounds, &mut multi);
     let survivors = single.effective_alive();
     let rounds = single.round();
     let s_report = single.into_report(&overlay, config);
@@ -547,9 +598,9 @@ fn assert_fault_parity_at<P: Protocol>(
     let mut multi_rng = SmallRng::seed_from_u64(seed);
     let mut single = SimState::new(protocol, n, origin);
     single.set_faults(Some(FaultState::new(plan, n, fault_seed)));
-    let mut multi =
-        MultiSimState::new(protocol, graph, &[RumorInjection { birth: 0, origin }]);
+    let mut multi = recorded_multi(protocol, graph, origin);
     multi.set_faults(Some(FaultState::new(plan, n, fault_seed)));
+    let mut rounds = Vec::new();
 
     loop {
         let sf = single.finished(graph, protocol, config);
@@ -584,8 +635,10 @@ fn assert_fault_parity_at<P: Protocol>(
             rec.round
         );
         assert!(rec.round < 5_000, "{label} seed {seed}: runaway run");
+        rounds.push(rec);
     }
 
+    assert_same_rounds(label, seed, &rounds, &mut multi);
     let budget_left = |fs: Option<&FaultState>| fs.map(FaultState::adversary_budget_left);
     assert_eq!(
         budget_left(single.fault_state()),

@@ -50,45 +50,6 @@ fn shuffle<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R) {
     }
 }
 
-/// Tests whether a degree sequence is *graphical*, i.e. realisable by a
-/// simple graph, via the Erdős–Gallai characterisation.
-///
-/// Sorting is done internally; the input order does not matter.
-///
-/// ```
-/// assert!(rrb_graph::gen::is_graphical(&[3, 3, 3, 3]));      // K4
-/// assert!(!rrb_graph::gen::is_graphical(&[3, 1, 1, 1, 1]));  // odd sum
-/// assert!(!rrb_graph::gen::is_graphical(&[4, 4, 4, 1, 1]));  // fails Erdős–Gallai
-/// ```
-pub fn is_graphical(degrees: &[usize]) -> bool {
-    let n = degrees.len();
-    if n == 0 {
-        return true;
-    }
-    let mut d: Vec<usize> = degrees.to_vec();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    if d[0] >= n {
-        return false;
-    }
-    let total: usize = d.iter().sum();
-    if total % 2 == 1 {
-        return false;
-    }
-    // Erdős–Gallai: for each k, sum of k largest <= k(k-1) + sum_{i>k} min(d_i, k).
-    let mut prefix = 0usize;
-    for k in 1..=n {
-        prefix += d[k - 1];
-        let mut rhs = k * (k - 1);
-        for &di in &d[k..] {
-            rhs += di.min(k);
-        }
-        if prefix > rhs {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,24 +87,6 @@ mod tests {
     fn zero_length_sequence() {
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(pair_stubs(&[], &mut rng).unwrap().is_empty());
-    }
-
-    #[test]
-    fn erdos_gallai_known_cases() {
-        assert!(is_graphical(&[]));
-        assert!(is_graphical(&[0, 0, 0]));
-        assert!(is_graphical(&[1, 1]));
-        assert!(is_graphical(&[2, 2, 2]));            // triangle
-        assert!(is_graphical(&[3, 3, 3, 3]));         // K4
-        assert!(is_graphical(&[3, 2, 2, 2, 1]));
-        assert!(!is_graphical(&[1]));                 // odd sum
-        assert!(!is_graphical(&[4, 4, 4, 1, 1]));     // fails Erdős–Gallai at k=3
-        assert!(!is_graphical(&[6, 1, 1, 1, 1, 1]));  // degree >= n
-    }
-
-    #[test]
-    fn star_is_graphical() {
-        assert!(is_graphical(&[5, 1, 1, 1, 1, 1]));
     }
 
     #[test]

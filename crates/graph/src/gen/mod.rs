@@ -19,7 +19,6 @@ mod product;
 mod random;
 
 pub use classic::{complete, cycle, hypercube, path, star, torus};
-pub use degree_seq::is_graphical;
 pub use preferential::preferential_attachment;
 pub use product::cartesian_product;
 pub use random::{configuration_model, gnp, random_regular};

@@ -194,20 +194,6 @@ pub fn edge_boundary(g: &Graph, in_set: &[bool]) -> usize {
         .count()
 }
 
-/// Conductance-style expansion of the set: `|E(S,S̄)| / (d·min(|S|,|S̄|))`
-/// for a `d`-regular graph. Returns `None` for empty or full sets, or if the
-/// graph is not regular.
-pub fn set_expansion(g: &Graph, in_set: &[bool]) -> Option<f64> {
-    let d = g.regular_degree()?;
-    let size = in_set.iter().filter(|&&b| b).count();
-    let n = g.node_count();
-    if size == 0 || size == n {
-        return None;
-    }
-    let vol = d * size.min(n - size);
-    Some(edge_boundary(g, in_set) as f64 / vol as f64)
-}
-
 fn multiply_adjacency(g: &Graph, x: &[f64], y: &mut [f64]) {
     for (v, yv) in y.iter_mut().enumerate().take(g.node_count()) {
         let mut acc = 0.0;
@@ -310,8 +296,6 @@ mod tests {
         in_set[1] = true;
         in_set[2] = true;
         assert_eq!(edge_boundary(&g, &in_set), 2);
-        let exp = set_expansion(&g, &in_set).unwrap();
-        assert!((exp - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -328,13 +312,5 @@ mod tests {
                 l2.value
             );
         }
-    }
-
-    #[test]
-    fn set_expansion_edge_cases() {
-        let g = gen::cycle(4);
-        assert!(set_expansion(&g, &[false; 4]).is_none());
-        assert!(set_expansion(&g, &[true; 4]).is_none());
-        assert!(set_expansion(&gen::star(4), &[true, false, false, false]).is_none());
     }
 }

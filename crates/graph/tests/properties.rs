@@ -101,19 +101,6 @@ proptest! {
         prop_assert_eq!(total, 25);
     }
 
-    /// Graphical sequences (per Erdős–Gallai) never contain a degree >= n
-    /// and have even sum — internal consistency of the checker.
-    #[test]
-    fn graphical_implies_basic_facts(
-        degs in prop::collection::vec(0usize..10, 1..40),
-    ) {
-        if gen::is_graphical(&degs) {
-            let n = degs.len();
-            prop_assert!(degs.iter().all(|&d| d < n));
-            prop_assert_eq!(degs.iter().sum::<usize>() % 2, 0);
-        }
-    }
-
     /// Cartesian product has |V(G)|·|V(H)| nodes and
     /// |E(G)|·|V(H)| + |E(H)|·|V(G)| edges.
     #[test]

@@ -388,27 +388,6 @@ impl Overlay {
         Ok(())
     }
 
-    /// Snapshot of the alive sub-overlay as an immutable [`Graph`]
-    /// (dead slots become isolated vertices, preserving ids).
-    pub fn to_graph(&self) -> Graph {
-        let mut b = rrb_graph::GraphBuilder::new(self.adj.len());
-        for i in 0..self.adj.len() {
-            for &w in &self.adj[i] {
-                // Each undirected edge appears twice as stubs; emit once.
-                if w.index() > i {
-                    b.add_edge(NodeId::new(i), w).expect("in range");
-                } else if w.index() == i {
-                    // Self-loop: two stubs in this list; emit every other.
-                    // Handled below by counting.
-                }
-            }
-            let loops = self.adj[i].iter().filter(|&&w| w.index() == i).count() / 2;
-            for _ in 0..loops {
-                b.add_edge(NodeId::new(i), NodeId::new(i)).expect("in range");
-            }
-        }
-        b.build()
-    }
 }
 
 impl Topology for Overlay {
@@ -559,18 +538,6 @@ mod tests {
             o.alive_nodes().iter().map(|&v| o.degree(v)).collect();
         assert_eq!(degrees_before, degrees_after);
         o.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn to_graph_round_trip_counts() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let o = Overlay::random(40, 6, &mut rng).unwrap();
-        let g = o.to_graph();
-        assert_eq!(g.node_count(), 40);
-        assert_eq!(g.edge_count(), 40 * 6 / 2);
-        for v in o.alive_nodes() {
-            assert_eq!(g.degree(v), o.degree(v));
-        }
     }
 
     #[test]
