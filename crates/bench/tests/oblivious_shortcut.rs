@@ -448,7 +448,7 @@ fn silent_round_skip_matches_its_masked_twin() {
 }
 
 /// Counts the words taken from it, by `next_u64` and by `discard`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Counting {
     inner: SmallRng,
     words: u64,

@@ -9,15 +9,29 @@
 //! are drawn are written once (checked seed for seed against a naive
 //! oracle in `tests/oracle.rs` and engine against engine in
 //! `tests/parity.rs`).
+//!
+//! On the loss-free fast path under `Distinct(k)` the words a caller takes
+//! depend only on its gate and degree, never on the values drawn, so the
+//! single engine samples its shards' callers in parallel
+//! ([`ChannelFabric::sample_round_sharded`]): each shard counts its
+//! callers' words, an exclusive prefix sum gives each its offset in the
+//! one stream, and each samples its own callers on a clone of the
+//! generator moved to that offset, into its own window of the channel
+//! list. The channel lists and the stream are those one segment builds.
+
+use std::ops::Range;
+use std::time::Duration;
 
 use rand::{Rng, RngCore};
+use rayon::prelude::*;
 
 use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::{discard_targets, sample_targets, ChoiceState, Words};
 use crate::failure::{FaultChannelView, FaultState};
-use crate::telemetry::RoundCounters;
+use crate::shard::ShardLayout;
+use crate::telemetry::{BoxedProbe, RoundCounters, ShardClock, StepPhase};
 use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
 
 /// What a round's plans tell the fabric about its callers. The engines
@@ -35,7 +49,7 @@ pub(crate) struct RoundGate<U, S> {
     pub(crate) silent: bool,
 }
 
-/// How [`ChannelFabric::sample`] treats one alive, unblocked caller.
+/// How the sampling loop treats one alive, unblocked caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CallerGate {
     /// Sample and store the caller's channels.
@@ -55,12 +69,13 @@ enum CallerGate {
 /// reused across rounds (allocation-free once warm).
 ///
 /// Channels are sampled once per round by
-/// [`sample_round`](Self::sample_round) — every alive, uncrashed node
-/// opens channels per the protocol's choice policy — and then shared by
-/// however many rumours ride the fabric. On the zero-failure fast path
-/// only *usable* channels (alive, uncrashed callee) are materialised and no
-/// per-channel flags are stored; on the slow path every sampled channel is
-/// stored together with its channel-failure outcome.
+/// [`sample_round`](Self::sample_round) (or its sharded form) — every
+/// alive, uncrashed node opens channels per the protocol's choice policy —
+/// and then shared by however many rumours ride the fabric. On the
+/// zero-failure fast path only *usable* channels (alive, uncrashed callee)
+/// are materialised and no per-channel flags are stored; on the slow path
+/// every sampled channel is stored together with its channel-failure
+/// outcome.
 #[derive(Debug, Default)]
 pub(crate) struct ChannelFabric {
     /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`
@@ -89,23 +104,33 @@ pub(crate) struct ChannelFabric {
     in_cursor: Vec<u32>,
     /// Reusable target scratch for `sample_targets`.
     target_buf: Vec<NodeId>,
-    /// The last round's channels, skipped draws and generator words
-    /// (stepped or jumped, and the jumped share): the fabric's part of
-    /// its [`RoundCounters`].
+    /// Per-segment scratch of the sharded fast path.
+    segments: Vec<SegmentScratch>,
+    /// The last round's channels, skipped draws and generator words (all
+    /// of them, and those skipped without being drawn): the fabric's part
+    /// of its [`RoundCounters`].
     counters: RoundCounters,
 }
 
-/// The generator words one [`ChannelFabric::sample`] call takes: those
-/// drawn, those owed by quiet callers and not yet skipped, and those
-/// jumped. The owed words are skipped in one [`RngCore::discard`] by
+/// One caller segment's target and Floyd scratch on the sharded fast path
+/// (under `Distinct(k)` a [`ChoiceState`] holds nothing else).
+#[derive(Debug, Default)]
+struct SegmentScratch {
+    choice: ChoiceState,
+    targets: Vec<NodeId>,
+}
+
+/// The generator words one segment's sampling takes: all of them, those
+/// owed by quiet callers and not yet skipped, and all owed so far. The
+/// owed words are skipped in one [`RngCore::discard`] by
 /// [`settle`](Self::settle), which must run before the next draw. Only
 /// `Quiet` callers under `Distinct(k)` owe words, and they draw none, so
 /// the sampler settles before each `sample_targets` call and at the end.
 #[derive(Debug, Default)]
 struct WordTally {
-    drawn: u64,
+    words: u64,
     pending: u64,
-    jumped: u64,
+    owed: u64,
 }
 
 impl WordTally {
@@ -113,9 +138,272 @@ impl WordTally {
     #[inline]
     fn settle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         if self.pending > 0 {
-            self.drawn += self.pending;
-            self.jumped += rng.discard(self.pending);
+            self.words += self.pending;
+            self.owed += self.pending;
+            rng.discard(self.pending);
             self.pending = 0;
+        }
+    }
+}
+
+/// Where the sampling loop stores usable channels: the fabric's own list
+/// (one segment) or a segment's [`Window`] of it.
+trait Sink {
+    fn push(&mut self, w: NodeId);
+    fn len(&self) -> usize;
+}
+
+impl Sink for Vec<NodeId> {
+    #[inline]
+    fn push(&mut self, w: NodeId) {
+        Vec::push(self, w);
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// A segment's window of the channel list, as long as the channels its
+/// open callers open; dead, blocked or partitioned-away callees leave its
+/// tail unused.
+struct Window<'a> {
+    slots: &'a mut [NodeId],
+    len: usize,
+}
+
+impl Sink for Window<'_> {
+    #[inline]
+    fn push(&mut self, w: NodeId) {
+        self.slots[self.len] = w;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+/// What one segment's count pass found: its part of the round's counters
+/// and how many channels its open callers open (its window length).
+#[derive(Debug, Clone, Copy)]
+struct SegmentCount {
+    counters: RoundCounters,
+    opened: usize,
+}
+
+/// What every caller segment of one round reads: the topology, the
+/// failures and the round gate.
+struct Callers<'a, T: ?Sized, U, S> {
+    topo: &'a T,
+    policy: ChoicePolicy,
+    failures: FailureModel,
+    blocked: &'a [bool],
+    faults: Option<&'a FaultChannelView<'a>>,
+    fast_path: bool,
+    round: &'a RoundGate<U, S>,
+    /// The push-only skip applies: the protocol never pull-serves and
+    /// the policy is memoryless.
+    skip: bool,
+}
+
+/// Counts, without visiting a stub, what sampling the callers
+/// `first..first + blocked.len()` under `Distinct(k)` on the fast path
+/// takes: each alive, unblocked caller opens `min(deg, k)` channels and
+/// takes `k` words when `deg > k`, owed if it is `Quiet`; a skipped one
+/// takes none and adds its channels to the skipped draws; an open one's
+/// channels are the most it can store. The topology and flags come in as
+/// arguments, which keeps their loads out of the loop.
+// rrb-lint: hot
+fn count_callers<T, G>(topo: &T, blocked: &[bool], first: usize, k: usize, gate: G) -> SegmentCount
+where
+    T: Topology + ?Sized,
+    G: Fn(usize) -> CallerGate,
+{
+    let (mut channels, mut skipped, mut quiet, mut open, mut opened) = (0, 0, 0, 0, 0);
+    for (j, &caller_blocked) in blocked.iter().enumerate() {
+        let i = first + j;
+        let v = NodeId::new(i);
+        if topo.is_alive(v) && !caller_blocked {
+            let deg = topo.degree(v);
+            let caller_channels = deg.min(k);
+            channels += caller_channels as u64;
+            let words = if deg > k { k as u64 } else { 0 };
+            match gate(i) {
+                CallerGate::Skip => skipped += caller_channels as u64,
+                CallerGate::Quiet => quiet += words,
+                CallerGate::Open => {
+                    open += words;
+                    opened += caller_channels;
+                }
+            }
+        }
+    }
+    let counters = RoundCounters {
+        channels,
+        skipped_draws: skipped,
+        fabric_words: quiet + open,
+        jumped_words: quiet,
+        ..RoundCounters::default()
+    };
+    SegmentCount { counters, opened }
+}
+
+/// Whether a round is on the fast path: no channel or transmission
+/// failure rate and no burst loss.
+fn is_fast_path(failures: FailureModel, faults: Option<&FaultState>) -> bool {
+    failures.channel_failure == 0.0
+        && failures.transmission_failure == 0.0
+        && faults.is_none_or(|fs| !fs.bursty())
+}
+
+impl<T, U, S> Callers<'_, T, U, S>
+where
+    T: Topology + ?Sized,
+    U: Fn(usize) -> bool,
+    S: Fn(usize) -> bool,
+{
+    /// Whether caller `i` takes the push-only skip.
+    #[inline]
+    fn skips(&self, i: usize) -> bool {
+        self.skip && (self.round.uninformed)(i)
+    }
+
+    /// How caller `i` is treated (see [`ChannelFabric::sample_round`]).
+    /// Nobody pushes in a silent round, so its plans are not read.
+    #[inline]
+    fn gate(&self, i: usize) -> CallerGate {
+        let round = self.round;
+        if self.skips(i) {
+            CallerGate::Skip
+        } else if !round.silent && (round.any_pull || (round.pushes)(i)) {
+            CallerGate::Open
+        } else {
+            CallerGate::Quiet
+        }
+    }
+
+    /// Counts what [`sample`](Self::sample) takes over `callers` under
+    /// `Distinct(k)` on the fast path (see [`count_callers`]). Nobody is
+    /// open in a silent round, and a gate that says so lets the compiler
+    /// drop the open arm from the loop.
+    fn count(&self, callers: Range<usize>, k: usize) -> SegmentCount {
+        let (first, blocked) = (callers.start, &self.blocked[callers]);
+        if self.round.silent {
+            let quiet = |i| if self.skips(i) { CallerGate::Skip } else { CallerGate::Quiet };
+            count_callers(self.topo, blocked, first, k, quiet)
+        } else {
+            count_callers(self.topo, blocked, first, k, |i| self.gate(i))
+        }
+    }
+
+    /// Samples every alive, unblocked caller in `callers` as the gate
+    /// classifies it, storing caller `i`'s channel list end at
+    /// `ends[i - callers.start]` (`base` plus what `out` holds):
+    /// - `Skip`: the capability-gated push-only sampling skip. The caller's
+    ///   deterministic `min(fanout, deg)` channels are counted, but it costs
+    ///   no RNG draws and no buffer traffic.
+    /// - `Quiet`: the caller's channels can carry nothing this round. On
+    ///   the fast path it stores nothing and leaves the generator and any
+    ///   per-node choice state where sampling would: under `Distinct(k)`
+    ///   its `k` words (none when `deg <= k`) join a pending count that
+    ///   one [`discard`](rand::RngCore::discard) skips before the next
+    ///   caller that draws, or at the end; the stateful policies sample
+    ///   and drop the targets. Off the fast path it is sampled like
+    ///   `Open`, because its per-channel failure draws need the targets.
+    /// - `Open`: sampled and stored.
+    ///
+    /// Returns the segment's part of the round's counters.
+    #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
+    fn sample<O: Sink, R: Rng + ?Sized>(
+        &self,
+        callers: Range<usize>,
+        ends: &mut [u32],
+        base: u32,
+        out: &mut O,
+        ok: &mut Vec<bool>,
+        choice: &mut ChoiceState,
+        scratch: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> RoundCounters {
+        let (topo, policy, failures) = (self.topo, self.policy, self.failures);
+        let first = callers.start;
+        let mut skipped = 0u64;
+        let mut words = WordTally::default();
+        let mut channels = 0u64;
+        for i in callers {
+            let v = NodeId::new(i);
+            if topo.is_alive(v) && !self.blocked[i] {
+                match self.gate(i) {
+                    CallerGate::Skip => {
+                        // Uninformed caller under a push-only protocol:
+                        // count the channels it would open, draw nothing.
+                        let opened = topo.degree(v).min(policy.fanout()) as u64;
+                        skipped += opened;
+                        channels += opened;
+                    }
+                    CallerGate::Quiet if self.fast_path => {
+                        let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
+                        channels += count as u64;
+                        match taken {
+                            Words::Drawn(k) => {
+                                debug_assert_eq!(words.pending, 0, "drew past owed words");
+                                words.words += k;
+                            }
+                            Words::Owed(k) => words.pending += k,
+                        }
+                    }
+                    CallerGate::Quiet | CallerGate::Open => {
+                        words.settle(rng);
+                        words.words += sample_targets(topo, v, policy, choice, rng, scratch);
+                        channels += scratch.len() as u64;
+                        for &w in scratch.iter() {
+                            // A channel to a dead (departed), crashed,
+                            // suspended or partitioned-away neighbour fails
+                            // to establish; it costs nothing, carries nothing.
+                            let callee_ok = topo.is_alive(w)
+                                && !self.blocked[w.index()]
+                                && self.faults.is_none_or(|f| f.connects(i, w.index()));
+                            if self.fast_path {
+                                if callee_ok {
+                                    out.push(w);
+                                }
+                            } else {
+                                // Combined per-channel loss: baseline i.i.d.
+                                // rate plus the burst chains' contribution.
+                                // The single Bernoulli draw sits exactly
+                                // where the baseline draw always was, and is
+                                // skipped (like the baseline) when the
+                                // probability is zero or the channel failed
+                                // to establish anyway.
+                                let p = match self.faults {
+                                    Some(f) => {
+                                        1.0 - (1.0 - failures.channel_failure)
+                                            * (1.0 - f.burst_loss(i, w.index()))
+                                    }
+                                    None => failures.channel_failure,
+                                };
+                                let usable = callee_ok && (p == 0.0 || !rng.gen_bool(p));
+                                words.words += u64::from(callee_ok && p != 0.0);
+                                out.push(w);
+                                ok.push(usable);
+                            }
+                        }
+                    }
+                }
+            }
+            ends[i - first] = base + out.len() as u32;
+        }
+        words.settle(rng);
+        RoundCounters {
+            channels,
+            skipped_draws: skipped,
+            fabric_words: words.words,
+            jumped_words: words.owed,
+            ..RoundCounters::default()
         }
     }
 }
@@ -130,8 +418,8 @@ impl ChannelFabric {
 
     /// Samples this round's channels for every alive, unblocked
     /// (uncrashed, unsuspended) caller, as `gate` and the round's failures
-    /// allow; [`counters`](Self::counters) then reports what it opened and
-    /// drew. The rules:
+    /// allow, in one segment on `rng`; [`counters`](Self::counters) then
+    /// reports what it opened and drew. The rules:
     ///
     /// - **Fast path.** With no channel or transmission failure rate and
     ///   no burst loss, a channel is usable iff its callee is alive,
@@ -148,14 +436,14 @@ impl ChannelFabric {
     ///   alter) it is `Skip`: its deterministic `min(fanout, deg)` channels
     ///   are counted and nothing is drawn. A caller that pushes, or any
     ///   caller in a round in which some node pull-serves, is `Open`.
-    ///   Everyone else is `Quiet`: see [`sample`](Self::sample).
+    ///   Everyone else is `Quiet`: see `Callers::sample`.
     /// - **Silent round.** In a silent round every caller is `Quiet` or
     ///   `Skip`, and on the fast path under `Distinct(k)` the words each
     ///   owes depend only on its flags and degree. Such a round builds no
-    ///   lists: [`sample_silent`](Self::sample_silent) counts the channels,
-    ///   skipped draws and words in one pass and moves the generator past
-    ///   them in one `discard`, and [`is_silent`](Self::is_silent) tells
-    ///   the engine to skip its exchange.
+    ///   lists: one pass counts the channels, skipped draws and words, and
+    ///   one `discard` moves the generator past the words, and
+    ///   [`is_silent`](Self::is_silent) tells the engine to skip its
+    ///   exchange.
     ///
     /// `faults` is the installed fault plan's state: partitioned pairs
     /// fail to establish like calls to a crashed peer (no cost, no draw),
@@ -182,193 +470,229 @@ impl ChannelFabric {
         S: Fn(usize) -> bool,
         R: Rng + ?Sized,
     {
-        let policy = protocol.choice_policy();
-        let skip = !protocol.capabilities().uses_pull && policy.is_memoryless();
-        let skips = |i: usize| skip && (gate.uninformed)(i);
-        self.fast_path = failures.channel_failure == 0.0
-            && failures.transmission_failure == 0.0
-            && faults.is_none_or(|fs| !fs.bursty());
-        self.tx_drawn = false;
-        match policy {
-            ChoicePolicy::Distinct(k) if gate.silent && self.fast_path => {
-                self.sample_silent(topo, k, blocked, skips, rng);
+        let n = topo.node_count();
+        let view = faults.and_then(FaultState::channel_view);
+        let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
+        match callers.policy {
+            ChoicePolicy::Distinct(k) if gate.silent && callers.fast_path => {
+                let counted = callers.count(0..n, k).counters;
+                self.finish_silent(counted, rng);
             }
             _ => {
-                let view = faults.and_then(FaultState::channel_view);
-                self.sample(topo, policy, choice, failures, blocked, view.as_ref(), rng, |i| {
-                    if skips(i) {
-                        CallerGate::Skip
-                    } else if (gate.pushes)(i) || gate.any_pull {
-                        CallerGate::Open
-                    } else {
-                        CallerGate::Quiet
-                    }
-                });
+                self.offsets.resize(n + 1, 0);
+                self.offsets[0] = 0;
+                self.targets.clear();
+                self.ok.clear();
+                if self.targets.capacity() == 0 {
+                    // Size the target list once, for a round in which every
+                    // caller is open, so it never regrows (and copies)
+                    // mid-run.
+                    let k = callers.policy.fanout();
+                    let bound = (0..n).map(|i| topo.degree(NodeId::new(i)).min(k)).sum();
+                    self.targets.reserve(bound);
+                }
+                self.counters = callers.sample(
+                    0..n,
+                    &mut self.offsets[1..],
+                    0,
+                    &mut self.targets,
+                    &mut self.ok,
+                    choice,
+                    &mut self.target_buf,
+                    rng,
+                );
             }
         }
     }
 
-    /// Samples every alive, unblocked caller as `gate` classifies it:
-    /// - `Skip`: the capability-gated push-only sampling skip. The caller's
-    ///   deterministic `min(fanout, deg)` channels are counted, but it costs
-    ///   no RNG draws and no buffer traffic.
-    /// - `Quiet`: the caller's channels can carry nothing this round. On
-    ///   the fast path it stores nothing and leaves the generator and any
-    ///   per-node choice state where sampling would: under `Distinct(k)`
-    ///   its `k` words (none when `deg <= k`) join a pending count that
-    ///   one [`discard`](rand::RngCore::discard) skips before the next
-    ///   caller that draws, or at the end; the stateful policies sample
-    ///   and drop the targets. Off the fast path it is sampled like
-    ///   `Open`, because its per-channel failure draws need the targets.
-    /// - `Open`: sampled and stored.
+    /// [`sample_round`](Self::sample_round) for the single engine, fanned
+    /// out over `layout`'s contiguous caller segments when the round is on
+    /// the fast path under `Distinct(k)` and there are two or more. There
+    /// a caller's words depend only on its gate and degree, so:
+    ///
+    /// 1. each segment counts its callers' words and the channels its open
+    ///    callers open, in parallel;
+    /// 2. an exclusive prefix sum gives each segment its offset in the
+    ///    stream and its window of the channel list;
+    /// 3. each segment clones `rng`, `discard`s to its offset and samples
+    ///    its callers into its window, in parallel, with its own scratch;
+    /// 4. `rng` `discard`s the round's words, and each window's filled part
+    ///    moves down to close the gaps that unusable channels left.
+    ///
+    /// The lists, channel ids, counters and the generator afterwards are
+    /// those one segment produces. A silent round stops after step 1 and
+    /// one `discard`. Each segment's time goes to `probe` as its share of
+    /// the [`Fabric`](StepPhase::Fabric) phase (no clock is read without a
+    /// probe). Every other round, and any round at one segment, runs
+    /// [`sample_round`](Self::sample_round) on `rng` itself.
     #[allow(clippy::too_many_arguments)]
-    // rrb-lint: hot
-    fn sample<T, F, R>(
+    pub(crate) fn sample_round_sharded<T, P, U, S, R>(
         &mut self,
         topo: &T,
-        policy: ChoicePolicy,
+        protocol: &P,
         choice: &mut ChoiceState,
         failures: FailureModel,
+        faults: Option<&FaultState>,
         blocked: &[bool],
-        faults: Option<&FaultChannelView<'_>>,
+        gate: RoundGate<U, S>,
+        layout: ShardLayout,
+        probe: &mut Option<BoxedProbe>,
         rng: &mut R,
-        gate: F,
     ) where
         T: Topology + ?Sized,
-        F: Fn(usize) -> CallerGate,
-        R: Rng + ?Sized,
+        P: Protocol,
+        U: Fn(usize) -> bool + Sync,
+        S: Fn(usize) -> bool + Sync,
+        R: Rng + Clone + Send,
     {
+        let k = match protocol.choice_policy() {
+            ChoicePolicy::Distinct(k) if layout.count() > 1 && is_fast_path(failures, faults) => k,
+            _ => return self.sample_round(topo, protocol, choice, failures, faults, blocked, gate, rng),
+        };
         let n = topo.node_count();
-        self.offsets.clear();
-        self.targets.clear();
-        self.ok.clear();
-        if self.targets.capacity() == 0 {
-            // Size the target list once, for a round in which every caller
-            // is open, so it never regrows (and copies) mid-run.
-            let k = policy.fanout();
-            let bound = (0..n).map(|i| topo.degree(NodeId::new(i)).min(k)).sum();
-            self.targets.reserve(bound);
+        let view = faults.and_then(FaultState::channel_view);
+        let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
+        let segments = layout.count();
+        let probing = probe.is_some();
+
+        // Step 1: every segment's words and window length.
+        let counts: Vec<(SegmentCount, Duration)> = (0..segments)
+            .into_par_iter()
+            .map(|s| {
+                let clock = ShardClock::armed(probing);
+                (callers.count(layout.range(s, n), k), clock.elapsed())
+            })
+            .collect();
+        let mut total = RoundCounters::default();
+        for (c, _) in &counts {
+            total.channels += c.counters.channels;
+            total.skipped_draws += c.counters.skipped_draws;
+            total.fabric_words += c.counters.fabric_words;
+            total.jumped_words += c.counters.jumped_words;
         }
-        self.offsets.push(0);
-        let mut skipped = 0u64;
-        let mut words = WordTally::default();
-        let mut channels = 0u64;
-        for i in 0..n {
-            let v = NodeId::new(i);
-            if topo.is_alive(v) && !blocked[i] {
-                match gate(i) {
-                    CallerGate::Skip => {
-                        // Uninformed caller under a push-only protocol:
-                        // count the channels it would open, draw nothing.
-                        let opened = topo.degree(v).min(policy.fanout()) as u64;
-                        skipped += opened;
-                        channels += opened;
-                        self.offsets.push(self.targets.len() as u32);
-                        continue;
-                    }
-                    CallerGate::Quiet if self.fast_path => {
-                        let (count, taken) =
-                            discard_targets(topo, v, policy, choice, rng, &mut self.target_buf);
-                        channels += count as u64;
-                        match taken {
-                            Words::Drawn(k) => {
-                                debug_assert_eq!(words.pending, 0, "drew past owed words");
-                                words.drawn += k;
-                            }
-                            Words::Owed(k) => words.pending += k,
-                        }
-                        self.offsets.push(self.targets.len() as u32);
-                        continue;
-                    }
-                    CallerGate::Quiet | CallerGate::Open => {}
-                }
-                words.settle(rng);
-                words.drawn += sample_targets(topo, v, policy, choice, rng, &mut self.target_buf);
-                channels += self.target_buf.len() as u64;
-                for &w in &self.target_buf {
-                    // A channel to a dead (departed), crashed, suspended or
-                    // partitioned-away neighbour fails to establish; it
-                    // costs nothing, carries nothing.
-                    let callee_ok = topo.is_alive(w)
-                        && !blocked[w.index()]
-                        && faults.is_none_or(|f| f.connects(i, w.index()));
-                    if self.fast_path {
-                        if callee_ok {
-                            self.targets.push(w);
-                        }
-                    } else {
-                        // Combined per-channel loss: baseline i.i.d. rate
-                        // plus the burst chains' contribution. The single
-                        // Bernoulli draw sits exactly where the baseline
-                        // draw always was, and is skipped (like the
-                        // baseline) when the probability is zero or the
-                        // channel failed to establish anyway.
-                        let p = match faults {
-                            Some(f) => {
-                                1.0 - (1.0 - failures.channel_failure)
-                                    * (1.0 - f.burst_loss(i, w.index()))
-                            }
-                            None => failures.channel_failure,
-                        };
-                        let ok = callee_ok && (p == 0.0 || !rng.gen_bool(p));
-                        words.drawn += u64::from(callee_ok && p != 0.0);
-                        self.targets.push(w);
-                        self.ok.push(ok);
-                    }
+        if gate.silent {
+            self.finish_silent(total, rng);
+            if let Some(p) = probe.as_deref_mut() {
+                for (s, &(_, d)) in counts.iter().enumerate() {
+                    p.on_shard_phase(s, StepPhase::Fabric, d);
                 }
             }
-            self.offsets.push(self.targets.len() as u32);
+            return;
         }
-        words.settle(rng);
-        self.counters = RoundCounters {
-            channels,
-            skipped_draws: skipped,
-            fabric_words: words.drawn,
-            jumped_words: words.jumped,
-            ..RoundCounters::default()
-        };
+
+        // Step 2: each segment's stream offset and window.
+        let opened: usize = counts.iter().map(|(c, _)| c.opened).sum();
+        self.offsets.resize(n + 1, 0);
+        self.offsets[0] = 0;
+        self.targets.resize(opened, NodeId::new(0));
+        self.ok.clear();
+        self.segments.resize_with(segments, SegmentScratch::default);
+        let mut ends_left = &mut self.offsets[1..];
+        let mut slots_left = &mut self.targets[..];
+        let (mut word_at, mut slot_at) = (0u64, 0usize);
+        let mut items = Vec::with_capacity(segments);
+        for (s, (scratch, (c, _))) in self.segments.iter_mut().zip(&counts).enumerate() {
+            let range = layout.range(s, n);
+            let (ends, rest) = std::mem::take(&mut ends_left).split_at_mut(range.len());
+            ends_left = rest;
+            let (slots, rest) = std::mem::take(&mut slots_left).split_at_mut(c.opened);
+            slots_left = rest;
+            let window = Window { slots, len: 0 };
+            items.push((range, ends, window, slot_at as u32, word_at, scratch, rng.clone()));
+            word_at += c.counters.fabric_words;
+            slot_at += c.opened;
+        }
+
+        // Step 3: every segment samples its callers from its offset.
+        let sampled: Vec<(RoundCounters, usize, Duration)> = items
+            .into_par_iter()
+            .map(|(range, ends, mut window, base, offset, scratch, mut seg_rng)| {
+                let clock = ShardClock::armed(probing);
+                seg_rng.discard(offset);
+                let (choice, targets) = (&mut scratch.choice, &mut scratch.targets);
+                let counters = callers.sample(
+                    range,
+                    ends,
+                    base,
+                    &mut window,
+                    &mut Vec::new(),
+                    choice,
+                    targets,
+                    &mut seg_rng,
+                );
+                (counters, window.len, clock.elapsed())
+            })
+            .collect();
+
+        // Step 4: the main stream ends where one segment leaves it, and the
+        // windows close up in segment order.
+        rng.discard(total.fabric_words);
+        let (mut end, mut start) = (0usize, 0usize);
+        for (s, ((c, _), &(counters, filled, _))) in counts.iter().zip(&sampled).enumerate() {
+            debug_assert_eq!(counters, c.counters, "segment {s} drew other than it counted");
+            if start != end {
+                self.targets.copy_within(start..start + filled, end);
+                let shift = (start - end) as u32;
+                let range = layout.range(s, n);
+                for o in &mut self.offsets[range.start + 1..=range.end] {
+                    *o -= shift;
+                }
+            }
+            end += filled;
+            start += c.opened;
+        }
+        self.targets.truncate(end);
+        self.counters = total;
+        if let Some(p) = probe.as_deref_mut() {
+            for (s, (&(_, counted), &(_, _, drawn))) in counts.iter().zip(&sampled).enumerate() {
+                p.on_shard_phase(s, StepPhase::Fabric, counted + drawn);
+            }
+        }
     }
 
-    /// A silent round on the fast path under `Distinct(k)`: counts what
-    /// [`sample`](Self::sample) would, with every caller `Quiet` except
-    /// those `skip` marks `Skip`, without visiting a stub. Each alive,
-    /// unblocked caller opens `min(deg, k)` channels and owes `k` words
-    /// when `deg > k`; a skipped one owes none and adds its channels to
-    /// the skipped draws. The words are skipped in one
-    /// [`discard`](rand::RngCore::discard), which leaves the generator
-    /// where sampling would, since no draw depends on the values drawn
-    /// before it. The round stores no channel.
-    // rrb-lint: hot
-    fn sample_silent<T, F, R>(&mut self, topo: &T, k: usize, blocked: &[bool], skip: F, rng: &mut R)
+    /// Starts a round: settles the fast-path flag and returns what its
+    /// caller segments read.
+    #[allow(clippy::too_many_arguments)]
+    fn callers<'a, T, P, U, S>(
+        &mut self,
+        topo: &'a T,
+        protocol: &P,
+        failures: FailureModel,
+        faults: Option<&FaultState>,
+        blocked: &'a [bool],
+        gate: &'a RoundGate<U, S>,
+        view: Option<&'a FaultChannelView<'a>>,
+    ) -> Callers<'a, T, U, S>
     where
         T: Topology + ?Sized,
-        F: Fn(usize) -> bool,
-        R: RngCore + ?Sized,
+        P: Protocol,
+        U: Fn(usize) -> bool,
+        S: Fn(usize) -> bool,
     {
+        self.fast_path = is_fast_path(failures, faults);
+        self.tx_drawn = false;
+        Callers {
+            topo,
+            policy: protocol.choice_policy(),
+            failures,
+            blocked,
+            faults: view,
+            fast_path: self.fast_path,
+            round: gate,
+            skip: !protocol.capabilities().uses_pull && protocol.choice_policy().is_memoryless(),
+        }
+    }
+
+    /// Closes a silent round: no lists, and one
+    /// [`discard`](rand::RngCore::discard) past the words `counted`, which
+    /// leaves the generator where sampling would, since no draw depends
+    /// on the values drawn before it.
+    fn finish_silent<R: RngCore + ?Sized>(&mut self, counted: RoundCounters, rng: &mut R) {
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
-        let (mut channels, mut skipped, mut words) = (0u64, 0u64, 0u64);
-        for (i, &caller_blocked) in blocked[..topo.node_count()].iter().enumerate() {
-            let v = NodeId::new(i);
-            if topo.is_alive(v) && !caller_blocked {
-                let deg = topo.degree(v);
-                let opened = deg.min(k) as u64;
-                channels += opened;
-                if skip(i) {
-                    skipped += opened;
-                } else if deg > k {
-                    words += k as u64;
-                }
-            }
-        }
-        self.counters = RoundCounters {
-            channels,
-            skipped_draws: skipped,
-            fabric_words: words,
-            jumped_words: rng.discard(words),
-            ..RoundCounters::default()
-        };
+        rng.discard(counted.fabric_words);
+        self.counters = counted;
     }
 
     /// The serial transmission pre-draw of one round, over the stored
@@ -527,7 +851,9 @@ impl ChannelFabric {
             self.ok.capacity(),
             self.push_ok.capacity() + self.pull_ok.capacity(),
             self.in_offsets.capacity() + self.in_cursor.capacity(),
-            self.in_entries.capacity() + self.target_buf.capacity(),
+            self.in_entries.capacity()
+                + self.target_buf.capacity()
+                + self.segments.iter().map(|s| s.targets.capacity()).sum::<usize>(),
         ]
     }
 }
@@ -729,6 +1055,7 @@ mod tests {
     use rrb_graph::{gen, Graph};
 
     type Gate = RoundGate<fn(usize) -> bool, fn(usize) -> bool>;
+    type MakeGate = fn() -> Gate;
 
     /// A round gate in which no node pull-serves.
     fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, silent: bool) -> Gate {
@@ -859,6 +1186,82 @@ mod tests {
             assert!(!quiet.is_silent() && silent.is_silent());
             assert_eq!((quiet.len(), silent.len()), (0, 0));
         }
+    }
+
+    /// One fast-path round of `protocol` on `g` in `segments` caller
+    /// segments: the fabric and the generator after it.
+    fn sample_segmented<P: Protocol>(
+        g: &Graph,
+        protocol: &P,
+        faults: Option<&FaultState>,
+        blocked: &[bool],
+        gate: Gate,
+        segments: usize,
+    ) -> (ChannelFabric, SmallRng) {
+        let n = g.node_count();
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut fabric = ChannelFabric::new(n);
+        let mut choice = ChoiceState::new(n, protocol.choice_policy());
+        let layout = ShardLayout::new(n, segments);
+        let none = FailureModel::NONE;
+        let (choice, probe) = (&mut choice, &mut None);
+        fabric.sample_round_sharded(g, protocol, choice, none, faults, blocked, gate, layout, probe, &mut rng);
+        (fabric, rng)
+    }
+
+    #[test]
+    fn segmented_sampling_equals_one_segment() {
+        // Degrees below, at and above k, blocked callers and callees, a
+        // partition, and every gate mix: each segment count builds the
+        // lists, channel ids and counters one segment builds and leaves
+        // the generator where it does. The small graph has empty segments
+        // (7 segments of 2 over 10 callers), and the "late" gate leaves the
+        // first segments' windows empty.
+        let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
+        let degrees: Vec<usize> = (0..300).map(|i| pa.degree(NodeId::new(i))).collect();
+        assert!([2, 4, 9].iter().all(|d| degrees.contains(d)), "mixed degrees");
+        assert!(degrees.iter().any(|&d| d > 17), "a caller takes the heap Floyd scratch");
+        let plan = FaultPlan {
+            schedule: vec![FaultEvent::Partition { from: 1, until: 9, parts: 3 }],
+            ..FaultPlan::default()
+        };
+        let gates: [(&str, MakeGate); 5] = [
+            ("open", all_open),
+            ("mixed", || gate(|i| i % 5 == 1, |i| i % 3 != 0, false)),
+            ("late", || gate(|i| i < 130, |i| i % 3 != 0, false)),
+            ("pull", || RoundGate { any_pull: true, ..gate(|i| i % 5 == 1, |_| false, false) }),
+            ("silent", || gate(|i| i % 5 == 1, |_| false, true)),
+        ];
+        // Rounds in which blocked or partitioned-away callees leave gaps.
+        let mut gaps = 0;
+        for g in [pa, gen::complete(10)] {
+            let n = g.node_count();
+            let blocked: Vec<bool> = (0..n).map(|i| i % 7 == 3).collect();
+            let mut fs = FaultState::new(&plan, n, 0);
+            fs.begin_round(1, n, |_| 2, |_| None, |_| true);
+            for k in [1, 4, 17] {
+                let protocol = FloodPush::with_policy(ChoicePolicy::Distinct(k));
+                for faults in [None, Some(&fs)] {
+                    for (label, make) in gates {
+                        let case = format!("n = {n}, k = {k}, {label}, faults: {}", faults.is_some());
+                        let (one, one_rng) =
+                            sample_segmented(&g, &protocol, faults, &blocked, make(), 1);
+                        assert!(one.is_fast_path(), "{case}");
+                        gaps += usize::from(label == "open" && (one.len() as u64) < one.counters().channels);
+                        for segments in [2, 3, 7] {
+                            let (many, many_rng) =
+                                sample_segmented(&g, &protocol, faults, &blocked, make(), segments);
+                            let case = format!("{case}, {segments} segments");
+                            assert_eq!(many.offsets, one.offsets, "{case}");
+                            assert_eq!(many.targets, one.targets, "{case}");
+                            assert_eq!(many.counters(), one.counters(), "{case}");
+                            assert_eq!(many_rng, one_rng, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(gaps >= 6, "only {gaps} open rounds had windows to close up");
     }
 
     #[test]

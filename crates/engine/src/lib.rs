@@ -44,7 +44,9 @@
 //!    generator words, and one `discard` jumps the generator past them.
 //!    These rules, and the serial pre-draw of transmission outcomes (one
 //!    per used channel direction), are written once in the engine's
-//!    fabric module and shared by both round engines.
+//!    fabric module and shared by both round engines. On the fast path
+//!    under `Distinct(k)` the single engine samples each shard's callers
+//!    in parallel, each from its exact offset in the one stream.
 //! 4. **Exchange** — receipts go into a CSR *observation arena*; a
 //!    zero-failure fast path skips every per-call Bernoulli draw (the
 //!    stream is identical either way).
@@ -54,9 +56,10 @@
 //!    the coverage instant, and one [`RoundCounters`] for the probe and
 //!    the report's history.
 //!
-//! Plan, exchange and update fan out over node-slot shards
-//! ([`SimConfig::shards`]) with every RNG draw on the main sequential
-//! stream, so results are seed-for-seed identical at any shard count. Once
+//! Fabric, plan, exchange and update fan out over node-slot shards
+//! ([`SimConfig::shards`]) with every RNG draw at its position in the
+//! main stream, so results are seed-for-seed identical at any shard
+//! count. Once
 //! warm, a round performs **no heap allocation** (asserted by the
 //! `steady_state_rounds_do_not_allocate` test).
 //!

@@ -1,5 +1,5 @@
 //! Sharded execution of the round loop: contiguous node-slot partitions
-//! over which the single-rumour engine fans its Plan/Exchange/Update
+//! over which the single-rumour engine fans its Fabric/Plan/Exchange/Update
 //! phases out on the rayon pool. There is one round path; the shard
 //! count (1 by default) only sets how many tasks it splits into, and
 //! results are seed-for-seed identical at any shard and thread count.
@@ -7,16 +7,29 @@
 //! # Determinism model
 //!
 //! Every *model* RNG draw — crash sampling, channel opening, per-call
-//! transmission outcomes — stays on the main sequential stream in one
-//! fixed order (transmission outcomes are pre-drawn serially into the
-//! channel fabric's per-channel tables before the exchange fans out). The phases that do
-//! fan out are RNG-free by construction, and every cross-shard effect is
-//! buffered per (source shard → target shard) and merged at the round
-//! barrier in ascending source-shard order — reproducing the global
-//! caller order exactly. A lone shard records its push receipts straight
-//! into its arena: its caller order already is the global one. That is
-//! *why* every shard count gives the same run: thread scheduling can
-//! reorder work, never observations.
+//! transmission outcomes — is a word of the one main stream, at the
+//! position a serial run gives it. Most are drawn on the main generator
+//! itself in one fixed order (transmission outcomes are pre-drawn
+//! serially into the channel fabric's per-channel tables before the
+//! exchange fans out). The exception is the fabric's fast path under
+//! `Distinct(k)`: there a caller takes `k` words when its degree exceeds
+//! `k` and none otherwise, whatever values are drawn, so each shard counts
+//! its callers' words, an exclusive prefix sum over the counts gives each
+//! shard its offset in the stream, and each shard draws its callers'
+//! words on a clone of the generator moved to that offset. The main
+//! generator then skips the round's words and ends where the serial run
+//! leaves it. Draws whose count depends on the values drawn — per-channel
+//! loss, per-call transmission outcomes, the stateful `SequentialMemory`
+//! and `Cyclic` policies — stay serial on the main generator.
+//!
+//! The phases that fan out are otherwise RNG-free, and every cross-shard
+//! effect is buffered per (source shard → target shard) and merged at the
+//! round barrier in ascending source-shard order — reproducing the global
+//! caller order exactly. The fabric's shards write disjoint windows of the
+//! one channel list, closed up in shard order. A lone shard records its
+//! push receipts straight into its arena: its caller order already is the
+//! global one. That is *why* every shard count gives the same run: thread
+//! scheduling can reorder work, never observations.
 
 use crate::observation::{Observation, ObservationArena, RumorMeta};
 

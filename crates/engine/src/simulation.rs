@@ -37,9 +37,11 @@ pub struct SimConfig {
     /// Number of node-slot shards the round loop fans out over (see
     /// `crate::shard`); `1` — the default — is one shard on the same
     /// path. Results are **seed-for-seed identical** at any shard and
-    /// thread count, because every model RNG draw stays on the main
-    /// sequential stream and cross-shard effects merge in fixed shard
-    /// order. Sharding pays off for large `n` on multi-core hosts.
+    /// thread count, because every model RNG draw is taken at its position
+    /// in the main stream (the fast-path fabric's shards draw on clones of
+    /// the generator moved to their exact offsets) and cross-shard effects
+    /// merge in fixed shard order. Sharding pays off for large `n` on
+    /// multi-core hosts.
     pub shards: usize,
 }
 
@@ -110,7 +112,7 @@ impl<'a, T: Topology, P: Protocol> Simulation<'a, T, P> {
     }
 
     /// Runs a single broadcast started by `origin` and returns the report.
-    pub fn run<R: Rng + ?Sized>(&self, origin: NodeId, rng: &mut R) -> RunReport {
+    pub fn run<R: Rng + Clone + Send>(&self, origin: NodeId, rng: &mut R) -> RunReport {
         let mut state = SimState::new(&self.protocol, self.topology.node_count(), origin);
         state.run_to_completion(self.topology, &self.protocol, self.config, rng);
         state.into_report(self.topology, self.config)
@@ -368,8 +370,13 @@ impl<P: Protocol> SimState<P> {
     /// Failed channels carry no transmissions (establishment failed — no
     /// cost); failed transmissions are *counted but not delivered* (the copy
     /// was sent and lost).
+    ///
+    /// The generator is `Clone + Send` because with two or more shards the
+    /// loss-free fabric under `Distinct(k)` samples each shard's callers
+    /// on a clone moved to that shard's offset in the stream; `rng` ends
+    /// where one shard leaves it.
     // rrb-lint: hot
-    pub fn step<T: Topology + ?Sized, R: Rng + ?Sized>(
+    pub fn step<T: Topology + ?Sized, R: Rng + Clone + Send>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -402,12 +409,12 @@ impl<P: Protocol> SimState<P> {
 
         // Phase a: informed nodes decide their plans. Plans are RNG-free
         // and read only state settled above, so they are made before the
-        // fabric, which they gate. This and phases c–d fan out over
-        // `config.shards` node-slot shards on the rayon pool: every model
-        // RNG draw happens serially (fault phase, fabric) or in a serial
-        // pre-draw (per-call transmission outcomes), so the fanned-out
-        // work is RNG-free and the results are byte-identical at any
-        // shard and thread count (`tests/sharding.rs`).
+        // fabric, which they gate. This and phases b–d fan out over
+        // `config.shards` node-slot shards on the rayon pool: the fault
+        // phase and the transmission pre-draw are serial, the fast-path
+        // fabric's shards draw at their exact offsets in the one stream,
+        // and the rest is RNG-free, so the results are byte-identical at
+        // any shard and thread count (`tests/sharding.rs`).
         let any_pull = self.plan_sharded(n, t, protocol, config.shards);
         self.ledger.lap(StepPhase::Plan);
 
@@ -415,9 +422,11 @@ impl<P: Protocol> SimState<P> {
         // shared with the multi-rumour engine (`fabric.rs`): the plans say
         // who pushes, who knows the rumour and whether anyone pull-serves,
         // and a silent round of an oblivious protocol may skip the
-        // sampling and phases c–d altogether.
+        // sampling and phases c–d altogether. On the fast path under
+        // `Distinct(k)` each shard samples its own callers.
         let (informed, plans) = (&self.informed, &self.plans);
-        self.fabric.sample_round(
+        let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
+        self.fabric.sample_round_sharded(
             topo,
             protocol,
             &mut self.choice,
@@ -430,6 +439,8 @@ impl<P: Protocol> SimState<P> {
                 any_pull,
                 silent: self.plans_silent,
             },
+            layout,
+            &mut self.ledger.probe,
             rng,
         );
         self.ledger.lap(StepPhase::Fabric);
@@ -689,7 +700,7 @@ impl<P: Protocol> SimState<P> {
     }
 
     /// Runs rounds until a stopping condition fires.
-    pub fn run_to_completion<T: Topology + ?Sized, R: Rng + ?Sized>(
+    pub fn run_to_completion<T: Topology + ?Sized, R: Rng + Clone + Send>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -1434,6 +1445,31 @@ mod tests {
             let (recorded, probe) = run(Some(Box::new(RecordRounds::default())));
             assert_eq!(recorded, bare, "shards {shards}");
             assert_eq!(recorded.history, RecordRounds::of(probe), "shards {shards}");
+        }
+    }
+
+    #[test]
+    fn probed_sharded_runs_time_the_fabric_per_shard() {
+        // The fast-path fabric fans out over the shards and reports each
+        // shard's share; a lossy round samples in one segment and reports
+        // none.
+        use crate::telemetry::PhaseTimings;
+        let g = gen::random_regular(4096, 8, &mut SmallRng::seed_from_u64(3)).expect("graph");
+        let proto = FloodPushPull::new();
+        for (failures, fanned_out) in [(FailureModel::NONE, true), (FailureModel::channels(0.1), false)] {
+            let cfg = SimConfig::default().with_failures(failures).with_shards(2);
+            let mut sim = SimState::new(&proto, 4096, NodeId::new(0));
+            sim.set_probe(Some(Box::new(PhaseTimings::new())));
+            sim.run_to_completion(&g, &proto, cfg, &mut SmallRng::seed_from_u64(8));
+            let probe = sim.take_probe().expect("probe still installed");
+            let timings = probe.as_any().downcast_ref::<PhaseTimings>().expect("concrete probe");
+            let rows = timings.shard_phase_ms();
+            assert_eq!(rows.len(), 2, "{failures:?}");
+            for row in rows {
+                let fabric = row[StepPhase::Fabric.index()];
+                assert_eq!(fabric > 0.0, fanned_out, "{failures:?}: shard fabric {fabric} ms");
+                assert!(row[StepPhase::Exchange.index()] > 0.0, "{failures:?}");
+            }
         }
     }
 

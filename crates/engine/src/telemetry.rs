@@ -14,8 +14,8 @@
 //! * one [`RoundProbe::on_round`] call at the end of each round with the
 //!   round's [`RoundCounters`] (informed census, transmissions, channels
 //!   sampled, draws skipped by the capability gate, generator words the
-//!   fabric consumed and how many of them it jumped, alive/suspended
-//!   membership).
+//!   fabric consumed and how many of them it skipped without drawing,
+//!   alive/suspended membership).
 //!
 //! # The off path is free
 //!
@@ -132,8 +132,10 @@ pub struct RoundCounters {
     /// Generator words the channel fabric consumed this round, whether
     /// stepped or jumped (round engines; 0 in the async engine).
     pub fabric_words: u64,
-    /// The share of `fabric_words` skipped by a `discard` long enough to
-    /// jump the generator rather than step it.
+    /// The share of `fabric_words` skipped without being drawn: the words
+    /// owed by `Quiet` callers and by silent rounds, however `discard`
+    /// moved the generator past them (stepping or jumping). It is the same
+    /// at every shard count.
     pub jumped_words: u64,
     /// Alive, uncrashed nodes after the round (coverage denominator).
     pub alive: usize,
@@ -159,8 +161,10 @@ pub trait RoundProbe: std::fmt::Debug {
     }
 
     /// One shard's slice of a fanned-out phase took `elapsed` wall-clock
-    /// time (single-rumour engine only, at every shard count including
-    /// 1; the multi-rumour and async engines never call this).
+    /// time (single-rumour engine only; the multi-rumour and async engines
+    /// never call this). Plan, exchange and update report at every shard
+    /// count including 1; the fabric reports when it fans out, which it
+    /// does on the fast path under `Distinct(k)` with two or more shards.
     /// Shard durations overlap in real time — they attribute *work*, not
     /// critical-path latency; the aggregate [`on_phase`](Self::on_phase)
     /// lap still reports the barrier-to-barrier phase time.
@@ -314,7 +318,7 @@ impl PhaseTimings {
         self.fabric_words
     }
 
-    /// Total fabric words jumped over rather than stepped.
+    /// Total fabric words skipped without being drawn.
     pub fn jumped_words(&self) -> u64 {
         self.jumped_words
     }

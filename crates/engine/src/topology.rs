@@ -11,8 +11,9 @@ use rrb_graph::{Graph, NodeId};
 /// "selects four of its stubs i.u.r. without replacement".
 ///
 /// Implemented by the static [`rrb_graph::Graph`] and by the mutable churn
-/// overlay in `rrb-p2p`.
-pub trait Topology {
+/// overlay in `rrb-p2p`. A topology is `Sync` because the single engine's
+/// shards sample their callers' channels from it at the same time.
+pub trait Topology: Sync {
     /// Number of node slots (alive or dead); valid ids are `0..node_count()`.
     fn node_count(&self) -> usize;
 

@@ -8,11 +8,12 @@
 //! which checks it against the multi-rumour engine's own exchange code.
 //!
 //! The determinism contract under test (see `shard.rs` module docs):
-//! every model RNG draw stays on the main sequential stream in one fixed
-//! order, the fanned-out phases are RNG-free, and cross-shard effects
-//! merge at the round barrier in ascending source-shard order. Thread
-//! scheduling may reorder *work*, never *observations* — which is
-//! exactly what the matrix below and the proptest at the bottom pin.
+//! every model RNG draw is taken at its position in the main stream (the
+//! fast-path fabric's shards on clones moved to their exact offsets), the
+//! other fanned-out phases are RNG-free, and cross-shard effects merge at
+//! the round barrier in ascending source-shard order. Thread scheduling
+//! may reorder *work*, never *observations* — which is exactly what the
+//! matrix below and the proptest at the bottom pin.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -20,7 +21,7 @@ use rand::SeedableRng;
 
 use rrb_engine::protocols::{FloodPushPull, Phased};
 use rrb_engine::{
-    AdversarySpec, AdversaryTarget, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
+    AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
     FaultState, GilbertElliott, NodeView, Observation, Plan, Protocol, Round, RoundCounters,
     RumorMeta, RunReport, SimConfig, SimState, Topology,
 };
@@ -66,6 +67,46 @@ impl Protocol for CountingGossip {
 
     fn is_quiescent(&self, _state: &Self::State, informed_at: Round, t: Round) -> bool {
         t > informed_at + self.budget
+    }
+}
+
+/// Push-only `Distinct(4)` flooding whose informed nodes push for
+/// `pushes` rounds after reception and then rest, quiet but not
+/// quiescent, for `rest` more rounds. Not oblivious, so its all-quiet
+/// rounds are sampled caller by caller: every caller is `Quiet` and owes
+/// its words.
+#[derive(Debug, Clone)]
+struct PushThenRest {
+    pushes: Round,
+    rest: Round,
+}
+
+impl Protocol for PushThenRest {
+    type State = ();
+
+    fn init(&self, _creator: bool) -> Self::State {}
+
+    fn choice_policy(&self) -> ChoicePolicy {
+        ChoicePolicy::FOUR
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities::PUSH_ONLY
+    }
+
+    fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
+        let age = t - view.informed_at;
+        if age <= self.pushes {
+            Plan::push_with(RumorMeta { age, counter: 0 })
+        } else {
+            Plan::SILENT
+        }
+    }
+
+    fn update(&self, _: &mut Self::State, _: Option<Round>, _: Round, _: &Observation) {}
+
+    fn is_quiescent(&self, _state: &Self::State, informed_at: Round, t: Round) -> bool {
+        t > informed_at + self.pushes + self.rest
     }
 }
 
@@ -165,6 +206,25 @@ fn sharding_invariance_without_faults() {
             seed,
         );
     }
+}
+
+#[test]
+fn sharding_invariance_of_quiet_runs_across_shard_boundaries() {
+    // Once every node has pushed its rounds, all 2 048 callers are quiet:
+    // one run of 8 192 owed words on one shard, four runs of 2 048 on
+    // four. The words skipped without being drawn must not depend on
+    // where the shard boundaries cut the run.
+    let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(27)).expect("graph");
+    let proto = PushThenRest { pushes: 20, rest: 3 };
+    let cfg = SimConfig::until_quiescent().with_max_rounds(400);
+    let baseline = run_cell(&g, &proto, cfg, None, NodeId::new(9), 0, 1, 1);
+    assert!(baseline.report.all_informed());
+    let all_quiet = |r: &RoundCounters| r.tx == 0 && r.jumped_words == r.fabric_words;
+    assert!(
+        baseline.records.iter().any(|r| all_quiet(r) && r.fabric_words > 4096),
+        "no all-quiet round long enough to jump at one shard and step at four"
+    );
+    assert_shard_invariance("push-then-rest", &g, &proto, cfg, None, NodeId::new(9), 0);
 }
 
 #[test]
