@@ -1982,9 +1982,10 @@ fn e21_run(cfg: &ExpConfig) {
     }
     println!(
         "\nexpected: identical rounds/coverage at any shard count (asserted above); the\n\
-         sharded Plan/Exchange/Update phases give wall-clock speedup on multi-core\n\
-         hosts, and peak RSS stays within the committed CI budget (sparse state keeps\n\
-         footprint linear in n, not in rumours x n)."
+         sharded Fabric (on its loss-free fast path), Plan, Exchange and Update phases\n\
+         give wall-clock speedup on multi-core hosts, and peak RSS stays within the\n\
+         committed CI budget (sparse state keeps footprint linear in n, not in\n\
+         rumours x n)."
     );
 }
 

@@ -132,9 +132,13 @@ enum Condition {
     /// A partition for the whole run, and no other fault: the fast path
     /// with channels that fail to establish.
     Partition,
+    /// Nothing at all: once every node is informed, the rounds of a
+    /// protocol that keeps transmitting one plan are saturated.
+    Clean,
 }
 
-const CONDITIONS: [Condition; 3] = [Condition::Rates, Condition::Faults, Condition::Churn];
+const CONDITIONS: [Condition; 4] =
+    [Condition::Rates, Condition::Faults, Condition::Churn, Condition::Clean];
 
 fn rates() -> FailureModel {
     FailureModel::channels(0.1).with_transmissions(0.15).with_crashes(0.002)
@@ -163,9 +167,37 @@ fn fault_plan() -> FaultPlan {
     }
 }
 
-/// One broadcast's report, every round's probe counters and the number
-/// of recycled slots.
-type Run<R> = (R, Vec<RoundCounters>, usize);
+/// The failure rates, fault plan and churn a run is exposed to.
+#[derive(Debug, Clone)]
+struct Exposure {
+    failures: FailureModel,
+    plan: Option<FaultPlan>,
+    churn: bool,
+}
+
+impl Exposure {
+    /// Rates and a fault plan, no churn.
+    fn of(failures: FailureModel, plan: Option<FaultPlan>) -> Self {
+        Exposure { failures, plan, churn: false }
+    }
+}
+
+impl From<Condition> for Exposure {
+    fn from(condition: Condition) -> Self {
+        match condition {
+            Condition::Rates => Exposure::of(rates(), None),
+            Condition::Faults => Exposure::of(FailureModel::NONE, Some(fault_plan())),
+            Condition::Churn => Exposure { churn: true, ..Exposure::of(FailureModel::NONE, None) },
+            Condition::Crashes => Exposure::of(FailureModel::crashes(0.01), None),
+            Condition::Partition => Exposure::of(FailureModel::NONE, Some(partition_plan())),
+            Condition::Clean => Exposure::of(FailureModel::NONE, None),
+        }
+    }
+}
+
+/// One broadcast's report, every round's probe counters, the number of
+/// recycled slots and the generator at the end.
+type Run<R> = (R, Vec<RoundCounters>, usize, SmallRng);
 
 /// The counters [`Rounds`] recorded, read back from the engine.
 fn recorded(probe: Option<BoxedProbe>) -> Vec<RoundCounters> {
@@ -173,54 +205,46 @@ fn recorded(probe: Option<BoxedProbe>) -> Vec<RoundCounters> {
     probe.as_any().downcast_ref::<Rounds>().expect("rounds").0.clone()
 }
 
-/// One broadcast of `proto` on `graph` under `condition`; `quiescent`
+/// One broadcast of `proto` on `graph` under `exposure`; `quiescent`
 /// runs past coverage to the protocol's own stop (or a 60-round cap).
 fn run<P: Protocol>(
     proto: &P,
     graph: &Graph,
-    condition: Condition,
+    exposure: &Exposure,
     quiescent: bool,
     shards: usize,
     seed: u64,
 ) -> Run<RunReport> {
     let stop = if quiescent { SimConfig::until_quiescent() } else { SimConfig::default() };
-    let mut cfg = stop.with_max_rounds(60).with_history().with_shards(shards);
+    let cfg = stop.with_max_rounds(60).with_history().with_shards(shards);
+    let cfg = cfg.with_failures(exposure.failures);
     let mut rng = SmallRng::seed_from_u64(seed);
     let origin = NodeId::new(seed as usize % N);
     let mut sim = SimState::new(proto, N, origin);
     sim.set_probe(Some(Box::new(Rounds::default())));
-    match condition {
-        Condition::Rates | Condition::Crashes | Condition::Faults | Condition::Partition => {
-            match condition {
-                Condition::Rates => cfg = cfg.with_failures(rates()),
-                Condition::Crashes => cfg = cfg.with_failures(FailureModel::crashes(0.01)),
-                Condition::Faults => {
-                    sim.set_faults(Some(FaultState::new(&fault_plan(), N, seed ^ 0xFA17)))
-                }
-                _ => sim.set_faults(Some(FaultState::new(&partition_plan(), N, seed ^ 0xFA17))),
-            }
-            sim.run_to_completion(graph, proto, cfg, &mut rng);
-            let rounds = recorded(sim.take_probe());
-            (sim.into_report(graph, cfg), rounds, 0)
-        }
-        Condition::Churn => {
-            let mut overlay = Overlay::from_graph(graph, D).with_slot_reuse(true);
-            let mut churn = ChurnProcess::symmetric(4.0, N / 2);
-            let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
-            let mut rejoined = 0;
-            while !sim.finished(&overlay, proto, cfg) {
-                sim.step(&overlay, proto, cfg, &mut rng);
-                let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
-                overlay.rewire(4, &mut churn_rng);
-                sim.apply_joins(proto, &events.joined);
-                sim.apply_leaves(&events.left);
-                sim.apply_rejoins(proto, &events.rejoined);
-                rejoined += events.rejoined.len();
-            }
-            let rounds = recorded(sim.take_probe());
-            (sim.into_report(&overlay, cfg), rounds, rejoined)
-        }
+    if let Some(plan) = &exposure.plan {
+        sim.set_faults(Some(FaultState::new(plan, N, seed ^ 0xFA17)));
     }
+    if !exposure.churn {
+        sim.run_to_completion(graph, proto, cfg, &mut rng);
+        let rounds = recorded(sim.take_probe());
+        return (sim.into_report(graph, cfg), rounds, 0, rng);
+    }
+    let mut overlay = Overlay::from_graph(graph, D).with_slot_reuse(true);
+    let mut churn = ChurnProcess::symmetric(4.0, N / 2);
+    let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
+    let mut rejoined = 0;
+    while !sim.finished(&overlay, proto, cfg) {
+        sim.step(&overlay, proto, cfg, &mut rng);
+        let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+        overlay.rewire(4, &mut churn_rng);
+        sim.apply_joins(proto, &events.joined);
+        sim.apply_leaves(&events.left);
+        sim.apply_rejoins(proto, &events.rejoined);
+        rejoined += events.rejoined.len();
+    }
+    let rounds = recorded(sim.take_probe());
+    (sim.into_report(&overlay, cfg), rounds, rejoined, rng)
 }
 
 /// Seven rumours two rounds apart; the second and fifth share birth and
@@ -233,72 +257,131 @@ fn injections(seed: u64) -> Vec<RumorInjection> {
         .collect()
 }
 
-/// The multi-rumour counterpart of [`run`]: [`injections`] broadcast on
-/// `graph` under `condition` (one of [`CONDITIONS`]).
+/// Three rumours born in rounds 0, 2 and 5.
+fn staggered(seed: u64) -> Vec<RumorInjection> {
+    let origin = |k: u64| NodeId::new(((seed * 31 + k * 57) % N as u64) as usize);
+    [(0, 0), (2, 1), (5, 2)]
+        .into_iter()
+        .map(|(birth, k)| RumorInjection { birth, origin: origin(k) })
+        .collect()
+}
+
+/// The multi-rumour counterpart of [`run`]: `rumours` broadcast on
+/// `graph` under `exposure`.
 fn run_multi<P: Protocol>(
     proto: &P,
     graph: &Graph,
-    condition: Condition,
+    exposure: &Exposure,
     quiescent: bool,
+    rumours: &[RumorInjection],
     seed: u64,
 ) -> Run<MultiRumorReport> {
     let stop = if quiescent { SimConfig::until_quiescent() } else { SimConfig::default() };
-    let mut cfg = stop.with_max_rounds(60);
+    let cfg = stop.with_max_rounds(60).with_failures(exposure.failures);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = MultiSimState::new(proto, graph, &injections(seed));
+    let mut sim = MultiSimState::new(proto, graph, rumours);
     sim.set_probe(Some(Box::new(Rounds::default())));
-    match condition {
-        Condition::Rates | Condition::Faults => {
-            if condition == Condition::Rates {
-                cfg = cfg.with_failures(rates());
-            } else {
-                sim.set_faults(Some(FaultState::new(&fault_plan(), N, seed ^ 0xFA17)));
-            }
-            sim.run_to_completion(graph, proto, cfg, &mut rng);
-            let rounds = recorded(sim.take_probe());
-            (sim.into_report(), rounds, 0)
-        }
-        Condition::Crashes | Condition::Partition => unreachable!("not a multi-rumour condition"),
-        Condition::Churn => {
-            let mut overlay = Overlay::from_graph(graph, D).with_slot_reuse(true);
-            let mut churn = ChurnProcess::symmetric(4.0, N / 2);
-            let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
-            let mut rejoined = 0;
-            while !sim.finished(proto, cfg) {
-                sim.step(&overlay, proto, cfg, &mut rng);
-                let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
-                overlay.rewire(4, &mut churn_rng);
-                sim.apply_joins(proto, &events.joined);
-                sim.apply_leaves(&events.left);
-                sim.apply_rejoins(proto, &events.rejoined);
-                rejoined += events.rejoined.len();
-            }
-            let rounds = recorded(sim.take_probe());
-            (sim.into_report(), rounds, rejoined)
-        }
+    if let Some(plan) = &exposure.plan {
+        sim.set_faults(Some(FaultState::new(plan, N, seed ^ 0xFA17)));
     }
+    if !exposure.churn {
+        sim.run_to_completion(graph, proto, cfg, &mut rng);
+        let rounds = recorded(sim.take_probe());
+        return (sim.into_report(), rounds, 0, rng);
+    }
+    let mut overlay = Overlay::from_graph(graph, D).with_slot_reuse(true);
+    let mut churn = ChurnProcess::symmetric(4.0, N / 2);
+    let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
+    let mut rejoined = 0;
+    while !sim.finished(proto, cfg) {
+        sim.step(&overlay, proto, cfg, &mut rng);
+        let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+        overlay.rewire(4, &mut churn_rng);
+        sim.apply_joins(proto, &events.joined);
+        sim.apply_leaves(&events.left);
+        sim.apply_rejoins(proto, &events.rejoined);
+        rejoined += events.rejoined.len();
+    }
+    let rounds = recorded(sim.take_probe());
+    (sim.into_report(), rounds, rejoined, rng)
+}
+
+/// Whether `r` is a saturated round: it sent copies, yet its fabric was
+/// counted and every word jumped (on [`graph`], whose degrees exceed every
+/// protocol's `k`, a sampled round that sends draws some words).
+fn saturated(r: &RoundCounters) -> bool {
+    r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words
+}
+
+/// The masked twin's rounds as the native run must have them. Only the
+/// rounds the native run saturated may differ, and only in
+/// `jumped_words`: such a round jumps every word the twin draws, informs
+/// nobody and sends `channels` copies in each direction it uses (per
+/// rumour, on the multi-rumour engine).
+fn expected_rounds(
+    label: &str,
+    native: &[RoundCounters],
+    general: &[RoundCounters],
+) -> Vec<RoundCounters> {
+    assert_eq!(native.len(), general.len(), "{label}: round counts differ");
+    native
+        .iter()
+        .zip(general)
+        .map(|(nat, gen)| {
+            if nat.jumped_words == gen.jumped_words {
+                return *gen;
+            }
+            let booked = [nat.push_tx, nat.pull_tx].iter().all(|d| d.is_multiple_of(nat.channels));
+            assert!(
+                saturated(nat) && booked && nat.newly_informed == 0,
+                "{label}: round {} differs from the twin's but is not saturated: \
+                 {nat:?} against {gen:?}",
+                nat.round
+            );
+            RoundCounters { jumped_words: nat.jumped_words, ..*gen }
+        })
+        .collect()
+}
+
+/// Asserts that a single-engine run equals its masked twin's: the
+/// report, every round's counters, the recycled slots and the final
+/// generator, up to the `jumped_words` of saturated rounds (see
+/// [`expected_rounds`]).
+fn assert_twins(label: &str, native: &Run<RunReport>, general: Run<RunReport>) {
+    let (report, rounds, rejoined, rng) = general;
+    let rounds = expected_rounds(label, &native.1, &rounds);
+    let report = RunReport { history: rounds.clone(), ..report };
+    assert_eq!(*native, (report, rounds, rejoined, rng), "{label}");
+}
+
+/// [`assert_twins`] for the multi-rumour engine, whose report holds no
+/// per-round history.
+fn assert_multi_twins(label: &str, native: &Run<MultiRumorReport>, general: Run<MultiRumorReport>) {
+    let (report, rounds, rejoined, rng) = general;
+    let rounds = expected_rounds(label, &native.1, &rounds);
+    assert_eq!(*native, (report, rounds, rejoined, rng), "{label}");
 }
 
 /// Asserts that `proto` and `Masked(proto)` give equal single-engine
-/// runs (reports and per-round counters) at 1 and 3 shards under
-/// `condition`, from two seeds, and returns the native runs.
+/// runs (see [`assert_twins`]) at 1 and 3 shards under `exposure`, from
+/// two seeds, and returns the native runs.
 fn assert_single_twins_agree<P: Protocol + Clone>(
     label: &str,
     proto: &P,
     graph: &Graph,
-    condition: Condition,
+    exposure: impl Into<Exposure>,
     quiescent: bool,
 ) -> Vec<Run<RunReport>> {
+    let exposure = exposure.into();
     let masked = Masked(proto.clone());
     let mut runs = Vec::new();
     for seed in [3u64, 8] {
         for shards in [1, 3] {
-            let native = run(proto, graph, condition, quiescent, shards, seed);
-            let general = run(&masked, graph, condition, quiescent, shards, seed);
-            assert_eq!(
-                native, general,
-                "{label}: {condition:?}, quiescent {quiescent}, {shards} shard(s), seed {seed}"
-            );
+            let native = run(proto, graph, &exposure, quiescent, shards, seed);
+            let general = run(&masked, graph, &exposure, quiescent, shards, seed);
+            let case = format!("{label}: {exposure:?}, quiescent {quiescent}, {shards} shard(s)");
+            let case = format!("{case}, seed {seed}");
+            assert_twins(&case, &native, general);
             runs.push(native);
         }
     }
@@ -313,15 +396,16 @@ fn assert_shortcut_is_invisible<P: Protocol + Clone>(label: &str, proto: &P, gra
     let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
     pool.install(|| {
         for condition in CONDITIONS {
+            let exposure = Exposure::from(condition);
             for quiescent in [false, true] {
-                assert_single_twins_agree(label, proto, graph, condition, quiescent);
+                assert_single_twins_agree(label, proto, graph, exposure.clone(), quiescent);
                 for seed in [3u64, 8] {
-                    let native = run_multi(proto, graph, condition, quiescent, seed);
-                    let general = run_multi(&masked, graph, condition, quiescent, seed);
-                    assert_eq!(
-                        native, general,
-                        "{label}: multi-rumour, {condition:?}, quiescent {quiescent}, seed {seed}"
-                    );
+                    let rumours = injections(seed);
+                    let native = run_multi(proto, graph, &exposure, quiescent, &rumours, seed);
+                    let general = run_multi(&masked, graph, &exposure, quiescent, &rumours, seed);
+                    let case = format!("{label}: multi-rumour, {condition:?}, quiescent {quiescent}");
+                    let case = format!("{case}, seed {seed}");
+                    assert_multi_twins(&case, &native, general);
                 }
             }
         }
@@ -447,6 +531,191 @@ fn silent_round_skip_matches_its_masked_twin() {
     });
 }
 
+#[test]
+fn the_clean_condition_reaches_saturated_rounds() {
+    // Guards the twin comparisons above against testing nothing: without
+    // failures, four-choice run to quiescence saturates its all-push
+    // rounds and its pull round once every node knows the rumour, on the
+    // single engine at 1 and 3 shards and on the multi-rumour engine with
+    // three staggered rumours.
+    let g = graph();
+    let four = four_choice(N);
+    let clean = Exposure::from(Condition::Clean);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
+    pool.install(|| {
+        let runs = assert_single_twins_agree("four-choice", &four, &g, clean.clone(), true);
+        for (report, rounds, ..) in &runs {
+            let taken = rounds.iter().filter(|r| saturated(r)).count();
+            assert!(taken >= 3, "{taken} saturated rounds in {} rounds", report.rounds);
+        }
+        let masked = Masked(four.clone());
+        for seed in [3u64, 8] {
+            let rumours = staggered(seed);
+            let native = run_multi(&four, &g, &clean, true, &rumours, seed);
+            let general = run_multi(&masked, &g, &clean, true, &rumours, seed);
+            let case = format!("four-choice, three rumours, seed {seed}");
+            assert_multi_twins(&case, &native, general);
+            let taken = native.1.iter().filter(|r| saturated(r)).count();
+            assert!(taken >= 1, "three rumours, seed {seed}: no saturated round");
+        }
+    });
+}
+
+/// An oblivious push&pull protocol whose early reception rounds push and
+/// whose later ones pull-serve, until a global deadline: once everybody is
+/// informed every node transmits, but its plans by reception round differ.
+#[derive(Debug, Clone, Copy)]
+struct EarlyPushLatePull {
+    early: Round,
+    deadline: Round,
+}
+
+impl Protocol for EarlyPushLatePull {
+    type State = ();
+
+    fn init(&self, _creator: bool) -> Self::State {}
+
+    fn choice_policy(&self) -> ChoicePolicy {
+        ChoicePolicy::FOUR
+    }
+
+    fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
+        let meta = RumorMeta { age: t - view.informed_at, counter: 0 };
+        if t > self.deadline {
+            Plan::SILENT
+        } else if view.informed_at <= self.early {
+            Plan::push_with(meta)
+        } else {
+            Plan::pull_with(meta)
+        }
+    }
+
+    fn update(&self, _: &mut Self::State, _: Option<Round>, _: Round, _: &Observation) {}
+
+    fn is_quiescent(&self, _state: &Self::State, _informed_at: Round, t: Round) -> bool {
+        t > self.deadline
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities { oblivious: true, ..Capabilities::ALL }
+    }
+}
+
+/// Whether every alive node knows the rumour and it still travels in
+/// round `r`: the state in which only the fixture's own condition can
+/// rule saturation out.
+fn covered_and_sending(r: &RoundCounters) -> bool {
+    r.informed == r.alive && r.tx > 0
+}
+
+/// Whether a fixture's condition is in force in a round.
+type Holds = fn(&RoundCounters) -> bool;
+
+/// Asserts that `proto` under `exposure` equals its masked twin exactly
+/// and saturates no round, while some round is covered and sending with
+/// the condition `holds` in force.
+fn assert_never_saturates<P: Protocol + Clone>(
+    what: &str,
+    proto: &P,
+    graph: &Graph,
+    exposure: Exposure,
+    holds: Holds,
+) {
+    let runs = assert_single_twins_agree(what, proto, graph, exposure, true);
+    let rounds: Vec<&RoundCounters> = runs.iter().flat_map(|r| &r.1).collect();
+    assert!(rounds.iter().all(|r| !saturated(r)), "{what}: a round was saturated");
+    assert!(
+        rounds.iter().any(|r| holds(r) && covered_and_sending(r)),
+        "{what}: no covered, sending round under the condition"
+    );
+}
+
+#[test]
+fn saturation_falls_back_where_it_must_not_apply() {
+    // Each fixture reaches rounds in which every alive node knows the
+    // rumour and the protocol still transmits, and has one thing that
+    // rules saturation out: it must saturate no round and equal its
+    // masked twin exactly. The crash and the partition start in the first
+    // round the clean run saturates; the runs are identical before it.
+    let g = graph();
+    let four = four_choice(N);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
+    pool.install(|| {
+        let clean = Exposure::from(Condition::Clean);
+        let first = [3u64, 8]
+            .into_iter()
+            .filter_map(|seed| run(&four, &g, &clean, true, 1, seed).1.into_iter().find(saturated))
+            .map(|r| r.round)
+            .min()
+            .expect("the clean runs saturate");
+        let plan = |schedule: Vec<FaultEvent>, outages| FaultPlan {
+            schedule,
+            outages,
+            ..FaultPlan::default()
+        };
+        let crash = vec![FaultEvent::CrashNodes { at: first, nodes: vec![100] }];
+        let partition = vec![FaultEvent::Partition { from: first, until: 1000, parts: 2 }];
+        let outages = Some(OutageSpec::new(0.01, 4, 4));
+        let none = FailureModel::NONE;
+        let fixtures: [(&str, Exposure, Holds); 4] = [
+            ("one crash", Exposure::of(none, Some(plan(crash, None))), |r| r.alive < N),
+            ("outages", Exposure::of(none, Some(plan(Vec::new(), outages))), |r| r.suspended > 0),
+            ("a partition", Exposure::of(none, Some(plan(partition, None))), |_| true),
+            ("channel loss", Exposure::of(FailureModel::channels(0.1), None), |_| true),
+        ];
+        for (what, exposure, holds) in fixtures {
+            assert_never_saturates(&format!("four-choice, {what}"), &four, &g, exposure, holds);
+        }
+        let early = EarlyPushLatePull { early: 2, deadline: 40 };
+        assert_never_saturates("early push, late pull", &early, &g, clean.clone(), |_| true);
+        let cyclic = FloodPush::with_policy(ChoicePolicy::Cyclic);
+        assert_never_saturates("cyclic push", &cyclic, &g, clean, |_| true);
+    });
+}
+
+#[test]
+fn a_census_slot_the_overlay_has_dead_rules_saturation_out() {
+    // Churn applies a step's leaves before its rejoins, so a slot recycled
+    // and left in the same step stays alive in the engine's census while
+    // the overlay has it dead. Push&pull flooding on a small overlay with
+    // slot reuse reaches rounds that end with every alive peer informed
+    // while such a slot exists; the run must saturate no round and equal
+    // its masked twin exactly.
+    type Churned = (RunReport, Vec<RoundCounters>, SmallRng, usize);
+    fn churned<P: Protocol>(proto: &P, seed: u64) -> Churned {
+        let g = gen::random_regular(64, D, &mut SmallRng::seed_from_u64(seed)).expect("graph");
+        let mut overlay = Overlay::from_graph(&g, D).with_slot_reuse(true);
+        let mut churn = ChurnProcess::symmetric(2.0, 32);
+        let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xC4A2);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cfg = SimConfig::until_quiescent().with_max_rounds(1000).with_history();
+        let mut sim = SimState::new(proto, 64, NodeId::new(0));
+        sim.set_probe(Some(Box::new(Rounds::default())));
+        let mut ghost_rounds = 0;
+        while !sim.finished(&overlay, proto, cfg) {
+            let r = sim.step(&overlay, proto, cfg, &mut rng);
+            let alive = overlay.alive_nodes().len();
+            ghost_rounds += usize::from(r.alive > alive && r.informed == alive);
+            let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+            sim.apply_joins(proto, &events.joined);
+            sim.apply_leaves(&events.left);
+            sim.apply_rejoins(proto, &events.rejoined);
+        }
+        let rounds = recorded(sim.take_probe());
+        (sim.into_report(&overlay, cfg), rounds, rng, ghost_rounds)
+    }
+    let flood = FloodPushPull::new();
+    let mut ghosts = 0;
+    for seed in [1u64, 2] {
+        let native = churned(&flood, seed);
+        let general = churned(&Masked(flood), seed);
+        assert!(native.1.iter().all(|r| !saturated(r)), "seed {seed}: a round was saturated");
+        assert_eq!(native, general, "seed {seed}");
+        ghosts += native.3;
+    }
+    assert!(ghosts > 0, "no round ended with every alive peer informed beside a census-only slot");
+}
+
 /// Counts the words taken from it, by `next_u64` and by `discard`.
 #[derive(Debug, Clone)]
 struct Counting {
@@ -511,12 +780,12 @@ fn the_conditions_reach_the_shortcut() {
     }
     .build();
     assert!(four.capabilities().oblivious);
-    let (report, _, _) = run(&four, &g, Condition::Rates, true, 1, 3);
+    let (report, ..) = run(&four, &g, &Condition::Rates.into(), true, 1, 3);
     let silent = report.history.iter().filter(|r| r.push_tx + r.pull_tx == 0).count();
     assert!(silent > 0, "no silent round in {} rounds", report.rounds);
     let newly: usize = report.history.iter().map(|r| r.newly_informed).sum();
     assert!(report.total_tx() > 2 * newly as u64, "too few copies to informed nodes");
-    let (_, _, rejoined) = run(&FloodPushPull::new(), &g, Condition::Churn, true, 3, 8);
+    let (_, _, rejoined, _) = run(&FloodPushPull::new(), &g, &Condition::Churn.into(), true, 3, 8);
     assert!(rejoined > 0, "churn never recycled a slot");
 }
 
@@ -560,6 +829,6 @@ fn the_conditions_reach_the_multi_rumour_shortcut() {
     assert!(silent > 0, "no round without a sender in {} rounds", report.rounds);
     let newly: usize = rounds.iter().map(|r| r.newly_informed).sum();
     assert!(report.total_rumor_tx() > 2 * newly as u64, "too few copies to informed nodes");
-    let (_, _, rejoined) = run_multi(&four, &g, Condition::Churn, true, 8);
+    let (_, _, rejoined, _) = run_multi(&four, &g, &Condition::Churn.into(), true, &injections(8), 8);
     assert!(rejoined > 0, "churn never recycled a slot");
 }

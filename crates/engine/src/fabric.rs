@@ -10,6 +10,14 @@
 //! oracle in `tests/oracle.rs` and engine against engine in
 //! `tests/parity.rs`).
 //!
+//! A round is one of three [`RoundKind`]s. A *sampled* round samples its
+//! callers one by one. The two others build no channel lists: one pass
+//! counts the channels and words and one `discard` moves the generator.
+//! In a *silent* round nobody transmits. In a *saturated* round every slot
+//! knows the rumour and takes part, and every node transmits the same
+//! directions, so every channel carries them: the engine books the
+//! transmissions from the channel count.
+//!
 //! On the loss-free fast path under `Distinct(k)` the words a caller takes
 //! depend only on its gate and degree, never on the values drawn, so the
 //! single engine samples its shards' callers in parallel
@@ -40,13 +48,35 @@ use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
 pub(crate) struct RoundGate<U, S> {
     /// Whether caller `i` knows no rumour that can travel this round.
     pub(crate) uninformed: U,
-    /// Whether caller `i` pushes this round.
+    /// Whether caller `i` pushes this round (not read in a round declared
+    /// saturated, whose plans the engine need not write).
     pub(crate) pushes: S,
     /// Whether any node pull-serves this round.
     pub(crate) any_pull: bool,
-    /// No node transmits and the engine reads no channel this round: the
-    /// silent round of an [`oblivious`](crate::Capabilities::oblivious) protocol.
-    pub(crate) silent: bool,
+    /// The kind of round the engine declares: the fabric makes a declared
+    /// silent or saturated round one if it can (see
+    /// [`ChannelFabric::sample_round`]) and samples it otherwise.
+    pub(crate) kind: RoundKind,
+}
+
+/// How a round's channels are made, as an engine declares it in its
+/// [`RoundGate`] and as [`ChannelFabric::kind`] reports it. Only an
+/// [`oblivious`](crate::Capabilities::oblivious) protocol's rounds are
+/// declared silent or saturated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum RoundKind {
+    /// Every alive, unblocked caller is sampled as the gate classifies it.
+    #[default]
+    Sampled,
+    /// No node transmits and the engine reads no channel: counted, not
+    /// sampled, and the engine skips its exchange.
+    Silent,
+    /// Every slot is informed, alive and unblocked, and every reception
+    /// round's plan transmits in the same directions: counted, not
+    /// sampled. Every channel is usable and carries each of those
+    /// directions once, so the engine books `channels` transmissions per
+    /// direction and skips its planning and exchange.
+    Saturated,
 }
 
 /// How the sampling loop treats one alive, unblocked caller.
@@ -79,7 +109,7 @@ enum CallerGate {
 #[derive(Debug, Default)]
 pub(crate) struct ChannelFabric {
     /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`
-    /// (empty after a silent round, which builds no lists).
+    /// (empty after a silent or saturated round, which builds no lists).
     offsets: Vec<u32>,
     /// Callee per channel.
     targets: Vec<NodeId>,
@@ -110,6 +140,8 @@ pub(crate) struct ChannelFabric {
     /// of them, and those skipped without being drawn): the fabric's part
     /// of its [`RoundCounters`].
     counters: RoundCounters,
+    /// The kind of round the last one was.
+    kind: RoundKind,
 }
 
 /// One caller segment's target and Floyd scratch on the sharded fast path
@@ -186,12 +218,14 @@ impl Sink for Window<'_> {
     }
 }
 
-/// What one segment's count pass found: its part of the round's counters
-/// and how many channels its open callers open (its window length).
+/// What one segment's count pass found: its part of the round's counters,
+/// how many channels its open callers open (its window length) and how
+/// many of its slots are dead or blocked.
 #[derive(Debug, Clone, Copy)]
 struct SegmentCount {
     counters: RoundCounters,
     opened: usize,
+    absent: usize,
 }
 
 /// What every caller segment of one round reads: the topology, the
@@ -214,8 +248,9 @@ struct Callers<'a, T: ?Sized, U, S> {
 /// takes: each alive, unblocked caller opens `min(deg, k)` channels and
 /// takes `k` words when `deg > k`, owed if it is `Quiet`; a skipped one
 /// takes none and adds its channels to the skipped draws; an open one's
-/// channels are the most it can store. The topology and flags come in as
-/// arguments, which keeps their loads out of the loop.
+/// channels are the most it can store. Dead or blocked slots are counted
+/// as absent. The topology and flags come in as arguments, which keeps
+/// their loads out of the loop.
 // rrb-lint: hot
 fn count_callers<T, G>(topo: &T, blocked: &[bool], first: usize, k: usize, gate: G) -> SegmentCount
 where
@@ -223,10 +258,13 @@ where
     G: Fn(usize) -> CallerGate,
 {
     let (mut channels, mut skipped, mut quiet, mut open, mut opened) = (0, 0, 0, 0, 0);
+    let mut absent = 0;
     for (j, &caller_blocked) in blocked.iter().enumerate() {
         let i = first + j;
         let v = NodeId::new(i);
-        if topo.is_alive(v) && !caller_blocked {
+        if !topo.is_alive(v) || caller_blocked {
+            absent += 1;
+        } else {
             let deg = topo.degree(v);
             let caller_channels = deg.min(k);
             channels += caller_channels as u64;
@@ -248,7 +286,7 @@ where
         jumped_words: quiet,
         ..RoundCounters::default()
     };
-    SegmentCount { counters, opened }
+    SegmentCount { counters, opened, absent }
 }
 
 /// Whether a round is on the fast path: no channel or transmission
@@ -257,6 +295,33 @@ fn is_fast_path(failures: FailureModel, faults: Option<&FaultState>) -> bool {
     failures.channel_failure == 0.0
         && failures.transmission_failure == 0.0
         && faults.is_none_or(|fs| !fs.bursty())
+}
+
+/// Whether a round under `policy`, `failures` and `faults` can be
+/// saturated: `Distinct(k)` on the fast path, with no partition or burst
+/// view, so that a channel between two alive, unblocked nodes is usable.
+/// The engines declare a round saturated only if it holds.
+pub(crate) fn can_saturate(
+    policy: ChoicePolicy,
+    failures: FailureModel,
+    faults: Option<&FaultState>,
+) -> bool {
+    matches!(policy, ChoicePolicy::Distinct(_))
+        && is_fast_path(failures, faults)
+        && faults.is_none_or(|fs| fs.channel_view().is_none())
+}
+
+/// The kind of round a `declared` round becomes once the count pass found
+/// `absent` dead or blocked slots (the census can count a slot alive that
+/// the topology has dead, so the engines' test is not enough): a silent
+/// round stays silent, a saturated one needs every slot present, and the
+/// rest are sampled. The count pass draws nothing, so sampling after it
+/// is exact.
+fn counted_kind(declared: RoundKind, absent: usize) -> RoundKind {
+    match declared {
+        RoundKind::Saturated if absent > 0 => RoundKind::Sampled,
+        kind => kind,
+    }
 }
 
 impl<T, U, S> Callers<'_, T, U, S>
@@ -272,13 +337,20 @@ where
     }
 
     /// How caller `i` is treated (see [`ChannelFabric::sample_round`]).
-    /// Nobody pushes in a silent round, so its plans are not read.
+    /// Nobody transmits in a silent round and every node does in a
+    /// saturated one, so the plans of neither are read.
     #[inline]
     fn gate(&self, i: usize) -> CallerGate {
         let round = self.round;
         if self.skips(i) {
-            CallerGate::Skip
-        } else if !round.silent && (round.any_pull || (round.pushes)(i)) {
+            return CallerGate::Skip;
+        }
+        let open = match round.kind {
+            RoundKind::Sampled => round.any_pull || (round.pushes)(i),
+            RoundKind::Silent => false,
+            RoundKind::Saturated => true,
+        };
+        if open {
             CallerGate::Open
         } else {
             CallerGate::Quiet
@@ -291,7 +363,7 @@ where
     /// drop the open arm from the loop.
     fn count(&self, callers: Range<usize>, k: usize) -> SegmentCount {
         let (first, blocked) = (callers.start, &self.blocked[callers]);
-        if self.round.silent {
+        if self.round.kind == RoundKind::Silent {
             let quiet = |i| if self.skips(i) { CallerGate::Skip } else { CallerGate::Quiet };
             count_callers(self.topo, blocked, first, k, quiet)
         } else {
@@ -442,8 +514,15 @@ impl ChannelFabric {
     ///   owes depend only on its flags and degree. Such a round builds no
     ///   lists: one pass counts the channels, skipped draws and words, and
     ///   one `discard` moves the generator past the words, and
-    ///   [`is_silent`](Self::is_silent) tells the engine to skip its
-    ///   exchange.
+    ///   [`kind`](Self::kind) tells the engine to skip its exchange.
+    /// - **Saturated round.** In a round declared saturated (only where
+    ///   [`can_saturate`] holds) every caller is `Open`, and the same count
+    ///   pass also checks from the topology and the `blocked` flags that
+    ///   every slot is alive and unblocked. If so, every channel is usable,
+    ///   and the round builds no lists either: its words are all jumped,
+    ///   and the engine books `channels` transmissions per direction its
+    ///   plan uses. If not, the round is sampled, every caller `Open`; the
+    ///   count pass drew nothing, so this is exact.
     ///
     /// `faults` is the installed fault plan's state: partitioned pairs
     /// fail to establish like calls to a crashed peer (no cost, no draw),
@@ -473,12 +552,17 @@ impl ChannelFabric {
         let n = topo.node_count();
         let view = faults.and_then(FaultState::channel_view);
         let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
-        match callers.policy {
-            ChoicePolicy::Distinct(k) if gate.silent && callers.fast_path => {
-                let counted = callers.count(0..n, k).counters;
-                self.finish_silent(counted, rng);
+        let counted = match callers.policy {
+            ChoicePolicy::Distinct(k) if gate.kind != RoundKind::Sampled && callers.fast_path => {
+                let count = callers.count(0..n, k);
+                let kind = counted_kind(gate.kind, count.absent);
+                (kind != RoundKind::Sampled).then_some((kind, count.counters))
             }
-            _ => {
+            _ => None,
+        };
+        match counted {
+            Some((kind, counters)) => self.finish_counted(kind, counters, rng),
+            None => {
                 self.offsets.resize(n + 1, 0);
                 self.offsets[0] = 0;
                 self.targets.clear();
@@ -520,10 +604,10 @@ impl ChannelFabric {
     ///    moves down to close the gaps that unusable channels left.
     ///
     /// The lists, channel ids, counters and the generator afterwards are
-    /// those one segment produces. A silent round stops after step 1 and
-    /// one `discard`. Each segment's time goes to `probe` as its share of
-    /// the [`Fabric`](StepPhase::Fabric) phase (no clock is read without a
-    /// probe). Every other round, and any round at one segment, runs
+    /// those one segment produces. A silent or saturated round stops after
+    /// step 1 and one `discard`. Each segment's time goes to `probe` as its
+    /// share of the [`Fabric`](StepPhase::Fabric) phase (no clock is read
+    /// without a probe). Every other round, and any round at one segment, runs
     /// [`sample_round`](Self::sample_round) on `rng` itself.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sample_round_sharded<T, P, U, S, R>(
@@ -564,14 +648,17 @@ impl ChannelFabric {
             })
             .collect();
         let mut total = RoundCounters::default();
+        let mut absent = 0;
         for (c, _) in &counts {
             total.channels += c.counters.channels;
             total.skipped_draws += c.counters.skipped_draws;
             total.fabric_words += c.counters.fabric_words;
             total.jumped_words += c.counters.jumped_words;
+            absent += c.absent;
         }
-        if gate.silent {
-            self.finish_silent(total, rng);
+        let kind = counted_kind(gate.kind, absent);
+        if kind != RoundKind::Sampled {
+            self.finish_counted(kind, total, rng);
             if let Some(p) = probe.as_deref_mut() {
                 for (s, &(_, d)) in counts.iter().enumerate() {
                     p.on_shard_phase(s, StepPhase::Fabric, d);
@@ -650,8 +737,8 @@ impl ChannelFabric {
         }
     }
 
-    /// Starts a round: settles the fast-path flag and returns what its
-    /// caller segments read.
+    /// Starts a round: settles the fast-path flag and the round kind, and
+    /// returns what its caller segments read.
     #[allow(clippy::too_many_arguments)]
     fn callers<'a, T, P, U, S>(
         &mut self,
@@ -671,6 +758,7 @@ impl ChannelFabric {
     {
         self.fast_path = is_fast_path(failures, faults);
         self.tx_drawn = false;
+        self.kind = RoundKind::Sampled;
         Callers {
             topo,
             policy: protocol.choice_policy(),
@@ -683,16 +771,22 @@ impl ChannelFabric {
         }
     }
 
-    /// Closes a silent round: no lists, and one
+    /// Closes a silent or saturated round: no lists, and one
     /// [`discard`](rand::RngCore::discard) past the words `counted`, which
     /// leaves the generator where sampling would, since no draw depends
-    /// on the values drawn before it.
-    fn finish_silent<R: RngCore + ?Sized>(&mut self, counted: RoundCounters, rng: &mut R) {
+    /// on the values drawn before it. Every word of the round is jumped.
+    fn finish_counted<R: RngCore + ?Sized>(
+        &mut self,
+        kind: RoundKind,
+        counted: RoundCounters,
+        rng: &mut R,
+    ) {
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
         rng.discard(counted.fabric_words);
-        self.counters = counted;
+        self.counters = RoundCounters { jumped_words: counted.fabric_words, ..counted };
+        self.kind = kind;
     }
 
     /// The serial transmission pre-draw of one round, over the stored
@@ -771,11 +865,11 @@ impl ChannelFabric {
         self.counters
     }
 
-    /// Whether the last round was silent: it built no channel lists, and
-    /// the engine skips its exchange.
+    /// The kind of round the last one was. Only a sampled round built
+    /// channel lists; after any other the engine skips its exchange.
     #[inline]
-    pub(crate) fn is_silent(&self) -> bool {
-        self.offsets.is_empty()
+    pub(crate) fn kind(&self) -> RoundKind {
+        self.kind
     }
 
     /// Number of materialised channels this round.
@@ -1057,14 +1151,16 @@ mod tests {
     type Gate = RoundGate<fn(usize) -> bool, fn(usize) -> bool>;
     type MakeGate = fn() -> Gate;
 
+    use RoundKind::{Sampled, Saturated, Silent};
+
     /// A round gate in which no node pull-serves.
-    fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, silent: bool) -> Gate {
-        RoundGate { uninformed, pushes, any_pull: false, silent }
+    fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, kind: RoundKind) -> Gate {
+        RoundGate { uninformed, pushes, any_pull: false, kind }
     }
 
     /// Every caller pushes: every caller is `Open`.
     fn all_open() -> Gate {
-        gate(|_| false, |_| true, false)
+        gate(|_| false, |_| true, Sampled)
     }
 
     /// One round of `protocol` on `g` from `seed`, no caller blocked:
@@ -1112,7 +1208,7 @@ mod tests {
         // A push-only protocol, every caller uninformed: full channel
         // count, nothing drawn or materialised.
         let g = gen::complete(8);
-        let uninformed = || gate(|_| true, |_| false, false);
+        let uninformed = || gate(|_| true, |_| false, Sampled);
         let none = FailureModel::NONE;
         let (fabric, rng) = sample_one(&g, &FloodPush::new(), none, None, uninformed(), 5);
         assert_eq!(fabric.counters().channels, 8);
@@ -1143,7 +1239,7 @@ mod tests {
             };
             let (open_channels, open_lists, open_rng) = sample(all_open());
             let (quiet_channels, quiet_lists, quiet_rng) =
-                sample(gate(|_| false, |i| i % 2 == 0, false));
+                sample(gate(|_| false, |i| i % 2 == 0, Sampled));
             assert_eq!(open_channels, quiet_channels, "{policy:?}");
             assert_eq!(open_rng, quiet_rng, "{policy:?}: quiet callers must draw");
             for i in 0..16 {
@@ -1168,30 +1264,30 @@ mod tests {
         let blocked: Vec<bool> = (0..n).map(|i| i % 7 == 3).collect();
         for k in [1, 3, 4, 6] {
             let protocol = FloodPush::with_policy(ChoicePolicy::Distinct(k));
-            let sample = |silent: bool| {
+            let sample = |kind: RoundKind| {
                 let mut rng = SmallRng::seed_from_u64(21);
                 let mut fabric = ChannelFabric::new(n);
                 let mut choice = ChoiceState::new(n, protocol.choice_policy());
-                let gate = gate(|i| i % 5 == 1, |_| false, silent);
+                let gate = gate(|i| i % 5 == 1, |_| false, kind);
                 let (none, choice) = (FailureModel::NONE, &mut choice);
                 fabric.sample_round(&g, &protocol, choice, none, None, &blocked, gate, &mut rng);
                 (fabric, rng)
             };
-            let (quiet, quiet_rng) = sample(false);
-            let (silent, silent_rng) = sample(true);
+            let (quiet, quiet_rng) = sample(Sampled);
+            let (silent, silent_rng) = sample(Silent);
             assert_eq!(silent_rng, quiet_rng, "k = {k}");
             assert_eq!(silent.counters(), quiet.counters(), "k = {k}");
             let counters = quiet.counters();
             assert!(counters.fabric_words > 0 && counters.skipped_draws > 0);
-            assert!(!quiet.is_silent() && silent.is_silent());
+            assert_eq!((quiet.kind(), silent.kind()), (Sampled, Silent));
             assert_eq!((quiet.len(), silent.len()), (0, 0));
         }
     }
 
     /// One fast-path round of `protocol` on `g` in `segments` caller
     /// segments: the fabric and the generator after it.
-    fn sample_segmented<P: Protocol>(
-        g: &Graph,
+    fn sample_segmented<T: Topology + ?Sized, P: Protocol>(
+        g: &T,
         protocol: &P,
         faults: Option<&FaultState>,
         blocked: &[bool],
@@ -1225,12 +1321,13 @@ mod tests {
             schedule: vec![FaultEvent::Partition { from: 1, until: 9, parts: 3 }],
             ..FaultPlan::default()
         };
-        let gates: [(&str, MakeGate); 5] = [
+        let gates: [(&str, MakeGate); 6] = [
             ("open", all_open),
-            ("mixed", || gate(|i| i % 5 == 1, |i| i % 3 != 0, false)),
-            ("late", || gate(|i| i < 130, |i| i % 3 != 0, false)),
-            ("pull", || RoundGate { any_pull: true, ..gate(|i| i % 5 == 1, |_| false, false) }),
-            ("silent", || gate(|i| i % 5 == 1, |_| false, true)),
+            ("mixed", || gate(|i| i % 5 == 1, |i| i % 3 != 0, Sampled)),
+            ("late", || gate(|i| i < 130, |i| i % 3 != 0, Sampled)),
+            ("pull", || RoundGate { any_pull: true, ..gate(|i| i % 5 == 1, |_| false, Sampled) }),
+            ("silent", || gate(|i| i % 5 == 1, |_| false, Silent)),
+            ("saturated", || gate(|_| false, |_| false, Saturated)),
         ];
         // Rounds in which blocked or partitioned-away callees leave gaps.
         let mut gaps = 0;
@@ -1264,16 +1361,109 @@ mod tests {
         assert!(gaps >= 6, "only {gaps} open rounds had windows to close up");
     }
 
+    /// A graph with one dead slot the census does not know about.
+    struct OneDead(Graph, usize);
+
+    impl Topology for OneDead {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+        fn is_alive(&self, v: NodeId) -> bool {
+            v.index() != self.1
+        }
+        fn stubs(&self, v: NodeId) -> &[NodeId] {
+            self.0.neighbors(v)
+        }
+    }
+
+    #[test]
+    fn saturated_rounds_count_what_an_all_open_round_samples() {
+        // With every slot alive and unblocked, a round declared saturated
+        // builds no lists: it counts the channels and words an all-open
+        // round samples, jumps all the words and leaves the generator where
+        // the open round does, at any segment count. A blocked slot and a
+        // slot the topology has dead each make it sample, as the all-open
+        // round does.
+        let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
+        let n = pa.node_count();
+        let present = vec![false; n];
+        let mut one_blocked = present.clone();
+        one_blocked[7] = true;
+        let dead = OneDead(pa.clone(), 11);
+        let saturated = || gate(|_| false, |_| false, Saturated);
+        for k in [1, 4, 17] {
+            let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
+            for segments in [1, 2, 3, 7] {
+                let case = format!("k = {k}, {segments} segments");
+                let sample = |g: &dyn Topology, blocked: &[bool], gate: Gate| {
+                    sample_segmented(g, &protocol, None, blocked, gate, segments)
+                };
+                let (open, open_rng) = sample(&pa, &present, all_open());
+                let (sat, sat_rng) = sample(&pa, &present, saturated());
+                assert_eq!((open.kind(), sat.kind()), (Sampled, Saturated), "{case}");
+                let words = open.counters().fabric_words;
+                assert!(words > 0 && open.counters().jumped_words == 0, "{case}");
+                let jumped = RoundCounters { jumped_words: words, ..open.counters() };
+                assert_eq!(sat.counters(), jumped, "{case}");
+                assert_eq!(sat_rng, open_rng, "{case}");
+                assert_eq!(sat.len(), 0, "{case}");
+                for (what, g, blocked) in
+                    [("blocked", &pa as &dyn Topology, &one_blocked), ("dead", &dead, &present)]
+                {
+                    let (fell, fell_rng) = sample(g, blocked, saturated());
+                    let (open, open_rng) = sample(g, blocked, all_open());
+                    assert_eq!(fell.kind(), Sampled, "{case}, {what}");
+                    assert_eq!(fell.offsets, open.offsets, "{case}, {what}");
+                    assert_eq!(fell.targets, open.targets, "{case}, {what}");
+                    assert_eq!(fell.counters(), open.counters(), "{case}, {what}");
+                    assert_eq!(fell_rng, open_rng, "{case}, {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_loss_free_distinct_rounds_without_a_channel_view_can_saturate() {
+        let n = 12;
+        let at_round_1 = |plan: FaultPlan| {
+            let mut fs = FaultState::new(&plan, n, 0);
+            fs.begin_round(1, n, |_| 11, |_| None, |_| true);
+            fs
+        };
+        let partition = at_round_1(FaultPlan {
+            schedule: vec![FaultEvent::Partition { from: 1, until: 9, parts: 3 }],
+            ..FaultPlan::default()
+        });
+        let healed = at_round_1(FaultPlan {
+            schedule: vec![FaultEvent::Partition { from: 2, until: 9, parts: 3 }],
+            ..FaultPlan::default()
+        });
+        let burst = at_round_1(FaultPlan {
+            burst: Some(GilbertElliott::new(0.1, 0.4, 0.02, 0.6)),
+            ..FaultPlan::default()
+        });
+        let (four, none) = (ChoicePolicy::FOUR, FailureModel::NONE);
+        assert!(can_saturate(four, none, None));
+        assert!(can_saturate(four, FailureModel::crashes(0.1), Some(&healed)));
+        assert!(!can_saturate(four, none, Some(&partition)));
+        assert!(!can_saturate(four, none, Some(&burst)));
+        assert!(!can_saturate(four, FailureModel::channels(0.1), None));
+        assert!(!can_saturate(four, FailureModel::transmissions(0.1), None));
+        assert!(!can_saturate(ChoicePolicy::SEQUENTIAL, none, None));
+        assert!(!can_saturate(ChoicePolicy::Cyclic, none, None));
+    }
+
     #[test]
     fn quiet_callers_are_sampled_off_the_fast_path() {
         // Per-channel failure draws need the targets, so a lossy round
-        // treats quiet callers as open, and a lossy silent round samples.
+        // treats quiet callers as open, and a lossy silent or saturated
+        // round samples.
         let g = gen::complete(16);
         let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
-        for silent in [false, true] {
-            let quiet = gate(|_| false, |_| false, silent);
+        for kind in [Sampled, Silent, Saturated] {
+            let quiet = gate(|_| false, |_| false, kind);
             let (fabric, _) = sample_one(&g, &four, FailureModel::channels(0.3), None, quiet, 13);
-            assert!(!fabric.is_fast_path() && !fabric.is_silent());
+            assert!(!fabric.is_fast_path() && fabric.kind() == Sampled);
             assert_eq!(fabric.len(), 16 * 4);
         }
     }

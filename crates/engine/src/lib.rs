@@ -33,8 +33,11 @@
 //! 2. **Plan** — an *informed-node index list* means only informed nodes
 //!    are visited (`O(informed)`); everyone else keeps a standing `SILENT`
 //!    plan. An [`oblivious`](Capabilities::oblivious) protocol is asked
-//!    once per reception round instead, and when no reception round
-//!    transmits no node is planned at all.
+//!    once per reception round instead, and no node is planned at all
+//!    when no reception round transmits (a *silent* round) or when every
+//!    slot is informed and takes part and every reception round transmits
+//!    in the same directions (a *saturated* round, on the loss-free fast
+//!    path under `Distinct(k)` with no partition or burst view).
 //! 3. **Fabric** — every alive node opens channels into one CSR channel
 //!    fabric, gated per caller by the plans: `Skip` (a push-only
 //!    protocol's uninformed caller: counted, never sampled), `Quiet` (the
@@ -42,6 +45,9 @@
 //!    `Open`. A silent round on the failure-free fast path skips the
 //!    sampling and the next two phases: one pass counts the channels and
 //!    generator words, and one `discard` jumps the generator past them.
+//!    A saturated round does the same once that pass has found every slot
+//!    alive and unblocked in the topology: every channel is usable, so
+//!    the engine books `channels` transmissions per direction used.
 //!    These rules, and the serial pre-draw of transmission outcomes (one
 //!    per used channel direction), are written once in the engine's
 //!    fabric module and shared by both round engines. On the fast path

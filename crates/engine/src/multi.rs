@@ -3,7 +3,7 @@ use rand::Rng;
 use rrb_graph::NodeId;
 
 use crate::choice::ChoiceState;
-use crate::fabric::{ChannelFabric, InformedIndex, RoundGate};
+use crate::fabric::{can_saturate, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger};
 use crate::observation::ObservationArena;
@@ -126,16 +126,21 @@ impl MultiRumorReport {
 ///    single engine shares), and only the groups of reception rounds that
 ///    transmit are walked — a rumour none of whose rounds transmits plans
 ///    no node. Plans are RNG-free, so making them before the fabric moves
-///    no draw.
+///    no draw. A *saturated* round plans no node at all: the protocol is
+///    oblivious, the round on the loss-free fast path under `Distinct(k)`
+///    with no partition or burst view, every slot takes part, and every
+///    live rumour that transmits has every slot informed and one plan for
+///    all its reception rounds.
 /// 4. **Gated fabric** — every alive node's call targets are sampled once
 ///    into the CSR channel fabric and shared by all rumours, through the
 ///    round gate the single engine uses: a caller informed of *no* active
 ///    rumour takes the push-only sampling skip, one that pushes no rumour
 ///    in a round in which nobody pull-serves is quiet (its channels are
 ///    counted and its draws skipped, none stored), and a round in which an
-///    oblivious protocol plans no sender skips the sampling altogether.
-///    When some node pull-serves, a reverse (incoming-channel) index is
-///    built.
+///    oblivious protocol plans no sender skips the sampling altogether, and
+///    so does a saturated round once the fabric has checked from the
+///    topology that every slot can call. When some node pull-serves, a
+///    reverse (incoming-channel) index is built.
 /// 5. **Direction pre-draw** — one pass over the stored channels counts
 ///    combined messages and draws each used channel direction's
 ///    transmission failure **once**, so a combined message succeeds or
@@ -145,7 +150,10 @@ impl MultiRumorReport {
 ///    observation arena's touched receivers. For an oblivious protocol
 ///    every copy is still counted, but only copies to nodes uninformed of
 ///    the rumour are acted on — they mark the receiver at once — and the
-///    digest makes no `update` call, so the arena is not used.
+///    digest makes no `update` call, so the arena is not used. A saturated
+///    round exchanges nothing: each rumour books `channels` transmissions
+///    per direction of its plan, and the round `channels` combined
+///    messages per direction any rumour uses.
 /// 7. **Coverage** — per-rumour alive-informed counters are maintained
 ///    incrementally; no `O(n)` rescans (debug builds recount them at the
 ///    end of every step).
@@ -226,6 +234,10 @@ pub struct MultiSimState<P: Protocol> {
     plan_store: Vec<(u32, Plan)>,
     plan_start: Vec<u32>,
     plan_len: Vec<u32>,
+    /// Per rumour, the one plan of every reception round in a saturated
+    /// round, `SILENT` for a rumour that sends nothing in it (see
+    /// [`saturated`](Self::saturated)).
+    uniform: Vec<Plan>,
     /// A `protocol.init(false)` to ask an oblivious protocol's
     /// [`reception_round_plans`] with (its plan ignores the state).
     bucket_state: P::State,
@@ -292,6 +304,7 @@ impl<P: Protocol> MultiSimState<P> {
             plan_store: Vec::new(),
             plan_start: vec![0; nr],
             plan_len: vec![0; nr],
+            uniform: vec![Plan::SILENT; nr],
             bucket_state: protocol.init(false),
             push_any: vec![false; n],
             pull_any: vec![false; n],
@@ -572,13 +585,221 @@ impl<P: Protocol> MultiSimState<P> {
         // the flat CSR plan store; per-node any-rumour transmit flags gate
         // the fabric and the transmission pre-draw below. An oblivious
         // protocol is asked once per reception round on the rumour's local
-        // clock, and only the groups of rounds that transmit are walked.
+        // clock, and only the groups of rounds that transmit are walked. A
+        // saturated round plans no node.
         for &i in &self.plan_touched {
             self.push_any[i as usize] = false;
             self.pull_any[i as usize] = false;
         }
         self.plan_touched.clear();
         self.plan_store.clear();
+        let saturable = caps.oblivious
+            && can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
+        let saturated = if saturable { self.saturated(protocol, t, active_end, n) } else { None };
+        let mut any_pull = match saturated {
+            Some((_, pull)) => pull,
+            None => self.plan_rumours(protocol, t, active_end),
+        };
+        self.ledger.lap(StepPhase::Plan);
+
+        // Phase 4: the shared channel fabric, through the round gate the
+        // single engine uses (`fabric.rs`). A caller informed of no active
+        // rumour is the push-only skip's; one that pushes no rumour, in a
+        // round in which no node pull-serves, is quiet. A round in which an
+        // oblivious protocol plans no sender is silent, one found saturated
+        // above is declared so. Pulls walk the reverse (incoming-channel)
+        // index, built when some node serves.
+        let kind = match saturated {
+            Some(_) => RoundKind::Saturated,
+            None if caps.oblivious && self.plan_store.is_empty() => RoundKind::Silent,
+            None => RoundKind::Sampled,
+        };
+        let (informed_of, push_any) = (&self.informed_of, &self.push_any);
+        self.fabric.sample_round(
+            topo,
+            protocol,
+            &mut self.choice,
+            failures,
+            self.ledger.faults.as_ref(),
+            self.ledger.census.blocked_slice(),
+            RoundGate {
+                uninformed: |i: usize| informed_of[i] == 0,
+                pushes: |i: usize| push_any[i],
+                any_pull,
+                kind,
+            },
+            rng,
+        );
+        // A saturated round's channels each carry every direction some
+        // rumour uses; if some slot the census counts cannot call, the
+        // fabric sampled after all, and the exchange reads the plans.
+        let saturated_round = self.fabric.kind() == RoundKind::Saturated;
+        let booked = saturated_round.then(|| self.fabric.counters().channels);
+        if booked.is_none() && saturated.is_some() {
+            any_pull = self.plan_rumours(protocol, t, active_end);
+        }
+        if any_pull && booked.is_none() {
+            self.fabric.build_incoming(n);
+        }
+        self.ledger.lap(StepPhase::Fabric);
+
+        // Phase 5: the transmission pre-draw over the used channel
+        // directions, one outcome per direction shared by every rumour on
+        // it, in the single engine's order; it counts the combined
+        // messages. It rides in the first rumour's Exchange lap.
+        if let (Some(channels), Some((push, pull))) = (booked, saturated) {
+            self.combined += channels * (u64::from(push) + u64::from(pull));
+        } else if !self.plan_store.is_empty() {
+            let (push_any, pull_any) = (&self.push_any, &self.pull_any);
+            self.combined +=
+                self.fabric.draw_transmissions(failures, |i| push_any[i], |w| pull_any[w], rng);
+        }
+
+        // Phase 6: per-rumour exchanges and digest over the shared fabric.
+        // Pushes walk the rumour's informed senders' forward channel lists;
+        // pulls walk its servers' incoming channels via the reverse index —
+        // O(informed · fanout + receipts) per rumour, never O(n). Every
+        // copy is counted. An oblivious protocol's copies are not stored:
+        // a copy to an uninformed receiver marks it at once (so receivers
+        // join the informed list in the order the arena would first have
+        // touched them) and the rest inform nobody and feed no update.
+        let effective_alive = self.effective_alive();
+        let mut push_tx = 0u64;
+        let mut pull_tx = 0u64;
+        let mut newly_informed = 0usize;
+        for ai in 0..active_end {
+            let r = self.activation_order[ai] as usize;
+            if self.retired[r] {
+                continue;
+            }
+            let tl = t - self.births[r];
+            let known = self.informed[r].len();
+            let (rumor_push, rumor_pull) = match booked {
+                Some(channels) => {
+                    let plan = self.uniform[r];
+                    (channels * u64::from(plan.push), channels * u64::from(plan.pull_serve))
+                }
+                None => self.exchange(r, tl, any_pull, caps.oblivious),
+            };
+            self.tx[r] += rumor_push + rumor_pull;
+            push_tx += rumor_push;
+            pull_tx += rumor_pull;
+            // The pre-draw above rides in the first Exchange lap; later
+            // laps cover only their rumour's sends.
+            self.ledger.lap(StepPhase::Exchange);
+
+            if caps.oblivious {
+                // Digest: the nodes marked above, all new, get their
+                // census entries and (list-parallel) states and form
+                // round `tl`'s group; no updates.
+                let len = self.informed[r].len();
+                for p in known..len {
+                    let i = self.informed[r].list()[p] as usize;
+                    self.informed_of[i] += 1;
+                    if self.ledger.census.is_effective(i) {
+                        self.alive_informed[r] += 1;
+                    }
+                    self.states[r].push(protocol.init(false));
+                }
+                if len > known {
+                    newly_informed += len - known;
+                    let ends = &mut self.round_ends[r];
+                    ends.resize(tl as usize, known as u32);
+                    ends.push(len as u32);
+                }
+            } else {
+                newly_informed += self.digest(protocol, r, tl, known);
+            }
+
+            // Coverage bookkeeping: incremental counters, no O(n) rescan.
+            if self.full_coverage_at[r].is_none()
+                && self.alive_informed[r] == effective_alive
+            {
+                self.full_coverage_at[r] = Some(t);
+            }
+            self.ledger.lap(StepPhase::Update);
+        }
+
+        // Debug builds recount every rumour's coverage numerator.
+        for (informed, &alive_informed) in self.informed.iter().zip(&self.alive_informed) {
+            self.ledger.debug_check_numerator(informed, alive_informed);
+        }
+        self.ledger.close_round(RoundCounters {
+            informed: self.alive_informed.iter().sum(),
+            newly_informed,
+            push_tx,
+            pull_tx,
+            ..self.fabric.counters()
+        });
+    }
+
+    /// Rumour `r`'s exchange over the sampled fabric (phase 6 of
+    /// [`step`](Self::step)): pushes walk its senders' forward channel
+    /// lists, pulls its servers' incoming channels. Every copy is counted;
+    /// an oblivious protocol's copy to an uninformed receiver marks it at
+    /// once, other protocols' copies go to the arena. Returns the rumour's
+    /// push and pull transmissions.
+    // rrb-lint: hot
+    fn exchange(&mut self, r: usize, tl: Round, any_pull: bool, oblivious: bool) -> (u64, u64) {
+        let senders = self.plan_start[r] as usize
+            ..(self.plan_start[r] + self.plan_len[r]) as usize;
+        if !oblivious {
+            self.arena.begin_round();
+        }
+        let mut rumor_push = 0u64;
+        let mut rumor_pull = 0u64;
+        for k in senders.clone() {
+            let (i, plan) = self.plan_store[k];
+            if !plan.push {
+                continue;
+            }
+            for c in self.fabric.out_range(i as usize) {
+                if !self.fabric.usable(c) {
+                    continue;
+                }
+                rumor_push += 1;
+                if !self.fabric.push_arrives(c) {
+                    continue;
+                }
+                let w = self.fabric.target(c).index();
+                if oblivious {
+                    self.informed[r].mark(w, tl);
+                } else {
+                    self.arena.record_push(w, plan.meta);
+                }
+            }
+        }
+        if any_pull {
+            for k in senders {
+                let (w, plan) = self.plan_store[k];
+                if !plan.pull_serve {
+                    continue;
+                }
+                for &(c, caller) in self.fabric.incoming(w as usize) {
+                    if !self.fabric.usable(c as usize) {
+                        continue;
+                    }
+                    rumor_pull += 1;
+                    if !self.fabric.pull_arrives(c as usize) {
+                        continue;
+                    }
+                    if oblivious {
+                        self.informed[r].mark(caller as usize, tl);
+                    } else {
+                        self.arena.record_pull(caller as usize, plan.meta);
+                    }
+                }
+            }
+        }
+        (rumor_push, rumor_pull)
+    }
+
+    /// Plans every live rumour's senders into the plan store and the
+    /// per-node any-rumour flags (phase 3 of [`step`](Self::step)); returns
+    /// whether any node pull-serves.
+    // rrb-lint: hot
+    fn plan_rumours(&mut self, protocol: &P, t: Round, active_end: usize) -> bool {
+        let caps = protocol.capabilities();
         let mut any_pull = false;
         for ai in 0..active_end {
             let r = self.activation_order[ai] as usize;
@@ -631,163 +852,50 @@ impl<P: Protocol> MultiSimState<P> {
                 any_pull |= plan.pull_serve;
             }
         }
-        self.ledger.lap(StepPhase::Plan);
+        any_pull
+    }
 
-        // Phase 4: the shared channel fabric, through the round gate the
-        // single engine uses (`fabric.rs`). A caller informed of no active
-        // rumour is the push-only skip's; one that pushes no rumour, in a
-        // round in which no node pull-serves, is quiet. A round in which an
-        // oblivious protocol plans no sender is silent. Pulls walk the
-        // reverse (incoming-channel) index, built when some node serves.
-        let (informed_of, push_any, pull_any) = (&self.informed_of, &self.push_any, &self.pull_any);
-        self.fabric.sample_round(
-            topo,
-            protocol,
-            &mut self.choice,
-            failures,
-            self.ledger.faults.as_ref(),
-            self.ledger.census.blocked_slice(),
-            RoundGate {
-                uninformed: |i: usize| informed_of[i] == 0,
-                pushes: |i: usize| push_any[i],
-                any_pull,
-                silent: caps.oblivious && self.plan_store.is_empty(),
-            },
-            rng,
-        );
-        if any_pull {
-            self.fabric.build_incoming(n);
+    /// Whether round `t` is saturated: every slot takes part (alive,
+    /// uncrashed, not suspended), and every live rumour either transmits
+    /// in none of its reception rounds or has every slot informed and the
+    /// same transmitting plan in all of them; one rumour at least does the
+    /// latter. Leaves each live rumour's plan (`SILENT` for the former) in
+    /// `uniform`, and returns whether any rumour pushes and whether any
+    /// pull-serves. Asked only of a `saturable` round of an oblivious
+    /// protocol (see [`can_saturate`]).
+    fn saturated(
+        &mut self,
+        protocol: &P,
+        t: Round,
+        active_end: usize,
+        n: usize,
+    ) -> Option<(bool, bool)> {
+        let census = &self.ledger.census;
+        if census.effective_alive() != n || census.suspended_count() > 0 {
+            return None;
         }
-        self.ledger.lap(StepPhase::Fabric);
-
-        // Phase 5: the transmission pre-draw over the used channel
-        // directions, one outcome per direction shared by every rumour on
-        // it, in the single engine's order; it counts the combined
-        // messages. It rides in the first rumour's Exchange lap.
-        if !self.plan_store.is_empty() {
-            self.combined +=
-                self.fabric.draw_transmissions(failures, |i| push_any[i], |w| pull_any[w], rng);
-        }
-
-        // Phase 6: per-rumour exchanges and digest over the shared fabric.
-        // Pushes walk the rumour's informed senders' forward channel lists;
-        // pulls walk its servers' incoming channels via the reverse index —
-        // O(informed · fanout + receipts) per rumour, never O(n). Every
-        // copy is counted. An oblivious protocol's copies are not stored:
-        // a copy to an uninformed receiver marks it at once (so receivers
-        // join the informed list in the order the arena would first have
-        // touched them) and the rest inform nobody and feed no update.
-        let effective_alive = self.effective_alive();
-        let mut push_tx = 0u64;
-        let mut pull_tx = 0u64;
-        let mut newly_informed = 0usize;
-        for ai in 0..active_end {
-            let r = self.activation_order[ai] as usize;
+        let (mut sends, mut push, mut pull) = (false, false, false);
+        for &r in &self.activation_order[..active_end] {
+            let r = r as usize;
             if self.retired[r] {
                 continue;
             }
-            let tl = t - self.births[r];
-            let senders = self.plan_start[r] as usize
-                ..(self.plan_start[r] + self.plan_len[r]) as usize;
-            let known = self.informed[r].len();
-            if !caps.oblivious {
-                self.arena.begin_round();
+            let (latest, tl) = (self.round_ends[r].len() as Round - 1, t - self.births[r]);
+            let mut plans = reception_round_plans(protocol, &self.bucket_state, latest, tl);
+            let first = plans.next().expect("reception round 0");
+            let dirs = (first.push, first.pull_serve);
+            if !plans.all(|p| (p.push, p.pull_serve) == dirs) {
+                return None;
             }
-            let mut rumor_push = 0u64;
-            let mut rumor_pull = 0u64;
-            for k in senders.clone() {
-                let (i, plan) = self.plan_store[k];
-                if !plan.push {
-                    continue;
-                }
-                for c in self.fabric.out_range(i as usize) {
-                    if !self.fabric.usable(c) {
-                        continue;
-                    }
-                    rumor_push += 1;
-                    if !self.fabric.push_arrives(c) {
-                        continue;
-                    }
-                    let w = self.fabric.target(c).index();
-                    if caps.oblivious {
-                        self.informed[r].mark(w, tl);
-                    } else {
-                        self.arena.record_push(w, plan.meta);
-                    }
-                }
+            if first.transmits() && self.alive_informed[r] != n {
+                return None;
             }
-            if any_pull {
-                for k in senders {
-                    let (w, plan) = self.plan_store[k];
-                    if !plan.pull_serve {
-                        continue;
-                    }
-                    for &(c, caller) in self.fabric.incoming(w as usize) {
-                        if !self.fabric.usable(c as usize) {
-                            continue;
-                        }
-                        rumor_pull += 1;
-                        if !self.fabric.pull_arrives(c as usize) {
-                            continue;
-                        }
-                        if caps.oblivious {
-                            self.informed[r].mark(caller as usize, tl);
-                        } else {
-                            self.arena.record_pull(caller as usize, plan.meta);
-                        }
-                    }
-                }
-            }
-            self.tx[r] += rumor_push + rumor_pull;
-            push_tx += rumor_push;
-            pull_tx += rumor_pull;
-            // The pre-draw above rides in the first Exchange lap; later
-            // laps cover only their rumour's sends.
-            self.ledger.lap(StepPhase::Exchange);
-
-            if caps.oblivious {
-                // Digest: the nodes marked above, all new, get their
-                // census entries and (list-parallel) states and form
-                // round `tl`'s group; no updates.
-                let len = self.informed[r].len();
-                for p in known..len {
-                    let i = self.informed[r].list()[p] as usize;
-                    self.informed_of[i] += 1;
-                    if self.ledger.census.is_effective(i) {
-                        self.alive_informed[r] += 1;
-                    }
-                    self.states[r].push(protocol.init(false));
-                }
-                if len > known {
-                    newly_informed += len - known;
-                    let ends = &mut self.round_ends[r];
-                    ends.resize(tl as usize, known as u32);
-                    ends.push(len as u32);
-                }
-            } else {
-                newly_informed += self.digest(protocol, r, tl, known);
-            }
-
-            // Coverage bookkeeping: incremental counters, no O(n) rescan.
-            if self.full_coverage_at[r].is_none()
-                && self.alive_informed[r] == effective_alive
-            {
-                self.full_coverage_at[r] = Some(t);
-            }
-            self.ledger.lap(StepPhase::Update);
+            self.uniform[r] = first;
+            sends |= first.transmits();
+            push |= first.push;
+            pull |= first.pull_serve;
         }
-
-        // Debug builds recount every rumour's coverage numerator.
-        for (informed, &alive_informed) in self.informed.iter().zip(&self.alive_informed) {
-            self.ledger.debug_check_numerator(informed, alive_informed);
-        }
-        self.ledger.close_round(RoundCounters {
-            informed: self.alive_informed.iter().sum(),
-            newly_informed,
-            push_tx,
-            pull_tx,
-            ..self.fabric.counters()
-        });
+        sends.then_some((push, pull))
     }
 
     /// The general path's digest of rumour `r`'s round: receivers via the

@@ -7,7 +7,7 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
-use crate::fabric::{ChannelFabric, InformedIndex, RoundGate};
+use crate::fabric::{can_saturate, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger, Tally};
 use crate::observation::{ObservationArena, RumorMeta};
@@ -415,15 +415,16 @@ impl<P: Protocol> SimState<P> {
         // fabric's shards draw at their exact offsets in the one stream,
         // and the rest is RNG-free, so the results are byte-identical at
         // any shard and thread count (`tests/sharding.rs`).
-        let any_pull = self.plan_sharded(n, t, protocol, config.shards);
+        let saturable = can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
+        let (any_pull, declared) = self.plan_sharded(n, t, protocol, config.shards, saturable);
         self.ledger.lap(StepPhase::Plan);
 
         // Phase b: every alive node opens channels through the round gate
         // shared with the multi-rumour engine (`fabric.rs`): the plans say
         // who pushes, who knows the rumour and whether anyone pull-serves,
-        // and a silent round of an oblivious protocol may skip the
-        // sampling and phases c–d altogether. On the fast path under
-        // `Distinct(k)` each shard samples its own callers.
+        // and a silent or saturated round of an oblivious protocol may
+        // skip the sampling and phases c–d altogether. On the fast path
+        // under `Distinct(k)` each shard samples its own callers.
         let (informed, plans) = (&self.informed, &self.plans);
         let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
         self.fabric.sample_round_sharded(
@@ -437,20 +438,39 @@ impl<P: Protocol> SimState<P> {
                 uninformed: |i: usize| !informed.is_informed(i),
                 pushes: |i: usize| plans[i].push,
                 any_pull,
-                silent: self.plans_silent,
+                kind: declared,
             },
             layout,
             &mut self.ledger.probe,
             rng,
         );
         self.ledger.lap(StepPhase::Fabric);
-        let (push_tx, pull_tx, newly_informed) = if self.fabric.is_silent() {
-            self.ledger.lap(StepPhase::Exchange);
-            self.ledger.lap(StepPhase::Update);
-            (0, 0, 0)
-        } else {
-            // Phases c–d (exchange / update-digest).
-            self.phases_sharded(n, t, protocol, any_pull, failures, rng)
+        let (push_tx, pull_tx, newly_informed) = match self.fabric.kind() {
+            RoundKind::Silent => {
+                self.ledger.lap(StepPhase::Exchange);
+                self.ledger.lap(StepPhase::Update);
+                (0, 0, 0)
+            }
+            RoundKind::Saturated => {
+                // Every channel is usable and carries each direction of
+                // the one plan, to an informed node.
+                let channels = self.fabric.counters().channels;
+                let plan = self.round_plans[0];
+                self.ledger.lap(StepPhase::Exchange);
+                self.ledger.lap(StepPhase::Update);
+                (channels * u64::from(plan.push), channels * u64::from(plan.pull_serve), 0)
+            }
+            RoundKind::Sampled => {
+                // A round declared saturated that the fabric sampled after
+                // all (some slot the census counts cannot call) is planned
+                // now: the exchange reads the plans.
+                let any_pull = match declared {
+                    RoundKind::Saturated => self.plan_nodes(n, t, protocol),
+                    _ => any_pull,
+                };
+                // Phases c–d (exchange / update-digest).
+                self.phases_sharded(n, t, protocol, any_pull, failures, rng)
+            }
         };
 
         // Phase e: totals, coverage instant, probe and history (`ledger.rs`).
@@ -458,38 +478,65 @@ impl<P: Protocol> SimState<P> {
         self.tally.close_round(&mut self.ledger, counters, &self.informed, config.record_history)
     }
 
-    /// Phase a: one task per shard over its own informed list; writes
-    /// land in disjoint per-shard chunks of the plan buffer. Builds the
+    /// Phase a: declares the round's kind and plans its nodes. Builds the
     /// shard runtime on the first round. Returns whether any node
-    /// pull-serves this round.
+    /// pull-serves this round, and the kind.
     ///
     /// An oblivious protocol is asked once per reception round in
-    /// `0..=latest_informed_at`, into `round_plans`; if none transmits, no
-    /// node is planned and every standing plan stays (or is reset once to)
-    /// `SILENT`, else each node takes its reception round's plan.
-    fn plan_sharded(&mut self, n: usize, t: Round, protocol: &P, shards: usize) -> bool {
+    /// `0..=latest_informed_at`, into `round_plans`. If none transmits, the
+    /// round is silent: no node is planned and every standing plan stays
+    /// (or is reset once to) `SILENT`. If the round is `saturable` (see
+    /// [`can_saturate`]), every slot is informed and none suspended, and
+    /// every entry transmits in the same directions, the round is
+    /// saturated: no node is planned, and the standing plans are stale
+    /// until the next sampled round writes them. Otherwise each node takes
+    /// its reception round's plan ([`plan_nodes`](Self::plan_nodes)).
+    fn plan_sharded(
+        &mut self,
+        n: usize,
+        t: Round,
+        protocol: &P,
+        shards: usize,
+        saturable: bool,
+    ) -> (bool, RoundKind) {
         let informed = &self.informed;
         let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
         rt.ensure_len(n);
-        let rt = &*rt;
-        let oblivious = protocol.capabilities().oblivious;
-        if oblivious {
+        if protocol.capabilities().oblivious {
             self.round_plans.clear();
             let latest = self.latest_informed_at;
             self.round_plans.extend(reception_round_plans(protocol, &self.bucket_state, latest, t));
+            let first = self.round_plans[0];
             if !self.round_plans.iter().any(Plan::transmits) {
                 if !self.plans_silent {
                     self.plans.fill(Plan::SILENT);
                     self.plans_silent = true;
                 }
-                return false;
+                return (false, RoundKind::Silent);
+            }
+            if saturable
+                && self.tally.alive_informed == n
+                && self.ledger.census.suspended_count() == 0
+                && self.round_plans.iter().all(|p| (p.push, p.pull_serve) == (first.push, first.pull_serve))
+            {
+                return (first.pull_serve, RoundKind::Saturated);
             }
         }
+        (self.plan_nodes(n, t, protocol), RoundKind::Sampled)
+    }
+
+    /// Plans every informed node: one task per shard over its own informed
+    /// list, writing disjoint per-shard chunks of the plan buffer. Returns
+    /// whether any node pull-serves.
+    fn plan_nodes(&mut self, n: usize, t: Round, protocol: &P) -> bool {
         self.plans_silent = false;
+        let rt = self.shard_rt.as_ref().expect("shard runtime");
         let layout = rt.layout;
         let probing = self.ledger.probe.is_some();
         let states = &self.states;
+        let informed = &self.informed;
         let census = &self.ledger.census;
+        let oblivious = protocol.capabilities().oblivious;
         let round_plans = oblivious.then_some(self.round_plans.as_slice());
         let creator = self.creator;
         let mut rest: &mut [Plan] = &mut self.plans[..n];
@@ -1046,24 +1093,35 @@ mod tests {
         WithCaps(phased(), Capabilities { oblivious: true, ..Capabilities::ALL })
     }
 
-    /// A run's report, counters, final generator and, per round, whether
-    /// the fabric sampled its callers one by one.
+    /// A run's report, counters, final generator and, per round, the kind
+    /// of round the fabric made.
     fn run_recording<P: Protocol>(
         proto: &P,
         g: &rrb_graph::Graph,
         cfg: SimConfig,
-    ) -> (RunReport, Vec<RoundCounters>, SmallRng, Vec<bool>) {
+    ) -> (RunReport, Vec<RoundCounters>, SmallRng, Vec<RoundKind>) {
         let n = Topology::node_count(g);
         let mut rng = SmallRng::seed_from_u64(17);
         let mut sim = SimState::new(proto, n, NodeId::new(0));
         sim.set_probe(Some(Box::new(RecordRounds::default())));
-        let mut sampled = Vec::new();
+        let mut kinds = Vec::new();
         while !sim.finished(g, proto, cfg) {
             sim.step(g, proto, cfg, &mut rng);
-            sampled.push(!sim.fabric.is_silent());
+            kinds.push(sim.fabric.kind());
         }
         let rounds = RecordRounds::of(sim.take_probe());
-        (sim.into_report(g, cfg), rounds, rng, sampled)
+        (sim.into_report(g, cfg), rounds, rng, kinds)
+    }
+
+    /// Asserts that `r` is what a saturated round records: every word
+    /// jumped, nobody newly informed, and `channels` transmissions in each
+    /// direction used.
+    fn assert_saturated(r: &RoundCounters) {
+        let booked = [r.push_tx, r.pull_tx].iter().all(|&d| d == 0 || d == r.channels);
+        assert!(
+            r.tx > 0 && booked && r.newly_informed == 0 && r.jumped_words == r.fabric_words,
+            "not a saturated round: {r:?}"
+        );
     }
 
     #[test]
@@ -1072,21 +1130,43 @@ mod tests {
         // lists are built) yet counts the channels and words its general
         // twin samples, and leaves the generator where the twin does. Its
         // silent rounds skip about 8 192 words each, enough to jump.
+        // Without failures the all-push and pull rounds after coverage are
+        // saturated: counted like the twin's, with every word jumped where
+        // the twin draws them, and transmissions booked from the channels.
+        // Every other counter, the report and the generator are equal.
         let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(1)).expect("graph");
         let schedule = Phased::new(2, 12, 16);
         let oblivious = WithCaps(schedule, Capabilities { oblivious: true, ..Capabilities::ALL });
-        for failures in [FailureModel::NONE, FailureModel::crashes(0.002)] {
+        for (failures, saturated) in [(FailureModel::NONE, 5), (FailureModel::crashes(0.002), 0)] {
             let cfg = SimConfig::until_quiescent().with_history().with_failures(failures);
-            let (report, rounds, rng, sampled) = run_recording(&schedule, &g, cfg);
+            let (report, rounds, rng, kinds) = run_recording(&schedule, &g, cfg);
             let skip = run_recording(&oblivious, &g, cfg);
-            assert_eq!(report, skip.0, "{failures:?}");
-            assert_eq!(rounds, skip.1, "{failures:?}: per-round counters");
-            assert_eq!(rng, skip.2, "{failures:?}: the generator must end where sampling does");
-            assert!(sampled.iter().all(|&s| s), "the general path samples every round");
-            let skipped: Vec<&RoundCounters> =
-                skip.3.iter().zip(&rounds).filter(|(&s, _)| !s).map(|(_, r)| r).collect();
-            assert_eq!(skipped.len(), 3, "{failures:?}: rounds 14-16 are silent");
-            for r in skipped {
+            let case = format!("{failures:?}");
+            assert_eq!(rng, skip.2, "{case}: the generator must end where sampling does");
+            assert!(kinds.iter().all(|&k| k == RoundKind::Sampled), "the general path samples");
+            assert_eq!(rounds.len(), skip.1.len(), "{case}");
+            let expected: Vec<RoundCounters> = rounds
+                .iter()
+                .zip(&skip.1)
+                .zip(&skip.3)
+                .map(|((general, native), &kind)| match kind {
+                    RoundKind::Saturated => {
+                        assert_saturated(native);
+                        RoundCounters { jumped_words: native.jumped_words, ..*general }
+                    }
+                    _ => *general,
+                })
+                .collect();
+            assert_eq!(skip.1, expected, "{case}: per-round counters");
+            assert_eq!(skip.0, RunReport { history: expected, ..report }, "{case}");
+            let count = |want: RoundKind| skip.3.iter().filter(|&&k| k == want).count();
+            assert_eq!(count(RoundKind::Saturated), saturated, "{case}: {:?}", skip.3);
+            let silent: Vec<&RoundCounters> = (skip.3.iter().zip(&rounds))
+                .filter(|(&k, _)| k == RoundKind::Silent)
+                .map(|(_, r)| r)
+                .collect();
+            assert_eq!(silent.len(), 3, "{case}: rounds 14-16 are silent");
+            for r in silent {
                 assert_eq!(r.tx, 0);
                 assert!(r.fabric_words > 4096 && r.jumped_words == r.fabric_words, "{r:?}");
             }

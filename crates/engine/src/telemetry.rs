@@ -133,7 +133,10 @@ pub struct RoundCounters {
     /// stepped or jumped (round engines; 0 in the async engine).
     pub fabric_words: u64,
     /// The share of `fabric_words` skipped without being drawn: the words
-    /// owed by `Quiet` callers and by silent rounds, however `discard`
+    /// owed by `Quiet` callers, and all the words of a silent or a
+    /// saturated round (an oblivious protocol's round in which nobody
+    /// transmits, or in which every slot is informed and every node sends
+    /// the same directions, counted instead of sampled), however `discard`
     /// moved the generator past them (stepping or jumping). It is the same
     /// at every shard count.
     pub jumped_words: u64,

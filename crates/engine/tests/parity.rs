@@ -24,6 +24,7 @@ use std::any::Any;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use rrb_core::FourChoice;
 use rrb_engine::protocols::{FloodPull, FloodPush, FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent,
@@ -167,7 +168,7 @@ fn assert_same_rounds<P: Protocol>(
 const SHARD_COUNTS: [usize; 2] = [1, 3];
 
 /// Drives both engines in lockstep from identical seeds and asserts the
-/// full trajectory matches.
+/// full trajectory matches; returns the rounds of each shard count.
 fn assert_parity<P: Protocol>(
     label: &str,
     graph: &Graph,
@@ -175,14 +176,17 @@ fn assert_parity<P: Protocol>(
     config: SimConfig,
     origin: NodeId,
     seed: u64,
-) {
-    for shards in SHARD_COUNTS {
-        let label = format!("{label} shards={shards}");
-        assert_parity_at(&label, graph, protocol, config.with_shards(shards), origin, seed);
-    }
+) -> Vec<Vec<RoundCounters>> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&shards| {
+            let label = format!("{label} shards={shards}");
+            assert_parity_at(&label, graph, protocol, config.with_shards(shards), origin, seed)
+        })
+        .collect()
 }
 
-/// One shard count of [`assert_parity`].
+/// One shard count of [`assert_parity`]: the rounds both engines made.
 fn assert_parity_at<P: Protocol>(
     label: &str,
     graph: &Graph,
@@ -190,7 +194,7 @@ fn assert_parity_at<P: Protocol>(
     config: SimConfig,
     origin: NodeId,
     seed: u64,
-) {
+) -> Vec<RoundCounters> {
     let n = Topology::node_count(graph);
     let mut single_rng = SmallRng::seed_from_u64(seed);
     let mut multi_rng = SmallRng::seed_from_u64(seed);
@@ -230,6 +234,7 @@ fn assert_parity_at<P: Protocol>(
     }
 
     assert_same_rounds(label, seed, &rounds, &mut multi);
+    let records = rounds;
     let rounds = single.round();
     let m_report = multi.into_report();
     let s_report = single.into_report(graph, config);
@@ -253,6 +258,7 @@ fn assert_parity_at<P: Protocol>(
         s_report.channels, m_report.channels,
         "{label} seed {seed}: channel totals diverged"
     );
+    records
 }
 
 /// Variant of `assert_parity` that cross-checks the full per-node delivery
@@ -322,6 +328,30 @@ fn parity_without_failures() {
             NodeId::new(5),
             seed,
         );
+    }
+}
+
+/// Whether `r` is a saturated round: it sent copies, yet its fabric was
+/// counted and every word jumped (on graphs whose degrees all exceed the
+/// protocol's `k`, a sampled round that sends draws some words).
+fn saturated(r: &RoundCounters) -> bool {
+    r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words
+}
+
+#[test]
+fn parity_of_saturated_rounds() {
+    // The paper's four-choice algorithm run to quiescence without failures:
+    // once every node knows the rumour, its all-push rounds and its pull
+    // round are saturated, and both engines, at every shard count, must
+    // take them alike.
+    let g = gen::random_regular(512, 8, &mut SmallRng::seed_from_u64(8)).expect("graph");
+    let four = FourChoice::for_graph(512, 8);
+    let cfg = SimConfig::until_quiescent().with_max_rounds(400);
+    for seed in 0..3 {
+        for (shards, rounds) in SHARD_COUNTS.iter().zip(assert_parity("four-choice", &g, &four, cfg, NodeId::new(3), seed)) {
+            let taken = rounds.iter().filter(|r| saturated(r)).count();
+            assert!(taken >= 3, "seed {seed}, {shards} shard(s): {taken} saturated rounds");
+        }
     }
 }
 

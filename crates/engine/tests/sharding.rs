@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use rrb_core::FourChoice;
 use rrb_engine::protocols::{FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
@@ -225,6 +226,26 @@ fn sharding_invariance_of_quiet_runs_across_shard_boundaries() {
         "no all-quiet round long enough to jump at one shard and step at four"
     );
     assert_shard_invariance("push-then-rest", &g, &proto, cfg, None, NodeId::new(9), 0);
+}
+
+#[test]
+fn sharding_invariance_of_saturated_rounds() {
+    // The paper's four-choice algorithm to quiescence without failures:
+    // once every node knows the rumour its push rounds and its pull round
+    // are saturated, counted per shard and booked from the channel count.
+    // Counters, reports and delivery traces must not depend on the shards.
+    let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(28)).expect("graph");
+    let four = FourChoice::for_graph(2048, 8);
+    let cfg = SimConfig::until_quiescent();
+    let baseline = run_cell(&g, &four, cfg, None, NodeId::new(9), 0, 1, 1);
+    let saturated =
+        |r: &&RoundCounters| r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words;
+    let taken = baseline.records.iter().filter(saturated).count();
+    assert!(taken >= 3, "{taken} saturated rounds");
+    for shards in [2, 3, 7] {
+        let cell = run_cell(&g, &four, cfg, None, NodeId::new(9), 0, shards, 3);
+        assert_eq!(baseline, cell, "four-choice: {shards} shards diverged from one");
+    }
 }
 
 #[test]

@@ -348,7 +348,12 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
         let reports: Vec<RunReport> = runs.into_iter().map(|r| r.report).collect();
         if matches!(spec.measure, MeasureSpec::Trace | MeasureSpec::Crossover) {
             if let Some(first) = reports.first() {
-                let mut t = Table::new(vec!["round", "informed", "new", "push", "pull"]);
+                // `jumped` = `words` marks a round counted instead of
+                // sampled: silent with push = pull = 0, saturated with
+                // tx = channels per direction used.
+                let mut t = Table::new(vec![
+                    "round", "informed", "new", "push", "pull", "channels", "words", "jumped",
+                ]);
                 for rec in &first.history {
                     t.row_display(vec![
                         rec.round as u64,
@@ -356,6 +361,9 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
                         rec.newly_informed as u64,
                         rec.push_tx,
                         rec.pull_tx,
+                        rec.channels,
+                        rec.fabric_words,
+                        rec.jumped_words,
                     ]);
                 }
                 println!("per-round trace of seed 0:\n{t}");
