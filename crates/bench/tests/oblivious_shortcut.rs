@@ -132,8 +132,9 @@ enum Condition {
     /// A partition for the whole run, and no other fault: the fast path
     /// with channels that fail to establish.
     Partition,
-    /// Nothing at all: once every node is informed, the rounds of a
-    /// protocol that keeps transmitting one plan are saturated.
+    /// Nothing at all: the rounds of a protocol that keeps transmitting
+    /// one plan are frontier rounds, and once every node is informed they
+    /// are saturated.
     Clean,
 }
 
@@ -313,11 +314,17 @@ fn saturated(r: &RoundCounters) -> bool {
     r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words
 }
 
+/// Whether `r` is a frontier round with a non-empty frontier: it booked
+/// some channels and sampled the others.
+fn frontier(r: &RoundCounters) -> bool {
+    r.booked_channels > 0 && r.booked_channels < r.channels
+}
+
 /// The masked twin's rounds as the native run must have them. Only the
-/// rounds the native run saturated may differ, and only in
-/// `jumped_words`: such a round jumps every word the twin draws, informs
-/// nobody and sends `channels` copies in each direction it uses (per
-/// rumour, on the multi-rumour engine).
+/// rounds in which the native run booked channels may differ, and only in
+/// `jumped_words` and `booked_channels`: such a frontier round jumps the
+/// words the twin draws for the booked callers, whose channels each carry
+/// every direction used to an informed node.
 fn expected_rounds(
     label: &str,
     native: &[RoundCounters],
@@ -328,25 +335,27 @@ fn expected_rounds(
         .iter()
         .zip(general)
         .map(|(nat, gen)| {
-            if nat.jumped_words == gen.jumped_words {
+            if nat.booked_channels == 0 {
                 return *gen;
             }
-            let booked = [nat.push_tx, nat.pull_tx].iter().all(|d| d.is_multiple_of(nat.channels));
+            let carried = [nat.push_tx, nat.pull_tx].iter().all(|&d| d == 0 || d >= nat.booked_channels);
             assert!(
-                saturated(nat) && booked && nat.newly_informed == 0,
-                "{label}: round {} differs from the twin's but is not saturated: \
-                 {nat:?} against {gen:?}",
+                gen.booked_channels == 0
+                    && nat.booked_channels <= nat.channels
+                    && nat.jumped_words >= gen.jumped_words
+                    && carried,
+                "{label}: round {} books channels the twin's does not carry: {nat:?} against {gen:?}",
                 nat.round
             );
-            RoundCounters { jumped_words: nat.jumped_words, ..*gen }
+            RoundCounters { jumped_words: nat.jumped_words, booked_channels: nat.booked_channels, ..*gen }
         })
         .collect()
 }
 
 /// Asserts that a single-engine run equals its masked twin's: the
 /// report, every round's counters, the recycled slots and the final
-/// generator, up to the `jumped_words` of saturated rounds (see
-/// [`expected_rounds`]).
+/// generator, up to the `jumped_words` and `booked_channels` of frontier
+/// rounds (see [`expected_rounds`]).
 fn assert_twins(label: &str, native: &Run<RunReport>, general: Run<RunReport>) {
     let (report, rounds, rejoined, rng) = general;
     let rounds = expected_rounds(label, &native.1, &rounds);
@@ -534,10 +543,14 @@ fn silent_round_skip_matches_its_masked_twin() {
 #[test]
 fn the_clean_condition_reaches_saturated_rounds() {
     // Guards the twin comparisons above against testing nothing: without
-    // failures, four-choice run to quiescence saturates its all-push
-    // rounds and its pull round once every node knows the rumour, on the
-    // single engine at 1 and 3 shards and on the multi-rumour engine with
-    // three staggered rumours.
+    // failures, four-choice run to quiescence samples only next to the
+    // last uninformed nodes in its all-push rounds (frontier rounds with
+    // a non-empty frontier), and counts those rounds and its pull round
+    // whole once every node knows the rumour (saturated), on the single
+    // engine at 1 and 3 shards; on the multi-rumour engine with three
+    // staggered rumours it saturates. There the rumours cover the graph
+    // before all three send uniformly, so push&pull flooding, uniform in
+    // every round, shows the multi engine's non-empty frontiers.
     let g = graph();
     let four = four_choice(N);
     let clean = Exposure::from(Condition::Clean);
@@ -547,6 +560,7 @@ fn the_clean_condition_reaches_saturated_rounds() {
         for (report, rounds, ..) in &runs {
             let taken = rounds.iter().filter(|r| saturated(r)).count();
             assert!(taken >= 3, "{taken} saturated rounds in {} rounds", report.rounds);
+            assert!(rounds.iter().any(frontier), "no frontier round in {} rounds", report.rounds);
         }
         let masked = Masked(four.clone());
         for seed in [3u64, 8] {
@@ -557,6 +571,11 @@ fn the_clean_condition_reaches_saturated_rounds() {
             assert_multi_twins(&case, &native, general);
             let taken = native.1.iter().filter(|r| saturated(r)).count();
             assert!(taken >= 1, "three rumours, seed {seed}: no saturated round");
+            let flood = FloodPushPull::new();
+            let native = run_multi(&flood, &g, &clean, false, &rumours, seed);
+            let general = run_multi(&Masked(flood), &g, &clean, false, &rumours, seed);
+            assert_multi_twins(&format!("push&pull, three rumours, seed {seed}"), &native, general);
+            assert!(native.1.iter().any(frontier), "push&pull, three rumours, seed {seed}: no frontier round");
         }
     });
 }
@@ -611,15 +630,18 @@ fn covered_and_sending(r: &RoundCounters) -> bool {
 /// Whether a fixture's condition is in force in a round.
 type Holds = fn(&RoundCounters) -> bool;
 
-/// Asserts that `proto` under `exposure` equals its masked twin exactly
-/// and saturates no round, while some round is covered and sending with
-/// the condition `holds` in force.
+/// Asserts that `proto` under `exposure` equals its masked twin (up to
+/// booked channels) and saturates no round, while some round is covered
+/// and sending with the condition `holds` in force. If `books`, some
+/// round under the condition is a frontier round with a non-empty
+/// frontier; otherwise no round books anything.
 fn assert_never_saturates<P: Protocol + Clone>(
     what: &str,
     proto: &P,
     graph: &Graph,
     exposure: Exposure,
     holds: Holds,
+    books: bool,
 ) {
     let runs = assert_single_twins_agree(what, proto, graph, exposure, true);
     let rounds: Vec<&RoundCounters> = runs.iter().flat_map(|r| &r.1).collect();
@@ -628,15 +650,25 @@ fn assert_never_saturates<P: Protocol + Clone>(
         rounds.iter().any(|r| holds(r) && covered_and_sending(r)),
         "{what}: no covered, sending round under the condition"
     );
+    if books {
+        assert!(rounds.iter().any(|r| holds(r) && frontier(r)), "{what}: no frontier round under the condition");
+    } else {
+        assert!(rounds.iter().all(|r| r.booked_channels == 0), "{what}: a round booked channels");
+    }
 }
 
 #[test]
 fn saturation_falls_back_where_it_must_not_apply() {
     // Each fixture reaches rounds in which every alive node knows the
     // rumour and the protocol still transmits, and has one thing that
-    // rules saturation out: it must saturate no round and equal its
-    // masked twin exactly. The crash and the partition start in the first
-    // round the clean run saturates; the runs are identical before it.
+    // rules saturation (a whole round counted) out: it must saturate no
+    // round and equal its masked twin. A crashed or suspended slot is
+    // incomplete, so its neighbours are sampled in a frontier round and
+    // everyone else is booked; a partition, channel loss, plans that
+    // differ by reception round and a stateful policy rule frontier
+    // rounds out, and nothing is booked. The crash and the partition
+    // start in the first round the clean run books; the runs are
+    // identical before it.
     let g = graph();
     let four = four_choice(N);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
@@ -644,10 +676,12 @@ fn saturation_falls_back_where_it_must_not_apply() {
         let clean = Exposure::from(Condition::Clean);
         let first = [3u64, 8]
             .into_iter()
-            .filter_map(|seed| run(&four, &g, &clean, true, 1, seed).1.into_iter().find(saturated))
+            .filter_map(|seed| {
+                run(&four, &g, &clean, true, 1, seed).1.into_iter().find(|r| r.booked_channels > 0)
+            })
             .map(|r| r.round)
             .min()
-            .expect("the clean runs saturate");
+            .expect("the clean runs book channels");
         let plan = |schedule: Vec<FaultEvent>, outages| FaultPlan {
             schedule,
             outages,
@@ -657,30 +691,33 @@ fn saturation_falls_back_where_it_must_not_apply() {
         let partition = vec![FaultEvent::Partition { from: first, until: 1000, parts: 2 }];
         let outages = Some(OutageSpec::new(0.01, 4, 4));
         let none = FailureModel::NONE;
-        let fixtures: [(&str, Exposure, Holds); 4] = [
-            ("one crash", Exposure::of(none, Some(plan(crash, None))), |r| r.alive < N),
-            ("outages", Exposure::of(none, Some(plan(Vec::new(), outages))), |r| r.suspended > 0),
-            ("a partition", Exposure::of(none, Some(plan(partition, None))), |_| true),
-            ("channel loss", Exposure::of(FailureModel::channels(0.1), None), |_| true),
+        let fixtures: [(&str, Exposure, Holds, bool); 4] = [
+            ("one crash", Exposure::of(none, Some(plan(crash, None))), |r| r.alive < N, true),
+            ("outages", Exposure::of(none, Some(plan(Vec::new(), outages))), |r| r.suspended > 0, true),
+            ("a partition", Exposure::of(none, Some(plan(partition, None))), |_| true, false),
+            ("channel loss", Exposure::of(FailureModel::channels(0.1), None), |_| true, false),
         ];
-        for (what, exposure, holds) in fixtures {
-            assert_never_saturates(&format!("four-choice, {what}"), &four, &g, exposure, holds);
+        for (what, exposure, holds, books) in fixtures {
+            assert_never_saturates(&format!("four-choice, {what}"), &four, &g, exposure, holds, books);
         }
         let early = EarlyPushLatePull { early: 2, deadline: 40 };
-        assert_never_saturates("early push, late pull", &early, &g, clean.clone(), |_| true);
+        assert_never_saturates("early push, late pull", &early, &g, clean.clone(), |_| true, false);
         let cyclic = FloodPush::with_policy(ChoicePolicy::Cyclic);
-        assert_never_saturates("cyclic push", &cyclic, &g, clean, |_| true);
+        assert_never_saturates("cyclic push", &cyclic, &g, clean, |_| true, false);
     });
 }
 
 #[test]
-fn a_census_slot_the_overlay_has_dead_rules_saturation_out() {
+fn a_census_slot_the_overlay_has_dead_is_incomplete() {
     // Churn applies a step's leaves before its rejoins, so a slot recycled
     // and left in the same step stays alive in the engine's census while
     // the overlay has it dead. Push&pull flooding on a small overlay with
     // slot reuse reaches rounds that end with every alive peer informed
-    // while such a slot exists; the run must saturate no round and equal
-    // its masked twin exactly.
+    // while such a slot exists. The slot is incomplete: it is not a
+    // caller, and no alive peer's stubs reach it, so such a round books
+    // every other channel. The run must equal its masked twin up to the
+    // booked channels, and its coverage must wait for the slot as the
+    // twin's does.
     type Churned = (RunReport, Vec<RoundCounters>, SmallRng, usize);
     fn churned<P: Protocol>(proto: &P, seed: u64) -> Churned {
         let g = gen::random_regular(64, D, &mut SmallRng::seed_from_u64(seed)).expect("graph");
@@ -695,7 +732,7 @@ fn a_census_slot_the_overlay_has_dead_rules_saturation_out() {
         while !sim.finished(&overlay, proto, cfg) {
             let r = sim.step(&overlay, proto, cfg, &mut rng);
             let alive = overlay.alive_nodes().len();
-            ghost_rounds += usize::from(r.alive > alive && r.informed == alive);
+            ghost_rounds += usize::from(r.alive > alive && r.informed == alive && r.booked_channels > 0);
             let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
             sim.apply_joins(proto, &events.joined);
             sim.apply_leaves(&events.left);
@@ -708,12 +745,13 @@ fn a_census_slot_the_overlay_has_dead_rules_saturation_out() {
     let mut ghosts = 0;
     for seed in [1u64, 2] {
         let native = churned(&flood, seed);
-        let general = churned(&Masked(flood), seed);
-        assert!(native.1.iter().all(|r| !saturated(r)), "seed {seed}: a round was saturated");
-        assert_eq!(native, general, "seed {seed}");
+        let (report, rounds, rng, _) = churned(&Masked(flood), seed);
+        let rounds = expected_rounds(&format!("seed {seed}"), &native.1, &rounds);
+        let report = RunReport { history: rounds.clone(), ..report };
+        assert_eq!((&native.0, &native.1, &native.2), (&report, &rounds, &rng), "seed {seed}");
         ghosts += native.3;
     }
-    assert!(ghosts > 0, "no round ended with every alive peer informed beside a census-only slot");
+    assert!(ghosts > 0, "no booked round ended with every alive peer informed beside a census-only slot");
 }
 
 /// Counts the words taken from it, by `next_u64` and by `discard`.

@@ -308,6 +308,24 @@ impl AliveCensus {
         newly_alive
     }
 
+    /// Recounts the alive, crashed-alive and suspended counters and the
+    /// blocked mask from the per-slot flags and checks them against the
+    /// maintained ones (debug builds only; `O(n)`).
+    pub(crate) fn debug_check_counters(&self) {
+        if cfg!(debug_assertions) {
+            let alive = self.alive.iter().filter(|&&a| a).count();
+            let crashed_alive = self.alive.iter().zip(&self.crashed).filter(|&(&a, &c)| a && c).count();
+            let suspended = self.suspended.iter().filter(|&&s| s).count();
+            assert_eq!(
+                (self.alive_count, self.crashed_alive, self.suspended_count),
+                (alive, crashed_alive, suspended),
+                "census counters (alive, crashed alive, suspended) drifted from the slot flags"
+            );
+            let blocked = (0..self.blocked.len()).all(|i| self.blocked[i] == (self.crashed[i] || self.suspended[i]));
+            assert!(blocked, "the census's blocked mask drifted from its crash and suspension flags");
+        }
+    }
+
     /// Slot `i`'s generation tag: 0 until the slot is first recycled via
     /// [`apply_rejoin`](Self::apply_rejoin), then incremented per reuse.
     #[inline]

@@ -11,12 +11,18 @@
 //! `tests/parity.rs`).
 //!
 //! A round is one of three [`RoundKind`]s. A *sampled* round samples its
-//! callers one by one. The two others build no channel lists: one pass
-//! counts the channels and words and one `discard` moves the generator.
-//! In a *silent* round nobody transmits. In a *saturated* round every slot
-//! knows the rumour and takes part, and every node transmits the same
-//! directions, so every channel carries them: the engine books the
-//! transmissions from the channel count.
+//! callers one by one. A *silent* round, in which nobody transmits, builds
+//! no channel lists: one pass counts the channels and words and one
+//! `discard` moves the generator. In a *frontier* round every informed
+//! node sends the same directions, so only the slots that are
+//! *incomplete* (dead, blocked, or missing a rumour that travels) and
+//! their neighbours can see anything happen: the same count pass lists the
+//! incomplete slots, the fabric samples only the callers among them and
+//! next to them, and every other caller's channels are *booked*. They
+//! all reach informed nodes and carry each direction of the one plan, so
+//! the engine counts their transmissions without walking them. A frontier
+//! round with no incomplete slot builds no lists at all, and one whose
+//! incomplete slots have more than `n` stubs is sampled whole.
 //!
 //! On the loss-free fast path under `Distinct(k)` the words a caller takes
 //! depend only on its gate and degree, never on the values drawn, so the
@@ -45,16 +51,21 @@ use crate::{ChoicePolicy, FailureModel, Protocol, Round, Topology};
 /// What a round's plans tell the fabric about its callers. The engines
 /// plan before they sample (plans are RNG-free and read only state the
 /// fault phase has settled), so the plans can gate the sampling.
-pub(crate) struct RoundGate<U, S> {
+pub(crate) struct RoundGate<U, S, L> {
     /// Whether caller `i` knows no rumour that can travel this round.
     pub(crate) uninformed: U,
-    /// Whether caller `i` pushes this round (not read in a round declared
-    /// saturated, whose plans the engine need not write).
+    /// Whether caller `i` pushes this round (in a frontier round asked
+    /// only of incomplete callers: a complete one sends the one plan).
     pub(crate) pushes: S,
+    /// Whether alive, unblocked slot `i` is incomplete: it misses a rumour
+    /// that travels this round, or does not take part in the census. Read
+    /// only in a frontier round; dead and blocked slots are incomplete
+    /// without asking.
+    pub(crate) lacks: L,
     /// Whether any node pull-serves this round.
     pub(crate) any_pull: bool,
     /// The kind of round the engine declares: the fabric makes a declared
-    /// silent or saturated round one if it can (see
+    /// silent or frontier round one if it can (see
     /// [`ChannelFabric::sample_round`]) and samples it otherwise.
     pub(crate) kind: RoundKind,
 }
@@ -62,7 +73,7 @@ pub(crate) struct RoundGate<U, S> {
 /// How a round's channels are made, as an engine declares it in its
 /// [`RoundGate`] and as [`ChannelFabric::kind`] reports it. Only an
 /// [`oblivious`](crate::Capabilities::oblivious) protocol's rounds are
-/// declared silent or saturated.
+/// declared silent or frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum RoundKind {
     /// Every alive, unblocked caller is sampled as the gate classifies it.
@@ -71,12 +82,16 @@ pub(crate) enum RoundKind {
     /// No node transmits and the engine reads no channel: counted, not
     /// sampled, and the engine skips its exchange.
     Silent,
-    /// Every slot is informed, alive and unblocked, and every reception
-    /// round's plan transmits in the same directions: counted, not
-    /// sampled. Every channel is usable and carries each of those
-    /// directions once, so the engine books `channels` transmissions per
-    /// direction and skips its planning and exchange.
-    Saturated,
+    /// Every live rumour that transmits does so in the same directions
+    /// from every reception round (declared only where [`can_saturate`]
+    /// holds). Only the frontier is sampled: the incomplete slots and
+    /// their neighbours. Every other caller is complete with complete
+    /// neighbours, so its channels are usable, reach informed nodes and
+    /// carry each direction of the plan once: they are booked
+    /// ([`RoundCounters::booked_channels`]), their words are jumped, and
+    /// the engine skips its planning and exchanges only the listed
+    /// channels. With no open caller in the frontier nothing is listed.
+    Frontier,
 }
 
 /// How the sampling loop treats one alive, unblocked caller.
@@ -109,7 +124,8 @@ enum CallerGate {
 #[derive(Debug, Default)]
 pub(crate) struct ChannelFabric {
     /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`
-    /// (empty after a silent or saturated round, which builds no lists).
+    /// (empty after a round that builds no lists, see
+    /// [`listed`](Self::listed)).
     offsets: Vec<u32>,
     /// Callee per channel.
     targets: Vec<NodeId>,
@@ -136,6 +152,14 @@ pub(crate) struct ChannelFabric {
     target_buf: Vec<NodeId>,
     /// Per-segment scratch of the sharded fast path.
     segments: Vec<SegmentScratch>,
+    /// The one-segment count pass's incomplete slots.
+    incomplete: Vec<u32>,
+    /// Per slot: in the last frontier round's frontier (all `false`
+    /// between rounds).
+    in_frontier: Vec<bool>,
+    /// The last frontier round's frontier: its incomplete slots and their
+    /// neighbours, each once.
+    frontier: Vec<u32>,
     /// The last round's channels, skipped draws and generator words (all
     /// of them, and those skipped without being drawn): the fabric's part
     /// of its [`RoundCounters`].
@@ -145,11 +169,13 @@ pub(crate) struct ChannelFabric {
 }
 
 /// One caller segment's target and Floyd scratch on the sharded fast path
-/// (under `Distinct(k)` a [`ChoiceState`] holds nothing else).
+/// (under `Distinct(k)` a [`ChoiceState`] holds nothing else), and its
+/// count pass's incomplete slots.
 #[derive(Debug, Default)]
 struct SegmentScratch {
     choice: ChoiceState,
     targets: Vec<NodeId>,
+    incomplete: Vec<u32>,
 }
 
 /// The generator words one segment's sampling takes: all of them, those
@@ -219,25 +245,25 @@ impl Sink for Window<'_> {
 }
 
 /// What one segment's count pass found: its part of the round's counters,
-/// how many channels its open callers open (its window length) and how
-/// many of its slots are dead or blocked.
+/// how many channels its open callers open (its window length) and, in a
+/// frontier round, how many stubs its incomplete slots have.
 #[derive(Debug, Clone, Copy)]
 struct SegmentCount {
     counters: RoundCounters,
     opened: usize,
-    absent: usize,
+    stubs: usize,
 }
 
 /// What every caller segment of one round reads: the topology, the
 /// failures and the round gate.
-struct Callers<'a, T: ?Sized, U, S> {
+struct Callers<'a, T: ?Sized, U, S, L> {
     topo: &'a T,
     policy: ChoicePolicy,
     failures: FailureModel,
     blocked: &'a [bool],
     faults: Option<&'a FaultChannelView<'a>>,
     fast_path: bool,
-    round: &'a RoundGate<U, S>,
+    round: &'a RoundGate<U, S, L>,
     /// The push-only skip applies: the protocol never pull-serves and
     /// the policy is memoryless.
     skip: bool,
@@ -248,34 +274,56 @@ struct Callers<'a, T: ?Sized, U, S> {
 /// takes: each alive, unblocked caller opens `min(deg, k)` channels and
 /// takes `k` words when `deg > k`, owed if it is `Quiet`; a skipped one
 /// takes none and adds its channels to the skipped draws; an open one's
-/// channels are the most it can store. Dead or blocked slots are counted
-/// as absent. The topology and flags come in as arguments, which keeps
-/// their loads out of the loop.
+/// channels are the most it can store. With `FRONTIER` it also lists the
+/// incomplete slots (dead, blocked, or `lacks`) into `incomplete` while
+/// their stubs total at most `budget`, and returns the stubs of all of
+/// them. The topology and flags come in as arguments, which keeps their
+/// loads out of the loop.
+#[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
-fn count_callers<T, G>(topo: &T, blocked: &[bool], first: usize, k: usize, gate: G) -> SegmentCount
+fn count_callers<const FRONTIER: bool, T, G, L>(
+    topo: &T,
+    blocked: &[bool],
+    first: usize,
+    k: usize,
+    gate: G,
+    lacks: L,
+    incomplete: &mut Vec<u32>,
+    budget: usize,
+) -> SegmentCount
 where
     T: Topology + ?Sized,
     G: Fn(usize) -> CallerGate,
+    L: Fn(usize) -> bool,
 {
     let (mut channels, mut skipped, mut quiet, mut open, mut opened) = (0, 0, 0, 0, 0);
-    let mut absent = 0;
+    let mut stubs = 0;
     for (j, &caller_blocked) in blocked.iter().enumerate() {
         let i = first + j;
         let v = NodeId::new(i);
-        if !topo.is_alive(v) || caller_blocked {
-            absent += 1;
-        } else {
+        let present = topo.is_alive(v) && !caller_blocked;
+        let lacking = FRONTIER && (!present || lacks(i));
+        if present {
             let deg = topo.degree(v);
             let caller_channels = deg.min(k);
             channels += caller_channels as u64;
             let words = if deg > k { k as u64 } else { 0 };
-            match gate(i) {
+            // A complete caller in a frontier round is open (see
+            // `Callers::frontier_gate`).
+            let gate = if FRONTIER && !lacking { CallerGate::Open } else { gate(i) };
+            match gate {
                 CallerGate::Skip => skipped += caller_channels as u64,
                 CallerGate::Quiet => quiet += words,
                 CallerGate::Open => {
                     open += words;
                     opened += caller_channels;
                 }
+            }
+        }
+        if lacking {
+            stubs += topo.degree(v);
+            if stubs <= budget {
+                incomplete.push(i as u32);
             }
         }
     }
@@ -286,7 +334,7 @@ where
         jumped_words: quiet,
         ..RoundCounters::default()
     };
-    SegmentCount { counters, opened, absent }
+    SegmentCount { counters, opened, stubs }
 }
 
 /// Whether a round is on the fast path: no channel or transmission
@@ -297,10 +345,10 @@ fn is_fast_path(failures: FailureModel, faults: Option<&FaultState>) -> bool {
         && faults.is_none_or(|fs| !fs.bursty())
 }
 
-/// Whether a round under `policy`, `failures` and `faults` can be
-/// saturated: `Distinct(k)` on the fast path, with no partition or burst
-/// view, so that a channel between two alive, unblocked nodes is usable.
-/// The engines declare a round saturated only if it holds.
+/// Whether a round under `policy`, `failures` and `faults` can be a
+/// frontier round: `Distinct(k)` on the fast path, with no partition or
+/// burst view, so that a channel between two alive, unblocked nodes is
+/// usable. The engines declare a frontier round only if it holds.
 pub(crate) fn can_saturate(
     policy: ChoicePolicy,
     failures: FailureModel,
@@ -311,24 +359,12 @@ pub(crate) fn can_saturate(
         && faults.is_none_or(|fs| fs.channel_view().is_none())
 }
 
-/// The kind of round a `declared` round becomes once the count pass found
-/// `absent` dead or blocked slots (the census can count a slot alive that
-/// the topology has dead, so the engines' test is not enough): a silent
-/// round stays silent, a saturated one needs every slot present, and the
-/// rest are sampled. The count pass draws nothing, so sampling after it
-/// is exact.
-fn counted_kind(declared: RoundKind, absent: usize) -> RoundKind {
-    match declared {
-        RoundKind::Saturated if absent > 0 => RoundKind::Sampled,
-        kind => kind,
-    }
-}
-
-impl<T, U, S> Callers<'_, T, U, S>
+impl<T, U, S, L> Callers<'_, T, U, S, L>
 where
     T: Topology + ?Sized,
     U: Fn(usize) -> bool,
     S: Fn(usize) -> bool,
+    L: Fn(usize) -> bool,
 {
     /// Whether caller `i` takes the push-only skip.
     #[inline]
@@ -337,8 +373,9 @@ where
     }
 
     /// How caller `i` is treated (see [`ChannelFabric::sample_round`]).
-    /// Nobody transmits in a silent round and every node does in a
-    /// saturated one, so the plans of neither are read.
+    /// Nobody transmits in a silent round, so its plans are not read. In a
+    /// frontier round only incomplete callers are asked (see
+    /// [`frontier_gate`](Self::frontier_gate)).
     #[inline]
     fn gate(&self, i: usize) -> CallerGate {
         let round = self.round;
@@ -346,9 +383,8 @@ where
             return CallerGate::Skip;
         }
         let open = match round.kind {
-            RoundKind::Sampled => round.any_pull || (round.pushes)(i),
+            RoundKind::Sampled | RoundKind::Frontier => round.any_pull || (round.pushes)(i),
             RoundKind::Silent => false,
-            RoundKind::Saturated => true,
         };
         if open {
             CallerGate::Open
@@ -357,17 +393,79 @@ where
         }
     }
 
-    /// Counts what [`sample`](Self::sample) takes over `callers` under
-    /// `Distinct(k)` on the fast path (see [`count_callers`]). Nobody is
-    /// open in a silent round, and a gate that says so lets the compiler
-    /// drop the open arm from the loop.
-    fn count(&self, callers: Range<usize>, k: usize) -> SegmentCount {
-        let (first, blocked) = (callers.start, &self.blocked[callers]);
-        if self.round.kind == RoundKind::Silent {
-            let quiet = |i| if self.skips(i) { CallerGate::Skip } else { CallerGate::Quiet };
-            count_callers(self.topo, blocked, first, k, quiet)
+    /// How alive, unblocked caller `i` of a frontier round is treated: a
+    /// complete caller sends the one plan (it pushes, or someone serves
+    /// pulls), so only an incomplete one is asked the [`gate`](Self::gate).
+    #[inline]
+    fn frontier_gate(&self, i: usize) -> CallerGate {
+        if (self.round.lacks)(i) {
+            self.gate(i)
         } else {
-            count_callers(self.topo, blocked, first, k, |i| self.gate(i))
+            CallerGate::Open
+        }
+    }
+
+    /// Whether slot `i` is complete: alive, unblocked and lacking nothing.
+    #[inline]
+    fn complete(&self, i: usize) -> bool {
+        self.topo.is_alive(NodeId::new(i)) && !self.blocked[i] && !(self.round.lacks)(i)
+    }
+
+    /// Counts what [`sample`](Self::sample) takes over `callers` under
+    /// `Distinct(k)` on the fast path (see [`count_callers`]), listing a
+    /// frontier round's incomplete slots into `incomplete` while their
+    /// stubs total at most `budget`. Nobody is open in a silent round,
+    /// and a gate that says so lets the compiler drop the open arm from
+    /// the loop.
+    fn count(&self, callers: Range<usize>, k: usize, incomplete: &mut Vec<u32>, budget: usize) -> SegmentCount {
+        let (first, blocked) = (callers.start, &self.blocked[callers]);
+        incomplete.clear();
+        let (topo, lacks) = (self.topo, &self.round.lacks);
+        match self.round.kind {
+            RoundKind::Silent => {
+                let quiet = |i| if self.skips(i) { CallerGate::Skip } else { CallerGate::Quiet };
+                count_callers::<false, _, _, _>(topo, blocked, first, k, quiet, lacks, incomplete, budget)
+            }
+            RoundKind::Sampled => {
+                let gate = |i| self.gate(i);
+                count_callers::<false, _, _, _>(topo, blocked, first, k, gate, lacks, incomplete, budget)
+            }
+            RoundKind::Frontier => {
+                let gate = |i| self.gate(i);
+                count_callers::<true, _, _, _>(topo, blocked, first, k, gate, lacks, incomplete, budget)
+            }
+        }
+    }
+
+    /// Marks the frontier of a frontier round: every slot in `incomplete`
+    /// and every stub of theirs, each once, into `in_frontier` and
+    /// `frontier`. The neighbours of an incomplete slot are read from its
+    /// own stubs, which [`Topology`]'s symmetry contract makes exact.
+    /// Adds each open frontier caller's channels to its segment's entry
+    /// of `opened` (segment `layout.shard_of(i)`).
+    fn mark_frontier<'l>(
+        &self,
+        incomplete: impl Iterator<Item = &'l [u32]>,
+        k: usize,
+        layout: ShardLayout,
+        in_frontier: &mut [bool],
+        frontier: &mut Vec<u32>,
+        opened: &mut [usize],
+    ) {
+        frontier.clear();
+        for &v in incomplete.flatten() {
+            let v = NodeId::new(v as usize);
+            for w in std::iter::once(v).chain(self.topo.stubs(v).iter().copied()) {
+                let i = w.index();
+                if in_frontier[i] {
+                    continue;
+                }
+                in_frontier[i] = true;
+                frontier.push(i as u32);
+                if self.topo.is_alive(w) && !self.blocked[i] && self.frontier_gate(i) == CallerGate::Open {
+                    opened[layout.shard_of(i)] += self.topo.degree(w).min(k);
+                }
+            }
         }
     }
 
@@ -387,9 +485,14 @@ where
     ///   `Open`, because its per-channel failure draws need the targets.
     /// - `Open`: sampled and stored.
     ///
+    /// In a frontier round (`in_frontier` given) a caller outside the
+    /// frontier is booked instead: its channels are counted as booked and
+    /// its words owed, like a quiet caller's. Debug builds check that all
+    /// its stubs are complete, which a topology whose stub lists are not
+    /// symmetric can break.
+    ///
     /// Returns the segment's part of the round's counters.
     #[allow(clippy::too_many_arguments)]
-    // rrb-lint: hot
     fn sample<O: Sink, R: Rng + ?Sized>(
         &self,
         callers: Range<usize>,
@@ -399,69 +502,114 @@ where
         ok: &mut Vec<bool>,
         choice: &mut ChoiceState,
         scratch: &mut Vec<NodeId>,
+        in_frontier: Option<&[bool]>,
+        rng: &mut R,
+    ) -> RoundCounters {
+        if self.round.kind == RoundKind::Frontier {
+            let flags = in_frontier.unwrap_or(&[]);
+            self.sample_with::<true, O, R>(callers, ends, base, out, ok, choice, scratch, flags, rng)
+        } else {
+            self.sample_with::<false, O, R>(callers, ends, base, out, ok, choice, scratch, &[], rng)
+        }
+    }
+
+    /// [`sample`](Self::sample), with the frontier's gate and booking
+    /// compiled in only for a frontier round (booking only with flags; a
+    /// frontier round over the budget samples every caller).
+    #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
+    fn sample_with<const FRONTIER: bool, O: Sink, R: Rng + ?Sized>(
+        &self,
+        callers: Range<usize>,
+        ends: &mut [u32],
+        base: u32,
+        out: &mut O,
+        ok: &mut Vec<bool>,
+        choice: &mut ChoiceState,
+        scratch: &mut Vec<NodeId>,
+        in_frontier: &[bool],
         rng: &mut R,
     ) -> RoundCounters {
         let (topo, policy, failures) = (self.topo, self.policy, self.failures);
         let first = callers.start;
         let mut skipped = 0u64;
+        let mut booked = 0u64;
         let mut words = WordTally::default();
         let mut channels = 0u64;
         for i in callers {
             let v = NodeId::new(i);
             if topo.is_alive(v) && !self.blocked[i] {
-                match self.gate(i) {
-                    CallerGate::Skip => {
-                        // Uninformed caller under a push-only protocol:
-                        // count the channels it would open, draw nothing.
-                        let opened = topo.degree(v).min(policy.fanout()) as u64;
-                        skipped += opened;
-                        channels += opened;
+                if FRONTIER && !in_frontier.is_empty() && !in_frontier[i] {
+                    // Complete, with complete neighbours: every channel
+                    // carries the one plan to an informed node.
+                    debug_assert_eq!(self.frontier_gate(i), CallerGate::Open, "booked caller {i} is not open");
+                    debug_assert!(
+                        topo.stubs(v).iter().all(|w| self.complete(w.index())),
+                        "booked caller {i} has an incomplete neighbour: are the stub lists symmetric?"
+                    );
+                    let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
+                    channels += count as u64;
+                    booked += count as u64;
+                    match taken {
+                        Words::Owed(k) => words.pending += k,
+                        Words::Drawn(_) => unreachable!("booked only under Distinct(k)"),
                     }
-                    CallerGate::Quiet if self.fast_path => {
-                        let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
-                        channels += count as u64;
-                        match taken {
-                            Words::Drawn(k) => {
-                                debug_assert_eq!(words.pending, 0, "drew past owed words");
-                                words.words += k;
-                            }
-                            Words::Owed(k) => words.pending += k,
+                } else {
+                    let gate = if FRONTIER { self.frontier_gate(i) } else { self.gate(i) };
+                    match gate {
+                        CallerGate::Skip => {
+                            // Uninformed caller under a push-only protocol:
+                            // count the channels it would open, draw nothing.
+                            let opened = topo.degree(v).min(policy.fanout()) as u64;
+                            skipped += opened;
+                            channels += opened;
                         }
-                    }
-                    CallerGate::Quiet | CallerGate::Open => {
-                        words.settle(rng);
-                        words.words += sample_targets(topo, v, policy, choice, rng, scratch);
-                        channels += scratch.len() as u64;
-                        for &w in scratch.iter() {
-                            // A channel to a dead (departed), crashed,
-                            // suspended or partitioned-away neighbour fails
-                            // to establish; it costs nothing, carries nothing.
-                            let callee_ok = topo.is_alive(w)
-                                && !self.blocked[w.index()]
-                                && self.faults.is_none_or(|f| f.connects(i, w.index()));
-                            if self.fast_path {
-                                if callee_ok {
-                                    out.push(w);
+                        CallerGate::Quiet if self.fast_path => {
+                            let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
+                            channels += count as u64;
+                            match taken {
+                                Words::Drawn(k) => {
+                                    debug_assert_eq!(words.pending, 0, "drew past owed words");
+                                    words.words += k;
                                 }
-                            } else {
-                                // Combined per-channel loss: baseline i.i.d.
-                                // rate plus the burst chains' contribution.
-                                // The single Bernoulli draw sits exactly
-                                // where the baseline draw always was, and is
-                                // skipped (like the baseline) when the
-                                // probability is zero or the channel failed
-                                // to establish anyway.
-                                let p = match self.faults {
-                                    Some(f) => {
-                                        1.0 - (1.0 - failures.channel_failure)
-                                            * (1.0 - f.burst_loss(i, w.index()))
+                                Words::Owed(k) => words.pending += k,
+                            }
+                        }
+                        CallerGate::Quiet | CallerGate::Open => {
+                            words.settle(rng);
+                            words.words += sample_targets(topo, v, policy, choice, rng, scratch);
+                            channels += scratch.len() as u64;
+                            for &w in scratch.iter() {
+                                // A channel to a dead (departed), crashed,
+                                // suspended or partitioned-away neighbour fails
+                                // to establish; it costs nothing, carries nothing.
+                                let callee_ok = topo.is_alive(w)
+                                    && !self.blocked[w.index()]
+                                    && self.faults.is_none_or(|f| f.connects(i, w.index()));
+                                if self.fast_path {
+                                    if callee_ok {
+                                        out.push(w);
                                     }
-                                    None => failures.channel_failure,
-                                };
-                                let usable = callee_ok && (p == 0.0 || !rng.gen_bool(p));
-                                words.words += u64::from(callee_ok && p != 0.0);
-                                out.push(w);
-                                ok.push(usable);
+                                } else {
+                                    // Combined per-channel loss: baseline i.i.d.
+                                    // rate plus the burst chains' contribution.
+                                    // The single Bernoulli draw sits exactly
+                                    // where the baseline draw always was, and is
+                                    // skipped (like the baseline) when the
+                                    // probability is zero or the channel failed
+                                    // to establish anyway.
+                                    let p = match self.faults {
+                                        Some(f) => {
+                                            1.0 - (1.0 - failures.channel_failure)
+                                                * (1.0 - f.burst_loss(i, w.index()))
+                                        }
+                                        None => failures.channel_failure,
+                                    };
+                                    let usable = callee_ok && (p == 0.0 || !rng.gen_bool(p));
+                                    words.words += u64::from(callee_ok && p != 0.0);
+                                    out.push(w);
+                                    ok.push(usable);
+                                }
                             }
                         }
                     }
@@ -475,6 +623,7 @@ where
             skipped_draws: skipped,
             fabric_words: words.words,
             jumped_words: words.owed,
+            booked_channels: booked,
             ..RoundCounters::default()
         }
     }
@@ -515,14 +664,16 @@ impl ChannelFabric {
     ///   lists: one pass counts the channels, skipped draws and words, and
     ///   one `discard` moves the generator past the words, and
     ///   [`kind`](Self::kind) tells the engine to skip its exchange.
-    /// - **Saturated round.** In a round declared saturated (only where
-    ///   [`can_saturate`] holds) every caller is `Open`, and the same count
-    ///   pass also checks from the topology and the `blocked` flags that
-    ///   every slot is alive and unblocked. If so, every channel is usable,
-    ///   and the round builds no lists either: its words are all jumped,
-    ///   and the engine books `channels` transmissions per direction its
-    ///   plan uses. If not, the round is sampled, every caller `Open`; the
-    ///   count pass drew nothing, so this is exact.
+    /// - **Frontier round.** In a round declared frontier (only where
+    ///   [`can_saturate`] holds) the same count pass also lists the
+    ///   incomplete slots: dead in the topology, blocked, or `lacks`. If
+    ///   their stubs number at most `n`, the incomplete slots and their
+    ///   neighbours form the frontier, and only its callers are sampled.
+    ///   Every other caller is complete, is `Open` and calls complete
+    ///   nodes: its channels are booked and its words owed. With no open
+    ///   caller in the frontier the round builds no lists (one `discard`,
+    ///   every open channel booked). Over the budget the round is sampled
+    ///   whole, as gated; the count pass drew nothing, so this is exact.
     ///
     /// `faults` is the installed fault plan's state: partitioned pairs
     /// fail to establish like calls to a crashed peer (no cost, no draw),
@@ -532,7 +683,7 @@ impl ChannelFabric {
     /// are byte-identical to the pre-fault engine.
     #[allow(clippy::too_many_arguments)]
     // rrb-lint: hot
-    pub(crate) fn sample_round<T, P, U, S, R>(
+    pub(crate) fn sample_round<T, P, U, S, L, R>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -540,53 +691,82 @@ impl ChannelFabric {
         failures: FailureModel,
         faults: Option<&FaultState>,
         blocked: &[bool],
-        gate: RoundGate<U, S>,
+        gate: RoundGate<U, S, L>,
         rng: &mut R,
     ) where
         T: Topology + ?Sized,
         P: Protocol,
         U: Fn(usize) -> bool,
         S: Fn(usize) -> bool,
+        L: Fn(usize) -> bool,
         R: Rng + ?Sized,
     {
         let n = topo.node_count();
         let view = faults.and_then(FaultState::channel_view);
         let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
-        let counted = match callers.policy {
-            ChoicePolicy::Distinct(k) if gate.kind != RoundKind::Sampled && callers.fast_path => {
-                let count = callers.count(0..n, k);
-                let kind = counted_kind(gate.kind, count.absent);
-                (kind != RoundKind::Sampled).then_some((kind, count.counters))
-            }
-            _ => None,
+        let k = match callers.policy {
+            ChoicePolicy::Distinct(k) if gate.kind != RoundKind::Sampled && callers.fast_path => k,
+            _ => return self.sample_segment(&callers, n, choice, false, rng),
         };
-        match counted {
-            Some((kind, counters)) => self.finish_counted(kind, counters, rng),
-            None => {
-                self.offsets.resize(n + 1, 0);
-                self.offsets[0] = 0;
-                self.targets.clear();
-                self.ok.clear();
-                if self.targets.capacity() == 0 {
-                    // Size the target list once, for a round in which every
-                    // caller is open, so it never regrows (and copies)
-                    // mid-run.
-                    let k = callers.policy.fanout();
-                    let bound = (0..n).map(|i| topo.degree(NodeId::new(i)).min(k)).sum();
-                    self.targets.reserve(bound);
+        let count = callers.count(0..n, k, &mut self.incomplete, n);
+        match gate.kind {
+            RoundKind::Silent => self.finish_counted(RoundKind::Silent, count.counters, 0, rng),
+            RoundKind::Frontier if count.stubs <= n => {
+                let mut listed = [0];
+                self.in_frontier.resize(n, false);
+                let incomplete = std::iter::once(self.incomplete.as_slice());
+                let one = ShardLayout::new(n, 1);
+                callers.mark_frontier(incomplete, k, one, &mut self.in_frontier, &mut self.frontier, &mut listed);
+                if listed[0] == 0 {
+                    self.finish_counted(RoundKind::Frontier, count.counters, count.opened as u64, rng);
+                } else {
+                    self.sample_segment(&callers, n, choice, true, rng);
+                    self.kind = RoundKind::Frontier;
                 }
-                self.counters = callers.sample(
-                    0..n,
-                    &mut self.offsets[1..],
-                    0,
-                    &mut self.targets,
-                    &mut self.ok,
-                    choice,
-                    &mut self.target_buf,
-                    rng,
-                );
+                self.clear_frontier();
             }
+            _ => self.sample_segment(&callers, n, choice, false, rng),
         }
+    }
+
+    /// Samples every caller of `callers` in one segment on `rng`, booking
+    /// those outside the marked frontier if `frontier`.
+    fn sample_segment<T, U, S, L, R>(
+        &mut self,
+        callers: &Callers<'_, T, U, S, L>,
+        n: usize,
+        choice: &mut ChoiceState,
+        frontier: bool,
+        rng: &mut R,
+    ) where
+        T: Topology + ?Sized,
+        U: Fn(usize) -> bool,
+        S: Fn(usize) -> bool,
+        L: Fn(usize) -> bool,
+        R: Rng + ?Sized,
+    {
+        self.offsets.resize(n + 1, 0);
+        self.offsets[0] = 0;
+        self.targets.clear();
+        self.ok.clear();
+        if self.targets.capacity() == 0 {
+            // Size the target list once, for a round in which every caller
+            // is open, so it never regrows (and copies) mid-run.
+            let k = callers.policy.fanout();
+            let bound = (0..n).map(|i| callers.topo.degree(NodeId::new(i)).min(k)).sum();
+            self.targets.reserve(bound);
+        }
+        self.counters = callers.sample(
+            0..n,
+            &mut self.offsets[1..],
+            0,
+            &mut self.targets,
+            &mut self.ok,
+            choice,
+            &mut self.target_buf,
+            frontier.then_some(self.in_frontier.as_slice()),
+            rng,
+        );
     }
 
     /// [`sample_round`](Self::sample_round) for the single engine, fanned
@@ -595,22 +775,26 @@ impl ChannelFabric {
     /// a caller's words depend only on its gate and degree, so:
     ///
     /// 1. each segment counts its callers' words and the channels its open
-    ///    callers open, in parallel;
+    ///    callers open, in parallel (and, in a frontier round, lists its
+    ///    incomplete slots);
     /// 2. an exclusive prefix sum gives each segment its offset in the
-    ///    stream and its window of the channel list;
+    ///    stream and its window of the channel list (in a frontier round
+    ///    within the budget, after the frontier is marked, as long as its
+    ///    open frontier callers' channels);
     /// 3. each segment clones `rng`, `discard`s to its offset and samples
     ///    its callers into its window, in parallel, with its own scratch;
     /// 4. `rng` `discard`s the round's words, and each window's filled part
     ///    moves down to close the gaps that unusable channels left.
     ///
     /// The lists, channel ids, counters and the generator afterwards are
-    /// those one segment produces. A silent or saturated round stops after
-    /// step 1 and one `discard`. Each segment's time goes to `probe` as its
-    /// share of the [`Fabric`](StepPhase::Fabric) phase (no clock is read
-    /// without a probe). Every other round, and any round at one segment, runs
+    /// those one segment produces. A silent round, and a frontier round
+    /// with no open caller in its frontier, stop after step 1 and one
+    /// `discard`. Each segment's time goes to `probe` as its share of the
+    /// [`Fabric`](StepPhase::Fabric) phase (no clock is read without a
+    /// probe). Every other round, and any round at one segment, runs
     /// [`sample_round`](Self::sample_round) on `rng` itself.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_round_sharded<T, P, U, S, R>(
+    pub(crate) fn sample_round_sharded<T, P, U, S, L, R>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -618,7 +802,7 @@ impl ChannelFabric {
         failures: FailureModel,
         faults: Option<&FaultState>,
         blocked: &[bool],
-        gate: RoundGate<U, S>,
+        gate: RoundGate<U, S, L>,
         layout: ShardLayout,
         probe: &mut Option<BoxedProbe>,
         rng: &mut R,
@@ -627,6 +811,7 @@ impl ChannelFabric {
         P: Protocol,
         U: Fn(usize) -> bool + Sync,
         S: Fn(usize) -> bool + Sync,
+        L: Fn(usize) -> bool + Sync,
         R: Rng + Clone + Send,
     {
         let k = match protocol.choice_policy() {
@@ -638,27 +823,48 @@ impl ChannelFabric {
         let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
         let segments = layout.count();
         let probing = probe.is_some();
+        self.segments.resize_with(segments, SegmentScratch::default);
 
         // Step 1: every segment's words and window length.
-        let counts: Vec<(SegmentCount, Duration)> = (0..segments)
+        let lists: Vec<(usize, &mut Vec<u32>)> =
+            self.segments.iter_mut().map(|scratch| &mut scratch.incomplete).enumerate().collect();
+        let counts: Vec<(SegmentCount, Duration)> = lists
             .into_par_iter()
-            .map(|s| {
+            .map(|(s, incomplete)| {
                 let clock = ShardClock::armed(probing);
-                (callers.count(layout.range(s, n), k), clock.elapsed())
+                (callers.count(layout.range(s, n), k, incomplete, n), clock.elapsed())
             })
             .collect();
         let mut total = RoundCounters::default();
-        let mut absent = 0;
+        let mut stubs = 0;
         for (c, _) in &counts {
             total.channels += c.counters.channels;
             total.skipped_draws += c.counters.skipped_draws;
             total.fabric_words += c.counters.fabric_words;
             total.jumped_words += c.counters.jumped_words;
-            absent += c.absent;
+            stubs += c.stubs;
         }
-        let kind = counted_kind(gate.kind, absent);
-        if kind != RoundKind::Sampled {
-            self.finish_counted(kind, total, rng);
+        let mut opened: Vec<usize> = counts.iter().map(|(c, _)| c.opened).collect();
+        let frontier = gate.kind == RoundKind::Frontier && stubs <= n;
+        let counted = match gate.kind {
+            RoundKind::Silent => Some((RoundKind::Silent, 0)),
+            _ if frontier => {
+                let all: usize = opened.iter().sum();
+                opened.fill(0);
+                self.in_frontier.resize(n, false);
+                let incomplete = self.segments.iter().map(|scratch| scratch.incomplete.as_slice());
+                let (flags, marked) = (&mut self.in_frontier, &mut self.frontier);
+                callers.mark_frontier(incomplete, k, layout, flags, marked, &mut opened);
+                let listed = opened.iter().any(|&o| o > 0);
+                if !listed {
+                    self.clear_frontier();
+                }
+                (!listed).then_some((RoundKind::Frontier, all as u64))
+            }
+            _ => None,
+        };
+        if let Some((kind, booked)) = counted {
+            self.finish_counted(kind, total, booked, rng);
             if let Some(p) = probe.as_deref_mut() {
                 for (s, &(_, d)) in counts.iter().enumerate() {
                     p.on_shard_phase(s, StepPhase::Fabric, d);
@@ -668,29 +874,28 @@ impl ChannelFabric {
         }
 
         // Step 2: each segment's stream offset and window.
-        let opened: usize = counts.iter().map(|(c, _)| c.opened).sum();
         self.offsets.resize(n + 1, 0);
         self.offsets[0] = 0;
-        self.targets.resize(opened, NodeId::new(0));
+        self.targets.resize(opened.iter().sum(), NodeId::new(0));
         self.ok.clear();
-        self.segments.resize_with(segments, SegmentScratch::default);
         let mut ends_left = &mut self.offsets[1..];
         let mut slots_left = &mut self.targets[..];
         let (mut word_at, mut slot_at) = (0u64, 0usize);
         let mut items = Vec::with_capacity(segments);
-        for (s, (scratch, (c, _))) in self.segments.iter_mut().zip(&counts).enumerate() {
+        for (s, ((scratch, (c, _)), &len)) in self.segments.iter_mut().zip(&counts).zip(&opened).enumerate() {
             let range = layout.range(s, n);
             let (ends, rest) = std::mem::take(&mut ends_left).split_at_mut(range.len());
             ends_left = rest;
-            let (slots, rest) = std::mem::take(&mut slots_left).split_at_mut(c.opened);
+            let (slots, rest) = std::mem::take(&mut slots_left).split_at_mut(len);
             slots_left = rest;
             let window = Window { slots, len: 0 };
             items.push((range, ends, window, slot_at as u32, word_at, scratch, rng.clone()));
             word_at += c.counters.fabric_words;
-            slot_at += c.opened;
+            slot_at += len;
         }
 
         // Step 3: every segment samples its callers from its offset.
+        let flags = frontier.then_some(self.in_frontier.as_slice());
         let sampled: Vec<(RoundCounters, usize, Duration)> = items
             .into_par_iter()
             .map(|(range, ends, mut window, base, offset, scratch, mut seg_rng)| {
@@ -705,6 +910,7 @@ impl ChannelFabric {
                     &mut Vec::new(),
                     choice,
                     targets,
+                    flags,
                     &mut seg_rng,
                 );
                 (counters, window.len, clock.elapsed())
@@ -715,8 +921,16 @@ impl ChannelFabric {
         // windows close up in segment order.
         rng.discard(total.fabric_words);
         let (mut end, mut start) = (0usize, 0usize);
-        for (s, ((c, _), &(counters, filled, _))) in counts.iter().zip(&sampled).enumerate() {
-            debug_assert_eq!(counters, c.counters, "segment {s} drew other than it counted");
+        let mut sampled_total = RoundCounters::default();
+        for (s, ((c, _), (&(counters, filled, _), &len))) in counts.iter().zip(sampled.iter().zip(&opened)).enumerate() {
+            let drawn = (counters.channels, counters.skipped_draws, counters.fabric_words);
+            let counted = (c.counters.channels, c.counters.skipped_draws, c.counters.fabric_words);
+            debug_assert_eq!(drawn, counted, "segment {s} drew other than it counted");
+            sampled_total.channels += counters.channels;
+            sampled_total.skipped_draws += counters.skipped_draws;
+            sampled_total.fabric_words += counters.fabric_words;
+            sampled_total.jumped_words += counters.jumped_words;
+            sampled_total.booked_channels += counters.booked_channels;
             if start != end {
                 self.targets.copy_within(start..start + filled, end);
                 let shift = (start - end) as u32;
@@ -726,10 +940,14 @@ impl ChannelFabric {
                 }
             }
             end += filled;
-            start += c.opened;
+            start += len;
         }
         self.targets.truncate(end);
-        self.counters = total;
+        self.counters = sampled_total;
+        if frontier {
+            self.kind = RoundKind::Frontier;
+            self.clear_frontier();
+        }
         if let Some(p) = probe.as_deref_mut() {
             for (s, (&(_, counted), &(_, _, drawn))) in counts.iter().zip(&sampled).enumerate() {
                 p.on_shard_phase(s, StepPhase::Fabric, counted + drawn);
@@ -740,21 +958,22 @@ impl ChannelFabric {
     /// Starts a round: settles the fast-path flag and the round kind, and
     /// returns what its caller segments read.
     #[allow(clippy::too_many_arguments)]
-    fn callers<'a, T, P, U, S>(
+    fn callers<'a, T, P, U, S, L>(
         &mut self,
         topo: &'a T,
         protocol: &P,
         failures: FailureModel,
         faults: Option<&FaultState>,
         blocked: &'a [bool],
-        gate: &'a RoundGate<U, S>,
+        gate: &'a RoundGate<U, S, L>,
         view: Option<&'a FaultChannelView<'a>>,
-    ) -> Callers<'a, T, U, S>
+    ) -> Callers<'a, T, U, S, L>
     where
         T: Topology + ?Sized,
         P: Protocol,
         U: Fn(usize) -> bool,
         S: Fn(usize) -> bool,
+        L: Fn(usize) -> bool,
     {
         self.fast_path = is_fast_path(failures, faults);
         self.tx_drawn = false;
@@ -771,22 +990,37 @@ impl ChannelFabric {
         }
     }
 
-    /// Closes a silent or saturated round: no lists, and one
+    /// Closes a round that builds no lists (a silent one, or a frontier
+    /// round with no open caller in its frontier): one
     /// [`discard`](rand::RngCore::discard) past the words `counted`, which
-    /// leaves the generator where sampling would, since no draw depends
-    /// on the values drawn before it. Every word of the round is jumped.
+    /// leaves the generator where sampling would, since no draw depends on
+    /// the values drawn before it. Every word of the round is jumped, and
+    /// `booked` channels are booked.
     fn finish_counted<R: RngCore + ?Sized>(
         &mut self,
         kind: RoundKind,
         counted: RoundCounters,
+        booked: u64,
         rng: &mut R,
     ) {
         self.offsets.clear();
         self.targets.clear();
         self.ok.clear();
         rng.discard(counted.fabric_words);
-        self.counters = RoundCounters { jumped_words: counted.fabric_words, ..counted };
+        self.counters = RoundCounters {
+            jumped_words: counted.fabric_words,
+            booked_channels: booked,
+            ..counted
+        };
         self.kind = kind;
+    }
+
+    /// Unmarks the frontier's flags (its list stays, see
+    /// [`frontier`](Self::frontier)).
+    fn clear_frontier(&mut self) {
+        for &i in &self.frontier {
+            self.in_frontier[i as usize] = false;
+        }
     }
 
     /// The serial transmission pre-draw of one round, over the stored
@@ -865,11 +1099,26 @@ impl ChannelFabric {
         self.counters
     }
 
-    /// The kind of round the last one was. Only a sampled round built
-    /// channel lists; after any other the engine skips its exchange.
+    /// The kind of round the last one was: a declared frontier round over
+    /// the budget, or off the fast path, reports `Sampled`.
     #[inline]
     pub(crate) fn kind(&self) -> RoundKind {
         self.kind
+    }
+
+    /// Whether the last round built channel lists (a silent round, and a
+    /// frontier round with no open caller in its frontier, build none;
+    /// after them the engine skips its exchange).
+    #[inline]
+    pub(crate) fn listed(&self) -> bool {
+        !self.offsets.is_empty()
+    }
+
+    /// The last frontier round's frontier, each slot once: every caller
+    /// whose channels a frontier round lists is in it.
+    #[inline]
+    pub(crate) fn frontier(&self) -> &[u32] {
+        &self.frontier
     }
 
     /// Number of materialised channels this round.
@@ -938,7 +1187,7 @@ impl ChannelFabric {
 
     /// Heap capacities of every reusable buffer, for the steady-state
     /// no-allocation tests.
-    pub(crate) fn capacities(&self) -> [usize; 6] {
+    pub(crate) fn capacities(&self) -> [usize; 7] {
         [
             self.offsets.capacity(),
             self.targets.capacity(),
@@ -948,6 +1197,10 @@ impl ChannelFabric {
             self.in_entries.capacity()
                 + self.target_buf.capacity()
                 + self.segments.iter().map(|s| s.targets.capacity()).sum::<usize>(),
+            self.incomplete.capacity()
+                + self.in_frontier.capacity()
+                + self.frontier.capacity()
+                + self.segments.iter().map(|s| s.incomplete.capacity()).sum::<usize>(),
         ]
     }
 }
@@ -1148,14 +1401,15 @@ mod tests {
     use rand::SeedableRng;
     use rrb_graph::{gen, Graph};
 
-    type Gate = RoundGate<fn(usize) -> bool, fn(usize) -> bool>;
+    type Gate = RoundGate<fn(usize) -> bool, fn(usize) -> bool, fn(usize) -> bool>;
     type MakeGate = fn() -> Gate;
 
-    use RoundKind::{Sampled, Saturated, Silent};
+    use RoundKind::{Frontier, Sampled, Silent};
 
-    /// A round gate in which no node pull-serves.
+    /// A round gate in which no node pull-serves and the uninformed slots
+    /// are the incomplete ones.
     fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, kind: RoundKind) -> Gate {
-        RoundGate { uninformed, pushes, any_pull: false, kind }
+        RoundGate { uninformed, pushes, lacks: uninformed, any_pull: false, kind }
     }
 
     /// Every caller pushes: every caller is `Open`.
@@ -1321,13 +1575,16 @@ mod tests {
             schedule: vec![FaultEvent::Partition { from: 1, until: 9, parts: 3 }],
             ..FaultPlan::default()
         };
-        let gates: [(&str, MakeGate); 6] = [
+        let gates: [(&str, MakeGate); 9] = [
             ("open", all_open),
             ("mixed", || gate(|i| i % 5 == 1, |i| i % 3 != 0, Sampled)),
             ("late", || gate(|i| i < 130, |i| i % 3 != 0, Sampled)),
             ("pull", || RoundGate { any_pull: true, ..gate(|i| i % 5 == 1, |_| false, Sampled) }),
             ("silent", || gate(|i| i % 5 == 1, |_| false, Silent)),
-            ("saturated", || gate(|_| false, |_| false, Saturated)),
+            ("complete", || gate(|_| false, |_| true, Frontier)),
+            ("frontier", || gate(|i| i % 97 == 40, |i| i % 97 != 40, Frontier)),
+            ("frontier pull", || RoundGate { any_pull: true, ..gate(|i| i == 150, |_| true, Frontier) }),
+            ("over budget", || gate(|i| i % 3 == 0, |i| i % 3 != 0, Frontier)),
         ];
         // Rounds in which blocked or partitioned-away callees leave gaps.
         let mut gaps = 0;
@@ -1378,48 +1635,127 @@ mod tests {
 
     #[test]
     fn saturated_rounds_count_what_an_all_open_round_samples() {
-        // With every slot alive and unblocked, a round declared saturated
-        // builds no lists: it counts the channels and words an all-open
-        // round samples, jumps all the words and leaves the generator where
-        // the open round does, at any segment count. A blocked slot and a
-        // slot the topology has dead each make it sample, as the all-open
-        // round does.
+        // With every slot alive, unblocked and informed, a frontier round
+        // has an empty frontier and builds no lists: it counts the
+        // channels and words an all-open round samples, books every
+        // channel, jumps all the words and leaves the generator where the
+        // open round does, at any segment count.
         let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
-        let n = pa.node_count();
-        let present = vec![false; n];
-        let mut one_blocked = present.clone();
-        one_blocked[7] = true;
-        let dead = OneDead(pa.clone(), 11);
-        let saturated = || gate(|_| false, |_| false, Saturated);
+        let present = vec![false; pa.node_count()];
+        let complete = || gate(|_| false, |_| true, Frontier);
         for k in [1, 4, 17] {
             let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
             for segments in [1, 2, 3, 7] {
                 let case = format!("k = {k}, {segments} segments");
-                let sample = |g: &dyn Topology, blocked: &[bool], gate: Gate| {
-                    sample_segmented(g, &protocol, None, blocked, gate, segments)
-                };
-                let (open, open_rng) = sample(&pa, &present, all_open());
-                let (sat, sat_rng) = sample(&pa, &present, saturated());
-                assert_eq!((open.kind(), sat.kind()), (Sampled, Saturated), "{case}");
+                let (open, open_rng) = sample_segmented(&pa, &protocol, None, &present, all_open(), segments);
+                let (sat, sat_rng) = sample_segmented(&pa, &protocol, None, &present, complete(), segments);
+                assert_eq!((open.kind(), sat.kind()), (Sampled, Frontier), "{case}");
+                assert!(!sat.listed() && open.listed(), "{case}");
                 let words = open.counters().fabric_words;
                 assert!(words > 0 && open.counters().jumped_words == 0, "{case}");
-                let jumped = RoundCounters { jumped_words: words, ..open.counters() };
-                assert_eq!(sat.counters(), jumped, "{case}");
+                let channels = open.counters().channels;
+                let counted = RoundCounters { jumped_words: words, booked_channels: channels, ..open.counters() };
+                assert_eq!(sat.counters(), counted, "{case}");
                 assert_eq!(sat_rng, open_rng, "{case}");
-                assert_eq!(sat.len(), 0, "{case}");
-                for (what, g, blocked) in
-                    [("blocked", &pa as &dyn Topology, &one_blocked), ("dead", &dead, &present)]
-                {
-                    let (fell, fell_rng) = sample(g, blocked, saturated());
-                    let (open, open_rng) = sample(g, blocked, all_open());
-                    assert_eq!(fell.kind(), Sampled, "{case}, {what}");
-                    assert_eq!(fell.offsets, open.offsets, "{case}, {what}");
-                    assert_eq!(fell.targets, open.targets, "{case}, {what}");
-                    assert_eq!(fell.counters(), open.counters(), "{case}, {what}");
-                    assert_eq!(fell_rng, open_rng, "{case}, {what}");
+            }
+        }
+    }
+
+    /// The slots a frontier round must sample, found from each slot's own
+    /// stubs: the incomplete ones (dead in the topology, blocked or
+    /// `lacks`) and those with an incomplete neighbour.
+    fn expected_frontier(g: &dyn Topology, blocked: &[bool], lacks: fn(usize) -> bool) -> Vec<bool> {
+        let incomplete = |i: usize| !g.is_alive(NodeId::new(i)) || blocked[i] || lacks(i);
+        (0..g.node_count())
+            .map(|i| incomplete(i) || g.stubs(NodeId::new(i)).iter().any(|w| incomplete(w.index())))
+            .collect()
+    }
+
+    #[test]
+    fn frontier_rounds_list_what_an_all_open_round_lists_for_the_frontier() {
+        // A frontier round against the same gate's ordinary round, with
+        // blocked slots, a slot only the topology has dead, and uninformed
+        // ones, pushing and push&pull, at 1, 2, 3 and 7 segments. Within
+        // the budget it lists exactly the ordinary round's channels of the
+        // frontier callers and nothing else, books every other present
+        // caller's channels and owes their words; its other counters and
+        // the generator afterwards are the ordinary round's. Over the
+        // budget it is the ordinary round.
+        let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
+        let n = pa.node_count();
+        let dead = OneDead(pa.clone(), 11);
+        let mut blocked = vec![false; n];
+        blocked[7] = true;
+        blocked[200] = true;
+        let sparse: fn(usize) -> bool = |i| i == 40 || i == 150 || i == 299;
+        let wide: fn(usize) -> bool = |i| i % 3 == 0;
+        let mut listed_rounds = 0;
+        for k in [1, 4, 17] {
+            for (what, uninformed) in [("sparse", sparse), ("wide", wide)] {
+                for pull in [false, true] {
+                    let frontier_gate = RoundGate {
+                        uninformed,
+                        pushes: if what == "sparse" { |i| !(i == 40 || i == 150 || i == 299) } else { |i| i % 3 != 0 },
+                        lacks: uninformed,
+                        any_pull: pull,
+                        kind: Frontier,
+                    };
+                    let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
+                    for segments in [1, 2, 3, 7] {
+                        let case = format!("k = {k}, {what}, pull {pull}, {segments} segments");
+                        let (front, front_rng) = sample_segmented(
+                            &dead,
+                            &protocol,
+                            None,
+                            &blocked,
+                            RoundGate { ..frontier_gate },
+                            segments,
+                        );
+                        let (plain, plain_rng) = sample_segmented(
+                            &dead,
+                            &protocol,
+                            None,
+                            &blocked,
+                            RoundGate { kind: Sampled, ..frontier_gate },
+                            segments,
+                        );
+                        assert_eq!(front_rng, plain_rng, "{case}");
+                        if what == "wide" {
+                            assert_eq!(front.kind(), Sampled, "{case}: over the budget");
+                            assert_eq!((&front.offsets, &front.targets), (&plain.offsets, &plain.targets), "{case}");
+                            assert_eq!(front.counters(), plain.counters(), "{case}");
+                            continue;
+                        }
+                        assert_eq!(front.kind(), Frontier, "{case}");
+                        let in_frontier = expected_frontier(&dead, &blocked, uninformed);
+                        let (mut booked, mut owed) = (0, 0);
+                        for (i, &inside) in in_frontier.iter().enumerate() {
+                            let list = |f: &ChannelFabric| -> Vec<NodeId> {
+                                f.out_range(i).map(|c| f.target(c)).collect()
+                            };
+                            if inside {
+                                assert_eq!(list(&front), list(&plain), "{case}: frontier caller {i}");
+                            } else {
+                                assert!(list(&front).is_empty(), "{case}: caller {i} is not in the frontier");
+                                let deg = pa.degree(NodeId::new(i));
+                                booked += deg.min(k) as u64;
+                                owed += if deg > k { k as u64 } else { 0 };
+                            }
+                        }
+                        let p = plain.counters();
+                        let expected = RoundCounters {
+                            jumped_words: p.jumped_words + owed,
+                            booked_channels: booked,
+                            ..p
+                        };
+                        assert!(booked > 0 && booked < p.channels, "{case}: {booked} booked");
+                        assert_eq!(front.counters(), expected, "{case}");
+                        listed_rounds += 1;
+                    }
                 }
             }
         }
+        assert_eq!(listed_rounds, 3 * 2 * 4);
     }
 
     #[test]
@@ -1456,11 +1792,11 @@ mod tests {
     #[test]
     fn quiet_callers_are_sampled_off_the_fast_path() {
         // Per-channel failure draws need the targets, so a lossy round
-        // treats quiet callers as open, and a lossy silent or saturated
+        // treats quiet callers as open, and a lossy silent or frontier
         // round samples.
         let g = gen::complete(16);
         let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
-        for kind in [Sampled, Silent, Saturated] {
+        for kind in [Sampled, Silent, Frontier] {
             let quiet = gate(|_| false, |_| false, kind);
             let (fabric, _) = sample_one(&g, &four, FailureModel::channels(0.3), None, quiet, 13);
             assert!(!fabric.is_fast_path() && fabric.kind() == Sampled);

@@ -11,8 +11,9 @@
 //! own and uses only the [`Ledger`].
 //!
 //! Under `debug_assertions` every closed round recounts the coverage
-//! numerator from the informed list and the census and checks it
-//! against the incrementally maintained one.
+//! numerator from the informed list and the census, and the census's own
+//! counters from its slot flags, and checks them against the
+//! incrementally maintained ones.
 
 use rand::Rng;
 use rrb_graph::NodeId;
@@ -154,8 +155,10 @@ impl Ledger {
 
     /// Closes the current round: completes `counters` with the round
     /// number, the transmission total and the census, adds its channels
-    /// to the run total and hands it to the probe.
+    /// to the run total and hands it to the probe. Debug builds first
+    /// recount the census counters from its slot flags.
     pub(crate) fn close_round(&mut self, mut counters: RoundCounters) -> RoundCounters {
+        self.census.debug_check_counters();
         counters.round = self.round;
         counters.tx = counters.push_tx + counters.pull_tx;
         counters.alive = self.census.effective_alive();

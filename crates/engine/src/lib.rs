@@ -35,9 +35,9 @@
 //!    plan. An [`oblivious`](Capabilities::oblivious) protocol is asked
 //!    once per reception round instead, and no node is planned at all
 //!    when no reception round transmits (a *silent* round) or when every
-//!    slot is informed and takes part and every reception round transmits
-//!    in the same directions (a *saturated* round, on the loss-free fast
-//!    path under `Distinct(k)` with no partition or burst view).
+//!    reception round transmits in the same directions (a *frontier*
+//!    round, on the loss-free fast path under `Distinct(k)` with no
+//!    partition or burst view).
 //! 3. **Fabric** — every alive node opens channels into one CSR channel
 //!    fabric, gated per caller by the plans: `Skip` (a push-only
 //!    protocol's uninformed caller: counted, never sampled), `Quiet` (the
@@ -45,9 +45,13 @@
 //!    `Open`. A silent round on the failure-free fast path skips the
 //!    sampling and the next two phases: one pass counts the channels and
 //!    generator words, and one `discard` jumps the generator past them.
-//!    A saturated round does the same once that pass has found every slot
-//!    alive and unblocked in the topology: every channel is usable, so
-//!    the engine books `channels` transmissions per direction used.
+//!    In a frontier round that pass also lists the *incomplete* slots
+//!    (dead, blocked, or missing the rumour); if their stubs number at
+//!    most `n`, only the callers among them or next to them are sampled,
+//!    and every other caller's channels are booked: each reaches an
+//!    informed node and carries every direction used once, so the engine
+//!    counts their transmissions and exchanges only the listed channels.
+//!    With nobody left to inform, nothing is listed at all.
 //!    These rules, and the serial pre-draw of transmission outcomes (one
 //!    per used channel direction), are written once in the engine's
 //!    fabric module and shared by both round engines. On the fast path

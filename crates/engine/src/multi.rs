@@ -103,6 +103,19 @@ impl MultiRumorReport {
     }
 }
 
+/// What [`MultiSimState`]'s frontier test found: the live rumours, each
+/// with one plan for all its reception rounds; whether some of them sends
+/// nothing, some pushes and some pull-serves; and whether some pull-serves
+/// from a node that takes part.
+#[derive(Debug, Clone, Copy)]
+struct UniformRound {
+    live: usize,
+    silent: bool,
+    push: bool,
+    pull: bool,
+    serves: bool,
+}
+
 /// Mutable state of an in-flight **multi-rumour** broadcast — the
 /// flat-arena port of the multi-rumour engine, mirroring
 /// [`SimState`](crate::SimState) for the single-rumour engine.
@@ -126,20 +139,20 @@ impl MultiRumorReport {
 ///    single engine shares), and only the groups of reception rounds that
 ///    transmit are walked — a rumour none of whose rounds transmits plans
 ///    no node. Plans are RNG-free, so making them before the fabric moves
-///    no draw. A *saturated* round plans no node at all: the protocol is
+///    no draw. A *frontier* round plans no node at all: the protocol is
 ///    oblivious, the round on the loss-free fast path under `Distinct(k)`
-///    with no partition or burst view, every slot takes part, and every
-///    live rumour that transmits has every slot informed and one plan for
-///    all its reception rounds.
+///    with no partition or burst view, and every live rumour has one plan
+///    for all its reception rounds, and one at least transmits.
 /// 4. **Gated fabric** — every alive node's call targets are sampled once
 ///    into the CSR channel fabric and shared by all rumours, through the
 ///    round gate the single engine uses: a caller informed of *no* active
 ///    rumour takes the push-only sampling skip, one that pushes no rumour
 ///    in a round in which nobody pull-serves is quiet (its channels are
 ///    counted and its draws skipped, none stored), and a round in which an
-///    oblivious protocol plans no sender skips the sampling altogether, and
-///    so does a saturated round once the fabric has checked from the
-///    topology that every slot can call. When some node pull-serves, a
+///    oblivious protocol plans no sender skips the sampling altogether. A
+///    frontier round samples only the callers that miss a live rumour, are
+///    dead or blocked, or are next to such a slot, and books every other
+///    caller's channels. When some node pull-serves in a sampled round, a
 ///    reverse (incoming-channel) index is built.
 /// 5. **Direction pre-draw** — one pass over the stored channels counts
 ///    combined messages and draws each used channel direction's
@@ -150,10 +163,12 @@ impl MultiRumorReport {
 ///    observation arena's touched receivers. For an oblivious protocol
 ///    every copy is still counted, but only copies to nodes uninformed of
 ///    the rumour are acted on — they mark the receiver at once — and the
-///    digest makes no `update` call, so the arena is not used. A saturated
-///    round exchanges nothing: each rumour books `channels` transmissions
-///    per direction of its plan, and the round `channels` combined
-///    messages per direction any rumour uses.
+///    digest makes no `update` call, so the arena is not used. A frontier
+///    round walks only its listed channels forwards (a node sends a rumour
+///    if it knew it before the round and takes part), and each rumour books
+///    one transmission per booked channel and direction of its plan, the
+///    round one combined message per booked channel and direction any
+///    rumour uses.
 /// 7. **Coverage** — per-rumour alive-informed counters are maintained
 ///    incrementally; no `O(n)` rescans (debug builds recount them at the
 ///    end of every step).
@@ -234,9 +249,9 @@ pub struct MultiSimState<P: Protocol> {
     plan_store: Vec<(u32, Plan)>,
     plan_start: Vec<u32>,
     plan_len: Vec<u32>,
-    /// Per rumour, the one plan of every reception round in a saturated
-    /// round, `SILENT` for a rumour that sends nothing in it (see
-    /// [`saturated`](Self::saturated)).
+    /// Per live rumour, the one plan of every reception round in a
+    /// frontier round, `SILENT` for one that sends nothing (see
+    /// [`frontier`](Self::frontier)).
     uniform: Vec<Plan>,
     /// A `protocol.init(false)` to ask an oblivious protocol's
     /// [`reception_round_plans`] with (its plan ignores the state).
@@ -586,59 +601,76 @@ impl<P: Protocol> MultiSimState<P> {
         // the fabric and the transmission pre-draw below. An oblivious
         // protocol is asked once per reception round on the rumour's local
         // clock, and only the groups of rounds that transmit are walked. A
-        // saturated round plans no node.
+        // frontier round plans no node.
         for &i in &self.plan_touched {
             self.push_any[i as usize] = false;
             self.pull_any[i as usize] = false;
         }
         self.plan_touched.clear();
         self.plan_store.clear();
-        let saturable = caps.oblivious
+        let frontier_able = caps.oblivious
             && can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
-        let saturated = if saturable { self.saturated(protocol, t, active_end, n) } else { None };
-        let mut any_pull = match saturated {
-            Some((_, pull)) => pull,
+        let frontier = if frontier_able { self.frontier(protocol, t, active_end) } else { None };
+        let mut any_pull = match frontier {
+            Some(f) => f.serves,
             None => self.plan_rumours(protocol, t, active_end),
         };
+        if frontier.is_some_and(|f| f.silent && !f.serves) {
+            self.mark_pushers(active_end);
+        }
         self.ledger.lap(StepPhase::Plan);
 
         // Phase 4: the shared channel fabric, through the round gate the
         // single engine uses (`fabric.rs`). A caller informed of no active
         // rumour is the push-only skip's; one that pushes no rumour, in a
         // round in which no node pull-serves, is quiet. A round in which an
-        // oblivious protocol plans no sender is silent, one found saturated
-        // above is declared so. Pulls walk the reverse (incoming-channel)
-        // index, built when some node serves.
-        let kind = match saturated {
-            Some(_) => RoundKind::Saturated,
+        // oblivious protocol plans no sender is silent, one found uniform
+        // above is declared frontier. There a slot that misses a live
+        // rumour is incomplete (O(1) per slot from `informed_of`), and the
+        // gate asks only incomplete callers whether they push: one that
+        // takes part and knows a live rumour does if every live rumour
+        // transmits and nobody serves pulls (then each one pushes); with
+        // a silent live rumour the pushers were marked above. Pulls walk
+        // the reverse (incoming-channel) index, built when some node
+        // serves.
+        let kind = match frontier {
+            Some(_) => RoundKind::Frontier,
             None if caps.oblivious && self.plan_store.is_empty() => RoundKind::Silent,
             None => RoundKind::Sampled,
         };
-        let (informed_of, push_any) = (&self.informed_of, &self.push_any);
+        let live = frontier.map_or(0, |f| f.live);
+        let direct = frontier.is_some_and(|f| !f.silent);
+        let (informed_of, push_any, census) = (&self.informed_of, &self.push_any, &self.ledger.census);
         self.fabric.sample_round(
             topo,
             protocol,
             &mut self.choice,
             failures,
             self.ledger.faults.as_ref(),
-            self.ledger.census.blocked_slice(),
+            census.blocked_slice(),
             RoundGate {
                 uninformed: |i: usize| informed_of[i] == 0,
-                pushes: |i: usize| push_any[i],
+                pushes: |i: usize| {
+                    push_any[i] || (direct && informed_of[i] > 0 && census.is_participating(i))
+                },
+                lacks: |i: usize| (informed_of[i] as usize) < live || !census.is_alive(i),
                 any_pull,
                 kind,
             },
             rng,
         );
-        // A saturated round's channels each carry every direction some
-        // rumour uses; if some slot the census counts cannot call, the
-        // fabric sampled after all, and the exchange reads the plans.
-        let saturated_round = self.fabric.kind() == RoundKind::Saturated;
-        let booked = saturated_round.then(|| self.fabric.counters().channels);
-        if booked.is_none() && saturated.is_some() {
+        // A frontier round the fabric sampled whole is planned now: the
+        // exchange reads the plans. A frontier round's listed channels
+        // are walked forwards, with no reverse index.
+        let made = self.fabric.kind();
+        if made == RoundKind::Sampled && frontier.is_some() {
+            for &i in &self.plan_touched {
+                self.push_any[i as usize] = false;
+            }
+            self.plan_touched.clear();
             any_pull = self.plan_rumours(protocol, t, active_end);
         }
-        if any_pull && booked.is_none() {
+        if any_pull && made == RoundKind::Sampled {
             self.fabric.build_incoming(n);
         }
         self.ledger.lap(StepPhase::Fabric);
@@ -646,13 +678,21 @@ impl<P: Protocol> MultiSimState<P> {
         // Phase 5: the transmission pre-draw over the used channel
         // directions, one outcome per direction shared by every rumour on
         // it, in the single engine's order; it counts the combined
-        // messages. It rides in the first rumour's Exchange lap.
-        if let (Some(channels), Some((push, pull))) = (booked, saturated) {
-            self.combined += channels * (u64::from(push) + u64::from(pull));
-        } else if !self.plan_store.is_empty() {
-            let (push_any, pull_any) = (&self.push_any, &self.pull_any);
-            self.combined +=
-                self.fabric.draw_transmissions(failures, |i| push_any[i], |w| pull_any[w], rng);
+        // messages. It rides in the first rumour's Exchange lap. A frontier
+        // round is loss-free: its booked channels each carry every
+        // direction some rumour uses, and its listed ones are counted.
+        let booked = self.fabric.counters().booked_channels;
+        match frontier {
+            Some(f) if made == RoundKind::Frontier => {
+                self.combined += booked * (u64::from(f.push) + u64::from(f.pull));
+                self.combined += self.frontier_messages(active_end);
+            }
+            _ if !self.plan_store.is_empty() => {
+                let (push_any, pull_any) = (&self.push_any, &self.pull_any);
+                self.combined +=
+                    self.fabric.draw_transmissions(failures, |i| push_any[i], |w| pull_any[w], rng);
+            }
+            _ => {}
         }
 
         // Phase 6: per-rumour exchanges and digest over the shared fabric.
@@ -674,12 +714,13 @@ impl<P: Protocol> MultiSimState<P> {
             }
             let tl = t - self.births[r];
             let known = self.informed[r].len();
-            let (rumor_push, rumor_pull) = match booked {
-                Some(channels) => {
+            let (rumor_push, rumor_pull) = match made {
+                RoundKind::Frontier => {
                     let plan = self.uniform[r];
-                    (channels * u64::from(plan.push), channels * u64::from(plan.pull_serve))
+                    let (push, pull) = self.exchange_frontier(r, tl, plan);
+                    (push + booked * u64::from(plan.push), pull + booked * u64::from(plan.pull_serve))
                 }
-                None => self.exchange(r, tl, any_pull, caps.oblivious),
+                _ => self.exchange(r, tl, any_pull, caps.oblivious),
             };
             self.tx[r] += rumor_push + rumor_pull;
             push_tx += rumor_push;
@@ -855,26 +896,14 @@ impl<P: Protocol> MultiSimState<P> {
         any_pull
     }
 
-    /// Whether round `t` is saturated: every slot takes part (alive,
-    /// uncrashed, not suspended), and every live rumour either transmits
-    /// in none of its reception rounds or has every slot informed and the
-    /// same transmitting plan in all of them; one rumour at least does the
-    /// latter. Leaves each live rumour's plan (`SILENT` for the former) in
-    /// `uniform`, and returns whether any rumour pushes and whether any
-    /// pull-serves. Asked only of a `saturable` round of an oblivious
-    /// protocol (see [`can_saturate`]).
-    fn saturated(
-        &mut self,
-        protocol: &P,
-        t: Round,
-        active_end: usize,
-        n: usize,
-    ) -> Option<(bool, bool)> {
+    /// Whether round `t` is a frontier round: every live rumour has one
+    /// plan for all its reception rounds (its directions), and one at
+    /// least transmits. Leaves each live rumour's plan in `uniform`. Asked
+    /// only of a `frontier_able` round of an oblivious protocol (see
+    /// [`can_saturate`]).
+    fn frontier(&mut self, protocol: &P, t: Round, active_end: usize) -> Option<UniformRound> {
         let census = &self.ledger.census;
-        if census.effective_alive() != n || census.suspended_count() > 0 {
-            return None;
-        }
-        let (mut sends, mut push, mut pull) = (false, false, false);
+        let mut round = UniformRound { live: 0, silent: false, push: false, pull: false, serves: false };
         for &r in &self.activation_order[..active_end] {
             let r = r as usize;
             if self.retired[r] {
@@ -887,15 +916,107 @@ impl<P: Protocol> MultiSimState<P> {
             if !plans.all(|p| (p.push, p.pull_serve) == dirs) {
                 return None;
             }
-            if first.transmits() && self.alive_informed[r] != n {
-                return None;
-            }
             self.uniform[r] = first;
-            sends |= first.transmits();
-            push |= first.push;
-            pull |= first.pull_serve;
+            round.live += 1;
+            round.silent |= !first.transmits();
+            round.push |= first.push;
+            round.pull |= first.pull_serve;
+            // Someone serves pulls iff an informed node takes part.
+            round.serves |= first.pull_serve
+                && self.informed[r].list().iter().any(|&i| census.is_participating(i as usize));
         }
-        sends.then_some((push, pull))
+        (round.push || round.pull).then_some(round)
+    }
+
+    /// Sets `push_any` for every node that takes part and knows a live
+    /// rumour whose uniform plan pushes: a frontier round's push gate when
+    /// knowing a live rumour is not enough (some live rumour sends
+    /// nothing).
+    fn mark_pushers(&mut self, active_end: usize) {
+        for &r in &self.activation_order[..active_end] {
+            let r = r as usize;
+            if self.retired[r] || !self.uniform[r].push {
+                continue;
+            }
+            for &i in self.informed[r].list() {
+                if !self.push_any[i as usize] && self.ledger.census.is_participating(i as usize) {
+                    self.push_any[i as usize] = true;
+                    self.plan_touched.push(i);
+                }
+            }
+        }
+    }
+
+    /// Whether node `x` takes part and knew, before this round's
+    /// exchanges, a live rumour whose uniform plan uses the direction
+    /// `dir` picks (a frontier round's any-rumour transmit flag).
+    fn sends_any(&self, x: usize, active_end: usize, dir: fn(&Plan) -> bool) -> bool {
+        self.ledger.census.is_participating(x)
+            && self.activation_order[..active_end].iter().any(|&r| {
+                let r = r as usize;
+                !self.retired[r] && dir(&self.uniform[r]) && self.informed[r].is_informed(x)
+            })
+    }
+
+    /// The combined messages on a frontier round's listed channels (the
+    /// frontier's): one per channel direction that some live rumour uses.
+    fn frontier_messages(&self, active_end: usize) -> u64 {
+        let fabric = &self.fabric;
+        let mut used = 0u64;
+        if !fabric.listed() {
+            return 0;
+        }
+        for &i in fabric.frontier() {
+            let range = fabric.out_range(i as usize);
+            if range.is_empty() {
+                continue;
+            }
+            let push = self.sends_any(i as usize, active_end, |p| p.push);
+            for c in range {
+                let w = fabric.target(c).index();
+                used += u64::from(push) + u64::from(self.sends_any(w, active_end, |p| p.pull_serve));
+            }
+        }
+        used
+    }
+
+    /// Rumour `r`'s exchange over a frontier round's listed channels with
+    /// its uniform `plan` (phase 6 of [`step`](Self::step)): a node sends
+    /// if it knew the rumour before the round and takes part. Every copy
+    /// is counted and a copy to an uninformed node marks it at once.
+    /// Returns the rumour's push and pull transmissions on the listed
+    /// channels (the booked ones are added by the caller).
+    // rrb-lint: hot
+    fn exchange_frontier(&mut self, r: usize, tl: Round, plan: Plan) -> (u64, u64) {
+        let (fabric, census, informed) = (&self.fabric, &self.ledger.census, &mut self.informed[r]);
+        let known = informed.len();
+        let sends = |ix: &InformedIndex, x: usize| {
+            ix.pos(x).is_some_and(|p| p < known) && census.is_participating(x)
+        };
+        let (mut push, mut pull) = (0u64, 0u64);
+        if !fabric.listed() || !plan.transmits() {
+            return (push, pull);
+        }
+        for &i in fabric.frontier() {
+            let i = i as usize;
+            let range = fabric.out_range(i);
+            if range.is_empty() {
+                continue;
+            }
+            let pushes = plan.push && sends(informed, i);
+            for c in range {
+                let w = fabric.target(c).index();
+                if pushes {
+                    push += 1;
+                    informed.mark(w, tl);
+                }
+                if plan.pull_serve && sends(informed, w) {
+                    pull += 1;
+                    informed.mark(i, tl);
+                }
+            }
+        }
+        (push, pull)
     }
 
     /// The general path's digest of rumour `r`'s round: receivers via the

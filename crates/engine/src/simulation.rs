@@ -14,7 +14,7 @@ use crate::observation::{ObservationArena, RumorMeta};
 use crate::protocol::reception_round_plans;
 use crate::report::StopReason;
 use crate::shard::{ShardLayout, ShardRuntime};
-use crate::telemetry::{RoundCounters, ShardClock, StepPhase};
+use crate::telemetry::{BoxedProbe, RoundCounters, ShardClock, StepPhase};
 use crate::{
     FailureModel, NodeView, Observation, Plan, Protocol, Round, RunReport, Topology,
 };
@@ -415,17 +415,21 @@ impl<P: Protocol> SimState<P> {
         // fabric's shards draw at their exact offsets in the one stream,
         // and the rest is RNG-free, so the results are byte-identical at
         // any shard and thread count (`tests/sharding.rs`).
-        let saturable = can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
-        let (any_pull, declared) = self.plan_sharded(n, t, protocol, config.shards, saturable);
+        let frontier_able = can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
+        let (any_pull, declared) = self.plan_sharded(n, t, protocol, config.shards, frontier_able);
         self.ledger.lap(StepPhase::Plan);
 
         // Phase b: every alive node opens channels through the round gate
         // shared with the multi-rumour engine (`fabric.rs`): the plans say
         // who pushes, who knows the rumour and whether anyone pull-serves,
-        // and a silent or saturated round of an oblivious protocol may
-        // skip the sampling and phases c–d altogether. On the fast path
-        // under `Distinct(k)` each shard samples its own callers.
-        let (informed, plans) = (&self.informed, &self.plans);
+        // and a silent round of an oblivious protocol may skip the
+        // sampling and phases c–d altogether. A frontier round plans no
+        // node: a complete node sends the one plan, an incomplete one
+        // nothing, and only the callers next to an incomplete slot are
+        // sampled. On the fast path under `Distinct(k)` each shard samples
+        // its own callers.
+        let frontier = declared == RoundKind::Frontier;
+        let (informed, plans, census) = (&self.informed, &self.plans, &self.ledger.census);
         let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
         self.fabric.sample_round_sharded(
             topo,
@@ -433,10 +437,13 @@ impl<P: Protocol> SimState<P> {
             &mut self.choice,
             failures,
             self.ledger.faults.as_ref(),
-            self.ledger.census.blocked_slice(),
+            census.blocked_slice(),
             RoundGate {
                 uninformed: |i: usize| !informed.is_informed(i),
-                pushes: |i: usize| plans[i].push,
+                // Asked in a frontier round only of an incomplete caller,
+                // which is uninformed or does not take part: it is silent.
+                pushes: |i: usize| !frontier && plans[i].push,
+                lacks: |i: usize| !informed.is_informed(i) || !census.is_alive(i),
                 any_pull,
                 kind: declared,
             },
@@ -446,30 +453,30 @@ impl<P: Protocol> SimState<P> {
         );
         self.ledger.lap(StepPhase::Fabric);
         let (push_tx, pull_tx, newly_informed) = match self.fabric.kind() {
-            RoundKind::Silent => {
-                self.ledger.lap(StepPhase::Exchange);
-                self.ledger.lap(StepPhase::Update);
-                (0, 0, 0)
-            }
-            RoundKind::Saturated => {
-                // Every channel is usable and carries each direction of
-                // the one plan, to an informed node.
-                let channels = self.fabric.counters().channels;
-                let plan = self.round_plans[0];
-                self.ledger.lap(StepPhase::Exchange);
-                self.ledger.lap(StepPhase::Update);
-                (channels * u64::from(plan.push), channels * u64::from(plan.pull_serve), 0)
-            }
             RoundKind::Sampled => {
-                // A round declared saturated that the fabric sampled after
-                // all (some slot the census counts cannot call) is planned
-                // now: the exchange reads the plans.
+                // A frontier round the fabric sampled whole (its incomplete
+                // slots have too many stubs) is planned now: the exchange
+                // reads the plans.
                 let any_pull = match declared {
-                    RoundKind::Saturated => self.plan_nodes(n, t, protocol),
+                    RoundKind::Frontier => self.plan_nodes(n, t, protocol),
                     _ => any_pull,
                 };
                 // Phases c–d (exchange / update-digest).
-                self.phases_sharded(n, t, protocol, any_pull, failures, rng)
+                self.phases_sharded(n, t, protocol, false, any_pull, failures, rng)
+            }
+            RoundKind::Silent | RoundKind::Frontier => {
+                // A frontier round's booked channels each carry every
+                // direction of the one plan to an informed node (a silent
+                // round books none); the exchange walks the listed ones.
+                let (booked, plan) = (self.fabric.counters().booked_channels, self.round_plans[0]);
+                let (push, pull, newly) = if self.fabric.listed() {
+                    self.phases_sharded(n, t, protocol, true, any_pull, failures, rng)
+                } else {
+                    self.ledger.lap(StepPhase::Exchange);
+                    self.ledger.lap(StepPhase::Update);
+                    (0, 0, 0)
+                };
+                (push + booked * u64::from(plan.push), pull + booked * u64::from(plan.pull_serve), newly)
             }
         };
 
@@ -485,19 +492,20 @@ impl<P: Protocol> SimState<P> {
     /// An oblivious protocol is asked once per reception round in
     /// `0..=latest_informed_at`, into `round_plans`. If none transmits, the
     /// round is silent: no node is planned and every standing plan stays
-    /// (or is reset once to) `SILENT`. If the round is `saturable` (see
-    /// [`can_saturate`]), every slot is informed and none suspended, and
-    /// every entry transmits in the same directions, the round is
-    /// saturated: no node is planned, and the standing plans are stale
-    /// until the next sampled round writes them. Otherwise each node takes
-    /// its reception round's plan ([`plan_nodes`](Self::plan_nodes)).
+    /// (or is reset once to) `SILENT`. If the round is `frontier_able` (see
+    /// [`can_saturate`]) and every entry transmits in the same directions,
+    /// it is a frontier round: no node is planned, and the standing plans
+    /// are stale until the next sampled round writes them (a node's plan
+    /// is the uniform entry if it is informed and takes part, `SILENT`
+    /// otherwise). Otherwise each node takes its reception round's plan
+    /// ([`plan_nodes`](Self::plan_nodes)).
     fn plan_sharded(
         &mut self,
         n: usize,
         t: Round,
         protocol: &P,
         shards: usize,
-        saturable: bool,
+        frontier_able: bool,
     ) -> (bool, RoundKind) {
         let informed = &self.informed;
         let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
@@ -514,12 +522,14 @@ impl<P: Protocol> SimState<P> {
                 }
                 return (false, RoundKind::Silent);
             }
-            if saturable
-                && self.tally.alive_informed == n
-                && self.ledger.census.suspended_count() == 0
+            if frontier_able
                 && self.round_plans.iter().all(|p| (p.push, p.pull_serve) == (first.push, first.pull_serve))
             {
-                return (first.pull_serve, RoundKind::Saturated);
+                // Someone pull-serves iff an informed node takes part.
+                let census = &self.ledger.census;
+                let serves = first.pull_serve
+                    && self.informed.list().iter().any(|&i| census.is_participating(i as usize));
+                return (serves, RoundKind::Frontier);
             }
         }
         (self.plan_nodes(n, t, protocol), RoundKind::Sampled)
@@ -574,13 +584,16 @@ impl<P: Protocol> SimState<P> {
     /// outboxes merged in ascending source-shard order, which reproduces
     /// the global caller order — see `crate::shard` for the determinism
     /// argument. Runs after [`plan_sharded`](Self::plan_sharded), which
-    /// builds the runtime.
-    #[allow(clippy::type_complexity)]
+    /// builds the runtime. In a `frontier` round the plans are not
+    /// written: a node's plan is the uniform entry if it is informed and
+    /// takes part, `SILENT` otherwise.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn phases_sharded<R: Rng + ?Sized>(
         &mut self,
         n: usize,
         t: Round,
         protocol: &P,
+        frontier: bool,
         any_pull: bool,
         failures: FailureModel,
         rng: &mut R,
@@ -592,7 +605,8 @@ impl<P: Protocol> SimState<P> {
         let count = layout.count();
 
         // Serial pre-draw of per-call transmission outcomes, skipped
-        // entirely when the transmission rate is zero (nothing to draw).
+        // entirely when the transmission rate is zero (nothing to draw,
+        // and never in a frontier round, which is loss-free).
         if failures.transmission_failure > 0.0 {
             let plans = &self.plans;
             self.fabric.draw_transmissions(
@@ -612,51 +626,22 @@ impl<P: Protocol> SimState<P> {
         // them directly too. An oblivious protocol's copies to nodes
         // informed before the round are counted and dropped.
         let (push_tx, pull_tx) = {
-            let fabric = &self.fabric;
-            let plans = &self.plans;
-            let informed = &self.informed;
-            let ShardRuntime { arenas, outboxes, .. } = &mut *rt;
-            let taken_arenas = std::mem::take(arenas);
-            let taken_outboxes = std::mem::take(outboxes);
-            let items: Vec<(usize, ObservationArena, Vec<Vec<(u32, RumorMeta)>>)> = taken_arenas
-                .into_iter()
-                .zip(taken_outboxes)
-                .enumerate()
-                .map(|(s, (a, o))| (s, a, o))
-                .collect();
-            let results: Vec<_> = items
-                .into_par_iter()
-                .map(|(s, mut arena, mut outbox)| {
-                    let sc = ShardClock::armed(probing);
-                    arena.begin_round();
-                    for row in outbox.iter_mut() {
-                        row.clear();
-                    }
-                    let (ptx, pltx) = shard_exchange(
-                        fabric,
-                        plans,
-                        layout,
-                        layout.range(s, n),
-                        any_pull,
-                        oblivious.then_some(informed),
-                        &mut arena,
-                        &mut outbox,
-                    );
-                    (arena, outbox, ptx, pltx, sc.elapsed())
-                })
-                .collect();
-            let mut push_tx = 0u64;
-            let mut pull_tx = 0u64;
-            for (s, (arena, outbox, ptx, pltx, d)) in results.into_iter().enumerate() {
-                arenas.push(arena);
-                outboxes.push(outbox);
-                push_tx += ptx;
-                pull_tx += pltx;
-                if let Some(p) = self.ledger.probe.as_deref_mut() {
-                    p.on_shard_phase(s, StepPhase::Exchange, d);
-                }
+            let (fabric, informed, probe) = (&self.fabric, &self.informed, &mut self.ledger.probe);
+            let skip = oblivious.then_some(informed);
+            if frontier {
+                // Callers and usable callees are alive and unblocked, so
+                // such a node takes part iff the census has it alive. An
+                // oblivious protocol's copies carry no header it reads, so
+                // every informed node may send the first entry.
+                let (uniform, census) = (self.round_plans[0], &self.ledger.census);
+                let plan_of = |i: usize| {
+                    if informed.is_informed(i) && census.is_alive(i) { uniform } else { Plan::SILENT }
+                };
+                exchange_shards(fabric, rt, n, any_pull, skip, probe, plan_of)
+            } else {
+                let plans = &self.plans;
+                exchange_shards(fabric, rt, n, any_pull, skip, probe, |i: usize| plans[i])
             }
-            (push_tx, pull_tx)
         };
         self.ledger.lap(StepPhase::Exchange);
 
@@ -807,6 +792,65 @@ fn plan_list<P: Protocol>(
     any_pull
 }
 
+/// Phase c over every shard of `rt`: each shard's [`shard_exchange`]
+/// runs as one task, with `plan_of(i)` as node `i`'s plan; returns the
+/// round's push and pull transmissions and reports each shard's time to
+/// `probe`.
+fn exchange_shards<F: Fn(usize) -> Plan + Sync>(
+    fabric: &ChannelFabric,
+    rt: &mut ShardRuntime,
+    n: usize,
+    any_pull: bool,
+    skip_informed: Option<&InformedIndex>,
+    probe: &mut Option<BoxedProbe>,
+    plan_of: F,
+) -> (u64, u64) {
+    let probing = probe.is_some();
+    let layout = rt.layout;
+    let ShardRuntime { arenas, outboxes, .. } = rt;
+    let taken_arenas = std::mem::take(arenas);
+    let taken_outboxes = std::mem::take(outboxes);
+    let items: Vec<_> = taken_arenas
+        .into_iter()
+        .zip(taken_outboxes)
+        .enumerate()
+        .map(|(s, (a, o))| (s, a, o))
+        .collect();
+    let results: Vec<_> = items
+        .into_par_iter()
+        .map(|(s, mut arena, mut outbox)| {
+            let sc = ShardClock::armed(probing);
+            arena.begin_round();
+            for row in outbox.iter_mut() {
+                row.clear();
+            }
+            let (ptx, pltx) = shard_exchange(
+                fabric,
+                &plan_of,
+                layout,
+                layout.range(s, n),
+                any_pull,
+                skip_informed,
+                &mut arena,
+                &mut outbox,
+            );
+            (arena, outbox, ptx, pltx, sc.elapsed())
+        })
+        .collect();
+    let mut push_tx = 0u64;
+    let mut pull_tx = 0u64;
+    for (s, (arena, outbox, ptx, pltx, d)) in results.into_iter().enumerate() {
+        arenas.push(arena);
+        outboxes.push(outbox);
+        push_tx += ptx;
+        pull_tx += pltx;
+        if let Some(p) = probe.as_deref_mut() {
+            p.on_shard_phase(s, StepPhase::Exchange, d);
+        }
+    }
+    (push_tx, pull_tx)
+}
+
 /// One shard's exchange fan-out over its own callers' channels. Delivery
 /// outcomes come from the fabric's serial pre-draw — no RNG here. Pull receipts are
 /// recorded straight into the shard-local arena (the receiver is the
@@ -819,9 +863,9 @@ fn plan_list<P: Protocol>(
 /// counted but not stored: it would inform nobody and feed no update.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
-fn shard_exchange(
+fn shard_exchange<F: Fn(usize) -> Plan>(
     fabric: &ChannelFabric,
-    plans: &[Plan],
+    plan_of: &F,
     layout: ShardLayout,
     range: std::ops::Range<usize>,
     any_pull: bool,
@@ -839,7 +883,7 @@ fn shard_exchange(
         if out.is_empty() {
             continue;
         }
-        let caller_plan = plans[i];
+        let caller_plan = plan_of(i);
         let caller_stores = stores(i);
         for c in out {
             if !fabric.usable(c) {
@@ -860,7 +904,7 @@ fn shard_exchange(
             }
             // pull: callee -> caller.
             if any_pull {
-                let callee_plan = plans[w];
+                let callee_plan = plan_of(w);
                 if callee_plan.pull_serve {
                     pull_tx += 1;
                     if fabric.pull_arrives(c) && caller_stores {
@@ -1113,15 +1157,12 @@ mod tests {
         (sim.into_report(g, cfg), rounds, rng, kinds)
     }
 
-    /// Asserts that `r` is what a saturated round records: every word
-    /// jumped, nobody newly informed, and `channels` transmissions in each
-    /// direction used.
-    fn assert_saturated(r: &RoundCounters) {
-        let booked = [r.push_tx, r.pull_tx].iter().all(|&d| d == 0 || d == r.channels);
-        assert!(
-            r.tx > 0 && booked && r.newly_informed == 0 && r.jumped_words == r.fabric_words,
-            "not a saturated round: {r:?}"
-        );
+    /// Asserts that `r` is what a frontier round records: some channels
+    /// booked, each carrying the directions used, with their words jumped.
+    fn assert_frontier(r: &RoundCounters) {
+        let carried = [r.push_tx, r.pull_tx].iter().all(|&d| d == 0 || d >= r.booked_channels);
+        assert!(r.tx > 0 && r.booked_channels > 0 && carried, "not a frontier round: {r:?}");
+        assert!(r.jumped_words > 0 && r.jumped_words <= r.fabric_words, "{r:?}");
     }
 
     #[test]
@@ -1129,15 +1170,16 @@ mod tests {
         // An oblivious schedule's silent tail skips the fabric (no caller
         // lists are built) yet counts the channels and words its general
         // twin samples, and leaves the generator where the twin does. Its
-        // silent rounds skip about 8 192 words each, enough to jump.
-        // Without failures the all-push and pull rounds after coverage are
-        // saturated: counted like the twin's, with every word jumped where
-        // the twin draws them, and transmissions booked from the channels.
-        // Every other counter, the report and the generator are equal.
+        // silent rounds skip about 8 192 words each, enough to jump. Its
+        // all-push and pull rounds 7-13 are frontier rounds, with crashes
+        // too (a crashed slot is incomplete): the twin's counters, except
+        // that the booked channels' words are jumped where the twin draws
+        // them. Every other counter, the report and the generator are
+        // equal.
         let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(1)).expect("graph");
         let schedule = Phased::new(2, 12, 16);
         let oblivious = WithCaps(schedule, Capabilities { oblivious: true, ..Capabilities::ALL });
-        for (failures, saturated) in [(FailureModel::NONE, 5), (FailureModel::crashes(0.002), 0)] {
+        for failures in [FailureModel::NONE, FailureModel::crashes(0.002)] {
             let cfg = SimConfig::until_quiescent().with_history().with_failures(failures);
             let (report, rounds, rng, kinds) = run_recording(&schedule, &g, cfg);
             let skip = run_recording(&oblivious, &g, cfg);
@@ -1150,9 +1192,10 @@ mod tests {
                 .zip(&skip.1)
                 .zip(&skip.3)
                 .map(|((general, native), &kind)| match kind {
-                    RoundKind::Saturated => {
-                        assert_saturated(native);
-                        RoundCounters { jumped_words: native.jumped_words, ..*general }
+                    RoundKind::Frontier => {
+                        assert_frontier(native);
+                        let (jumped_words, booked_channels) = (native.jumped_words, native.booked_channels);
+                        RoundCounters { jumped_words, booked_channels, ..*general }
                     }
                     _ => *general,
                 })
@@ -1160,7 +1203,7 @@ mod tests {
             assert_eq!(skip.1, expected, "{case}: per-round counters");
             assert_eq!(skip.0, RunReport { history: expected, ..report }, "{case}");
             let count = |want: RoundKind| skip.3.iter().filter(|&&k| k == want).count();
-            assert_eq!(count(RoundKind::Saturated), saturated, "{case}: {:?}", skip.3);
+            assert_eq!(count(RoundKind::Frontier), 7, "{case}: rounds 7-13 are frontier rounds");
             let silent: Vec<&RoundCounters> = (skip.3.iter().zip(&rounds))
                 .filter(|(&k, _)| k == RoundKind::Silent)
                 .map(|(_, r)| r)

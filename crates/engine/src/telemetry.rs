@@ -133,13 +133,19 @@ pub struct RoundCounters {
     /// stepped or jumped (round engines; 0 in the async engine).
     pub fabric_words: u64,
     /// The share of `fabric_words` skipped without being drawn: the words
-    /// owed by `Quiet` callers, and all the words of a silent or a
-    /// saturated round (an oblivious protocol's round in which nobody
-    /// transmits, or in which every slot is informed and every node sends
-    /// the same directions, counted instead of sampled), however `discard`
-    /// moved the generator past them (stepping or jumping). It is the same
-    /// at every shard count.
+    /// owed by `Quiet` callers and by the booked callers of a frontier
+    /// round, and all the words of a silent round (an oblivious protocol's
+    /// round in which nobody transmits, counted instead of sampled),
+    /// however `discard` moved the generator past them (stepping or
+    /// jumping). It is the same at every shard count.
     pub jumped_words: u64,
+    /// Channels whose transmissions were booked from the count instead of
+    /// walked: in a frontier round (an oblivious protocol's round in which
+    /// every informed node sends the same directions), the channels of
+    /// the callers that are complete and have only complete neighbours.
+    /// A frontier round with nobody left to inform books every channel.
+    /// 0 in the async engine.
+    pub booked_channels: u64,
     /// Alive, uncrashed nodes after the round (coverage denominator).
     pub alive: usize,
     /// Nodes currently suspended by a transient outage.
@@ -446,6 +452,7 @@ pub(crate) mod tests {
             skipped_draws: 4,
             fabric_words: 40,
             jumped_words: 32,
+            booked_channels: 8,
             alive: 32,
             suspended: 1,
         });

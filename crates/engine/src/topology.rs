@@ -10,9 +10,19 @@ use rrb_graph::{Graph, NodeId};
 /// out. Channel targets are drawn as distinct *stubs*, matching the paper's
 /// "selects four of its stubs i.u.r. without replacement".
 ///
+/// **Symmetry contract**: stub lists are symmetric with multiplicity —
+/// `w` appears in `stubs(v)` as often as `v` appears in `stubs(w)` (a
+/// self-loop puts both its stubs in one list). A frontier round relies on
+/// it: it finds the neighbours of the few incomplete slots from their own
+/// stub lists, and books every other caller's channels as reaching only
+/// complete nodes. Debug builds check every booked caller's stubs, so a
+/// topology that breaks the contract fails its tests instead of booking
+/// wrong counts.
+///
 /// Implemented by the static [`rrb_graph::Graph`] and by the mutable churn
-/// overlay in `rrb-p2p`. A topology is `Sync` because the single engine's
-/// shards sample their callers' channels from it at the same time.
+/// overlay in `rrb-p2p` (whose `check_invariants` checks the contract). A
+/// topology is `Sync` because the single engine's shards sample their
+/// callers' channels from it at the same time.
 pub trait Topology: Sync {
     /// Number of node slots (alive or dead); valid ids are `0..node_count()`.
     fn node_count(&self) -> usize;

@@ -338,21 +338,31 @@ fn saturated(r: &RoundCounters) -> bool {
     r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words
 }
 
+/// Whether `r` is a frontier round with a non-empty frontier: it booked
+/// some channels and sampled the others.
+fn frontier(r: &RoundCounters) -> bool {
+    r.booked_channels > 0 && r.booked_channels < r.channels
+}
+
 #[test]
 fn parity_of_saturated_rounds() {
     // The paper's four-choice algorithm run to quiescence without failures:
-    // once every node knows the rumour, its all-push rounds and its pull
-    // round are saturated, and both engines, at every shard count, must
-    // take them alike.
+    // its all-push rounds and its pull round are frontier rounds, sampled
+    // next to the last uninformed nodes and booked elsewhere, and once
+    // every node knows the rumour they are counted whole (saturated). Both
+    // engines, at every shard count, must take them alike.
     let g = gen::random_regular(512, 8, &mut SmallRng::seed_from_u64(8)).expect("graph");
     let four = FourChoice::for_graph(512, 8);
     let cfg = SimConfig::until_quiescent().with_max_rounds(400);
+    let mut listed = 0;
     for seed in 0..3 {
         for (shards, rounds) in SHARD_COUNTS.iter().zip(assert_parity("four-choice", &g, &four, cfg, NodeId::new(3), seed)) {
             let taken = rounds.iter().filter(|r| saturated(r)).count();
             assert!(taken >= 3, "seed {seed}, {shards} shard(s): {taken} saturated rounds");
+            listed += rounds.iter().filter(|r| frontier(r)).count();
         }
     }
+    assert!(listed > 0, "no frontier round with a non-empty frontier");
 }
 
 #[test]

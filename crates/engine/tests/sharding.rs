@@ -231,9 +231,11 @@ fn sharding_invariance_of_quiet_runs_across_shard_boundaries() {
 #[test]
 fn sharding_invariance_of_saturated_rounds() {
     // The paper's four-choice algorithm to quiescence without failures:
-    // once every node knows the rumour its push rounds and its pull round
-    // are saturated, counted per shard and booked from the channel count.
-    // Counters, reports and delivery traces must not depend on the shards.
+    // its push rounds and its pull round are frontier rounds, each shard
+    // counting its callers and listing its incomplete slots, sampling the
+    // frontier callers and booking the rest; once every node knows the
+    // rumour they are counted whole (saturated). Counters, reports and
+    // delivery traces must not depend on the shards.
     let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(28)).expect("graph");
     let four = FourChoice::for_graph(2048, 8);
     let cfg = SimConfig::until_quiescent();
@@ -242,6 +244,8 @@ fn sharding_invariance_of_saturated_rounds() {
         |r: &&RoundCounters| r.tx > 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words;
     let taken = baseline.records.iter().filter(saturated).count();
     assert!(taken >= 3, "{taken} saturated rounds");
+    let frontier = |r: &RoundCounters| r.booked_channels > 0 && r.booked_channels < r.channels;
+    assert!(baseline.records.iter().any(frontier), "no frontier round with a non-empty frontier");
     for shards in [2, 3, 7] {
         let cell = run_cell(&g, &four, cfg, None, NodeId::new(9), 0, shards, 3);
         assert_eq!(baseline, cell, "four-choice: {shards} shards diverged from one");

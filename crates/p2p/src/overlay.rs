@@ -374,15 +374,19 @@ impl Overlay {
                 if !self.alive[w.index()] {
                     return Err(format!("alive node {i} has stub to dead {w}"));
                 }
-                let key = if i <= w.index() { (i, w.index()) } else { (w.index(), i) };
-                *stub_counts.entry(key).or_insert(0) += 1;
+                *stub_counts.entry((i, w.index())).or_insert(0) += 1;
             }
         }
-        for ((a, b), count) in stub_counts {
-            // Every undirected edge contributes exactly 2 stubs (self-loops
-            // put both in one list).
-            if count % 2 != 0 {
-                return Err(format!("edge ({a},{b}) has odd stub count {count}"));
+        for (&(a, b), &count) in &stub_counts {
+            // `b` appears in `a`'s list as often as `a` in `b`'s (the
+            // `Topology` symmetry contract); a self-loop puts both of its
+            // stubs in one list.
+            let mirror = stub_counts.get(&(b, a)).copied().unwrap_or(0);
+            if a == b && count % 2 != 0 {
+                return Err(format!("self-loop at {a} has odd stub count {count}"));
+            }
+            if count != mirror {
+                return Err(format!("{b} appears {count} times in {a}'s stubs but {a} {mirror} times in {b}'s"));
             }
         }
         Ok(())

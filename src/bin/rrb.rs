@@ -350,9 +350,11 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
             if let Some(first) = reports.first() {
                 // `jumped` = `words` marks a round counted instead of
                 // sampled: silent with push = pull = 0, saturated with
-                // tx = channels per direction used.
+                // `booked` = channels and tx = channels per direction used.
+                // A frontier round books some channels and samples the rest.
                 let mut t = Table::new(vec![
                     "round", "informed", "new", "push", "pull", "channels", "words", "jumped",
+                    "booked",
                 ]);
                 for rec in &first.history {
                     t.row_display(vec![
@@ -364,6 +366,7 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
                         rec.channels,
                         rec.fabric_words,
                         rec.jumped_words,
+                        rec.booked_channels,
                     ]);
                 }
                 println!("per-round trace of seed 0:\n{t}");

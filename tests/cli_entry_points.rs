@@ -80,16 +80,22 @@ fn spec_runs_write_run_records_that_compare_clean() {
 fn trace_table_marks_the_rounds_counted_instead_of_sampled() {
     // Four-choice, the default protocol, runs to quiescence. A round whose
     // fabric was counted instead of sampled jumps all its words: silent
-    // ones send nothing, saturated ones send one copy per channel.
+    // ones send nothing and book nothing, saturated ones book every
+    // channel and send one copy per channel. A frontier round books some
+    // channels and samples the others.
     let out = rrb(&["--topology", "regular", "--n", "1024", "--d", "8", "--trace"]);
     let rows: Vec<Vec<u64>> = out
         .lines()
         .filter(|line| line.starts_with('|') && !line.contains("round"))
         .map(|line| line.split('|').filter_map(|cell| cell.trim().parse().ok()).collect())
         .collect();
-    assert!(!rows.is_empty() && rows.iter().all(|row| row.len() == 8), "{out}");
+    assert!(!rows.is_empty() && rows.iter().all(|row| row.len() == 9), "{out}");
     let counted = |row: &&Vec<u64>| row[6] > 0 && row[7] == row[6];
     let tx = |row: &&Vec<u64>| row[3] + row[4];
-    assert!(rows.iter().filter(counted).any(|row| tx(&row) == 0), "no silent round: {out}");
-    assert!(rows.iter().filter(counted).any(|row| tx(&row) == row[5]), "no saturated round: {out}");
+    let silent = |row: &&Vec<u64>| tx(row) == 0 && row[8] == 0;
+    assert!(rows.iter().filter(counted).any(|row| silent(&row)), "no silent round: {out}");
+    let saturated = |row: &&Vec<u64>| tx(row) == row[5] && row[8] == row[5];
+    assert!(rows.iter().filter(counted).any(|row| saturated(&row)), "no saturated round: {out}");
+    let frontier = |row: &&Vec<u64>| row[8] > 0 && row[8] < row[5] && row[7] < row[6];
+    assert!(rows.iter().any(|row| frontier(&row)), "no frontier round: {out}");
 }
