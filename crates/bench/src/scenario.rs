@@ -803,6 +803,45 @@ pub struct ScenarioSpec {
     pub measure: MeasureSpec,
 }
 
+/// Bytes a round engine holds per node slot besides its stubs: census
+/// flags, the informed index, plans, choice state, the fabric's offsets,
+/// the observation arena and the shard buffers. With
+/// [`BYTES_PER_STUB`] it bounds what push&pull on `random_regular` with
+/// d = 8 measures (243 B per node from the run records' peak RSS at
+/// n = 2^16 and 2^19): 128 + 8 × 16 = 256 B.
+pub const BYTES_PER_NODE: u64 = 128;
+
+/// Bytes per stub (edge endpoint): the graph's adjacency entry and its
+/// generation scratch, and the fabric's channel target and reverse-index
+/// entry when every caller opens a channel to it.
+pub const BYTES_PER_STUB: u64 = 16;
+
+/// Bytes per node slot and rumour in the multi-rumour engine: each
+/// rumour's informed index keeps a position per slot and reserves its
+/// list and reception rounds for every slot.
+pub const BYTES_PER_NODE_RUMOUR: u64 = 12;
+
+/// Bytes per (source, target) shard pair: the single engine's push
+/// outbox table.
+pub const BYTES_PER_SHARD_PAIR: u64 = 48;
+
+/// The largest [`footprint_bytes`] estimate [`ScenarioSpec::check_runnable`]
+/// accepts: 64 GiB, about 2^28 node slots at degree 8. A spec past it
+/// (n near `u32::MAX`, or a large complete graph) is hostile input, not
+/// a run to attempt.
+pub const FOOTPRINT_LIMIT_BYTES: u64 = 64 << 30;
+
+/// Estimates the memory a synchronous run of `rumours` rumours over `n`
+/// node slots of mean degree `d` holds at `shards` shards:
+/// `n · (BYTES_PER_NODE + d · BYTES_PER_STUB + rumours ·
+/// BYTES_PER_NODE_RUMOUR) + shards² · BYTES_PER_SHARD_PAIR`, in 128-bit
+/// arithmetic so no input overflows.
+pub fn footprint_bytes(n: usize, d: usize, rumours: usize, shards: usize) -> u128 {
+    let (n, d, rumours, shards) = (n as u128, d as u128, rumours as u128, shards as u128);
+    let per_node = u128::from(BYTES_PER_NODE) + d * u128::from(BYTES_PER_STUB) + rumours * u128::from(BYTES_PER_NODE_RUMOUR);
+    n * per_node + shards * shards * u128::from(BYTES_PER_SHARD_PAIR)
+}
+
 impl ScenarioSpec {
     /// Convenience constructor with no failures, quiescence stop and
     /// standard measurement — the most common shape in the registry.
@@ -852,7 +891,9 @@ impl ScenarioSpec {
 
     /// Rejects a spec no engine can run, with a message naming why: a
     /// topology whose node count is 0, overflows, or exceeds the `u32`
-    /// node-id space; a baseline failure rate outside `[0, 1)`; a
+    /// node-id space; one whose [`footprint_bytes`] estimate (one rumour,
+    /// one shard: the spec names neither) exceeds
+    /// [`FOOTPRINT_LIMIT_BYTES`]; a baseline failure rate outside `[0, 1)`; a
     /// four-choice-family protocol whose schedule constructor would
     /// assert (`n_estimate < 2`, `alpha` not finite and positive) or that
     /// opens no channel (`choices: 0`); and churn dynamics combined with a
@@ -868,6 +909,15 @@ impl ScenarioSpec {
             .ok_or_else(|| format!("{graph}: the node count overflows"))?;
         if n == 0 || n > u32::MAX as usize {
             return Err(format!("{graph}: node count {n} is outside 1..={}", u32::MAX));
+        }
+        let bytes = footprint_bytes(n, self.graph.target_degree(), 1, 1);
+        if bytes > u128::from(FOOTPRINT_LIMIT_BYTES) {
+            return Err(format!(
+                "{graph}: the run's footprint estimate is {} MiB ({BYTES_PER_NODE} B per node slot, \
+                 {BYTES_PER_STUB} B per stub), over the {} GiB limit",
+                bytes >> 20,
+                FOOTPRINT_LIMIT_BYTES >> 30
+            ));
         }
         let FailureSpec { channel, transmission, crash } = self.failures.rates;
         for (name, p) in [("channel", channel), ("transmission", transmission), ("crash", crash)] {
@@ -2319,9 +2369,13 @@ mod tests {
             let err = ScenarioSpec::list_from_json(&format!("[{json}]")).expect_err(name);
             assert!(err.starts_with("scenario [0]") && err.contains(cause), "{name}: {err}");
         }
-        // The same shapes without the offending dimension parse.
+        // The same shapes without the offending dimension parse. Q31 fits
+        // the u32 node-id space but not the footprint limit.
         assert!(ScenarioSpec::from_json(&spec(rr, churn)).is_ok());
-        let ok_dim = spec("{\"kind\": \"hypercube\", \"dim\": 31}", "");
+        let ids_ok = spec("{\"kind\": \"hypercube\", \"dim\": 31}", "");
+        let err = ScenarioSpec::from_json(&ids_ok).expect_err("Q31 is over the footprint limit");
+        assert!(err.contains("footprint estimate"), "{err}");
+        let ok_dim = spec("{\"kind\": \"hypercube\", \"dim\": 20}", "");
         assert!(ScenarioSpec::from_json(&ok_dim).is_ok());
     }
 
@@ -2387,6 +2441,33 @@ mod tests {
                  \"protocol\": {protocol}}}"
             );
             assert!(ScenarioSpec::from_json(&json).is_err(), "{protocol}");
+        }
+    }
+
+    #[test]
+    fn check_runnable_rejects_specs_too_large_to_allocate() {
+        // Only estimated, never built: n near u32::MAX at degree 8 asks
+        // for about 1 TiB, K_(2^20) for 16 TiB of stubs.
+        assert_eq!(footprint_bytes(1000, 8, 3, 4), 1000 * (128 + 8 * 16 + 3 * 12) + 16 * 48);
+        let flood = ProtocolSpec::FloodPushPull { policy: PolicySpec::STANDARD };
+        let check = |graph| ScenarioSpec::new("x", graph, flood.clone()).check_runnable();
+        for graph in [GraphSpec::RandomRegular { n: u32::MAX as usize, d: 8 }, GraphSpec::Complete { n: 1 << 20 }] {
+            let err = check(graph).expect_err("over the footprint limit");
+            assert!(err.contains("footprint estimate") && err.contains("MiB"), "{err}");
+        }
+        assert!(check(GraphSpec::RandomRegular { n: 1 << 26, d: 8 }).is_ok());
+        let json = "{\"label\": \"x\", \"graph\": {\"kind\": \"random_regular\", \"n\": 4294967295, \"d\": 8}, \
+                    \"protocol\": {\"kind\": \"flood_push_pull\"}}";
+        let err = ScenarioSpec::from_json(json).expect_err("a parsed spec is checked too");
+        assert!(err.contains("footprint estimate"), "{err}");
+        // No registry rung comes near the limit.
+        for exp in crate::registry::all() {
+            for quick in [true, false] {
+                for entry in (exp.scenarios)(quick) {
+                    let spec = &entry.spec;
+                    assert!(spec.check_runnable().is_ok(), "{} {}", exp.name, spec.label);
+                }
+            }
         }
     }
 

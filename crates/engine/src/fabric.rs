@@ -24,12 +24,16 @@
 //! round with no incomplete slot builds no lists at all, and one whose
 //! incomplete slots have more than `n` stubs is sampled whole.
 //!
-//! On the loss-free fast path under `Distinct(k)` the words a caller takes
-//! depend only on its gate and degree, never on the values drawn, so the
-//! single engine samples its shards' callers in parallel
-//! ([`ChannelFabric::sample_round_sharded`]): each shard counts its
-//! callers' words, an exclusive prefix sum gives each its offset in the
-//! one stream, and each samples its own callers on a clone of the
+//! [`ChannelFabric::sample_round`] is the one entry for every round, and
+//! each engine passes it its [`ShardLayout`] (`SimConfig::shards`). On the
+//! loss-free fast path under `Distinct(k)` the words a caller takes depend
+//! only on its gate and degree, never on the values drawn, so one count
+//! pass per segment decides a round's kind: silent, frontier, or sampled.
+//! Only the windowing depends on the segment count: at one segment the
+//! callers are sampled straight into the channel list on the generator
+//! (a sampled round there makes no count pass); at two or more, an
+//! exclusive prefix sum of the counts gives each segment its offset in
+//! the one stream, and each samples its own callers on a clone of the
 //! generator moved to that offset, into its own window of the channel
 //! list. The channel lists and the stream are those one segment builds.
 
@@ -83,7 +87,7 @@ pub(crate) enum RoundKind {
     /// sampled, and the engine skips its exchange.
     Silent,
     /// Every live rumour that transmits does so in the same directions
-    /// from every reception round (declared only where [`can_saturate`]
+    /// from every reception round (declared only where [`frontier_allowed`]
     /// holds). Only the frontier is sampled: the incomplete slots and
     /// their neighbours. Every other caller is complete with complete
     /// neighbours, so its channels are usable, reach informed nodes and
@@ -150,10 +154,9 @@ pub(crate) struct ChannelFabric {
     in_cursor: Vec<u32>,
     /// Reusable target scratch for `sample_targets`.
     target_buf: Vec<NodeId>,
-    /// Per-segment scratch of the sharded fast path.
+    /// Per-segment scratch of the count pass and of the fanned-out
+    /// sampling.
     segments: Vec<SegmentScratch>,
-    /// The one-segment count pass's incomplete slots.
-    incomplete: Vec<u32>,
     /// Per slot: in the last frontier round's frontier (all `false`
     /// between rounds).
     in_frontier: Vec<bool>,
@@ -168,9 +171,9 @@ pub(crate) struct ChannelFabric {
     kind: RoundKind,
 }
 
-/// One caller segment's target and Floyd scratch on the sharded fast path
-/// (under `Distinct(k)` a [`ChoiceState`] holds nothing else), and its
-/// count pass's incomplete slots.
+/// One caller segment's count pass's incomplete slots, and its target and
+/// Floyd scratch when two or more segments sample (under `Distinct(k)` a
+/// [`ChoiceState`] holds nothing else).
 #[derive(Debug, Default)]
 struct SegmentScratch {
     choice: ChoiceState,
@@ -349,7 +352,7 @@ fn is_fast_path(failures: FailureModel, faults: Option<&FaultState>) -> bool {
 /// frontier round: `Distinct(k)` on the fast path, with no partition or
 /// burst view, so that a channel between two alive, unblocked nodes is
 /// usable. The engines declare a frontier round only if it holds.
-pub(crate) fn can_saturate(
+pub(crate) fn frontier_allowed(
     policy: ChoicePolicy,
     failures: FailureModel,
     faults: Option<&FaultState>,
@@ -485,9 +488,10 @@ where
     ///   `Open`, because its per-channel failure draws need the targets.
     /// - `Open`: sampled and stored.
     ///
-    /// In a frontier round (`in_frontier` given) a caller outside the
-    /// frontier is booked instead: its channels are counted as booked and
-    /// its words owed, like a quiet caller's. Debug builds check that all
+    /// In a frontier round with a marked frontier (`in_frontier` not
+    /// empty) a caller outside the frontier is booked instead: its
+    /// channels are counted as booked and its words owed, like a quiet
+    /// caller's. Debug builds check that all
     /// its stubs are complete, which a topology whose stub lists are not
     /// symmetric can break.
     ///
@@ -502,12 +506,11 @@ where
         ok: &mut Vec<bool>,
         choice: &mut ChoiceState,
         scratch: &mut Vec<NodeId>,
-        in_frontier: Option<&[bool]>,
+        in_frontier: &[bool],
         rng: &mut R,
     ) -> RoundCounters {
         if self.round.kind == RoundKind::Frontier {
-            let flags = in_frontier.unwrap_or(&[]);
-            self.sample_with::<true, O, R>(callers, ends, base, out, ok, choice, scratch, flags, rng)
+            self.sample_with::<true, O, R>(callers, ends, base, out, ok, choice, scratch, in_frontier, rng)
         } else {
             self.sample_with::<false, O, R>(callers, ends, base, out, ok, choice, scratch, &[], rng)
         }
@@ -639,8 +642,10 @@ impl ChannelFabric {
 
     /// Samples this round's channels for every alive, unblocked
     /// (uncrashed, unsuspended) caller, as `gate` and the round's failures
-    /// allow, in one segment on `rng`; [`counters`](Self::counters) then
-    /// reports what it opened and drew. The rules:
+    /// allow, over `layout`'s contiguous caller segments;
+    /// [`counters`](Self::counters) then reports what it opened and drew.
+    /// The lists, channel ids, counters and the generator afterwards are
+    /// the same at every segment count. The rules:
     ///
     /// - **Fast path.** With no channel or transmission failure rate and
     ///   no burst loss, a channel is usable iff its callee is alive,
@@ -658,14 +663,19 @@ impl ChannelFabric {
     ///   are counted and nothing is drawn. A caller that pushes, or any
     ///   caller in a round in which some node pull-serves, is `Open`.
     ///   Everyone else is `Quiet`: see `Callers::sample`.
+    /// - **Count pass.** On the fast path under `Distinct(k)` the words a
+    ///   caller takes depend only on its gate and degree, never on the
+    ///   values drawn. There a silent or frontier round, and any round over
+    ///   two or more segments, first counts each segment's channels,
+    ///   skipped draws and words, in parallel. A sampled round at one
+    ///   segment, and every round off that path, skips the count and is
+    ///   sampled whole on `rng`.
     /// - **Silent round.** In a silent round every caller is `Quiet` or
-    ///   `Skip`, and on the fast path under `Distinct(k)` the words each
-    ///   owes depend only on its flags and degree. Such a round builds no
-    ///   lists: one pass counts the channels, skipped draws and words, and
-    ///   one `discard` moves the generator past the words, and
-    ///   [`kind`](Self::kind) tells the engine to skip its exchange.
+    ///   `Skip`: it builds no lists, one `discard` moves the generator past
+    ///   the counted words, and [`kind`](Self::kind) tells the engine to
+    ///   skip its exchange.
     /// - **Frontier round.** In a round declared frontier (only where
-    ///   [`can_saturate`] holds) the same count pass also lists the
+    ///   [`frontier_allowed`] holds) the count pass also lists the
     ///   incomplete slots: dead in the topology, blocked, or `lacks`. If
     ///   their stubs number at most `n`, the incomplete slots and their
     ///   neighbours form the frontier, and only its callers are sampled.
@@ -674,6 +684,16 @@ impl ChannelFabric {
     ///   caller in the frontier the round builds no lists (one `discard`,
     ///   every open channel booked). Over the budget the round is sampled
     ///   whole, as gated; the count pass drew nothing, so this is exact.
+    /// - **Segments.** At one segment a round is sampled straight into the
+    ///   channel list on `rng`. At two or more, an exclusive prefix sum of
+    ///   the counted words gives each segment its offset in the stream and
+    ///   its window of the list; each clones `rng`, `discard`s to its
+    ///   offset and samples its callers into its window, in parallel, with
+    ///   its own scratch; then `rng` `discard`s the round's words and each
+    ///   window's filled part moves down to close the gaps that unusable
+    ///   channels left. Each segment's time goes to `probe` as its share
+    ///   of the [`Fabric`](StepPhase::Fabric) phase (no clock is read
+    ///   without a probe, and a round at one segment reports none).
     ///
     /// `faults` is the installed fault plan's state: partitioned pairs
     /// fail to establish like calls to a crashed peer (no cost, no draw),
@@ -682,119 +702,7 @@ impl ChannelFabric {
     /// position). With `faults == None` the code path and draw sequence
     /// are byte-identical to the pre-fault engine.
     #[allow(clippy::too_many_arguments)]
-    // rrb-lint: hot
     pub(crate) fn sample_round<T, P, U, S, L, R>(
-        &mut self,
-        topo: &T,
-        protocol: &P,
-        choice: &mut ChoiceState,
-        failures: FailureModel,
-        faults: Option<&FaultState>,
-        blocked: &[bool],
-        gate: RoundGate<U, S, L>,
-        rng: &mut R,
-    ) where
-        T: Topology + ?Sized,
-        P: Protocol,
-        U: Fn(usize) -> bool,
-        S: Fn(usize) -> bool,
-        L: Fn(usize) -> bool,
-        R: Rng + ?Sized,
-    {
-        let n = topo.node_count();
-        let view = faults.and_then(FaultState::channel_view);
-        let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
-        let k = match callers.policy {
-            ChoicePolicy::Distinct(k) if gate.kind != RoundKind::Sampled && callers.fast_path => k,
-            _ => return self.sample_segment(&callers, n, choice, false, rng),
-        };
-        let count = callers.count(0..n, k, &mut self.incomplete, n);
-        match gate.kind {
-            RoundKind::Silent => self.finish_counted(RoundKind::Silent, count.counters, 0, rng),
-            RoundKind::Frontier if count.stubs <= n => {
-                let mut listed = [0];
-                self.in_frontier.resize(n, false);
-                let incomplete = std::iter::once(self.incomplete.as_slice());
-                let one = ShardLayout::new(n, 1);
-                callers.mark_frontier(incomplete, k, one, &mut self.in_frontier, &mut self.frontier, &mut listed);
-                if listed[0] == 0 {
-                    self.finish_counted(RoundKind::Frontier, count.counters, count.opened as u64, rng);
-                } else {
-                    self.sample_segment(&callers, n, choice, true, rng);
-                    self.kind = RoundKind::Frontier;
-                }
-                self.clear_frontier();
-            }
-            _ => self.sample_segment(&callers, n, choice, false, rng),
-        }
-    }
-
-    /// Samples every caller of `callers` in one segment on `rng`, booking
-    /// those outside the marked frontier if `frontier`.
-    fn sample_segment<T, U, S, L, R>(
-        &mut self,
-        callers: &Callers<'_, T, U, S, L>,
-        n: usize,
-        choice: &mut ChoiceState,
-        frontier: bool,
-        rng: &mut R,
-    ) where
-        T: Topology + ?Sized,
-        U: Fn(usize) -> bool,
-        S: Fn(usize) -> bool,
-        L: Fn(usize) -> bool,
-        R: Rng + ?Sized,
-    {
-        self.offsets.resize(n + 1, 0);
-        self.offsets[0] = 0;
-        self.targets.clear();
-        self.ok.clear();
-        if self.targets.capacity() == 0 {
-            // Size the target list once, for a round in which every caller
-            // is open, so it never regrows (and copies) mid-run.
-            let k = callers.policy.fanout();
-            let bound = (0..n).map(|i| callers.topo.degree(NodeId::new(i)).min(k)).sum();
-            self.targets.reserve(bound);
-        }
-        self.counters = callers.sample(
-            0..n,
-            &mut self.offsets[1..],
-            0,
-            &mut self.targets,
-            &mut self.ok,
-            choice,
-            &mut self.target_buf,
-            frontier.then_some(self.in_frontier.as_slice()),
-            rng,
-        );
-    }
-
-    /// [`sample_round`](Self::sample_round) for the single engine, fanned
-    /// out over `layout`'s contiguous caller segments when the round is on
-    /// the fast path under `Distinct(k)` and there are two or more. There
-    /// a caller's words depend only on its gate and degree, so:
-    ///
-    /// 1. each segment counts its callers' words and the channels its open
-    ///    callers open, in parallel (and, in a frontier round, lists its
-    ///    incomplete slots);
-    /// 2. an exclusive prefix sum gives each segment its offset in the
-    ///    stream and its window of the channel list (in a frontier round
-    ///    within the budget, after the frontier is marked, as long as its
-    ///    open frontier callers' channels);
-    /// 3. each segment clones `rng`, `discard`s to its offset and samples
-    ///    its callers into its window, in parallel, with its own scratch;
-    /// 4. `rng` `discard`s the round's words, and each window's filled part
-    ///    moves down to close the gaps that unusable channels left.
-    ///
-    /// The lists, channel ids, counters and the generator afterwards are
-    /// those one segment produces. A silent round, and a frontier round
-    /// with no open caller in its frontier, stop after step 1 and one
-    /// `discard`. Each segment's time goes to `probe` as its share of the
-    /// [`Fabric`](StepPhase::Fabric) phase (no clock is read without a
-    /// probe). Every other round, and any round at one segment, runs
-    /// [`sample_round`](Self::sample_round) on `rng` itself.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_round_sharded<T, P, U, S, L, R>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -814,18 +722,31 @@ impl ChannelFabric {
         L: Fn(usize) -> bool + Sync,
         R: Rng + Clone + Send,
     {
-        let k = match protocol.choice_policy() {
-            ChoicePolicy::Distinct(k) if layout.count() > 1 && is_fast_path(failures, faults) => k,
-            _ => return self.sample_round(topo, protocol, choice, failures, faults, blocked, gate, rng),
-        };
         let n = topo.node_count();
         let view = faults.and_then(FaultState::channel_view);
-        let callers = self.callers(topo, protocol, failures, faults, blocked, &gate, view.as_ref());
+        self.fast_path = is_fast_path(failures, faults);
+        self.tx_drawn = false;
+        self.kind = RoundKind::Sampled;
+        let callers = Callers {
+            topo,
+            policy: protocol.choice_policy(),
+            failures,
+            blocked,
+            faults: view.as_ref(),
+            fast_path: self.fast_path,
+            round: &gate,
+            skip: !protocol.capabilities().uses_pull && protocol.choice_policy().is_memoryless(),
+        };
         let segments = layout.count();
-        let probing = probe.is_some();
+        let k = match callers.policy {
+            ChoicePolicy::Distinct(k) if callers.fast_path && (gate.kind != RoundKind::Sampled || segments > 1) => k,
+            _ => return self.sample_whole(&callers, n, choice, rng),
+        };
+        let probing = probe.is_some() && segments > 1;
         self.segments.resize_with(segments, SegmentScratch::default);
 
-        // Step 1: every segment's words and window length.
+        // Every segment's words and window length, and the frontier's
+        // incomplete slots.
         let lists: Vec<(usize, &mut Vec<u32>)> =
             self.segments.iter_mut().map(|scratch| &mut scratch.incomplete).enumerate().collect();
         let counts: Vec<(SegmentCount, Duration)> = lists
@@ -845,9 +766,13 @@ impl ChannelFabric {
             stubs += c.stubs;
         }
         let mut opened: Vec<usize> = counts.iter().map(|(c, _)| c.opened).collect();
+        let mut elapsed: Vec<Duration> = counts.iter().map(|&(_, d)| d).collect();
+
+        // The round's kind: counted (no lists), a frontier to sample, or
+        // sampled whole.
         let frontier = gate.kind == RoundKind::Frontier && stubs <= n;
         let counted = match gate.kind {
-            RoundKind::Silent => Some((RoundKind::Silent, 0)),
+            RoundKind::Silent => Some(0),
             _ if frontier => {
                 let all: usize = opened.iter().sum();
                 opened.fill(0);
@@ -855,34 +780,115 @@ impl ChannelFabric {
                 let incomplete = self.segments.iter().map(|scratch| scratch.incomplete.as_slice());
                 let (flags, marked) = (&mut self.in_frontier, &mut self.frontier);
                 callers.mark_frontier(incomplete, k, layout, flags, marked, &mut opened);
-                let listed = opened.iter().any(|&o| o > 0);
-                if !listed {
-                    self.clear_frontier();
-                }
-                (!listed).then_some((RoundKind::Frontier, all as u64))
+                opened.iter().all(|&o| o == 0).then_some(all as u64)
             }
             _ => None,
         };
-        if let Some((kind, booked)) = counted {
-            self.finish_counted(kind, total, booked, rng);
-            if let Some(p) = probe.as_deref_mut() {
-                for (s, &(_, d)) in counts.iter().enumerate() {
-                    p.on_shard_phase(s, StepPhase::Fabric, d);
-                }
+        if let Some(booked) = counted {
+            // No lists: one `discard` past the counted words leaves the
+            // generator where sampling would, since no draw depends on the
+            // values drawn before it. Every word is jumped.
+            self.offsets.clear();
+            self.targets.clear();
+            self.ok.clear();
+            rng.discard(total.fabric_words);
+            self.counters = RoundCounters { jumped_words: total.fabric_words, booked_channels: booked, ..total };
+            self.kind = gate.kind;
+        } else {
+            if frontier {
+                self.kind = RoundKind::Frontier;
             }
-            return;
+            if segments == 1 {
+                self.sample_whole(&callers, n, choice, rng);
+            } else {
+                let drawn = self.sample_windows(&callers, layout, &counts, &opened, probing, rng);
+                elapsed.iter_mut().zip(drawn).for_each(|(e, d)| *e += d);
+            }
         }
+        // Unmark the frontier's flags; its list stays (see `frontier`).
+        for &i in self.frontier.iter().filter(|_| frontier) {
+            self.in_frontier[i as usize] = false;
+        }
+        if let Some(p) = probe.as_deref_mut().filter(|_| probing) {
+            for (s, &d) in elapsed.iter().enumerate() {
+                p.on_shard_phase(s, StepPhase::Fabric, d);
+            }
+        }
+    }
 
-        // Step 2: each segment's stream offset and window.
+    /// Samples every caller of `callers` in one segment on `rng`, straight
+    /// into the channel list, booking those outside the marked frontier in
+    /// a frontier round.
+    fn sample_whole<T, U, S, L, R>(
+        &mut self,
+        callers: &Callers<'_, T, U, S, L>,
+        n: usize,
+        choice: &mut ChoiceState,
+        rng: &mut R,
+    ) where
+        T: Topology + ?Sized,
+        U: Fn(usize) -> bool,
+        S: Fn(usize) -> bool,
+        L: Fn(usize) -> bool,
+        R: Rng + ?Sized,
+    {
+        self.offsets.resize(n + 1, 0);
+        self.offsets[0] = 0;
+        self.targets.clear();
+        self.ok.clear();
+        if self.targets.capacity() == 0 {
+            // Size the target list once, for a round in which every caller
+            // is open, so it never regrows (and copies) mid-run.
+            let k = callers.policy.fanout();
+            let bound = (0..n).map(|i| callers.topo.degree(NodeId::new(i)).min(k)).sum();
+            self.targets.reserve(bound);
+        }
+        let flags: &[bool] = if self.kind == RoundKind::Frontier { &self.in_frontier } else { &[] };
+        self.counters = callers.sample(
+            0..n,
+            &mut self.offsets[1..],
+            0,
+            &mut self.targets,
+            &mut self.ok,
+            choice,
+            &mut self.target_buf,
+            flags,
+            rng,
+        );
+    }
+
+    /// Samples the callers of `layout`'s segments in parallel, each on a
+    /// clone of `rng` moved to its offset in the stream and into its
+    /// window of the channel list (`opened[s]` long), then moves `rng`
+    /// past the round's words and closes the windows up in segment order.
+    /// Returns each segment's sampling time (zero without `probing`).
+    fn sample_windows<T, U, S, L, R>(
+        &mut self,
+        callers: &Callers<'_, T, U, S, L>,
+        layout: ShardLayout,
+        counts: &[(SegmentCount, Duration)],
+        opened: &[usize],
+        probing: bool,
+        rng: &mut R,
+    ) -> Vec<Duration>
+    where
+        T: Topology + ?Sized,
+        U: Fn(usize) -> bool + Sync,
+        S: Fn(usize) -> bool + Sync,
+        L: Fn(usize) -> bool + Sync,
+        R: Rng + Clone + Send,
+    {
+        let n = callers.topo.node_count();
         self.offsets.resize(n + 1, 0);
         self.offsets[0] = 0;
         self.targets.resize(opened.iter().sum(), NodeId::new(0));
         self.ok.clear();
+        let flags: &[bool] = if self.kind == RoundKind::Frontier { &self.in_frontier } else { &[] };
         let mut ends_left = &mut self.offsets[1..];
         let mut slots_left = &mut self.targets[..];
         let (mut word_at, mut slot_at) = (0u64, 0usize);
-        let mut items = Vec::with_capacity(segments);
-        for (s, ((scratch, (c, _)), &len)) in self.segments.iter_mut().zip(&counts).zip(&opened).enumerate() {
+        let mut items = Vec::with_capacity(layout.count());
+        for (s, ((scratch, (c, _)), &len)) in self.segments.iter_mut().zip(counts).zip(opened).enumerate() {
             let range = layout.range(s, n);
             let (ends, rest) = std::mem::take(&mut ends_left).split_at_mut(range.len());
             ends_left = rest;
@@ -893,44 +899,32 @@ impl ChannelFabric {
             word_at += c.counters.fabric_words;
             slot_at += len;
         }
-
-        // Step 3: every segment samples its callers from its offset.
-        let flags = frontier.then_some(self.in_frontier.as_slice());
         let sampled: Vec<(RoundCounters, usize, Duration)> = items
             .into_par_iter()
             .map(|(range, ends, mut window, base, offset, scratch, mut seg_rng)| {
                 let clock = ShardClock::armed(probing);
                 seg_rng.discard(offset);
                 let (choice, targets) = (&mut scratch.choice, &mut scratch.targets);
-                let counters = callers.sample(
-                    range,
-                    ends,
-                    base,
-                    &mut window,
-                    &mut Vec::new(),
-                    choice,
-                    targets,
-                    flags,
-                    &mut seg_rng,
-                );
+                let counters =
+                    callers.sample(range, ends, base, &mut window, &mut Vec::new(), choice, targets, flags, &mut seg_rng);
                 (counters, window.len, clock.elapsed())
             })
             .collect();
 
-        // Step 4: the main stream ends where one segment leaves it, and the
+        // The main stream ends where one segment leaves it, and the
         // windows close up in segment order.
-        rng.discard(total.fabric_words);
+        rng.discard(word_at);
         let (mut end, mut start) = (0usize, 0usize);
-        let mut sampled_total = RoundCounters::default();
-        for (s, ((c, _), (&(counters, filled, _), &len))) in counts.iter().zip(sampled.iter().zip(&opened)).enumerate() {
+        self.counters = RoundCounters::default();
+        for (s, ((c, _), (&(counters, filled, _), &len))) in counts.iter().zip(sampled.iter().zip(opened)).enumerate() {
             let drawn = (counters.channels, counters.skipped_draws, counters.fabric_words);
             let counted = (c.counters.channels, c.counters.skipped_draws, c.counters.fabric_words);
             debug_assert_eq!(drawn, counted, "segment {s} drew other than it counted");
-            sampled_total.channels += counters.channels;
-            sampled_total.skipped_draws += counters.skipped_draws;
-            sampled_total.fabric_words += counters.fabric_words;
-            sampled_total.jumped_words += counters.jumped_words;
-            sampled_total.booked_channels += counters.booked_channels;
+            self.counters.channels += counters.channels;
+            self.counters.skipped_draws += counters.skipped_draws;
+            self.counters.fabric_words += counters.fabric_words;
+            self.counters.jumped_words += counters.jumped_words;
+            self.counters.booked_channels += counters.booked_channels;
             if start != end {
                 self.targets.copy_within(start..start + filled, end);
                 let shift = (start - end) as u32;
@@ -943,84 +937,7 @@ impl ChannelFabric {
             start += len;
         }
         self.targets.truncate(end);
-        self.counters = sampled_total;
-        if frontier {
-            self.kind = RoundKind::Frontier;
-            self.clear_frontier();
-        }
-        if let Some(p) = probe.as_deref_mut() {
-            for (s, (&(_, counted), &(_, _, drawn))) in counts.iter().zip(&sampled).enumerate() {
-                p.on_shard_phase(s, StepPhase::Fabric, counted + drawn);
-            }
-        }
-    }
-
-    /// Starts a round: settles the fast-path flag and the round kind, and
-    /// returns what its caller segments read.
-    #[allow(clippy::too_many_arguments)]
-    fn callers<'a, T, P, U, S, L>(
-        &mut self,
-        topo: &'a T,
-        protocol: &P,
-        failures: FailureModel,
-        faults: Option<&FaultState>,
-        blocked: &'a [bool],
-        gate: &'a RoundGate<U, S, L>,
-        view: Option<&'a FaultChannelView<'a>>,
-    ) -> Callers<'a, T, U, S, L>
-    where
-        T: Topology + ?Sized,
-        P: Protocol,
-        U: Fn(usize) -> bool,
-        S: Fn(usize) -> bool,
-        L: Fn(usize) -> bool,
-    {
-        self.fast_path = is_fast_path(failures, faults);
-        self.tx_drawn = false;
-        self.kind = RoundKind::Sampled;
-        Callers {
-            topo,
-            policy: protocol.choice_policy(),
-            failures,
-            blocked,
-            faults: view,
-            fast_path: self.fast_path,
-            round: gate,
-            skip: !protocol.capabilities().uses_pull && protocol.choice_policy().is_memoryless(),
-        }
-    }
-
-    /// Closes a round that builds no lists (a silent one, or a frontier
-    /// round with no open caller in its frontier): one
-    /// [`discard`](rand::RngCore::discard) past the words `counted`, which
-    /// leaves the generator where sampling would, since no draw depends on
-    /// the values drawn before it. Every word of the round is jumped, and
-    /// `booked` channels are booked.
-    fn finish_counted<R: RngCore + ?Sized>(
-        &mut self,
-        kind: RoundKind,
-        counted: RoundCounters,
-        booked: u64,
-        rng: &mut R,
-    ) {
-        self.offsets.clear();
-        self.targets.clear();
-        self.ok.clear();
-        rng.discard(counted.fabric_words);
-        self.counters = RoundCounters {
-            jumped_words: counted.fabric_words,
-            booked_channels: booked,
-            ..counted
-        };
-        self.kind = kind;
-    }
-
-    /// Unmarks the frontier's flags (its list stays, see
-    /// [`frontier`](Self::frontier)).
-    fn clear_frontier(&mut self) {
-        for &i in &self.frontier {
-            self.in_frontier[i as usize] = false;
-        }
+        sampled.into_iter().map(|(_, _, d)| d).collect()
     }
 
     /// The serial transmission pre-draw of one round, over the stored
@@ -1197,8 +1114,7 @@ impl ChannelFabric {
             self.in_entries.capacity()
                 + self.target_buf.capacity()
                 + self.segments.iter().map(|s| s.targets.capacity()).sum::<usize>(),
-            self.incomplete.capacity()
-                + self.in_frontier.capacity()
+            self.in_frontier.capacity()
                 + self.frontier.capacity()
                 + self.segments.iter().map(|s| s.incomplete.capacity()).sum::<usize>(),
         ]
@@ -1370,6 +1286,27 @@ impl InformedIndex {
         true
     }
 
+    /// Asserts at round `t` that the position map and the list agree
+    /// (`pos[list[p]] == p`, as many informed slots as entries, one
+    /// reception round per entry) and, given a grouped list's `ends` (see
+    /// [`unmark_grouped`](Self::unmark_grouped)), that the ends do not
+    /// decrease, every member of group `k` was informed at round `k`, and
+    /// the last end is the list length.
+    pub(crate) fn check(&self, groups: Option<&[u32]>, t: Round) {
+        let mapped = self.list.iter().enumerate().all(|(p, &i)| self.pos[i as usize] == p as u32);
+        let informed = self.pos.iter().filter(|&&p| p != NOT_INFORMED).count();
+        let consistent = mapped && informed == self.list.len() && self.at.len() == self.list.len();
+        assert!(consistent, "round {t}: the informed index's position map drifted from its list");
+        let Some(ends) = groups else { return };
+        assert_eq!(ends.last().copied(), Some(self.list.len() as u32), "round {t}: the last group end is not the list length");
+        let mut lo = 0;
+        for (k, &hi) in ends.iter().enumerate() {
+            let grouped = lo <= hi && self.at[lo as usize..hi as usize].iter().all(|&at| at as usize == k);
+            assert!(grouped, "round {t}: group {k} decreases or holds a node of another reception round");
+            lo = hi;
+        }
+    }
+
     /// Accommodates topology growth (new slots join uninformed).
     pub(crate) fn ensure_len(&mut self, node_count: usize) {
         if self.pos.len() < node_count {
@@ -1417,22 +1354,28 @@ mod tests {
         gate(|_| false, |_| true, Sampled)
     }
 
-    /// One round of `protocol` on `g` from `seed`, no caller blocked:
-    /// the fabric and the generator after it.
-    fn sample_one<P: Protocol>(
-        g: &Graph,
+    /// One round of `protocol` on `g` from `seed` in `segments` caller
+    /// segments, with `blocked` callers (none if empty): the fabric and
+    /// the generator after it.
+    #[allow(clippy::too_many_arguments)]
+    fn sample<T: Topology + ?Sized, P: Protocol>(
+        g: &T,
         protocol: &P,
         failures: FailureModel,
         faults: Option<&FaultState>,
+        blocked: &[bool],
         gate: Gate,
+        segments: usize,
         seed: u64,
     ) -> (ChannelFabric, SmallRng) {
         let n = g.node_count();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut fabric = ChannelFabric::new(n);
         let mut choice = ChoiceState::new(n, protocol.choice_policy());
-        let blocked = vec![false; n];
-        fabric.sample_round(g, protocol, &mut choice, failures, faults, &blocked, gate, &mut rng);
+        let none = vec![false; n];
+        let blocked = if blocked.is_empty() { &none } else { blocked };
+        let (layout, probe) = (ShardLayout::new(n, segments), &mut None);
+        fabric.sample_round(g, protocol, &mut choice, failures, faults, blocked, gate, layout, probe, &mut rng);
         (fabric, rng)
     }
 
@@ -1440,7 +1383,7 @@ mod tests {
     fn fabric_reverse_index_inverts_forward_lists() {
         let g = gen::complete(12);
         let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
-        let (mut fabric, _) = sample_one(&g, &four, FailureModel::NONE, None, all_open(), 3);
+        let (mut fabric, _) = sample(&g, &four, FailureModel::NONE, None, &[], all_open(), 1, 3);
         assert_eq!(fabric.counters().channels, 12 * 4);
         assert_eq!(fabric.len(), 12 * 4);
         assert!(fabric.is_fast_path());
@@ -1464,14 +1407,14 @@ mod tests {
         let g = gen::complete(8);
         let uninformed = || gate(|_| true, |_| false, Sampled);
         let none = FailureModel::NONE;
-        let (fabric, rng) = sample_one(&g, &FloodPush::new(), none, None, uninformed(), 5);
+        let (fabric, rng) = sample(&g, &FloodPush::new(), none, None, &[], uninformed(), 1, 5);
         assert_eq!(fabric.counters().channels, 8);
         assert_eq!(fabric.counters().skipped_draws, 8);
         assert_eq!(fabric.len(), 0);
         assert_eq!(rng, SmallRng::seed_from_u64(5));
         // A protocol that pull-serves samples uninformed callers too.
         let pulls = FloodPushPull::new();
-        let (fabric, _) = sample_one(&g, &pulls, none, None, uninformed(), 5);
+        let (fabric, _) = sample(&g, &pulls, none, None, &[], uninformed(), 1, 5);
         assert_eq!((fabric.counters().skipped_draws, fabric.len()), (0, 0));
         assert!(fabric.counters().fabric_words > 0, "quiet callers owe their words");
     }
@@ -1484,16 +1427,16 @@ mod tests {
         let g = gen::complete(16);
         for policy in [ChoicePolicy::FOUR, ChoicePolicy::SEQUENTIAL, ChoicePolicy::Cyclic] {
             let protocol = FloodPushPull::with_policy(policy);
-            let sample = |gate: Gate| {
-                let (fabric, rng) = sample_one(&g, &protocol, FailureModel::NONE, None, gate, 12);
+            let round = |gate: Gate| {
+                let (fabric, rng) = sample(&g, &protocol, FailureModel::NONE, None, &[], gate, 1, 12);
                 let lists: Vec<Vec<NodeId>> = (0..16)
                     .map(|i| fabric.out_range(i).map(|c| fabric.target(c)).collect())
                     .collect();
                 (fabric.counters().channels, lists, rng)
             };
-            let (open_channels, open_lists, open_rng) = sample(all_open());
+            let (open_channels, open_lists, open_rng) = round(all_open());
             let (quiet_channels, quiet_lists, quiet_rng) =
-                sample(gate(|_| false, |i| i % 2 == 0, Sampled));
+                round(gate(|_| false, |i| i % 2 == 0, Sampled));
             assert_eq!(open_channels, quiet_channels, "{policy:?}");
             assert_eq!(open_rng, quiet_rng, "{policy:?}: quiet callers must draw");
             for i in 0..16 {
@@ -1518,17 +1461,9 @@ mod tests {
         let blocked: Vec<bool> = (0..n).map(|i| i % 7 == 3).collect();
         for k in [1, 3, 4, 6] {
             let protocol = FloodPush::with_policy(ChoicePolicy::Distinct(k));
-            let sample = |kind: RoundKind| {
-                let mut rng = SmallRng::seed_from_u64(21);
-                let mut fabric = ChannelFabric::new(n);
-                let mut choice = ChoiceState::new(n, protocol.choice_policy());
-                let gate = gate(|i| i % 5 == 1, |_| false, kind);
-                let (none, choice) = (FailureModel::NONE, &mut choice);
-                fabric.sample_round(&g, &protocol, choice, none, None, &blocked, gate, &mut rng);
-                (fabric, rng)
-            };
-            let (quiet, quiet_rng) = sample(Sampled);
-            let (silent, silent_rng) = sample(Silent);
+            let round = |kind| sample(&g, &protocol, FailureModel::NONE, None, &blocked, gate(|i| i % 5 == 1, |_| false, kind), 1, 21);
+            let (quiet, quiet_rng) = round(Sampled);
+            let (silent, silent_rng) = round(Silent);
             assert_eq!(silent_rng, quiet_rng, "k = {k}");
             assert_eq!(silent.counters(), quiet.counters(), "k = {k}");
             let counters = quiet.counters();
@@ -1538,27 +1473,6 @@ mod tests {
         }
     }
 
-    /// One fast-path round of `protocol` on `g` in `segments` caller
-    /// segments: the fabric and the generator after it.
-    fn sample_segmented<T: Topology + ?Sized, P: Protocol>(
-        g: &T,
-        protocol: &P,
-        faults: Option<&FaultState>,
-        blocked: &[bool],
-        gate: Gate,
-        segments: usize,
-    ) -> (ChannelFabric, SmallRng) {
-        let n = g.node_count();
-        let mut rng = SmallRng::seed_from_u64(31);
-        let mut fabric = ChannelFabric::new(n);
-        let mut choice = ChoiceState::new(n, protocol.choice_policy());
-        let layout = ShardLayout::new(n, segments);
-        let none = FailureModel::NONE;
-        let (choice, probe) = (&mut choice, &mut None);
-        fabric.sample_round_sharded(g, protocol, choice, none, faults, blocked, gate, layout, probe, &mut rng);
-        (fabric, rng)
-    }
-
     #[test]
     fn segmented_sampling_equals_one_segment() {
         // Degrees below, at and above k, blocked callers and callees, a
@@ -1566,7 +1480,10 @@ mod tests {
         // lists, channel ids and counters one segment builds and leaves
         // the generator where it does. The small graph has empty segments
         // (7 segments of 2 over 10 callers), and the "late" gate leaves the
-        // first segments' windows empty.
+        // first segments' windows empty. One segment is itself checked
+        // against a reference that makes no count pass: the same gate
+        // declared sampled, sampled whole on the generator, takes the
+        // same channels, skipped draws and words.
         let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
         let degrees: Vec<usize> = (0..300).map(|i| pa.degree(NodeId::new(i))).collect();
         assert!([2, 4, 9].iter().all(|d| degrees.contains(d)), "mixed degrees");
@@ -1599,12 +1516,20 @@ mod tests {
                     for (label, make) in gates {
                         let case = format!("n = {n}, k = {k}, {label}, faults: {}", faults.is_some());
                         let (one, one_rng) =
-                            sample_segmented(&g, &protocol, faults, &blocked, make(), 1);
+                            sample(&g, &protocol, FailureModel::NONE, faults, &blocked, make(), 1, 31);
                         assert!(one.is_fast_path(), "{case}");
+                        let sampled = RoundGate { kind: Sampled, ..make() };
+                        let (whole, whole_rng) =
+                            sample(&g, &protocol, FailureModel::NONE, faults, &blocked, sampled, 1, 31);
+                        let work = |f: &ChannelFabric| {
+                            let c = f.counters();
+                            (c.channels, c.skipped_draws, c.fabric_words)
+                        };
+                        assert_eq!((work(&one), &one_rng), (work(&whole), &whole_rng), "{case}");
                         gaps += usize::from(label == "open" && (one.len() as u64) < one.counters().channels);
                         for segments in [2, 3, 7] {
                             let (many, many_rng) =
-                                sample_segmented(&g, &protocol, faults, &blocked, make(), segments);
+                                sample(&g, &protocol, FailureModel::NONE, faults, &blocked, make(), segments, 31);
                             let case = format!("{case}, {segments} segments");
                             assert_eq!(many.offsets, one.offsets, "{case}");
                             assert_eq!(many.targets, one.targets, "{case}");
@@ -1647,8 +1572,8 @@ mod tests {
             let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
             for segments in [1, 2, 3, 7] {
                 let case = format!("k = {k}, {segments} segments");
-                let (open, open_rng) = sample_segmented(&pa, &protocol, None, &present, all_open(), segments);
-                let (sat, sat_rng) = sample_segmented(&pa, &protocol, None, &present, complete(), segments);
+                let (open, open_rng) = sample(&pa, &protocol, FailureModel::NONE, None, &present, all_open(), segments, 31);
+                let (sat, sat_rng) = sample(&pa, &protocol, FailureModel::NONE, None, &present, complete(), segments, 31);
                 assert_eq!((open.kind(), sat.kind()), (Sampled, Frontier), "{case}");
                 assert!(!sat.listed() && open.listed(), "{case}");
                 let words = open.counters().fabric_words;
@@ -1703,22 +1628,8 @@ mod tests {
                     let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
                     for segments in [1, 2, 3, 7] {
                         let case = format!("k = {k}, {what}, pull {pull}, {segments} segments");
-                        let (front, front_rng) = sample_segmented(
-                            &dead,
-                            &protocol,
-                            None,
-                            &blocked,
-                            RoundGate { ..frontier_gate },
-                            segments,
-                        );
-                        let (plain, plain_rng) = sample_segmented(
-                            &dead,
-                            &protocol,
-                            None,
-                            &blocked,
-                            RoundGate { kind: Sampled, ..frontier_gate },
-                            segments,
-                        );
+                        let (front, front_rng) = sample(&dead, &protocol, FailureModel::NONE, None, &blocked, RoundGate { ..frontier_gate }, segments, 31);
+                        let (plain, plain_rng) = sample(&dead, &protocol, FailureModel::NONE, None, &blocked, RoundGate { kind: Sampled, ..frontier_gate }, segments, 31);
                         assert_eq!(front_rng, plain_rng, "{case}");
                         if what == "wide" {
                             assert_eq!(front.kind(), Sampled, "{case}: over the budget");
@@ -1759,7 +1670,7 @@ mod tests {
     }
 
     #[test]
-    fn only_loss_free_distinct_rounds_without_a_channel_view_can_saturate() {
+    fn only_loss_free_distinct_rounds_without_a_channel_view_allow_a_frontier() {
         let n = 12;
         let at_round_1 = |plan: FaultPlan| {
             let mut fs = FaultState::new(&plan, n, 0);
@@ -1779,14 +1690,14 @@ mod tests {
             ..FaultPlan::default()
         });
         let (four, none) = (ChoicePolicy::FOUR, FailureModel::NONE);
-        assert!(can_saturate(four, none, None));
-        assert!(can_saturate(four, FailureModel::crashes(0.1), Some(&healed)));
-        assert!(!can_saturate(four, none, Some(&partition)));
-        assert!(!can_saturate(four, none, Some(&burst)));
-        assert!(!can_saturate(four, FailureModel::channels(0.1), None));
-        assert!(!can_saturate(four, FailureModel::transmissions(0.1), None));
-        assert!(!can_saturate(ChoicePolicy::SEQUENTIAL, none, None));
-        assert!(!can_saturate(ChoicePolicy::Cyclic, none, None));
+        assert!(frontier_allowed(four, none, None));
+        assert!(frontier_allowed(four, FailureModel::crashes(0.1), Some(&healed)));
+        assert!(!frontier_allowed(four, none, Some(&partition)));
+        assert!(!frontier_allowed(four, none, Some(&burst)));
+        assert!(!frontier_allowed(four, FailureModel::channels(0.1), None));
+        assert!(!frontier_allowed(four, FailureModel::transmissions(0.1), None));
+        assert!(!frontier_allowed(ChoicePolicy::SEQUENTIAL, none, None));
+        assert!(!frontier_allowed(ChoicePolicy::Cyclic, none, None));
     }
 
     #[test]
@@ -1798,7 +1709,7 @@ mod tests {
         let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
         for kind in [Sampled, Silent, Frontier] {
             let quiet = gate(|_| false, |_| false, kind);
-            let (fabric, _) = sample_one(&g, &four, FailureModel::channels(0.3), None, quiet, 13);
+            let (fabric, _) = sample(&g, &four, FailureModel::channels(0.3), None, &[], quiet, 1, 13);
             assert!(!fabric.is_fast_path() && fabric.kind() == Sampled);
             assert_eq!(fabric.len(), 16 * 4);
         }
@@ -1808,7 +1719,7 @@ mod tests {
     fn fabric_slow_path_materialises_all_sampled_channels() {
         let g = gen::complete(16);
         let lossy = FailureModel::channels(0.5);
-        let (fabric, _) = sample_one(&g, &FloodPushPull::new(), lossy, None, all_open(), 9);
+        let (fabric, _) = sample(&g, &FloodPushPull::new(), lossy, None, &[], all_open(), 1, 9);
         assert_eq!(fabric.counters().channels, 16);
         assert_eq!(fabric.len(), 16);
         assert!(!fabric.is_fast_path());
@@ -1826,7 +1737,7 @@ mod tests {
         let serves = |w: usize| w.is_multiple_of(3);
         for rate in [0.0, 0.5] {
             let failures = FailureModel::transmissions(rate);
-            let (mut fabric, mut rng) = sample_one(&g, &four, failures, None, all_open(), 4);
+            let (mut fabric, mut rng) = sample(&g, &four, failures, None, &[], all_open(), 1, 4);
             let before = rng.clone();
             let used = fabric.draw_transmissions(failures, pushes, serves, &mut rng);
             let want: u64 = (0..12)
@@ -1856,7 +1767,7 @@ mod tests {
         let mut fs = FaultState::new(&plan, 12, 0);
         fs.begin_round(1, 12, |_| 11, |_| None, |_| true);
         let four = FloodPushPull::with_policy(ChoicePolicy::FOUR);
-        let (fabric, _) = sample_one(&g, &four, FailureModel::NONE, Some(&fs), all_open(), 4);
+        let (fabric, _) = sample(&g, &four, FailureModel::NONE, Some(&fs), &[], all_open(), 1, 4);
         // Opened channels are still counted; only same-component ones
         // materialise, and a pure partition keeps the draw-free fast path.
         assert_eq!(fabric.counters().channels, 12 * 4);
@@ -1880,7 +1791,7 @@ mod tests {
         let mut fs = FaultState::new(&plan, 16, 3);
         fs.begin_round(1, 16, |_| 15, |_| None, |_| true);
         let (fabric, _) =
-            sample_one(&g, &FloodPushPull::new(), FailureModel::NONE, Some(&fs), all_open(), 8);
+            sample(&g, &FloodPushPull::new(), FailureModel::NONE, Some(&fs), &[], all_open(), 1, 8);
         assert_eq!(fabric.counters().channels, 16);
         assert!(!fabric.is_fast_path(), "burst loss requires per-channel draws");
         assert_eq!(fabric.len(), 16, "slow path materialises every sampled channel");

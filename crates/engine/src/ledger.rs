@@ -13,7 +13,9 @@
 //! Under `debug_assertions` every closed round recounts the coverage
 //! numerator from the informed list and the census, and the census's own
 //! counters from its slot flags, and checks them against the
-//! incrementally maintained ones.
+//! incrementally maintained ones. It also checks each informed index's
+//! position map against its list and, in the multi engine, the
+//! reception-round groups of an oblivious protocol's lists.
 
 use rand::Rng;
 use rrb_graph::NodeId;
@@ -176,14 +178,15 @@ impl Ledger {
     }
 
     /// Checks an incrementally maintained coverage numerator against a
-    /// recount (debug builds only).
-    pub(crate) fn debug_check_numerator(&self, informed: &InformedIndex, numerator: usize) {
-        debug_assert_eq!(
-            self.count_effective(informed),
-            numerator,
-            "round {}: the coverage numerator drifted from the informed list",
-            self.round
-        );
+    /// recount, and the informed index's structure: its position map
+    /// against its list and, for a list grouped by reception round, the
+    /// group ends (debug builds only).
+    pub(crate) fn debug_check_informed(&self, informed: &InformedIndex, numerator: usize, groups: Option<&[u32]>) {
+        if cfg!(debug_assertions) {
+            let count = self.count_effective(informed);
+            assert_eq!(count, numerator, "round {}: the coverage numerator drifted from the informed list", self.round);
+            informed.check(groups, self.round);
+        }
     }
 }
 
@@ -259,7 +262,7 @@ impl Tally {
         self.push_tx += counters.push_tx;
         self.pull_tx += counters.pull_tx;
         self.note_coverage(ledger, 0);
-        ledger.debug_check_numerator(informed, self.alive_informed);
+        ledger.debug_check_informed(informed, self.alive_informed, None);
         ledger.lap(StepPhase::Coverage);
         let counters = ledger.close_round(counters);
         if record_history {

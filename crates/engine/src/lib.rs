@@ -54,9 +54,10 @@
 //!    With nobody left to inform, nothing is listed at all.
 //!    These rules, and the serial pre-draw of transmission outcomes (one
 //!    per used channel direction), are written once in the engine's
-//!    fabric module and shared by both round engines. On the fast path
-//!    under `Distinct(k)` the single engine samples each shard's callers
-//!    in parallel, each from its exact offset in the one stream.
+//!    fabric module, behind one entry that both round engines call with
+//!    their shard layout. On the fast path under `Distinct(k)` each
+//!    shard's callers are sampled in parallel, each from its exact offset
+//!    in the one stream; one shard is the same code with one segment.
 //! 4. **Exchange** — receipts go into a CSR *observation arena*; a
 //!    zero-failure fast path skips every per-call Bernoulli draw (the
 //!    stream is identical either way).
@@ -69,7 +70,7 @@
 //! Fabric, plan, exchange and update fan out over node-slot shards
 //! ([`SimConfig::shards`]) with every RNG draw at its position in the
 //! main stream, so results are seed-for-seed identical at any shard
-//! count. Once
+//! count; the multi-rumour engine fans out its fabric only. Once
 //! warm, a round performs **no heap allocation** (asserted by the
 //! `steady_state_rounds_do_not_allocate` test).
 //!

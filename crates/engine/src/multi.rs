@@ -3,11 +3,12 @@ use rand::Rng;
 use rrb_graph::NodeId;
 
 use crate::choice::ChoiceState;
-use crate::fabric::{can_saturate, ChannelFabric, InformedIndex, RoundGate, RoundKind};
+use crate::fabric::{frontier_allowed, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger};
 use crate::observation::ObservationArena;
 use crate::protocol::reception_round_plans;
+use crate::shard::ShardLayout;
 use crate::telemetry::{RoundCounters, StepPhase};
 use crate::{NodeView, Observation, Plan, Protocol, Round, SimConfig, Topology};
 
@@ -145,7 +146,8 @@ struct UniformRound {
 ///    for all its reception rounds, and one at least transmits.
 /// 4. **Gated fabric** — every alive node's call targets are sampled once
 ///    into the CSR channel fabric and shared by all rumours, through the
-///    round gate the single engine uses: a caller informed of *no* active
+///    fabric entry and round gate the single engine uses, fanned out over
+///    [`SimConfig::shards`] caller segments: a caller informed of *no* active
 ///    rumour takes the push-only sampling skip, one that pushes no rumour
 ///    in a round in which nobody pull-serves is quiet (its channels are
 ///    counted and its draws skipped, none stored), and a round in which an
@@ -531,9 +533,11 @@ impl<P: Protocol> MultiSimState<P> {
         self.retired_count == nr
     }
 
-    /// Executes one synchronous round over the shared channel fabric.
+    /// Executes one synchronous round over the shared channel fabric. The
+    /// generator is `Clone + Send` for the fabric's shards (see
+    /// [`SimState::step`](crate::SimState::step)).
     // rrb-lint: hot
-    pub fn step<T: Topology + ?Sized, R: Rng + ?Sized>(
+    pub fn step<T: Topology + ?Sized, R: Rng + Clone + Send>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -609,7 +613,7 @@ impl<P: Protocol> MultiSimState<P> {
         self.plan_touched.clear();
         self.plan_store.clear();
         let frontier_able = caps.oblivious
-            && can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
+            && frontier_allowed(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
         let frontier = if frontier_able { self.frontier(protocol, t, active_end) } else { None };
         let mut any_pull = match frontier {
             Some(f) => f.serves,
@@ -657,6 +661,8 @@ impl<P: Protocol> MultiSimState<P> {
                 any_pull,
                 kind,
             },
+            ShardLayout::new(n, config.shards),
+            &mut self.ledger.probe,
             rng,
         );
         // A frontier round the fabric sampled whole is planned now: the
@@ -761,9 +767,11 @@ impl<P: Protocol> MultiSimState<P> {
             self.ledger.lap(StepPhase::Update);
         }
 
-        // Debug builds recount every rumour's coverage numerator.
-        for (informed, &alive_informed) in self.informed.iter().zip(&self.alive_informed) {
-            self.ledger.debug_check_numerator(informed, alive_informed);
+        // Debug builds recount every rumour's coverage numerator and check
+        // its informed index (and reception-round groups).
+        for ((informed, &alive_informed), ends) in self.informed.iter().zip(&self.alive_informed).zip(&self.round_ends) {
+            let groups = caps.oblivious.then_some(ends.as_slice());
+            self.ledger.debug_check_informed(informed, alive_informed, groups);
         }
         self.ledger.close_round(RoundCounters {
             informed: self.alive_informed.iter().sum(),
@@ -900,7 +908,7 @@ impl<P: Protocol> MultiSimState<P> {
     /// plan for all its reception rounds (its directions), and one at
     /// least transmits. Leaves each live rumour's plan in `uniform`. Asked
     /// only of a `frontier_able` round of an oblivious protocol (see
-    /// [`can_saturate`]).
+    /// [`frontier_allowed`]).
     fn frontier(&mut self, protocol: &P, t: Round, active_end: usize) -> Option<UniformRound> {
         let census = &self.ledger.census;
         let mut round = UniformRound { live: 0, silent: false, push: false, pull: false, serves: false };
@@ -1073,7 +1081,7 @@ impl<P: Protocol> MultiSimState<P> {
     }
 
     /// Runs rounds until [`finished`](Self::finished) fires.
-    pub fn run_to_completion<T: Topology + ?Sized, R: Rng + ?Sized>(
+    pub fn run_to_completion<T: Topology + ?Sized, R: Rng + Clone + Send>(
         &mut self,
         topo: &T,
         protocol: &P,
@@ -1166,7 +1174,7 @@ impl<P: Protocol> MultiRumorSimulation<P> {
 
     /// Runs the simulation on a static topology until every rumour is
     /// delivered-or-quiescent, or the round cap is hit.
-    pub fn run<T: Topology, R: Rng + ?Sized>(&self, topo: &T, rng: &mut R) -> MultiRumorReport {
+    pub fn run<T: Topology, R: Rng + Clone + Send>(&self, topo: &T, rng: &mut R) -> MultiRumorReport {
         let mut state = MultiSimState::new(&self.protocol, topo, &self.injections);
         state.run_to_completion(topo, &self.protocol, self.config, rng);
         state.into_report()

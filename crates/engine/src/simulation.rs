@@ -7,7 +7,7 @@ use rrb_graph::NodeId;
 
 use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
-use crate::fabric::{can_saturate, ChannelFabric, InformedIndex, RoundGate, RoundKind};
+use crate::fabric::{frontier_allowed, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
 use crate::ledger::{ledger_installers, Ledger, Tally};
 use crate::observation::{ObservationArena, RumorMeta};
@@ -36,12 +36,15 @@ pub struct SimConfig {
     pub stop_at_coverage: bool,
     /// Number of node-slot shards the round loop fans out over (see
     /// `crate::shard`); `1` — the default — is one shard on the same
-    /// path. Results are **seed-for-seed identical** at any shard and
-    /// thread count, because every model RNG draw is taken at its position
-    /// in the main stream (the fast-path fabric's shards draw on clones of
-    /// the generator moved to their exact offsets) and cross-shard effects
-    /// merge in fixed shard order. Sharding pays off for large `n` on
-    /// multi-core hosts.
+    /// path. Both round engines sample their channel fabric over this
+    /// many caller segments; the single-rumour engine also fans its plan,
+    /// exchange and update phases out over them, while the multi-rumour
+    /// engine runs those serially. Results are **seed-for-seed identical**
+    /// at any shard and thread count, because every model RNG draw is
+    /// taken at its position in the main stream (the fast-path fabric's
+    /// shards draw on clones of the generator moved to their exact
+    /// offsets) and cross-shard effects merge in fixed shard order.
+    /// Sharding pays off for large `n` on multi-core hosts.
     pub shards: usize,
 }
 
@@ -415,7 +418,7 @@ impl<P: Protocol> SimState<P> {
         // fabric's shards draw at their exact offsets in the one stream,
         // and the rest is RNG-free, so the results are byte-identical at
         // any shard and thread count (`tests/sharding.rs`).
-        let frontier_able = can_saturate(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
+        let frontier_able = frontier_allowed(protocol.choice_policy(), failures, self.ledger.faults.as_ref());
         let (any_pull, declared) = self.plan_sharded(n, t, protocol, config.shards, frontier_able);
         self.ledger.lap(StepPhase::Plan);
 
@@ -431,7 +434,7 @@ impl<P: Protocol> SimState<P> {
         let frontier = declared == RoundKind::Frontier;
         let (informed, plans, census) = (&self.informed, &self.plans, &self.ledger.census);
         let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
-        self.fabric.sample_round_sharded(
+        self.fabric.sample_round(
             topo,
             protocol,
             &mut self.choice,
@@ -493,7 +496,7 @@ impl<P: Protocol> SimState<P> {
     /// `0..=latest_informed_at`, into `round_plans`. If none transmits, the
     /// round is silent: no node is planned and every standing plan stays
     /// (or is reset once to) `SILENT`. If the round is `frontier_able` (see
-    /// [`can_saturate`]) and every entry transmits in the same directions,
+    /// [`frontier_allowed`]) and every entry transmits in the same directions,
     /// it is a frontier round: no node is planned, and the standing plans
     /// are stale until the next sampled round writes them (a node's plan
     /// is the uniform entry if it is informed and takes part, `SILENT`

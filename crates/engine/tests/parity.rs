@@ -16,8 +16,8 @@
 //! the fabric this suite is a consistency check, not an independent
 //! reference: that is the naive oracle's job (`tests/oracle.rs`). The
 //! multi engine still has its own plan, exchange and digest code, and
-//! every lockstep check below runs the single engine at each of
-//! [`SHARD_COUNTS`] against the same one-rumour multi run.
+//! every lockstep check below runs both engines at each of
+//! [`SHARD_COUNTS`]: both fan their fabric out over the shards.
 
 use std::any::Any;
 

@@ -2,7 +2,9 @@
 //! must be **byte-identical** at any shard count and any thread count —
 //! same per-round records, same final report, same per-node delivery
 //! trace — across every failure model, adversarial fault plan, and live
-//! membership churn. The baseline is the same path at one shard and one
+//! membership churn. The multi-rumour engine's fabric, which fans out
+//! over the same shard count, is held to the same standard: every
+//! round's counters, the report and the final generator. The baseline is the same path at one shard and one
 //! thread (where push receipts skip the outboxes); the independent
 //! reference for that baseline is the parity suite (`tests/parity.rs`),
 //! which checks it against the multi-rumour engine's own exchange code.
@@ -15,6 +17,8 @@
 //! may reorder *work*, never *observations* — which is exactly what the
 //! matrix below and the proptest at the bottom pin.
 
+use std::any::Any;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,8 +27,9 @@ use rrb_core::FourChoice;
 use rrb_engine::protocols::{FloodPushPull, Phased};
 use rrb_engine::{
     AdversarySpec, AdversaryTarget, Capabilities, ChoicePolicy, FailureModel, FaultEvent, FaultPlan,
-    FaultState, GilbertElliott, NodeView, Observation, Plan, Protocol, Round, RoundCounters,
-    RumorMeta, RunReport, SimConfig, SimState, Topology,
+    FaultState, GilbertElliott, MultiRumorReport, MultiSimState, NodeView, Observation, Plan,
+    Protocol, Round, RoundCounters, RoundProbe, RumorInjection, RumorMeta, RunReport, SimConfig,
+    SimState, Topology,
 };
 use rrb_graph::{gen, Graph, NodeId};
 
@@ -449,6 +454,133 @@ fn sharding_invariance_of_phased_protocol_under_churn() {
                 "{label} churn: shards={shards} threads={threads} diverged"
             );
         }
+    }
+}
+
+/// Everything one multi-rumour run observably produces: every round's
+/// counters, the report and the generator afterwards.
+#[derive(Debug, PartialEq)]
+struct MultiTrajectory {
+    records: Vec<RoundCounters>,
+    report: MultiRumorReport,
+    rng: SmallRng,
+}
+
+/// Probe that keeps every round's counters.
+#[derive(Debug, Default)]
+struct Record(Vec<RoundCounters>);
+
+impl RoundProbe for Record {
+    fn on_round(&mut self, counters: &RoundCounters) {
+        self.0.push(*counters);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// Runs the multi-rumour engine to completion at `shards` fabric segments
+/// inside a three-wide rayon pool, applying `churn`'s membership deltas
+/// (joins, leaves and slot-reuse rejoins) after every round; returns the
+/// trajectory and the rejoins seen.
+fn run_multi_cell<P: Protocol>(
+    protocol: &P,
+    config: SimConfig,
+    overlay: &rrb_p2p::Overlay,
+    injections: &[RumorInjection],
+    churn: Option<(f64, u64)>,
+    shards: usize,
+) -> (MultiTrajectory, usize) {
+    use rrb_p2p::ChurnProcess;
+
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("pool");
+    pool.install(|| {
+        let config = config.with_shards(shards);
+        let mut overlay = overlay.clone();
+        let mut process = churn.map(|(rate, _)| ChurnProcess::symmetric(rate, Topology::node_count(&overlay) / 2));
+        let mut churn_rng = SmallRng::seed_from_u64(churn.map_or(0, |(_, seed)| seed));
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut sim = MultiSimState::new(protocol, &overlay, injections);
+        sim.set_probe(Some(Box::new(Record::default())));
+        let mut rejoins = 0;
+        while !sim.finished(protocol, config) {
+            sim.step(&overlay, protocol, config, &mut rng);
+            if let Some(process) = process.as_mut() {
+                let events = process.step(&mut overlay, &mut churn_rng).expect("churn step");
+                overlay.rewire(4, &mut churn_rng);
+                sim.apply_joins(protocol, &events.joined);
+                sim.apply_leaves(&events.left);
+                sim.apply_rejoins(protocol, &events.rejoined);
+                rejoins += events.rejoined.len();
+            }
+            assert!(sim.round() < 2_000, "runaway multi run at {shards} shards");
+        }
+        let probe = sim.take_probe().expect("probe installed");
+        let records = probe.as_any().downcast_ref::<Record>().expect("a Record probe").0.clone();
+        (MultiTrajectory { records, report: sim.into_report(), rng }, rejoins)
+    })
+}
+
+/// Three rumours born at `births` from spread-out origins.
+fn staggered(births: [Round; 3]) -> Vec<RumorInjection> {
+    births
+        .iter()
+        .zip([9, 700, 1500])
+        .map(|(&birth, origin)| RumorInjection { birth, origin: NodeId::new(origin) })
+        .collect()
+}
+
+#[test]
+fn multi_engine_fabric_is_shard_invariant() {
+    // Three staggered four-choice rumours to quiescence and three
+    // push&pull rumours to coverage on rr(2048, 8): the multi engine's
+    // fabric fans out over the shards in its sampled, silent and frontier
+    // rounds. Every round's counters, the report and the generator must
+    // not depend on the shard count.
+    let mut graph_rng = SmallRng::seed_from_u64(29);
+    let overlay = rrb_p2p::Overlay::random(2048, 8, &mut graph_rng).expect("overlay");
+    let four = FourChoice::for_graph(2048, 8);
+    let flood = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+    let quiescent = SimConfig::until_quiescent();
+    // The push&pull rumours are born from round 2 on, so the first rounds
+    // carry no rumour at all: silent.
+    let (four_runs, flood_runs) = (staggered([0, 2, 5]), staggered([2, 4, 7]));
+    let cases: [(&str, &dyn Fn(usize) -> MultiTrajectory); 2] = [
+        ("four-choice", &|shards| run_multi_cell(&four, quiescent, &overlay, &four_runs, None, shards).0),
+        ("push&pull", &|shards| run_multi_cell(&flood, SimConfig::default(), &overlay, &flood_runs, None, shards).0),
+    ];
+    for (label, run) in cases {
+        let baseline = run(1);
+        assert!(baseline.report.all_delivered(), "{label}");
+        let records = &baseline.records;
+        let silent = records.iter().filter(|r| r.tx == 0 && r.fabric_words > 0 && r.jumped_words == r.fabric_words);
+        let frontier = records.iter().filter(|r| 0 < r.booked_channels && r.booked_channels < r.channels);
+        let sampled = records.iter().filter(|r| r.booked_channels == 0 && r.jumped_words < r.fabric_words);
+        let kinds = (sampled.count(), silent.count(), frontier.count());
+        assert!(kinds.0 > 0 && kinds.1 > 0 && kinds.2 > 0, "{label}: (sampled, silent, frontier) rounds {kinds:?}");
+        for shards in [2, 3, 7] {
+            assert_eq!(baseline, run(shards), "{label}: {shards} shards diverged from one");
+        }
+    }
+}
+
+#[test]
+fn multi_engine_fabric_is_shard_invariant_under_churn_with_slot_reuse() {
+    // Joins, leaves and rejoins into recycled slots between rounds: the
+    // fabric's segments follow the slot space as it grows, and the
+    // recycled slots' state is reset, at every shard count.
+    let mut graph_rng = SmallRng::seed_from_u64(31);
+    let overlay = rrb_p2p::Overlay::random(256, 8, &mut graph_rng).expect("overlay").with_slot_reuse(true);
+    let flood = FloodPushPull::with_policy(ChoicePolicy::FOUR);
+    let injections: Vec<RumorInjection> =
+        [(0, 4), (3, 100), (6, 200)].map(|(birth, i)| RumorInjection { birth, origin: NodeId::new(i) }).into();
+    let config = SimConfig::default().with_max_rounds(400);
+    let (baseline, rejoins) = run_multi_cell(&flood, config, &overlay, &injections, Some((4.0, 0xC0DE)), 1);
+    assert!(rejoins > 0, "no slot was reused");
+    for shards in [2, 3, 7] {
+        let (cell, _) = run_multi_cell(&flood, config, &overlay, &injections, Some((4.0, 0xC0DE)), shards);
+        assert_eq!(baseline, cell, "churn: {shards} shards diverged from one");
     }
 }
 

@@ -2,7 +2,7 @@
 //! workspace (see the `rrb_lint` crate docs for the rule table).
 //!
 //! ```text
-//! rrb-lint [--root DIR] [--allow FILE] [--deny] [--json]
+//! rrb-lint [--root DIR] [--allow FILE] [--deny] [--json] [--unreached]
 //! ```
 //!
 //! * `--root DIR`   directory to lint (default `.`; `vendor/`, `target/`,
@@ -10,9 +10,12 @@
 //! * `--allow FILE` allowlist (default `<root>/lint-allow.toml` if present)
 //! * `--deny`       exit non-zero when any diagnostic survives (CI mode)
 //! * `--json`       machine-readable diagnostics on stdout
+//! * `--unreached`  instead of the rules, print the reach report: every
+//!   `pub` item whose name appears in no other file (see
+//!   `rrb_lint::reach`); a report, never a gate (exit 0, `--deny` ignored)
 //!
-//! Exit codes: 0 clean (or diagnostics without `--deny`), 1 diagnostics
-//! under `--deny`, 2 usage or allowlist errors.
+//! Exit codes: 0 clean (or diagnostics without `--deny`, or any reach
+//! report), 1 diagnostics under `--deny`, 2 usage or allowlist errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,6 +26,7 @@ fn main() -> ExitCode {
     let mut allow_path: Option<PathBuf> = None;
     let mut deny = false;
     let mut json = false;
+    let mut reach = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -36,9 +40,10 @@ fn main() -> ExitCode {
             },
             "--deny" => deny = true,
             "--json" => json = true,
+            "--unreached" => reach = true,
             "-h" | "--help" => {
                 println!(
-                    "usage: rrb-lint [--root DIR] [--allow FILE] [--deny] [--json]\n\
+                    "usage: rrb-lint [--root DIR] [--allow FILE] [--deny] [--json] [--unreached]\n\
                      determinism-discipline static analysis; rules: {}",
                     rrb_lint::RULE_IDS.join(", ")
                 );
@@ -46,6 +51,10 @@ fn main() -> ExitCode {
             }
             other => return usage(&format!("unknown argument {other:?}")),
         }
+    }
+
+    if reach {
+        return report_unreached(&root, json);
     }
 
     let allow = match allow_path {
@@ -85,8 +94,25 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Prints the reach report; exits 0 whatever it lists.
+fn report_unreached(root: &std::path::Path, json: bool) -> ExitCode {
+    let items = match rrb_lint::unreached(root) {
+        Ok(items) => items,
+        Err(e) => return fail_config(&e),
+    };
+    if json {
+        println!("{}", rrb_lint::diags_to_json(&items));
+    } else {
+        for d in &items {
+            println!("{}:{}: [{}] {}", d.path, d.line, d.rule, d.msg);
+        }
+    }
+    eprintln!("rrb-lint: {} pub item(s) named in no other file (a report, not a gate)", items.len());
+    ExitCode::SUCCESS
+}
+
 fn usage(msg: &str) -> ExitCode {
-    eprintln!("rrb-lint: {msg}\nusage: rrb-lint [--root DIR] [--allow FILE] [--deny] [--json]");
+    eprintln!("rrb-lint: {msg}\nusage: rrb-lint [--root DIR] [--allow FILE] [--deny] [--json] [--unreached]");
     ExitCode::from(2)
 }
 

@@ -24,17 +24,22 @@
 //! `target/`, `examples/`, `benches/` and fixture trees are not scanned.
 //! Intentional exceptions live in `lint-allow.toml` ([`allow`]); stale
 //! entries are themselves diagnostics, so the allowlist can only shrink.
+//!
+//! Beside the rules, `rrb-lint --unreached` prints a reach report
+//! ([`reach`]): the `pub` items named in no other file. It never fails.
 
 #![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod lex;
+pub mod reach;
 pub mod rules;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use allow::{parse_allowlist, AllowEntry};
+pub use reach::{unreached, UNREACHED};
 pub use rules::{Diag, RULE_IDS, STALE_ALLOW};
 
 /// Directory names never descended into: vendored shims, build output,
@@ -46,12 +51,14 @@ const SKIP_DIRS: [&str; 6] = ["vendor", "target", ".git", "fixtures", "examples"
 /// sorted by relative path so diagnostics are deterministic.
 pub fn collect_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
-    walk(root, &mut files)?;
+    walk(root, &SKIP_DIRS, &mut files)?;
     files.sort();
     Ok(files)
 }
 
-fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
+/// Collects every `.rs` file under `dir` into `files`, skipping
+/// directories named in `skip` and hidden ones.
+fn walk(dir: &Path, skip: &[&str], files: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries =
         fs::read_dir(dir).map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
     for entry in entries {
@@ -60,10 +67,10 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if skip.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, files)?;
+            walk(&path, skip, files)?;
         } else if name.ends_with(".rs") {
             files.push(path);
         }
@@ -79,13 +86,7 @@ pub fn lint_root(root: &Path, allow: &[AllowEntry]) -> Result<Vec<Diag>, String>
     let mut diags = Vec::new();
     let mut streams = Vec::new();
     for path in collect_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = relative(root, &path);
         let src = fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let toks = lex::strip_cfg_test(lex::lex(&src));
@@ -120,6 +121,16 @@ pub fn lint_root(root: &Path, allow: &[AllowEntry]) -> Result<Vec<Diag>, String>
     }
     diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(diags)
+}
+
+/// `path` relative to `root`, `/`-separated.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
 }
 
 /// Loads and parses `lint-allow.toml` under `root`, if present.

@@ -176,3 +176,22 @@ fn every_rule_has_fixture_coverage() {
     want.sort_unstable();
     assert_eq!(seen, want);
 }
+
+#[test]
+fn unreached_fixture() {
+    // Named in no other file outside comments, strings and test modules:
+    // `only_here`, `const_only_here` and the user's own `caller`. A
+    // restricted item, a field and a re-export are not reported.
+    let got: Vec<(String, u32, String)> = rrb_lint::unreached(&fixture_root("unreached"))
+        .expect("fixture reads")
+        .into_iter()
+        .map(|d| (d.path, d.line, d.msg))
+        .collect();
+    let want = [
+        ("src/lib.rs", 7, "pub fn `only_here` is named in no other file"),
+        ("src/lib.rs", 15, "pub fn `const_only_here` is named in no other file"),
+        ("src/user.rs", 6, "pub fn `caller` is named in no other file"),
+    ]
+    .map(|(p, l, m)| (p.to_string(), l, m.to_string()));
+    assert_eq!(got, want);
+}

@@ -169,7 +169,7 @@ impl<P: Protocol + Clone> ReplicatedDb<P> {
     }
 
     /// Propagates all updates over `topo` and checks replica convergence.
-    pub fn run<T: Topology, R: Rng + ?Sized>(&self, topo: &T, rng: &mut R) -> DbReport {
+    pub fn run<T: Topology, R: Rng + Clone + Send>(&self, topo: &T, rng: &mut R) -> DbReport {
         let mut sim = MultiRumorSimulation::new(self.protocol.clone(), self.config);
         for u in &self.updates {
             sim.inject(RumorInjection { birth: u.round, origin: u.origin });
