@@ -881,9 +881,7 @@ pub(crate) fn e10_multi_runs(
         while !sim.finished(proto, config) {
             sim.step(&run.overlay, proto, config, rng);
             let events = run.step(rng);
-            sim.apply_joins(proto, &events.joined);
-            sim.apply_leaves(&events.left);
-            sim.apply_rejoins(proto, &events.rejoined);
+            sim.apply_membership(proto, events.delta());
         }
         let final_alive = sim.effective_alive();
         (sim.into_report(), final_alive)

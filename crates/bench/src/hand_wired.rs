@@ -138,9 +138,7 @@ pub(crate) fn churned<P: Protocol>(
                 let events = process.step(&mut overlay, &mut rng).expect("churn step");
                 overlay.rewire(rewire_per_round, &mut rng);
                 totals.absorb(events.stats());
-                sim.apply_joins(protocol, &events.joined);
-                sim.apply_leaves(&events.left);
-                sim.apply_rejoins(protocol, &events.rejoined);
+                sim.apply_membership(protocol, events.delta());
             }
             SeedOutcome { report: sim.into_report(&overlay, config), churn: totals, clock: None }
         })

@@ -228,9 +228,7 @@ impl<'a> Rung<'a> {
                 while !sim.finished(&run.overlay, proto, config) {
                     sim.step(&run.overlay, proto, config, rng);
                     let events = run.step(rng);
-                    sim.apply_joins(proto, &events.joined);
-                    sim.apply_leaves(&events.left);
-                    sim.apply_rejoins(proto, &events.rejoined);
+                    sim.apply_membership(proto, events.delta());
                 }
                 *probe = sim.take_probe();
                 let report = sim.into_report(&run.overlay, config);
@@ -298,8 +296,7 @@ impl ChurnRun {
 
     /// The membership change after one engine round: one churn step,
     /// then `rewire_per_round` flip switches. Returns the structured
-    /// events the engine's alive census must absorb
-    /// (`apply_joins` / `apply_leaves` / `apply_rejoins`).
+    /// events the engine must absorb (`apply_membership`).
     pub(crate) fn step(&mut self, rng: &mut SmallRng) -> ChurnEvents {
         let events = self.process.step(&mut self.overlay, rng).expect("churn step");
         self.overlay.rewire(self.rewire_per_round, rng);

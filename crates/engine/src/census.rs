@@ -2,30 +2,26 @@
 //! which node slots currently host live, uncrashed peers.
 //!
 //! The paper's setting is a network whose membership "changes dynamically
-//! due to clients joining or leaving" (§1). Before this module existed the
-//! engines assumed a frozen alive population (the multi-rumour engine
-//! sampled `alive_count` once at construction; the single-rumour engine
-//! re-derived it from the topology with `O(n)` scans under crashes), which
-//! made churn a bespoke side-channel. [`AliveCensus`] turns aliveness into
-//! first-class engine state:
+//! due to clients joining or leaving" (§1). [`AliveCensus`] makes
+//! aliveness first-class engine state:
 //!
 //! * it is **seeded** from the topology once (`sync_from` — `O(n)`, at
 //!   construction or on the first round);
 //! * afterwards every membership change arrives as a **delta**: crash-stop
-//!   failures via [`mark_crashed`](AliveCensus::mark_crashed), peer joins
-//!   and departures via [`apply_join`](AliveCensus::apply_join) /
-//!   [`apply_leave`](AliveCensus::apply_leave) (surfaced on the engines as
-//!   `SimState::apply_joins` / `apply_leaves` and their `MultiSimState`
-//!   twins);
+//!   failures via [`mark_crashed`](AliveCensus::mark_crashed), and a churn
+//!   step's arrivals and departures via [`apply_join`](AliveCensus::apply_join)
+//!   and [`apply_leave`](AliveCensus::apply_leave). The round engines make
+//!   those two calls only from one transaction, their `apply_membership`,
+//!   which applies a step's arrivals (fresh and recycled slots alike)
+//!   before its departures, the order the churn step made them in;
 //! * the coverage denominator [`effective_alive`](AliveCensus::effective_alive)
 //!   (alive ∧ uncrashed) and the crash count are maintained as counters, so
 //!   per-round coverage checks are `O(1)` — no rescans, no frozen
 //!   assumptions.
 //!
 //! **Contract**: once an engine's census is synced, aliveness flips on
-//! *existing* slots must be reported through the delta hooks. Slot *growth*
-//! (the churn overlay never recycles ids, so joins always create fresh
-//! slots) is also adopted automatically at the start of each round via
+//! *existing* slots must be reported as deltas. Slot *growth* is also
+//! adopted automatically at the start of each round via
 //! [`adopt_new_slots`](AliveCensus::adopt_new_slots), which reads only the
 //! new slots' aliveness from the topology.
 
@@ -63,11 +59,6 @@ pub struct AliveCensus {
     /// Total crash-stop events so far (never decremented; departures do
     /// not un-crash history).
     crashed_total: usize,
-    /// Per-slot **generation tag**, bumped by
-    /// [`apply_rejoin`](Self::apply_rejoin) each time a slot is recycled
-    /// for a fresh peer identity. Engine state keyed by slot index can
-    /// compare generations to detect reuse.
-    generation: Vec<u32>,
     /// `true` once `sync_from` has run.
     synced: bool,
 }
@@ -110,7 +101,6 @@ impl AliveCensus {
         self.alive_count = self.alive.iter().filter(|&&a| a).count();
         self.crashed_alive = (0..n).filter(|&i| self.alive[i] && self.crashed[i]).count();
         self.suspended_count = self.suspended.iter().filter(|&&s| s).count();
-        self.generation.resize(n, 0);
         self.synced = true;
     }
 
@@ -126,7 +116,6 @@ impl AliveCensus {
             self.crashed.push(false);
             self.suspended.push(false);
             self.blocked.push(false);
-            self.generation.push(0);
             self.alive_count += usize::from(alive);
         }
     }
@@ -181,15 +170,8 @@ impl AliveCensus {
         self.blocked[i] = self.crashed[i] || suspended;
     }
 
-    /// Per-slot crash flags (the fabric's caller/callee filter).
-    #[inline]
-    pub fn crashed_slice(&self) -> &[bool] {
-        &self.crashed
-    }
-
     /// Per-slot crashed-or-suspended flags — the mask of nodes that cannot
-    /// participate in this round's communication (identical to
-    /// [`crashed_slice`](Self::crashed_slice) when nothing is suspended).
+    /// participate in this round's communication.
     #[inline]
     pub fn blocked_slice(&self) -> &[bool] {
         &self.blocked
@@ -236,25 +218,31 @@ impl AliveCensus {
     }
 
     /// Applies a join delta: slot `i` (growing the census if needed) now
-    /// hosts a live, uncrashed peer. Returns `true` iff the slot was newly
-    /// brought alive.
+    /// hosts a newcomer, a live peer that is neither crashed nor
+    /// suspended. A recycled slot's crash and suspension flags belonged to
+    /// the departed peer and are cleared, while
+    /// [`crashed_count`](Self::crashed_count) keeps the historical event.
+    /// Returns `true` iff the slot was newly brought alive.
     pub fn apply_join(&mut self, i: usize) -> bool {
         if i >= self.alive.len() {
             self.alive.resize(i + 1, false);
             self.crashed.resize(i + 1, false);
             self.suspended.resize(i + 1, false);
             self.blocked.resize(i + 1, false);
-            self.generation.resize(i + 1, 0);
         }
-        if self.alive[i] {
-            return false;
-        }
-        self.alive[i] = true;
-        self.alive_count += 1;
         if self.crashed[i] {
-            self.crashed_alive += 1;
+            self.crashed_alive -= usize::from(self.alive[i]);
+            self.crashed[i] = false;
         }
-        true
+        if self.suspended[i] {
+            self.suspended_count -= 1;
+            self.suspended[i] = false;
+        }
+        self.blocked[i] = false;
+        let newly_alive = !self.alive[i];
+        self.alive[i] = true;
+        self.alive_count += usize::from(newly_alive);
+        newly_alive
     }
 
     /// Applies a leave delta: slot `i` no longer hosts a live peer.
@@ -275,39 +263,6 @@ impl AliveCensus {
         }
     }
 
-    /// Applies a **rejoin** delta: slot `i` is recycled for a *fresh* peer
-    /// identity (an overlay with slot reuse enabled handed a departed
-    /// peer's slot to a newcomer). The slot's crash and suspension flags
-    /// are cleared — they belonged to the departed peer, not the newcomer
-    /// — while [`crashed_count`](Self::crashed_count) keeps the historical
-    /// event, and the slot's generation tag is bumped. Returns `true` iff
-    /// the slot was newly brought alive.
-    pub fn apply_rejoin(&mut self, i: usize) -> bool {
-        if i >= self.alive.len() {
-            let grew = self.apply_join(i);
-            self.generation[i] = self.generation[i].wrapping_add(1);
-            return grew;
-        }
-        if self.crashed[i] {
-            if self.alive[i] {
-                self.crashed_alive -= 1;
-            }
-            self.crashed[i] = false;
-        }
-        if self.suspended[i] {
-            self.suspended_count -= 1;
-            self.suspended[i] = false;
-        }
-        self.blocked[i] = false;
-        let newly_alive = !self.alive[i];
-        if newly_alive {
-            self.alive[i] = true;
-            self.alive_count += 1;
-        }
-        self.generation[i] = self.generation[i].wrapping_add(1);
-        newly_alive
-    }
-
     /// Recounts the alive, crashed-alive and suspended counters and the
     /// blocked mask from the per-slot flags and checks them against the
     /// maintained ones (debug builds only; `O(n)`).
@@ -324,13 +279,6 @@ impl AliveCensus {
             let blocked = (0..self.blocked.len()).all(|i| self.blocked[i] == (self.crashed[i] || self.suspended[i]));
             assert!(blocked, "the census's blocked mask drifted from its crash and suspension flags");
         }
-    }
-
-    /// Slot `i`'s generation tag: 0 until the slot is first recycled via
-    /// [`apply_rejoin`](Self::apply_rejoin), then incremented per reuse.
-    #[inline]
-    pub fn generation(&self, i: usize) -> u32 {
-        self.generation.get(i).copied().unwrap_or(0)
     }
 }
 
@@ -392,17 +340,17 @@ mod tests {
         let g = gen::complete(8);
         let mut c = AliveCensus::new();
         c.sync_from(&g);
-        assert_eq!(c.blocked_slice(), c.crashed_slice(), "no suspensions: masks agree");
+        assert!(c.blocked_slice().iter().all(|&b| !b), "nothing blocked yet");
         c.set_suspended(3, true);
         assert!(c.is_suspended(3));
         assert!(c.is_effective(3), "suspended nodes stay in the denominator");
         assert!(!c.is_participating(3));
-        assert!(c.blocked_slice()[3] && !c.crashed_slice()[3]);
+        assert!(c.blocked_slice()[3] && !c.is_crashed(3));
         assert_eq!(c.effective_alive(), 8, "suspension never shrinks the denominator");
         // Recovery restores participation with nothing else changed.
         c.set_suspended(3, false);
         assert!(c.is_participating(3));
-        assert_eq!(c.blocked_slice(), c.crashed_slice());
+        assert!(!c.blocked_slice()[3]);
         // A crash while suspended keeps the slot blocked after resume.
         c.set_suspended(5, true);
         assert!(c.mark_crashed(5));
@@ -423,24 +371,19 @@ mod tests {
         assert!(c.mark_crashed(2));
         assert!(!c.apply_leave(2));
         assert_eq!(c.effective_alive(), 5);
-        assert_eq!(c.generation(2), 0);
-        assert!(c.apply_rejoin(2), "rejoin revives the slot");
+        assert!(c.apply_join(2), "the join revives the slot");
         assert!(c.is_effective(2), "newcomer is not crashed");
         assert!(c.is_participating(2));
         assert_eq!(c.effective_alive(), 6, "denominator regains the slot");
         assert_eq!(c.crashed_count(), 1, "history keeps the old peer's crash");
-        assert_eq!(c.generation(2), 1, "generation tag bumped");
-        // Rejoin while suspended clears the outage too.
+        // A suspended peer departs; the newcomer in its slot is not
+        // suspended.
         c.set_suspended(4, true);
-        assert!(!c.apply_rejoin(4), "slot was already alive");
-        assert!(!c.is_suspended(4));
+        assert!(c.apply_leave(4));
+        assert!(c.apply_join(4));
+        assert!(!c.is_suspended(4) && !c.blocked_slice()[4]);
         assert_eq!(c.suspended_count(), 0);
-        assert_eq!(c.generation(4), 1);
-        // Rejoin past the tracked range grows like a join.
-        assert!(c.apply_rejoin(9));
-        assert!(c.is_alive(9));
-        assert_eq!(c.generation(9), 1);
-        assert_eq!(c.generation(42), 0, "out of range reads 0");
+        c.debug_check_counters();
     }
 
     #[test]

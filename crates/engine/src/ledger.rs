@@ -10,6 +10,10 @@
 //! [`Tally`]. The multi-rumour engine keeps per-rumour coverage of its
 //! own and uses only the [`Ledger`].
 //!
+//! Membership changes between rounds go through one transaction,
+//! [`Ledger::apply_membership`], which fixes their order for both round
+//! engines; an engine supplies only what it keeps per slot.
+//!
 //! Under `debug_assertions` every closed round recounts the coverage
 //! numerator from the informed list and the census, and the census's own
 //! counters from its slot flags, and checks them against the
@@ -56,6 +60,37 @@ macro_rules! ledger_installers {
     };
 }
 pub(crate) use ledger_installers;
+
+/// One churn step's membership changes as the overlay made them, borrowed
+/// from the step's own lists (`rrb_p2p::ChurnEvents::delta`). A round
+/// engine applies it between rounds with `apply_membership`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MembershipDelta<'a> {
+    /// Slots that came alive on fresh ids (slot growth).
+    pub joined: &'a [NodeId],
+    /// Departed peers' slots recycled for newcomers.
+    pub rejoined: &'a [NodeId],
+    /// Slots whose peer left.
+    pub left: &'a [NodeId],
+}
+
+impl MembershipDelta<'_> {
+    /// One past the highest arriving slot (0 without arrivals): the slot
+    /// count an engine grows to before the arrivals are reset.
+    pub(crate) fn slot_end(&self) -> usize {
+        self.joined.iter().chain(self.rejoined).map(|v| v.index() + 1).max().unwrap_or(0)
+    }
+}
+
+/// What a membership transaction asks of an engine for one slot (see
+/// [`Ledger::apply_membership`]).
+pub(crate) enum SlotChange {
+    /// A newcomer takes the slot: reset what the engine keeps for it.
+    Arrive(usize),
+    /// The slot's alive, uncrashed peer left: drop it from the coverage
+    /// numerators it is counted in.
+    Leave(usize),
+}
 
 /// What all three engines keep besides their round mechanics.
 #[derive(Debug, Default)]
@@ -170,6 +205,30 @@ impl Ledger {
             p.on_round(&counters);
         }
         counters
+    }
+
+    /// Applies one churn step's membership changes in the order the churn
+    /// step made them: arrivals (`joined`, then `rejoined`), then `left`,
+    /// so a slot recycled and left in the same step ends dead. A fresh
+    /// slot is a recycled one with nothing to reset, so every arrival goes
+    /// to `change` and then joins the census (which clears a departed
+    /// peer's crash and suspension flags); an arrival is uninformed after
+    /// its reset, so no numerator counts it. A leaver leaves the census
+    /// and goes to `change` if it was alive and uncrashed. The engine has
+    /// grown to [`slot_end`](MembershipDelta::slot_end) first. Debug
+    /// builds recount the census counters afterwards.
+    // rrb-lint: hot
+    pub(crate) fn apply_membership(&mut self, delta: MembershipDelta<'_>, mut change: impl FnMut(SlotChange)) {
+        for &v in delta.joined.iter().chain(delta.rejoined) {
+            change(SlotChange::Arrive(v.index()));
+            self.census.apply_join(v.index());
+        }
+        for &v in delta.left {
+            if self.census.apply_leave(v.index()) {
+                change(SlotChange::Leave(v.index()));
+            }
+        }
+        self.census.debug_check_counters();
     }
 
     /// Alive, uncrashed nodes in `informed`, counted from scratch.

@@ -88,10 +88,12 @@
 //! **Dynamic membership** is first-class: all three engines track
 //! aliveness in an incrementally-maintained [`AliveCensus`], so coverage,
 //! quiescence and retirement update from `O(1)` counters. The two round
-//! engines accept membership deltas between rounds (`apply_joins`,
-//! `apply_leaves`, and `apply_rejoins` for slots recycled for fresh
-//! peers), so peers can churn, the regime §1 of the paper attributes to
-//! P2P networks. The async engine runs on static topologies.
+//! engines take a churn step's changes between rounds as one transaction,
+//! `apply_membership` with a [`MembershipDelta`]: arrivals on fresh or
+//! recycled slots first, each reset to a fresh uninformed peer, then
+//! departures, the order the churn step made them in. So peers can
+//! churn, the regime §1 of the paper attributes to P2P networks. The
+//! async engine runs on static topologies.
 //!
 //! **Adversarial faults** go beyond the i.i.d. [`FailureModel`]: a
 //! [`FaultPlan`] installed via `set_faults` adds correlated (bursty)
@@ -165,6 +167,7 @@ pub use failure::{
     AdversarySpec, AdversaryTarget, FailureModel, FaultEvent, FaultPlan, FaultState,
     GilbertElliott, OutageSpec,
 };
+pub use ledger::MembershipDelta;
 pub use multi::{
     MultiRumorReport, MultiRumorSimulation, MultiSimState, RumorInjection, RumorOutcome,
 };

@@ -5,7 +5,7 @@ use rrb_graph::NodeId;
 use crate::choice::ChoiceState;
 use crate::fabric::{frontier_allowed, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
-use crate::ledger::{ledger_installers, Ledger};
+use crate::ledger::{ledger_installers, Ledger, MembershipDelta, SlotChange};
 use crate::observation::ObservationArena;
 use crate::protocol::reception_round_plans;
 use crate::shard::ShardLayout;
@@ -186,9 +186,9 @@ struct UniformRound {
 /// Aliveness is tracked by an [`AliveCensus`](crate::AliveCensus)
 /// snapshotted from the topology at [`new`](Self::new) and maintained
 /// incrementally from then on: crash-stop failures are sampled
-/// internally, and peer joins/leaves arrive as deltas via
-/// [`apply_joins`](Self::apply_joins) / [`apply_leaves`](Self::apply_leaves)
-/// between rounds (after overlay rewiring), updating every rumour's
+/// internally, and a churn step's arrivals and departures arrive between
+/// rounds (after overlay rewiring) through
+/// [`apply_membership`](Self::apply_membership), updating every rumour's
 /// coverage and retirement counters in
 /// `O(events · rumours)` — no per-round rescans, no frozen `alive_count`.
 /// Slot growth is also adopted automatically at the start of each round.
@@ -365,7 +365,7 @@ impl<P: Protocol> MultiSimState<P> {
     /// Accommodates topology growth (new node slots join uninformed, with
     /// no knowledge of any rumour — and, with the sparse state layout, no
     /// materialised protocol state either).
-    pub fn ensure_len(&mut self, _protocol: &P, node_count: usize) {
+    fn ensure_len(&mut self, node_count: usize) {
         if self.n >= node_count {
             return;
         }
@@ -380,71 +380,68 @@ impl<P: Protocol> MultiSimState<P> {
         self.n = node_count;
     }
 
-    /// Applies membership **join** deltas: each listed slot (growing the
-    /// engine as needed) now hosts a live, uninformed peer. Call between
-    /// rounds after overlay mutation.
+    /// Applies one churn step's membership changes between rounds, after
+    /// the overlay has made them, in the order the run ledger fixes (see
+    /// [`MembershipDelta`]). A newcomer's slot, fresh or recycled, starts
+    /// over with no knowledge of any rumour and fresh choice bookkeeping.
+    /// A leaver drops out of every rumour's alive-informed counter
+    /// (retired rumours included, mirroring the crash path) as the shared
+    /// denominator shrinks. `O(rumours)` per slot.
+    pub fn apply_membership(&mut self, protocol: &P, delta: MembershipDelta<'_>) {
+        self.transact(protocol.capabilities().oblivious, delta);
+    }
+
+    /// The joins of a delta alone. Only the repository benchmark's
+    /// `db_churn` workload calls the three lists one by one, in its own
+    /// order; everything else calls [`apply_membership`](Self::apply_membership).
+    #[doc(hidden)]
     pub fn apply_joins(&mut self, protocol: &P, joined: &[NodeId]) {
-        for &v in joined {
-            self.ensure_len(protocol, v.index() + 1);
-            // Fresh overlay slots are never informed; a custom topology
-            // reviving a slot counts only if effective (it can still be
-            // crash-stopped).
-            let census = &mut self.ledger.census;
-            if census.apply_join(v.index()) && census.is_effective(v.index()) {
-                for r in 0..self.births.len() {
-                    if self.informed[r].is_informed(v.index()) {
-                        self.alive_informed[r] += 1;
-                    }
-                }
-            }
-        }
+        self.apply_membership(protocol, MembershipDelta { joined, ..MembershipDelta::default() });
     }
 
-    /// Applies membership **leave** deltas: each listed slot no longer
-    /// hosts a live peer. Every rumour's alive-informed counter (retired
-    /// rumours included, mirroring the crash path) and the shared coverage
-    /// denominator update in `O(1)` per event per rumour.
+    /// The departures of a delta alone (see [`apply_joins`](Self::apply_joins)).
+    #[doc(hidden)]
     pub fn apply_leaves(&mut self, left: &[NodeId]) {
-        for &v in left {
-            if self.ledger.census.apply_leave(v.index()) {
-                for r in 0..self.births.len() {
-                    if self.informed[r].is_informed(v.index()) {
-                        self.alive_informed[r] -= 1;
-                    }
-                }
-            }
-        }
+        self.transact(false, MembershipDelta { left, ..MembershipDelta::default() });
     }
 
-    /// Applies membership **rejoin** deltas: each listed slot is recycled
-    /// for a *fresh* peer (an overlay with slot reuse enabled). The slot's
-    /// engine-side state — informedness, sparse protocol state, choice
-    /// bookkeeping, crash/suspension flags — belonged to the departed peer
-    /// and is reset; the census bumps the slot's generation tag.
+    /// The recycled slots of a delta alone (see [`apply_joins`](Self::apply_joins)).
+    #[doc(hidden)]
     pub fn apply_rejoins(&mut self, protocol: &P, rejoined: &[NodeId]) {
-        let grouped = protocol.capabilities().oblivious;
-        for &v in rejoined {
-            let i = v.index();
-            self.ensure_len(protocol, i + 1);
-            for r in 0..self.births.len() {
-                // Keep the sparse state vector aligned with the index list.
-                let unmarked = if grouped {
-                    self.informed[r].unmark_grouped(i, &mut self.round_ends[r], &mut self.states[r])
-                } else {
-                    self.informed[r].unmark(i).map(|p| self.states[r].swap_remove(p)).is_some()
-                };
-                // Only a departed slot is recycled, and every coverage
-                // numerator dropped it when it left.
-                debug_assert!(
-                    !(unmarked && self.ledger.census.is_effective(i)),
-                    "recycled slot {i} is live"
-                );
-                if unmarked && self.active[r] && !self.retired[r] {
-                    self.informed_of[i] -= 1;
+        self.apply_membership(protocol, MembershipDelta { rejoined, ..MembershipDelta::default() });
+    }
+
+    /// [`apply_membership`](Self::apply_membership), for informed lists
+    /// kept `grouped` by reception round (an oblivious protocol's).
+    // rrb-lint: hot
+    fn transact(&mut self, grouped: bool, delta: MembershipDelta<'_>) {
+        self.ensure_len(delta.slot_end());
+        let rumours = self.births.len();
+        self.ledger.apply_membership(delta, |change| match change {
+            SlotChange::Arrive(i) => {
+                for r in 0..rumours {
+                    // Keep the sparse state vector aligned with the index list.
+                    let unmarked = if grouped {
+                        self.informed[r].unmark_grouped(i, &mut self.round_ends[r], &mut self.states[r])
+                    } else {
+                        self.informed[r].unmark(i).map(|p| self.states[r].swap_remove(p)).is_some()
+                    };
+                    if unmarked && self.active[r] && !self.retired[r] {
+                        self.informed_of[i] -= 1;
+                    }
+                }
+                self.choice.reset_slot(i);
+            }
+            SlotChange::Leave(i) => {
+                for (informed, count) in self.informed.iter().zip(&mut self.alive_informed) {
+                    *count -= usize::from(informed.is_informed(i));
                 }
             }
-            self.choice.reset_slot(i);
-            self.ledger.census.apply_rejoin(i);
+        });
+        // Debug builds recount every rumour's coverage numerator and check
+        // its informed index (and reception-round groups).
+        for ((informed, &alive_informed), ends) in self.informed.iter().zip(&self.alive_informed).zip(&self.round_ends) {
+            self.ledger.debug_check_informed(informed, alive_informed, grouped.then_some(ends.as_slice()));
         }
     }
 
@@ -545,7 +542,7 @@ impl<P: Protocol> MultiSimState<P> {
         rng: &mut R,
     ) {
         let n = topo.node_count();
-        self.ensure_len(protocol, n);
+        self.ensure_len(n);
         self.ledger.census.adopt_new_slots(topo);
         let caps = protocol.capabilities();
         self.ledger.round += 1;

@@ -9,7 +9,7 @@ use crate::census::AliveCensus;
 use crate::choice::ChoiceState;
 use crate::fabric::{frontier_allowed, ChannelFabric, InformedIndex, RoundGate, RoundKind};
 use crate::failure::FaultState;
-use crate::ledger::{ledger_installers, Ledger, Tally};
+use crate::ledger::{ledger_installers, Ledger, MembershipDelta, SlotChange, Tally};
 use crate::observation::{ObservationArena, RumorMeta};
 use crate::protocol::reception_round_plans;
 use crate::report::StopReason;
@@ -130,10 +130,10 @@ impl<'a, T: Topology, P: Protocol> Simulation<'a, T, P> {
 /// Aliveness is tracked by an incrementally-maintained [`AliveCensus`]
 /// (snapshotted from the topology on the first round). Slot *growth* is
 /// adopted automatically each round, but aliveness flips on existing slots
-/// must be reported as deltas: call [`apply_leaves`](Self::apply_leaves)
-/// for departed peers and [`apply_joins`](Self::apply_joins) for joiners
-/// after mutating the overlay between rounds. Coverage then updates from
-/// `O(1)` counters instead of per-round rescans.
+/// must be reported: after mutating the overlay between rounds, hand the
+/// churn step's changes to [`apply_membership`](Self::apply_membership).
+/// Coverage then updates from `O(1)` counters instead of per-round
+/// rescans.
 ///
 /// ```
 /// use rand::{SeedableRng, rngs::SmallRng};
@@ -147,9 +147,8 @@ impl<'a, T: Topology, P: Protocol> Simulation<'a, T, P> {
 /// let cfg = SimConfig::default();
 /// while !sim.finished(&g, &proto, cfg) {
 ///     sim.step(&g, &proto, cfg, &mut rng);
-///     // ... mutate a dynamic topology here, then report the deltas:
-///     // sim.apply_joins(&proto, &events.joined);
-///     // sim.apply_leaves(&events.left);
+///     // ... run a churn step on a dynamic topology here, then report it:
+///     // sim.apply_membership(&proto, events.delta());
 /// }
 /// let report = sim.into_report(&g, cfg);
 /// assert!(report.all_informed());
@@ -243,7 +242,7 @@ impl<P: Protocol> SimState<P> {
     }
 
     /// Accommodates topology growth (new node slots join uninformed).
-    pub fn ensure_len(&mut self, protocol: &P, node_count: usize) {
+    fn ensure_len(&mut self, protocol: &P, node_count: usize) {
         while self.states.len() < node_count {
             self.states.push(protocol.init(false));
             self.plans.push(Plan::SILENT);
@@ -252,61 +251,34 @@ impl<P: Protocol> SimState<P> {
         self.choice.ensure_len(node_count);
     }
 
-    /// Applies membership **join** deltas: each listed node slot now hosts
-    /// a live peer (growing per-node state as needed; joiners start
-    /// uninformed). Call between rounds after overlay mutation — see the
-    /// type-level docs.
-    pub fn apply_joins(&mut self, protocol: &P, joined: &[NodeId]) {
-        for &v in joined {
-            self.ensure_len(protocol, v.index() + 1);
-            // Slots are normally never recycled, but a custom topology may
-            // revive one: count it only if informed *and* effective (a
-            // revived slot can still be crash-stopped).
-            let census = &mut self.ledger.census;
-            if census.apply_join(v.index())
-                && census.is_effective(v.index())
-                && self.informed.is_informed(v.index())
-            {
-                self.tally.alive_informed += 1;
+    /// Applies one churn step's membership changes between rounds, after
+    /// the overlay has made them, in the order the run ledger fixes (see
+    /// [`MembershipDelta`]). A newcomer's slot, fresh or recycled, starts
+    /// over uninformed: informedness, protocol state, standing plan and
+    /// choice bookkeeping belonged to a departed peer, if any. An informed
+    /// leaver drops out of the coverage numerator as the denominator
+    /// shrinks. `O(1)` per slot.
+    // rrb-lint: hot
+    pub fn apply_membership(&mut self, protocol: &P, delta: MembershipDelta<'_>) {
+        self.ensure_len(protocol, delta.slot_end());
+        self.ledger.apply_membership(delta, |change| match change {
+            SlotChange::Arrive(i) => {
+                if self.informed.unmark(i).is_some() {
+                    if let Some(rt) = self.shard_rt.as_mut() {
+                        rt.forget(i);
+                    }
+                }
+                self.states[i] = protocol.init(false);
+                self.plans[i] = Plan::SILENT;
+                self.choice.reset_slot(i);
             }
-        }
-    }
-
-    /// Applies membership **leave** deltas: each listed node slot no
-    /// longer hosts a live peer. Informed leavers drop out of the coverage
-    /// numerator, and the denominator shrinks with them — both `O(1)` per
-    /// event.
-    pub fn apply_leaves(&mut self, left: &[NodeId]) {
-        for &v in left {
-            if self.ledger.census.apply_leave(v.index()) && self.informed.is_informed(v.index()) {
-                self.tally.alive_informed -= 1;
-            }
-        }
-    }
-
-    /// Applies membership **rejoin** deltas: each listed slot is recycled
-    /// for a *fresh* peer (an overlay with slot reuse enabled hands
-    /// departed slots to newcomers). The slot's engine-side state —
-    /// informedness, protocol state, standing plan, choice bookkeeping,
-    /// crash/suspension flags — belonged to the departed peer and is
-    /// reset; the census bumps the slot's generation tag.
-    pub fn apply_rejoins(&mut self, protocol: &P, rejoined: &[NodeId]) {
-        for &v in rejoined {
-            let i = v.index();
-            self.ensure_len(protocol, i + 1);
-            if self.informed.unmark(i).is_some() {
-                // Only a departed slot is recycled, and the coverage
-                // numerator dropped it when it left.
-                debug_assert!(!self.ledger.census.is_effective(i), "recycled slot {i} is live");
-                if let Some(rt) = self.shard_rt.as_mut() {
-                    rt.forget(i);
+            SlotChange::Leave(i) => {
+                if self.informed.is_informed(i) {
+                    self.tally.alive_informed -= 1;
                 }
             }
-            self.states[i] = protocol.init(false);
-            self.plans[i] = Plan::SILENT;
-            self.choice.reset_slot(i);
-            self.ledger.census.apply_rejoin(i);
-        }
+        });
+        self.ledger.debug_check_informed(&self.informed, self.tally.alive_informed, None);
     }
 
     /// Whether the run has reached a stopping condition.
@@ -1471,7 +1443,7 @@ mod tests {
         // Peer 5 departs between rounds; the census shrinks by one whether
         // or not it was already informed.
         topo.alive[5] = false;
-        sim.apply_leaves(&[NodeId::new(5)]);
+        sim.apply_membership(&proto, MembershipDelta { left: &[NodeId::new(5)], ..MembershipDelta::default() });
         assert_eq!(sim.effective_alive(), 23);
         sim.run_to_completion(&topo, &proto, cfg, &mut rng);
         let report = sim.into_report(&topo, cfg);
@@ -1492,7 +1464,7 @@ mod tests {
         let mut sim = SimState::new(&proto, 16, NodeId::new(3));
         sim.step(&topo, &proto, cfg, &mut rng);
         topo.alive[3] = false;
-        sim.apply_leaves(&[NodeId::new(3)]);
+        sim.apply_membership(&proto, MembershipDelta { left: &[NodeId::new(3)], ..MembershipDelta::default() });
         sim.run_to_completion(&topo, &proto, cfg, &mut rng);
         let report = sim.into_report(&topo, cfg);
         assert_eq!(report.alive_count, 15);

@@ -36,9 +36,7 @@ fn ten_thousand_round_churn_run_has_bounded_slots() {
         sim.step(&overlay, &proto, cfg, &mut rng);
         let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
         overlay.rewire(4, &mut churn_rng);
-        sim.apply_joins(&proto, &events.joined);
-        sim.apply_leaves(&events.left);
-        sim.apply_rejoins(&proto, &events.rejoined);
+        sim.apply_membership(&proto, events.delta());
         max_slots = max_slots.max(Topology::node_count(&overlay));
     }
     assert!(
@@ -78,9 +76,7 @@ fn sparse_multi_engine_state_stays_bounded_under_reuse() {
         sim.step(&overlay, &proto, cfg, &mut rng);
         let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
         overlay.rewire(4, &mut churn_rng);
-        sim.apply_joins(&proto, &events.joined);
-        sim.apply_leaves(&events.left);
-        sim.apply_rejoins(&proto, &events.rejoined);
+        sim.apply_membership(&proto, events.delta());
     }
     let slots = Topology::node_count(&overlay);
     assert!(slots <= n0 + 8, "slot space grew to {slots}");
@@ -116,9 +112,7 @@ fn rejoins_reset_slots_identically_at_any_shard_count() {
                 trajectory.push(sim.step(&overlay, &proto, cfg, &mut rng));
                 let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
                 overlay.rewire(4, &mut churn_rng);
-                sim.apply_joins(&proto, &events.joined);
-                sim.apply_leaves(&events.left);
-                sim.apply_rejoins(&proto, &events.rejoined);
+                sim.apply_membership(&proto, events.delta());
                 // Every rejoined slot starts over uninformed.
                 for &v in &events.rejoined {
                     assert_eq!(
@@ -138,5 +132,48 @@ fn rejoins_reset_slots_identically_at_any_shard_count() {
     let serial = run(1);
     for shards in [2usize, 4] {
         assert_eq!(serial, run(shards), "rejoin handling diverged at {shards} shards");
+    }
+}
+
+/// A churn step makes its joins before its leaves, so with slot reuse a
+/// slot can be recycled and left in the same step. The membership
+/// transaction applies the step in that order: after every step, the
+/// census of either engine must count exactly the overlay's alive peers.
+/// (Applying the leaves before the rejoins left such a slot alive in the
+/// census while the overlay had it dead.)
+#[test]
+fn a_slot_recycled_and_left_in_one_step_ends_dead_in_the_census() {
+    let n0 = 64usize;
+    let proto = FloodPushPull::new();
+    let cfg = SimConfig { stop_at_coverage: false, ..SimConfig::default() }.with_max_rounds(20_000);
+    let overlay = || {
+        let mut overlay_rng = SmallRng::seed_from_u64(0x0EA4);
+        Overlay::random(n0, 6, &mut overlay_rng).expect("overlay").with_slot_reuse(true)
+    };
+    let check = |engine: &str, round: usize, census: usize, overlay: &Overlay| {
+        assert_eq!(census, overlay.alive_count(), "{engine}: census and overlay disagree after churn step {round}");
+    };
+    for shards in [1usize, 3] {
+        let cfg = cfg.with_shards(shards);
+        let (mut rng, mut churn_rng) = (SmallRng::seed_from_u64(13), SmallRng::seed_from_u64(0xC0E1));
+        let mut overlay = overlay();
+        let mut churn = ChurnProcess::symmetric(2.0, 32);
+        let mut sim = SimState::new(&proto, n0, NodeId::new(4));
+        for round in 0..2_000 {
+            sim.step(&overlay, &proto, cfg, &mut rng);
+            let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+            sim.apply_membership(&proto, events.delta());
+            check(&format!("single engine at {shards} shards"), round, sim.effective_alive(), &overlay);
+        }
+    }
+    let (mut rng, mut churn_rng) = (SmallRng::seed_from_u64(13), SmallRng::seed_from_u64(0xC0E1));
+    let mut overlay = overlay();
+    let mut churn = ChurnProcess::symmetric(2.0, 32);
+    let mut sim = MultiSimState::new(&proto, &overlay, &[RumorInjection { birth: 0, origin: NodeId::new(4) }]);
+    for round in 0..2_000 {
+        sim.step(&overlay, &proto, cfg, &mut rng);
+        let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
+        sim.apply_membership(&proto, events.delta());
+        check("multi engine", round, sim.effective_alive(), &overlay);
     }
 }

@@ -501,23 +501,27 @@ fn parity_on_complete_graph() {
     }
 }
 
-/// Drives both engines in lockstep over a churning overlay: the same
-/// membership deltas (structured `ChurnEvents` from the churn process) are
-/// applied to both alive censuses after every round, so the one-rumour
-/// multi-engine trajectory must stay identical to the single-rumour one —
-/// informed counts, coverage rounds, the final survivor census, and the
-/// stopping decision.
+/// Drives both engines in lockstep over a churning overlay, recycling
+/// departed slots if `reuse`: the same membership transaction (the churn
+/// process's `ChurnEvents`) goes to both engines after every round, so the
+/// one-rumour multi-engine trajectory must stay identical to the
+/// single-rumour one — informed counts, coverage rounds, the final
+/// survivor census, and the stopping decision. Returns how many slots
+/// were recycled over all shard counts.
 fn assert_churn_parity<P: Protocol>(
     label: &str,
     protocol: &P,
     config: SimConfig,
-    rate: f64,
+    (rate, reuse): (f64, bool),
     seed: u64,
-) {
-    for shards in SHARD_COUNTS {
-        let label = format!("{label} shards={shards}");
-        assert_churn_parity_at(&label, protocol, config.with_shards(shards), rate, seed);
-    }
+) -> usize {
+    SHARD_COUNTS
+        .iter()
+        .map(|&shards| {
+            let label = format!("{label} shards={shards}");
+            assert_churn_parity_at(&label, protocol, config.with_shards(shards), (rate, reuse), seed)
+        })
+        .sum()
 }
 
 /// One shard count of [`assert_churn_parity`].
@@ -525,13 +529,13 @@ fn assert_churn_parity_at<P: Protocol>(
     label: &str,
     protocol: &P,
     config: SimConfig,
-    rate: f64,
+    (rate, reuse): (f64, bool),
     seed: u64,
-) {
+) -> usize {
     use rrb_p2p::{ChurnProcess, Overlay};
 
     let mut overlay_rng = SmallRng::seed_from_u64(seed.wrapping_add(0x0EA1));
-    let mut overlay = Overlay::random(96, 6, &mut overlay_rng).expect("overlay");
+    let mut overlay = Overlay::random(96, 6, &mut overlay_rng).expect("overlay").with_slot_reuse(reuse);
     let origin = NodeId::new(4);
     let n = Topology::node_count(&overlay);
     let mut churn = ChurnProcess::symmetric(rate, 48);
@@ -541,6 +545,7 @@ fn assert_churn_parity_at<P: Protocol>(
     let mut single = SimState::new(protocol, n, origin);
     let mut multi = recorded_multi(protocol, &overlay, origin);
     let mut rounds = Vec::new();
+    let mut rejoined = 0;
 
     loop {
         let sf = single.finished(&overlay, protocol, config);
@@ -557,13 +562,13 @@ fn assert_churn_parity_at<P: Protocol>(
             "{label} seed {seed}: informed trajectory diverged at round {}",
             rec.round
         );
-        // One churn step + rewiring, then the same deltas to both censuses.
+        // One churn step + rewiring, then the same transaction to both
+        // engines.
         let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
         overlay.rewire(4, &mut churn_rng);
-        single.apply_joins(protocol, &events.joined);
-        single.apply_leaves(&events.left);
-        multi.apply_joins(protocol, &events.joined);
-        multi.apply_leaves(&events.left);
+        single.apply_membership(protocol, events.delta());
+        multi.apply_membership(protocol, events.delta());
+        rejoined += events.rejoined.len();
         assert_eq!(
             single.effective_alive(),
             multi.effective_alive(),
@@ -600,6 +605,7 @@ fn assert_churn_parity_at<P: Protocol>(
         s_report.channels, m_report.channels,
         "{label} seed {seed}: channel totals diverged"
     );
+    rejoined
 }
 
 /// Lockstep parity with the same [`FaultPlan`] installed on both engines
@@ -814,16 +820,38 @@ fn parity_under_churn() {
     // churn, for flooding and counting protocols alike.
     let cfg = SimConfig::default().with_max_rounds(400);
     for seed in 0..3 {
-        assert_churn_parity("churn-pushpull", &FloodPushPull::new(), cfg, 2.0, seed);
+        assert_churn_parity("churn-pushpull", &FloodPushPull::new(), cfg, (2.0, false), seed);
         assert_churn_parity(
             "churn-counting",
             &CountingGossip { budget: 16 },
             SimConfig::until_quiescent().with_max_rounds(400),
-            2.0,
+            (2.0, false),
             seed,
         );
     }
-    assert_churn_parity("churn-heavy", &FloodPushPull::new(), cfg, 8.0, 0);
+    assert_churn_parity("churn-heavy", &FloodPushPull::new(), cfg, (8.0, false), 0);
+}
+
+#[test]
+fn parity_under_churn_with_slot_reuse() {
+    // Recycled slots go through both engines' one arrival path: the multi
+    // engine resets a flooding protocol's slot in its reception-round
+    // grouped lists (`unmark_grouped`) and a counting protocol's in plain
+    // discovery order, the single engine in its one informed list. Both
+    // must agree seed for seed.
+    let cfg = SimConfig::default().with_max_rounds(400);
+    let mut rejoined = 0;
+    for seed in 0..3 {
+        rejoined += assert_churn_parity("reuse-pushpull", &FloodPushPull::new(), cfg, (4.0, true), seed);
+        rejoined += assert_churn_parity(
+            "reuse-counting",
+            &CountingGossip { budget: 16 },
+            SimConfig::until_quiescent().with_max_rounds(400),
+            (4.0, true),
+            seed,
+        );
+    }
+    assert!(rejoined > 0, "no slot was recycled");
 }
 
 #[test]
@@ -834,7 +862,7 @@ fn parity_under_churn_with_crashes() {
         .with_failures(FailureModel::crashes(0.005))
         .with_max_rounds(400);
     for seed in 0..3 {
-        assert_churn_parity("churn+crash", &FloodPushPull::new(), cfg, 2.0, seed);
+        assert_churn_parity("churn+crash", &FloodPushPull::new(), cfg, (2.0, false), seed);
     }
 }
 
@@ -904,7 +932,7 @@ fn parity_of_phased_protocol_under_churn() {
                 &format!("{label}+churn"),
                 &proto,
                 SimConfig::until_quiescent(),
-                2.0,
+                (2.0, false),
                 seed,
             );
         }

@@ -369,8 +369,7 @@ fn run_churn_cell<P: Protocol>(
             records.push(sim.step(&overlay, protocol, config, &mut rng));
             let events = churn.step(&mut overlay, &mut churn_rng).expect("churn step");
             overlay.rewire(4, &mut churn_rng);
-            sim.apply_joins(protocol, &events.joined);
-            sim.apply_leaves(&events.left);
+            sim.apply_membership(protocol, events.delta());
             assert!(records.len() < 2_000, "runaway churn run (seed {seed})");
         }
         let slots = Topology::node_count(&overlay);
@@ -509,9 +508,7 @@ fn run_multi_cell<P: Protocol>(
             if let Some(process) = process.as_mut() {
                 let events = process.step(&mut overlay, &mut churn_rng).expect("churn step");
                 overlay.rewire(4, &mut churn_rng);
-                sim.apply_joins(protocol, &events.joined);
-                sim.apply_leaves(&events.left);
-                sim.apply_rejoins(protocol, &events.rejoined);
+                sim.apply_membership(protocol, events.delta());
                 rejoins += events.rejoined.len();
             }
             assert!(sim.round() < 2_000, "runaway multi run at {shards} shards");

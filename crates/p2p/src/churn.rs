@@ -1,5 +1,6 @@
 use rand::Rng;
 
+use rrb_engine::MembershipDelta;
 use rrb_graph::NodeId;
 
 use crate::{Overlay, OverlayError};
@@ -45,20 +46,21 @@ impl ChurnStats {
 }
 
 /// The membership events one churn step actually applied, as **node
-/// lists** — the deltas an engine's alive census consumes exactly
-/// (`SimState::apply_joins` / `apply_leaves` and their `MultiSimState`
-/// twins), rather than mere counters.
+/// lists** — the deltas an engine's alive census consumes exactly, rather
+/// than mere counters. A step makes its joins before its leaves, so a
+/// slot can arrive and leave in the same step; hand the step to a round
+/// engine whole (`apply_membership` with [`delta`](Self::delta)), which
+/// applies the lists in that order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChurnEvents {
     /// Slots that came alive this step on **fresh ids** (slot growth), in
-    /// application order. Consumed by `apply_joins`.
+    /// application order.
     pub joined: Vec<NodeId>,
     /// Slots that went dead this step, in application order.
     pub left: Vec<NodeId>,
     /// Slots **recycled** for a newcomer this step (only with the
-    /// overlay's slot reuse enabled), in application order. These must go
-    /// through the engines' `apply_rejoins` — the recycled slot's
-    /// per-node state belongs to a departed peer and must be reset.
+    /// overlay's slot reuse enabled), in application order. The engines
+    /// reset what they kept for the departed peer.
     pub rejoined: Vec<NodeId>,
 }
 
@@ -70,6 +72,12 @@ impl ChurnEvents {
             joins: (self.joined.len() + self.rejoined.len()) as u64,
             leaves: self.left.len() as u64,
         }
+    }
+
+    /// The step as a round engine's membership transaction, borrowing the
+    /// lists.
+    pub fn delta(&self) -> MembershipDelta<'_> {
+        MembershipDelta { joined: &self.joined, rejoined: &self.rejoined, left: &self.left }
     }
 }
 

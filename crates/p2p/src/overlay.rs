@@ -78,10 +78,10 @@ impl From<rrb_graph::GraphError> for OverlayError {
 /// runs can instead opt into **slot reuse**
 /// ([`with_slot_reuse`](Overlay::with_slot_reuse)): departed slots go on
 /// a free list and joins pop it, bounding slot growth. Reused joins are
-/// surfaced as *rejoins* by the churn driver so the engines can reset the
-/// recycled slot's state (`apply_rejoins` + census generation tags) —
-/// the leak the default mode avoids structurally is then prevented
-/// explicitly.
+/// surfaced as *rejoins* by [`ChurnProcess`](crate::ChurnProcess), and
+/// the engines' `apply_membership` resets a recycled slot's state as it
+/// arrives — the leak the default mode avoids structurally is then
+/// prevented explicitly.
 #[derive(Debug, Clone)]
 pub struct Overlay {
     /// Stub lists; `adj[v]` holds one entry per incident stub (self-loops

@@ -41,8 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sim.step(&o, &alg, config, &mut rng);
             let events = churn.step(&mut o, &mut rng)?;
             o.rewire(8, &mut rng); // keep the overlay mixed
-            sim.apply_joins(&alg, &events.joined);
-            sim.apply_leaves(&events.left);
+            sim.apply_membership(&alg, events.delta());
             rounds += 1;
         }
         let report = sim.into_report(&o, config);
