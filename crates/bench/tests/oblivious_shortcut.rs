@@ -318,9 +318,10 @@ fn frontier(r: &RoundCounters) -> bool {
 
 /// The masked twin's rounds as the native run must have them. Only the
 /// rounds in which the native run booked channels may differ, and only in
-/// `jumped_words` and `booked_channels`: such a frontier round jumps the
-/// words the twin draws for the booked callers, whose channels each carry
-/// every direction used to an informed node.
+/// `jumped_words`, `booked_channels` and `listed_callers`: such a frontier
+/// round jumps the words the twin draws for the booked callers, whose
+/// channels each carry every direction used to an informed node, and
+/// lists only its frontier's open callers.
 fn expected_rounds(
     label: &str,
     native: &[RoundCounters],
@@ -343,15 +344,16 @@ fn expected_rounds(
                 "{label}: round {} books channels the twin's does not carry: {nat:?} against {gen:?}",
                 nat.round
             );
-            RoundCounters { jumped_words: nat.jumped_words, booked_channels: nat.booked_channels, ..*gen }
+            let (jumped_words, booked_channels, listed_callers) = (nat.jumped_words, nat.booked_channels, nat.listed_callers);
+            RoundCounters { jumped_words, booked_channels, listed_callers, ..*gen }
         })
         .collect()
 }
 
 /// Asserts that a single-engine run equals its masked twin's: the
 /// report, every round's counters, the recycled slots and the final
-/// generator, up to the `jumped_words` and `booked_channels` of frontier
-/// rounds (see [`expected_rounds`]).
+/// generator, up to the `jumped_words`, `booked_channels` and
+/// `listed_callers` of frontier rounds (see [`expected_rounds`]).
 fn assert_twins(label: &str, native: &Run<RunReport>, general: Run<RunReport>) {
     let (report, rounds, rejoined, rng) = general;
     let rounds = expected_rounds(label, &native.1, &rounds);

@@ -545,7 +545,7 @@ impl<P: Protocol> AsyncSimState<P> {
             return;
         }
         let window = std::mem::take(&mut self.window);
-        self.tally.close_round(&mut self.ledger, window, &self.informed, config.record_history);
+        self.tally.close_round(&mut self.ledger, window, &self.informed, None, config.record_history);
     }
 
     /// Consumes the run into the engine-shared [`RunReport`].

@@ -11,31 +11,44 @@
 //! `tests/parity.rs`).
 //!
 //! A round is one of three [`RoundKind`]s. A *sampled* round samples its
-//! callers one by one. A *silent* round, in which nobody transmits, builds
-//! no channel lists: one pass counts the channels and words and one
-//! `discard` moves the generator. In a *frontier* round every informed
-//! node sends the same directions, so only the slots that are
-//! *incomplete* (dead, blocked, or missing a rumour that travels) and
-//! their neighbours can see anything happen: the same count pass lists the
-//! incomplete slots, the fabric samples only the callers among them and
-//! next to them, and every other caller's channels are *booked*. They
+//! callers as the gate classifies them. A *silent* round, in which nobody
+//! transmits, builds no channel lists: one pass counts the channels and
+//! words and one `discard` moves the generator. In a *frontier* round
+//! every informed node sends the same directions, so only the slots that
+//! are *incomplete* (dead, blocked, or missing a rumour that travels) and
+//! their neighbours can see anything happen: the count pass lists the
+//! incomplete slots, the fabric samples only the open callers among them
+//! and next to them, and every other caller's channels are *booked*. They
 //! all reach informed nodes and carry each direction of the one plan, so
 //! the engine counts their transmissions without walking them. A frontier
-//! round with no incomplete slot builds no lists at all, and one whose
-//! incomplete slots have more than `n` stubs is sampled whole.
+//! round with no open caller in its frontier builds no lists at all, and
+//! one whose incomplete slots have more than `n` stubs is sampled.
+//!
+//! On the loss-free fast path under `Distinct(k)` the words a caller takes
+//! depend only on its gate and degree, never on the values drawn, so one
+//! count pass per caller segment knows every caller's offset in the one
+//! stream. There a round in which no node pull-serves, and every frontier
+//! round, is *listed*: the count pass (a frontier round's second pass)
+//! lists the callers whose channels are stored, ascending with their
+//! offsets, and only they are sampled, each at its offset. The channel
+//! lists hold a row for each listed caller and nothing else, and every
+//! other caller's words are jumped. So a round of the paper's phase 1
+//! costs one count pass plus its pushers, and the engines' exchanges and
+//! transmission pre-draw walk the rows. A round in which some node
+//! pull-serves is sampled *whole*, with a row per caller slot, as is every
+//! round off that path.
 //!
 //! [`ChannelFabric::sample_round`] is the one entry for every round, and
-//! each engine passes it its [`ShardLayout`] (`SimConfig::shards`). On the
-//! loss-free fast path under `Distinct(k)` the words a caller takes depend
-//! only on its gate and degree, never on the values drawn, so one count
-//! pass per segment decides a round's kind: silent, frontier, or sampled.
-//! Only the windowing depends on the segment count: at one segment the
-//! callers are sampled straight into the channel list on the generator
-//! (a sampled round there makes no count pass); at two or more, an
-//! exclusive prefix sum of the counts gives each segment its offset in
-//! the one stream, and each samples its own callers on a clone of the
-//! generator moved to that offset, into its own window of the channel
-//! list. The channel lists and the stream are those one segment builds.
+//! each engine passes it its [`ShardLayout`] (`SimConfig::shards`). Only
+//! the windowing depends on the segment count. At one segment the count
+//! and list pass runs inline (it allocates nothing) and the callers are
+//! sampled straight into the channel list on the generator (a round
+//! sampled whole there makes no count pass). At two or more, the segments
+//! are counted in parallel, an exclusive prefix sum of the counts gives
+//! each segment its offset in the one stream, and each samples its own
+//! callers on a clone of the generator moved to that offset, into its own
+//! window of the channel list. The channel lists and the stream are those
+//! one segment builds.
 
 use std::ops::Range;
 use std::time::Duration;
@@ -68,6 +81,10 @@ pub(crate) struct RoundGate<U, S, L> {
     pub(crate) lacks: L,
     /// Whether any node pull-serves this round.
     pub(crate) any_pull: bool,
+    /// Whether the engine walks a listed round's rows. An engine that
+    /// looks each sender's row up by node id (the multi-rumour engine)
+    /// gets its sampled rounds whole, a row per caller slot.
+    pub(crate) list: bool,
     /// The kind of round the engine declares: the fabric makes a declared
     /// silent or frontier round one if it can (see
     /// [`ChannelFabric::sample_round`]) and samples it otherwise.
@@ -80,7 +97,8 @@ pub(crate) struct RoundGate<U, S, L> {
 /// declared silent or frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum RoundKind {
-    /// Every alive, unblocked caller is sampled as the gate classifies it.
+    /// Every alive, unblocked caller is sampled as the gate classifies it
+    /// (a listed round if no node pull-serves).
     #[default]
     Sampled,
     /// No node transmits and the engine reads no channel: counted, not
@@ -88,13 +106,13 @@ pub(crate) enum RoundKind {
     Silent,
     /// Every live rumour that transmits does so in the same directions
     /// from every reception round (declared only where [`frontier_allowed`]
-    /// holds). Only the frontier is sampled: the incomplete slots and
-    /// their neighbours. Every other caller is complete with complete
-    /// neighbours, so its channels are usable, reach informed nodes and
-    /// carry each direction of the plan once: they are booked
-    /// ([`RoundCounters::booked_channels`]), their words are jumped, and
-    /// the engine skips its planning and exchanges only the listed
-    /// channels. With no open caller in the frontier nothing is listed.
+    /// holds). Only the frontier is sampled: the open callers among the
+    /// incomplete slots and their neighbours, listed. Every other caller
+    /// is complete with complete neighbours, so its channels are usable,
+    /// reach informed nodes and carry each direction of the plan once:
+    /// they are booked ([`RoundCounters::booked_channels`]), their words
+    /// are jumped, and the engine exchanges only the listed channels. With
+    /// no open caller in the frontier nothing is listed.
     Frontier,
 }
 
@@ -105,8 +123,7 @@ enum CallerGate {
     Open,
     /// The caller does not push and no node pull-serves this round, so its
     /// channels can carry nothing: store nothing (fast path only). Under
-    /// `Distinct(k)` its draws are not made but added to a pending count
-    /// that one `discard` settles before the next draw; the stateful
+    /// `Distinct(k)` its draws are not made but jumped; the stateful
     /// policies still sample, since their state advances.
     Quiet,
     /// Push-only capability skip for a caller that cannot carry the rumour
@@ -118,19 +135,28 @@ enum CallerGate {
 /// reused across rounds (allocation-free once warm).
 ///
 /// Channels are sampled once per round by
-/// [`sample_round`](Self::sample_round) (or its sharded form) — every
-/// alive, uncrashed node opens channels per the protocol's choice policy —
-/// and then shared by however many rumours ride the fabric. On the
-/// zero-failure fast path only *usable* channels (alive, uncrashed callee)
-/// are materialised and no per-channel flags are stored; on the slow path
-/// every sampled channel is stored together with its channel-failure
-/// outcome.
+/// [`sample_round`](Self::sample_round) — every alive, uncrashed node
+/// opens channels per the protocol's choice policy — and then shared by
+/// however many rumours ride the fabric. On the zero-failure fast path
+/// only *usable* channels (alive, uncrashed callee) are materialised and
+/// no per-channel flags are stored; on the slow path every sampled
+/// channel is stored together with its channel-failure outcome.
+///
+/// The lists have one row per caller slot in a round sampled whole (row
+/// `i` is caller `i`), one per listed caller in a listed round, and none
+/// after a round that builds no lists. [`rows`](Self::rows) walks them;
+/// [`out_range`](Self::out_range) finds a caller's row in a round sampled
+/// whole.
 #[derive(Debug, Default)]
 pub(crate) struct ChannelFabric {
-    /// CSR offsets: node `i`'s channels are `offsets[i]..offsets[i+1]`
+    /// CSR offsets: row `r`'s channels are `offsets[r]..offsets[r+1]`
     /// (empty after a round that builds no lists, see
-    /// [`listed`](Self::listed)).
+    /// [`has_lists`](Self::has_lists)).
     offsets: Vec<u32>,
+    /// Each row's caller in a listed round, ascending (else unused).
+    rows: Vec<u32>,
+    /// Whether the last round was listed: `rows` names the rows' callers.
+    listed: bool,
     /// Callee per channel.
     targets: Vec<NodeId>,
     /// Usability per channel (empty on the fast path: all usable).
@@ -157,28 +183,37 @@ pub(crate) struct ChannelFabric {
     /// Per-segment scratch of the count pass and of the fanned-out
     /// sampling.
     segments: Vec<SegmentScratch>,
-    /// Per slot: in the last frontier round's frontier (all `false`
+    /// Per slot: in the current frontier round's frontier (all `false`
     /// between rounds).
     in_frontier: Vec<bool>,
-    /// The last frontier round's frontier: its incomplete slots and their
-    /// neighbours, each once.
+    /// The current frontier round's frontier: its incomplete slots and
+    /// their neighbours, each once.
     frontier: Vec<u32>,
-    /// The last round's channels, skipped draws and generator words (all
-    /// of them, and those skipped without being drawn): the fabric's part
-    /// of its [`RoundCounters`].
+    /// The last round's channels, skipped draws, generator words (all of
+    /// them, and those skipped without being drawn), booked channels and
+    /// listed callers: the fabric's part of its [`RoundCounters`].
     counters: RoundCounters,
     /// The kind of round the last one was.
     kind: RoundKind,
 }
 
-/// One caller segment's count pass's incomplete slots, and its target and
-/// Floyd scratch when two or more segments sample (under `Distinct(k)` a
-/// [`ChoiceState`] holds nothing else).
+/// One caller segment's count and lists, and its target and Floyd scratch
+/// when two or more segments sample (under `Distinct(k)` a [`ChoiceState`]
+/// holds nothing else).
 #[derive(Debug, Default)]
 struct SegmentScratch {
     choice: ChoiceState,
     targets: Vec<NodeId>,
+    /// A frontier round's incomplete slots.
     incomplete: Vec<u32>,
+    /// A listed round's callers, ascending, each with the number of
+    /// callers before it in the segment that take words: its words start
+    /// `k` times that far into the segment's stream.
+    open: Vec<(u32, u32)>,
+    /// What the segment's last count pass found.
+    count: SegmentCount,
+    /// The segment's fabric time this round (with a probe only).
+    elapsed: Duration,
 }
 
 /// The generator words one segment's sampling takes: all of them, those
@@ -227,8 +262,8 @@ impl Sink for Vec<NodeId> {
 }
 
 /// A segment's window of the channel list, as long as the channels its
-/// open callers open; dead, blocked or partitioned-away callees leave its
-/// tail unused.
+/// stored callers open; dead, blocked or partitioned-away callees leave
+/// its tail unused.
 struct Window<'a> {
     slots: &'a mut [NodeId],
     len: usize,
@@ -248,13 +283,28 @@ impl Sink for Window<'_> {
 }
 
 /// What one segment's count pass found: its part of the round's counters,
-/// how many channels its open callers open (its window length) and, in a
-/// frontier round, how many stubs its incomplete slots have.
-#[derive(Debug, Clone, Copy)]
+/// how many channels its stored callers open (its window length), in a
+/// frontier round how many stubs its incomplete slots have, and how many
+/// of its callers the pass covered.
+#[derive(Debug, Clone, Copy, Default)]
 struct SegmentCount {
     counters: RoundCounters,
     opened: usize,
     stubs: usize,
+    end: usize,
+}
+
+/// The fabric's part of two sets of [`RoundCounters`], added.
+fn add_fabric(a: RoundCounters, b: &RoundCounters) -> RoundCounters {
+    RoundCounters {
+        channels: a.channels + b.channels,
+        skipped_draws: a.skipped_draws + b.skipped_draws,
+        fabric_words: a.fabric_words + b.fabric_words,
+        jumped_words: a.jumped_words + b.jumped_words,
+        booked_channels: a.booked_channels + b.booked_channels,
+        listed_callers: a.listed_callers + b.listed_callers,
+        ..RoundCounters::default()
+    }
 }
 
 /// What every caller segment of one round reads: the topology, the
@@ -275,32 +325,41 @@ struct Callers<'a, T: ?Sized, U, S, L> {
 /// Counts, without visiting a stub, what sampling the callers
 /// `first..first + blocked.len()` under `Distinct(k)` on the fast path
 /// takes: each alive, unblocked caller opens `min(deg, k)` channels and
-/// takes `k` words when `deg > k`, owed if it is `Quiet`; a skipped one
-/// takes none and adds its channels to the skipped draws; an open one's
-/// channels are the most it can store. With `FRONTIER` it also lists the
-/// incomplete slots (dead, blocked, or `lacks`) into `incomplete` while
-/// their stubs total at most `budget`, and returns the stubs of all of
-/// them. The topology and flags come in as arguments, which keeps their
-/// loads out of the loop.
+/// takes `k` words when `deg > k`; a skipped one takes none and adds its
+/// channels to the skipped draws. The `Open` callers that `stores` keeps
+/// are stored (the listed callers); every other caller's words are jumped.
+///
+/// With `LIST` each stored caller goes into `open`, ascending, with the
+/// number of callers before it in the segment that take words. With
+/// `FRONTIER` a complete caller is `Open` without asking the gate, and the
+/// incomplete slots (dead, blocked, or `lacks`) go into `incomplete` and
+/// their stubs are summed, up to the caller whose stubs take the sum past
+/// `budget`: the pass stops after it, and `end` says how far it went. The
+/// topology and flags come in as arguments, which keeps their loads out of
+/// the loop.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
-fn count_callers<const FRONTIER: bool, T, G, L>(
+fn count_callers<const FRONTIER: bool, const LIST: bool, T, G, K, L>(
     topo: &T,
     blocked: &[bool],
     first: usize,
     k: usize,
     gate: G,
+    stores: K,
     lacks: L,
     incomplete: &mut Vec<u32>,
+    open: &mut Vec<(u32, u32)>,
     budget: usize,
 ) -> SegmentCount
 where
     T: Topology + ?Sized,
     G: Fn(usize) -> CallerGate,
+    K: Fn(usize) -> bool,
     L: Fn(usize) -> bool,
 {
-    let (mut channels, mut skipped, mut quiet, mut open, mut opened) = (0, 0, 0, 0, 0);
-    let mut stubs = 0;
+    let (mut channels, mut skipped, mut stored, mut stored_takers) = (0u64, 0u64, 0u64, 0u64);
+    let (mut takers, mut opened, mut stubs) = (0u32, 0usize, 0usize);
+    let mut end = blocked.len();
     for (j, &caller_blocked) in blocked.iter().enumerate() {
         let i = first + j;
         let v = NodeId::new(i);
@@ -310,34 +369,44 @@ where
             let deg = topo.degree(v);
             let caller_channels = deg.min(k);
             channels += caller_channels as u64;
-            let words = if deg > k { k as u64 } else { 0 };
+            let takes = deg > k;
             // A complete caller in a frontier round is open (see
-            // `Callers::frontier_gate`).
+            // `Callers::frontier_gate`), as its gate says.
+            debug_assert!(!FRONTIER || lacking || gate(i) == CallerGate::Open, "complete caller {i} is not open");
             let gate = if FRONTIER && !lacking { CallerGate::Open } else { gate(i) };
             match gate {
                 CallerGate::Skip => skipped += caller_channels as u64,
-                CallerGate::Quiet => quiet += words,
-                CallerGate::Open => {
-                    open += words;
+                CallerGate::Open if stores(i) => {
+                    if LIST {
+                        open.push((i as u32, takers));
+                    }
+                    stored += 1;
+                    stored_takers += u64::from(takes);
                     opened += caller_channels;
                 }
+                CallerGate::Open | CallerGate::Quiet => {}
             }
+            takers += u32::from(takes && gate != CallerGate::Skip);
         }
         if lacking {
             stubs += topo.degree(v);
-            if stubs <= budget {
-                incomplete.push(i as u32);
+            if stubs > budget {
+                end = j + 1;
+                break;
             }
+            incomplete.push(i as u32);
         }
     }
+    let words = u64::from(takers) * k as u64;
     let counters = RoundCounters {
         channels,
         skipped_draws: skipped,
-        fabric_words: quiet + open,
-        jumped_words: quiet,
+        fabric_words: words,
+        jumped_words: words - stored_takers * k as u64,
+        listed_callers: stored,
         ..RoundCounters::default()
     };
-    SegmentCount { counters, opened, stubs }
+    SegmentCount { counters, opened, stubs, end }
 }
 
 /// Whether a round is on the fast path: no channel or transmission
@@ -414,48 +483,132 @@ where
         self.topo.is_alive(NodeId::new(i)) && !self.blocked[i] && !(self.round.lacks)(i)
     }
 
-    /// Counts what [`sample`](Self::sample) takes over `callers` under
-    /// `Distinct(k)` on the fast path (see [`count_callers`]), listing a
-    /// frontier round's incomplete slots into `incomplete` while their
-    /// stubs total at most `budget`. Nobody is open in a silent round,
-    /// and a gate that says so lets the compiler drop the open arm from
-    /// the loop.
-    fn count(&self, callers: Range<usize>, k: usize, incomplete: &mut Vec<u32>, budget: usize) -> SegmentCount {
-        let (first, blocked) = (callers.start, &self.blocked[callers]);
+    /// Whether a channel from caller `i` to `w` is established: a channel
+    /// to a dead (departed), crashed, suspended or partitioned-away
+    /// neighbour fails; it costs nothing and carries nothing.
+    #[inline]
+    fn connects(&self, i: usize, w: NodeId) -> bool {
+        self.topo.is_alive(w) && !self.blocked[w.index()] && self.faults.is_none_or(|f| f.connects(i, w.index()))
+    }
+
+    /// Counts what sampling `callers` under `Distinct(k)` on the fast path
+    /// takes (see [`count_callers`]), listing the open callers into `open`
+    /// if `list`. Nobody is open in a silent round, and a gate that says
+    /// so lets the compiler drop the open arm from the loop. A frontier
+    /// round's pass lists its incomplete slots into `incomplete` while
+    /// their stubs total at most `budget`; past it the round is sampled,
+    /// so the rest of the segment is counted plainly, without asking
+    /// `lacks` (or, if `list`, the whole segment, to list it).
+    #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
+    fn count(
+        &self,
+        callers: Range<usize>,
+        k: usize,
+        incomplete: &mut Vec<u32>,
+        open: &mut Vec<(u32, u32)>,
+        budget: usize,
+        list: bool,
+    ) -> SegmentCount {
         incomplete.clear();
-        let (topo, lacks) = (self.topo, &self.round.lacks);
+        let (first, blocked) = (callers.start, &self.blocked[callers.clone()]);
+        let (topo, lacks, all) = (self.topo, &self.round.lacks, |_| true);
         match self.round.kind {
             RoundKind::Silent => {
+                open.clear();
                 let quiet = |i| if self.skips(i) { CallerGate::Skip } else { CallerGate::Quiet };
-                count_callers::<false, _, _, _>(topo, blocked, first, k, quiet, lacks, incomplete, budget)
+                count_callers::<false, false, _, _, _, _>(topo, blocked, first, k, quiet, all, lacks, incomplete, open, budget)
             }
-            RoundKind::Sampled => {
-                let gate = |i| self.gate(i);
-                count_callers::<false, _, _, _>(topo, blocked, first, k, gate, lacks, incomplete, budget)
-            }
+            RoundKind::Sampled => self.count_plain(callers, k, incomplete, open, list),
             RoundKind::Frontier => {
+                open.clear();
                 let gate = |i| self.gate(i);
-                count_callers::<true, _, _, _>(topo, blocked, first, k, gate, lacks, incomplete, budget)
+                let head = count_callers::<true, false, _, _, _, _>(topo, blocked, first, k, gate, all, lacks, incomplete, open, budget);
+                if head.stubs <= budget {
+                    return head;
+                }
+                if list {
+                    return SegmentCount { stubs: head.stubs, ..self.count_plain(callers, k, incomplete, open, true) };
+                }
+                let rest = self.count_plain(first + head.end..callers.end, k, incomplete, open, false);
+                let counters = add_fabric(head.counters, &rest.counters);
+                SegmentCount { counters, opened: head.opened + rest.opened, stubs: head.stubs, end: callers.len() }
             }
         }
+    }
+
+    /// Counts `callers` as gated (see [`count_callers`]), listing the open
+    /// ones into `open` if `list`.
+    // rrb-lint: hot
+    fn count_plain(
+        &self,
+        callers: Range<usize>,
+        k: usize,
+        incomplete: &mut Vec<u32>,
+        open: &mut Vec<(u32, u32)>,
+        list: bool,
+    ) -> SegmentCount {
+        open.clear();
+        let (first, blocked) = (callers.start, &self.blocked[callers]);
+        let (topo, gate, all, none) = (self.topo, |i| self.gate(i), |_| true, |_| false);
+        if list && !self.skip {
+            // Nobody pull-serves and nobody skips: a caller is open iff it
+            // pushes. Reading `pushes` straight, not through `gate`, keeps
+            // `paper_quiescent`'s listed count passes about 5 ms per
+            // broadcast faster (alternating perfbench pairs).
+            let pushes = &self.round.pushes;
+            let gate = |i| if pushes(i) { CallerGate::Open } else { CallerGate::Quiet };
+            count_callers::<false, true, _, _, _, _>(topo, blocked, first, k, gate, all, none, incomplete, open, 0)
+        } else if list {
+            count_callers::<false, true, _, _, _, _>(topo, blocked, first, k, gate, all, none, incomplete, open, 0)
+        } else {
+            count_callers::<false, false, _, _, _, _>(topo, blocked, first, k, gate, all, none, incomplete, open, 0)
+        }
+    }
+
+    /// Lists a frontier round's open frontier callers in `callers` into
+    /// `open` (see [`count_callers`]). A caller outside the marked
+    /// frontier is complete and open; its channels are booked. Debug
+    /// builds check that all its stubs are complete, which a topology
+    /// whose stub lists are not symmetric can break.
+    // rrb-lint: hot
+    fn list_frontier(
+        &self,
+        callers: Range<usize>,
+        k: usize,
+        in_frontier: &[bool],
+        incomplete: &mut Vec<u32>,
+        open: &mut Vec<(u32, u32)>,
+    ) -> SegmentCount {
+        open.clear();
+        let (first, blocked) = (callers.start, &self.blocked[callers]);
+        let gate = |i: usize| {
+            if in_frontier[i] {
+                return self.frontier_gate(i);
+            }
+            debug_assert!(
+                self.topo.stubs(NodeId::new(i)).iter().all(|w| self.complete(w.index())),
+                "booked caller {i} has an incomplete neighbour: are the stub lists symmetric?"
+            );
+            CallerGate::Open
+        };
+        let (stores, none) = (|i: usize| in_frontier[i], |_| false);
+        count_callers::<false, true, _, _, _, _>(self.topo, blocked, first, k, gate, stores, none, incomplete, open, 0)
     }
 
     /// Marks the frontier of a frontier round: every slot in `incomplete`
     /// and every stub of theirs, each once, into `in_frontier` and
     /// `frontier`. The neighbours of an incomplete slot are read from its
     /// own stubs, which [`Topology`]'s symmetry contract makes exact.
-    /// Adds each open frontier caller's channels to its segment's entry
-    /// of `opened` (segment `layout.shard_of(i)`).
+    /// Returns whether an open caller is in the frontier.
     fn mark_frontier<'l>(
         &self,
         incomplete: impl Iterator<Item = &'l [u32]>,
-        k: usize,
-        layout: ShardLayout,
         in_frontier: &mut [bool],
         frontier: &mut Vec<u32>,
-        opened: &mut [usize],
-    ) {
+    ) -> bool {
         frontier.clear();
+        let mut open = false;
         for &v in incomplete.flatten() {
             let v = NodeId::new(v as usize);
             for w in std::iter::once(v).chain(self.topo.stubs(v).iter().copied()) {
@@ -465,11 +618,11 @@ where
                 }
                 in_frontier[i] = true;
                 frontier.push(i as u32);
-                if self.topo.is_alive(w) && !self.blocked[i] && self.frontier_gate(i) == CallerGate::Open {
-                    opened[layout.shard_of(i)] += self.topo.degree(w).min(k);
-                }
+                open = open
+                    || (self.topo.is_alive(w) && !self.blocked[i] && self.frontier_gate(i) == CallerGate::Open);
             }
         }
+        open
     }
 
     /// Samples every alive, unblocked caller in `callers` as the gate
@@ -488,15 +641,9 @@ where
     ///   `Open`, because its per-channel failure draws need the targets.
     /// - `Open`: sampled and stored.
     ///
-    /// In a frontier round with a marked frontier (`in_frontier` not
-    /// empty) a caller outside the frontier is booked instead: its
-    /// channels are counted as booked and its words owed, like a quiet
-    /// caller's. Debug builds check that all
-    /// its stubs are complete, which a topology whose stub lists are not
-    /// symmetric can break.
-    ///
     /// Returns the segment's part of the round's counters.
     #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
     fn sample<O: Sink, R: Rng + ?Sized>(
         &self,
         callers: Range<usize>,
@@ -506,113 +653,64 @@ where
         ok: &mut Vec<bool>,
         choice: &mut ChoiceState,
         scratch: &mut Vec<NodeId>,
-        in_frontier: &[bool],
-        rng: &mut R,
-    ) -> RoundCounters {
-        if self.round.kind == RoundKind::Frontier {
-            self.sample_with::<true, O, R>(callers, ends, base, out, ok, choice, scratch, in_frontier, rng)
-        } else {
-            self.sample_with::<false, O, R>(callers, ends, base, out, ok, choice, scratch, &[], rng)
-        }
-    }
-
-    /// [`sample`](Self::sample), with the frontier's gate and booking
-    /// compiled in only for a frontier round (booking only with flags; a
-    /// frontier round over the budget samples every caller).
-    #[allow(clippy::too_many_arguments)]
-    // rrb-lint: hot
-    fn sample_with<const FRONTIER: bool, O: Sink, R: Rng + ?Sized>(
-        &self,
-        callers: Range<usize>,
-        ends: &mut [u32],
-        base: u32,
-        out: &mut O,
-        ok: &mut Vec<bool>,
-        choice: &mut ChoiceState,
-        scratch: &mut Vec<NodeId>,
-        in_frontier: &[bool],
         rng: &mut R,
     ) -> RoundCounters {
         let (topo, policy, failures) = (self.topo, self.policy, self.failures);
         let first = callers.start;
-        let mut skipped = 0u64;
-        let mut booked = 0u64;
+        let (mut skipped, mut channels, mut stored) = (0u64, 0u64, 0u64);
         let mut words = WordTally::default();
-        let mut channels = 0u64;
         for i in callers {
             let v = NodeId::new(i);
             if topo.is_alive(v) && !self.blocked[i] {
-                if FRONTIER && !in_frontier.is_empty() && !in_frontier[i] {
-                    // Complete, with complete neighbours: every channel
-                    // carries the one plan to an informed node.
-                    debug_assert_eq!(self.frontier_gate(i), CallerGate::Open, "booked caller {i} is not open");
-                    debug_assert!(
-                        topo.stubs(v).iter().all(|w| self.complete(w.index())),
-                        "booked caller {i} has an incomplete neighbour: are the stub lists symmetric?"
-                    );
-                    let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
-                    channels += count as u64;
-                    booked += count as u64;
-                    match taken {
-                        Words::Owed(k) => words.pending += k,
-                        Words::Drawn(_) => unreachable!("booked only under Distinct(k)"),
+                match self.gate(i) {
+                    CallerGate::Skip => {
+                        // Uninformed caller under a push-only protocol:
+                        // count the channels it would open, draw nothing.
+                        let opened = topo.degree(v).min(policy.fanout()) as u64;
+                        skipped += opened;
+                        channels += opened;
                     }
-                } else {
-                    let gate = if FRONTIER { self.frontier_gate(i) } else { self.gate(i) };
-                    match gate {
-                        CallerGate::Skip => {
-                            // Uninformed caller under a push-only protocol:
-                            // count the channels it would open, draw nothing.
-                            let opened = topo.degree(v).min(policy.fanout()) as u64;
-                            skipped += opened;
-                            channels += opened;
-                        }
-                        CallerGate::Quiet if self.fast_path => {
-                            let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
-                            channels += count as u64;
-                            match taken {
-                                Words::Drawn(k) => {
-                                    debug_assert_eq!(words.pending, 0, "drew past owed words");
-                                    words.words += k;
-                                }
-                                Words::Owed(k) => words.pending += k,
+                    CallerGate::Quiet if self.fast_path => {
+                        let (count, taken) = discard_targets(topo, v, policy, choice, rng, scratch);
+                        channels += count as u64;
+                        match taken {
+                            Words::Drawn(k) => {
+                                debug_assert_eq!(words.pending, 0, "drew past owed words");
+                                words.words += k;
                             }
+                            Words::Owed(k) => words.pending += k,
                         }
-                        CallerGate::Quiet | CallerGate::Open => {
-                            words.settle(rng);
-                            words.words += sample_targets(topo, v, policy, choice, rng, scratch);
-                            channels += scratch.len() as u64;
-                            for &w in scratch.iter() {
-                                // A channel to a dead (departed), crashed,
-                                // suspended or partitioned-away neighbour fails
-                                // to establish; it costs nothing, carries nothing.
-                                let callee_ok = topo.is_alive(w)
-                                    && !self.blocked[w.index()]
-                                    && self.faults.is_none_or(|f| f.connects(i, w.index()));
-                                if self.fast_path {
-                                    if callee_ok {
-                                        out.push(w);
-                                    }
-                                } else {
-                                    // Combined per-channel loss: baseline i.i.d.
-                                    // rate plus the burst chains' contribution.
-                                    // The single Bernoulli draw sits exactly
-                                    // where the baseline draw always was, and is
-                                    // skipped (like the baseline) when the
-                                    // probability is zero or the channel failed
-                                    // to establish anyway.
-                                    let p = match self.faults {
-                                        Some(f) => {
-                                            1.0 - (1.0 - failures.channel_failure)
-                                                * (1.0 - f.burst_loss(i, w.index()))
-                                        }
-                                        None => failures.channel_failure,
-                                    };
-                                    let usable = callee_ok && (p == 0.0 || !rng.gen_bool(p));
-                                    words.words += u64::from(callee_ok && p != 0.0);
+                    }
+                    CallerGate::Quiet | CallerGate::Open => {
+                        words.settle(rng);
+                        words.words += sample_targets(topo, v, policy, choice, rng, scratch);
+                        channels += scratch.len() as u64;
+                        stored += 1;
+                        for &w in scratch.iter() {
+                            let callee_ok = self.connects(i, w);
+                            if self.fast_path {
+                                if callee_ok {
                                     out.push(w);
-                                    ok.push(usable);
                                 }
+                            } else {
+                                // Combined per-channel loss: baseline i.i.d.
+                                // rate plus the burst chains' contribution.
+                                // The single Bernoulli draw sits exactly
+                                // where the baseline draw always was, and is
+                                // skipped (like the baseline) when the
+                                // probability is zero or the channel failed
+                                // to establish anyway.
+                                let p = match self.faults {
+                                    Some(f) => {
+                                        1.0 - (1.0 - failures.channel_failure)
+                                            * (1.0 - f.burst_loss(i, w.index()))
+                                    }
+                                    None => failures.channel_failure,
+                                };
+                                let usable = callee_ok && (p == 0.0 || !rng.gen_bool(p));
+                                words.words += u64::from(callee_ok && p != 0.0);
+                                out.push(w);
+                                ok.push(usable);
                             }
                         }
                     }
@@ -626,10 +724,106 @@ where
             skipped_draws: skipped,
             fabric_words: words.words,
             jumped_words: words.owed,
-            booked_channels: booked,
+            listed_callers: stored,
             ..RoundCounters::default()
         }
     }
+
+    /// Samples the listed callers `open` of one segment (see
+    /// [`SegmentScratch::open`]) on `rng`, which stands at the segment's
+    /// first word: each caller's words are drawn at its offset, and the
+    /// words between are skipped with one `discard`. Row `r` is caller
+    /// `rows[r]`, its channel list ends at `ends[r]` (`base` plus what
+    /// `out` holds). Returns the channels sampled, the words drawn and the
+    /// callers listed, and how far into the segment's stream `rng` stands.
+    #[allow(clippy::too_many_arguments)]
+    // rrb-lint: hot
+    fn sample_listed<O: Sink, R: Rng + ?Sized>(
+        &self,
+        open: &[(u32, u32)],
+        k: usize,
+        rows: &mut [u32],
+        ends: &mut [u32],
+        base: u32,
+        out: &mut O,
+        choice: &mut ChoiceState,
+        scratch: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> (RoundCounters, u64) {
+        let (topo, policy) = (self.topo, self.policy);
+        let (mut at, mut drawn, mut channels) = (0u64, 0u64, 0u64);
+        for (r, &(i, before)) in open.iter().enumerate() {
+            let offset = u64::from(before) * k as u64;
+            rng.discard(offset - at);
+            let taken = sample_targets(topo, NodeId::new(i as usize), policy, choice, rng, scratch);
+            (at, drawn) = (offset + taken, drawn + taken);
+            channels += scratch.len() as u64;
+            for &w in scratch.iter() {
+                if self.connects(i as usize, w) {
+                    out.push(w);
+                }
+            }
+            rows[r] = i;
+            ends[r] = base + out.len() as u32;
+        }
+        let counters = RoundCounters {
+            channels,
+            fabric_words: drawn,
+            listed_callers: open.len() as u64,
+            ..RoundCounters::default()
+        };
+        (counters, at)
+    }
+}
+
+/// Runs `count` over the segments of `layout` whose last count `redo`
+/// picks, into each one's [`SegmentScratch::count`]: inline at one segment
+/// (no allocation), in parallel at two or more, adding each segment's time
+/// to its `elapsed` when `probing`.
+fn count_segments<F>(
+    segments: &mut [SegmentScratch],
+    layout: ShardLayout,
+    n: usize,
+    probing: bool,
+    redo: impl Fn(&SegmentCount) -> bool,
+    count: F,
+) where
+    F: Fn(Range<usize>, &mut SegmentScratch) -> SegmentCount + Sync,
+{
+    if let [scratch] = segments {
+        if redo(&scratch.count) {
+            scratch.count = count(0..n, scratch);
+        }
+        return;
+    }
+    let items: Vec<(Range<usize>, &mut SegmentScratch)> = segments
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, scratch)| redo(&scratch.count))
+        .map(|(s, scratch)| (layout.range(s, n), scratch))
+        .collect();
+    let _: Vec<()> = items
+        .into_par_iter()
+        .map(|(range, scratch)| {
+            let clock = ShardClock::armed(probing);
+            scratch.count = count(range, scratch);
+            scratch.elapsed += clock.elapsed();
+        })
+        .collect();
+}
+
+/// Asserts that segment `s` sampled what its count pass counted: in a
+/// listed round its stored callers' channels and words, else every
+/// caller's channels, skipped draws and words; and its stored callers.
+fn debug_check_segment(s: usize, listed: bool, count: &SegmentCount, sampled: &RoundCounters) {
+    let c = &count.counters;
+    let counted = if listed {
+        (count.opened as u64, 0, c.fabric_words - c.jumped_words, c.listed_callers)
+    } else {
+        (c.channels, c.skipped_draws, c.fabric_words, c.listed_callers)
+    };
+    let drawn = (sampled.channels, sampled.skipped_draws, sampled.fabric_words, sampled.listed_callers);
+    debug_assert_eq!(drawn, counted, "segment {s} sampled other than it counted");
 }
 
 impl ChannelFabric {
@@ -665,25 +859,30 @@ impl ChannelFabric {
     ///   Everyone else is `Quiet`: see `Callers::sample`.
     /// - **Count pass.** On the fast path under `Distinct(k)` the words a
     ///   caller takes depend only on its gate and degree, never on the
-    ///   values drawn. There a silent or frontier round, and any round over
-    ///   two or more segments, first counts each segment's channels,
-    ///   skipped draws and words, in parallel. A sampled round at one
-    ///   segment, and every round off that path, skips the count and is
-    ///   sampled whole on `rng`.
+    ///   values drawn. There every round but one sampled whole at one
+    ///   segment first counts each segment's channels, skipped draws and
+    ///   words. Every round off that path is sampled whole on `rng`.
     /// - **Silent round.** In a silent round every caller is `Quiet` or
     ///   `Skip`: it builds no lists, one `discard` moves the generator past
     ///   the counted words, and [`kind`](Self::kind) tells the engine to
     ///   skip its exchange.
+    /// - **Listed round.** In a round in which no node pull-serves the
+    ///   count pass lists the `Open` callers, ascending, with their
+    ///   offsets in the stream. Only they are sampled, each at its offset,
+    ///   and the lists hold their rows only; every other caller's words
+    ///   are jumped.
     /// - **Frontier round.** In a round declared frontier (only where
     ///   [`frontier_allowed`] holds) the count pass also lists the
     ///   incomplete slots: dead in the topology, blocked, or `lacks`. If
     ///   their stubs number at most `n`, the incomplete slots and their
-    ///   neighbours form the frontier, and only its callers are sampled.
-    ///   Every other caller is complete, is `Open` and calls complete
-    ///   nodes: its channels are booked and its words owed. With no open
-    ///   caller in the frontier the round builds no lists (one `discard`,
-    ///   every open channel booked). Over the budget the round is sampled
-    ///   whole, as gated; the count pass drew nothing, so this is exact.
+    ///   neighbours form the frontier, and a second pass lists its open
+    ///   callers with their offsets: the round is listed. Every other
+    ///   caller is complete, is `Open` and calls complete nodes: its
+    ///   channels are booked and its words jumped. With no open caller in
+    ///   the frontier the round builds no lists (one `discard`, every open
+    ///   channel booked). Over the budget the round is sampled, as gated
+    ///   (listed if no node pull-serves); the count pass drew nothing, so
+    ///   this is exact.
     /// - **Segments.** At one segment a round is sampled straight into the
     ///   channel list on `rng`. At two or more, an exclusive prefix sum of
     ///   the counted words gives each segment its offset in the stream and
@@ -727,6 +926,7 @@ impl ChannelFabric {
         self.fast_path = is_fast_path(failures, faults);
         self.tx_drawn = false;
         self.kind = RoundKind::Sampled;
+        self.listed = false;
         let callers = Callers {
             topo,
             policy: protocol.choice_policy(),
@@ -738,49 +938,47 @@ impl ChannelFabric {
             skip: !protocol.capabilities().uses_pull && protocol.choice_policy().is_memoryless(),
         };
         let segments = layout.count();
+        let list = gate.list && !gate.any_pull;
         let k = match callers.policy {
-            ChoicePolicy::Distinct(k) if callers.fast_path && (gate.kind != RoundKind::Sampled || segments > 1) => k,
+            ChoicePolicy::Distinct(k)
+                if callers.fast_path && (gate.kind != RoundKind::Sampled || list || segments > 1) =>
+            {
+                k
+            }
             _ => return self.sample_whole(&callers, n, choice, rng),
         };
         let probing = probe.is_some() && segments > 1;
         self.segments.resize_with(segments, SegmentScratch::default);
-
-        // Every segment's words and window length, and the frontier's
-        // incomplete slots.
-        let lists: Vec<(usize, &mut Vec<u32>)> =
-            self.segments.iter_mut().map(|scratch| &mut scratch.incomplete).enumerate().collect();
-        let counts: Vec<(SegmentCount, Duration)> = lists
-            .into_par_iter()
-            .map(|(s, incomplete)| {
-                let clock = ShardClock::armed(probing);
-                (callers.count(layout.range(s, n), k, incomplete, n), clock.elapsed())
-            })
-            .collect();
-        let mut total = RoundCounters::default();
-        let mut stubs = 0;
-        for (c, _) in &counts {
-            total.channels += c.counters.channels;
-            total.skipped_draws += c.counters.skipped_draws;
-            total.fabric_words += c.counters.fabric_words;
-            total.jumped_words += c.counters.jumped_words;
-            stubs += c.stubs;
+        for scratch in &mut self.segments {
+            scratch.elapsed = Duration::ZERO;
         }
-        let mut opened: Vec<usize> = counts.iter().map(|(c, _)| c.opened).collect();
-        let mut elapsed: Vec<Duration> = counts.iter().map(|&(_, d)| d).collect();
 
-        // The round's kind: counted (no lists), a frontier to sample, or
-        // sampled whole.
+        // Every segment's counters and window length, its listed callers
+        // and a frontier round's incomplete slots. Over the budget at two
+        // or more segments, a segment that counted within it lists now.
+        let count = |range, scratch: &mut SegmentScratch| {
+            callers.count(range, k, &mut scratch.incomplete, &mut scratch.open, n, list)
+        };
+        count_segments(&mut self.segments, layout, n, probing, |_| true, count);
+        let stubs: usize = self.segments.iter().map(|s| s.count.stubs).sum();
         let frontier = gate.kind == RoundKind::Frontier && stubs <= n;
+        if gate.kind == RoundKind::Frontier && !frontier && list {
+            let relist = |range, scratch: &mut SegmentScratch| {
+                callers.count_plain(range, k, &mut scratch.incomplete, &mut scratch.open, true)
+            };
+            count_segments(&mut self.segments, layout, n, probing, |c| c.stubs <= n, relist);
+        }
+        let total = self.segments.iter().fold(RoundCounters::default(), |t, s| add_fabric(t, &s.count.counters));
+
+        // The round's kind: counted (no lists), a frontier to list, listed,
+        // or sampled whole.
         let counted = match gate.kind {
             RoundKind::Silent => Some(0),
             _ if frontier => {
-                let all: usize = opened.iter().sum();
-                opened.fill(0);
                 self.in_frontier.resize(n, false);
                 let incomplete = self.segments.iter().map(|scratch| scratch.incomplete.as_slice());
-                let (flags, marked) = (&mut self.in_frontier, &mut self.frontier);
-                callers.mark_frontier(incomplete, k, layout, flags, marked, &mut opened);
-                opened.iter().all(|&o| o == 0).then_some(all as u64)
+                let open = callers.mark_frontier(incomplete, &mut self.in_frontier, &mut self.frontier);
+                (!open).then(|| self.segments.iter().map(|s| s.count.opened as u64).sum())
             }
             _ => None,
         };
@@ -792,33 +990,57 @@ impl ChannelFabric {
             self.targets.clear();
             self.ok.clear();
             rng.discard(total.fabric_words);
-            self.counters = RoundCounters { jumped_words: total.fabric_words, booked_channels: booked, ..total };
+            self.counters = RoundCounters {
+                jumped_words: total.fabric_words,
+                booked_channels: booked,
+                listed_callers: 0,
+                ..total
+            };
             self.kind = gate.kind;
+        } else if frontier {
+            // Every open channel but the listed ones' is booked.
+            let all_open: usize = self.segments.iter().map(|s| s.count.opened).sum();
+            let in_frontier = &self.in_frontier;
+            let relist = |range, scratch: &mut SegmentScratch| {
+                callers.list_frontier(range, k, in_frontier, &mut scratch.incomplete, &mut scratch.open)
+            };
+            count_segments(&mut self.segments, layout, n, probing, |_| true, relist);
+            let listed = self.segments.iter().fold(RoundCounters::default(), |t, s| add_fabric(t, &s.count.counters));
+            let work = |c: &RoundCounters| (c.channels, c.skipped_draws, c.fabric_words);
+            debug_assert_eq!(work(&listed), work(&total), "the frontier's list pass counted other than its count pass");
+            let stored: usize = self.segments.iter().map(|s| s.count.opened).sum();
+            self.kind = RoundKind::Frontier;
+            self.sample_windows(&callers, layout, Some(k), choice, probing, rng);
+            self.counters.booked_channels = (all_open - stored) as u64;
+        } else if list {
+            self.sample_windows(&callers, layout, Some(k), choice, probing, rng);
+        } else if segments == 1 {
+            self.sample_whole(&callers, n, choice, rng);
         } else {
-            if frontier {
-                self.kind = RoundKind::Frontier;
-            }
-            if segments == 1 {
-                self.sample_whole(&callers, n, choice, rng);
-            } else {
-                let drawn = self.sample_windows(&callers, layout, &counts, &opened, probing, rng);
-                elapsed.iter_mut().zip(drawn).for_each(|(e, d)| *e += d);
-            }
+            self.sample_windows(&callers, layout, None, choice, probing, rng);
         }
-        // Unmark the frontier's flags; its list stays (see `frontier`).
+        // Unmark the frontier's flags.
         for &i in self.frontier.iter().filter(|_| frontier) {
             self.in_frontier[i as usize] = false;
         }
         if let Some(p) = probe.as_deref_mut().filter(|_| probing) {
-            for (s, &d) in elapsed.iter().enumerate() {
-                p.on_shard_phase(s, StepPhase::Fabric, d);
+            for (s, scratch) in self.segments.iter().enumerate() {
+                p.on_shard_phase(s, StepPhase::Fabric, scratch.elapsed);
             }
         }
     }
 
+    /// Sizes the target list once, for a round in which every caller is
+    /// open, so it never regrows (and copies) mid-run.
+    fn reserve_targets<T: Topology + ?Sized>(&mut self, topo: &T, k: usize) {
+        if self.targets.capacity() == 0 {
+            let bound = (0..topo.node_count()).map(|i| topo.degree(NodeId::new(i)).min(k)).sum();
+            self.targets.reserve(bound);
+        }
+    }
+
     /// Samples every caller of `callers` in one segment on `rng`, straight
-    /// into the channel list, booking those outside the marked frontier in
-    /// a frontier round.
+    /// into the channel list: a row per caller slot.
     fn sample_whole<T, U, S, L, R>(
         &mut self,
         callers: &Callers<'_, T, U, S, L>,
@@ -836,14 +1058,7 @@ impl ChannelFabric {
         self.offsets[0] = 0;
         self.targets.clear();
         self.ok.clear();
-        if self.targets.capacity() == 0 {
-            // Size the target list once, for a round in which every caller
-            // is open, so it never regrows (and copies) mid-run.
-            let k = callers.policy.fanout();
-            let bound = (0..n).map(|i| callers.topo.degree(NodeId::new(i)).min(k)).sum();
-            self.targets.reserve(bound);
-        }
-        let flags: &[bool] = if self.kind == RoundKind::Frontier { &self.in_frontier } else { &[] };
+        self.reserve_targets(callers.topo, callers.policy.fanout());
         self.counters = callers.sample(
             0..n,
             &mut self.offsets[1..],
@@ -852,26 +1067,28 @@ impl ChannelFabric {
             &mut self.ok,
             choice,
             &mut self.target_buf,
-            flags,
             rng,
         );
     }
 
-    /// Samples the callers of `layout`'s segments in parallel, each on a
-    /// clone of `rng` moved to its offset in the stream and into its
-    /// window of the channel list (`opened[s]` long), then moves `rng`
-    /// past the round's words and closes the windows up in segment order.
-    /// Returns each segment's sampling time (zero without `probing`).
+    /// Samples a counted round segment by segment into the channel list:
+    /// with `listed` (`Some(k)`) each segment's listed callers (a row
+    /// each), else every caller slot. Each segment samples on a clone of
+    /// `rng` moved to its offset in the stream, into its window of the
+    /// list (`count.opened` long), in parallel; at one segment (listed
+    /// only) on `rng` itself, with `choice`. Then `rng` moves past the
+    /// round's words and the windows close up in segment order. Debug
+    /// builds check that each segment sampled what it counted.
+    #[allow(clippy::too_many_arguments)]
     fn sample_windows<T, U, S, L, R>(
         &mut self,
         callers: &Callers<'_, T, U, S, L>,
         layout: ShardLayout,
-        counts: &[(SegmentCount, Duration)],
-        opened: &[usize],
+        listed: Option<usize>,
+        choice: &mut ChoiceState,
         probing: bool,
         rng: &mut R,
-    ) -> Vec<Duration>
-    where
+    ) where
         T: Topology + ?Sized,
         U: Fn(usize) -> bool + Sync,
         S: Fn(usize) -> bool + Sync,
@@ -879,70 +1096,96 @@ impl ChannelFabric {
         R: Rng + Clone + Send,
     {
         let n = callers.topo.node_count();
-        self.offsets.resize(n + 1, 0);
+        let row_count = |s: usize, scratch: &SegmentScratch| match listed {
+            Some(_) => scratch.open.len(),
+            None => layout.range(s, n).len(),
+        };
+        let rows: usize = self.segments.iter().enumerate().map(|(s, scratch)| row_count(s, scratch)).sum();
+        self.listed = listed.is_some();
+        self.rows.resize(if self.listed { rows } else { 0 }, 0);
+        self.offsets.resize(rows + 1, 0);
         self.offsets[0] = 0;
-        self.targets.resize(opened.iter().sum(), NodeId::new(0));
+        self.targets.clear();
         self.ok.clear();
-        let flags: &[bool] = if self.kind == RoundKind::Frontier { &self.in_frontier } else { &[] };
+        self.reserve_targets(callers.topo, callers.policy.fanout());
+        let total_words: u64 = self.segments.iter().map(|s| s.count.counters.fabric_words).sum();
+        if let ([scratch], Some(k)) = (&mut self.segments[..], listed) {
+            let (ends, rows) = (&mut self.offsets[1..], &mut self.rows[..]);
+            let (targets, buf) = (&mut self.targets, &mut self.target_buf);
+            let (sampled, at) = callers.sample_listed(&scratch.open, k, rows, ends, 0, targets, choice, buf, rng);
+            rng.discard(total_words - at);
+            debug_check_segment(0, true, &scratch.count, &sampled);
+            self.counters = scratch.count.counters;
+            return;
+        }
+        self.targets.resize(self.segments.iter().map(|s| s.count.opened).sum(), NodeId::new(0));
         let mut ends_left = &mut self.offsets[1..];
+        let mut rows_left = &mut self.rows[..];
         let mut slots_left = &mut self.targets[..];
         let (mut word_at, mut slot_at) = (0u64, 0usize);
         let mut items = Vec::with_capacity(layout.count());
-        for (s, ((scratch, (c, _)), &len)) in self.segments.iter_mut().zip(counts).zip(opened).enumerate() {
-            let range = layout.range(s, n);
-            let (ends, rest) = std::mem::take(&mut ends_left).split_at_mut(range.len());
+        for (s, scratch) in self.segments.iter_mut().enumerate() {
+            let count = row_count(s, scratch);
+            let (ends, rest) = std::mem::take(&mut ends_left).split_at_mut(count);
             ends_left = rest;
+            let (rows, rest) = std::mem::take(&mut rows_left).split_at_mut(if listed.is_some() { count } else { 0 });
+            rows_left = rest;
+            let len = scratch.count.opened;
             let (slots, rest) = std::mem::take(&mut slots_left).split_at_mut(len);
             slots_left = rest;
-            let window = Window { slots, len: 0 };
-            items.push((range, ends, window, slot_at as u32, word_at, scratch, rng.clone()));
-            word_at += c.counters.fabric_words;
+            let offset = word_at;
+            word_at += scratch.count.counters.fabric_words;
+            items.push((s, scratch, rows, ends, Window { slots, len: 0 }, slot_at as u32, offset, rng.clone()));
             slot_at += len;
         }
-        let sampled: Vec<(RoundCounters, usize, Duration)> = items
+        let sampled: Vec<(RoundCounters, usize)> = items
             .into_par_iter()
-            .map(|(range, ends, mut window, base, offset, scratch, mut seg_rng)| {
+            .map(|(s, scratch, rows, ends, mut window, base, offset, mut seg_rng)| {
                 let clock = ShardClock::armed(probing);
                 seg_rng.discard(offset);
                 let (choice, targets) = (&mut scratch.choice, &mut scratch.targets);
-                let counters =
-                    callers.sample(range, ends, base, &mut window, &mut Vec::new(), choice, targets, flags, &mut seg_rng);
-                (counters, window.len, clock.elapsed())
+                let counters = match listed {
+                    Some(k) => {
+                        let open = &scratch.open;
+                        callers.sample_listed(open, k, rows, ends, base, &mut window, choice, targets, &mut seg_rng).0
+                    }
+                    None => {
+                        let range = layout.range(s, n);
+                        callers.sample(range, ends, base, &mut window, &mut Vec::new(), choice, targets, &mut seg_rng)
+                    }
+                };
+                scratch.elapsed += clock.elapsed();
+                (counters, window.len)
             })
             .collect();
 
         // The main stream ends where one segment leaves it, and the
         // windows close up in segment order.
         rng.discard(word_at);
-        let (mut end, mut start) = (0usize, 0usize);
+        let (mut end, mut start, mut row) = (0usize, 0usize, 0usize);
         self.counters = RoundCounters::default();
-        for (s, ((c, _), (&(counters, filled, _), &len))) in counts.iter().zip(sampled.iter().zip(opened)).enumerate() {
-            let drawn = (counters.channels, counters.skipped_draws, counters.fabric_words);
-            let counted = (c.counters.channels, c.counters.skipped_draws, c.counters.fabric_words);
-            debug_assert_eq!(drawn, counted, "segment {s} drew other than it counted");
-            self.counters.channels += counters.channels;
-            self.counters.skipped_draws += counters.skipped_draws;
-            self.counters.fabric_words += counters.fabric_words;
-            self.counters.jumped_words += counters.jumped_words;
-            self.counters.booked_channels += counters.booked_channels;
+        for (s, (scratch, &(counters, filled))) in self.segments.iter().zip(&sampled).enumerate() {
+            let c = &scratch.count;
+            debug_check_segment(s, listed.is_some(), c, &counters);
+            let rows = row..row + row_count(s, scratch);
             if start != end {
                 self.targets.copy_within(start..start + filled, end);
                 let shift = (start - end) as u32;
-                let range = layout.range(s, n);
-                for o in &mut self.offsets[range.start + 1..=range.end] {
+                for o in &mut self.offsets[rows.start + 1..=rows.end] {
                     *o -= shift;
                 }
             }
+            self.counters = add_fabric(self.counters, if listed.is_some() { &c.counters } else { &counters });
             end += filled;
-            start += len;
+            start += c.opened;
+            row = rows.end;
         }
         self.targets.truncate(end);
-        sampled.into_iter().map(|(_, _, d)| d).collect()
     }
 
     /// The serial transmission pre-draw of one round, over the stored
-    /// channels: per caller ascending, per usable channel, the push draw
-    /// if the caller `pushes`, then the pull draw if the callee
+    /// channels: per row (caller ascending), per usable channel, the push
+    /// draw if the caller `pushes`, then the pull draw if the callee
     /// `pull_serves`. One draw per used channel direction, shared by every
     /// rumour riding it, so a combined message succeeds or fails
     /// atomically (§1.2). Draws only when the transmission failure rate is
@@ -969,12 +1212,12 @@ impl ChannelFabric {
             self.pull_ok.resize(self.targets.len(), false);
         }
         let mut used = 0u64;
-        for i in 0..self.offsets.len().saturating_sub(1) {
-            let range = self.out_range(i);
+        for r in 0..self.row_count() {
+            let range = self.row_range(r);
             if range.is_empty() {
                 continue;
             }
-            let push = pushes(i);
+            let push = pushes(self.row_caller(r));
             for c in range {
                 if !self.usable(c) {
                     continue;
@@ -1009,8 +1252,9 @@ impl ChannelFabric {
         !self.tx_drawn || self.pull_ok[c]
     }
 
-    /// The last round's channels, skipped draws and generator words, as
-    /// the fabric's part of the round's [`RoundCounters`].
+    /// The last round's channels, skipped draws, generator words, booked
+    /// channels and listed callers, as the fabric's part of the round's
+    /// [`RoundCounters`].
     #[inline]
     pub(crate) fn counters(&self) -> RoundCounters {
         self.counters
@@ -1027,27 +1271,66 @@ impl ChannelFabric {
     /// frontier round with no open caller in its frontier, build none;
     /// after them the engine skips its exchange).
     #[inline]
-    pub(crate) fn listed(&self) -> bool {
+    pub(crate) fn has_lists(&self) -> bool {
         !self.offsets.is_empty()
     }
 
-    /// The last frontier round's frontier, each slot once: every caller
-    /// whose channels a frontier round lists is in it.
+    /// Whether the last round was listed: its lists hold a row for each
+    /// caller whose channels were stored, and for no other.
+    #[cfg(test)]
+    pub(crate) fn is_listed(&self) -> bool {
+        self.listed
+    }
+
+    /// Number of rows of the last round's lists.
     #[inline]
-    pub(crate) fn frontier(&self) -> &[u32] {
-        &self.frontier
+    fn row_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Caller of row `r`.
+    #[inline]
+    fn row_caller(&self, r: usize) -> usize {
+        if self.listed {
+            self.rows[r] as usize
+        } else {
+            r
+        }
+    }
+
+    /// Channel-id range of row `r`.
+    #[inline]
+    fn row_range(&self, r: usize) -> Range<usize> {
+        self.offsets[r] as usize..self.offsets[r + 1] as usize
+    }
+
+    /// The rows of the callers in `callers`, ascending: each caller with
+    /// its channel-id range. A listed round has rows for its listed
+    /// callers only, so a walk over them is as long as the list.
+    #[inline]
+    pub(crate) fn rows(&self, callers: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let rows = if self.listed {
+            let row_of = |i: usize| self.rows.partition_point(|&c| (c as usize) < i);
+            row_of(callers.start)..row_of(callers.end)
+        } else {
+            let count = self.row_count();
+            callers.start.min(count)..callers.end.min(count)
+        };
+        rows.map(|r| (self.row_caller(r), self.row_range(r)))
+    }
+
+    /// Channel-id range opened by caller `i` in a round sampled whole
+    /// (a listed round's rows are walked with [`rows`](Self::rows)).
+    #[inline]
+    pub(crate) fn out_range(&self, i: usize) -> Range<usize> {
+        debug_assert!(!self.listed, "a listed round's rows are walked, not looked up");
+        self.row_range(i)
     }
 
     /// Number of materialised channels this round.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Channel-id range opened by caller `i`.
-    #[inline]
-    pub(crate) fn out_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
     /// Callee of channel `c`.
@@ -1086,8 +1369,9 @@ impl ChannelFabric {
         self.in_cursor.extend_from_slice(&self.in_offsets[..n]);
         self.in_entries.clear();
         self.in_entries.resize(self.targets.len(), (0, 0));
-        for i in 0..n {
-            for c in self.offsets[i] as usize..self.offsets[i + 1] as usize {
+        for r in 0..self.row_count() {
+            let i = self.row_caller(r);
+            for c in self.row_range(r) {
                 let w = self.targets[c].index();
                 self.in_entries[self.in_cursor[w] as usize] = (c as u32, i as u32);
                 self.in_cursor[w] += 1;
@@ -1106,7 +1390,7 @@ impl ChannelFabric {
     /// no-allocation tests.
     pub(crate) fn capacities(&self) -> [usize; 7] {
         [
-            self.offsets.capacity(),
+            self.offsets.capacity() + self.rows.capacity(),
             self.targets.capacity(),
             self.ok.capacity(),
             self.push_ok.capacity() + self.pull_ok.capacity(),
@@ -1116,7 +1400,7 @@ impl ChannelFabric {
                 + self.segments.iter().map(|s| s.targets.capacity()).sum::<usize>(),
             self.in_frontier.capacity()
                 + self.frontier.capacity()
-                + self.segments.iter().map(|s| s.incomplete.capacity()).sum::<usize>(),
+                + self.segments.iter().map(|s| s.incomplete.capacity() + s.open.capacity()).sum::<usize>(),
         ]
     }
 }
@@ -1256,13 +1540,13 @@ impl InformedIndex {
     /// group (the last entry is the list length). Every later group
     /// shifts left by one — its last member fills the hole — so the list
     /// stays grouped at O(rounds) moves; `parallel`, a list-parallel
-    /// vector, gets the same moves. Returns `false` if `i` was not
-    /// informed.
+    /// vector if there is one, gets the same moves. Returns `false` if `i`
+    /// was not informed.
     pub(crate) fn unmark_grouped<S>(
         &mut self,
         i: usize,
         ends: &mut [u32],
-        parallel: &mut Vec<S>,
+        mut parallel: Option<&mut Vec<S>>,
     ) -> bool {
         let p = self.pos[i];
         if p == NOT_INFORMED {
@@ -1275,13 +1559,17 @@ impl InformedIndex {
             let last = *end as usize;
             self.list.swap(hole, last);
             self.at.swap(hole, last);
-            parallel.swap(hole, last);
+            if let Some(parallel) = parallel.as_deref_mut() {
+                parallel.swap(hole, last);
+            }
             self.pos[self.list[hole] as usize] = hole as u32;
             hole = last;
         }
         self.list.pop();
         self.at.pop();
-        parallel.pop();
+        if let Some(parallel) = parallel {
+            parallel.pop();
+        }
         self.pos[i] = NOT_INFORMED;
         true
     }
@@ -1346,7 +1634,16 @@ mod tests {
     /// A round gate in which no node pull-serves and the uninformed slots
     /// are the incomplete ones.
     fn gate(uninformed: fn(usize) -> bool, pushes: fn(usize) -> bool, kind: RoundKind) -> Gate {
-        RoundGate { uninformed, pushes, lacks: uninformed, any_pull: false, kind }
+        RoundGate { uninformed, pushes, lacks: uninformed, any_pull: false, list: true, kind }
+    }
+
+    /// Each caller's stored channel targets, by caller slot.
+    fn lists(fabric: &ChannelFabric, n: usize) -> Vec<Vec<NodeId>> {
+        let mut lists = vec![Vec::new(); n];
+        for (i, range) in fabric.rows(0..n) {
+            lists[i] = range.map(|c| fabric.target(c)).collect();
+        }
+        lists
     }
 
     /// Every caller pushes: every caller is `Open`.
@@ -1392,8 +1689,7 @@ mod tests {
         for w in 0..12 {
             for &(c, caller) in fabric.incoming(w) {
                 assert_eq!(fabric.target(c as usize).index(), w);
-                let range = fabric.out_range(caller as usize);
-                assert!(range.contains(&(c as usize)), "channel not in caller's range");
+                assert!(lists(&fabric, 12)[caller as usize].contains(&NodeId::new(w)), "channel not in caller's row");
                 seen += 1;
             }
         }
@@ -1429,10 +1725,7 @@ mod tests {
             let protocol = FloodPushPull::with_policy(policy);
             let round = |gate: Gate| {
                 let (fabric, rng) = sample(&g, &protocol, FailureModel::NONE, None, &[], gate, 1, 12);
-                let lists: Vec<Vec<NodeId>> = (0..16)
-                    .map(|i| fabric.out_range(i).map(|c| fabric.target(c)).collect())
-                    .collect();
-                (fabric.counters().channels, lists, rng)
+                (fabric.counters().channels, lists(&fabric, 16), rng)
             };
             let (open_channels, open_lists, open_rng) = round(all_open());
             let (quiet_channels, quiet_lists, quiet_rng) =
@@ -1543,6 +1836,68 @@ mod tests {
         assert!(gaps >= 6, "only {gaps} open rounds had windows to close up");
     }
 
+    #[test]
+    fn listed_rounds_store_what_a_whole_round_stores_for_their_open_callers() {
+        // No node pull-serves and some callers push: the round is listed.
+        // Against the same callers all open (someone pull-serves, so the
+        // round is sampled whole), with a slot only the topology has dead
+        // and blocked callers, at 1 and 3 segments: every pusher's list is
+        // the whole round's, nobody else has a row, the quiet callers'
+        // words are jumped and the generator ends where the whole round
+        // leaves it. A push-only protocol's uninformed callers skip.
+        let pa = gen::preferential_attachment(300, 2, &mut SmallRng::seed_from_u64(2)).expect("graph");
+        let n = pa.node_count();
+        let dead = OneDead(pa.clone(), 11);
+        let blocked: Vec<bool> = (0..n).map(|i| i == 7 || i % 41 == 5).collect();
+        let pushes: fn(usize) -> bool = |i| i % 3 != 0 || i == 11;
+        let present = |i: usize| i != 11 && !blocked[i];
+        for k in [1, 4, 17] {
+            for label in ["push&pull", "push"] {
+                let round = |gate: Gate, segments| {
+                    let none = FailureModel::NONE;
+                    if label == "push" {
+                        let protocol = FloodPush::with_policy(ChoicePolicy::Distinct(k));
+                        sample(&dead, &protocol, none, None, &blocked, gate, segments, 41)
+                    } else {
+                        let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
+                        sample(&dead, &protocol, none, None, &blocked, gate, segments, 41)
+                    }
+                };
+                let uninformed: fn(usize) -> bool = if label == "push" { |i| i % 5 == 2 } else { |_| false };
+                let listed_gate = || RoundGate { uninformed, pushes, lacks: uninformed, any_pull: false, list: true, kind: Sampled };
+                for segments in [1, 3] {
+                    let case = format!("k = {k}, {label}, {segments} segments");
+                    let (listed, listed_rng) = round(listed_gate(), segments);
+                    let (whole, whole_rng) = round(RoundGate { any_pull: true, ..listed_gate() }, segments);
+                    assert!(listed.is_listed() && !whole.is_listed(), "{case}");
+                    assert_eq!(listed_rng, whole_rng, "{case}: the generator");
+                    let (mut rows, mut owed) = (0, 0);
+                    let (listed_lists, whole_lists) = (lists(&listed, n), lists(&whole, n));
+                    for i in 0..n {
+                        let list = |l: &[Vec<NodeId>]| l[i].clone();
+                        let skips = label == "push" && uninformed(i);
+                        if present(i) && pushes(i) && !skips {
+                            assert_eq!(list(&listed_lists), list(&whole_lists), "{case}: pusher {i}");
+                            rows += 1;
+                        } else {
+                            assert!(list(&listed_lists).is_empty(), "{case}: caller {i} is not listed");
+                            let deg = pa.degree(NodeId::new(i));
+                            owed += if present(i) && !skips && deg > k { k as u64 } else { 0 };
+                        }
+                    }
+                    let w = whole.counters();
+                    let expected = RoundCounters { jumped_words: w.jumped_words + owed, listed_callers: rows, ..w };
+                    assert_eq!(listed.counters(), expected, "{case}");
+                    assert!(owed > 0 && rows > 0 && listed.rows(0..n).count() as u64 == rows, "{case}");
+                    let walked: Vec<usize> = listed.rows(0..n).map(|(i, _)| i).collect();
+                    let mut split: Vec<usize> = listed.rows(0..150).map(|(i, _)| i).collect();
+                    split.extend(listed.rows(150..n).map(|(i, _)| i));
+                    assert_eq!(walked, split, "{case}: rows by caller range");
+                }
+            }
+        }
+    }
+
     /// A graph with one dead slot the census does not know about.
     struct OneDead(Graph, usize);
 
@@ -1575,11 +1930,16 @@ mod tests {
                 let (open, open_rng) = sample(&pa, &protocol, FailureModel::NONE, None, &present, all_open(), segments, 31);
                 let (sat, sat_rng) = sample(&pa, &protocol, FailureModel::NONE, None, &present, complete(), segments, 31);
                 assert_eq!((open.kind(), sat.kind()), (Sampled, Frontier), "{case}");
-                assert!(!sat.listed() && open.listed(), "{case}");
+                assert!(!sat.has_lists() && open.has_lists(), "{case}");
                 let words = open.counters().fabric_words;
                 assert!(words > 0 && open.counters().jumped_words == 0, "{case}");
                 let channels = open.counters().channels;
-                let counted = RoundCounters { jumped_words: words, booked_channels: channels, ..open.counters() };
+                let counted = RoundCounters {
+                    jumped_words: words,
+                    booked_channels: channels,
+                    listed_callers: 0,
+                    ..open.counters()
+                };
                 assert_eq!(sat.counters(), counted, "{case}");
                 assert_eq!(sat_rng, open_rng, "{case}");
             }
@@ -1623,6 +1983,7 @@ mod tests {
                         pushes: if what == "sparse" { |i| !(i == 40 || i == 150 || i == 299) } else { |i| i % 3 != 0 },
                         lacks: uninformed,
                         any_pull: pull,
+                        list: true,
                         kind: Frontier,
                     };
                     let protocol = FloodPushPull::with_policy(ChoicePolicy::Distinct(k));
@@ -1639,15 +2000,16 @@ mod tests {
                         }
                         assert_eq!(front.kind(), Frontier, "{case}");
                         let in_frontier = expected_frontier(&dead, &blocked, uninformed);
-                        let (mut booked, mut owed) = (0, 0);
+                        let (mut booked, mut owed, mut listed) = (0, 0, 0);
+                        let (front_lists, plain_lists) = (lists(&front, n), lists(&plain, n));
                         for (i, &inside) in in_frontier.iter().enumerate() {
-                            let list = |f: &ChannelFabric| -> Vec<NodeId> {
-                                f.out_range(i).map(|c| f.target(c)).collect()
-                            };
+                            let list = |l: &[Vec<NodeId>]| l[i].clone();
                             if inside {
-                                assert_eq!(list(&front), list(&plain), "{case}: frontier caller {i}");
+                                assert_eq!(list(&front_lists), list(&plain_lists), "{case}: frontier caller {i}");
+                                let present = dead.is_alive(NodeId::new(i)) && !blocked[i];
+                                listed += u64::from(present && (pull || (frontier_gate.pushes)(i)));
                             } else {
-                                assert!(list(&front).is_empty(), "{case}: caller {i} is not in the frontier");
+                                assert!(list(&front_lists).is_empty(), "{case}: caller {i} is not in the frontier");
                                 let deg = pa.degree(NodeId::new(i));
                                 booked += deg.min(k) as u64;
                                 owed += if deg > k { k as u64 } else { 0 };
@@ -1657,8 +2019,10 @@ mod tests {
                         let expected = RoundCounters {
                             jumped_words: p.jumped_words + owed,
                             booked_channels: booked,
+                            listed_callers: listed,
                             ..p
                         };
+                        assert!(front.is_listed(), "{case}");
                         assert!(booked > 0 && booked < p.channels, "{case}: {booked} booked");
                         assert_eq!(front.counters(), expected, "{case}");
                         listed_rounds += 1;
@@ -1740,8 +2104,9 @@ mod tests {
             let (mut fabric, mut rng) = sample(&g, &four, failures, None, &[], all_open(), 1, 4);
             let before = rng.clone();
             let used = fabric.draw_transmissions(failures, pushes, serves, &mut rng);
-            let want: u64 = (0..12)
-                .flat_map(|i| fabric.out_range(i).map(move |c| (i, c)))
+            let want: u64 = fabric
+                .rows(0..12)
+                .flat_map(|(i, range)| range.map(move |c| (i, c)))
                 .map(|(i, c)| u64::from(pushes(i)) + u64::from(serves(fabric.target(c).index())))
                 .sum();
             assert_eq!(used, want);
@@ -1773,8 +2138,8 @@ mod tests {
         assert_eq!(fabric.counters().channels, 12 * 4);
         assert!(fabric.is_fast_path());
         assert!(fabric.len() < 12 * 4, "cross-component channels must be dropped");
-        for i in 0..12 {
-            for c in fabric.out_range(i) {
+        for (i, range) in fabric.rows(0..12) {
+            for c in range {
                 assert_eq!(fabric.target(c).index() % 3, i % 3, "caller {i} crossed the cut");
             }
         }
@@ -1828,7 +2193,7 @@ mod tests {
         let mut tags: Vec<u32> = ix.list().to_vec();
         // Removing from round 1 fills the hole from its own group, then
         // shifts round 3's group left by one.
-        assert!(ix.unmark_grouped(7, &mut ends, &mut tags));
+        assert!(ix.unmark_grouped(7, &mut ends, Some(&mut tags)));
         assert_eq!(ix.list(), &[3, 6, 2, 1, 5]);
         assert_eq!(ends, [1, 3, 3, 5]);
         assert_eq!(tags, ix.list(), "the parallel vector follows every move");
@@ -1837,9 +2202,9 @@ mod tests {
         }
         let rounds: Vec<Round> = (0..ix.len()).map(|p| ix.at_pos(p)).collect();
         assert_eq!(rounds, [0, 1, 1, 3, 3]);
-        assert!(!ix.unmark_grouped(7, &mut ends, &mut tags), "double unmark is a no-op");
+        assert!(!ix.unmark_grouped(7, &mut ends, Some(&mut tags)), "double unmark is a no-op");
         // The creator's removal empties round 0.
-        assert!(ix.unmark_grouped(3, &mut ends, &mut tags));
+        assert!(ix.unmark_grouped(3, &mut ends, Some(&mut tags)));
         assert_eq!(ends, [0, 2, 2, 4]);
         let rounds: Vec<Round> = (0..ix.len()).map(|p| ix.at_pos(p)).collect();
         assert_eq!(rounds, [1, 1, 3, 3]);

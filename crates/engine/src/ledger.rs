@@ -309,19 +309,22 @@ impl Tally {
     /// Closes the current round: adds its transmissions to the totals,
     /// records the coverage instant if it was reached (the `Coverage`
     /// phase), emits the counters through the [`Ledger`] and appends them
-    /// to the history when asked.
+    /// to the history when asked. `groups` are the informed list's
+    /// reception-round group ends, if it keeps them (debug builds check
+    /// them).
     pub(crate) fn close_round(
         &mut self,
         ledger: &mut Ledger,
         mut counters: RoundCounters,
         informed: &InformedIndex,
+        groups: Option<&[u32]>,
         record_history: bool,
     ) -> RoundCounters {
         counters.informed = self.alive_informed;
         self.push_tx += counters.push_tx;
         self.pull_tx += counters.pull_tx;
         self.note_coverage(ledger, 0);
-        ledger.debug_check_informed(informed, self.alive_informed, None);
+        ledger.debug_check_informed(informed, self.alive_informed, groups);
         ledger.lap(StepPhase::Coverage);
         let counters = ledger.close_round(counters);
         if record_history {

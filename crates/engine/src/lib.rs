@@ -33,11 +33,11 @@
 //! 2. **Plan** — an *informed-node index list* means only informed nodes
 //!    are visited (`O(informed)`); everyone else keeps a standing `SILENT`
 //!    plan. An [`oblivious`](Capabilities::oblivious) protocol is asked
-//!    once per reception round instead, and no node is planned at all
-//!    when no reception round transmits (a *silent* round) or when every
-//!    reception round transmits in the same directions (a *frontier*
-//!    round, on the loss-free fast path under `Distinct(k)` with no
-//!    partition or burst view).
+//!    once per reception round instead and no node is planned: a node's
+//!    plan is its reception round's entry. A round is *silent* when no
+//!    reception round transmits, and a *frontier* round when every
+//!    reception round transmits in the same directions (on the loss-free
+//!    fast path under `Distinct(k)` with no partition or burst view).
 //! 3. **Fabric** — every alive node opens channels into one CSR channel
 //!    fabric, gated per caller by the plans: `Skip` (a push-only
 //!    protocol's uninformed caller: counted, never sampled), `Quiet` (the
@@ -45,13 +45,17 @@
 //!    `Open`. A silent round on the failure-free fast path skips the
 //!    sampling and the next two phases: one pass counts the channels and
 //!    generator words, and one `discard` jumps the generator past them.
-//!    In a frontier round that pass also lists the *incomplete* slots
-//!    (dead, blocked, or missing the rumour); if their stubs number at
-//!    most `n`, only the callers among them or next to them are sampled,
-//!    and every other caller's channels are booked: each reaches an
-//!    informed node and carries every direction used once, so the engine
-//!    counts their transmissions and exchanges only the listed channels.
-//!    With nobody left to inform, nothing is listed at all.
+//!    In a round in which nobody pull-serves that pass lists the `Open`
+//!    callers with their offsets in the stream, and only they are
+//!    sampled: the round is *listed*, with one row of channels per
+//!    listed caller. In a frontier round the pass also lists the
+//!    *incomplete* slots (dead, blocked, or missing the rumour); if
+//!    their stubs number at most `n`, only the open callers among them
+//!    or next to them are listed and sampled, and every other caller's
+//!    channels are booked: each reaches an informed node and carries
+//!    every direction used once, so the engine counts their
+//!    transmissions and exchanges only the listed channels. With nobody
+//!    left to inform, nothing is listed at all.
 //!    These rules, and the serial pre-draw of transmission outcomes (one
 //!    per used channel direction), are written once in the engine's
 //!    fabric module, behind one entry that both round engines call with

@@ -422,7 +422,7 @@ impl<P: Protocol> MultiSimState<P> {
                 for r in 0..rumours {
                     // Keep the sparse state vector aligned with the index list.
                     let unmarked = if grouped {
-                        self.informed[r].unmark_grouped(i, &mut self.round_ends[r], &mut self.states[r])
+                        self.informed[r].unmark_grouped(i, &mut self.round_ends[r], Some(&mut self.states[r]))
                     } else {
                         self.informed[r].unmark(i).map(|p| self.states[r].swap_remove(p)).is_some()
                     };
@@ -641,7 +641,8 @@ impl<P: Protocol> MultiSimState<P> {
         };
         let live = frontier.map_or(0, |f| f.live);
         let direct = frontier.is_some_and(|f| !f.silent);
-        let (informed_of, push_any, census) = (&self.informed_of, &self.push_any, &self.ledger.census);
+        let (informed_of, push_any): (&[_], &[bool]) = (&self.informed_of, &self.push_any);
+        let census = &self.ledger.census;
         self.fabric.sample_round(
             topo,
             protocol,
@@ -650,12 +651,14 @@ impl<P: Protocol> MultiSimState<P> {
             self.ledger.faults.as_ref(),
             census.blocked_slice(),
             RoundGate {
-                uninformed: |i: usize| informed_of[i] == 0,
-                pushes: |i: usize| {
+                uninformed: move |i: usize| informed_of[i] == 0,
+                pushes: move |i: usize| {
                     push_any[i] || (direct && informed_of[i] > 0 && census.is_participating(i))
                 },
-                lacks: |i: usize| (informed_of[i] as usize) < live || !census.is_alive(i),
+                lacks: move |i: usize| (informed_of[i] as usize) < live || !census.is_alive(i),
                 any_pull,
+                // The exchange looks each sender's row up by node id.
+                list: false,
                 kind,
             },
             ShardLayout::new(n, config.shards),
@@ -968,15 +971,11 @@ impl<P: Protocol> MultiSimState<P> {
     fn frontier_messages(&self, active_end: usize) -> u64 {
         let fabric = &self.fabric;
         let mut used = 0u64;
-        if !fabric.listed() {
-            return 0;
-        }
-        for &i in fabric.frontier() {
-            let range = fabric.out_range(i as usize);
+        for (i, range) in fabric.rows(0..usize::MAX) {
             if range.is_empty() {
                 continue;
             }
-            let push = self.sends_any(i as usize, active_end, |p| p.push);
+            let push = self.sends_any(i, active_end, |p| p.push);
             for c in range {
                 let w = fabric.target(c).index();
                 used += u64::from(push) + u64::from(self.sends_any(w, active_end, |p| p.pull_serve));
@@ -999,12 +998,10 @@ impl<P: Protocol> MultiSimState<P> {
             ix.pos(x).is_some_and(|p| p < known) && census.is_participating(x)
         };
         let (mut push, mut pull) = (0u64, 0u64);
-        if !fabric.listed() || !plan.transmits() {
+        if !plan.transmits() {
             return (push, pull);
         }
-        for &i in fabric.frontier() {
-            let i = i as usize;
-            let range = fabric.out_range(i);
+        for (i, range) in fabric.rows(0..usize::MAX) {
             if range.is_empty() {
                 continue;
             }

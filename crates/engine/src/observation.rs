@@ -134,6 +134,18 @@ impl ObservationArena {
         self.staging.push((receiver as u32, meta, true));
     }
 
+    /// Notes that `receiver` heard a copy whose contents nobody reads (an
+    /// oblivious protocol's, which makes no update): it is touched, and
+    /// nothing is staged, so the arena must not be built this round.
+    #[inline]
+    // rrb-lint: hot
+    pub(crate) fn record_heard(&mut self, receiver: usize) {
+        if self.push_count[receiver] == 0 {
+            self.touched.push(receiver as u32);
+            self.push_count[receiver] = 1;
+        }
+    }
+
     /// Records a rumour copy delivered to `receiver` via pull.
     #[inline]
     // rrb-lint: hot

@@ -173,14 +173,23 @@ pub struct SimState<P: Protocol> {
     /// Every informed node's reception round lies in `0..=latest_informed_at`,
     /// which is all an oblivious protocol's planning depends on.
     latest_informed_at: Round,
+    /// The informed list is grouped by reception round: `round_ends[k]` is
+    /// the exclusive end of round `k`'s group (see
+    /// [`InformedIndex::unmark_grouped`]), `latest_informed_at + 1` ends.
+    round_ends: Vec<u32>,
+    /// An oblivious protocol's pushers in a round in which its table's
+    /// entries differ and nobody pull-serves (the fabric's push gate), as
+    /// flags per slot and as a list to clear them by.
+    pushing: Vec<bool>,
+    pushers: Vec<u32>,
     /// A `protocol.init(false)` state to plan reception-round buckets with
-    /// (an oblivious protocol's plan ignores it).
+    /// (an oblivious protocol's plan ignores it, and its nodes keep the
+    /// state `init` gave them).
     bucket_state: P::State,
-    /// Every standing plan is `SILENT` (so a silent round of an oblivious
-    /// protocol need not rewrite them).
-    plans_silent: bool,
     // Scratch buffers reused across rounds (allocation-free once warm).
     fabric: ChannelFabric,
+    /// Each node's plan this round; empty for an oblivious protocol, whose
+    /// node plans are read from `round_plans` (see [`table_plan`]).
     plans: Vec<Plan>,
     /// An oblivious protocol's plans this round, by reception round in
     /// `0..=latest_informed_at`.
@@ -209,10 +218,12 @@ impl<P: Protocol> SimState<P> {
             creator: origin,
             choice: ChoiceState::new(node_count, protocol.choice_policy()),
             latest_informed_at: 0,
+            round_ends: vec![1],
+            pushing: Vec::new(),
+            pushers: Vec::new(),
             bucket_state: protocol.init(false),
-            plans_silent: true,
             fabric: ChannelFabric::new(node_count),
-            plans: vec![Plan::SILENT; node_count],
+            plans: if protocol.capabilities().oblivious { Vec::new() } else { vec![Plan::SILENT; node_count] },
             round_plans: Vec::new(),
             empty_obs: Observation::default(),
             shard_rt: None,
@@ -243,9 +254,15 @@ impl<P: Protocol> SimState<P> {
 
     /// Accommodates topology growth (new node slots join uninformed).
     fn ensure_len(&mut self, protocol: &P, node_count: usize) {
+        let oblivious = protocol.capabilities().oblivious;
         while self.states.len() < node_count {
             self.states.push(protocol.init(false));
-            self.plans.push(Plan::SILENT);
+            if !oblivious {
+                self.plans.push(Plan::SILENT);
+            }
+        }
+        if oblivious {
+            self.pushing.resize(node_count, false);
         }
         self.informed.ensure_len(node_count);
         self.choice.ensure_len(node_count);
@@ -263,13 +280,15 @@ impl<P: Protocol> SimState<P> {
         self.ensure_len(protocol, delta.slot_end());
         self.ledger.apply_membership(delta, |change| match change {
             SlotChange::Arrive(i) => {
-                if self.informed.unmark(i).is_some() {
+                if self.informed.unmark_grouped(i, &mut self.round_ends, None::<&mut Vec<()>>) {
                     if let Some(rt) = self.shard_rt.as_mut() {
                         rt.forget(i);
                     }
                 }
                 self.states[i] = protocol.init(false);
-                self.plans[i] = Plan::SILENT;
+                if let Some(plan) = self.plans.get_mut(i) {
+                    *plan = Plan::SILENT;
+                }
                 self.choice.reset_slot(i);
             }
             SlotChange::Leave(i) => {
@@ -278,7 +297,7 @@ impl<P: Protocol> SimState<P> {
                 }
             }
         });
-        self.ledger.debug_check_informed(&self.informed, self.tally.alive_informed, None);
+        self.ledger.debug_check_informed(&self.informed, self.tally.alive_informed, Some(&self.round_ends));
     }
 
     /// Whether the run has reached a stopping condition.
@@ -293,7 +312,6 @@ impl<P: Protocol> SimState<P> {
         }
         self.tally.sync_census(&mut self.ledger, topo, &self.informed);
         let round = self.ledger.round;
-        let census = &self.ledger.census;
         let cap = protocol.deadline().unwrap_or(config.max_rounds).min(config.max_rounds);
         // Covered (now or at a past instant) first; then quiescence: every
         // informed node permanently silent means no rumour can ever move
@@ -302,7 +320,7 @@ impl<P: Protocol> SimState<P> {
         // reports Quiescent, not RoundCap.
         self.tally.stop = if config.stop_at_coverage && self.tally.covered(&self.ledger) {
             Some(StopReason::FullCoverage)
-        } else if self.informed.all_quiescent(protocol, &self.states, census, round + 1) {
+        } else if self.all_quiescent(protocol, round + 1) {
             Some(StopReason::Quiescent)
         } else if round >= cap {
             Some(StopReason::RoundCap)
@@ -310,6 +328,28 @@ impl<P: Protocol> SimState<P> {
             None
         };
         self.tally.stop.is_some()
+    }
+
+    /// Whether every informed node is crashed or permanently silent at
+    /// round `t`. An oblivious protocol's nodes keep the state `init` gave
+    /// them, so it is first asked once per reception round in
+    /// `0..=latest_informed_at` (and once for the creator's own state): if
+    /// every answer is quiescent, so is the run. Otherwise, and for every
+    /// other protocol, the informed list is scanned, which counts crashed
+    /// nodes out exactly.
+    fn all_quiescent(&self, protocol: &P, t: Round) -> bool {
+        let census = &self.ledger.census;
+        if protocol.capabilities().oblivious {
+            let creator = self.creator.index();
+            let creator_quiet = self.informed.at(creator).is_none_or(|at| {
+                census.is_crashed(creator) || protocol.is_quiescent(&self.states[creator], at, t)
+            });
+            let rounds_quiet = || (0..=self.latest_informed_at).all(|at| protocol.is_quiescent(&self.bucket_state, at, t));
+            if creator_quiet && rounds_quiet() {
+                return true;
+            }
+        }
+        self.informed.all_quiescent(protocol, &self.states, census, t)
     }
 
     /// Alive, uncrashed nodes — the coverage denominator, `O(1)` from the
@@ -330,6 +370,7 @@ impl<P: Protocol> SimState<P> {
     pub fn scratch_capacities(&self) -> Vec<usize> {
         let mut caps = self.fabric.capacities().to_vec();
         caps.extend([self.plans.capacity(), self.round_plans.capacity(), self.informed.capacity()]);
+        caps.extend([self.round_ends.capacity(), self.pushing.capacity(), self.pushers.capacity()]);
         if let Some(rt) = &self.shard_rt {
             caps.extend(rt.capacities());
         }
@@ -398,13 +439,30 @@ impl<P: Protocol> SimState<P> {
         // shared with the multi-rumour engine (`fabric.rs`): the plans say
         // who pushes, who knows the rumour and whether anyone pull-serves,
         // and a silent round of an oblivious protocol may skip the
-        // sampling and phases c–d altogether. A frontier round plans no
-        // node: a complete node sends the one plan, an incomplete one
-        // nothing, and only the callers next to an incomplete slot are
-        // sampled. On the fast path under `Distinct(k)` each shard samples
-        // its own callers.
+        // sampling and phases c–d altogether. An oblivious protocol plans
+        // no node: a node's plan is its reception round's entry of the
+        // table. In a round in which nobody pull-serves only the pushers
+        // are sampled and listed, and in a frontier round only the open
+        // callers next to an incomplete slot. On the fast path under
+        // `Distinct(k)` each shard samples its own callers.
+        let oblivious = protocol.capabilities().oblivious;
+        let (informed, census) = (&self.informed, &self.ledger.census);
+        let (plans, pushing): (&[Plan], &[bool]) = (&self.plans, &self.pushing);
+        // An oblivious protocol's pushers are flagged, and in a frontier
+        // round they are the informed nodes that take part if its one
+        // plan pushes.
         let frontier = declared == RoundKind::Frontier;
-        let (informed, plans, census) = (&self.informed, &self.plans, &self.ledger.census);
+        let uniform_push = frontier && self.round_plans[0].push;
+        let covered = self.tally.alive_informed == n;
+        let pushes = move |i: usize| {
+            if frontier {
+                uniform_push && informed.is_informed(i) && census.is_participating(i)
+            } else if oblivious {
+                pushing[i]
+            } else {
+                plans[i].push
+            }
+        };
         let layout = self.shard_rt.as_ref().expect("shard runtime").layout;
         self.fabric.sample_round(
             topo,
@@ -414,12 +472,14 @@ impl<P: Protocol> SimState<P> {
             self.ledger.faults.as_ref(),
             census.blocked_slice(),
             RoundGate {
-                uninformed: |i: usize| !informed.is_informed(i),
-                // Asked in a frontier round only of an incomplete caller,
-                // which is uninformed or does not take part: it is silent.
-                pushes: |i: usize| !frontier && plans[i].push,
-                lacks: |i: usize| !informed.is_informed(i) || !census.is_alive(i),
+                uninformed: move |i: usize| !informed.is_informed(i),
+                pushes,
+                // With every slot informed, alive and uncrashed, nobody
+                // lacks anything: only dead and blocked slots can be
+                // incomplete.
+                lacks: move |i: usize| !covered && (!informed.is_informed(i) || !census.is_alive(i)),
                 any_pull,
+                list: true,
                 kind: declared,
             },
             layout,
@@ -428,24 +488,15 @@ impl<P: Protocol> SimState<P> {
         );
         self.ledger.lap(StepPhase::Fabric);
         let (push_tx, pull_tx, newly_informed) = match self.fabric.kind() {
-            RoundKind::Sampled => {
-                // A frontier round the fabric sampled whole (its incomplete
-                // slots have too many stubs) is planned now: the exchange
-                // reads the plans.
-                let any_pull = match declared {
-                    RoundKind::Frontier => self.plan_nodes(n, t, protocol),
-                    _ => any_pull,
-                };
-                // Phases c–d (exchange / update-digest).
-                self.phases_sharded(n, t, protocol, false, any_pull, failures, rng)
-            }
+            // Phases c–d (exchange / update-digest).
+            RoundKind::Sampled => self.phases_sharded(n, t, protocol, any_pull, failures, rng),
             RoundKind::Silent | RoundKind::Frontier => {
                 // A frontier round's booked channels each carry every
                 // direction of the one plan to an informed node (a silent
                 // round books none); the exchange walks the listed ones.
                 let (booked, plan) = (self.fabric.counters().booked_channels, self.round_plans[0]);
-                let (push, pull, newly) = if self.fabric.listed() {
-                    self.phases_sharded(n, t, protocol, true, any_pull, failures, rng)
+                let (push, pull, newly) = if self.fabric.has_lists() {
+                    self.phases_sharded(n, t, protocol, any_pull, failures, rng)
                 } else {
                     self.ledger.lap(StepPhase::Exchange);
                     self.ledger.lap(StepPhase::Update);
@@ -457,23 +508,21 @@ impl<P: Protocol> SimState<P> {
 
         // Phase e: totals, coverage instant, probe and history (`ledger.rs`).
         let counters = RoundCounters { newly_informed, push_tx, pull_tx, ..self.fabric.counters() };
-        self.tally.close_round(&mut self.ledger, counters, &self.informed, config.record_history)
+        let groups = Some(self.round_ends.as_slice());
+        self.tally.close_round(&mut self.ledger, counters, &self.informed, groups, config.record_history)
     }
 
     /// Phase a: declares the round's kind and plans its nodes. Builds the
     /// shard runtime on the first round. Returns whether any node
     /// pull-serves this round, and the kind.
     ///
-    /// An oblivious protocol is asked once per reception round in
-    /// `0..=latest_informed_at`, into `round_plans`. If none transmits, the
-    /// round is silent: no node is planned and every standing plan stays
-    /// (or is reset once to) `SILENT`. If the round is `frontier_able` (see
-    /// [`frontier_allowed`]) and every entry transmits in the same directions,
-    /// it is a frontier round: no node is planned, and the standing plans
-    /// are stale until the next sampled round writes them (a node's plan
-    /// is the uniform entry if it is informed and takes part, `SILENT`
-    /// otherwise). Otherwise each node takes its reception round's plan
-    /// ([`plan_nodes`](Self::plan_nodes)).
+    /// An oblivious protocol plans no node: it is asked once per reception
+    /// round in `0..=latest_informed_at`, into `round_plans`, and a node's
+    /// plan is its round's entry ([`table_plan`]). If none transmits, the
+    /// round is silent. If the round is `frontier_able` (see
+    /// [`frontier_allowed`]) and every entry transmits in the same
+    /// directions, it is a frontier round. Any other protocol plans each
+    /// informed node ([`plan_nodes`](Self::plan_nodes)).
     fn plan_sharded(
         &mut self,
         n: usize,
@@ -485,44 +534,58 @@ impl<P: Protocol> SimState<P> {
         let informed = &self.informed;
         let rt = self.shard_rt.get_or_insert_with(|| ShardRuntime::new(n, shards, informed.list()));
         rt.ensure_len(n);
-        if protocol.capabilities().oblivious {
-            self.round_plans.clear();
-            let latest = self.latest_informed_at;
-            self.round_plans.extend(reception_round_plans(protocol, &self.bucket_state, latest, t));
-            let first = self.round_plans[0];
-            if !self.round_plans.iter().any(Plan::transmits) {
-                if !self.plans_silent {
-                    self.plans.fill(Plan::SILENT);
-                    self.plans_silent = true;
+        if !protocol.capabilities().oblivious {
+            return (self.plan_nodes(n, t, protocol), RoundKind::Sampled);
+        }
+        for &i in &self.pushers {
+            self.pushing[i as usize] = false;
+        }
+        self.pushers.clear();
+        self.round_plans.clear();
+        let latest = self.latest_informed_at;
+        self.round_plans.extend(reception_round_plans(protocol, &self.bucket_state, latest, t));
+        let table = &self.round_plans;
+        if !table.iter().any(Plan::transmits) {
+            return (false, RoundKind::Silent);
+        }
+        // Someone pull-serves iff an informed node that takes part has a
+        // reception round whose entry pull-serves.
+        let census = &self.ledger.census;
+        let groups = |dir: fn(&Plan) -> bool| {
+            let starts = std::iter::once(0).chain(self.round_ends.iter().copied());
+            table.iter().zip(starts.zip(&self.round_ends)).filter(move |(p, _)| dir(p)).map(|(_, (lo, &hi))| lo..hi)
+        };
+        let list = self.informed.list();
+        let serves = groups(|p| p.pull_serve).flatten().any(|p| census.is_participating(list[p as usize] as usize));
+        let first = table[0];
+        let uniform = table.iter().all(|p| (p.push, p.pull_serve) == (first.push, first.pull_serve));
+        if frontier_able && uniform {
+            return (serves, RoundKind::Frontier);
+        }
+        if !serves {
+            // Flag the pushers, group by group, for the fabric's gate.
+            for p in groups(|p| p.push).flatten() {
+                let i = list[p as usize];
+                if census.is_participating(i as usize) {
+                    self.pushing[i as usize] = true;
+                    self.pushers.push(i);
                 }
-                return (false, RoundKind::Silent);
-            }
-            if frontier_able
-                && self.round_plans.iter().all(|p| (p.push, p.pull_serve) == (first.push, first.pull_serve))
-            {
-                // Someone pull-serves iff an informed node takes part.
-                let census = &self.ledger.census;
-                let serves = first.pull_serve
-                    && self.informed.list().iter().any(|&i| census.is_participating(i as usize));
-                return (serves, RoundKind::Frontier);
             }
         }
-        (self.plan_nodes(n, t, protocol), RoundKind::Sampled)
+        (serves, RoundKind::Sampled)
     }
 
-    /// Plans every informed node: one task per shard over its own informed
-    /// list, writing disjoint per-shard chunks of the plan buffer. Returns
-    /// whether any node pull-serves.
+    /// Plans every informed node of a protocol that is not oblivious: one
+    /// task per shard over its own informed list, writing disjoint
+    /// per-shard chunks of the plan buffer. Returns whether any node
+    /// pull-serves.
     fn plan_nodes(&mut self, n: usize, t: Round, protocol: &P) -> bool {
-        self.plans_silent = false;
         let rt = self.shard_rt.as_ref().expect("shard runtime");
         let layout = rt.layout;
         let probing = self.ledger.probe.is_some();
         let states = &self.states;
         let informed = &self.informed;
         let census = &self.ledger.census;
-        let oblivious = protocol.capabilities().oblivious;
-        let round_plans = oblivious.then_some(self.round_plans.as_slice());
         let creator = self.creator;
         let mut rest: &mut [Plan] = &mut self.plans[..n];
         let mut items: Vec<(usize, &mut [Plan], &[u32])> = Vec::with_capacity(layout.count());
@@ -536,9 +599,7 @@ impl<P: Protocol> SimState<P> {
             .map(|(s, chunk, list)| {
                 let sc = ShardClock::armed(probing);
                 let base = layout.range(s, n).start;
-                let any_pull = plan_list(
-                    protocol, states, informed, census, round_plans, creator, t, base, chunk, list,
-                );
+                let any_pull = plan_list(protocol, states, informed, census, creator, t, base, chunk, list);
                 (any_pull, sc.elapsed())
             })
             .collect();
@@ -559,16 +620,14 @@ impl<P: Protocol> SimState<P> {
     /// outboxes merged in ascending source-shard order, which reproduces
     /// the global caller order — see `crate::shard` for the determinism
     /// argument. Runs after [`plan_sharded`](Self::plan_sharded), which
-    /// builds the runtime. In a `frontier` round the plans are not
-    /// written: a node's plan is the uniform entry if it is informed and
-    /// takes part, `SILENT` otherwise.
+    /// builds the runtime. An oblivious protocol's node plans are read
+    /// from its table ([`table_plan`]), anyone else's from `plans`.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn phases_sharded<R: Rng + ?Sized>(
         &mut self,
         n: usize,
         t: Round,
         protocol: &P,
-        frontier: bool,
         any_pull: bool,
         failures: FailureModel,
         rng: &mut R,
@@ -583,13 +642,9 @@ impl<P: Protocol> SimState<P> {
         // entirely when the transmission rate is zero (nothing to draw,
         // and never in a frontier round, which is loss-free).
         if failures.transmission_failure > 0.0 {
-            let plans = &self.plans;
-            self.fabric.draw_transmissions(
-                failures,
-                |i| plans[i].push,
-                |w| any_pull && plans[w].pull_serve,
-                rng,
-            );
+            let (informed, plans, census, table) = (&self.informed, &self.plans, &self.ledger.census, &self.round_plans);
+            let plan_of = |i: usize| if oblivious { table_plan(table, informed, census, i) } else { plans[i] };
+            self.fabric.draw_transmissions(failures, |i| plan_of(i).push, |w| any_pull && plan_of(w).pull_serve, rng);
         }
 
         // Phase c (fanned out): each shard walks its own callers'
@@ -603,16 +658,9 @@ impl<P: Protocol> SimState<P> {
         let (push_tx, pull_tx) = {
             let (fabric, informed, probe) = (&self.fabric, &self.informed, &mut self.ledger.probe);
             let skip = oblivious.then_some(informed);
-            if frontier {
-                // Callers and usable callees are alive and unblocked, so
-                // such a node takes part iff the census has it alive. An
-                // oblivious protocol's copies carry no header it reads, so
-                // every informed node may send the first entry.
-                let (uniform, census) = (self.round_plans[0], &self.ledger.census);
-                let plan_of = |i: usize| {
-                    if informed.is_informed(i) && census.is_alive(i) { uniform } else { Plan::SILENT }
-                };
-                exchange_shards(fabric, rt, n, any_pull, skip, probe, plan_of)
+            if oblivious {
+                let (table, census) = (&self.round_plans, &self.ledger.census);
+                exchange_shards(fabric, rt, n, any_pull, skip, probe, |i| table_plan(table, informed, census, i))
             } else {
                 let plans = &self.plans;
                 exchange_shards(fabric, rt, n, any_pull, skip, probe, |i: usize| plans[i])
@@ -686,7 +734,9 @@ impl<P: Protocol> SimState<P> {
         }
 
         // Serial finalize, fixed shard order: apply the deferred marks,
-        // maintain the census numerator and the per-shard informed lists.
+        // maintain the census numerator, the per-shard informed lists and
+        // the reception-round groups (the marks form round `t`'s).
+        let known = self.informed.len() as u32;
         let mut newly_informed = 0usize;
         for s in 0..count {
             for ix in 0..rt.newly[s].len() {
@@ -701,6 +751,10 @@ impl<P: Protocol> SimState<P> {
                     rt.informed_lists[s].push(gi);
                 }
             }
+        }
+        if newly_informed > 0 {
+            self.round_ends.resize(t as usize, known);
+            self.round_ends.push(self.informed.len() as u32);
         }
         self.ledger.lap(StepPhase::Update);
         (push_tx, pull_tx, newly_informed)
@@ -727,9 +781,7 @@ impl<P: Protocol> SimState<P> {
 
 /// Plans the informed nodes in `list` into `chunk[i - base]` and returns
 /// whether any of them pull-serves. Everyone else keeps a standing SILENT
-/// plan, so planning is O(informed), not O(n). With `round_plans` (an
-/// oblivious protocol's plans by reception round) a node takes its
-/// round's entry instead of a `plan` call. Called once per shard over
+/// plan, so planning is O(informed), not O(n). Called once per shard over
 /// that shard's chunk. RNG-free and read-only on all shared state —
 /// thread scheduling cannot affect it.
 #[allow(clippy::too_many_arguments)]
@@ -739,7 +791,6 @@ fn plan_list<P: Protocol>(
     states: &[P::State],
     informed: &InformedIndex,
     census: &AliveCensus,
-    round_plans: Option<&[Plan]>,
     creator: NodeId,
     t: Round,
     base: usize,
@@ -751,20 +802,26 @@ fn plan_list<P: Protocol>(
         let i = gi as usize;
         let v = NodeId::new(i);
         let plan = match informed.at(i) {
-            Some(at) if census.is_participating(i) => match round_plans {
-                Some(table) => table[at as usize],
-                None => {
-                    let view =
-                        NodeView { informed_at: at, is_creator: v == creator, state: &states[i] };
-                    protocol.plan(view, t)
-                }
-            },
+            Some(at) if census.is_participating(i) => {
+                protocol.plan(NodeView { informed_at: at, is_creator: v == creator, state: &states[i] }, t)
+            }
             _ => Plan::SILENT,
         };
         any_pull |= plan.pull_serve;
         chunk[i - base] = plan;
     }
     any_pull
+}
+
+/// An oblivious protocol's plan for node `i` this round: its reception
+/// round's entry of `table` if it is informed and takes part, `SILENT`
+/// otherwise (every node's copies carry the same header).
+#[inline]
+fn table_plan(table: &[Plan], informed: &InformedIndex, census: &AliveCensus, i: usize) -> Plan {
+    match informed.at(i) {
+        Some(at) if census.is_participating(i) => table[at as usize],
+        _ => Plan::SILENT,
+    }
 }
 
 /// Phase c over every shard of `rt`: each shard's [`shard_exchange`]
@@ -826,7 +883,8 @@ fn exchange_shards<F: Fn(usize) -> Plan + Sync>(
     (push_tx, pull_tx)
 }
 
-/// One shard's exchange fan-out over its own callers' channels. Delivery
+/// One shard's exchange fan-out over its own callers' rows of the
+/// channel lists (a listed round's listed callers only). Delivery
 /// outcomes come from the fabric's serial pre-draw — no RNG here. Pull receipts are
 /// recorded straight into the shard-local arena (the receiver is the
 /// caller). Push receipts go through the per-target-shard outbox, except
@@ -835,7 +893,8 @@ fn exchange_shards<F: Fn(usize) -> Plan + Sync>(
 /// (the outbox would hold every receipt a second time). Callee plans are
 /// read only when `any_pull` says some node pull-serves. With `skip_informed`
 /// (an oblivious protocol) a copy to a node informed before the round is
-/// counted but not stored: it would inform nobody and feed no update.
+/// counted but not stored: it would inform nobody and feed no update; a
+/// copy to anyone else only marks its receiver as heard.
 #[allow(clippy::too_many_arguments)]
 // rrb-lint: hot
 fn shard_exchange<F: Fn(usize) -> Plan>(
@@ -851,10 +910,10 @@ fn shard_exchange<F: Fn(usize) -> Plan>(
     let base = range.start;
     let direct = layout.count() == 1;
     let stores = |w: usize| skip_informed.is_none_or(|ix| !ix.is_informed(w));
+    let digests = skip_informed.is_none();
     let mut push_tx = 0u64;
     let mut pull_tx = 0u64;
-    for i in range {
-        let out = fabric.out_range(i);
+    for (i, out) in fabric.rows(range) {
         if out.is_empty() {
             continue;
         }
@@ -870,8 +929,10 @@ fn shard_exchange<F: Fn(usize) -> Plan>(
             if caller_plan.push {
                 push_tx += 1;
                 if fabric.push_arrives(c) && stores(w) {
-                    if direct {
+                    if direct && digests {
                         arena.record_push(w - base, caller_plan.meta);
+                    } else if direct {
+                        arena.record_heard(w - base);
                     } else {
                         outbox[layout.shard_of(w)].push((w as u32, caller_plan.meta));
                     }
@@ -883,7 +944,11 @@ fn shard_exchange<F: Fn(usize) -> Plan>(
                 if callee_plan.pull_serve {
                     pull_tx += 1;
                     if fabric.pull_arrives(c) && caller_stores {
-                        arena.record_pull(i - base, callee_plan.meta);
+                        if digests {
+                            arena.record_pull(i - base, callee_plan.meta);
+                        } else {
+                            arena.record_heard(i - base);
+                        }
                     }
                 }
             }
@@ -920,7 +985,11 @@ fn shard_merge_digest<P: Protocol>(
 ) {
     for row in outboxes {
         for &(w, meta) in &row[s] {
-            arena.record_push(w as usize - base, meta);
+            if oblivious {
+                arena.record_heard(w as usize - base);
+            } else {
+                arena.record_push(w as usize - base, meta);
+            }
         }
     }
     newly.clear();
@@ -1109,7 +1178,12 @@ mod tests {
     /// so its tail is a silent stretch that plans no node, and its
     /// exchange drops copies to informed nodes.
     fn oblivious_phased() -> WithCaps<Phased> {
-        WithCaps(phased(), Capabilities { oblivious: true, ..Capabilities::ALL })
+        oblivious_phased_with(phased())
+    }
+
+    /// `schedule` declared oblivious.
+    fn oblivious_phased_with(schedule: Phased) -> WithCaps<Phased> {
+        WithCaps(schedule, Capabilities { oblivious: true, ..Capabilities::ALL })
     }
 
     /// A run's report, counters, final generator and, per round, the kind
@@ -1149,8 +1223,8 @@ mod tests {
         // all-push and pull rounds 7-13 are frontier rounds, with crashes
         // too (a crashed slot is incomplete): the twin's counters, except
         // that the booked channels' words are jumped where the twin draws
-        // them. Every other counter, the report and the generator are
-        // equal.
+        // them and lists only its frontier's open callers. Every other
+        // counter, the report and the generator are equal.
         let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(1)).expect("graph");
         let schedule = Phased::new(2, 12, 16);
         let oblivious = WithCaps(schedule, Capabilities { oblivious: true, ..Capabilities::ALL });
@@ -1170,7 +1244,8 @@ mod tests {
                     RoundKind::Frontier => {
                         assert_frontier(native);
                         let (jumped_words, booked_channels) = (native.jumped_words, native.booked_channels);
-                        RoundCounters { jumped_words, booked_channels, ..*general }
+                        let listed_callers = native.listed_callers;
+                        RoundCounters { jumped_words, booked_channels, listed_callers, ..*general }
                     }
                     _ => *general,
                 })
@@ -1189,6 +1264,96 @@ mod tests {
                 assert!(r.fabric_words > 4096 && r.jumped_words == r.fabric_words, "{r:?}");
             }
         }
+    }
+
+    #[test]
+    fn phase_one_rounds_list_only_their_pushers() {
+        // The four-choice shape's phase 1 on rr(2^10, 8): in round t only
+        // the nodes informed in round t - 1 push, nobody pull-serves, and
+        // the fabric samples and lists exactly those pushers (round 1: the
+        // origin, a frontier round over its budget, sampled). Its later
+        // all-push rounds are frontier rounds, listed too.
+        let g = gen::random_regular(1 << 10, 8, &mut SmallRng::seed_from_u64(5)).expect("graph");
+        let proto = oblivious_phased_with(Phased::new(6, 10, 14));
+        let cfg = SimConfig::until_quiescent();
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut sim = SimState::new(&proto, 1 << 10, NodeId::new(3));
+        let mut pushers = 1;
+        while !sim.finished(&g, &proto, cfg) {
+            let rec = sim.step(&g, &proto, cfg, &mut rng);
+            if rec.round <= 6 {
+                assert!(sim.fabric.is_listed(), "round {}", rec.round);
+                assert_eq!(rec.listed_callers, pushers, "round {}", rec.round);
+                assert_eq!(rec.push_tx, 4 * pushers, "round {}", rec.round);
+                assert!(rec.listed_callers < 1 << 10 && rec.pull_tx == 0, "round {}", rec.round);
+            }
+            pushers = rec.newly_informed as u64;
+        }
+        assert!(sim.informed_count() > 900, "phase 1 spread the rumour");
+    }
+
+    /// A protocol that pushes for `.0` rounds after it hears the rumour
+    /// and then falls silent for good, declared oblivious: its nodes go
+    /// quiescent reception round by reception round.
+    #[derive(Debug, Clone, Copy)]
+    struct PushFor(Round);
+
+    impl Protocol for PushFor {
+        type State = ();
+
+        fn init(&self, _creator: bool) -> Self::State {}
+
+        fn choice_policy(&self) -> crate::ChoicePolicy {
+            crate::ChoicePolicy::FOUR
+        }
+
+        fn plan(&self, view: NodeView<'_, Self::State>, t: Round) -> Plan {
+            let meta = crate::RumorMeta { age: t - view.informed_at, counter: 0 };
+            if t <= view.informed_at + self.0 { Plan::push_with(meta) } else { Plan::SILENT }
+        }
+
+        fn update(&self, _: &mut Self::State, _: Option<Round>, _: Round, _: &Observation) {}
+
+        fn is_quiescent(&self, _state: &Self::State, informed_at: Round, t: Round) -> bool {
+            t > informed_at + self.0
+        }
+
+        fn capabilities(&self) -> Capabilities {
+            Capabilities { oblivious: true, ..Capabilities::PUSH_ONLY }
+        }
+    }
+
+    #[test]
+    fn quiescence_by_reception_round_agrees_with_the_scan() {
+        // Crash-stop runs of a protocol whose nodes quiesce by reception
+        // round: before every round the rule asked per reception round
+        // (falling back to the scan) answers what the scan of the
+        // informed list answers. Both ways are taken: the per-round answer
+        // alone, and crashes of every node still sending, which only the
+        // scan sees.
+        let g = gen::random_regular(256, 6, &mut SmallRng::seed_from_u64(7)).expect("graph");
+        let proto = PushFor(2);
+        let (mut by_rounds, mut by_crashes, mut busy) = (0, 0, 0);
+        for seed in 0..40 {
+            let cfg = SimConfig::until_quiescent().with_failures(FailureModel::crashes(0.25));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sim = SimState::new(&proto, 256, NodeId::new(seed as usize));
+            loop {
+                let t = sim.round() + 1;
+                let scan = sim.informed.all_quiescent(&proto, &sim.states, &sim.ledger.census, t);
+                let quiet = sim.all_quiescent(&proto, t);
+                assert_eq!(quiet, scan, "seed {seed}, round {t}");
+                let rounds_quiet = (0..=sim.latest_informed_at).all(|at| proto.is_quiescent(&(), at, t));
+                by_rounds += usize::from(quiet && rounds_quiet);
+                by_crashes += usize::from(quiet && !rounds_quiet);
+                busy += usize::from(!quiet);
+                if sim.finished(&g, &proto, cfg) {
+                    break;
+                }
+                sim.step(&g, &proto, cfg, &mut rng);
+            }
+        }
+        assert!(by_rounds > 0 && by_crashes > 0 && busy > 0, "({by_rounds}, {by_crashes}, {busy})");
     }
 
     #[test]

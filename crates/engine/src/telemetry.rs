@@ -146,6 +146,12 @@ pub struct RoundCounters {
     /// A frontier round with nobody left to inform books every channel.
     /// 0 in the async engine.
     pub booked_channels: u64,
+    /// Callers whose channels the fabric sampled and stored this round:
+    /// a listed round's listed callers (its pushers, or a frontier round's
+    /// open frontier callers), or every stored caller of a round sampled
+    /// whole; none in a round counted without lists. It is the same at
+    /// every shard count. 0 in the async engine.
+    pub listed_callers: u64,
     /// Alive, uncrashed nodes after the round (coverage denominator).
     pub alive: usize,
     /// Nodes currently suspended by a transient outage.
@@ -453,6 +459,7 @@ pub(crate) mod tests {
             fabric_words: 40,
             jumped_words: 32,
             booked_channels: 8,
+            listed_callers: 3,
             alive: 32,
             suspended: 1,
         });

@@ -258,6 +258,32 @@ fn sharding_invariance_of_saturated_rounds() {
 }
 
 #[test]
+fn listed_callers_are_shard_invariant() {
+    // Four-choice's phase 1 and its frontier rounds are listed: each
+    // shard lists its own pushers or open frontier callers. The counter
+    // of listed callers, every round, is the same at 1 and 3 shards, in
+    // the single engine and in the multi-rumour engine, and a phase 1
+    // round lists its pushers: far fewer callers than the graph has.
+    let g = gen::random_regular(2048, 8, &mut SmallRng::seed_from_u64(30)).expect("graph");
+    let four = FourChoice::for_graph(2048, 8);
+    let cfg = SimConfig::until_quiescent();
+    let listed = |t: &Trajectory| t.records.iter().map(|r| r.listed_callers).collect::<Vec<_>>();
+    let one = run_cell(&g, &four, cfg, None, NodeId::new(9), 0, 1, 1);
+    let three = run_cell(&g, &four, cfg, None, NodeId::new(9), 0, 3, 3);
+    assert_eq!(listed(&one), listed(&three), "single engine");
+    let pushers = one.records.iter().filter(|r| r.push_tx > 0 && 0 < r.listed_callers && r.listed_callers < 256);
+    assert!(pushers.count() >= 4, "phase 1 rounds list their pushers: {:?}", listed(&one));
+    let mut overlay_rng = SmallRng::seed_from_u64(31);
+    let overlay = rrb_p2p::Overlay::random(2048, 8, &mut overlay_rng).expect("overlay");
+    let births = staggered([0, 2, 5]);
+    let multi = |shards| run_multi_cell(&four, cfg, &overlay, &births, None, shards).0;
+    let (one, three) = (multi(1), multi(3));
+    let listed = |t: &MultiTrajectory| t.records.iter().map(|r| r.listed_callers).collect::<Vec<_>>();
+    assert_eq!(listed(&one), listed(&three), "multi-rumour engine");
+    assert!(one.records.iter().any(|r| 0 < r.listed_callers && r.listed_callers < 256), "{:?}", listed(&one));
+}
+
+#[test]
 fn sharding_invariance_with_iid_failures() {
     // Transmission failures are the sharp case: every shard count must
     // pre-draw per-channel outcomes in the same interleaved push/pull

@@ -352,9 +352,12 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
                 // sampled: silent with push = pull = 0, saturated with
                 // `booked` = channels and tx = channels per direction used.
                 // A frontier round books some channels and samples the rest.
+                // `listed` counts the callers whose channels were sampled
+                // and stored: a push round's pushers, a frontier round's
+                // open frontier callers.
                 let mut t = Table::new(vec![
                     "round", "informed", "new", "push", "pull", "channels", "words", "jumped",
-                    "booked",
+                    "booked", "listed",
                 ]);
                 for rec in &first.history {
                     t.row_display(vec![
@@ -367,6 +370,7 @@ fn run_specs(source: &str, specs: &[ScenarioSpec], flags: &RunFlags) -> ExitCode
                         rec.fabric_words,
                         rec.jumped_words,
                         rec.booked_channels,
+                        rec.listed_callers,
                     ]);
                 }
                 println!("per-round trace of seed 0:\n{t}");

@@ -82,15 +82,20 @@ fn trace_table_marks_the_rounds_counted_instead_of_sampled() {
     // fabric was counted instead of sampled jumps all its words: silent
     // ones send nothing and book nothing, saturated ones book every
     // channel and send one copy per channel. A frontier round books some
-    // channels and samples the others.
+    // channels and samples the others. The last column counts the listed
+    // callers: none in a counted round, and in a push round of phase 1
+    // only the pushers.
     let out = rrb(&["--topology", "regular", "--n", "1024", "--d", "8", "--trace"]);
     let rows: Vec<Vec<u64>> = out
         .lines()
         .filter(|line| line.starts_with('|') && !line.contains("round"))
         .map(|line| line.split('|').filter_map(|cell| cell.trim().parse().ok()).collect())
         .collect();
-    assert!(!rows.is_empty() && rows.iter().all(|row| row.len() == 9), "{out}");
+    assert!(!rows.is_empty() && rows.iter().all(|row| row.len() == 10), "{out}");
     let counted = |row: &&Vec<u64>| row[6] > 0 && row[7] == row[6];
+    assert!(rows.iter().filter(counted).all(|row| row[9] == 0), "a counted round listed callers: {out}");
+    let pushers = |row: &&Vec<u64>| row[3] > 0 && row[8] == 0 && 0 < row[9] && row[9] < 256;
+    assert!(rows.iter().filter(pushers).count() >= 3, "no push round listed only its pushers: {out}");
     let tx = |row: &&Vec<u64>| row[3] + row[4];
     let silent = |row: &&Vec<u64>| tx(row) == 0 && row[8] == 0;
     assert!(rows.iter().filter(counted).any(|row| silent(&row)), "no silent round: {out}");
